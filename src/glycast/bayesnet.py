@@ -13,9 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
@@ -296,14 +294,6 @@ class ArcStrengthTable:
         return float(self.strengths.get((u, v), 0.0))
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("GLYCAST_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def bootstrap_consensus(
     data: DiscreteDataset,
     b: int = 100,
@@ -334,12 +324,7 @@ def bootstrap_consensus(
         )
         return tabu_search(resample, params).arcs
 
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            replicate_arcs = list(pool.map(one_replicate, range(b)))
-    else:
-        replicate_arcs = [one_replicate(rep) for rep in range(b)]
+    replicate_arcs = [one_replicate(rep) for rep in range(b)]
 
     counts: dict[Arc, int] = {}
     for arcs in replicate_arcs:

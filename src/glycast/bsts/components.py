@@ -273,6 +273,18 @@ class StateSpaceModel:
             self.__dict__["_mask_schedule"] = schedule
         return schedule[t % self.period]
 
+    @property
+    def boundary_schedule(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The distinct boundary masks of one period, as (first step showing
+        each mask, index of every step's mask in that order)."""
+        cached = self.__dict__.get("_boundary_schedule")
+        if cached is None:
+            masks = [self.boundary_mask(u) for u in range(self.period)]
+            keys = list(dict.fromkeys(masks))
+            cached = (tuple(masks.index(k) for k in keys), tuple(keys.index(k) for k in masks))
+            self.__dict__["_boundary_schedule"] = cached
+        return cached
+
     def transition_matrix(self, phi: float, t: int) -> np.ndarray:
         m = self.state_dim
         T = np.zeros((m, m))

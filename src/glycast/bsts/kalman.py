@@ -2,9 +2,11 @@
 
 Conventions: the state at index t carries the components generating y_t;
 `transition_matrix(phi, t)` maps the time-t state to the time-(t+1) state.
-Exact zero variances are supported (the filter skips degenerate updates and
-the backward sampler collapses to the deterministic path), which the noiseless
-oracle cases rely on.
+State paths are drawn with the mean-corrected simulation smoother of Durbin &
+Koopman (2002): one forward filter plus a backward pass of matrix-vector
+products. Exact zero variances are supported (the filter skips degenerate
+updates and the smoother collapses to the deterministic path), which the
+noiseless oracle cases rely on.
 """
 
 from __future__ import annotations
@@ -55,11 +57,32 @@ def _check_params(model: StateSpaceModel, params: ParamPoint) -> None:
 class FilterResult:
     loglik: float
     filtered_means: np.ndarray  # (n, m) E[state_t | y_1..t]
-    filtered_covs: np.ndarray  # (n, m, m)
     predicted_means: np.ndarray  # (n,) E[y_t | y_1..t-1]
     predicted_variances: np.ndarray  # (n,)
     state_pred_means: np.ndarray  # (n, m) E[state_t | y_1..t-1]
     state_pred_covs: np.ndarray  # (n, m, m)
+    innovations: np.ndarray  # (n,) y_t - E[y_t | y_1..t-1]
+    gains: np.ndarray  # (n, m) P_t z / F_t; zero where F_t = 0
+
+
+def _step_operators(
+    model: StateSpaceModel, params: ParamPoint
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """(T, T', Q, sqrt(diag Q)) for every step of one period.
+
+    The matrices are built once per distinct boundary mask and shared by
+    every step with that mask.
+    """
+    level_var = params.sigma_level**2
+    slope_var = params.sigma_slope**2
+    seasonal_vars = [s**2 for s in params.sigma_seasonal]
+    first_steps, mask_index = model.boundary_schedule
+    ops = []
+    for t in first_steps:
+        T = model.transition_matrix(params.phi, t)
+        q = model.noise_diag(level_var, slope_var, seasonal_vars, t)
+        ops.append((T, T.T.copy(), np.diag(q), np.sqrt(q)))
+    return [ops[i] for i in mask_index]
 
 
 def kalman_loglik(
@@ -80,92 +103,52 @@ def kalman_loglik(
     z = model.z
     offsets = model.observation_offsets(params.beta, x, n)
     obs_var = params.sigma_obs**2
-    level_var = params.sigma_level**2
-    slope_var = params.sigma_slope**2
-    seasonal_vars = [s**2 for s in params.sigma_seasonal]
     c = model.state_intercept(params.d, params.phi)
-
     period = model.period
-    transitions = {}
-    noises = {}
-    for t in range(period):
-        key = model.boundary_mask(t)
-        if key not in transitions:
-            transitions[key] = model.transition_matrix(params.phi, t)
-            noises[key] = model.noise_diag(level_var, slope_var, seasonal_vars, t)
+    schedule = _step_operators(model, params)
 
     a = model.a1.copy()
     P = np.diag(model.p1_diag).astype(float)
-
-    loglik = 0.0
-    filtered_means = np.empty((n, m))
-    filtered_covs = np.empty((n, m, m))
-    predicted_means = np.empty(n)
-    predicted_variances = np.empty(n)
     state_pred_means = np.empty((n, m))
     state_pred_covs = np.empty((n, m, m))
-    log2pi = np.log(2.0 * np.pi)
+    predicted_variances = np.empty(n)
+    innovations = np.empty(n)
 
+    # The loop bodies call ndarray.dot: on operands this small its call
+    # overhead is about half that of the @ operator.
+    y_obs = y - offsets
     for t in range(n):
         state_pred_means[t] = a
         state_pred_covs[t] = P
-        pz = P @ z
-        f = float(z @ pz + obs_var)
-        pred = float(z @ a + offsets[t])
-        predicted_means[t] = pred
+        pz = P.dot(z)
+        f = z.dot(pz) + obs_var
+        v = y_obs[t] - z.dot(a)
         predicted_variances[t] = f
-        v = y[t] - pred
-        if not np.isfinite(f) or not np.isfinite(v):
-            raise NumericalError(f"non-finite filter quantity at step {t}")
+        innovations[t] = v
         if f > 0.0:
-            loglik += -0.5 * (log2pi + np.log(f) + v * v / f)
             gain = pz / f
             a = a + gain * v
-            P = P - np.outer(gain, pz)
-            P = (P + P.T) / 2.0
-        filtered_means[t] = a
-        filtered_covs[t] = P
-        key = model.boundary_mask(t)
-        T = transitions[key]
-        a = T @ a + c
-        P = T @ P @ T.T + np.diag(noises[key])
+            P = P - gain[:, None] * pz
+        T, Tt, Q, _ = schedule[t % period]
+        a = T.dot(a) + c
+        P = T.dot(P).dot(Tt) + Q
 
+    bad = ~(np.isfinite(predicted_variances) & np.isfinite(innovations))
+    if bad.any():
+        raise NumericalError(f"non-finite filter quantity at step {int(np.argmax(bad))}")
+    informative = predicted_variances > 0.0
+    f = np.where(informative, predicted_variances, 1.0)
+    gains = (state_pred_covs @ z) * (informative / f)[:, None]
     return FilterResult(
-        loglik=float(loglik),
-        filtered_means=filtered_means,
-        filtered_covs=filtered_covs,
-        predicted_means=predicted_means,
+        loglik=-0.5 * float(np.sum((np.log(2.0 * np.pi * f) + innovations**2 / f)[informative])),
+        filtered_means=state_pred_means + gains * innovations[:, None],
+        predicted_means=y - innovations,
         predicted_variances=predicted_variances,
         state_pred_means=state_pred_means,
         state_pred_covs=state_pred_covs,
+        innovations=innovations,
+        gains=gains,
     )
-
-
-def _sample_gaussian(mean: np.ndarray, cov: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw from N(mean, cov) for PSD (possibly singular) cov."""
-    scale = float(np.trace(cov))
-    if not np.isfinite(scale):
-        raise NumericalError("non-finite covariance in sampler")
-    if scale <= 0.0:
-        return mean.copy()
-    # Smoothing covariances are PSD up to rounding; a trace-relative jitter
-    # keeps Cholesky on the fast path without distorting the draw.
-    jitter = 1e-12 * scale / mean.size
-    try:
-        chol = np.linalg.cholesky(cov + jitter * np.eye(mean.size))
-        return mean + chol @ rng.standard_normal(mean.size)
-    except np.linalg.LinAlgError:
-        w, v = np.linalg.eigh((cov + cov.T) / 2.0)
-        w = np.clip(w, 0.0, None)
-        return mean + v @ (np.sqrt(w) * rng.standard_normal(mean.size))
-
-
-def _psd_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve A X = B for symmetric PSD A, tolerating singularity."""
-    try:
-        return np.linalg.solve(A, B)
-    except np.linalg.LinAlgError:
-        return np.linalg.pinv((A + A.T) / 2.0, hermitian=True) @ B
 
 
 def ffbs_sample(
@@ -174,35 +157,47 @@ def ffbs_sample(
     y: Sequence[float],
     rng: np.random.Generator,
     x: Optional[np.ndarray] = None,
-    filt: Optional[FilterResult] = None,
 ) -> np.ndarray:
     """Draw one state trajectory from the smoothing distribution.
 
-    Forward filter then backward sample: the terminal state comes from its
-    filtered distribution and each earlier state from its Gaussian conditional
-    given the sampled successor.
+    Mean-corrected simulation smoother (Durbin & Koopman 2002): draw a
+    noise-only state path and its observations (zero initial mean, no
+    intercept, no regression), filter the difference between y and those
+    observations under the full model, and add the smoothed mean of that
+    filter run to the noise-only path. The smoothed mean comes from the
+    backward recursion r_{t-1} = z v_t / F_t + (I - g_t z')' T_t' r_t with
+    r_{n-1} = 0 and filtered gain g_t = P_t z / F_t, as a_t + P_t r_{t-1}.
+    Steps with zero predictive variance carry no information (v/F = 0,
+    g = 0), so a noiseless model returns its deterministic path.
     """
     y = np.asarray(y, dtype=float)
     n = y.size
-    if filt is None:
-        filt = kalman_loglik(model, params, y, x)
-    transitions: dict[tuple[bool, ...], np.ndarray] = {}
-    for t in range(model.period):
-        key = model.boundary_mask(t)
-        if key not in transitions:
-            transitions[key] = model.transition_matrix(params.phi, t)
-    states = np.empty((n, model.state_dim))
-    states[n - 1] = _sample_gaussian(filt.filtered_means[n - 1], filt.filtered_covs[n - 1], rng)
-    for t in range(n - 2, -1, -1):
-        T = transitions[model.boundary_mask(t)]
-        # cov(state_t, state_{t+1} | y_1..t) = P_t|t T'
-        G = filt.filtered_covs[t] @ T.T
-        B = _psd_solve(filt.state_pred_covs[t + 1], G.T).T
-        mean = filt.filtered_means[t] + B @ (states[t + 1] - filt.state_pred_means[t + 1])
-        cov = filt.filtered_covs[t] - B @ G.T
-        cov = (cov + cov.T) / 2.0
-        states[t] = _sample_gaussian(mean, cov, rng)
-    return states
+    m = model.state_dim
+    z = model.z
+    period = model.period
+    schedule = _step_operators(model, params)
+
+    shocks = rng.standard_normal((n, m))
+    noise_path = np.empty((n, m))
+    alpha = np.sqrt(model.p1_diag) * shocks[0]
+    for t in range(n - 1):
+        noise_path[t] = alpha
+        T, _, _, q_sd = schedule[t % period]
+        alpha = T.dot(alpha) + q_sd * shocks[t + 1]
+    noise_path[n - 1] = alpha
+    noise_obs = noise_path @ z + params.sigma_obs * rng.standard_normal(n)
+
+    filt = kalman_loglik(model, params, y - noise_obs, x)
+    f = filt.predicted_variances
+    scaled_innovations = np.divide(filt.innovations, f, out=np.zeros(n), where=f > 0.0)
+
+    r = np.zeros(m)
+    rs = np.empty((n, m))
+    for t in range(n - 1, -1, -1):
+        w = schedule[t % period][1].dot(r)
+        r = w + z * (scaled_innovations[t] - filt.gains[t].dot(w))
+        rs[t] = r
+    return noise_path + filt.state_pred_means + np.einsum("tij,tj->ti", filt.state_pred_covs, rs)
 
 
 def forecast_path(

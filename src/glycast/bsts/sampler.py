@@ -1,12 +1,14 @@
 """Gibbs MCMC over the structural model and model-averaged forecasting.
 
-Each sweep: (1) draw a state path by FFBS given the current parameters;
-(2) conjugate inverse-gamma draws for the level, slope, and seasonal noise
-variances from state-innovation sums of squares; (3) Gaussian draw for the
-long-run slope D and truncated-Gaussian draw for the AR coefficient phi given
-the slope path; (4) a spike-and-slab sweep on the observation residual
-(or a plain inverse-gamma observation-variance draw when there is no
-regression). Forecasts average sampled forward paths across retained draws.
+Each sweep: (1) draw a state path with the simulation smoother (one Kalman
+filter pass plus a matrix-vector backward recursion) given the current
+parameters; (2) conjugate inverse-gamma draws for the level, slope, and
+seasonal noise variances from state-innovation sums of squares; (3) Gaussian
+draw for the long-run slope D and truncated-Gaussian draw for the AR
+coefficient phi given the slope path; (4) a spike-and-slab sweep on the
+observation residual (or a plain inverse-gamma observation-variance draw when
+there is no regression). Forecasts average sampled forward paths across
+retained draws.
 """
 
 from __future__ import annotations
@@ -294,13 +296,6 @@ def posterior_forecast(
     return ForecastResult(mean=paths.mean(axis=0), lower95=lower, upper95=upper, paths=paths)
 
 
-def _first_t_with_mask(model: StateSpaceModel, key: tuple[bool, ...]) -> int:
-    for t in range(model.period):
-        if model.boundary_mask(t) == key:
-            return t
-    raise AssertionError("mask not present in schedule")
-
-
 def forecast_anchors(
     model: StateSpaceModel,
     draws: PosteriorDraws,
@@ -360,8 +355,9 @@ def forecast_anchors(
     mask_of_t = [model.boundary_mask(t % period) for t in range(period)]
     stacks: dict[tuple[bool, ...], np.ndarray] = {}
     noise: dict[tuple[bool, ...], np.ndarray] = {}
-    for key in set(mask_of_t):
-        template = model.transition_matrix(0.0, _first_t_with_mask(model, key))
+    for t0 in model.boundary_schedule[0]:
+        key = mask_of_t[t0]
+        template = model.transition_matrix(0.0, t0)
         stack = np.broadcast_to(template, (K, m, m)).copy()
         stack[:, 1, 1] = phi
         stacks[key] = stack

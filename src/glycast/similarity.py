@@ -3,11 +3,14 @@ tester's measured values."""
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from .errors import CapacityError, RangeError, SchemaError
 
@@ -42,8 +45,15 @@ def select_similar(pool: Sequence[MarkerPoint], tester: MarkerPoint, m: int) -> 
         raise SchemaError(f"tester {tester.subject_id} must not appear in the pool")
     if not 1 <= m <= len(pool):
         raise CapacityError(f"m must lie in 1..{len(pool)}, got {m}")
-    ranked = sorted(pool, key=lambda p: (marker_distance(p, tester), p.subject_id))
-    return [point.subject_id for point in ranked[:m]]
+    fpg = np.fromiter((p.fpg for p in pool), float, len(pool))
+    hpp2 = np.fromiter((p.hpp2 for p in pool), float, len(pool))
+    dist = np.hypot(fpg - tester.fpg, hpp2 - tester.hpp2)
+    kth = dist[np.argpartition(dist, m - 1)[m - 1]]
+    # numpy and math.hypot may differ in the last bit: screen with a margin,
+    # then order the survivors exactly as a full sort would.
+    near = (pool[i] for i in np.flatnonzero(dist <= kth * (1.0 + 1e-9) + 1e-9).tolist())
+    ranked = heapq.nsmallest(m, ((marker_distance(p, tester), p.subject_id) for p in near))
+    return [subject_id for _, subject_id in ranked]
 
 
 def selection_log(pool: Sequence[MarkerPoint], tester: MarkerPoint, selected: Sequence[str]) -> dict:

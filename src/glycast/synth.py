@@ -427,6 +427,7 @@ class GaussianOracleResult:
     onestep_means: np.ndarray  # (T,) E[y_t | y_1..t-1]
     onestep_variances: np.ndarray
     smoothed_state_means: np.ndarray  # (T, m) E[state_t | y_1..T]
+    smoothed_state_covs: np.ndarray  # (T, m, m) Cov[state_t | y_1..T]
     forecast_means: np.ndarray  # (h,) E[y_{T+j} | y_1..T]
     forecast_variances: np.ndarray
 
@@ -516,6 +517,9 @@ def gaussian_predictive_oracle(
     cross = cov[: T * m, :] @ H[:T].T  # (T m, T)
     smoothed = mean[: T * m] + cross @ np.linalg.solve(chol.T, w)
     smoothed_state_means = smoothed.reshape(T, m)
+    tmp = np.linalg.solve(chol, cross.T)  # (T, T m)
+    joint = (cov[: T * m, : T * m] - tmp.T @ tmp).reshape(T, m, T, m)
+    smoothed_state_covs = joint[np.arange(T), :, np.arange(T), :]
 
     if horizon > 0:
         omega_fo = obs_cov[T:, :T]
@@ -533,6 +537,7 @@ def gaussian_predictive_oracle(
         onestep_means=onestep_means,
         onestep_variances=onestep_vars,
         smoothed_state_means=smoothed_state_means,
+        smoothed_state_covs=smoothed_state_covs,
         forecast_means=forecast_means,
         forecast_variances=forecast_variances,
     )

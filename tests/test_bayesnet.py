@@ -188,13 +188,6 @@ class TestBootstrapConsensus:
         t2, c2 = bootstrap_consensus(data, b=10, threshold=0.85, seed=11)
         assert t1.strengths == t2.strengths and c1.arcs == c2.arcs
 
-    def test_parallel_workers_match_sequential(self, monkeypatch):
-        data = chain_dataset(300, seed=8)
-        sequential, _ = bootstrap_consensus(data, b=8, threshold=0.85, seed=11)
-        monkeypatch.setenv("GLYCAST_THREADS", "4")
-        parallel, _ = bootstrap_consensus(data, b=8, threshold=0.85, seed=11)
-        assert sequential.strengths == parallel.strengths
-
     def test_invalid_params(self):
         data = chain_dataset(100, seed=0)
         with pytest.raises(RangeError):

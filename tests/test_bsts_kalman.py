@@ -7,6 +7,7 @@ from glycast.bsts import (
     assemble_model,
     ffbs_sample,
     kalman_loglik,
+    regression,
     seasonal,
     semi_local_trend,
 )
@@ -70,8 +71,6 @@ class TestFilter:
         rng = np.random.default_rng(3)
         y = rng.normal(0, 1, 18)
         x = rng.normal(0, 1, (18, 2))
-        from glycast.bsts import regression
-
         model = assemble_model([semi_local_trend(), regression(("a", "b"))], y, x)
         beta = np.array([1.5, -0.5])
         params = ParamPoint(0.2, 0.1, 0.7, d=0.0, phi=0.3, beta=beta)
@@ -117,3 +116,35 @@ class TestFFBS:
         a = ffbs_sample(model, params, y, np.random.default_rng(99))
         b = ffbs_sample(model, params, y, np.random.default_rng(99))
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("sigma_a", [0.5, 0.0])
+    def test_sample_moments_match_dense_smoother(self, sigma_a):
+        # Trend, two seasonals whose boundaries fall on 4 of 13 transitions,
+        # and a 2-column regression; sigma_a = 0 freezes the first seasonal.
+        rng = np.random.default_rng(5)
+        n = 14
+        y = rng.normal(0, 1, n).cumsum()
+        x = rng.normal(0, 1, (n, 2))
+        specs = [
+            semi_local_trend(),
+            seasonal("a", 3, (4, 4, 5)),
+            seasonal("b", 2, (6, 7)),
+            regression(("u", "v")),
+        ]
+        model = assemble_model(specs, y, x)
+        params = ParamPoint(0.4, 0.2, 0.6, (sigma_a, 0.3), d=0.05, phi=0.5, beta=np.array([0.7, -0.4]))
+        oracle = gaussian_predictive_oracle(model, params, y, x=x)
+        n_draws = 6000
+        draws = np.array([ffbs_sample(model, params, y, rng, x=x) for _ in range(n_draws)])
+
+        cov = oracle.smoothed_state_covs
+        var = np.einsum("tii->ti", cov)
+        mean_se = np.sqrt(var / n_draws)
+        diff = np.abs(draws.mean(axis=0) - oracle.smoothed_state_means)
+        assert np.all(diff <= 5.0 * np.maximum(mean_se, 1e-12))
+
+        centered = draws - draws.mean(axis=0)
+        sample_cov = np.einsum("kti,ktj->tij", centered, centered) / (n_draws - 1)
+        # Gaussian sampling variance of a covariance estimate.
+        cov_se = np.sqrt((var[:, :, None] * var[:, None, :] + cov**2) / n_draws)
+        assert np.all(np.abs(sample_cov - cov) <= 5.0 * np.maximum(cov_se, 1e-12))

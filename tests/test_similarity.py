@@ -91,3 +91,58 @@ class TestProperties:
         by_id = {p.subject_id: p for p in pool}
         distances = [marker_distance(by_id[s], tester) for s in previous]
         assert distances == sorted(distances)
+
+
+def nudge(value: float, ulps: int) -> float:
+    step = math.inf if ulps > 0 else -math.inf
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, step)
+    return value
+
+
+# Offsets on the 3-4-5 and 5-12-13 triangles give exact distance ties; the
+# ulp nudges give near-ties decided in the last bits of the distance.
+tie_offsets = st.sampled_from([(3, 4), (4, 3), (-3, 4), (5, 0), (0, -5), (5, 12), (-12, 5), (13, 0)])
+
+
+@st.composite
+def tied_pools(draw):
+    n = draw(st.integers(min_value=2, max_value=12))
+    ids = draw(st.permutations([f"S{i:02d}" for i in range(n)]))
+    pool = []
+    for sid in ids:
+        dx, dy = draw(tie_offsets)
+        pool.append(
+            point(
+                sid,
+                nudge(200.0 + dx, draw(st.integers(-2, 2))),
+                nudge(150.0 + dy, draw(st.integers(-2, 2))),
+            )
+        )
+    return pool
+
+
+class TestPartialSelection:
+    def sorted_reference(self, pool, tester, m):
+        ranked = sorted(pool, key=lambda p: (marker_distance(p, tester), p.subject_id))
+        return [p.subject_id for p in ranked[:m]]
+
+    def test_exact_and_one_ulp_ties(self):
+        tester = point("T", 200.0, 150.0, source="measured")
+        pool = [
+            point("E", 203.0, 154.0),
+            point("D", 204.0, 153.0),
+            point("C", 197.0, 146.0),
+            point("B", 203.0, math.nextafter(154.0, math.inf)),
+            point("A", math.nextafter(204.0, 0.0), 153.0),
+            point("F", 205.0, 150.0),
+        ]
+        for m in range(1, len(pool) + 1):
+            assert select_similar(pool, tester, m) == self.sorted_reference(pool, tester, m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_pools(), st.integers(-1, 1), st.integers(-1, 1), st.data())
+    def test_matches_full_sort(self, pool, ux, uy, data):
+        tester = point("T", nudge(200.0, ux), nudge(150.0, uy), source="measured")
+        m = data.draw(st.integers(min_value=1, max_value=len(pool)))
+        assert select_similar(pool, tester, m) == self.sorted_reference(pool, tester, m)
