@@ -1,7 +1,11 @@
 """Discrete Bayesian network learning and inference over encoded clinical data.
 
 Structure search is score-based hill climbing with a tabu memory of visited
-structures, scored by BIC. Robustness comes from bootstrap resampling: the
+structures, scored by BIC. The search is incremental: BIC decomposes over
+families, so each node caches the scores of its own family and of every family
+one parent away, and a move rescores only the nodes whose parents it changed.
+Ties within _SCORE_EPS go to the smallest (move kind, arc), whatever the order
+candidates come in. Robustness comes from bootstrap resampling: the
 fraction of resampled networks containing a directed arc is that arc's
 strength, and the consensus network keeps arcs at or above a strength
 threshold. Parameters are multinomial MLE with optional Laplace smoothing, and
@@ -92,41 +96,83 @@ def _has_path(children: Mapping[str, set[str]], src: str, dst: str) -> bool:
 
 
 class _FamilyScores:
-    """Caching BIC family scorer over one DiscreteDataset."""
+    """Caching BIC family scorer over one DiscreteDataset.
+
+    `families` scores one node under several parent sets from a single
+    np.bincount over offset configuration codes; `family` is the one-set,
+    by-name form. Either way a family's score is computed with the same
+    operations: c*ln(c) read from a table over 0..n_rows and summed per family
+    by np.add.reduce, so a score does not depend on the batch it came from.
+    """
 
     def __init__(self, data: DiscreteDataset):
         if data.n_rows == 0:
             raise SchemaError("cannot score an empty dataset")
         self.data = data
         self.log_n = math.log(data.n_rows)
-        self._cache: dict[tuple[str, tuple[str, ...]], float] = {}
+        counts = np.arange(data.n_rows + 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self._xlogx = counts * np.log(counts)
+        self._xlogx[0] = 0.0
+        # Class columns as float64 rows plus a row of ones: the codes of many
+        # families come from one matrix product, which is exact because every
+        # code is an integer below the number of cells counted, far below 2**53.
+        self._columns = np.vstack((data.matrix.T, np.ones(data.n_rows)))
+        self._cache: dict[tuple[int, tuple[int, ...]], float] = {}
 
     def family(self, node: str, parents: tuple[str, ...]) -> float:
-        key = (node, parents)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        data = self.data
-        node_col = data.column(node)
-        card = data.card_of(node)
-        code = node_col.copy()
-        stride = card
-        n_cfg = 1
-        for parent in parents:
-            code += data.column(parent) * stride
-            parent_card = data.card_of(parent)
-            stride *= parent_card
-            n_cfg *= parent_card
-        counts = np.bincount(code, minlength=card * n_cfg).reshape(n_cfg, card)
-        row_totals = counts.sum(axis=1)
-        nonzero = counts > 0
-        loglik = float(np.sum(counts[nonzero] * np.log(counts[nonzero])))
-        rows = row_totals > 0
-        loglik -= float(np.sum(row_totals[rows] * np.log(row_totals[rows])))
-        k_params = (card - 1) * n_cfg
-        score = loglik - 0.5 * k_params * self.log_n
-        self._cache[key] = score
-        return score
+        index = self.data.index_of
+        return self.families(index(node), [tuple(index(p) for p in parents)])[0]
+
+    def families(self, node: int, parent_sets: Sequence[tuple[int, ...]]) -> list[float]:
+        """Scores of column `node` under each parent set (column indices).
+
+        The order within a parent set fixes the configuration code layout;
+        callers keep parents sorted by name.
+        """
+        cache = self._cache
+        missing = [ps for ps in parent_sets if (node, ps) not in cache]
+        if missing:
+            for ps, score in zip(missing, self._score(node, missing)):
+                cache[(node, ps)] = score
+        return [cache[(node, ps)] for ps in parent_sets]
+
+    def _score(self, node: int, parent_sets: list[tuple[int, ...]]) -> list[float]:
+        cards = self.data.cards
+        card = cards[node]
+        # Family j's code is node + card*(p1 + card1*(p2 + ...)), shifted past
+        # the cells of the families before it: weights[j] @ columns.
+        weights = np.zeros((len(parent_sets), len(self._columns)))
+        offsets = [0]
+        n_cfgs = []
+        for row, parents in zip(weights, parent_sets):
+            row[node] = 1.0
+            row[-1] = offsets[-1]
+            stride = card
+            for parent in parents:
+                row[parent] = stride
+                stride *= cards[parent]
+            offsets.append(offsets[-1] + stride)
+            n_cfgs.append(stride // card)
+        codes = (weights @ self._columns).astype(np.int64)
+        counts = np.bincount(codes.ravel(), minlength=offsets[-1])
+        by_config = counts.reshape(-1, card)
+        row_totals = sum(by_config[:, i] for i in range(card))  # faster than .sum(axis=1)
+        cell_terms, cell_ends = self._terms(counts, offsets)
+        row_terms, row_ends = self._terms(row_totals, [o // card for o in offsets])
+        total = np.add.reduce  # np.sum without its wrapper
+        scores = []
+        for j, n_cfg in enumerate(n_cfgs):
+            loglik = float(total(cell_terms[cell_ends[j] : cell_ends[j + 1]]))
+            loglik -= float(total(row_terms[row_ends[j] : row_ends[j + 1]]))
+            k_params = (card - 1) * n_cfg
+            scores.append(loglik - 0.5 * k_params * self.log_n)
+        return scores
+
+    def _terms(self, counts: np.ndarray, bounds: list[int]) -> tuple[np.ndarray, list[int]]:
+        """c*ln(c) of the nonzero counts, and where each segment's terms start."""
+        nonzero = np.flatnonzero(counts)
+        return self._xlogx[counts[nonzero]], np.searchsorted(nonzero, bounds).tolist()
 
 
 def bic_score(dag: Dag, data: DiscreteDataset) -> float:
@@ -155,35 +201,105 @@ class TabuParams:
             raise RangeError("stall_limit must be >= 1")
 
 
-# Scores within this absolute margin are treated as tied and broken by a
-# deterministic (move kind, arc) order. Score-equivalent orientations of the
-# same skeleton differ only by float rounding, and letting that rounding pick
-# the direction would scatter bootstrap strength across the two orientations.
+# Scores within this absolute margin of the best are treated as tied and broken
+# by a deterministic (move kind, arc) order. Score-equivalent orientations of
+# the same skeleton differ only by float rounding, and letting that rounding
+# pick the direction would scatter bootstrap strength across the two
+# orientations.
 _SCORE_EPS = 1e-6
+
+# Move kinds, in tie-break order.
+_ADD, _DELETE, _REVERSE = 0, 1, 2
+
+
+def _descendants(children: Sequence[set[int]]) -> list[int]:
+    """Bitset of each node's descendants in a DAG given by child index sets."""
+    reach = [-1] * len(children)
+    for node in range(len(children)):
+        if reach[node] < 0:
+            _reach_from(node, children, reach)
+    return reach
+
+
+def _reach_from(node: int, children: Sequence[set[int]], reach: list[int]) -> int:
+    bits = 0
+    for child in children[node]:
+        below = reach[child]
+        if below < 0:
+            below = _reach_from(child, children, reach)
+        bits |= (1 << child) | below
+    reach[node] = bits
+    return bits
 
 
 def tabu_search(data: DiscreteDataset, params: TabuParams = TabuParams()) -> Dag:
     """Hill-climb over add/delete/reverse arc moves with a visited-set tabu.
 
-    Every iteration applies the best non-tabu move, improving or not; a deque
-    of recently visited structures (canonical arc-set hashes) blocks revisits.
-    Returns the best-scoring DAG seen.
+    Every iteration applies the best legal move whose result is not among the
+    last `tabu_len` visited structures, improving or not. The search stops
+    after `max_iter` iterations, after `stall_limit` iterations in a row that
+    do not raise the best score by more than _SCORE_EPS, or when no move is
+    left, and returns the best-scoring DAG seen.
+
+    Tie rule: let M be the highest candidate score. Among the candidates
+    scoring at least M - _SCORE_EPS, the smallest (kind, source, target)
+    wins, with add < delete < reverse and nodes compared by name. The choice
+    depends on the candidate set only, not on the order candidates are
+    generated in.
+
+    Scoring is incremental. BIC decomposes over families, so a move changes
+    the family terms of only the node (add, delete) or two nodes (reverse)
+    whose parents it changes. Each node v keeps f(v, pa(v)), f(v, pa(v)+u)
+    for every non-parent u, and f(v, pa(v)-u) - f(v, pa(v)) for every parent
+    u. After a move only the changed nodes are rescored, all of one node's
+    families from one bincount. Every candidate's score is then one array
+    expression with the same float operations as scoring the move alone, e.g.
+    reversing u->v scores (drop + f(u, pa(u)+v)) - f(u, pa(u)). Reachability
+    is kept as descendant bitsets: adding u->v is legal iff v does not reach
+    u, and reversing u->v iff no other child of u reaches v. Visited
+    structures are arc bitmasks.
     """
     nodes = tuple(data.variables)
+    n = len(nodes)
     scorer = _FamilyScores(data)
+    # Nodes are column indices; the tie rule and parent sets (sorted as in
+    # bic_score) follow name order.
+    rank = [0] * n
+    for position, node in enumerate(sorted(range(n), key=nodes.__getitem__)):
+        rank[node] = position
+    by_name = rank.__getitem__
 
-    parents: dict[str, tuple[str, ...]] = {n: () for n in nodes}
-    children: dict[str, set[str]] = {n: set() for n in nodes}
-    arcs: set[Arc] = set()
-    current_score = sum(scorer.family(n, ()) for n in nodes)
+    parents: list[tuple[int, ...]] = [()] * n
+    children: list[set[int]] = [set() for _ in range(n)]
+    reach = [0] * n
+    base = np.empty(n)
+    added = np.full((n, n), -np.inf)  # [u, v]: f(v, pa(v)+u)
+    dropped = np.full((n, n), -np.inf)  # [u, v]: f(v, pa(v)-u) - f(v, pa(v))
 
-    best_arcs = frozenset(arcs)
+    def rescore(v: int) -> None:
+        own = parents[v]
+        others = [u for u in range(n) if u != v and u not in own]
+        sets = [own]
+        sets += [tuple(sorted(own + (u,), key=by_name)) for u in others]
+        sets += [tuple(p for p in own if p != u) for u in own]
+        scores = np.array(scorer.families(v, sets))
+        base[v] = scores[0]
+        added[:, v] = -np.inf
+        added[others, v] = scores[1 : 1 + len(others)]
+        dropped[:, v] = -np.inf
+        dropped[list(own), v] = scores[1 + len(others) :] - scores[0]
+
+    current_score = sum(scorer.family(node, ()) for node in nodes)
+    for v in range(n):
+        rescore(v)
+    mask = 0  # bit u*n + v set iff the arc u->v is present
+    best_mask = mask
     best_score = current_score
 
-    tabu: deque[frozenset[Arc]] = deque(maxlen=params.tabu_len)
-    tabu_set: set[frozenset[Arc]] = set()
+    tabu: deque[int] = deque(maxlen=params.tabu_len)
+    tabu_set: set[int] = set()
 
-    def remember(structure: frozenset[Arc]) -> None:
+    def remember(structure: int) -> None:
         if structure in tabu_set:
             return
         if len(tabu) == tabu.maxlen:
@@ -191,92 +307,80 @@ def tabu_search(data: DiscreteDataset, params: TabuParams = TabuParams()) -> Dag
         tabu.append(structure)
         tabu_set.add(structure)
 
-    remember(frozenset(arcs))
+    remember(mask)
 
-    def add_parent(node: str, parent: str) -> tuple[str, ...]:
-        return tuple(sorted(parents[node] + (parent,)))
-
-    def drop_parent(node: str, parent: str) -> tuple[str, ...]:
-        return tuple(p for p in parents[node] if p != parent)
-
+    n2 = n * n
     stall = 0
     for _ in range(params.max_iter):
-        candidates: list[tuple[float, int, Arc, frozenset[Arc]]] = []
-        # 0 = add, 1 = delete, 2 = reverse; the code doubles as a
-        # deterministic tie-break together with the arc itself.
-        for u in nodes:
-            for v in nodes:
-                if u == v:
-                    continue
-                arc = (u, v)
-                if arc in arcs:
-                    continue
-                if (v, u) in arcs:
-                    continue
-                if _has_path(children, v, u):
+        # Flat index kind*n2 + u*n + v.
+        scores = np.concatenate(
+            (
+                (current_score + (added - base)).ravel(),
+                (current_score + dropped).ravel(),
+                (current_score + ((dropped + added.T) - base[:, None])).ravel(),
+            )
+        )
+        # Walk the candidates best first: the first legal, non-tabu one sets
+        # the tie window, and the walk stops below it.
+        chosen = -1
+        floor = -np.inf
+        for index in np.argsort(-scores).tolist():
+            score = scores[index]
+            if score == -np.inf or score < floor:
+                break
+            kind, arc = divmod(index, n2)
+            u, v = divmod(arc, n)
+            if kind == _ADD:
+                if reach[v] >> u & 1:
                     continue  # would close a cycle
-                structure = frozenset(arcs | {arc})
-                if structure in tabu_set:
-                    continue
-                delta = scorer.family(v, add_parent(v, u)) - scorer.family(v, parents[v])
-                candidates.append((current_score + delta, 0, arc, structure))
-        for arc in arcs:
-            u, v = arc
-            structure = frozenset(arcs - {arc})
-            if structure not in tabu_set:
-                delta = scorer.family(v, drop_parent(v, u)) - scorer.family(v, parents[v])
-                candidates.append((current_score + delta, 1, arc, structure))
-            children[u].discard(v)
-            reversible = not _has_path(children, u, v)
-            children[u].add(v)
-            if reversible:
-                structure = frozenset((arcs - {arc}) | {(v, u)})
-                if structure not in tabu_set:
-                    delta = (
-                        scorer.family(v, drop_parent(v, u))
-                        - scorer.family(v, parents[v])
-                        + scorer.family(u, add_parent(u, v))
-                        - scorer.family(u, parents[u])
-                    )
-                    candidates.append((current_score + delta, 2, arc, structure))
-        if not candidates:
+                structure = mask | 1 << arc
+            elif kind == _DELETE:
+                structure = mask ^ 1 << arc
+            else:
+                if any(reach[c] >> v & 1 for c in children[u] if c != v):
+                    continue  # the reversed arc would close a cycle
+                structure = mask ^ 1 << arc ^ 1 << (v * n + u)
+            if structure in tabu_set:
+                continue
+            key = kind * n2 + rank[u] * n + rank[v]
+            if chosen < 0:
+                floor = score - _SCORE_EPS
+            if chosen < 0 or key < chosen_key:
+                chosen, chosen_key, chosen_structure = index, key, structure
+        if chosen < 0:
             break
-        best_move = candidates[0]
-        for move in candidates[1:]:
-            if move[0] > best_move[0] + _SCORE_EPS:
-                best_move = move
-            elif move[0] > best_move[0] - _SCORE_EPS and move[1:3] < best_move[1:3]:
-                best_move = move
-        new_score, kind, (u, v), structure = best_move
 
-        if kind == 0:
-            arcs.add((u, v))
+        kind, arc = divmod(chosen, n2)
+        u, v = divmod(arc, n)
+        if kind == _ADD:
+            parents[v] = tuple(sorted(parents[v] + (u,), key=by_name))
             children[u].add(v)
-            parents[v] = add_parent(v, u)
-        elif kind == 1:
-            arcs.discard((u, v))
-            children[u].discard(v)
-            parents[v] = drop_parent(v, u)
         else:
-            arcs.discard((u, v))
+            parents[v] = tuple(p for p in parents[v] if p != u)
             children[u].discard(v)
-            parents[v] = drop_parent(v, u)
-            arcs.add((v, u))
-            children[v].add(u)
-            parents[u] = add_parent(u, v)
-        current_score = new_score
-        remember(structure)
+            if kind == _REVERSE:
+                parents[u] = tuple(sorted(parents[u] + (v,), key=by_name))
+                children[v].add(u)
+                rescore(u)
+        rescore(v)
+        reach = _descendants(children)
+        mask = chosen_structure
+        current_score = float(scores[chosen])
+        remember(mask)
 
         if current_score > best_score + _SCORE_EPS:
             best_score = current_score
-            best_arcs = frozenset(arcs)
+            best_mask = mask
             stall = 0
         else:
             stall += 1
             if stall >= params.stall_limit:
                 break
 
-    return Dag(nodes, best_arcs)
+    arcs = frozenset(
+        (nodes[arc // n], nodes[arc % n]) for arc in range(n2) if best_mask >> arc & 1
+    )
+    return Dag(nodes, arcs)
 
 
 @dataclass(frozen=True)

@@ -204,21 +204,24 @@ def _cmd_preprocess(cfg: dict, out_dir: Path, seed: int, config_path: Optional[s
     return 0
 
 
-def _cmd_learn(cfg: dict, out_dir: Path, seed: int, config_path: Optional[str], started: float) -> int:
-    encoded_csv = _input_path(_require(cfg, "encoded_csv", "learn"), "learn")
-    encoded_meta = _input_path(_require(cfg, "encoded_meta", "learn"), "learn")
-    data = preprocess.DiscreteDataset.from_files(encoded_csv, encoded_meta)
-    params = bayesnet.TabuParams(
+def _tabu_params(cfg: dict) -> bayesnet.TabuParams:
+    return bayesnet.TabuParams(
         tabu_len=int(cfg.get("tabu_len", 100)),
         max_iter=int(cfg.get("max_iter", 500)),
         stall_limit=int(cfg.get("stall_limit", 30)),
     )
+
+
+def _cmd_learn(cfg: dict, out_dir: Path, seed: int, config_path: Optional[str], started: float) -> int:
+    encoded_csv = _input_path(_require(cfg, "encoded_csv", "learn"), "learn")
+    encoded_meta = _input_path(_require(cfg, "encoded_meta", "learn"), "learn")
+    data = preprocess.DiscreteDataset.from_files(encoded_csv, encoded_meta)
     strengths, consensus = bayesnet.bootstrap_consensus(
         data,
         b=int(cfg.get("bootstrap", 100)),
         threshold=float(cfg.get("threshold", 0.85)),
         seed=seed,
-        params=params,
+        params=_tabu_params(cfg),
     )
     model = bayesnet.fit_parameters(consensus, data, alpha=float(cfg.get("alpha", 1.0)))
 
@@ -308,6 +311,7 @@ def _build_two_stage(cfg: dict, seed: int, command: str):
             b=int(cfg.get("bootstrap", 100)),
             threshold=float(cfg.get("threshold", 0.85)),
             seed=seed,
+            params=_tabu_params(cfg),
         )
     network = bayesnet.fit_parameters(dag, encoded, alpha=float(cfg.get("alpha", 1.0)))
     codecs = {codec.name: codec for codec in encoded.codecs}

@@ -4,21 +4,23 @@ The generators produce clinical records with a declared ground-truth
 dependency graph and CGM-like series with known trend/seasonal/meal/latent
 structure, written in the exact dataset CSV formats. The oracles re-derive
 core quantities by brute force (DAG enumeration, naive family counting, joint
-configuration enumeration, dense Gaussian conditioning) so the fast
-implementations can be checked against slow, obviously-correct computations.
+configuration enumeration, dense Gaussian conditioning, a Tabu search that
+rescores every candidate move) so the fast implementations can be checked
+against slow, obviously-correct computations.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .bayesnet import Dag, _FamilyScores
+from .bayesnet import _SCORE_EPS, Dag, TabuParams, _FamilyScores, _has_path
 from .bsts.components import StateSpaceModel
 from .bsts.kalman import ParamPoint
 from .dataset import ClinicalRecord, GlucoseSeries, GlycemicTable, MealEvent, STEP
@@ -358,6 +360,107 @@ def dag_enumeration_oracle(data: DiscreteDataset, max_nodes: int = 5) -> Dag:
             best = dag
     assert best is not None
     return best
+
+
+def tabu_search_reference(data: DiscreteDataset, params: TabuParams = TabuParams()) -> Dag:
+    """`bayesnet.tabu_search` rescoring every candidate move on every iteration.
+
+    Each iteration lists every legal add, delete and reverse move with its
+    score, checking cycles by depth-first search and tabu membership by arc
+    frozensets, then applies the tie rule `tabu_search` documents: the
+    smallest (kind, arc) among the candidates within _SCORE_EPS of the best.
+    Family scores and move deltas use the same float operations as the
+    incremental search, so the two must return the same arcs.
+    """
+    nodes = tuple(data.variables)
+    scorer = _FamilyScores(data)
+
+    parents: dict[str, tuple[str, ...]] = {n: () for n in nodes}
+    children: dict[str, set[str]] = {n: set() for n in nodes}
+    arcs: set[tuple[str, str]] = set()
+    current_score = sum(scorer.family(n, ()) for n in nodes)
+    best_arcs = frozenset(arcs)
+    best_score = current_score
+
+    tabu: deque = deque(maxlen=params.tabu_len)
+    tabu_set: set = set()
+
+    def remember(structure: frozenset) -> None:
+        if structure in tabu_set:
+            return
+        if len(tabu) == tabu.maxlen:
+            tabu_set.discard(tabu[0])
+        tabu.append(structure)
+        tabu_set.add(structure)
+
+    remember(frozenset(arcs))
+
+    def add_parent(node: str, parent: str) -> tuple[str, ...]:
+        return tuple(sorted(parents[node] + (parent,)))
+
+    def drop_parent(node: str, parent: str) -> tuple[str, ...]:
+        return tuple(p for p in parents[node] if p != parent)
+
+    stall = 0
+    for _ in range(params.max_iter):
+        # (score, kind, arc, structure); kind 0 = add, 1 = delete, 2 = reverse.
+        candidates = []
+        for u in nodes:
+            for v in nodes:
+                if u == v or (u, v) in arcs or (v, u) in arcs or _has_path(children, v, u):
+                    continue
+                structure = frozenset(arcs | {(u, v)})
+                if structure not in tabu_set:
+                    delta = scorer.family(v, add_parent(v, u)) - scorer.family(v, parents[v])
+                    candidates.append((current_score + delta, 0, (u, v), structure))
+        for u, v in arcs:
+            structure = frozenset(arcs - {(u, v)})
+            if structure not in tabu_set:
+                delta = scorer.family(v, drop_parent(v, u)) - scorer.family(v, parents[v])
+                candidates.append((current_score + delta, 1, (u, v), structure))
+            children[u].discard(v)
+            reversible = not _has_path(children, u, v)
+            children[u].add(v)
+            structure = frozenset((arcs - {(u, v)}) | {(v, u)})
+            if reversible and structure not in tabu_set:
+                delta = (
+                    scorer.family(v, drop_parent(v, u))
+                    - scorer.family(v, parents[v])
+                    + scorer.family(u, add_parent(u, v))
+                    - scorer.family(u, parents[u])
+                )
+                candidates.append((current_score + delta, 2, (u, v), structure))
+        if not candidates:
+            break
+        top = max(move[0] for move in candidates)
+        new_score, kind, (u, v), structure = min(
+            (move for move in candidates if move[0] >= top - _SCORE_EPS), key=lambda move: move[1:3]
+        )
+
+        if kind in (1, 2):
+            arcs.discard((u, v))
+            children[u].discard(v)
+            parents[v] = drop_parent(v, u)
+        if kind == 0:
+            arcs.add((u, v))
+            children[u].add(v)
+            parents[v] = add_parent(v, u)
+        elif kind == 2:
+            arcs.add((v, u))
+            children[v].add(u)
+            parents[u] = add_parent(u, v)
+        current_score = new_score
+        remember(structure)
+
+        if current_score > best_score + _SCORE_EPS:
+            best_score = current_score
+            best_arcs = frozenset(arcs)
+            stall = 0
+        else:
+            stall += 1
+            if stall >= params.stall_limit:
+                break
+    return Dag(nodes, best_arcs)
 
 
 def bic_brute_force(dag: Dag, data: DiscreteDataset) -> float:

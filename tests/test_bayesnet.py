@@ -1,10 +1,20 @@
+import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import glycast
+from glycast import preprocess
 from glycast.bayesnet import (
+    _SCORE_EPS,
     ArcStrengthTable,
     Dag,
     TabuParams,
@@ -23,7 +33,14 @@ from glycast.bayesnet import (
 )
 from glycast.errors import InferenceError, RangeError, SchemaError
 from glycast.preprocess import DiscreteDataset
-from glycast.synth import bic_brute_force, dag_enumeration_oracle, joint_enumeration_posterior
+from glycast.synth import (
+    SynthConfig,
+    bic_brute_force,
+    dag_enumeration_oracle,
+    gen_clinical,
+    joint_enumeration_posterior,
+    tabu_search_reference,
+)
 
 
 def dataset(columns, cards=None):
@@ -123,6 +140,120 @@ class TestTabuSearch:
             data = chain_dataset(400, seed=seed, flip=0.4)
             found = tabu_search(data)
             assert bic_score(found, data) >= bic_score(Dag(data.variables), data) - 1e-9
+
+
+@st.composite
+def discrete_data(draw):
+    """3-7 variables with cards 2-4 over 30-500 rows.
+
+    Columns are independent noise, noisy functions of an earlier column, or
+    exact copies of one; copies make score-equivalent ties. Names are drawn
+    so that name order differs from column order.
+    """
+    n_vars = draw(st.integers(3, 7))
+    n_rows = draw(st.integers(30, 500))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    names = draw(st.permutations("abcdefg"))[:n_vars]
+    columns, cards = [], []
+    for j in range(n_vars):
+        kind = draw(st.sampled_from(("noise", "child", "copy"))) if j else "noise"
+        if kind == "copy":
+            source = draw(st.integers(0, j - 1))
+            columns.append(columns[source].copy())
+            cards.append(cards[source])
+            continue
+        card = draw(st.integers(2, 4))
+        column = rng.integers(0, card, n_rows)
+        if kind == "child":
+            parent = draw(st.integers(0, j - 1))
+            mapped = rng.integers(0, card, cards[parent])[columns[parent]]
+            keep = rng.random(n_rows) >= draw(st.floats(0.0, 0.6))
+            column = np.where(keep, mapped, column)
+        columns.append(column)
+        cards.append(card)
+    return DiscreteDataset(tuple(names), tuple(cards), np.column_stack(columns))
+
+
+@pytest.fixture(scope="module")
+def clinical_data():
+    records, _ = gen_clinical(SynthConfig(n_subjects=400, seed=5, missing_rate=0.05))
+    kept, _ = preprocess.exclude_incomplete(records, 3)
+    return preprocess.standardize_encode(preprocess.impute_means(kept), 4)
+
+
+def single_moves(dag):
+    """Every DAG one arc addition, deletion or reversal away from `dag`."""
+    for u, v in itertools.permutations(dag.nodes, 2):
+        if (u, v) in dag.arcs:
+            yield dag.with_arcs(dag.arcs - {(u, v)})
+            arcs = (dag.arcs - {(u, v)}) | {(v, u)}
+        elif (v, u) in dag.arcs:
+            continue  # its moves come with the pair (v, u)
+        else:
+            arcs = dag.arcs | {(u, v)}
+        try:
+            neighbour = dag.with_arcs(arcs)
+        except SchemaError:
+            continue  # closes a cycle
+        yield neighbour
+
+
+class TestIncrementalTabuSearch:
+    @given(discrete_data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_on_random_data(self, data):
+        assert tabu_search(data).arcs == tabu_search_reference(data).arcs
+
+    @given(rep=st.integers(0, 10_000))
+    @settings(max_examples=5, deadline=None)
+    def test_matches_reference_on_clinical_resamples(self, clinical_data, rep):
+        rows = np.random.default_rng([5, rep]).integers(0, clinical_data.n_rows, clinical_data.n_rows)
+        resample = DiscreteDataset(clinical_data.variables, clinical_data.cards, clinical_data.matrix[rows])
+        found = tabu_search(resample)
+        assert found.arcs  # the clinical variables are dependent
+        assert found.arcs == tabu_search_reference(resample).arcs
+
+    @given(discrete_data())
+    @settings(max_examples=40, deadline=None)
+    def test_no_single_move_improves_the_result(self, data):
+        # Holds whenever the search stops on its stall limit, as it does long
+        # before the default max_iter at these sizes: every visited structure
+        # scored at most the best + _SCORE_EPS, and from the best DAG the
+        # search would have taken any non-tabu move improving it by more.
+        found = tabu_search(data)
+        best = bic_score(found, data)
+        for neighbour in single_moves(found):
+            assert bic_score(neighbour, data) <= best + _SCORE_EPS
+
+    def test_bootstrap_independent_of_hash_seed(self):
+        # Set iteration order of strings follows PYTHONHASHSEED; the search's
+        # choices must not.
+        script = (
+            "import json\n"
+            "import numpy as np\n"
+            "from glycast.bayesnet import bootstrap_consensus\n"
+            "from glycast.preprocess import DiscreteDataset\n"
+            "rng = np.random.default_rng(12)\n"
+            "cols = [rng.integers(0, 3, 400)]\n"
+            "for _ in range(4):\n"
+            "    flip = (rng.random(400) < 0.15).astype(np.int64)\n"
+            "    cols.append((cols[-1] + flip) % 3)\n"
+            "data = DiscreteDataset(('hba1c', 'fpg', 'ga', 'cr', 'egfr'), (3,) * 5, np.column_stack(cols))\n"
+            "table, dag = bootstrap_consensus(data, b=10, threshold=0.6, seed=3)\n"
+            "print(json.dumps([sorted(table.strengths.items()), sorted(dag.arcs)]))\n"
+        )
+        src = str(Path(glycast.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            done = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append(json.loads(done.stdout))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1]  # the chain leaves a non-empty consensus
 
 
 class TestBootstrapConsensus:

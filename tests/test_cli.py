@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from glycast import bayesnet
 from glycast.cli import main
 from glycast.preprocess import DiscreteDataset
 from glycast.synth import dag_enumeration_oracle
@@ -104,6 +105,43 @@ class TestPipelineComposition:
         oracle = {frozenset(arc) for arc in dag_enumeration_oracle(data).arcs}
         assert learned == oracle
         assert (out / "cpts.json").exists()
+
+
+class _Stop(Exception):
+    pass
+
+
+class TestTabuConfig:
+    @pytest.mark.parametrize("command", ["evaluate", "learn"])
+    def test_tabu_keys_reach_bootstrap(self, tmp_path, synth_dir, monkeypatch, command):
+        seen = {}
+
+        def spy(data, **kwargs):
+            seen.update(kwargs)
+            raise _Stop  # the search itself is not under test
+
+        monkeypatch.setattr(bayesnet, "bootstrap_consensus", spy)
+        inputs = {"series_dir": str(synth_dir / "series"), "clinical_csv": str(synth_dir / "clinical.csv")}
+        extra = ["--subjects", "S000"]
+        if command == "learn":
+            prep = write_config(
+                tmp_path / "prep.json", seed=3, out_dir=str(tmp_path / "prep"),
+                clinical_csv=str(synth_dir / "clinical.csv"),
+            )
+            assert main(["preprocess", "--config", prep]) == 0
+            inputs = {
+                "encoded_csv": str(tmp_path / "prep" / "encoded.csv"),
+                "encoded_meta": str(tmp_path / "prep" / "encoded_meta.json"),
+            }
+            extra = []
+        cfg = write_config(
+            tmp_path / "cfg.json", seed=3, out_dir=str(tmp_path / "out"),
+            bootstrap=2, tabu_len=7, max_iter=11, stall_limit=3, **inputs,
+        )
+        with pytest.raises(_Stop):
+            main([command, "--config", cfg, *extra])
+        assert seen["b"] == 2
+        assert seen["params"] == bayesnet.TabuParams(tabu_len=7, max_iter=11, stall_limit=3)
 
 
 class TestForecastCommand:
