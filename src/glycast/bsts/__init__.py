@@ -16,7 +16,7 @@ from .components import (
     semi_local_trend,
     specs_from_json,
 )
-from .kalman import FilterResult, ParamPoint, ffbs_sample, forecast_path, kalman_loglik
+from .kalman import FilterResult, ParamPoint, ffbs_sample, kalman_loglik
 from .spike_slab import RegressionSettings, exact_inclusion_posterior, sample_regression
 from .sampler import ForecastResult, PosteriorDraws, forecast_anchors, mcmc_fit, posterior_forecast
 
@@ -38,7 +38,6 @@ __all__ = [
     "exact_inclusion_posterior",
     "ffbs_sample",
     "forecast_anchors",
-    "forecast_path",
     "kalman_loglik",
     "mcmc_fit",
     "meal_seasonal",

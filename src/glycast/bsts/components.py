@@ -285,37 +285,44 @@ class StateSpaceModel:
             self.__dict__["_boundary_schedule"] = cached
         return cached
 
-    def transition_matrix(self, phi: float, t: int) -> np.ndarray:
-        m = self.state_dim
-        T = np.zeros((m, m))
-        T[0, 0] = 1.0
-        T[0, 1] = 1.0
-        T[1, 1] = phi
-        for layout, boundary in zip(self.seasonals, self.boundary_mask(t)):
-            i = layout.state_start
-            d = layout.state_dim
-            if boundary:
-                T[i, i : i + d] = -1.0
-                for r in range(1, d):
-                    T[i + r, i + r - 1] = 1.0
-            else:
-                T[i : i + d, i : i + d] = np.eye(d)
+    # These three also take arrays of K draws' parameters and then return a leading (K,) axis.
+
+    def transition_matrix(self, phi: float | np.ndarray, t: int) -> np.ndarray:
+        templates = self.__dict__.setdefault("_transition_templates", {})  # T at phi = 0, per mask
+        mask = self.boundary_mask(t)
+        if mask not in templates:
+            m = self.state_dim
+            templates[mask] = T = np.zeros((m, m))
+            T[0, 0] = 1.0
+            T[0, 1] = 1.0
+            for layout, boundary in zip(self.seasonals, mask):
+                i = layout.state_start
+                d = layout.state_dim
+                if boundary:
+                    T[i, i : i + d] = -1.0
+                    for r in range(1, d):
+                        T[i + r, i + r - 1] = 1.0
+                else:
+                    T[i : i + d, i : i + d] = np.eye(d)
+        T = np.empty(np.shape(phi) + templates[mask].shape)
+        T[...] = templates[mask]
+        T[..., 1, 1] = phi
         return T
 
-    def state_intercept(self, d: float, phi: float) -> np.ndarray:
-        c = np.zeros(self.state_dim)
-        c[1] = (1.0 - phi) * d
+    def state_intercept(self, d: float | np.ndarray, phi: float | np.ndarray) -> np.ndarray:
+        c = np.zeros(np.shape(d) + (self.state_dim,))
+        c[..., 1] = (1.0 - phi) * d
         return c
 
     def noise_diag(
-        self, level_var: float, slope_var: float, seasonal_vars: Sequence[float], t: int
+        self, level_var: float | np.ndarray, slope_var: float | np.ndarray, seasonal_vars: Sequence, t: int
     ) -> np.ndarray:
-        q = np.zeros(self.state_dim)
-        q[0] = level_var
-        q[1] = slope_var
+        q = np.zeros(np.shape(level_var) + (self.state_dim,))
+        q[..., 0] = level_var
+        q[..., 1] = slope_var
         for layout, var, boundary in zip(self.seasonals, seasonal_vars, self.boundary_mask(t)):
             if boundary:
-                q[layout.state_start] = var
+                q[..., layout.state_start] = var
         return q
 
     def observation_offsets(self, beta: np.ndarray, x: Optional[np.ndarray], n: int) -> np.ndarray:

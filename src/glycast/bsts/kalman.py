@@ -199,50 +199,3 @@ def ffbs_sample(
         rs[t] = r
     return noise_path + filt.state_pred_means + np.einsum("tij,tj->ti", filt.state_pred_covs, rs)
 
-
-def forecast_path(
-    model: StateSpaceModel,
-    params: ParamPoint,
-    terminal_state: np.ndarray,
-    horizon: int,
-    x_future: Optional[np.ndarray],
-    rng: Optional[np.random.Generator],
-    start_t: Optional[int] = None,
-) -> np.ndarray:
-    """Propagate a terminal state h steps ahead.
-
-    With rng=None the propagation is deterministic (innovations and
-    observation noise suppressed); otherwise innovations are sampled. The
-    terminal state is taken to sit at time index start_t (default: the last
-    training index), so the seasonal boundary schedule continues in phase.
-    """
-    if horizon < 1:
-        raise RangeError("horizon must be >= 1")
-    t0 = model.n_train - 1 if start_t is None else start_t
-    level_var = params.sigma_level**2
-    slope_var = params.sigma_slope**2
-    seasonal_vars = [s**2 for s in params.sigma_seasonal]
-    c = model.state_intercept(params.d, params.phi)
-    if model.n_regressors:
-        if x_future is None:
-            raise SchemaError("x_future is required when the model has regressors")
-        x_future = np.asarray(x_future, dtype=float)
-        if x_future.shape != (horizon, model.n_regressors):
-            raise SchemaError(f"x_future must have shape ({horizon}, {model.n_regressors})")
-        future_offsets = x_future @ params.beta
-    else:
-        future_offsets = np.zeros(horizon)
-
-    alpha = np.asarray(terminal_state, dtype=float).copy()
-    out = np.empty(horizon)
-    for j in range(horizon):
-        t = t0 + j
-        T = model.transition_matrix(params.phi, t)
-        q = model.noise_diag(level_var, slope_var, seasonal_vars, t)
-        alpha = T @ alpha + c
-        obs_noise = 0.0
-        if rng is not None:
-            alpha = alpha + np.sqrt(q) * rng.standard_normal(alpha.size)
-            obs_noise = params.sigma_obs * rng.standard_normal()
-        out[j] = float(model.z @ alpha + future_offsets[j] + obs_noise)
-    return out

@@ -7,8 +7,10 @@ seasonal noise variances from state-innovation sums of squares; (3) Gaussian
 draw for the long-run slope D and truncated-Gaussian draw for the AR
 coefficient phi given the slope path; (4) a spike-and-slab sweep on the
 observation residual (or a plain inverse-gamma observation-variance draw when
-there is no regression). Forecasts average sampled forward paths across
-retained draws.
+there is no regression). Forecasts work on all retained draws at once:
+`posterior_forecast` samples joint forward paths from each draw's terminal
+state; `forecast_anchors` filters every draw through the series and samples
+y_{t+h} from each draw's exact Gaussian predictive at every anchor.
 """
 
 from __future__ import annotations
@@ -23,11 +25,13 @@ from scipy.special import ndtr, ndtri
 
 from ..errors import NumericalError, RangeError, SchemaError
 from .components import StateSpaceModel, VariancePrior
-from .kalman import ParamPoint, forecast_path, ffbs_sample
+from .kalman import ParamPoint, ffbs_sample
 from .spike_slab import RegressionSettings, sample_regression
 
 _FORECAST_SALT = 0x5EED
 _PHI_EDGE = 1e-9
+_ANCHOR_BLOCK = 64  # anchors whose samples are summarised together
+_VARIANCE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -67,17 +71,6 @@ class PosteriorDraws:
             raise RangeError("phi draws must lie in [-1, 1]")
         if self.beta.size and np.any(self.beta[self.gamma == 0] != 0.0):
             raise RangeError("beta must be exactly zero wherever gamma is zero")
-
-    def param_point(self, k: int) -> ParamPoint:
-        return ParamPoint(
-            sigma_level=float(self.sigma_level[k]),
-            sigma_slope=float(self.sigma_slope[k]),
-            sigma_obs=float(self.sigma_obs[k]),
-            sigma_seasonal=tuple(float(s) for s in self.sigma_seasonal[k]),
-            d=float(self.d[k]),
-            phi=float(self.phi[k]),
-            beta=self.beta[k],
-        )
 
     def to_csv(self, path: Path | str) -> None:
         header = ["draw", "sigma_level", "sigma_slope", "sigma_obs", "d", "phi"]
@@ -265,6 +258,53 @@ class ForecastResult:
     paths: np.ndarray  # (K, h) per-draw sampled paths
 
 
+class _DrawOperators:
+    """State-space matrices of a batch of K draws, one per distinct boundary mask."""
+
+    def __init__(self, model: StateSpaceModel, draws: PosteriorDraws, keep: slice) -> None:
+        phi = draws.phi[keep]
+        variances = (draws.sigma_level[keep] ** 2, draws.sigma_slope[keep] ** 2)
+        variances += ((draws.sigma_seasonal[keep] ** 2).T,)
+        first_steps, self.mask_index = model.boundary_schedule
+        self.transitions = [model.transition_matrix(phi, t) for t in first_steps]  # (K, m, m) each
+        self.noise_vars = [model.noise_diag(*variances, t) for t in first_steps]  # (K, m) diagonals
+        self.intercept = model.state_intercept(draws.d[keep], phi)  # (K, m)
+        self.obs_var = draws.sigma_obs[keep] ** 2  # (K,)
+        self.z = model.z
+        self._terms: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def step(self, t: int) -> int:
+        """Index of the operators that move the state from t to t+1."""
+        return self.mask_index[t % len(self.mask_index)]
+
+    def horizon_terms(self, t: int, horizons: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-draw (u_h, b_h, s_h), each (K, H, ...), of y_{t+h} given the state at t.
+
+        y_{t+h} = u_h' alpha_t + b_h + x_{t+h}' beta + e_h with Var(e_h) = s_h:
+        u_h = (T_{t+h-1} ... T_t)' z is built backwards from z, b_h collects the
+        state intercepts, s_h the state noise carried to t+h plus the
+        observation variance. They depend on t only through the boundary masks
+        of steps t..t+h-1, which key the cache.
+        """
+        key = (tuple(horizons), tuple(self.step(j) for j in range(t, t + max(horizons))))
+        if key not in self._terms:
+            k, m = self.intercept.shape
+            u = np.empty((k, len(horizons), m))
+            b = np.zeros((k, len(horizons)))
+            s = np.empty((k, len(horizons)))
+            for i, h in enumerate(horizons):
+                v = np.broadcast_to(self.z, (k, m))
+                s[:, i] = self.obs_var
+                for j in range(t + h - 1, t - 1, -1):
+                    step = self.step(j)
+                    b[:, i] += np.einsum("km,km->k", v, self.intercept)
+                    s[:, i] += np.einsum("km,km->k", v * v, self.noise_vars[step])
+                    v = np.einsum("km,kmn->kn", v, self.transitions[step])
+                u[:, i] = v
+            self._terms[key] = (u, b, s)
+        return self._terms[key]
+
+
 def posterior_forecast(
     draws: PosteriorDraws,
     model: StateSpaceModel,
@@ -275,25 +315,61 @@ def posterior_forecast(
 ) -> ForecastResult:
     """Model-averaged forecast from the terminal states of every draw.
 
-    Point forecast is the mean over per-draw sampled paths; the interval is
-    the empirical 2.5%/97.5% band. With sample=False innovations and
-    observation noise are suppressed and each path is the deterministic
+    All draws are propagated together from the last training index, so the
+    seasonal boundary schedule continues in phase. Each row of `paths` is one
+    draw's jointly sampled path; the point forecast is the mean over draws and
+    the interval the empirical 2.5%/97.5% band. With sample=False innovations
+    and observation noise are suppressed and each path is the deterministic
     propagation of its draw.
     """
     if not 1 <= horizon <= model.max_horizon:
         raise RangeError(f"horizon must lie in 1..{model.max_horizon}, got {horizon}")
     if rng is None:
         rng = np.random.default_rng([draws.seed, _FORECAST_SALT])
-    if model.n_regressors == 0:
-        x_future = None
+    ops = _DrawOperators(model, draws, slice(None))
+    offsets = np.zeros(horizon)
+    if model.n_regressors:
+        if x_future is None or np.shape(x_future) != (horizon, model.n_regressors):
+            raise SchemaError(
+                f"x_future of shape ({horizon}, {model.n_regressors}) is required with regressors"
+            )
+        offsets = np.asarray(x_future, dtype=float) @ draws.beta.T  # (horizon, K)
+
+    alpha = np.asarray(draws.terminal_state, dtype=float)
     paths = np.empty((draws.n_draws, horizon))
-    for k in range(draws.n_draws):
-        paths[k] = forecast_path(
-            model, draws.param_point(k), draws.terminal_state[k], horizon, x_future,
-            rng if sample else None,
-        )
+    for j in range(horizon):
+        step = ops.step(model.n_train - 1 + j)
+        alpha = (ops.transitions[step] @ alpha[:, :, None])[:, :, 0] + ops.intercept
+        if sample:
+            alpha += np.sqrt(ops.noise_vars[step]) * rng.standard_normal(alpha.shape)
+        paths[:, j] = alpha @ model.z + offsets[j]
+    if sample:
+        paths += np.sqrt(ops.obs_var)[:, None] * rng.standard_normal(paths.shape)
     lower, upper = np.percentile(paths, [2.5, 97.5], axis=0)
     return ForecastResult(mean=paths.mean(axis=0), lower95=lower, upper95=upper, paths=paths)
+
+
+def _predictive_moments(
+    terms: tuple[np.ndarray, np.ndarray, np.ndarray], a: np.ndarray, P: np.ndarray, offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance (K, H) of y_{t+h} for every draw and horizon.
+
+    a (K, m) and P (K, m, m) are the filtered state moments at t, `terms` is
+    horizon_terms at t and offsets (K, H) holds x_{t+h}' beta. Rounding in
+    u'Pu is bounded by (|u|' sqrt(diag P))^2, as |P_ij| <= sqrt(P_ii P_jj) for
+    a covariance: a variance negative beyond that raises NumericalError, one
+    within it becomes zero.
+    """
+    u, b, s = terms
+    mean = np.einsum("km,khm->kh", a, u) + b + offsets
+    var = np.einsum("khm,khm->kh", u @ P, u) + s
+    if not np.all(var >= 0.0):
+        diag_sd = np.sqrt(np.abs(np.diagonal(P, axis1=1, axis2=2)))
+        scale = np.einsum("khm,km->kh", np.abs(u), diag_sd) ** 2 + s
+        if not np.all(var >= -_VARIANCE_RTOL * scale):
+            raise NumericalError("negative or non-finite predictive variance")
+        var = np.maximum(var, 0.0)
+    return mean, var
 
 
 def forecast_anchors(
@@ -309,8 +385,12 @@ def forecast_anchors(
     """Forecast y_{t+h} from every anchor t using one filter pass per draw.
 
     The filter consumes all observations up to and including each anchor, so a
-    forecast at anchor t depends only on y_0..y_t. Draw parameters may be
-    thinned (every `thin`-th draw) to bound the cost of long anchor sweeps.
+    forecast at anchor t depends only on y_0..y_t. Given a draw and its
+    filtered state at t, y_{t+h} is Gaussian in closed form (Durbin & Koopman,
+    ch. 4); one value per draw and horizon is sampled from it, and the
+    forecast is the mean and empirical 2.5%/97.5% band over draws, summarised
+    in blocks of up to 64 anchors. Draw parameters may be thinned (every
+    `thin`-th draw) to bound the cost of long anchor sweeps.
     Returns {h: {"mean", "lower95", "upper95"} arrays over anchors}.
     """
     y = np.asarray(y, dtype=float)
@@ -319,103 +399,60 @@ def forecast_anchors(
     horizons = sorted(set(int(h) for h in horizons))
     if not horizons or horizons[0] < 1:
         raise RangeError("horizons must be >= 1")
-    max_h = horizons[-1]
     if anchors.size == 0:
         raise RangeError("at least one anchor is required")
-    if anchors[0] < 0 or anchors[-1] + max_h > n - 1:
+    if anchors[0] < 0 or anchors[-1] + horizons[-1] > n - 1:
         raise RangeError("anchors plus the longest horizon must stay inside the series")
     if thin < 1:
         raise RangeError("thin must be >= 1")
     if rng is None:
         rng = np.random.default_rng([draws.seed, _FORECAST_SALT, 1])
 
-    keep = np.arange(0, draws.n_draws, thin)
-    K = keep.size
-    m = model.state_dim
-    z = model.z
-    phi = draws.phi[keep]
-    dvec = draws.d[keep]
-    obs_var = draws.sigma_obs[keep] ** 2
-    obs_sd = draws.sigma_obs[keep]
-    level_var = draws.sigma_level[keep] ** 2
-    slope_var = draws.sigma_slope[keep] ** 2
-    seasonal_var = draws.sigma_seasonal[keep] ** 2 if len(model.seasonals) else np.zeros((K, 0))
-
-    if model.n_regressors:
-        if x is None:
-            raise SchemaError("x covering the whole series is required with regressors")
-        x = np.asarray(x, dtype=float)
-        if x.shape[0] < n:
-            raise SchemaError(f"x has {x.shape[0]} rows, series has {n}")
-        offsets = x[:n] @ draws.beta[keep].T  # (n, K)
-    else:
-        offsets = np.zeros((n, K))
-
-    period = model.period
-    mask_of_t = [model.boundary_mask(t % period) for t in range(period)]
-    stacks: dict[tuple[bool, ...], np.ndarray] = {}
-    noise: dict[tuple[bool, ...], np.ndarray] = {}
-    for t0 in model.boundary_schedule[0]:
-        key = mask_of_t[t0]
-        template = model.transition_matrix(0.0, t0)
-        stack = np.broadcast_to(template, (K, m, m)).copy()
-        stack[:, 1, 1] = phi
-        stacks[key] = stack
-        q = np.zeros((K, m))
-        q[:, 0] = level_var
-        q[:, 1] = slope_var
-        for s_idx, (layout, boundary) in enumerate(zip(model.seasonals, key)):
-            if boundary:
-                q[:, layout.state_start] = seasonal_var[:, s_idx]
-        noise[key] = q
-
-    c = np.zeros((K, m))
-    c[:, 1] = (1.0 - phi) * dvec
+    keep = slice(None, None, thin)
+    ops = _DrawOperators(model, draws, keep)
+    K, m = ops.intercept.shape
+    z = ops.z
+    if not model.n_regressors:
+        x = np.zeros((n, 0))
+    elif x is None or np.shape(x)[0] < n or np.shape(x)[1:] != (model.n_regressors,):
+        raise SchemaError(f"x with {model.n_regressors} columns covering all {n} steps is required")
+    x = np.asarray(x, dtype=float)
+    beta_t = draws.beta[keep].T  # (J, K); x[t] @ beta_t is x_t' beta per draw
 
     a = np.broadcast_to(model.a1, (K, m)).copy()
     P = np.broadcast_to(np.diag(model.p1_diag), (K, m, m)).copy()
-
-    anchor_set = set(int(t) for t in anchors)
-    results = {h: np.empty((anchors.size, 3)) for h in horizons}
-    anchor_pos = {int(t): i for i, t in enumerate(anchors)}
-    eye = np.eye(m)
+    steps_ahead = np.asarray(horizons)
+    summary = np.empty((3, anchors.size, steps_ahead.size))  # mean, lower95, upper95
+    block = np.empty((min(_ANCHOR_BLOCK, anchors.size), K, steps_ahead.size))
+    filled = next_anchor = 0
 
     for t in range(int(anchors[-1]) + 1):
+        if t:
+            step = ops.step(t - 1)
+            a = (ops.transitions[step] @ a[:, :, None])[:, :, 0] + ops.intercept
+            P = ops.transitions[step] @ P @ ops.transitions[step].transpose(0, 2, 1)
+            P.reshape(K, m * m)[:, :: m + 1] += ops.noise_vars[step]
         pz = P @ z  # (K, m)
-        f = pz @ z + obs_var
-        v = y[t] - (a @ z + offsets[t])
+        f = pz @ z + ops.obs_var
+        v = y[t] - (a @ z + x[t] @ beta_t)
         informative = f > 0.0
         gain = np.where(informative[:, None], pz / np.where(informative, f, 1.0)[:, None], 0.0)
         a = a + gain * v[:, None]
         P = P - gain[:, :, None] * pz[:, None, :]
-        P = (P + P.transpose(0, 2, 1)) / 2.0
 
-        if t in anchor_set:
-            tr = np.einsum("kii->k", P)
-            jitter = 1e-12 + 1e-10 * np.abs(tr) / m
-            try:
-                chol = np.linalg.cholesky(P + jitter[:, None, None] * eye)
-            except np.linalg.LinAlgError:
-                chol = np.linalg.cholesky(P + (jitter * 1e6 + 1e-8)[:, None, None] * eye)
-            alpha = a + np.einsum("kij,kj->ki", chol, rng.standard_normal((K, m)))
-            for h in range(1, max_h + 1):
-                key = mask_of_t[(t + h - 1) % period]
-                alpha = np.einsum("kij,kj->ki", stacks[key], alpha) + c
-                alpha = alpha + np.sqrt(noise[key]) * rng.standard_normal((K, m))
-                if h in results:
-                    ypred = alpha @ z + offsets[t + h] + obs_sd * rng.standard_normal(K)
-                    i = anchor_pos[t]
-                    results[h][i, 0] = ypred.mean()
-                    results[h][i, 1:] = np.percentile(ypred, [2.5, 97.5])
-
-        if t == int(anchors[-1]):
-            break
-        key = mask_of_t[t % period]
-        a = np.einsum("kij,kj->ki", stacks[key], a) + c
-        P = stacks[key] @ P @ stacks[key].transpose(0, 2, 1)
-        P[:, np.arange(m), np.arange(m)] += noise[key]
+        while next_anchor < anchors.size and anchors[next_anchor] == t:
+            terms = ops.horizon_terms(t, horizons)
+            mean, var = _predictive_moments(terms, a, P, (x[t + steps_ahead] @ beta_t).T)
+            block[filled] = mean + np.sqrt(var) * rng.standard_normal(mean.shape)
+            filled += 1
+            next_anchor += 1
+            if filled == block.shape[0] or next_anchor == anchors.size:
+                rows = slice(next_anchor - filled, next_anchor)
+                summary[0, rows] = block[:filled].mean(axis=1)
+                summary[1:, rows] = np.percentile(block[:filled], [2.5, 97.5], axis=1)
+                filled = 0
 
     return {
-        h: {"mean": results[h][:, 0], "lower95": results[h][:, 1], "upper95": results[h][:, 2]}
-        for h in horizons
+        h: {"mean": summary[0, :, i], "lower95": summary[1, :, i], "upper95": summary[2, :, i]}
+        for i, h in enumerate(horizons)
     }

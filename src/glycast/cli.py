@@ -109,10 +109,6 @@ def _load_series_map(cfg: dict, command: str) -> dict[str, GlucoseSeries]:
     return series
 
 
-def _gl_column(series: GlucoseSeries, table) -> np.ndarray:
-    return preprocess.build_meal_regressor(series, table).values
-
-
 def _cmd_synth(cfg: dict, out_dir: Path, seed: int, config_path: Optional[str], started: float) -> int:
     synth_cfg = synth.SynthConfig(
         n_subjects=int(cfg.get("n_subjects", 10)),
@@ -245,11 +241,19 @@ def _cmd_learn(cfg: dict, out_dir: Path, seed: int, config_path: Optional[str], 
 
 
 class _TwoStageModel:
-    """Fitted network plus the codecs needed to encode raw evidence."""
+    """Fitted network, evidence codecs, and the markers inferred so far (once per subject)."""
 
     def __init__(self, network, data_codecs):
         self.network = network
         self.data_codecs = data_codecs
+        self._markers: dict[str, tuple[float, float]] = {}
+
+    def inferred_markers(self, record) -> tuple[float, float]:
+        """(FPG, 2HPP) inferred from a record's non-marker features."""
+        if record.subject_id not in self._markers:
+            _, _, fpg_hat, hpp2_hat = bayesnet.infer_markers(self.network, self.evidence_for(record))
+            self._markers[record.subject_id] = (fpg_hat, hpp2_hat)
+        return self._markers[record.subject_id]
 
     def evidence_for(self, record) -> dict[str, int]:
         """Encode a complete record's features (markers excluded) as classes."""
@@ -281,8 +285,7 @@ def _similar_design_for(
     for sid, record in sorted(records_by_id.items()):
         if sid == tester_id or sid not in series_map:
             continue
-        _, _, fpg_hat, hpp2_hat = bayesnet.infer_markers(model.network, model.evidence_for(record))
-        points.append(similarity.MarkerPoint(sid, fpg_hat, hpp2_hat, "inferred"))
+        points.append(similarity.MarkerPoint(sid, *model.inferred_markers(record), "inferred"))
     if len(points) < m:
         return None, (), None
     tester_point = similarity.MarkerPoint(tester_id, tester_record.fpg, tester_record.hpp2, "measured")

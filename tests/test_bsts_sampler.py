@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,14 +8,16 @@ from glycast.bsts import (
     PosteriorDraws,
     assemble_model,
     forecast_anchors,
+    kalman_loglik,
     mcmc_fit,
     posterior_forecast,
     regression,
     seasonal,
     semi_local_trend,
 )
-from glycast.errors import RangeError
-from glycast.synth import simulate_from_model
+from glycast.bsts.sampler import _DrawOperators, _predictive_moments
+from glycast.errors import NumericalError, RangeError
+from glycast.synth import gaussian_predictive_oracle, simulate_from_model
 
 
 def make_draws(model, entries, requested=None, burn=0, seed=0):
@@ -204,6 +208,15 @@ class TestForecastAnchors:
         with pytest.raises(RangeError):
             forecast_anchors(model, draws, y, anchors=[], horizons=[1])
 
+    def test_repeated_anchor_fills_every_row(self):
+        y = trend_series(50, seed=6)
+        model = assemble_model([semi_local_trend()], y)
+        draws = mcmc_fit(model, y, draws=120, burn=20, seed=5)
+        out = forecast_anchors(model, draws, y, anchors=[45, 45], horizons=[1], rng=np.random.default_rng(0))
+        mean, lower, upper = (out[1][key] for key in ("mean", "lower95", "upper95"))
+        assert np.all((lower <= mean) & (mean <= upper))
+        assert abs(mean[0] - mean[1]) < 0.5 * (upper[1] - lower[1])
+
     def test_thinning(self):
         y = trend_series(50, seed=6)
         model = assemble_model([semi_local_trend()], y)
@@ -214,3 +227,141 @@ class TestForecastAnchors:
         )
         assert out[1]["mean"].shape == (2,)
         assert out[3]["upper95"].shape == (2,)
+
+
+def two_seasonal_model(y, x=None):
+    """Trend, two short seasonals (cycles 4 and 6, period 12) and, with x, a regression."""
+    specs = [semi_local_trend(), seasonal("a", 3, (1, 2, 1)), seasonal("b", 3, (2, 1, 3))]
+    if x is not None:
+        specs.append(regression(("u", "v")))
+    return assemble_model(specs, y, x)
+
+
+def propagate(model, params, state, steps):
+    """Noiseless propagation of one state from index 0 through `steps` transitions."""
+    c = model.state_intercept(params.d, params.phi)
+    for t in range(steps):
+        state = model.transition_matrix(params.phi, t) @ state + c
+    return state
+
+
+class TestAnchoredPredictive:
+    HORIZONS = (1, 2, 3, 4)
+    PARAMS = (
+        ParamPoint(0.3, 0.1, 0.5, (0.4, 0.2), d=0.05, phi=0.6, beta=np.array([0.7, -1.2])),
+        ParamPoint(0.1, 0.4, 0.2, (0.05, 0.6), d=-0.3, phi=-0.8, beta=np.array([0.0, 2.0])),
+        ParamPoint(0.5, 0.0, 1.0, (0.0, 0.3), d=0.0, phi=0.99, beta=np.array([-0.4, 0.1])),
+    )
+
+    def setup_case(self):
+        rng = np.random.default_rng(11)
+        x = rng.normal(0.0, 1.0, (20, 2))
+        scaffold = two_seasonal_model(np.arange(20.0), x)
+        y = 100.0 + simulate_from_model(scaffold, self.PARAMS[0], 20, rng, x=x)
+        model = two_seasonal_model(y, x)
+        draws = make_draws(model, [(p, np.zeros(model.state_dim)) for p in self.PARAMS])
+        return model, draws, y, x
+
+    def test_moments_match_dense_oracle_at_every_phase(self):
+        model, draws, y, x = self.setup_case()
+        assert model.period == 12
+        ops = _DrawOperators(model, draws, slice(None))
+        crossings = 0
+        for t in range(3, 15):
+            terms = ops.horizon_terms(t, self.HORIZONS)
+            crossings += any(any(model.boundary_mask(j)) for j in range(t, t + 4))
+            a, P, offsets = [], [], []
+            oracles = []
+            for params in self.PARAMS:
+                filt = kalman_loglik(model, params, y[: t + 1], x[: t + 1])
+                pred = filt.state_pred_covs[t]
+                a.append(filt.filtered_means[t])
+                P.append(pred - np.outer(filt.gains[t], pred @ model.z))
+                offsets.append(x[t + 1 : t + 5] @ params.beta)
+                oracles.append(
+                    gaussian_predictive_oracle(
+                        model, params, y[: t + 1], horizon=4, x=x[: t + 1], x_future=x[t + 1 : t + 5]
+                    )
+                )
+            mean, var = _predictive_moments(terms, np.array(a), np.array(P), np.array(offsets))
+            for k, oracle in enumerate(oracles):
+                np.testing.assert_allclose(mean[k], oracle.forecast_means, rtol=1e-8, atol=1e-8)
+                np.testing.assert_allclose(var[k], oracle.forecast_variances, rtol=1e-8, atol=1e-8)
+        assert crossings == 12
+
+    def test_anchored_samples_match_dense_oracle(self):
+        # The batched filter inside forecast_anchors feeds the same predictive:
+        # 4000 copies of one draw give its mean and 95% band within Monte Carlo error.
+        model, _, y, x = self.setup_case()
+        params = self.PARAMS[0]
+        draws = make_draws(model, [(params, np.zeros(model.state_dim))] * 4000)
+        anchors = list(range(3, 15))
+        out = forecast_anchors(
+            model, draws, y, anchors, self.HORIZONS, x=x, rng=np.random.default_rng(5)
+        )
+        for i, t in enumerate(anchors):
+            oracle = gaussian_predictive_oracle(
+                model, params, y[: t + 1], horizon=4, x=x[: t + 1], x_future=x[t + 1 : t + 5]
+            )
+            sd = np.sqrt(oracle.forecast_variances)
+            for h in self.HORIZONS:
+                assert abs(out[h]["mean"][i] - oracle.forecast_means[h - 1]) < 5 * sd[h - 1] / np.sqrt(4000)
+                half_width = (out[h]["upper95"][i] - out[h]["lower95"][i]) / (2 * 1.959964)
+                assert half_width == pytest.approx(sd[h - 1], rel=0.1)
+
+    @pytest.mark.parametrize(
+        "durations",
+        # Short seasons cross a boundary within most horizons; long ones give
+        # phases whose first three steps agree and whose fourth does not.
+        [((1, 2, 1), (2, 1, 3)), ((6, 2), (3, 3, 3, 3))],
+        ids=["short", "long"],
+    )
+    def test_zero_noise_matches_deterministic_posterior_forecast(self, durations):
+        y = 100.0 + np.arange(50.0)
+        specs = [semi_local_trend()] + [
+            seasonal(name, len(d), d) for name, d in zip(("a", "b"), durations)
+        ]
+        model = assemble_model(specs, y)
+        a1 = np.concatenate([[100.0, 1.0], np.linspace(3.0, -2.0, model.state_dim - 2)])
+        model = model.with_initial_state(a1, np.zeros(model.state_dim))
+        params = [
+            ParamPoint(0.0, 0.0, 0.0, (0.0, 0.0), d=0.2, phi=0.5),
+            ParamPoint(0.0, 0.0, 0.0, (0.0, 0.0), d=-1.0, phi=-0.9),
+            ParamPoint(0.0, 0.0, 0.0, (0.0, 0.0), d=0.0, phi=1.0),
+        ]
+        anchors = list(range(5, 5 + model.period))
+        out = forecast_anchors(
+            model, make_draws(model, [(p, a1) for p in params]), y, anchors, self.HORIZONS,
+            rng=np.random.default_rng(0),
+        )
+        for i, t in enumerate(anchors):
+            terminal = [(p, propagate(model, p, a1, t)) for p in params]
+            reference = posterior_forecast(
+                make_draws(model, terminal), replace(model, n_train=t + 1), horizon=4, sample=False
+            )
+            for h in self.HORIZONS:
+                column = reference.paths[:, h - 1]
+                np.testing.assert_allclose(out[h]["mean"][i], column.mean(), rtol=1e-12)
+                np.testing.assert_allclose(
+                    [out[h]["lower95"][i], out[h]["upper95"][i]],
+                    np.percentile(column, [2.5, 97.5]),
+                    rtol=1e-12,
+                )
+
+    def test_negative_variance_raises_beyond_rounding(self):
+        # P = I - (1 + delta) 11'/m is a covariance pushed below zero along 1:
+        # u = 1 gives u'Pu = -delta m.
+        m, k = 6, 2
+        terms = (np.ones((k, 1, m)), np.zeros((k, 1)), np.zeros((k, 1)))
+        a = np.zeros((k, m))
+        offsets = np.zeros((k, 1))
+
+        def cov(delta):
+            return np.broadcast_to(np.eye(m) - (1.0 + delta) * np.ones((m, m)) / m, (k, m, m))
+
+        _, var = _predictive_moments(terms, a, cov(1e-12), offsets)
+        np.testing.assert_array_equal(var, 0.0)
+        with pytest.raises(NumericalError):
+            _predictive_moments(terms, a, cov(1e-6), offsets)
+        with pytest.raises(NumericalError):
+            _predictive_moments(terms, a, np.full((k, m, m), np.nan), offsets)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from glycast import bayesnet
+from glycast import bayesnet, similarity
 from glycast.cli import main
 from glycast.preprocess import DiscreteDataset
 from glycast.synth import dag_enumeration_oracle
@@ -248,3 +248,30 @@ class TestPreprocessCommand:
         for name in ("clinical_clean.csv", "exclusions.jsonl", "encoded.csv", "encoded_meta.json"):
             assert (out / name).exists()
         assert len(list((out / "regressors").glob("*.csv"))) == 4
+
+
+class TestMarkerInference:
+    def test_each_pool_subject_inferred_once_per_run(self, tmp_path, synth_dir, monkeypatch):
+        inferred = []
+        pools = []
+        infer, select = bayesnet.infer_markers, similarity.select_similar
+
+        def infer_spy(network, evidence):
+            inferred.append(evidence)
+            return infer(network, evidence)
+
+        def select_spy(points, tester, m):
+            pools.append({p.subject_id for p in points})
+            return select(points, tester, m)
+
+        monkeypatch.setattr(bayesnet, "infer_markers", infer_spy)
+        monkeypatch.setattr(similarity, "select_similar", select_spy)
+        cfg = write_config(
+            tmp_path / "eval.json", seed=3, out_dir=str(tmp_path / "out"),
+            series_dir=str(synth_dir / "series"), clinical_csv=str(synth_dir / "clinical.csv"),
+            bootstrap=2, draws=12, burn=2, horizons=[1],
+        )
+        assert main(["evaluate", "--config", cfg, "--subjects", "S000,S001,S002"]) == 0
+        assert len(pools) == 3
+        assert sum(len(pool) for pool in pools) > len(set().union(*pools))
+        assert len(inferred) == len(set().union(*pools))

@@ -202,12 +202,24 @@ class TestGaussianOracle:
         model = assemble_model([semi_local_trend()], y)
         params = ParamPoint(0.3, 0.1, 0.8, d=0.05, phi=0.4)
         oracle = gaussian_predictive_oracle(model, params, y, horizon=3)
-        from glycast.bsts import kalman_loglik, forecast_path
+        from glycast.bsts import PosteriorDraws, kalman_loglik, posterior_forecast
 
         filt = kalman_loglik(model, params, y)
-        deterministic = forecast_path(
-            model, params, filt.filtered_means[-1], 3, None, rng=None
+        draws = PosteriorDraws(
+            sigma_level=np.array([params.sigma_level]),
+            sigma_slope=np.array([params.sigma_slope]),
+            sigma_obs=np.array([params.sigma_obs]),
+            sigma_seasonal=np.zeros((1, 0)),
+            d=np.array([params.d]),
+            phi=np.array([params.phi]),
+            gamma=np.zeros((1, 0), dtype=np.int64),
+            beta=np.zeros((1, 0)),
+            terminal_state=filt.filtered_means[-1:],
+            requested=1,
+            burn=0,
+            seed=0,
         )
+        deterministic = posterior_forecast(draws, model, horizon=3, sample=False).paths[0]
         np.testing.assert_allclose(oracle.forecast_means, deterministic, atol=1e-8)
 
 
