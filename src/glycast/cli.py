@@ -62,27 +62,51 @@ def _load_config(path: Optional[str]) -> dict:
     return payload
 
 
-def _require(cfg: dict, key: str, command: str):
-    if key not in cfg:
-        raise ConfigError(f"{command} config requires key {key!r}")
-    return cfg[key]
+class _Inputs:
+    """The input files a command reads: each checked to exist and kept for the manifest."""
 
+    def __init__(self, command: str):
+        self.command = command
+        self.paths: list[Path] = []
 
-def _input_path(raw: str, command: str) -> Path:
-    path = Path(raw)
-    if not path.exists():
-        raise ConfigError(f"{command}: input file not found: {path}")
-    return path
+    def path(self, raw, record: bool = True) -> Path:
+        path = Path(raw)
+        if not path.exists():
+            raise ConfigError(f"{self.command}: input file not found: {path}")
+        if record:
+            self.paths.append(path)
+        return path
+
+    def required(self, cfg: dict, key: str) -> Path:
+        if key not in cfg:
+            raise ConfigError(f"{self.command} config requires key {key!r}")
+        return self.path(cfg[key])
+
+    def gl_table(self, cfg: dict):
+        return load_gl_table(self.path(cfg["gl_table"])) if "gl_table" in cfg else None
+
+    def series_map(self, cfg: dict) -> dict[str, GlucoseSeries]:
+        series: dict[str, GlucoseSeries] = {}
+        paths = []
+        if "series_dir" in cfg:
+            paths.extend(sorted(self.path(cfg["series_dir"], record=False).glob("*.csv")))
+        paths.extend(cfg.get("series", []))
+        for raw in paths:
+            s = load_timeseries(self.path(raw))
+            series[s.subject_id] = s
+        if not series:
+            raise ConfigError(f"{self.command}: no time series supplied (series_dir or series)")
+        return series
 
 
 def _write_manifest(
     out_dir: Path, command: str, config_path: Optional[str], seed: int,
-    inputs: Sequence[str], outputs: Sequence[str], started: float
+    inputs: Sequence[Path], outputs: Sequence[Path], started: float
 ) -> None:
     manifest = {
         "command": command,
         "config": config_path,
-        "inputs": sorted(str(p) for p in inputs),
+        "inputs": sorted({str(p) for p in inputs}),
         "outputs": sorted(str(p) for p in outputs),
         "seed": seed,
         "version": __version__,
@@ -92,21 +116,6 @@ def _write_manifest(
     path = out_dir / "manifests.jsonl"
     with path.open("a", encoding="utf-8") as handle:
         handle.write(json.dumps(manifest, sort_keys=True) + "\n")
-
-
-def _load_series_map(cfg: dict, command: str) -> dict[str, GlucoseSeries]:
-    series: dict[str, GlucoseSeries] = {}
-    if "series_dir" in cfg:
-        directory = _input_path(cfg["series_dir"], command)
-        for path in sorted(directory.glob("*.csv")):
-            s = load_timeseries(path)
-            series[s.subject_id] = s
-    for raw in cfg.get("series", []):
-        s = load_timeseries(_input_path(raw, command))
-        series[s.subject_id] = s
-    if not series:
-        raise ConfigError(f"{command}: no time series supplied (series_dir or series)")
-    return series
 
 
 def _cmd_synth(cfg: dict, out_dir: Path, seed: int, config_path: Optional[str], started: float) -> int:
@@ -155,101 +164,45 @@ def _cmd_synth(cfg: dict, out_dir: Path, seed: int, config_path: Optional[str], 
     return 0
 
 
-def _cmd_preprocess(cfg: dict, out_dir: Path, seed: int, config_path: Optional[str], started: float) -> int:
-    clinical_path = _input_path(_require(cfg, "clinical_csv", "preprocess"), "preprocess")
-    records = load_clinical(clinical_path)
+# Stage 1: clinical records -> exclude -> impute -> encode -> consensus DAG -> CPTs.
+# `preprocess` and `learn` run its steps one command each; `evaluate` and
+# `ablate` run them all through `_stage1`.
+
+
+def _encode(cfg: dict, records):
+    """Exclude, impute and encode clinical records: (exclusion report, imputed, encoded)."""
     kept, report = preprocess.exclude_incomplete(records, int(cfg.get("max_missing", 3)))
     imputed = preprocess.impute_means(kept)
-    encoded = preprocess.standardize_encode(imputed, int(cfg.get("n_bins", 4)))
-
-    inputs = [clinical_path]
-    outputs = []
-    cleaned_path = out_dir / "clinical_clean.csv"
-    write_clinical(cleaned_path, imputed)
-    outputs.append(cleaned_path)
-    exclusions_path = out_dir / "exclusions.jsonl"
-    preprocess.write_exclusion_report(exclusions_path, report)
-    outputs.append(exclusions_path)
-    encoded_csv = out_dir / "encoded.csv"
-    encoded_meta = out_dir / "encoded_meta.json"
-    encoded.to_files(encoded_csv, encoded_meta)
-    outputs.extend([encoded_csv, encoded_meta])
-
-    if "series_dir" in cfg or cfg.get("series"):
-        table = None
-        if "gl_table" in cfg:
-            table_path = _input_path(cfg["gl_table"], "preprocess")
-            table = load_gl_table(table_path)
-            inputs.append(table_path)
-        regressor_dir = out_dir / "regressors"
-        regressor_dir.mkdir(parents=True, exist_ok=True)
-        for sid, series in _load_series_map(cfg, "preprocess").items():
-            regressor = preprocess.build_meal_regressor(series, table)
-            path = regressor_dir / f"{sid}.csv"
-            with path.open("w", encoding="utf-8") as handle:
-                handle.write("timestamp,gl\n")
-                for i, value in enumerate(regressor.values):
-                    handle.write(f"{series.timestamp_at(i).isoformat()},{float(value)!r}\n")
-            outputs.append(path)
-
-    _write_manifest(out_dir, "preprocess", config_path, seed, inputs, outputs, started)
-    print(
-        f"preprocess: kept {len(kept)} of {len(records)} records "
-        f"({len(report)} excluded); encoded {len(encoded.variables)} variables"
-    )
-    return 0
+    return report, imputed, preprocess.standardize_encode(imputed, int(cfg.get("n_bins", 4)))
 
 
-def _tabu_params(cfg: dict) -> bayesnet.TabuParams:
-    return bayesnet.TabuParams(
-        tabu_len=int(cfg.get("tabu_len", 100)),
-        max_iter=int(cfg.get("max_iter", 500)),
-        stall_limit=int(cfg.get("stall_limit", 30)),
-    )
+def _learn_network(cfg: dict, encoded, seed: int, dag=None):
+    """Bootstrap consensus (unless a DAG is given) and its CPTs: (strengths, dag, network)."""
+    strengths = None
+    if dag is None:
+        params = bayesnet.TabuParams(
+            tabu_len=int(cfg.get("tabu_len", 100)),
+            max_iter=int(cfg.get("max_iter", 500)),
+            stall_limit=int(cfg.get("stall_limit", 30)),
+        )
+        strengths, dag = bayesnet.bootstrap_consensus(
+            encoded, b=int(cfg.get("bootstrap", 100)), threshold=float(cfg.get("threshold", 0.85)),
+            seed=seed, params=params,
+        )
+    return strengths, dag, bayesnet.fit_parameters(dag, encoded, alpha=float(cfg.get("alpha", 1.0)))
 
 
-def _cmd_learn(cfg: dict, out_dir: Path, seed: int, config_path: Optional[str], started: float) -> int:
-    encoded_csv = _input_path(_require(cfg, "encoded_csv", "learn"), "learn")
-    encoded_meta = _input_path(_require(cfg, "encoded_meta", "learn"), "learn")
-    data = preprocess.DiscreteDataset.from_files(encoded_csv, encoded_meta)
-    strengths, consensus = bayesnet.bootstrap_consensus(
-        data,
-        b=int(cfg.get("bootstrap", 100)),
-        threshold=float(cfg.get("threshold", 0.85)),
-        seed=seed,
-        params=_tabu_params(cfg),
-    )
-    model = bayesnet.fit_parameters(consensus, data, alpha=float(cfg.get("alpha", 1.0)))
+class _Stage1:
+    """Fitted network, evidence codecs, imputed records, and the markers inferred so far."""
 
-    types = None
-    if "annotations_csv" in cfg:
-        annotations = bayesnet.load_arc_annotations(_input_path(cfg["annotations_csv"], "learn"))
-        model = bayesnet.annotate_model(model, {a: c for a, c in annotations.items() if a in consensus.arcs})
-        types = model.annotations
-
-    outputs = []
-    network_path = out_dir / "network.json"
-    bayesnet.save_network_json(network_path, consensus, strengths, types)
-    outputs.append(network_path)
-    cpts_path = out_dir / "cpts.json"
-    cpts_path.write_text(json.dumps(bayesnet.cpts_to_json(model), indent=2, sort_keys=True), encoding="utf-8")
-    outputs.append(cpts_path)
-
-    _write_manifest(out_dir, "learn", config_path, seed, [encoded_csv, encoded_meta], outputs, started)
-    print(f"learn: consensus network with {len(consensus.arcs)} arcs -> {network_path}")
-    return 0
-
-
-class _TwoStageModel:
-    """Fitted network, evidence codecs, and the markers inferred so far (once per subject)."""
-
-    def __init__(self, network, data_codecs):
+    def __init__(self, network, codecs, records_by_id):
         self.network = network
-        self.data_codecs = data_codecs
+        self.codecs = codecs
+        self.records_by_id = records_by_id
         self._markers: dict[str, tuple[float, float]] = {}
 
     def inferred_markers(self, record) -> tuple[float, float]:
-        """(FPG, 2HPP) inferred from a record's non-marker features."""
+        """(FPG, 2HPP) inferred from a record's non-marker features, once per subject."""
         if record.subject_id not in self._markers:
             _, _, fpg_hat, hpp2_hat = bayesnet.infer_markers(self.network, self.evidence_for(record))
             self._markers[record.subject_id] = (fpg_hat, hpp2_hat)
@@ -265,61 +218,129 @@ class _TwoStageModel:
             if name == "gender":
                 evidence[name] = preprocess.GENDER_LEVELS.index(value)
             else:
-                evidence[name] = self.data_codecs[name].encode_value(value)
+                evidence[name] = self.codecs[name].encode_value(value)
         return evidence
 
+    def select_donors(self, tester_id: str, candidates, m: int) -> tuple[list[str], Optional[dict]]:
+        """The m candidates whose inferred markers sit nearest the tester's measured ones.
 
-def _similar_design_for(
-    tester_id: str,
-    series_map: dict[str, GlucoseSeries],
-    records_by_id: dict,
-    model: _TwoStageModel,
-    m: int,
-    gl_table,
-) -> tuple[Optional[np.ndarray], tuple[str, ...], Optional[dict]]:
-    """Infer pool markers, select the m nearest, and build their design."""
-    tester_record = records_by_id.get(tester_id)
-    if tester_record is None or tester_record.fpg is None or tester_record.hpp2 is None:
-        return None, (), None
-    points = []
-    for sid, record in sorted(records_by_id.items()):
-        if sid == tester_id or sid not in series_map:
-            continue
-        points.append(similarity.MarkerPoint(sid, *model.inferred_markers(record), "inferred"))
-    if len(points) < m:
-        return None, (), None
-    tester_point = similarity.MarkerPoint(tester_id, tester_record.fpg, tester_record.hpp2, "measured")
-    selected = similarity.select_similar(points, tester_point, m)
-    log = similarity.selection_log(points, tester_point, selected)
-    donors = [series_map[sid] for sid in selected]
-    gl_columns = {}
-    for donor in donors:
-        if donor.meals:
-            gl_columns[donor.subject_id] = preprocess.build_meal_regressor(donor, gl_table).values
-    design, names = build_similarity_design(series_map[tester_id], donors, gl_columns or None)
-    return design, names, log
+        Returns no donors when Stage 1 excluded the tester (no measured
+        markers) or the pool has fewer than m candidates with records.
+        """
+        tester = self.records_by_id.get(tester_id)
+        if tester is None:
+            return [], None
+        points = [
+            similarity.MarkerPoint(sid, *self.inferred_markers(record), "inferred")
+            for sid, record in sorted(self.records_by_id.items())
+            if sid != tester_id and sid in candidates
+        ]
+        if len(points) < m:
+            return [], None
+        tester_point = similarity.MarkerPoint(tester_id, tester.fpg, tester.hpp2, "measured")
+        selected = similarity.select_similar(points, tester_point, m)
+        return selected, similarity.selection_log(points, tester_point, selected)
 
 
-def _build_two_stage(cfg: dict, seed: int, command: str):
-    clinical_path = _input_path(_require(cfg, "clinical_csv", command), command)
-    records = load_clinical(clinical_path)
-    kept, _ = preprocess.exclude_incomplete(records, int(cfg.get("max_missing", 3)))
-    imputed = preprocess.impute_means(kept)
-    encoded = preprocess.standardize_encode(imputed, int(cfg.get("n_bins", 4)))
+def _stage1(cfg: dict, seed: int, inputs: _Inputs) -> _Stage1:
+    """Run Stage 1 on `clinical_csv`; `network_json`, when given, replaces the bootstrap."""
+    records = load_clinical(inputs.required(cfg, "clinical_csv"))
+    _, imputed, encoded = _encode(cfg, records)
+    dag = None
     if "network_json" in cfg:
-        dag, _ = bayesnet.load_network_json(_input_path(cfg["network_json"], command))
-    else:
-        _, dag = bayesnet.bootstrap_consensus(
-            encoded,
-            b=int(cfg.get("bootstrap", 100)),
-            threshold=float(cfg.get("threshold", 0.85)),
-            seed=seed,
-            params=_tabu_params(cfg),
-        )
-    network = bayesnet.fit_parameters(dag, encoded, alpha=float(cfg.get("alpha", 1.0)))
+        dag, _ = bayesnet.load_network_json(inputs.path(cfg["network_json"]))
+    _, _, network = _learn_network(cfg, encoded, seed, dag)
     codecs = {codec.name: codec for codec in encoded.codecs}
-    records_by_id = {r.subject_id: r for r in imputed}
-    return _TwoStageModel(network, codecs), records_by_id, clinical_path
+    return _Stage1(network, codecs, {r.subject_id: r for r in imputed})
+
+
+def _design(tester: GlucoseSeries, donors: Sequence[GlucoseSeries], gl_table):
+    """Donors' CGM and glycemic-load columns on the tester's grid; raw meal items need `gl_table`."""
+    gl_columns = {d.subject_id: preprocess.build_meal_regressor(d, gl_table).values for d in donors if d.meals}
+    return build_similarity_design(tester, donors, gl_columns or None)
+
+
+def _tester_designs(cfg: dict, seed: int, inputs: _Inputs, subjects_flag, m: int):
+    """Each tester with its Stage-1 donors' design: yields (EvalSubject, selection log).
+
+    Without `clinical_csv` no donors are selected and testers carry no design.
+    """
+    series_map = inputs.series_map(cfg)
+    gl_table = inputs.gl_table(cfg)
+    stage1 = _stage1(cfg, seed, inputs) if "clinical_csv" in cfg else None
+    for tester_id in subjects_flag or cfg.get("subjects") or sorted(series_map):
+        if tester_id not in series_map:
+            raise ConfigError(f"{inputs.command}: no series for subject {tester_id}")
+        tester = series_map[tester_id]
+        donors, selection = stage1.select_donors(tester_id, series_map, m) if stage1 else ([], None)
+        regressors, names = (None, ())
+        if donors:
+            regressors, names = _design(tester, [series_map[sid] for sid in donors], gl_table)
+        yield EvalSubject(series=tester, regressors=regressors, regressor_names=names), selection
+
+
+def _cmd_preprocess(cfg: dict, out_dir: Path, seed: int, config_path: Optional[str], started: float) -> int:
+    inputs = _Inputs("preprocess")
+    records = load_clinical(inputs.required(cfg, "clinical_csv"))
+    report, imputed, encoded = _encode(cfg, records)
+
+    outputs = []
+    cleaned_path = out_dir / "clinical_clean.csv"
+    write_clinical(cleaned_path, imputed)
+    outputs.append(cleaned_path)
+    exclusions_path = out_dir / "exclusions.jsonl"
+    preprocess.write_exclusion_report(exclusions_path, report)
+    outputs.append(exclusions_path)
+    encoded_csv = out_dir / "encoded.csv"
+    encoded_meta = out_dir / "encoded_meta.json"
+    encoded.to_files(encoded_csv, encoded_meta)
+    outputs.extend([encoded_csv, encoded_meta])
+
+    if "series_dir" in cfg or cfg.get("series"):
+        table = inputs.gl_table(cfg)
+        regressor_dir = out_dir / "regressors"
+        regressor_dir.mkdir(parents=True, exist_ok=True)
+        for sid, series in inputs.series_map(cfg).items():
+            regressor = preprocess.build_meal_regressor(series, table)
+            path = regressor_dir / f"{sid}.csv"
+            with path.open("w", encoding="utf-8") as handle:
+                handle.write("timestamp,gl\n")
+                for i, value in enumerate(regressor.values):
+                    handle.write(f"{series.timestamp_at(i).isoformat()},{float(value)!r}\n")
+            outputs.append(path)
+
+    _write_manifest(out_dir, "preprocess", config_path, seed, inputs.paths, outputs, started)
+    print(
+        f"preprocess: kept {len(imputed)} of {len(records)} records "
+        f"({len(report)} excluded); encoded {len(encoded.variables)} variables"
+    )
+    return 0
+
+
+def _cmd_learn(cfg: dict, out_dir: Path, seed: int, config_path: Optional[str], started: float) -> int:
+    inputs = _Inputs("learn")
+    data = preprocess.DiscreteDataset.from_files(
+        inputs.required(cfg, "encoded_csv"), inputs.required(cfg, "encoded_meta")
+    )
+    strengths, consensus, model = _learn_network(cfg, data, seed)
+
+    types = None
+    if "annotations_csv" in cfg:
+        annotations = bayesnet.load_arc_annotations(inputs.path(cfg["annotations_csv"]))
+        model = bayesnet.annotate_model(model, {a: c for a, c in annotations.items() if a in consensus.arcs})
+        types = model.annotations
+
+    outputs = []
+    network_path = out_dir / "network.json"
+    bayesnet.save_network_json(network_path, consensus, strengths, types)
+    outputs.append(network_path)
+    cpts_path = out_dir / "cpts.json"
+    cpts_path.write_text(json.dumps(bayesnet.cpts_to_json(model), indent=2, sort_keys=True), encoding="utf-8")
+    outputs.append(cpts_path)
+
+    _write_manifest(out_dir, "learn", config_path, seed, inputs.paths, outputs, started)
+    print(f"learn: consensus network with {len(consensus.arcs)} arcs -> {network_path}")
+    return 0
 
 
 def _eval_config(cfg: dict, seed: int, horizons: Optional[Sequence[int]]) -> EvalConfig:
@@ -341,25 +362,15 @@ def _cmd_forecast(
     cfg: dict, out_dir: Path, seed: int, config_path: Optional[str], started: float,
     horizon_minutes: Optional[int],
 ) -> int:
-    series_path = _input_path(_require(cfg, "series_csv", "forecast"), "forecast")
-    series = load_timeseries(series_path)
+    inputs = _Inputs("forecast")
+    series = load_timeseries(inputs.required(cfg, "series_csv"))
     horizon = HORIZON_MINUTES[horizon_minutes] if horizon_minutes else int(cfg.get("horizon_steps", 4))
 
-    inputs = [series_path]
     regressors = None
     names: tuple[str, ...] = ()
     if cfg.get("similar_series"):
-        donors = []
-        for raw in cfg["similar_series"]:
-            path = _input_path(raw, "forecast")
-            donors.append(load_timeseries(path))
-            inputs.append(path)
-        gl_columns = {
-            d.subject_id: preprocess.build_meal_regressor(d, None).values
-            for d in donors
-            if d.meals and all(m.gl is not None for m in d.meals)
-        }
-        regressors, names = build_similarity_design(series, donors, gl_columns or None)
+        donors = [load_timeseries(inputs.path(raw)) for raw in cfg["similar_series"]]
+        regressors, names = _design(series, donors, inputs.gl_table(cfg))
         # Future regressor rows: donors are historical, so cycle them forward.
         extra_idx = (np.arange(len(series), len(series) + horizon)) % len(series)
         regressors = np.vstack([regressors, regressors[extra_idx]])
@@ -387,7 +398,7 @@ def _cmd_forecast(
                 f"{ts.isoformat()},{float(result.mean[j])!r},"
                 f"{float(result.lower95[j])!r},{float(result.upper95[j])!r}\n"
             )
-    _write_manifest(out_dir, "forecast", config_path, seed, inputs, [forecast_path], started)
+    _write_manifest(out_dir, "forecast", config_path, seed, inputs.paths, [forecast_path], started)
     print(f"forecast: {horizon} step(s) for {series.subject_id} -> {forecast_path}")
     return 0
 
@@ -396,38 +407,20 @@ def _cmd_evaluate(
     cfg: dict, out_dir: Path, seed: int, config_path: Optional[str], started: float,
     horizon_minutes: Optional[int], subjects_flag: Optional[list[str]],
 ) -> int:
-    series_map = _load_series_map(cfg, "evaluate")
     horizons = [HORIZON_MINUTES[horizon_minutes]] if horizon_minutes else None
     eval_cfg = _eval_config(cfg, seed, horizons)
-
-    gl_table = None
-    if "gl_table" in cfg:
-        gl_table = load_gl_table(_input_path(cfg["gl_table"], "evaluate"))
-
-    two_stage = None
-    records_by_id: dict = {}
-    inputs: list[Path] = []
-    if "clinical_csv" in cfg:
-        two_stage, records_by_id, clinical_path = _build_two_stage(cfg, seed, "evaluate")
-        inputs.append(clinical_path)
-
     custom = tuple(specs_from_json(cfg)) if "components" in cfg else None
-    testers = subjects_flag or cfg.get("subjects") or sorted(series_map)
+    inputs = _Inputs("evaluate")
     reports = []
     selections = {}
-    for tester_id in testers:
-        if tester_id not in series_map:
-            raise ConfigError(f"evaluate: no series for subject {tester_id}")
-        regressors, names, selection = (None, (), None)
-        if two_stage is not None:
-            regressors, names, selection = _similar_design_for(
-                tester_id, series_map, records_by_id, two_stage, eval_cfg.m_similar, gl_table
-            )
-        pipeline = ForecastPipeline(regressors=regressors, regressor_names=names, custom_specs=custom)
-        report = sliding_window_eval(pipeline, series_map[tester_id], eval_cfg)
+    for subject, selection in _tester_designs(cfg, seed, inputs, subjects_flag, eval_cfg.m_similar):
+        pipeline = ForecastPipeline(
+            regressors=subject.regressors, regressor_names=subject.regressor_names, custom_specs=custom
+        )
+        report = sliding_window_eval(pipeline, subject.series, eval_cfg)
         reports.append(report)
         if selection is not None:
-            selections[tester_id] = selection
+            selections[report.subject_id] = selection
         print(render_metrics_text(report))
         print()
 
@@ -444,7 +437,7 @@ def _cmd_evaluate(
         sel_path.write_text(json.dumps(selections, indent=2, sort_keys=True), encoding="utf-8")
         outputs.append(sel_path)
 
-    _write_manifest(out_dir, "evaluate", config_path, seed, inputs, outputs, started)
+    _write_manifest(out_dir, "evaluate", config_path, seed, inputs.paths, outputs, started)
     print(f"evaluate: {len(reports)} subject report(s) -> {metrics_path}")
     return 0
 
@@ -453,23 +446,15 @@ def _cmd_ablate(
     cfg: dict, out_dir: Path, seed: int, config_path: Optional[str], started: float,
     subjects_flag: Optional[list[str]],
 ) -> int:
-    series_map = _load_series_map(cfg, "ablate")
     eval_cfg = _eval_config(cfg, seed, None)
     removals = cfg.get("removals", list(ABLATION_NAMES))
-    testers = subjects_flag or cfg.get("subjects") or sorted(series_map)
-
-    subjects = []
-    for tester_id in testers:
-        if tester_id not in series_map:
-            raise ConfigError(f"ablate: no series for subject {tester_id}")
-        tester = series_map[tester_id]
-        donors = [s for sid, s in sorted(series_map.items()) if sid != tester_id]
-        donors = donors[: eval_cfg.m_similar]
-        regressors, names = (None, ())
-        if donors:
-            regressors, names = build_similarity_design(tester, donors)
-        subjects.append(EvalSubject(series=tester, regressors=regressors, regressor_names=names))
-
+    if "similar_subjects" in removals and "clinical_csv" not in cfg:
+        raise ConfigError(
+            "ablate: removal 'similar_subjects' needs clinical_csv to select donors; "
+            "without them the row equals the baseline"
+        )
+    inputs = _Inputs("ablate")
+    subjects = [s for s, _ in _tester_designs(cfg, seed, inputs, subjects_flag, eval_cfg.m_similar)]
     table = run_ablation(eval_cfg, removals, subjects, seed=seed)
     outputs = []
     json_path = out_dir / "ablation.json"
@@ -480,7 +465,7 @@ def _cmd_ablate(
     outputs.append(text_path)
 
     print(table.render_text())
-    _write_manifest(out_dir, "ablate", config_path, seed, [], outputs, started)
+    _write_manifest(out_dir, "ablate", config_path, seed, inputs.paths, outputs, started)
     return 0
 
 

@@ -30,11 +30,12 @@ from .bsts.components import (
     semi_local_trend,
 )
 from .bsts.sampler import forecast_anchors, mcmc_fit
-from .dataset import GlucoseSeries
+from .dataset import STEP, GlucoseSeries
 from .errors import CapacityError, ConfigError, RangeError, SchemaError
 
 ABLATION_NAMES = ("similar_subjects", "day_seasonal", "meal_seasonal", "circadian_seasonal")
 GLYCEMIC_BANDS = ("hypo", "normal", "hyper")
+STEPS_PER_DAY = 96
 
 
 @dataclass(frozen=True)
@@ -304,19 +305,20 @@ def build_similarity_design(
 ) -> tuple[np.ndarray, tuple[str, ...]]:
     """Design matrix of similar subjects' CGM (and optional GL) trajectories.
 
-    Columns are aligned to the tester's grid index; shorter donor series are
-    cycled so every tester row has a value.
+    Columns are aligned by time of day: tester row i reads the donor at index
+    i + round((tester.start - donor.start) / 15 min) mod 96, and donor series
+    are cycled so every tester row has a value.
     """
     n = len(tester)
     columns = []
     names = []
     for donor in similar:
-        idx = np.arange(n) % len(donor)
-        columns.append(donor.cgm[idx])
+        rows = np.arange(n) + round((tester.start - donor.start) / STEP) % STEPS_PER_DAY
+        columns.append(donor.cgm[rows % len(donor)])
         names.append(f"sim_{donor.subject_id}_cgm")
         if gl_columns is not None and donor.subject_id in gl_columns:
             gl = np.asarray(gl_columns[donor.subject_id], dtype=float)
-            columns.append(gl[np.arange(n) % gl.size])
+            columns.append(gl[rows % gl.size])
             names.append(f"sim_{donor.subject_id}_gl")
     if not columns:
         raise SchemaError("no similar-subject columns to build")

@@ -1,11 +1,13 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from glycast import bayesnet, similarity
+from glycast import bayesnet, cli, similarity
 from glycast.cli import main
-from glycast.preprocess import DiscreteDataset
+from glycast.dataset import MealEvent, load_gl_table, load_timeseries, write_timeseries
+from glycast.preprocess import DiscreteDataset, build_meal_regressor
 from glycast.synth import dag_enumeration_oracle
 
 
@@ -112,7 +114,7 @@ class _Stop(Exception):
 
 
 class TestTabuConfig:
-    @pytest.mark.parametrize("command", ["evaluate", "learn"])
+    @pytest.mark.parametrize("command", ["evaluate", "learn", "ablate"])
     def test_tabu_keys_reach_bootstrap(self, tmp_path, synth_dir, monkeypatch, command):
         seen = {}
 
@@ -144,7 +146,170 @@ class TestTabuConfig:
         assert seen["params"] == bayesnet.TabuParams(tabu_len=7, max_iter=11, stall_limit=3)
 
 
+def read_manifests(out):
+    return [json.loads(line) for line in (out / "manifests.jsonl").read_text().splitlines()]
+
+
+def two_stage_inputs(data):
+    """Every input key evaluate and ablate read; the synth truth stands in for a learned network."""
+    return {
+        "series_dir": str(data / "series"),
+        "clinical_csv": str(data / "clinical.csv"),
+        "gl_table": str(data / "gl_table.csv"),
+        "network_json": str(data / "truth.json"),
+    }
+
+
+@pytest.fixture
+def cohort_dir(tmp_path):
+    cfg = write_config(
+        tmp_path / "synth12.json", seed=5, out_dir=str(tmp_path / "cohort"),
+        n_subjects=12, n_days=3, latent_share=0.8, latent_sd=8.0,
+    )
+    assert main(["synth", "--config", cfg]) == 0
+    return tmp_path / "cohort"
+
+
+class TestAblateCommand:
+    def test_donors_match_evaluate_selections(self, tmp_path, cohort_dir, monkeypatch):
+        testers = "S000,S003,S007"
+        cfg = write_config(
+            tmp_path / "ev.json", seed=3, out_dir=str(tmp_path / "ev"),
+            draws=12, burn=2, horizons=[1], **two_stage_inputs(cohort_dir),
+        )
+        assert main(["evaluate", "--config", cfg, "--subjects", testers]) == 0
+        selections = json.loads((tmp_path / "ev" / "selections.json").read_text())
+
+        seen = []
+
+        def spy(base_cfg, removals, subjects, seed=0):
+            seen.extend(subjects)
+            raise _Stop  # the ablation fits are not under test
+
+        monkeypatch.setattr(cli, "run_ablation", spy)
+        with pytest.raises(_Stop):
+            main(["ablate", "--config", cfg, "--subjects", testers])
+        assert [s.series.subject_id for s in seen] == testers.split(",")
+        for subject in seen:
+            donors = [n[len("sim_"): -len("_cgm")] for n in subject.regressor_names if n.endswith("_cgm")]
+            expected = [d["subject_id"] for d in selections[subject.series.subject_id]["selected"]]
+            assert donors == expected
+
+    def test_similar_subjects_requires_clinical(self, tmp_path, synth_dir, capsys):
+        cfg = write_config(
+            tmp_path / "ab.json", seed=3, out_dir=str(tmp_path / "ab"),
+            series_dir=str(synth_dir / "series"), removals=["similar_subjects"],
+        )
+        assert main(["ablate", "--config", cfg, "--subjects", "S000"]) == 2
+        assert "clinical_csv" in capsys.readouterr().err
+
+
+class TestManifestInputs:
+    @pytest.mark.parametrize("command", ["evaluate", "ablate", "forecast"])
+    def test_every_config_input_is_recorded(self, tmp_path, synth_dir, command):
+        series = synth_dir / "series"
+        if command == "forecast":
+            inputs = {
+                "series_csv": str(series / "S000.csv"),
+                "similar_series": [str(series / "S001.csv"), str(series / "S002.csv")],
+                "gl_table": str(synth_dir / "gl_table.csv"),
+            }
+            expected = {inputs["series_csv"], *inputs["similar_series"], inputs["gl_table"]}
+        else:
+            inputs = two_stage_inputs(synth_dir)
+            expected = {str(p) for p in series.glob("*.csv")}
+            expected |= {inputs[k] for k in ("clinical_csv", "gl_table", "network_json")}
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path / "cfg.json", seed=3, out_dir=str(out), draws=12, burn=2, horizons=[1],
+            subjects=["S000"], removals=["similar_subjects"], **inputs,
+        )
+        assert main([command, "--config", cfg]) == 0
+        (manifest,) = read_manifests(out)
+        assert manifest["command"] == command
+        assert set(manifest["inputs"]) == expected
+
+
+class TestLearnEvaluateChain:
+    def test_network_json_skips_bootstrap_and_matches_inline(self, tmp_path, monkeypatch):
+        data, work = tmp_path / "data", tmp_path / "work"
+        synth_cfg = write_config(
+            tmp_path / "synth.json", seed=3, out_dir=str(data), n_subjects=60, n_days=3,
+            latent_share=0.8, latent_sd=8.0,
+        )
+        assert main(["synth", "--config", synth_cfg]) == 0
+        prep = write_config(
+            tmp_path / "prep.json", seed=3, out_dir=str(work), clinical_csv=str(data / "clinical.csv"),
+        )
+        assert main(["preprocess", "--config", prep]) == 0
+        learn = write_config(
+            tmp_path / "learn.json", seed=3, out_dir=str(work), bootstrap=6,
+            encoded_csv=str(work / "encoded.csv"), encoded_meta=str(work / "encoded_meta.json"),
+        )
+        assert main(["learn", "--config", learn]) == 0
+        assert json.loads((work / "network.json").read_text())["arcs"]
+
+        common = dict(
+            seed=3, series_dir=str(data / "series"), clinical_csv=str(data / "clinical.csv"),
+            gl_table=str(data / "gl_table.csv"), bootstrap=6, draws=12, burn=2, horizons=[1],
+            subjects=["S000", "S001"],
+        )
+        inline = write_config(tmp_path / "inline.json", out_dir=str(tmp_path / "inline"), **common)
+        assert main(["evaluate", "--config", inline]) == 0
+
+        def no_bootstrap(*args, **kwargs):
+            raise AssertionError("network_json must replace the bootstrap")
+
+        monkeypatch.setattr(bayesnet, "bootstrap_consensus", no_bootstrap)
+        learned = write_config(
+            tmp_path / "learned.json", out_dir=str(tmp_path / "learned"),
+            network_json=str(work / "network.json"), **common,
+        )
+        assert main(["evaluate", "--config", learned]) == 0
+        for name in ("selections.json", "metrics.json"):
+            assert (tmp_path / "learned" / name).read_bytes() == (tmp_path / "inline" / name).read_bytes()
+
+
 class TestForecastCommand:
+    @pytest.fixture
+    def raw_meal_donor(self, tmp_path, synth_dir):
+        """S001 with one raw (description, grams) item beside its pre-quantified meals."""
+        donor = load_timeseries(synth_dir / "series" / "S001.csv")
+        raw = MealEvent(timestamp=donor.timestamp_at(40), grid_index=40, description="steamed bun", grams=90.0)
+        (tmp_path / "raw").mkdir()
+        path = tmp_path / "raw" / "S001.csv"
+        write_timeseries(path, replace(donor, meals=donor.meals + (raw,)))
+        return path
+
+    def test_raw_meal_donor_gl_from_table(self, tmp_path, synth_dir, raw_meal_donor, monkeypatch):
+        seen = {}
+        design = cli.build_similarity_design
+
+        def spy(tester, donors, gl_columns=None):
+            seen.update(gl_columns)
+            return design(tester, donors, gl_columns)
+
+        monkeypatch.setattr(cli, "build_similarity_design", spy)
+        cfg = write_config(
+            tmp_path / "fc.json", seed=5, out_dir=str(tmp_path / "fc"),
+            series_csv=str(synth_dir / "series" / "S000.csv"), similar_series=[str(raw_meal_donor)],
+            gl_table=str(synth_dir / "gl_table.csv"), draws=4, burn=1,
+        )
+        assert main(["forecast", "--config", cfg, "--horizon", "15"]) == 0
+        donor = load_timeseries(raw_meal_donor)
+        expected = build_meal_regressor(donor, load_gl_table(synth_dir / "gl_table.csv")).values
+        np.testing.assert_array_equal(seen["S001"], expected)
+        assert expected[40] == pytest.approx(80.0 * 45.0 * 0.9 / 100.0)
+
+    def test_raw_meal_donor_without_table_exits_2(self, tmp_path, synth_dir, raw_meal_donor, capsys):
+        cfg = write_config(
+            tmp_path / "fc.json", seed=5, out_dir=str(tmp_path / "fc"),
+            series_csv=str(synth_dir / "series" / "S000.csv"), similar_series=[str(raw_meal_donor)],
+            draws=4, burn=1,
+        )
+        assert main(["forecast", "--config", cfg, "--horizon", "15"]) == 2
+        assert "raw item requires a glycemic table" in capsys.readouterr().err
+
     def test_degenerate_deterministic_forecast(self, tmp_path, synth_dir):
         out = tmp_path / "fc"
         cfg = write_config(

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from datetime import timedelta
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -193,6 +196,18 @@ class TestRegressorEval:
         assert design.shape == (len(series[0]), 2)
         assert names == ("sim_S001_cgm", "sim_S002_cgm")
         np.testing.assert_array_equal(design[:, 0], series[1].cgm)
+
+    @pytest.mark.parametrize("hours, shift", [(0, 0), (6, 72), (-6, 24), (30, 72)])
+    def test_donor_aligned_by_time_of_day(self, hours, shift):
+        cfg = SynthConfig(n_subjects=2, n_days=3, seed=4)
+        tester, donor = gen_cgm_series(cfg)[0]
+        gl = {donor.subject_id: np.arange(len(donor), dtype=float)}
+        unshifted, _ = build_similarity_design(tester, [donor], gl)
+        moved = replace(donor, start=donor.start + timedelta(hours=hours))
+        design, _ = build_similarity_design(tester, [moved], gl)
+        # Tester row i reads the donor's reading at the same time of day.
+        np.testing.assert_array_equal(design, np.roll(unshifted, -shift, axis=0))
+        assert moved.timestamp_at(shift).time() == tester.start.time()
 
     def test_gl_columns_included(self):
         cfg = SynthConfig(n_subjects=2, n_days=3, seed=3)
