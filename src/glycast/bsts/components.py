@@ -285,9 +285,7 @@ class StateSpaceModel:
             self.__dict__["_boundary_schedule"] = cached
         return cached
 
-    # These three also take arrays of K draws' parameters and then return a leading (K,) axis.
-
-    def transition_matrix(self, phi: float | np.ndarray, t: int) -> np.ndarray:
+    def transition_matrix(self, phi: float, t: int) -> np.ndarray:
         templates = self.__dict__.setdefault("_transition_templates", {})  # T at phi = 0, per mask
         mask = self.boundary_mask(t)
         if mask not in templates:
@@ -304,10 +302,11 @@ class StateSpaceModel:
                         T[i + r, i + r - 1] = 1.0
                 else:
                     T[i : i + d, i : i + d] = np.eye(d)
-        T = np.empty(np.shape(phi) + templates[mask].shape)
-        T[...] = templates[mask]
-        T[..., 1, 1] = phi
+        T = templates[mask].copy()
+        T[1, 1] = phi
         return T
+
+    # These two also take arrays of K draws' parameters and then return a leading (K,) axis.
 
     def state_intercept(self, d: float | np.ndarray, phi: float | np.ndarray) -> np.ndarray:
         c = np.zeros(np.shape(d) + (self.state_dim,))

@@ -11,6 +11,17 @@ there is no regression). Forecasts work on all retained draws at once:
 `posterior_forecast` samples joint forward paths from each draw's terminal
 state; `forecast_anchors` filters every draw through the series and samples
 y_{t+h} from each draw's exact Gaussian predictive at every anchor.
+
+Both run on one draws-last transition kernel, `_DrawOperators`: states are
+(m, K) and covariances (m, m, K) for K draws. The draws' transitions differ
+only in T[1, 1] = phi, so each boundary mask keeps the phi = 0 template S
+shared by every draw, and T = S + phi e_1 e_1'. Then T x = S x + phi x_1 e_1,
+T'v = S'v + phi v_1 e_1 and T P T' = T (T P)' for symmetric P, each one
+matrix product over all draws; where no seasonal boundary falls, S is the
+identity outside rows 0 and 1 and the products become in-place row and
+column updates. The Gibbs fit's `kalman_loglik` and `ffbs_sample` filter one
+parameter point and keep their single-point path, which also returns each
+step's gain, predicted covariance and log-likelihood term.
 """
 
 from __future__ import annotations
@@ -259,17 +270,28 @@ class ForecastResult:
 
 
 class _DrawOperators:
-    """State-space matrices of a batch of K draws, one per distinct boundary mask."""
+    """The draws-last transition kernel of a batch of K draws (module docstring).
+
+    Per boundary mask it keeps the phi = 0 template S (m, m) shared by every
+    draw, whether S is plain (the identity outside rows 0 and 1, where
+    S[0] = e_0 + e_1 and S[1] = 0) and the noise variances (m, K). A state is
+    (m, ..., K) and a covariance (m, m, K).
+    """
 
     def __init__(self, model: StateSpaceModel, draws: PosteriorDraws, keep: slice) -> None:
-        phi = draws.phi[keep]
+        self.phi = draws.phi[keep]  # (K,)
         variances = (draws.sigma_level[keep] ** 2, draws.sigma_slope[keep] ** 2)
         variances += ((draws.sigma_seasonal[keep] ** 2).T,)
         first_steps, self.mask_index = model.boundary_schedule
-        self.transitions = [model.transition_matrix(phi, t) for t in first_steps]  # (K, m, m) each
-        self.noise_vars = [model.noise_diag(*variances, t) for t in first_steps]  # (K, m) diagonals
-        self.intercept = model.state_intercept(draws.d[keep], phi)  # (K, m)
+        self.templates = [model.transition_matrix(0.0, t) for t in first_steps]  # (m, m) each
+        plain = np.eye(model.state_dim)
+        plain[0, 1] = 1.0
+        plain[1, 1] = 0.0
+        self.plain = [np.array_equal(S, plain) for S in self.templates]
+        self.noise_vars = [model.noise_diag(*variances, t).T.copy() for t in first_steps]  # (m, K) each
+        self.intercept = model.state_intercept(draws.d[keep], self.phi).T.copy()  # (m, K)
         self.obs_var = draws.sigma_obs[keep] ** 2  # (K,)
+        self.beta = draws.beta[keep].T  # (J, K): x_t @ beta is x_t' beta per draw
         self.z = model.z
         self._terms: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
@@ -277,32 +299,67 @@ class _DrawOperators:
         """Index of the operators that move the state from t to t+1."""
         return self.mask_index[t % len(self.mask_index)]
 
+    def transition(self, step: int, x: np.ndarray) -> np.ndarray:
+        """T x for every draw, x of shape (m, ..., K); x may be overwritten."""
+        if self.plain[step]:
+            x[0] += x[1]
+            x[1] *= self.phi
+            return x
+        out = self.templates[step].dot(x.reshape(len(x), -1)).reshape(x.shape)
+        out[1] = self.phi * x[1]
+        return out
+
+    def transition_cov(self, step: int, P: np.ndarray) -> np.ndarray:
+        """T P T' = T (T P)' for every draw, P (m, m, K) symmetric; P may be overwritten."""
+        if self.plain[step]:
+            # The row updates of T x, then the same on the columns, in place.
+            P[0] += P[1]
+            P[1] *= self.phi
+            P[:, 0] += P[:, 1]
+            P[:, 1] *= self.phi
+            return P
+        return self.transition(step, self.transition(step, P).transpose(1, 0, 2))
+
+    def transition_transpose(self, step: int, v: np.ndarray) -> np.ndarray:
+        """T' v for every draw, v of shape (m, ..., K)."""
+        out = self.templates[step].T.dot(v.reshape(len(v), -1)).reshape(v.shape)
+        out[1] += self.phi * v[1]
+        return out
+
     def horizon_terms(self, t: int, horizons: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-draw (u_h, b_h, s_h), each (K, H, ...), of y_{t+h} given the state at t.
 
         y_{t+h} = u_h' alpha_t + b_h + x_{t+h}' beta + e_h with Var(e_h) = s_h:
         u_h = (T_{t+h-1} ... T_t)' z is built backwards from z, b_h collects the
         state intercepts, s_h the state noise carried to t+h plus the
-        observation variance. They depend on t only through the boundary masks
+        observation variance. They depend on t only through its phase in the
+        boundary schedule, and on the phase only through the boundary masks
         of steps t..t+h-1, which key the cache.
         """
-        key = (tuple(horizons), tuple(self.step(j) for j in range(t, t + max(horizons))))
+        horizons = tuple(horizons)
+        period = len(self.mask_index)
+        key = (horizons, tuple(self.mask_index[(t + j) % period] for j in range(max(horizons))))
         if key not in self._terms:
-            k, m = self.intercept.shape
-            u = np.empty((k, len(horizons), m))
-            b = np.zeros((k, len(horizons)))
-            s = np.empty((k, len(horizons)))
-            for i, h in enumerate(horizons):
-                v = np.broadcast_to(self.z, (k, m))
-                s[:, i] = self.obs_var
-                for j in range(t + h - 1, t - 1, -1):
-                    step = self.step(j)
-                    b[:, i] += np.einsum("km,km->k", v, self.intercept)
-                    s[:, i] += np.einsum("km,km->k", v * v, self.noise_vars[step])
-                    v = np.einsum("km,kmn->kn", v, self.transitions[step])
-                u[:, i] = v
-            self._terms[key] = (u, b, s)
+            self._terms[key] = self._backward_terms(*key)
         return self._terms[key]
+
+    def _backward_terms(
+        self, horizons: tuple[int, ...], masks: tuple[int, ...]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        k = self.obs_var.size
+        m = self.z.size
+        u = np.empty((k, len(horizons), m))
+        b = np.zeros((k, len(horizons)))
+        s = np.empty((k, len(horizons)))
+        for i, h in enumerate(horizons):
+            v = np.repeat(self.z[:, None], k, axis=1)
+            s[:, i] = self.obs_var
+            for step in reversed(masks[:h]):
+                b[:, i] += np.einsum("mk,mk->k", v, self.intercept)
+                s[:, i] += np.einsum("mk,mk->k", v * v, self.noise_vars[step])
+                v = self.transition_transpose(step, v)
+            u[:, i] = v.T
+        return u, b, s
 
 
 def posterior_forecast(
@@ -335,14 +392,15 @@ def posterior_forecast(
             )
         offsets = np.asarray(x_future, dtype=float) @ draws.beta.T  # (horizon, K)
 
-    alpha = np.asarray(draws.terminal_state, dtype=float)
+    alpha = np.asarray(draws.terminal_state, dtype=float).T.copy()  # (m, K)
     paths = np.empty((draws.n_draws, horizon))
     for j in range(horizon):
         step = ops.step(model.n_train - 1 + j)
-        alpha = (ops.transitions[step] @ alpha[:, :, None])[:, :, 0] + ops.intercept
+        alpha = ops.transition(step, alpha)
+        alpha += ops.intercept
         if sample:
-            alpha += np.sqrt(ops.noise_vars[step]) * rng.standard_normal(alpha.shape)
-        paths[:, j] = alpha @ model.z + offsets[j]
+            alpha += np.sqrt(ops.noise_vars[step]) * rng.standard_normal(alpha.shape[::-1]).T
+        paths[:, j] = ops.z.dot(alpha) + offsets[j]
     if sample:
         paths += np.sqrt(ops.obs_var)[:, None] * rng.standard_normal(paths.shape)
     lower, upper = np.percentile(paths, [2.5, 97.5], axis=0)
@@ -372,6 +430,38 @@ def _predictive_moments(
     return mean, var
 
 
+def _filter_draws(model: StateSpaceModel, ops: _DrawOperators, y: np.ndarray, x: np.ndarray):
+    """Kalman filter of every draw at once: yields (t, a_t, P_t) for every t of y.
+
+    a_t (m, K) and P_t (m, m, K) are the filtered state moments given
+    y_0..y_t, draws last; row t of the design x (n, J) gives x_t' beta.
+    Steps with zero predictive variance leave the state untouched. Later
+    steps may overwrite the yielded arrays.
+    """
+    m, k = ops.intercept.shape
+    z = ops.z
+    a = np.repeat(model.a1[:, None], k, axis=1)
+    P = np.zeros((m, m, k))
+    P.reshape(m * m, k)[:: m + 1] = model.p1_diag[:, None]
+    rank_one = np.empty_like(P)
+    for t in range(y.size):
+        if t:
+            step = ops.step(t - 1)
+            a = ops.transition(step, a)
+            a += ops.intercept
+            P = ops.transition_cov(step, P)
+            P.reshape(m * m, k)[:: m + 1] += ops.noise_vars[step]
+        pz = z.dot(P.reshape(m, m * k)).reshape(m, k)  # z'P, which is (P z)' for symmetric P
+        f = z.dot(pz) + ops.obs_var
+        v = y[t] - (z.dot(a) + x[t].dot(ops.beta))
+        informative = f > 0.0
+        gain = pz / np.where(informative, f, 1.0)
+        gain[:, ~informative] = 0.0
+        a += gain * v
+        P -= np.multiply(gain[:, None, :], pz[None, :, :], out=rank_one)
+        yield t, a, P
+
+
 def forecast_anchors(
     model: StateSpaceModel,
     draws: PosteriorDraws,
@@ -382,21 +472,25 @@ def forecast_anchors(
     rng: Optional[np.random.Generator] = None,
     thin: int = 1,
 ) -> dict[int, dict[str, np.ndarray]]:
-    """Forecast y_{t+h} from every anchor t using one filter pass per draw.
+    """Forecast y_{t+h} from every anchor t using one filter pass over all draws.
 
     The filter consumes all observations up to and including each anchor, so a
-    forecast at anchor t depends only on y_0..y_t. Given a draw and its
-    filtered state at t, y_{t+h} is Gaussian in closed form (Durbin & Koopman,
-    ch. 4); one value per draw and horizon is sampled from it, and the
-    forecast is the mean and empirical 2.5%/97.5% band over draws, summarised
-    in blocks of up to 64 anchors. Draw parameters may be thinned (every
-    `thin`-th draw) to bound the cost of long anchor sweeps.
+    forecast at anchor t depends only on y_0..y_t. All draws are filtered
+    together with the draw axis last, through the transition kernel of
+    `_DrawOperators`: each step's T P T' is built from the boundary mask's
+    shared phi = 0 template plus a phi update of row and column 1, in place
+    when the step crosses no seasonal boundary. Given a draw and its filtered
+    state at t, y_{t+h} is Gaussian in closed form (Durbin & Koopman, ch. 4);
+    one value per draw and horizon is sampled from it, and the forecast is the
+    mean and empirical 2.5%/97.5% band over draws, summarised in blocks of up
+    to 64 anchors. Draw parameters may be thinned (every `thin`-th draw) to
+    bound the cost of long anchor sweeps.
     Returns {h: {"mean", "lower95", "upper95"} arrays over anchors}.
     """
     y = np.asarray(y, dtype=float)
     n = y.size
     anchors = np.asarray(sorted(anchors), dtype=np.int64)
-    horizons = sorted(set(int(h) for h in horizons))
+    horizons = tuple(sorted(set(int(h) for h in horizons)))
     if not horizons or horizons[0] < 1:
         raise RangeError("horizons must be >= 1")
     if anchors.size == 0:
@@ -410,46 +504,31 @@ def forecast_anchors(
 
     keep = slice(None, None, thin)
     ops = _DrawOperators(model, draws, keep)
-    K, m = ops.intercept.shape
-    z = ops.z
     if not model.n_regressors:
         x = np.zeros((n, 0))
     elif x is None or np.shape(x)[0] < n or np.shape(x)[1:] != (model.n_regressors,):
         raise SchemaError(f"x with {model.n_regressors} columns covering all {n} steps is required")
     x = np.asarray(x, dtype=float)
-    beta_t = draws.beta[keep].T  # (J, K); x[t] @ beta_t is x_t' beta per draw
 
-    a = np.broadcast_to(model.a1, (K, m)).copy()
-    P = np.broadcast_to(np.diag(model.p1_diag), (K, m, m)).copy()
     steps_ahead = np.asarray(horizons)
     summary = np.empty((3, anchors.size, steps_ahead.size))  # mean, lower95, upper95
-    block = np.empty((min(_ANCHOR_BLOCK, anchors.size), K, steps_ahead.size))
+    block = np.empty((min(_ANCHOR_BLOCK, anchors.size), steps_ahead.size, ops.obs_var.size))
     filled = next_anchor = 0
 
-    for t in range(int(anchors[-1]) + 1):
-        if t:
-            step = ops.step(t - 1)
-            a = (ops.transitions[step] @ a[:, :, None])[:, :, 0] + ops.intercept
-            P = ops.transitions[step] @ P @ ops.transitions[step].transpose(0, 2, 1)
-            P.reshape(K, m * m)[:, :: m + 1] += ops.noise_vars[step]
-        pz = P @ z  # (K, m)
-        f = pz @ z + ops.obs_var
-        v = y[t] - (a @ z + x[t] @ beta_t)
-        informative = f > 0.0
-        gain = np.where(informative[:, None], pz / np.where(informative, f, 1.0)[:, None], 0.0)
-        a = a + gain * v[:, None]
-        P = P - gain[:, :, None] * pz[:, None, :]
-
+    for t, a, P in _filter_draws(model, ops, y[: anchors[-1] + 1], x):
+        if anchors[next_anchor] != t:
+            continue
+        by_draw = np.ascontiguousarray(P.transpose(2, 0, 1))  # (K, m, m)
+        terms = ops.horizon_terms(t, horizons)
+        mean, var = _predictive_moments(terms, a.T, by_draw, (x[t + steps_ahead] @ ops.beta).T)
         while next_anchor < anchors.size and anchors[next_anchor] == t:
-            terms = ops.horizon_terms(t, horizons)
-            mean, var = _predictive_moments(terms, a, P, (x[t + steps_ahead] @ beta_t).T)
-            block[filled] = mean + np.sqrt(var) * rng.standard_normal(mean.shape)
+            block[filled] = (mean + np.sqrt(var) * rng.standard_normal(mean.shape)).T
             filled += 1
             next_anchor += 1
             if filled == block.shape[0] or next_anchor == anchors.size:
                 rows = slice(next_anchor - filled, next_anchor)
-                summary[0, rows] = block[:filled].mean(axis=1)
-                summary[1:, rows] = np.percentile(block[:filled], [2.5, 97.5], axis=1)
+                summary[0, rows] = block[:filled].mean(axis=2)
+                summary[1:, rows] = np.percentile(block[:filled], [2.5, 97.5], axis=2)
                 filled = 0
 
     return {

@@ -16,8 +16,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import __version__, bayesnet, preprocess, similarity, synth
 from .bsts import assemble_model, mcmc_fit, posterior_forecast, specs_from_json
 from .dataset import (
@@ -193,12 +191,13 @@ def _learn_network(cfg: dict, encoded, seed: int, dag=None):
 
 
 class _Stage1:
-    """Fitted network, evidence codecs, imputed records, and the markers inferred so far."""
+    """Fitted network, evidence codecs, imputed records, exclusions, and the markers inferred so far."""
 
-    def __init__(self, network, codecs, records_by_id):
+    def __init__(self, network, codecs, records_by_id, excluded: dict[str, str]):
         self.network = network
         self.codecs = codecs
         self.records_by_id = records_by_id
+        self.excluded = excluded
         self._markers: dict[str, tuple[float, float]] = {}
 
     def inferred_markers(self, record) -> tuple[float, float]:
@@ -224,12 +223,14 @@ class _Stage1:
     def select_donors(self, tester_id: str, candidates, m: int) -> tuple[list[str], Optional[dict]]:
         """The m candidates whose inferred markers sit nearest the tester's measured ones.
 
-        Returns no donors when Stage 1 excluded the tester (no measured
-        markers) or the pool has fewer than m candidates with records.
+        A tester that Stage 1 excluded (for example, no measured FPG) or that
+        has no clinical record gets no donors and the log entry
+        {"selected": [], "excluded": reason}. A pool with fewer than m
+        candidates with records gives no donors and no log.
         """
         tester = self.records_by_id.get(tester_id)
         if tester is None:
-            return [], None
+            return [], {"selected": [], "excluded": self.excluded.get(tester_id, "no clinical record")}
         points = [
             similarity.MarkerPoint(sid, *self.inferred_markers(record), "inferred")
             for sid, record in sorted(self.records_by_id.items())
@@ -245,19 +246,20 @@ class _Stage1:
 def _stage1(cfg: dict, seed: int, inputs: _Inputs) -> _Stage1:
     """Run Stage 1 on `clinical_csv`; `network_json`, when given, replaces the bootstrap."""
     records = load_clinical(inputs.required(cfg, "clinical_csv"))
-    _, imputed, encoded = _encode(cfg, records)
+    report, imputed, encoded = _encode(cfg, records)
     dag = None
     if "network_json" in cfg:
         dag, _ = bayesnet.load_network_json(inputs.path(cfg["network_json"]))
     _, _, network = _learn_network(cfg, encoded, seed, dag)
     codecs = {codec.name: codec for codec in encoded.codecs}
-    return _Stage1(network, codecs, {r.subject_id: r for r in imputed})
+    excluded = {entry["subject_id"]: entry["reason"] for entry in report}
+    return _Stage1(network, codecs, {r.subject_id: r for r in imputed}, excluded)
 
 
-def _design(tester: GlucoseSeries, donors: Sequence[GlucoseSeries], gl_table):
+def _design(tester: GlucoseSeries, donors: Sequence[GlucoseSeries], gl_table, n_rows: Optional[int] = None):
     """Donors' CGM and glycemic-load columns on the tester's grid; raw meal items need `gl_table`."""
     gl_columns = {d.subject_id: preprocess.build_meal_regressor(d, gl_table).values for d in donors if d.meals}
-    return build_similarity_design(tester, donors, gl_columns or None)
+    return build_similarity_design(tester, donors, gl_columns or None, n_rows)
 
 
 def _tester_designs(cfg: dict, seed: int, inputs: _Inputs, subjects_flag, m: int):
@@ -370,10 +372,8 @@ def _cmd_forecast(
     names: tuple[str, ...] = ()
     if cfg.get("similar_series"):
         donors = [load_timeseries(inputs.path(raw)) for raw in cfg["similar_series"]]
-        regressors, names = _design(series, donors, inputs.gl_table(cfg))
-        # Future regressor rows: donors are historical, so cycle them forward.
-        extra_idx = (np.arange(len(series), len(series) + horizon)) % len(series)
-        regressors = np.vstack([regressors, regressors[extra_idx]])
+        # Rows n..n+h-1 are the future rows, read from the donors at the forecast times of day.
+        regressors, names = _design(series, donors, inputs.gl_table(cfg), len(series) + horizon)
 
     custom = tuple(specs_from_json(cfg)) if "components" in cfg else None
     pipeline = ForecastPipeline(regressors=regressors, regressor_names=names, custom_specs=custom)
@@ -454,7 +454,14 @@ def _cmd_ablate(
             "without them the row equals the baseline"
         )
     inputs = _Inputs("ablate")
-    subjects = [s for s, _ in _tester_designs(cfg, seed, inputs, subjects_flag, eval_cfg.m_similar)]
+    subjects = []
+    for subject, selection in _tester_designs(cfg, seed, inputs, subjects_flag, eval_cfg.m_similar):
+        if selection is not None and "excluded" in selection and "similar_subjects" in removals:
+            raise ConfigError(
+                f"ablate: Stage 1 excluded tester {subject.series.subject_id} ({selection['excluded']}), "
+                "so it has no donors and its 'similar_subjects' row would equal the baseline"
+            )
+        subjects.append(subject)
     table = run_ablation(eval_cfg, removals, subjects, seed=seed)
     outputs = []
     json_path = out_dir / "ablation.json"

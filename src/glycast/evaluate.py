@@ -302,14 +302,17 @@ def build_similarity_design(
     tester: GlucoseSeries,
     similar: Sequence[GlucoseSeries],
     gl_columns: Optional[Mapping[str, np.ndarray]] = None,
+    n_rows: Optional[int] = None,
 ) -> tuple[np.ndarray, tuple[str, ...]]:
     """Design matrix of similar subjects' CGM (and optional GL) trajectories.
 
     Columns are aligned by time of day: tester row i reads the donor at index
     i + round((tester.start - donor.start) / 15 min) mod 96, and donor series
-    are cycled so every tester row has a value.
+    are cycled so every tester row has a value. The design has `n_rows` rows
+    (default: the tester's length); rows past the tester's end are the future
+    rows a forecast reads.
     """
-    n = len(tester)
+    n = len(tester) if n_rows is None else n_rows
     columns = []
     names = []
     for donor in similar:

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glycast.bsts import (
     ParamPoint,
@@ -15,7 +17,7 @@ from glycast.bsts import (
     seasonal,
     semi_local_trend,
 )
-from glycast.bsts.sampler import _DrawOperators, _predictive_moments
+from glycast.bsts.sampler import _DrawOperators, _filter_draws, _predictive_moments
 from glycast.errors import NumericalError, RangeError
 from glycast.synth import gaussian_predictive_oracle, simulate_from_model
 
@@ -365,3 +367,95 @@ class TestAnchoredPredictive:
             _predictive_moments(terms, a, cov(1e-6), offsets)
         with pytest.raises(NumericalError):
             _predictive_moments(terms, a, np.full((k, m, m), np.nan), offsets)
+
+
+def assert_close_relative(actual, expected, scale, rtol=1e-10):
+    """Largest deviation within rtol of the largest entry of `scale` (exact when that is zero)."""
+    assert np.max(np.abs(actual - expected)) <= rtol * np.max(np.abs(scale))
+
+
+class TestBatchedFilter:
+    PHIS = (-0.9, 0.6, 0.99, 1.0)
+
+    @pytest.mark.parametrize("initial", ["prior", "known"])
+    def test_matches_kalman_loglik_at_every_step(self, initial):
+        # Every mask kind of two_seasonal_model, and thin=2: odd-indexed draws
+        # are decoys that must not be filtered. From a known initial state a
+        # zero-noise draw joins, whose predictive variance is exactly zero at
+        # every step (from the prior it would be rounding noise).
+        rng = np.random.default_rng(21)
+        x = rng.normal(0.0, 1.0, (30, 2))
+        params = [
+            ParamPoint(
+                0.2 + 0.1 * i, 0.3, 0.5, (0.4, 0.2), d=0.1 * i - 0.2, phi=phi, beta=rng.normal(0.0, 1.0, 2)
+            )
+            for i, phi in enumerate(self.PHIS)
+        ]
+        y = 100.0 + simulate_from_model(two_seasonal_model(np.arange(30.0), x), params[1], 30, rng, x=x)
+        model = two_seasonal_model(y, x)
+        if initial == "known":
+            model = model.with_initial_state(model.a1, np.zeros(model.state_dim))
+            params.append(ParamPoint(0.0, 0.0, 0.0, (0.0, 0.0), d=0.3, phi=0.5, beta=np.array([0.2, -0.1])))
+        decoy = ParamPoint(2.0, 2.0, 2.0, (2.0, 2.0), d=5.0, phi=0.0, beta=np.array([9.0, 9.0]))
+        entries = [(p, np.zeros(model.state_dim)) for pair in zip(params, [decoy] * len(params)) for p in pair]
+        draws = make_draws(model, entries)
+        ops = _DrawOperators(model, draws, slice(None, None, 2))
+        filters = [kalman_loglik(model, p, y, x) for p in params]
+        if initial == "known":
+            assert np.all(filters[-1].predicted_variances == 0.0)
+
+        steps = 0
+        for t, a, P in _filter_draws(model, ops, y, x):
+            for k, filt in enumerate(filters):
+                pred = filt.state_pred_covs[t]
+                assert_close_relative(a[:, k], filt.filtered_means[t], filt.filtered_means[t])
+                # The update subtracts from the predicted covariance, so rounding scales with it.
+                assert_close_relative(P[:, :, k], pred - np.outer(filt.gains[t], pred @ model.z), pred)
+            steps += 1
+        assert steps == y.size
+
+
+@st.composite
+def seasonal_specs(draw):
+    """Trend plus one or two seasonals of 2-5 seasons with random durations and phases."""
+    specs = [semi_local_trend()]
+    for i in range(draw(st.integers(1, 2))):
+        n_seasons = draw(st.integers(2, 5))
+        durations = draw(st.lists(st.integers(1, 3), min_size=n_seasons, max_size=n_seasons))
+        specs.append(seasonal(f"s{i}", n_seasons, durations, draw(st.integers(0, sum(durations) - 1))))
+    return specs
+
+
+class TestTransitionKernel:
+    @settings(max_examples=30, deadline=None)
+    @given(specs=seasonal_specs(), seed=st.integers(0, 2**32 - 1))
+    def test_structured_products_match_dense(self, specs, seed):
+        rng = np.random.default_rng(seed)
+        model = assemble_model(specs, np.arange(10.0))
+        m, k = model.state_dim, 3
+        phis = rng.uniform(-1.0, 1.0, k)
+        sds = (0.1,) * len(model.seasonals)
+        draws = make_draws(model, [(ParamPoint(0.1, 0.1, 0.1, sds, phi=phi), np.zeros(m)) for phi in phis])
+        ops = _DrawOperators(model, draws, slice(None))
+        for t in range(model.period):
+            dense = [model.transition_matrix(phi, t) for phi in phis]
+            step = ops.step(t)
+            a = rng.normal(size=(m, k))
+            v = rng.normal(size=(m, k))
+            root = rng.normal(size=(m, m, k))
+            P = np.einsum("ijk,ljk->ilk", root, root)
+            np.testing.assert_allclose(
+                ops.transition(step, a.copy()),
+                np.stack([T @ a[:, j] for j, T in enumerate(dense)], axis=1),
+                rtol=1e-12, atol=1e-12,
+            )
+            np.testing.assert_allclose(
+                ops.transition_transpose(step, v),
+                np.stack([T.T @ v[:, j] for j, T in enumerate(dense)], axis=1),
+                rtol=1e-12, atol=1e-12,
+            )
+            np.testing.assert_allclose(
+                ops.transition_cov(step, P.copy()),
+                np.stack([T @ P[:, :, j] @ T.T for j, T in enumerate(dense)], axis=2),
+                rtol=1e-12, atol=1e-11,
+            )

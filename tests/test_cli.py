@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from glycast import bayesnet, cli, similarity
+from glycast import bayesnet, cli, similarity, synth
 from glycast.cli import main
 from glycast.dataset import MealEvent, load_gl_table, load_timeseries, write_timeseries
 from glycast.preprocess import DiscreteDataset, build_meal_regressor
@@ -195,6 +195,40 @@ class TestAblateCommand:
             expected = [d["subject_id"] for d in selections[subject.series.subject_id]["selected"]]
             assert donors == expected
 
+    def test_stage1_excluded_tester(self, tmp_path, capsys):
+        # S000 has no measured FPG, so Stage 1 excludes it: evaluate records why,
+        # and ablate refuses, as its similar_subjects row would equal the baseline.
+        data = tmp_path / "data"
+        synth_cfg = write_config(
+            tmp_path / "synth8.json", seed=3, out_dir=str(data), n_subjects=8, n_days=3,
+            latent_share=0.8, latent_sd=8.0,
+        )
+        assert main(["synth", "--config", synth_cfg]) == 0
+        lines = (data / "clinical.csv").read_text().splitlines()
+        column = lines[0].split(",").index("fpg_mgdl")
+        cells = lines[1].split(",")
+        assert cells[0] == "S000"
+        cells[column] = ""
+        lines[1] = ",".join(cells)
+        (data / "clinical.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        common = dict(
+            seed=3, series_dir=str(data / "series"), clinical_csv=str(data / "clinical.csv"),
+            bootstrap=2, draws=12, burn=2, horizons=[1],
+        )
+        both = write_config(tmp_path / "both.json", out_dir=str(tmp_path / "both"), **common)
+        alone = write_config(tmp_path / "alone.json", out_dir=str(tmp_path / "alone"), **common)
+        assert main(["evaluate", "--config", both, "--subjects", "S000,S001"]) == 0
+        assert main(["evaluate", "--config", alone, "--subjects", "S001"]) == 0
+        selections = json.loads((tmp_path / "both" / "selections.json").read_text())
+        assert selections["S000"] == {"selected": [], "excluded": "missing FPG or 2HPP"}
+        alone_selections = json.loads((tmp_path / "alone" / "selections.json").read_text())
+        assert json.dumps(selections["S001"]) == json.dumps(alone_selections["S001"])
+        assert len(selections["S001"]["selected"]) == 2
+
+        capsys.readouterr()
+        assert main(["ablate", "--config", both, "--subjects", "S000"]) == 2
+        assert "excluded tester S000" in capsys.readouterr().err
+
     def test_similar_subjects_requires_clinical(self, tmp_path, synth_dir, capsys):
         cfg = write_config(
             tmp_path / "ab.json", seed=3, out_dir=str(tmp_path / "ab"),
@@ -285,9 +319,9 @@ class TestForecastCommand:
         seen = {}
         design = cli.build_similarity_design
 
-        def spy(tester, donors, gl_columns=None):
+        def spy(tester, donors, gl_columns=None, n_rows=None):
             seen.update(gl_columns)
-            return design(tester, donors, gl_columns)
+            return design(tester, donors, gl_columns, n_rows)
 
         monkeypatch.setattr(cli, "build_similarity_design", spy)
         cfg = write_config(
@@ -309,6 +343,31 @@ class TestForecastCommand:
         )
         assert main(["forecast", "--config", cfg, "--horizon", "15"]) == 2
         assert "raw item requires a glycemic table" in capsys.readouterr().err
+
+    def test_future_rows_read_donors_at_forecast_time_of_day(self, tmp_path, monkeypatch):
+        # A 100-step tester from 00:00 is not a whole number of days: its four
+        # future rows are 01:00-01:45 of the second day, not 00:00-00:45.
+        series, _ = synth.gen_cgm_series(synth.SynthConfig(n_subjects=8, n_days=3, seed=1))
+        tester, donor = series[0], series[1]
+        meals = tuple(meal for meal in tester.meals if meal.grid_index < 100)
+        tester = replace(tester, cgm=tester.cgm[:100], meals=meals)
+        write_timeseries(tmp_path / "tester.csv", tester)
+        write_timeseries(tmp_path / "donor.csv", donor)
+        seen = {}
+        forecast = cli.posterior_forecast
+
+        def spy(draws, model, horizon, x_future=None, **kwargs):
+            seen["x_future"] = x_future
+            return forecast(draws, model, horizon, x_future, **kwargs)
+
+        monkeypatch.setattr(cli, "posterior_forecast", spy)
+        cfg = write_config(
+            tmp_path / "fc.json", seed=5, out_dir=str(tmp_path / "fc"),
+            series_csv=str(tmp_path / "tester.csv"), similar_series=[str(tmp_path / "donor.csv")],
+            draws=4, burn=1,
+        )
+        assert main(["forecast", "--config", cfg, "--horizon", "60"]) == 0
+        np.testing.assert_allclose(seen["x_future"][:, 0], [145.6, 146.8, 146.9, 148.2], atol=0.05)
 
     def test_degenerate_deterministic_forecast(self, tmp_path, synth_dir):
         out = tmp_path / "fc"
