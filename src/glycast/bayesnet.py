@@ -457,66 +457,9 @@ def bootstrap_consensus(
     return table, Dag(tuple(data.variables), frozenset(admitted))
 
 
-def merge_consensus(
-    dag_a: Dag,
-    strengths_a: ArcStrengthTable,
-    dag_b: Dag,
-    strengths_b: ArcStrengthTable,
-) -> tuple[Dag, dict[Arc, str], dict[Arc, float]]:
-    """Union two consensus networks, tagging arcs consensus/unique/possible.
-
-    Arcs present in both inputs are "consensus", arcs in exactly one are
-    "unique". Nodes left without any arc get their strongest sub-threshold arc
-    (either direction, either table) tagged "possible" so the merged network
-    connects every variable; cycle-closing candidates are skipped.
-    """
-    if dag_a.nodes != dag_b.nodes:
-        raise SchemaError("cannot merge networks over different node sets")
-    nodes = dag_a.nodes
-    types: dict[Arc, str] = {}
-    merged_strength: dict[Arc, float] = {}
-    children: dict[str, set[str]] = {n: set() for n in nodes}
-    arcs: set[Arc] = set()
-
-    candidates = sorted(
-        dag_a.arcs | dag_b.arcs,
-        key=lambda arc: (-max(strengths_a.strength(*arc), strengths_b.strength(*arc)), arc),
-    )
-    for u, v in candidates:
-        if (v, u) in arcs or _has_path(children, v, u):
-            continue
-        arcs.add((u, v))
-        children[u].add(v)
-        types[(u, v)] = "consensus" if (u, v) in dag_a.arcs and (u, v) in dag_b.arcs else "unique"
-        merged_strength[(u, v)] = max(strengths_a.strength(u, v), strengths_b.strength(u, v))
-
-    connected = {n for arc in arcs for n in arc}
-    pool = {**strengths_a.strengths}
-    for arc, s in strengths_b.strengths.items():
-        pool[arc] = max(pool.get(arc, 0.0), s)
-    for node in nodes:
-        if node in connected:
-            continue
-        incident = sorted(
-            ((s, arc) for arc, s in pool.items() if node in arc and arc not in arcs),
-            key=lambda item: (-item[0], item[1]),
-        )
-        for s, (u, v) in incident:
-            if (v, u) in arcs or _has_path(children, v, u):
-                continue
-            arcs.add((u, v))
-            children[u].add(v)
-            types[(u, v)] = "possible"
-            merged_strength[(u, v)] = s
-            connected.update((u, v))
-            break
-
-    return Dag(nodes, frozenset(arcs)), types, merged_strength
-
-
 @dataclass(frozen=True)
 class BayesianNetworkModel:
-    """Consensus DAG with fitted CPTs and optional arc metadata.
+    """Consensus DAG with fitted CPTs and optional expert arc annotations.
 
     CPT rows are indexed by the mixed-radix code of the node's sorted parent
     classes (first parent most significant); every row sums to 1.
@@ -527,7 +470,6 @@ class BayesianNetworkModel:
     cpts: Mapping[str, np.ndarray]
     parent_order: Mapping[str, tuple[str, ...]]
     representatives: Mapping[str, tuple[float, ...]] = field(default_factory=dict)
-    strengths: Optional[ArcStrengthTable] = None
     annotations: Mapping[Arc, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -738,18 +680,6 @@ def load_arc_annotations(path: Path | str) -> dict[Arc, str]:
                 raise SchemaError(f"{path}: duplicate annotation for {u}->{v}")
             annotations[(u, v)] = category
     return annotations
-
-
-def annotate_model(model: BayesianNetworkModel, annotations: Mapping[Arc, str]) -> BayesianNetworkModel:
-    return BayesianNetworkModel(
-        dag=model.dag,
-        cards=model.cards,
-        cpts=model.cpts,
-        parent_order=model.parent_order,
-        representatives=model.representatives,
-        strengths=model.strengths,
-        annotations=dict(annotations),
-    )
 
 
 def save_network_json(

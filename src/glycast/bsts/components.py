@@ -28,7 +28,7 @@ import numpy as np
 
 from ..errors import RangeError, SchemaError
 
-DEFAULT_MAX_HORIZON = 96
+MAX_HORIZON = 96  # longest forecast posterior_forecast accepts, in steps
 
 
 @dataclass(frozen=True)
@@ -237,7 +237,6 @@ class StateSpaceModel:
     a1: np.ndarray  # initial state mean (m,)
     p1_diag: np.ndarray  # initial state variance diagonal (m,)
     n_train: int
-    max_horizon: int = DEFAULT_MAX_HORIZON
 
     @property
     def state_dim(self) -> int:
@@ -345,7 +344,6 @@ def assemble_model(
     specs: Sequence[ComponentSpec],
     y: Sequence[float],
     x: Optional[np.ndarray] = None,
-    max_horizon: int = DEFAULT_MAX_HORIZON,
 ) -> StateSpaceModel:
     """Build the block state space for the given components over series y.
 
@@ -457,5 +455,4 @@ def assemble_model(
         a1=a1,
         p1_diag=p1,
         n_train=n,
-        max_horizon=max_horizon,
     )

@@ -26,16 +26,14 @@ step's gain, predicted covariance and log-likelihood term.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
 from ..errors import NumericalError, RangeError, SchemaError
-from .components import StateSpaceModel, VariancePrior
+from .components import MAX_HORIZON, StateSpaceModel, VariancePrior
 from .kalman import ParamPoint, ffbs_sample
 from .spike_slab import RegressionSettings, sample_regression
 
@@ -61,8 +59,6 @@ class PosteriorDraws:
     requested: int
     burn: int
     seed: int
-    seasonal_names: tuple[str, ...] = ()
-    design_names: tuple[str, ...] = ()
 
     @property
     def n_draws(self) -> int:
@@ -82,28 +78,6 @@ class PosteriorDraws:
             raise RangeError("phi draws must lie in [-1, 1]")
         if self.beta.size and np.any(self.beta[self.gamma == 0] != 0.0):
             raise RangeError("beta must be exactly zero wherever gamma is zero")
-
-    def to_csv(self, path: Path | str) -> None:
-        header = ["draw", "sigma_level", "sigma_slope", "sigma_obs", "d", "phi"]
-        header += [f"sigma_{name}" for name in self.seasonal_names]
-        header += [f"gamma_{name}" for name in self.design_names]
-        header += [f"beta_{name}" for name in self.design_names]
-        with Path(path).open("w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            for k in range(self.n_draws):
-                row = [
-                    k,
-                    repr(float(self.sigma_level[k])),
-                    repr(float(self.sigma_slope[k])),
-                    repr(float(self.sigma_obs[k])),
-                    repr(float(self.d[k])),
-                    repr(float(self.phi[k])),
-                ]
-                row += [repr(float(v)) for v in self.sigma_seasonal[k]]
-                row += [int(v) for v in self.gamma[k]]
-                row += [repr(float(v)) for v in self.beta[k]]
-                writer.writerow(row)
 
 
 def _draw_variance(prior: VariancePrior, ss: float, count: int, rng: np.random.Generator) -> float:
@@ -256,8 +230,6 @@ def mcmc_fit(
         requested=draws,
         burn=burn,
         seed=seed,
-        seasonal_names=tuple(s.name for s in model.seasonals),
-        design_names=model.design_names,
     )
 
 
@@ -379,8 +351,8 @@ def posterior_forecast(
     and observation noise are suppressed and each path is the deterministic
     propagation of its draw.
     """
-    if not 1 <= horizon <= model.max_horizon:
-        raise RangeError(f"horizon must lie in 1..{model.max_horizon}, got {horizon}")
+    if not 1 <= horizon <= MAX_HORIZON:
+        raise RangeError(f"horizon must lie in 1..{MAX_HORIZON}, got {horizon}")
     if rng is None:
         rng = np.random.default_rng([draws.seed, _FORECAST_SALT])
     ops = _DrawOperators(model, draws, slice(None))

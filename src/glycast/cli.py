@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
@@ -43,6 +44,24 @@ from .evaluate import (
 
 COMMANDS = ("preprocess", "learn", "forecast", "evaluate", "ablate", "synth")
 HORIZON_MINUTES = {15: 1, 30: 2, 45: 3, 60: 4}
+
+# Config keys that map one-to-one onto a settings dataclass, with their types;
+# the dataclass holds each default.
+SYNTH_KEYS = {
+    "n_subjects": int, "n_days": int, "day_amplitude": float, "meal_amplitude": float,
+    "circadian_amplitude": float, "noise_sd": float, "latent_share": float, "latent_sd": float,
+    "latent_ar": float, "missing_rate": float, "egfr_gender_factor": bool,
+}
+TABU_KEYS = {"tabu_len": int, "max_iter": int, "stall_limit": int}
+EVAL_KEYS = {
+    "split_ratio": float, "horizons": tuple, "hypo_max": float, "hyper_min": float,
+    "draws": int, "burn": int, "m_similar": int, "forecast_thin": int,
+}
+
+
+def _settings(cfg: dict, keys: dict) -> dict:
+    """The `keys` that `cfg` sets, each converted to its type."""
+    return {key: cast(cfg[key]) for key, cast in keys.items() if key in cfg}
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -117,20 +136,7 @@ def _write_manifest(
 
 
 def _cmd_synth(cfg: dict, out_dir: Path, seed: int, config_path: Optional[str], started: float) -> int:
-    synth_cfg = synth.SynthConfig(
-        n_subjects=int(cfg.get("n_subjects", 10)),
-        n_days=int(cfg.get("n_days", 5)),
-        seed=seed,
-        day_amplitude=float(cfg.get("day_amplitude", 15.0)),
-        meal_amplitude=float(cfg.get("meal_amplitude", 8.0)),
-        circadian_amplitude=float(cfg.get("circadian_amplitude", 6.0)),
-        noise_sd=float(cfg.get("noise_sd", 5.0)),
-        latent_share=float(cfg.get("latent_share", 0.0)),
-        latent_sd=float(cfg.get("latent_sd", 12.0)),
-        latent_ar=float(cfg.get("latent_ar", 0.3)),
-        missing_rate=float(cfg.get("missing_rate", 0.0)),
-        egfr_gender_factor=bool(cfg.get("egfr_gender_factor", True)),
-    )
+    synth_cfg = synth.SynthConfig(seed=seed, **_settings(cfg, SYNTH_KEYS))
     records, truth = synth.gen_clinical(synth_cfg)
     series, _ = synth.gen_cgm_series(synth_cfg)
 
@@ -178,11 +184,7 @@ def _learn_network(cfg: dict, encoded, seed: int, dag=None):
     """Bootstrap consensus (unless a DAG is given) and its CPTs: (strengths, dag, network)."""
     strengths = None
     if dag is None:
-        params = bayesnet.TabuParams(
-            tabu_len=int(cfg.get("tabu_len", 100)),
-            max_iter=int(cfg.get("max_iter", 500)),
-            stall_limit=int(cfg.get("stall_limit", 30)),
-        )
+        params = bayesnet.TabuParams(**_settings(cfg, TABU_KEYS))
         strengths, dag = bayesnet.bootstrap_consensus(
             encoded, b=int(cfg.get("bootstrap", 100)), threshold=float(cfg.get("threshold", 0.85)),
             seed=seed, params=params,
@@ -223,10 +225,10 @@ class _Stage1:
     def select_donors(self, tester_id: str, candidates, m: int) -> tuple[list[str], Optional[dict]]:
         """The m candidates whose inferred markers sit nearest the tester's measured ones.
 
-        A tester that Stage 1 excluded (for example, no measured FPG) or that
-        has no clinical record gets no donors and the log entry
-        {"selected": [], "excluded": reason}. A pool with fewer than m
-        candidates with records gives no donors and no log.
+        A tester that Stage 1 excluded (for example, no measured FPG), that
+        has no clinical record, or whose pool holds fewer than m candidates
+        with records gets no donors and the log entry
+        {"selected": [], "excluded": reason}.
         """
         tester = self.records_by_id.get(tester_id)
         if tester is None:
@@ -237,7 +239,7 @@ class _Stage1:
             if sid != tester_id and sid in candidates
         ]
         if len(points) < m:
-            return [], None
+            return [], {"selected": [], "excluded": f"{len(points)} candidates, fewer than m_similar={m}"}
         tester_point = similarity.MarkerPoint(tester_id, tester.fpg, tester.hpp2, "measured")
         selected = similarity.select_similar(points, tester_point, m)
         return selected, similarity.selection_log(points, tester_point, selected)
@@ -329,7 +331,7 @@ def _cmd_learn(cfg: dict, out_dir: Path, seed: int, config_path: Optional[str], 
     types = None
     if "annotations_csv" in cfg:
         annotations = bayesnet.load_arc_annotations(inputs.path(cfg["annotations_csv"]))
-        model = bayesnet.annotate_model(model, {a: c for a, c in annotations.items() if a in consensus.arcs})
+        model = replace(model, annotations={a: c for a, c in annotations.items() if a in consensus.arcs})
         types = model.annotations
 
     outputs = []
@@ -346,18 +348,10 @@ def _cmd_learn(cfg: dict, out_dir: Path, seed: int, config_path: Optional[str], 
 
 
 def _eval_config(cfg: dict, seed: int, horizons: Optional[Sequence[int]]) -> EvalConfig:
-    return EvalConfig(
-        split_ratio=float(cfg.get("split_ratio", 0.8)),
-        window=int(cfg.get("window", 8)),
-        horizons=tuple(horizons or cfg.get("horizons", [1, 2, 3, 4])),
-        hypo_max=float(cfg.get("hypo_max", 70.0)),
-        hyper_min=float(cfg.get("hyper_min", 180.0)),
-        draws=int(cfg.get("draws", 1000)),
-        burn=int(cfg.get("burn", 200)),
-        seed=seed,
-        m_similar=int(cfg.get("m_similar", 2)),
-        forecast_thin=int(cfg.get("forecast_thin", 1)),
-    )
+    settings = _settings(cfg, EVAL_KEYS)
+    if horizons:
+        settings["horizons"] = tuple(horizons)
+    return EvalConfig(seed=seed, **settings)
 
 
 def _cmd_forecast(
@@ -382,7 +376,7 @@ def _cmd_forecast(
     model = assemble_model(specs, series.cgm, x_train)
     draws = mcmc_fit(
         model, series.cgm, x=x_train,
-        draws=int(cfg.get("draws", 1000)), burn=int(cfg.get("burn", 200)), seed=seed,
+        draws=int(cfg.get("draws", EvalConfig.draws)), burn=int(cfg.get("burn", EvalConfig.burn)), seed=seed,
     )
     x_future = regressors[len(series) : len(series) + horizon] if regressors is not None else None
     result = posterior_forecast(

@@ -187,9 +187,6 @@ class GlucoseSeries:
     def timestamp_at(self, index: int) -> datetime:
         return self.start + index * STEP
 
-    def timestamps(self) -> list[datetime]:
-        return [self.start + i * STEP for i in range(len(self))]
-
 
 @dataclass(frozen=True)
 class GlycemicTable:

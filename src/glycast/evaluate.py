@@ -21,7 +21,6 @@ import numpy as np
 
 from .bsts.components import (
     ComponentSpec,
-    SpikeSlabSettings,
     assemble_model,
     circadian_seasonal,
     day_seasonal,
@@ -36,13 +35,13 @@ from .errors import CapacityError, ConfigError, RangeError, SchemaError
 ABLATION_NAMES = ("similar_subjects", "day_seasonal", "meal_seasonal", "circadian_seasonal")
 GLYCEMIC_BANDS = ("hypo", "normal", "hyper")
 STEPS_PER_DAY = 96
+MIN_TRAIN = 10  # training points a fit needs
+VALIDATION_FRACTION = 0.2  # trailing share of train reported as the validation range
 
 
 @dataclass(frozen=True)
 class EvalConfig:
     split_ratio: float = 0.8
-    validation_fraction_of_train: float = 0.2
-    window: int = 8
     horizons: tuple[int, ...] = (1, 2, 3, 4)
     hypo_max: float = 70.0
     hyper_min: float = 180.0
@@ -51,15 +50,10 @@ class EvalConfig:
     seed: int = 0
     m_similar: int = 2
     forecast_thin: int = 1
-    mape_denominator: str = "forecast"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.split_ratio < 1.0:
             raise ConfigError("split_ratio must lie in (0, 1)")
-        if not 0.0 <= self.validation_fraction_of_train < 1.0:
-            raise ConfigError("validation_fraction_of_train must lie in [0, 1)")
-        if self.window < 1:
-            raise ConfigError("window must be >= 1")
         if not self.horizons or any(h < 1 for h in self.horizons):
             raise ConfigError("horizons must be a nonempty list of steps >= 1")
         if not self.hypo_max < self.hyper_min:
@@ -68,13 +62,9 @@ class EvalConfig:
             raise ConfigError("draws must exceed burn")
         if self.forecast_thin < 1:
             raise ConfigError("forecast_thin must be >= 1")
-        if self.mape_denominator not in ("forecast", "actual"):
-            raise ConfigError("mape_denominator must be 'forecast' or 'actual'")
 
 
-def compute_metrics(
-    actual: Sequence[float], predicted: Sequence[float], mape_denominator: str = "forecast"
-) -> tuple[float, float, float]:
+def compute_metrics(actual: Sequence[float], predicted: Sequence[float]) -> tuple[float, float, float]:
     """(MAE, RMSE, MAPE%) with the MAPE denominator on the forecast values."""
     x = np.asarray(actual, dtype=float)
     y = np.asarray(predicted, dtype=float)
@@ -85,10 +75,9 @@ def compute_metrics(
     err = x - y
     mae = float(np.mean(np.abs(err)))
     rmse = float(np.sqrt(np.mean(err**2)))
-    denom = y if mape_denominator == "forecast" else x
-    if np.any(denom == 0.0):
+    if np.any(y == 0.0):
         raise RangeError("MAPE denominator contains zero")
-    mape = float(np.mean(np.abs(err) / np.abs(denom)) * 100.0)
+    mape = float(np.mean(np.abs(err) / np.abs(y)) * 100.0)
     return mae, rmse, mape
 
 
@@ -176,10 +165,8 @@ class ForecastPipeline:
     use_day: bool = True
     use_meal: bool = True
     use_circadian: bool = True
-    circadian_durations: tuple[int, int] = (48, 24)
     regressors: Optional[np.ndarray] = None
     regressor_names: tuple[str, ...] = ()
-    spike_slab: Optional[SpikeSlabSettings] = None
     custom_specs: Optional[tuple[ComponentSpec, ...]] = None
 
     def __post_init__(self) -> None:
@@ -194,7 +181,7 @@ class ForecastPipeline:
             specs = list(self.custom_specs)
             has_regression = any(s.kind == "regression" for s in specs)
             if self.regressors is not None and self.regressor_names and not has_regression:
-                specs.append(regression(self.regressor_names, self.spike_slab))
+                specs.append(regression(self.regressor_names))
             return specs
         offset = (series.start.hour * 60 + series.start.minute) // 15
         specs = [semi_local_trend()]
@@ -205,19 +192,34 @@ class ForecastPipeline:
             base = meal_seasonal()
             specs.append(replace(base, phase=offset % sum(base.durations)))
         if self.use_circadian:
-            base = circadian_seasonal(self.circadian_durations)
+            base = circadian_seasonal()
             specs.append(replace(base, phase=offset % sum(base.durations)))
         if self.regressors is not None and self.regressor_names:
-            specs.append(regression(self.regressor_names, self.spike_slab))
+            specs.append(regression(self.regressor_names))
         return specs
 
 
 def train_test_split_sizes(n: int, cfg: EvalConfig) -> tuple[int, int, tuple[int, int]]:
     n_train = int(math.floor(n * cfg.split_ratio))
     n_test = n - n_train
-    val_len = int(math.floor(n_train * cfg.validation_fraction_of_train))
+    val_len = int(math.floor(n_train * VALIDATION_FRACTION))
     validation_range = (n_train - val_len, n_train)
     return n_train, n_test, validation_range
+
+
+def _fits(n: int, cfg: EvalConfig) -> bool:
+    """Whether n points leave MIN_TRAIN training points and a test point past the longest horizon."""
+    n_train, n_test, _ = train_test_split_sizes(n, cfg)
+    return n_train >= MIN_TRAIN and n_test >= max(cfg.horizons) + 1
+
+
+def _min_length(cfg: EvalConfig) -> int:
+    """The shortest series `_fits`; both of its counts grow with n."""
+    # Below either bound a count necessarily falls short, so the scan starts there.
+    n = max(1, int(max(MIN_TRAIN / cfg.split_ratio, max(cfg.horizons) / (1.0 - cfg.split_ratio))) - 1)
+    while not _fits(n, cfg):
+        n += 1
+    return n
 
 
 def sliding_window_eval(
@@ -232,11 +234,10 @@ def sliding_window_eval(
     n = y.size
     max_h = max(cfg.horizons)
     n_train, n_test, validation_range = train_test_split_sizes(n, cfg)
-    min_len = int(math.ceil((cfg.window + max_h + 1) / (1.0 - cfg.split_ratio))) + 1
-    if n_train < cfg.window + 2 or n_test < max_h + 1:
+    if not _fits(n, cfg):
         raise CapacityError(
-            f"series of length {n} is too short for split {cfg.split_ratio} with window "
-            f"{cfg.window} and horizon {max_h}; need at least {min_len} points"
+            f"series of length {n} is too short for split {cfg.split_ratio} and horizon {max_h}; "
+            f"need at least {_min_length(cfg)} points"
         )
 
     x_full = pipeline.regressors
@@ -265,7 +266,7 @@ def sliding_window_eval(
     for h in cfg.horizons:
         predicted = forecasts[h]["mean"]
         actual = y[anchors + h]
-        mae, rmse, mape = compute_metrics(actual, predicted, cfg.mape_denominator)
+        mae, rmse, mape = compute_metrics(actual, predicted)
         confusion, accuracy = glycemic_confusion(actual, predicted, cfg.hypo_max, cfg.hyper_min)
         reports[h] = HorizonReport(
             horizon=h,
@@ -307,21 +308,29 @@ def build_similarity_design(
     """Design matrix of similar subjects' CGM (and optional GL) trajectories.
 
     Columns are aligned by time of day: tester row i reads the donor at index
-    i + round((tester.start - donor.start) / 15 min) mod 96, and donor series
-    are cycled so every tester row has a value. The design has `n_rows` rows
-    (default: the tester's length); rows past the tester's end are the future
-    rows a forecast reads.
+    i + round((tester.start - donor.start) / 15 min) mod 96, and each donor is
+    cycled over its whole days so every tester row has a value at its time of
+    day. A donor shorter than one day raises CapacityError. The design has
+    `n_rows` rows (default: the tester's length); rows past the tester's end
+    are the future rows a forecast reads.
     """
     n = len(tester) if n_rows is None else n_rows
     columns = []
     names = []
     for donor in similar:
-        rows = np.arange(n) + round((tester.start - donor.start) / STEP) % STEPS_PER_DAY
-        columns.append(donor.cgm[rows % len(donor)])
+        whole_days = STEPS_PER_DAY * (len(donor) // STEPS_PER_DAY)
+        if not whole_days:
+            raise CapacityError(
+                f"donor {donor.subject_id} has {len(donor)} points, less than one day ({STEPS_PER_DAY})"
+            )
+        rows = (np.arange(n) + round((tester.start - donor.start) / STEP) % STEPS_PER_DAY) % whole_days
+        columns.append(donor.cgm[rows])
         names.append(f"sim_{donor.subject_id}_cgm")
         if gl_columns is not None and donor.subject_id in gl_columns:
             gl = np.asarray(gl_columns[donor.subject_id], dtype=float)
-            columns.append(gl[rows % gl.size])
+            if gl.shape != donor.cgm.shape:
+                raise SchemaError(f"glycemic-load column of {donor.subject_id} does not match its series")
+            columns.append(gl[rows])
             names.append(f"sim_{donor.subject_id}_gl")
     if not columns:
         raise SchemaError("no similar-subject columns to build")

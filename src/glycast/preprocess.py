@@ -47,11 +47,6 @@ class VariableCodec:
         z = (value - self.mean) / self.sd
         return int(np.searchsorted(np.asarray(self.edges), z, side="right"))
 
-    def decode_class(self, index: int) -> float:
-        if not 0 <= index < self.card:
-            raise RangeError(f"{self.name}: class {index} outside 0..{self.card - 1}")
-        return self.representatives[index]
-
 
 @dataclass(frozen=True)
 class DiscreteDataset:

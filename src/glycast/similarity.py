@@ -4,10 +4,8 @@ tester's measured values."""
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -64,7 +62,3 @@ def selection_log(pool: Sequence[MarkerPoint], tester: MarkerPoint, selected: Se
             {"subject_id": sid, "distance": marker_distance(by_id[sid], tester)} for sid in selected
         ],
     }
-
-
-def write_selection_log(path: Path | str, log: dict) -> None:
-    Path(path).write_text(json.dumps(log, indent=2, sort_keys=True), encoding="utf-8")

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,6 @@ from glycast.bayesnet import (
     ArcStrengthTable,
     Dag,
     TabuParams,
-    annotate_model,
     bic_score,
     bootstrap_consensus,
     cpts_to_json,
@@ -27,7 +27,6 @@ from glycast.bayesnet import (
     infer_posterior,
     load_arc_annotations,
     load_network_json,
-    merge_consensus,
     save_network_json,
     tabu_search,
 )
@@ -327,28 +326,6 @@ class TestBootstrapConsensus:
             bootstrap_consensus(data, threshold=0.0)
 
 
-class TestMergeConsensus:
-    def test_consensus_unique_possible_tagging(self):
-        nodes = ("a", "b", "c", "d")
-        dag_a = Dag(nodes, frozenset({("a", "b")}))
-        dag_b = Dag(nodes, frozenset({("a", "b"), ("b", "c")}))
-        strengths_a = ArcStrengthTable({("a", "b"): 0.9, ("c", "d"): 0.5, ("a", "d"): 0.3})
-        strengths_b = ArcStrengthTable({("a", "b"): 1.0, ("b", "c"): 0.88})
-        merged, types, strength = merge_consensus(dag_a, strengths_a, dag_b, strengths_b)
-        assert types[("a", "b")] == "consensus"
-        assert types[("b", "c")] == "unique"
-        # d touches no consensus/unique arc; its strongest leftover connects it.
-        assert types[("c", "d")] == "possible"
-        assert strength[("c", "d")] == 0.5
-        assert merged.arcs == frozenset({("a", "b"), ("b", "c"), ("c", "d")})
-
-    def test_node_set_mismatch(self):
-        with pytest.raises(SchemaError):
-            merge_consensus(
-                Dag(("a", "b")), ArcStrengthTable({}), Dag(("a", "c")), ArcStrengthTable({})
-            )
-
-
 class TestFitParameters:
     def test_single_binary_node_mle(self):
         data = dataset({"x": [1, 1, 1, 0]}, cards=(2,))
@@ -511,10 +488,12 @@ class TestSerialization:
 
         data = dataset({"a": [0, 1, 0, 1], "b": [0, 0, 1, 1], "c": [1, 0, 1, 0]}, cards=(2, 2, 2))
         model = fit_parameters(Dag(data.variables, frozenset({("a", "b")})), data)
-        annotated = annotate_model(model, {("a", "b"): "causal"})
+        annotated = replace(model, annotations={("a", "b"): "causal"})
         assert annotated.annotations[("a", "b")] == "causal"
         with pytest.raises(SchemaError, match="absent arc"):
-            annotate_model(model, {("b", "c"): "causal"})
+            replace(model, annotations={("b", "c"): "causal"})
+        with pytest.raises(SchemaError, match="category"):
+            replace(model, annotations={("a", "b"): "mystery"})
         bad = tmp_path / "bad.csv"
         bad.write_text("from,to,category\na,b,mystery\n", encoding="utf-8")
         with pytest.raises(SchemaError, match="category"):

@@ -17,6 +17,7 @@ from glycast.bsts import (
     seasonal,
     semi_local_trend,
 )
+from glycast.bsts.components import MAX_HORIZON
 from glycast.bsts.sampler import _DrawOperators, _filter_draws, _predictive_moments
 from glycast.errors import NumericalError, RangeError
 from glycast.synth import gaussian_predictive_oracle, simulate_from_model
@@ -40,8 +41,6 @@ def make_draws(model, entries, requested=None, burn=0, seed=0):
         requested=requested if requested is not None else k,
         burn=burn,
         seed=seed,
-        seasonal_names=tuple(s.name for s in model.seasonals),
-        design_names=model.design_names,
     )
 
 
@@ -99,16 +98,6 @@ class TestMcmcFit:
         draws = mcmc_fit(model, y, draws=300, burn=100, seed=9)
         sigma_obs_med = float(np.median(draws.sigma_obs))
         assert 0.5 * true.sigma_obs <= sigma_obs_med <= 1.5 * true.sigma_obs
-
-    def test_posterior_csv_export(self, tmp_path):
-        y = trend_series(50)
-        model = assemble_model([semi_local_trend()], y)
-        draws = mcmc_fit(model, y, draws=10, burn=2, seed=0)
-        path = tmp_path / "draws.csv"
-        draws.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 1 + 8
-        assert lines[0].startswith("draw,sigma_level,sigma_slope,sigma_obs,d,phi")
 
 
 class TestPosteriorForecast:
@@ -170,7 +159,7 @@ class TestPosteriorForecast:
         with pytest.raises(RangeError):
             posterior_forecast(draws, model, horizon=0)
         with pytest.raises(RangeError):
-            posterior_forecast(draws, model, horizon=model.max_horizon + 1)
+            posterior_forecast(draws, model, horizon=MAX_HORIZON + 1)
 
 
 class TestForecastAnchors:

@@ -229,6 +229,21 @@ class TestAblateCommand:
         assert main(["ablate", "--config", both, "--subjects", "S000"]) == 2
         assert "excluded tester S000" in capsys.readouterr().err
 
+    def test_pool_smaller_than_m_similar(self, tmp_path, synth_dir, capsys):
+        # Four subjects leave three candidates for S000: evaluate records why
+        # it has no donors, and ablate refuses its similar_subjects row.
+        cfg = write_config(
+            tmp_path / "ev.json", seed=3, out_dir=str(tmp_path / "ev"),
+            series_dir=str(synth_dir / "series"), clinical_csv=str(synth_dir / "clinical.csv"),
+            bootstrap=2, draws=12, burn=2, horizons=[1], m_similar=5,
+        )
+        assert main(["evaluate", "--config", cfg, "--subjects", "S000"]) == 0
+        selections = json.loads((tmp_path / "ev" / "selections.json").read_text())
+        assert selections == {"S000": {"selected": [], "excluded": "3 candidates, fewer than m_similar=5"}}
+        capsys.readouterr()
+        assert main(["ablate", "--config", cfg, "--subjects", "S000"]) == 2
+        assert "excluded tester S000" in capsys.readouterr().err
+
     def test_similar_subjects_requires_clinical(self, tmp_path, synth_dir, capsys):
         cfg = write_config(
             tmp_path / "ab.json", seed=3, out_dir=str(tmp_path / "ab"),

@@ -39,10 +39,6 @@ class TestComputeMetrics:
         assert mape == pytest.approx((10 / 90 + 10 / 110) / 2 * 100)  # 10.1010...%
         assert mape == pytest.approx(10.101010101010102, abs=1e-9)
 
-    def test_actual_denominator_option(self):
-        _, _, mape = compute_metrics([100.0, 100.0], [90.0, 110.0], mape_denominator="actual")
-        assert mape == pytest.approx(10.0)
-
     def test_zero_denominator(self):
         with pytest.raises(RangeError):
             compute_metrics([10.0], [0.0])
@@ -129,6 +125,20 @@ class TestSlidingWindowEval:
         with pytest.raises(CapacityError, match="at least"):
             sliding_window_eval(ForecastPipeline(), series, EvalConfig(**FAST))
 
+    @pytest.mark.parametrize("split_ratio, shortest", [(0.8, 21), (0.3, 34)])
+    def test_capacity_error_names_shortest_length(self, split_ratio, shortest):
+        from glycast.dataset import GlucoseSeries
+        from conftest import START
+
+        cfg = EvalConfig(split_ratio=split_ratio, draws=20, burn=5)
+        pipeline = ForecastPipeline(use_day=False, use_meal=False, use_circadian=False)
+        short = GlucoseSeries(subject_id="S", start=START, cgm=np.full(shortest - 1, 120.0))
+        with pytest.raises(CapacityError, match=f"need at least {shortest} points"):
+            sliding_window_eval(pipeline, short, cfg)
+        series = GlucoseSeries(subject_id="S", start=START, cgm=120.0 + np.arange(shortest) % 5)
+        report = sliding_window_eval(pipeline, series, cfg)
+        assert report.n_train + report.n_test == shortest
+
     def test_no_leakage_from_test_segment(self):
         series, _ = eval_series(seed=5)
         cfg = EvalConfig(horizons=(1, 2), seed=7, **FAST)
@@ -208,6 +218,24 @@ class TestRegressorEval:
         # Tester row i reads the donor's reading at the same time of day.
         np.testing.assert_array_equal(design, np.roll(unshifted, -shift, axis=0))
         assert moved.timestamp_at(shift).time() == tester.start.time()
+
+    def test_short_donor_cycled_by_whole_days(self):
+        # A 100-step donor wraps after its one whole day, so tester rows
+        # 100-103 (01:00-01:45) read its 01:00-01:45 values, not 00:00-00:45.
+        tester, donor = gen_cgm_series(SynthConfig(n_subjects=8, n_days=3, seed=1))[0][:2]
+        short = replace(donor, cgm=donor.cgm[:100], meals=())
+        design, _ = build_similarity_design(tester, [short])
+        np.testing.assert_allclose(design[100:104, 0], [138.2, 138.1, 148.6, 150.8], atol=0.05)
+        np.testing.assert_array_equal(design[:, 0], donor.cgm[np.arange(len(tester)) % 96])
+        two_days = replace(donor, cgm=donor.cgm[:192], meals=())
+        design, _ = build_similarity_design(tester, [two_days])
+        np.testing.assert_array_equal(design[:, 0], donor.cgm[np.arange(len(tester)) % 192])
+
+    def test_donor_shorter_than_a_day(self):
+        tester, donor = gen_cgm_series(SynthConfig(n_subjects=2, n_days=2, seed=1))[0]
+        short = replace(donor, cgm=donor.cgm[:95], meals=())
+        with pytest.raises(CapacityError, match="less than one day"):
+            build_similarity_design(tester, [short])
 
     def test_gl_columns_included(self):
         cfg = SynthConfig(n_subjects=2, n_days=3, seed=3)
