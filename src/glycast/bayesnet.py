@@ -77,9 +77,6 @@ class Dag:
     def skeleton(self) -> frozenset[frozenset[str]]:
         return frozenset(frozenset(arc) for arc in self.arcs)
 
-    def with_arcs(self, arcs: Iterable[Arc]) -> "Dag":
-        return Dag(self.nodes, frozenset(arcs))
-
 
 def _has_path(children: Mapping[str, set[str]], src: str, dst: str) -> bool:
     stack = [src]

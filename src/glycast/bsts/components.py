@@ -21,7 +21,7 @@ boundary the new effect is minus the sum of the stored ones plus noise:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -209,23 +209,19 @@ class SeasonalLayout:
     def state_dim(self) -> int:
         return self.n_seasons - 1
 
-    def season_of(self, t: int) -> int:
-        pos = (self.phase + t) % self.cycle
-        cum = 0
-        for s, d in enumerate(self.durations):
-            cum += d
-            if pos < cum:
-                return s
-        raise AssertionError("unreachable: durations tile the cycle")
-
-    def boundary_at(self, t: int) -> bool:
-        """Whether the transition from t to t+1 starts a new season."""
-        return self.season_of(t + 1) != self.season_of(t)
-
 
 @dataclass(frozen=True)
 class StateSpaceModel:
-    """Assembled trend + seasonal + regression state space with priors."""
+    """Assembled trend + seasonal + regression state space with priors.
+
+    The transition changes only where a season ends, so the step schedule of
+    one period (the lcm of the seasonal cycles) is derived from `seasonals`
+    at construction: `masks` holds the distinct boundary masks in order of
+    first appearance (flag k: the step from t to t+1 starts a new season of
+    seasonal k), `templates` each mask's transition matrix at phi = 0 (read
+    only), and `step_masks` the index into `masks` of every step of the
+    period.
+    """
 
     z: np.ndarray  # observation vector (m,)
     seasonals: tuple[SeasonalLayout, ...]
@@ -237,6 +233,34 @@ class StateSpaceModel:
     a1: np.ndarray  # initial state mean (m,)
     p1_diag: np.ndarray  # initial state variance diagonal (m,)
     n_train: int
+    masks: tuple[tuple[bool, ...], ...] = field(init=False, repr=False, compare=False)
+    templates: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    step_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        period = math.lcm(1, *(s.cycle for s in self.seasonals))
+        t = np.arange(period + 1)
+        seasons = [
+            np.searchsorted(np.cumsum(s.durations), (s.phase + t) % s.cycle, side="right").tolist()
+            for s in self.seasonals
+        ]
+        by_step = [tuple(season[u + 1] != season[u] for season in seasons) for u in range(period)]
+        masks = tuple(dict.fromkeys(by_step))
+        templates = []
+        for mask in masks:
+            T = np.zeros((self.state_dim, self.state_dim))
+            T[0, :2] = 1.0
+            for layout, boundary in zip(self.seasonals, mask):
+                i, j = layout.state_start, layout.state_start + layout.state_dim
+                # At a boundary the block shifts the stored effects down and puts the new one on top.
+                T[i:j, i:j] = np.eye(j - i, k=-1 if boundary else 0)
+                if boundary:
+                    T[i, i:j] = -1.0
+            T.flags.writeable = False
+            templates.append(T)
+        object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "templates", tuple(templates))
+        object.__setattr__(self, "step_masks", tuple(map(masks.index, by_step)))
 
     @property
     def state_dim(self) -> int:
@@ -248,13 +272,7 @@ class StateSpaceModel:
 
     @property
     def period(self) -> int:
-        cached = self.__dict__.get("_period")
-        if cached is None:
-            cached = 1
-            for s in self.seasonals:
-                cached = math.lcm(cached, s.cycle)
-            self.__dict__["_period"] = cached
-        return cached
+        return len(self.step_masks)
 
     def with_initial_state(self, a1: Sequence[float], p1_diag: Sequence[float]) -> "StateSpaceModel":
         a1 = np.asarray(a1, dtype=float)
@@ -264,48 +282,14 @@ class StateSpaceModel:
         return replace(self, a1=a1, p1_diag=p1)
 
     def boundary_mask(self, t: int) -> tuple[bool, ...]:
-        schedule = self.__dict__.get("_mask_schedule")
-        if schedule is None:
-            schedule = tuple(
-                tuple(s.boundary_at(u) for s in self.seasonals) for u in range(self.period)
-            )
-            self.__dict__["_mask_schedule"] = schedule
-        return schedule[t % self.period]
-
-    @property
-    def boundary_schedule(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The distinct boundary masks of one period, as (first step showing
-        each mask, index of every step's mask in that order)."""
-        cached = self.__dict__.get("_boundary_schedule")
-        if cached is None:
-            masks = [self.boundary_mask(u) for u in range(self.period)]
-            keys = list(dict.fromkeys(masks))
-            cached = (tuple(masks.index(k) for k in keys), tuple(keys.index(k) for k in masks))
-            self.__dict__["_boundary_schedule"] = cached
-        return cached
+        return self.masks[self.step_masks[t % self.period]]
 
     def transition_matrix(self, phi: float, t: int) -> np.ndarray:
-        templates = self.__dict__.setdefault("_transition_templates", {})  # T at phi = 0, per mask
-        mask = self.boundary_mask(t)
-        if mask not in templates:
-            m = self.state_dim
-            templates[mask] = T = np.zeros((m, m))
-            T[0, 0] = 1.0
-            T[0, 1] = 1.0
-            for layout, boundary in zip(self.seasonals, mask):
-                i = layout.state_start
-                d = layout.state_dim
-                if boundary:
-                    T[i, i : i + d] = -1.0
-                    for r in range(1, d):
-                        T[i + r, i + r - 1] = 1.0
-                else:
-                    T[i : i + d, i : i + d] = np.eye(d)
-        T = templates[mask].copy()
+        T = self.templates[self.step_masks[t % self.period]].copy()
         T[1, 1] = phi
         return T
 
-    # These two also take arrays of K draws' parameters and then return a leading (K,) axis.
+    # These three also take arrays of K draws' parameters and then return a leading (K,) axis.
 
     def state_intercept(self, d: float | np.ndarray, phi: float | np.ndarray) -> np.ndarray:
         c = np.zeros(np.shape(d) + (self.state_dim,))
@@ -315,10 +299,16 @@ class StateSpaceModel:
     def noise_diag(
         self, level_var: float | np.ndarray, slope_var: float | np.ndarray, seasonal_vars: Sequence, t: int
     ) -> np.ndarray:
+        return self.mask_noise(self.step_masks[t % self.period], level_var, slope_var, seasonal_vars)
+
+    def mask_noise(
+        self, i: int, level_var: float | np.ndarray, slope_var: float | np.ndarray, seasonal_vars: Sequence
+    ) -> np.ndarray:
+        """Noise variances of a step with mask i: level, slope, and each seasonal that starts a new season."""
         q = np.zeros(np.shape(level_var) + (self.state_dim,))
         q[..., 0] = level_var
         q[..., 1] = slope_var
-        for layout, var, boundary in zip(self.seasonals, seasonal_vars, self.boundary_mask(t)):
+        for layout, var, boundary in zip(self.seasonals, seasonal_vars, self.masks[i]):
             if boundary:
                 q[..., layout.state_start] = var
         return q

@@ -68,21 +68,17 @@ class FilterResult:
 def _step_operators(
     model: StateSpaceModel, params: ParamPoint
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """(T, T', Q, sqrt(diag Q)) for every step of one period.
-
-    The matrices are built once per distinct boundary mask and shared by
-    every step with that mask.
-    """
+    """(T, T', Q, sqrt(diag Q)) for every step of one period, built once per boundary mask."""
     level_var = params.sigma_level**2
     slope_var = params.sigma_slope**2
     seasonal_vars = [s**2 for s in params.sigma_seasonal]
-    first_steps, mask_index = model.boundary_schedule
     ops = []
-    for t in first_steps:
-        T = model.transition_matrix(params.phi, t)
-        q = model.noise_diag(level_var, slope_var, seasonal_vars, t)
+    for i, template in enumerate(model.templates):
+        T = template.copy()
+        T[1, 1] = params.phi
+        q = model.mask_noise(i, level_var, slope_var, seasonal_vars)
         ops.append((T, T.T.copy(), np.diag(q), np.sqrt(q)))
-    return [ops[i] for i in mask_index]
+    return [ops[i] for i in model.step_masks]
 
 
 def kalman_loglik(

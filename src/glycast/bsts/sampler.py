@@ -14,14 +14,15 @@ y_{t+h} from each draw's exact Gaussian predictive at every anchor.
 
 Both run on one draws-last transition kernel, `_DrawOperators`: states are
 (m, K) and covariances (m, m, K) for K draws. The draws' transitions differ
-only in T[1, 1] = phi, so each boundary mask keeps the phi = 0 template S
-shared by every draw, and T = S + phi e_1 e_1'. Then T x = S x + phi x_1 e_1,
-T'v = S'v + phi v_1 e_1 and T P T' = T (T P)' for symmetric P, each one
-matrix product over all draws; where no seasonal boundary falls, S is the
-identity outside rows 0 and 1 and the products become in-place row and
-column updates. The Gibbs fit's `kalman_loglik` and `ffbs_sample` filter one
-parameter point and keep their single-point path, which also returns each
-step's gain, predicted covariance and log-likelihood term.
+only in T[1, 1] = phi, so each boundary mask of the model's step schedule
+gives the phi = 0 template S shared by every draw, and T = S + phi e_1 e_1'.
+Then T x = S x + phi x_1 e_1, T'v = S'v + phi v_1 e_1 and T P T' = T (T P)'
+for symmetric P, each one matrix product over all draws; where no seasonal
+boundary falls, S is the identity outside rows 0 and 1 and the products
+become in-place row and column updates. The Gibbs fit's `kalman_loglik` and
+`ffbs_sample` filter one parameter point and keep their single-point path,
+which is faster for one point and also returns each step's gain, predicted
+covariance and log-likelihood term.
 """
 
 from __future__ import annotations
@@ -131,10 +132,9 @@ def mcmc_fit(
     beta = np.zeros(j_total)
     gamma = np.zeros(j_total, dtype=np.int64)
 
-    boundary_steps = [
-        np.array([t for t in range(n - 1) if layout.boundary_at(t)], dtype=np.int64)
-        for layout in model.seasonals
-    ]
+    # Per seasonal, the steps t whose move to t+1 starts a new season.
+    masks = [model.boundary_mask(t) for t in range(n - 1)]
+    boundary_steps = [np.flatnonzero([mask[k] for mask in masks]) for k in range(n_seasonal)]
 
     kept = draws - burn
     out_sigma_level = np.empty(kept)
@@ -244,8 +244,9 @@ class ForecastResult:
 class _DrawOperators:
     """The draws-last transition kernel of a batch of K draws (module docstring).
 
-    Per boundary mask it keeps the phi = 0 template S (m, m) shared by every
-    draw, whether S is plain (the identity outside rows 0 and 1, where
+    It reads the model's step schedule: per boundary mask the phi = 0
+    template S (m, m) shared by every draw, whether the mask is plain (no
+    seasonal boundary, so S is the identity outside rows 0 and 1, where
     S[0] = e_0 + e_1 and S[1] = 0) and the noise variances (m, K). A state is
     (m, ..., K) and a covariance (m, m, K).
     """
@@ -254,13 +255,10 @@ class _DrawOperators:
         self.phi = draws.phi[keep]  # (K,)
         variances = (draws.sigma_level[keep] ** 2, draws.sigma_slope[keep] ** 2)
         variances += ((draws.sigma_seasonal[keep] ** 2).T,)
-        first_steps, self.mask_index = model.boundary_schedule
-        self.templates = [model.transition_matrix(0.0, t) for t in first_steps]  # (m, m) each
-        plain = np.eye(model.state_dim)
-        plain[0, 1] = 1.0
-        plain[1, 1] = 0.0
-        self.plain = [np.array_equal(S, plain) for S in self.templates]
-        self.noise_vars = [model.noise_diag(*variances, t).T.copy() for t in first_steps]  # (m, K) each
+        self.step_masks = model.step_masks
+        self.templates = model.templates  # (m, m) each
+        self.plain = [not any(mask) for mask in model.masks]
+        self.noise_vars = [model.mask_noise(i, *variances).T.copy() for i in range(len(model.masks))]  # (m, K)
         self.intercept = model.state_intercept(draws.d[keep], self.phi).T.copy()  # (m, K)
         self.obs_var = draws.sigma_obs[keep] ** 2  # (K,)
         self.beta = draws.beta[keep].T  # (J, K): x_t @ beta is x_t' beta per draw
@@ -269,7 +267,7 @@ class _DrawOperators:
 
     def step(self, t: int) -> int:
         """Index of the operators that move the state from t to t+1."""
-        return self.mask_index[t % len(self.mask_index)]
+        return self.step_masks[t % len(self.step_masks)]
 
     def transition(self, step: int, x: np.ndarray) -> np.ndarray:
         """T x for every draw, x of shape (m, ..., K); x may be overwritten."""
@@ -309,8 +307,7 @@ class _DrawOperators:
         of steps t..t+h-1, which key the cache.
         """
         horizons = tuple(horizons)
-        period = len(self.mask_index)
-        key = (horizons, tuple(self.mask_index[(t + j) % period] for j in range(max(horizons))))
+        key = (horizons, tuple(self.step(t + j) for j in range(max(horizons))))
         if key not in self._terms:
             self._terms[key] = self._backward_terms(*key)
         return self._terms[key]

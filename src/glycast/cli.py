@@ -175,21 +175,21 @@ def _cmd_synth(cfg: dict, out_dir: Path, seed: int, config_path: Optional[str], 
 
 def _encode(cfg: dict, records):
     """Exclude, impute and encode clinical records: (exclusion report, imputed, encoded)."""
-    kept, report = preprocess.exclude_incomplete(records, int(cfg.get("max_missing", 3)))
+    kept, report = preprocess.exclude_incomplete(records, **_settings(cfg, {"max_missing": int}))
     imputed = preprocess.impute_means(kept)
-    return report, imputed, preprocess.standardize_encode(imputed, int(cfg.get("n_bins", 4)))
+    return report, imputed, preprocess.standardize_encode(imputed, **_settings(cfg, {"n_bins": int}))
 
 
 def _learn_network(cfg: dict, encoded, seed: int, dag=None):
     """Bootstrap consensus (unless a DAG is given) and its CPTs: (strengths, dag, network)."""
     strengths = None
     if dag is None:
+        consensus = _settings(cfg, {"bootstrap": int, "threshold": float})
+        if "bootstrap" in consensus:
+            consensus["b"] = consensus.pop("bootstrap")
         params = bayesnet.TabuParams(**_settings(cfg, TABU_KEYS))
-        strengths, dag = bayesnet.bootstrap_consensus(
-            encoded, b=int(cfg.get("bootstrap", 100)), threshold=float(cfg.get("threshold", 0.85)),
-            seed=seed, params=params,
-        )
-    return strengths, dag, bayesnet.fit_parameters(dag, encoded, alpha=float(cfg.get("alpha", 1.0)))
+        strengths, dag = bayesnet.bootstrap_consensus(encoded, seed=seed, params=params, **consensus)
+    return strengths, dag, bayesnet.fit_parameters(dag, encoded, **_settings(cfg, {"alpha": float}))
 
 
 class _Stage1:

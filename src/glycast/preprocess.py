@@ -86,12 +86,6 @@ class DiscreteDataset:
     def card_of(self, name: str) -> int:
         return self.cards[self.index_of(name)]
 
-    def codec_of(self, name: str) -> VariableCodec:
-        for codec in self.codecs:
-            if codec.name == name:
-                return codec
-        raise SchemaError(f"no codec for variable {name}")
-
     def to_files(self, csv_path: Path | str, sidecar_path: Path | str) -> None:
         with Path(csv_path).open("w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)

@@ -184,14 +184,14 @@ def single_moves(dag):
     """Every DAG one arc addition, deletion or reversal away from `dag`."""
     for u, v in itertools.permutations(dag.nodes, 2):
         if (u, v) in dag.arcs:
-            yield dag.with_arcs(dag.arcs - {(u, v)})
+            yield Dag(dag.nodes, dag.arcs - {(u, v)})
             arcs = (dag.arcs - {(u, v)}) | {(v, u)}
         elif (v, u) in dag.arcs:
             continue  # its moves come with the pair (v, u)
         else:
             arcs = dag.arcs | {(u, v)}
         try:
-            neighbour = dag.with_arcs(arcs)
+            neighbour = Dag(dag.nodes, arcs)
         except SchemaError:
             continue  # closes a cycle
         yield neighbour

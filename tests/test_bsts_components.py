@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glycast.bsts import (
     ParamPoint,
@@ -124,6 +128,60 @@ class TestSeasonalRecursion:
         assert q_inside[2] == 0.0
         assert q_boundary[2] == 0.5
         np.testing.assert_allclose(q_inside[:2], [0.1, 0.2])
+
+
+@st.composite
+def seasonal_stacks(draw):
+    """(durations, phase) of one or two seasonals with 2-5 seasons of 1-4 steps each."""
+    stack = []
+    for _ in range(draw(st.integers(1, 2))):
+        n_seasons = draw(st.integers(2, 5))
+        durations = tuple(draw(st.lists(st.integers(1, 4), min_size=n_seasons, max_size=n_seasons)))
+        stack.append((durations, draw(st.integers(0, sum(durations) - 1))))
+    return stack
+
+
+def season_index(durations, phase, t):
+    """The season in force at t, read off the cycle written out step by step."""
+    cycle = [s for s, d in enumerate(durations) for _ in range(d)]
+    return cycle[(phase + t) % len(cycle)]
+
+
+def dense_transition(stack, phi, boundary):
+    """T from the module docstring's equations, one state row at a time."""
+    m = 2 + sum(len(durations) - 1 for durations, _ in stack)
+    T = np.zeros((m, m))
+    T[0, 0] = T[0, 1] = 1.0  # mu' = mu + delta
+    T[1, 1] = phi  # delta' - D = phi (delta - D); D sits in the intercept
+    start = 2
+    for (durations, _), crossing in zip(stack, boundary):
+        d = len(durations) - 1  # tau_cur, tau_prev_1, ..., tau_prev_{S-2}
+        for r in range(d):
+            if not crossing:
+                T[start + r, start + r] = 1.0  # the effect holds within a season
+            elif r == 0:
+                T[start, start : start + d] = -1.0  # tau_new = -(tau_cur + ... + tau_prev_{S-2})
+            else:
+                T[start + r, start + r - 1] = 1.0  # each stored effect moves down one place
+        start += d
+    return T
+
+
+class TestStepSchedule:
+    @settings(max_examples=60, deadline=None)
+    @given(stack=seasonal_stacks(), phi=st.floats(-1.0, 1.0))
+    def test_schedule_matches_brute_force(self, stack, phi):
+        specs = [semi_local_trend()]
+        specs += [seasonal(f"s{i}", len(d), d, phase) for i, (d, phase) in enumerate(stack)]
+        model = assemble_model(specs, series(20))
+        assert model.period == math.lcm(*(sum(d) for d, _ in stack))
+        for t in range(2 * model.period):
+            boundary = tuple(season_index(d, p, t + 1) != season_index(d, p, t) for d, p in stack)
+            assert model.boundary_mask(t) == boundary
+            np.testing.assert_array_equal(model.transition_matrix(phi, t), dense_transition(stack, phi, boundary))
+            q = model.noise_diag(0.1, 0.2, [0.3] * len(stack), t)
+            starts = [layout.state_start for layout in model.seasonals]
+            np.testing.assert_array_equal(q[starts], [0.3 if b else 0.0 for b in boundary])
 
 
 class TestParamPoint:

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from glycast import bayesnet, cli, similarity, synth
+from glycast import bayesnet, cli, preprocess, similarity, synth
 from glycast.cli import main
 from glycast.dataset import MealEvent, load_gl_table, load_timeseries, write_timeseries
 from glycast.preprocess import DiscreteDataset, build_meal_regressor
@@ -144,6 +144,58 @@ class TestTabuConfig:
             main([command, "--config", cfg, *extra])
         assert seen["b"] == 2
         assert seen["params"] == bayesnet.TabuParams(tabu_len=7, max_iter=11, stall_limit=3)
+
+
+class TestStage1Config:
+    KEYS = {"max_missing": 2, "n_bins": 3, "bootstrap": 7, "threshold": 0.6, "alpha": 0.5}
+
+    def stage1_kwargs(self, tmp_path, synth_dir, monkeypatch, settings):
+        """The keyword arguments `evaluate` passes each Stage-1 function under a config."""
+        seen = {}
+        exclude, encode = preprocess.exclude_incomplete, preprocess.standardize_encode
+
+        def spy_exclude(records, **kwargs):
+            seen["exclude_incomplete"] = kwargs
+            return exclude(records, **kwargs)
+
+        def spy_encode(records, **kwargs):
+            seen["standardize_encode"] = kwargs
+            return encode(records, **kwargs)
+
+        def spy_bootstrap(data, **kwargs):
+            seen["bootstrap_consensus"] = {k: v for k, v in kwargs.items() if k not in ("seed", "params")}
+            return None, bayesnet.Dag(data.variables)  # the search itself is not under test
+
+        def spy_fit(dag, data, **kwargs):
+            seen["fit_parameters"] = kwargs
+            raise _Stop
+
+        monkeypatch.setattr(preprocess, "exclude_incomplete", spy_exclude)
+        monkeypatch.setattr(preprocess, "standardize_encode", spy_encode)
+        monkeypatch.setattr(bayesnet, "bootstrap_consensus", spy_bootstrap)
+        monkeypatch.setattr(bayesnet, "fit_parameters", spy_fit)
+        cfg = write_config(
+            tmp_path / "cfg.json", seed=3, out_dir=str(tmp_path / "out"),
+            series_dir=str(synth_dir / "series"), clinical_csv=str(synth_dir / "clinical.csv"), **settings,
+        )
+        with pytest.raises(_Stop):
+            main(["evaluate", "--config", cfg, "--subjects", "S000"])
+        return seen
+
+    def test_absent_keys_pass_nothing(self, tmp_path, synth_dir, monkeypatch):
+        seen = self.stage1_kwargs(tmp_path, synth_dir, monkeypatch, {})
+        assert seen == {
+            "exclude_incomplete": {}, "standardize_encode": {}, "bootstrap_consensus": {}, "fit_parameters": {},
+        }
+
+    def test_set_keys_arrive_under_parameter_names(self, tmp_path, synth_dir, monkeypatch):
+        seen = self.stage1_kwargs(tmp_path, synth_dir, monkeypatch, self.KEYS)
+        assert seen == {
+            "exclude_incomplete": {"max_missing": 2},
+            "standardize_encode": {"n_bins": 3},
+            "bootstrap_consensus": {"b": 7, "threshold": 0.6},
+            "fit_parameters": {"alpha": 0.5},
+        }
 
 
 def read_manifests(out):

@@ -125,7 +125,7 @@ class TestStandardizeEncode:
     def test_zscore_stats(self, complete_record):
         records = records_with_column(np.arange(1, 13) * 1.7, complete_record)
         data = standardize_encode(records)
-        codec = data.codec_of("tc")
+        codec = next(c for c in data.codecs if c.name == "tc")
         raw = np.array([getattr(r, "tc") for r in records])
         z = (raw - codec.mean) / codec.sd
         assert abs(z.mean()) < 1e-10
@@ -233,4 +233,4 @@ class TestDiscreteDatasetIO:
         assert back.variables == data.variables
         assert back.cards == data.cards
         np.testing.assert_array_equal(back.matrix, data.matrix)
-        assert back.codec_of("tc").representatives == data.codec_of("tc").representatives
+        assert [c.representatives for c in back.codecs] == [c.representatives for c in data.codecs]
