@@ -16,13 +16,15 @@ Both run on one draws-last transition kernel, `_DrawOperators`: states are
 (m, K) and covariances (m, m, K) for K draws. The draws' transitions differ
 only in T[1, 1] = phi, so each boundary mask of the model's step schedule
 gives the phi = 0 template S shared by every draw, and T = S + phi e_1 e_1'.
-Then T x = S x + phi x_1 e_1, T'v = S'v + phi v_1 e_1 and T P T' = T (T P)'
-for symmetric P, each one matrix product over all draws; where no seasonal
-boundary falls, S is the identity outside rows 0 and 1 and the products
-become in-place row and column updates. The Gibbs fit's `kalman_loglik` and
-`ffbs_sample` filter one parameter point and keep their single-point path,
-which is faster for one point and also returns each step's gain, predicted
-covariance and log-likelihood term.
+Then T x = S x + phi x_1 e_1 and T P T' = T (T P)' for symmetric P, each one
+matrix product over all draws; where no seasonal boundary falls, S is the
+identity outside rows 0 and 1 and the products become in-place row and
+column updates. Row 1 of S is zero and column 1 is e_0, so the anchored
+predictive's backward vector is u_h = w_h + g_h e_1 with w_h shared by every
+draw, and u'Pu comes from one product of the (H, m) w with the draws-last P.
+The Gibbs fit's `kalman_loglik` and `ffbs_sample` filter one parameter point
+and keep their single-point path, which is faster for one point and also
+returns each step's gain, predicted covariance and log-likelihood term.
 """
 
 from __future__ import annotations
@@ -263,7 +265,7 @@ class _DrawOperators:
         self.obs_var = draws.sigma_obs[keep] ** 2  # (K,)
         self.beta = draws.beta[keep].T  # (J, K): x_t @ beta is x_t' beta per draw
         self.z = model.z
-        self._terms: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._terms: dict[tuple, tuple[np.ndarray, ...]] = {}
 
     def step(self, t: int) -> int:
         """Index of the operators that move the state from t to t+1."""
@@ -290,21 +292,15 @@ class _DrawOperators:
             return P
         return self.transition(step, self.transition(step, P).transpose(1, 0, 2))
 
-    def transition_transpose(self, step: int, v: np.ndarray) -> np.ndarray:
-        """T' v for every draw, v of shape (m, ..., K)."""
-        out = self.templates[step].T.dot(v.reshape(len(v), -1)).reshape(v.shape)
-        out[1] += self.phi * v[1]
-        return out
-
-    def horizon_terms(self, t: int, horizons: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-draw (u_h, b_h, s_h), each (K, H, ...), of y_{t+h} given the state at t.
+    def horizon_terms(self, t: int, horizons: Sequence[int]) -> tuple[np.ndarray, ...]:
+        """(w_h (H, m), g_h (H, K), b_h (H, K), s_h (H, K)) of y_{t+h} given the state at t.
 
         y_{t+h} = u_h' alpha_t + b_h + x_{t+h}' beta + e_h with Var(e_h) = s_h:
-        u_h = (T_{t+h-1} ... T_t)' z is built backwards from z, b_h collects the
-        state intercepts, s_h the state noise carried to t+h plus the
-        observation variance. They depend on t only through its phase in the
-        boundary schedule, and on the phase only through the boundary masks
-        of steps t..t+h-1, which key the cache.
+        u_h = (T_{t+h-1} ... T_t)' z = w_h + g_h e_1 is built backwards from z
+        (T'(w + g e_1) is S'w with row 1 zeroed plus (w_0 + phi g) e_1, so w_h
+        is shared), b_h collects the state intercepts, s_h the state noise and
+        observation variance. They depend on t only through the boundary
+        masks of steps t..t+h-1, which key the cache.
         """
         horizons = tuple(horizons)
         key = (horizons, tuple(self.step(t + j) for j in range(max(horizons))))
@@ -312,23 +308,21 @@ class _DrawOperators:
             self._terms[key] = self._backward_terms(*key)
         return self._terms[key]
 
-    def _backward_terms(
-        self, horizons: tuple[int, ...], masks: tuple[int, ...]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _backward_terms(self, horizons: tuple[int, ...], masks: tuple[int, ...]) -> tuple[np.ndarray, ...]:
         k = self.obs_var.size
-        m = self.z.size
-        u = np.empty((k, len(horizons), m))
-        b = np.zeros((k, len(horizons)))
-        s = np.empty((k, len(horizons)))
+        w = np.empty((len(horizons), self.z.size))
+        g, b, s = np.zeros((3, len(horizons), k))
         for i, h in enumerate(horizons):
-            v = np.repeat(self.z[:, None], k, axis=1)
-            s[:, i] = self.obs_var
+            v, gv = self.z.copy(), np.zeros(k)  # z_1 = 0: the slope is not observed
+            s[i] = self.obs_var
             for step in reversed(masks[:h]):
-                b[:, i] += np.einsum("mk,mk->k", v, self.intercept)
-                s[:, i] += np.einsum("mk,mk->k", v * v, self.noise_vars[step])
-                v = self.transition_transpose(step, v)
-            u[:, i] = v.T
-        return u, b, s
+                b[i] += v.dot(self.intercept) + gv * self.intercept[1]
+                s[i] += (v * v).dot(self.noise_vars[step]) + gv * gv * self.noise_vars[step][1]
+                gv = v[0] + self.phi * gv
+                v = self.templates[step].T.dot(v)
+                v[1] = 0.0
+            w[i], g[i] = v, gv
+        return w, g, b, s
 
 
 def posterior_forecast(
@@ -377,22 +371,25 @@ def posterior_forecast(
 
 
 def _predictive_moments(
-    terms: tuple[np.ndarray, np.ndarray, np.ndarray], a: np.ndarray, P: np.ndarray, offsets: np.ndarray
+    terms: tuple[np.ndarray, ...], a: np.ndarray, P: np.ndarray, offsets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and variance (K, H) of y_{t+h} for every draw and horizon.
+    """Mean and variance (H, K) of y_{t+h} for every horizon and draw.
 
-    a (K, m) and P (K, m, m) are the filtered state moments at t, `terms` is
-    horizon_terms at t and offsets (K, H) holds x_{t+h}' beta. Rounding in
-    u'Pu is bounded by (|u|' sqrt(diag P))^2, as |P_ij| <= sqrt(P_ii P_jj) for
-    a covariance: a variance negative beyond that raises NumericalError, one
-    within it becomes zero.
+    a (m, K) and P (m, m, K) are the filtered state moments at t, draws last,
+    `terms` is horizon_terms at t and offsets (H, K) holds x_{t+h}' beta.
+    u'Pu = w'Pw + g (2 (Pw)_1 + g P_11) with w'P one (H, m) x (m, m K)
+    product. Its rounding is bounded by (|w|' sqrt(diag P) + |g| sqrt(P_11))^2,
+    as |P_ij| <= sqrt(P_ii P_jj) for a covariance: a variance negative beyond
+    that raises NumericalError, one within it becomes zero.
     """
-    u, b, s = terms
-    mean = np.einsum("km,khm->kh", a, u) + b + offsets
-    var = np.einsum("khm,khm->kh", u @ P, u) + s
-    if not np.all(var >= 0.0):
-        diag_sd = np.sqrt(np.abs(np.diagonal(P, axis1=1, axis2=2)))
-        scale = np.einsum("khm,km->kh", np.abs(u), diag_sd) ** 2 + s
+    w, g, b, s = terms
+    m, k = a.shape
+    wp = w.dot(P.reshape(m, m * k)).reshape(-1, m, k)  # w'P, which is (P w)' for symmetric P
+    mean = w.dot(a) + g * a[1] + b + offsets
+    var = np.einsum("hm,hmk->hk", w, wp) + g * (2.0 * wp[:, 1] + g * P[1, 1]) + s
+    if not var.min() >= 0.0:  # a NaN takes this branch too
+        diag_sd = np.sqrt(np.abs(P.reshape(m * m, k)[:: m + 1]))
+        scale = (np.abs(w).dot(diag_sd) + np.abs(g) * diag_sd[1]) ** 2 + s
         if not np.all(var >= -_VARIANCE_RTOL * scale):
             raise NumericalError("negative or non-finite predictive variance")
         var = np.maximum(var, 0.0)
@@ -423,9 +420,7 @@ def _filter_draws(model: StateSpaceModel, ops: _DrawOperators, y: np.ndarray, x:
         pz = z.dot(P.reshape(m, m * k)).reshape(m, k)  # z'P, which is (P z)' for symmetric P
         f = z.dot(pz) + ops.obs_var
         v = y[t] - (z.dot(a) + x[t].dot(ops.beta))
-        informative = f > 0.0
-        gain = pz / np.where(informative, f, 1.0)
-        gain[:, ~informative] = 0.0
+        gain = np.divide(pz, f, out=np.zeros_like(pz), where=f > 0.0)
         a += gain * v
         P -= np.multiply(gain[:, None, :], pz[None, :, :], out=rank_one)
         yield t, a, P
@@ -449,11 +444,13 @@ def forecast_anchors(
     `_DrawOperators`: each step's T P T' is built from the boundary mask's
     shared phi = 0 template plus a phi update of row and column 1, in place
     when the step crosses no seasonal boundary. Given a draw and its filtered
-    state at t, y_{t+h} is Gaussian in closed form (Durbin & Koopman, ch. 4);
-    one value per draw and horizon is sampled from it, and the forecast is the
-    mean and empirical 2.5%/97.5% band over draws, summarised in blocks of up
-    to 64 anchors. Draw parameters may be thinned (every `thin`-th draw) to
-    bound the cost of long anchor sweeps.
+    state at t, y_{t+h} is Gaussian in closed form (Durbin & Koopman, ch. 4),
+    with moments read from the draws-last a_t and P_t through the shared w_h
+    of `horizon_terms`. One value per draw and horizon is sampled from it, and
+    the forecast is the mean and empirical 2.5%/97.5% band over draws, in
+    blocks of up to 64 anchors whose noise is drawn in one call. Draw
+    parameters may be thinned (every `thin`-th draw) to bound the cost of long
+    anchor sweeps.
     Returns {h: {"mean", "lower95", "upper95"} arrays over anchors}.
     """
     y = np.asarray(y, dtype=float)
@@ -481,23 +478,25 @@ def forecast_anchors(
 
     steps_ahead = np.asarray(horizons)
     summary = np.empty((3, anchors.size, steps_ahead.size))  # mean, lower95, upper95
-    block = np.empty((min(_ANCHOR_BLOCK, anchors.size), steps_ahead.size, ops.obs_var.size))
+    block = np.empty((2, min(_ANCHOR_BLOCK, anchors.size), steps_ahead.size, ops.obs_var.size))  # mean, sd
     filled = next_anchor = 0
 
     for t, a, P in _filter_draws(model, ops, y[: anchors[-1] + 1], x):
         if anchors[next_anchor] != t:
             continue
-        by_draw = np.ascontiguousarray(P.transpose(2, 0, 1))  # (K, m, m)
-        terms = ops.horizon_terms(t, horizons)
-        mean, var = _predictive_moments(terms, a.T, by_draw, (x[t + steps_ahead] @ ops.beta).T)
+        mean, var = _predictive_moments(ops.horizon_terms(t, horizons), a, P, x[t + steps_ahead] @ ops.beta)
         while next_anchor < anchors.size and anchors[next_anchor] == t:
-            block[filled] = (mean + np.sqrt(var) * rng.standard_normal(mean.shape)).T
+            block[:, filled] = mean, np.sqrt(var)
             filled += 1
             next_anchor += 1
-            if filled == block.shape[0] or next_anchor == anchors.size:
+            if filled == block.shape[1] or next_anchor == anchors.size:
+                # The block's noise in one call, the same stream as one (K, H) call per anchor.
+                samples = block[1, :filled]  # the sds become the samples, in place
+                samples *= rng.standard_normal((filled, block.shape[3], block.shape[2])).transpose(0, 2, 1)
+                samples += block[0, :filled]
                 rows = slice(next_anchor - filled, next_anchor)
-                summary[0, rows] = block[:filled].mean(axis=2)
-                summary[1:, rows] = np.percentile(block[:filled], [2.5, 97.5], axis=2)
+                summary[0, rows] = samples.mean(axis=2)
+                summary[1:, rows] = np.percentile(samples, [2.5, 97.5], axis=2)
                 filled = 0
 
     return {

@@ -274,10 +274,10 @@ class TestAnchoredPredictive:
                         model, params, y[: t + 1], horizon=4, x=x[: t + 1], x_future=x[t + 1 : t + 5]
                     )
                 )
-            mean, var = _predictive_moments(terms, np.array(a), np.array(P), np.array(offsets))
+            mean, var = _predictive_moments(terms, np.array(a).T, np.stack(P, axis=2), np.array(offsets).T)
             for k, oracle in enumerate(oracles):
-                np.testing.assert_allclose(mean[k], oracle.forecast_means, rtol=1e-8, atol=1e-8)
-                np.testing.assert_allclose(var[k], oracle.forecast_variances, rtol=1e-8, atol=1e-8)
+                np.testing.assert_allclose(mean[:, k], oracle.forecast_means, rtol=1e-8, atol=1e-8)
+                np.testing.assert_allclose(var[:, k], oracle.forecast_variances, rtol=1e-8, atol=1e-8)
         assert crossings == 12
 
     def test_anchored_samples_match_dense_oracle(self):
@@ -339,23 +339,77 @@ class TestAnchoredPredictive:
                     rtol=1e-12,
                 )
 
+    def test_block_noise_matches_per_anchor_reference(self):
+        # 73 anchors (one block of 64 and a partial one, 40 twice): each draw's
+        # moments by dense propagation of kalman_loglik's filtered state, then
+        # one (K, H) normal draw per anchor, as the samples were once drawn.
+        horizons = (1, 2, 4)
+        rng = np.random.default_rng(12)
+        x = rng.normal(0.0, 1.0, (90, 2))
+        y = 100.0 + simulate_from_model(two_seasonal_model(np.arange(90.0), x), self.PARAMS[0], 90, rng, x=x)
+        model = two_seasonal_model(y, x)
+        draws = make_draws(model, [(p, np.zeros(model.state_dim)) for p in self.PARAMS])
+        anchors = list(range(3, 75)) + [40]
+        out = forecast_anchors(model, draws, y, anchors, horizons, x=x, rng=np.random.default_rng(8))
+
+        filters = [kalman_loglik(model, p, y, x) for p in self.PARAMS]
+        rng = np.random.default_rng(8)
+        for i, t in enumerate(sorted(anchors)):
+            mean, var = np.empty((2, len(self.PARAMS), len(horizons)))
+            for k, (params, filt) in enumerate(zip(self.PARAMS, filters)):
+                pred = filt.state_pred_covs[t]
+                a, P = filt.filtered_means[t], pred - np.outer(filt.gains[t], pred @ model.z)
+                noise_vars = (params.sigma_level**2, params.sigma_slope**2, np.square(params.sigma_seasonal))
+                for step in range(t, t + max(horizons)):
+                    T = model.transition_matrix(params.phi, step)
+                    a = T @ a + model.state_intercept(params.d, params.phi)
+                    P = T @ P @ T.T + np.diag(model.noise_diag(*noise_vars, step))
+                    if step + 1 - t in horizons:
+                        j = horizons.index(step + 1 - t)
+                        mean[k, j] = model.z @ a + x[step + 1] @ params.beta
+                        var[k, j] = model.z @ P @ model.z + params.sigma_obs**2
+            samples = mean + np.sqrt(var) * rng.standard_normal(mean.shape)
+            lower, upper = np.percentile(samples, [2.5, 97.5], axis=0)
+            for j, h in enumerate(horizons):
+                np.testing.assert_allclose(out[h]["mean"][i], samples[:, j].mean(), rtol=1e-10)
+                np.testing.assert_allclose(out[h]["lower95"][i], lower[j], rtol=1e-10)
+                np.testing.assert_allclose(out[h]["upper95"][i], upper[j], rtol=1e-10)
+
     def test_negative_variance_raises_beyond_rounding(self):
         # P = I - (1 + delta) 11'/m is a covariance pushed below zero along 1:
-        # u = 1 gives u'Pu = -delta m.
+        # u = w = 1 gives u'Pu = -delta m.
         m, k = 6, 2
-        terms = (np.ones((k, 1, m)), np.zeros((k, 1)), np.zeros((k, 1)))
-        a = np.zeros((k, m))
-        offsets = np.zeros((k, 1))
+        terms = (np.ones((1, m)), np.zeros((1, k)), np.zeros((1, k)), np.zeros((1, k)))
+        a = np.zeros((m, k))
+        offsets = np.zeros((1, k))
 
         def cov(delta):
-            return np.broadcast_to(np.eye(m) - (1.0 + delta) * np.ones((m, m)) / m, (k, m, m))
+            return np.repeat((np.eye(m) - (1.0 + delta) * np.ones((m, m)) / m)[:, :, None], k, axis=2)
 
         _, var = _predictive_moments(terms, a, cov(1e-12), offsets)
         np.testing.assert_array_equal(var, 0.0)
         with pytest.raises(NumericalError):
             _predictive_moments(terms, a, cov(1e-6), offsets)
         with pytest.raises(NumericalError):
-            _predictive_moments(terms, a, np.full((k, m, m), np.nan), offsets)
+            _predictive_moments(terms, a, np.full((m, m, k), np.nan), offsets)
+
+        # u = e_0 + g e_1 with g = +-3 and P_00 = 1, P_11 = 1/9, P_01 = -+(1 + delta)/3:
+        # u'Pu = -2 delta. The bound (|w|' sqrt(diag P) + |g| sqrt(P_11))^2 is 4, and
+        # 1 without the |g| term, so at delta = 1e-9 only the |g| term lets the
+        # variance clamp to zero instead of raising.
+        g = np.array([3.0, -3.0])
+        terms = (np.eye(m)[:1], g[None, :], np.zeros((1, k)), np.zeros((1, k)))
+
+        def phi_cov(delta):
+            P = np.repeat(np.eye(m)[:, :, None], k, axis=2)
+            P[1, 1] = 1.0 / 9.0
+            P[0, 1] = P[1, 0] = -np.sign(g) * (1.0 + delta) / 3.0
+            return P
+
+        _, var = _predictive_moments(terms, a, phi_cov(1e-9), offsets)
+        np.testing.assert_array_equal(var, 0.0)
+        with pytest.raises(NumericalError):
+            _predictive_moments(terms, a, phi_cov(1e-8), offsets)
 
 
 def assert_close_relative(actual, expected, scale, rtol=1e-10):
@@ -430,7 +484,6 @@ class TestTransitionKernel:
             dense = [model.transition_matrix(phi, t) for phi in phis]
             step = ops.step(t)
             a = rng.normal(size=(m, k))
-            v = rng.normal(size=(m, k))
             root = rng.normal(size=(m, m, k))
             P = np.einsum("ijk,ljk->ilk", root, root)
             np.testing.assert_allclose(
@@ -439,12 +492,35 @@ class TestTransitionKernel:
                 rtol=1e-12, atol=1e-12,
             )
             np.testing.assert_allclose(
-                ops.transition_transpose(step, v),
-                np.stack([T.T @ v[:, j] for j, T in enumerate(dense)], axis=1),
-                rtol=1e-12, atol=1e-12,
-            )
-            np.testing.assert_allclose(
                 ops.transition_cov(step, P.copy()),
                 np.stack([T @ P[:, :, j] @ T.T for j, T in enumerate(dense)], axis=2),
                 rtol=1e-12, atol=1e-11,
             )
+
+    @settings(max_examples=30, deadline=None)
+    @given(specs=seasonal_specs(), seed=st.integers(0, 2**32 - 1))
+    def test_backward_vector_splits_into_shared_and_phi_parts(self, specs, seed):
+        # Row 1 of every phi = 0 template is zero and column 1 is e_0, so
+        # (T_{t+h-1} ... T_t)' z = w_h + g_h e_1 with w_h shared by every draw.
+        rng = np.random.default_rng(seed)
+        model = assemble_model(specs, np.arange(10.0))
+        m = model.state_dim
+        for template in model.templates:
+            np.testing.assert_array_equal(template[1], 0.0)
+            np.testing.assert_array_equal(template[:, 1], np.eye(m)[0])
+        phis = rng.uniform(-1.0, 1.0, 3)
+        sds = (0.1,) * len(model.seasonals)
+        draws = make_draws(model, [(ParamPoint(0.1, 0.1, 0.1, sds, phi=phi), np.zeros(m)) for phi in phis])
+        ops = _DrawOperators(model, draws, slice(None))
+        horizons = tuple(range(1, 7))
+        for t in range(model.period):
+            w, g, _, _ = ops.horizon_terms(t, horizons)
+            np.testing.assert_array_equal(w[:, 1], 0.0)
+            for j, phi in enumerate(phis):
+                for i, h in enumerate(horizons):
+                    dense = np.eye(m)
+                    for step in range(t, t + h):
+                        dense = model.transition_matrix(phi, step) @ dense
+                    np.testing.assert_allclose(
+                        w[i] + g[i, j] * np.eye(m)[1], dense.T @ model.z, rtol=1e-12, atol=1e-12
+                    )
