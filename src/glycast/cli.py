@@ -1,9 +1,12 @@
 """Command-line pipeline orchestrator.
 
-One JSON config per command with a shared {seed, out_dir} preamble; a few
-flags override config keys. Every run appends one manifest line to
-<out_dir>/manifests.jsonl. Exit status is 0 only when all declared outputs
-were written.
+One JSON config per command with a shared {seed, out_dir} preamble. The flags
+fold into config keys before the command runs: `--horizon` (minutes) into
+`horizon_steps` and `horizons`, `--subjects` into `subjects`. Each command is
+a function `(cfg, seed, run)`; `run` checks and records every file it reads
+and places and records every file it writes. After a command succeeds, one
+manifest line listing those files is appended to <out_dir>/manifests.jsonl.
+Exit status is 0 only when all declared outputs were written.
 """
 
 from __future__ import annotations
@@ -15,10 +18,10 @@ import time
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import __version__, bayesnet, preprocess, similarity, synth
-from .bsts import assemble_model, mcmc_fit, posterior_forecast, specs_from_json
+from .bsts import posterior_forecast, specs_from_json
 from .dataset import (
     GlucoseSeries,
     load_clinical,
@@ -42,7 +45,6 @@ from .evaluate import (
     write_metrics_json,
 )
 
-COMMANDS = ("preprocess", "learn", "forecast", "evaluate", "ablate", "synth")
 HORIZON_MINUTES = {15: 1, 30: 2, 45: 3, 60: 4}
 
 # Config keys that map one-to-one onto a settings dataclass, with their types;
@@ -79,19 +81,28 @@ def _load_config(path: Optional[str]) -> dict:
     return payload
 
 
-class _Inputs:
-    """The input files a command reads: each checked to exist and kept for the manifest."""
+class _Run:
+    """One command's run: the files it reads, each checked to exist, and the files it writes."""
 
-    def __init__(self, command: str):
+    def __init__(self, command: str, out_dir: Path):
         self.command = command
-        self.paths: list[Path] = []
+        self.out_dir = out_dir
+        self.inputs: list[Path] = []
+        self.outputs: list[Path] = []
 
     def path(self, raw, record: bool = True) -> Path:
         path = Path(raw)
         if not path.exists():
             raise ConfigError(f"{self.command}: input file not found: {path}")
         if record:
-            self.paths.append(path)
+            self.inputs.append(path)
+        return path
+
+    def output(self, name: str) -> Path:
+        """`out_dir / name`, with its directory made, recorded as an output."""
+        path = self.out_dir / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        self.outputs.append(path)
         return path
 
     def required(self, cfg: dict, key: str) -> Path:
@@ -116,56 +127,35 @@ class _Inputs:
         return series
 
 
-def _write_manifest(
-    out_dir: Path, command: str, config_path: Optional[str], seed: int,
-    inputs: Sequence[Path], outputs: Sequence[Path], started: float
-) -> None:
+def _write_manifest(run: _Run, config_path: Optional[str], seed: int, started: float) -> None:
     manifest = {
-        "command": command,
+        "command": run.command,
         "config": config_path,
-        "inputs": sorted({str(p) for p in inputs}),
-        "outputs": sorted(str(p) for p in outputs),
+        "inputs": sorted({str(p) for p in run.inputs}),
+        "outputs": sorted(str(p) for p in run.outputs),
         "seed": seed,
         "version": __version__,
         "duration_s": round(time.time() - started, 3),
         "started_utc": datetime.fromtimestamp(started, tz=timezone.utc).isoformat(),
     }
-    path = out_dir / "manifests.jsonl"
-    with path.open("a", encoding="utf-8") as handle:
+    with (run.out_dir / "manifests.jsonl").open("a", encoding="utf-8") as handle:
         handle.write(json.dumps(manifest, sort_keys=True) + "\n")
 
 
-def _cmd_synth(cfg: dict, out_dir: Path, seed: int, config_path: Optional[str], started: float) -> int:
+def _write_json(path: Path, payload) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
+
+
+def _cmd_synth(cfg: dict, seed: int, run: _Run) -> None:
     synth_cfg = synth.SynthConfig(seed=seed, **_settings(cfg, SYNTH_KEYS))
     records, truth = synth.gen_clinical(synth_cfg)
     series, _ = synth.gen_cgm_series(synth_cfg)
-
-    outputs = []
-    clinical_path = out_dir / "clinical.csv"
-    write_clinical(clinical_path, records)
-    outputs.append(clinical_path)
-
-    table = synth.default_gl_table()
-    gl_path = out_dir / "gl_table.csv"
-    write_gl_table(gl_path, table)
-    outputs.append(gl_path)
-
-    series_dir = out_dir / "series"
-    series_dir.mkdir(parents=True, exist_ok=True)
+    write_clinical(run.output("clinical.csv"), records)
+    write_gl_table(run.output("gl_table.csv"), synth.default_gl_table())
     for s in series:
-        path = series_dir / f"{s.subject_id}.csv"
-        write_timeseries(path, s)
-        outputs.append(path)
-
-    truth_path = out_dir / "truth.json"
-    truth_path.write_text(
-        json.dumps(bayesnet.network_to_json(truth), indent=2, sort_keys=True), encoding="utf-8"
-    )
-    outputs.append(truth_path)
-
-    _write_manifest(out_dir, "synth", config_path, seed, [], outputs, started)
-    print(f"synth: wrote {len(series)} series and {len(records)} clinical rows to {out_dir}")
-    return 0
+        write_timeseries(run.output(f"series/{s.subject_id}.csv"), s)
+    _write_json(run.output("truth.json"), bayesnet.network_to_json(truth))
+    print(f"synth: wrote {len(series)} series and {len(records)} clinical rows to {run.out_dir}")
 
 
 # Stage 1: clinical records -> exclude -> impute -> encode -> consensus DAG -> CPTs.
@@ -211,16 +201,11 @@ class _Stage1:
 
     def evidence_for(self, record) -> dict[str, int]:
         """Encode a complete record's features (markers excluded) as classes."""
-        evidence: dict[str, int] = {}
-        for name in preprocess.ENCODED_FEATURES:
-            if name in ("fpg", "hpp2"):
-                continue
-            value = getattr(record, name)
-            if name == "gender":
-                evidence[name] = preprocess.GENDER_LEVELS.index(value)
-            else:
-                evidence[name] = self.codecs[name].encode_value(value)
-        return evidence
+        return {
+            name: self.codecs[name].encode_value(getattr(record, name))
+            for name in preprocess.ENCODED_FEATURES
+            if name not in ("fpg", "hpp2")
+        }
 
     def select_donors(self, tester_id: str, candidates, m: int) -> tuple[list[str], Optional[dict]]:
         """The m candidates whose inferred markers sit nearest the tester's measured ones.
@@ -245,13 +230,13 @@ class _Stage1:
         return selected, similarity.selection_log(points, tester_point, selected)
 
 
-def _stage1(cfg: dict, seed: int, inputs: _Inputs) -> _Stage1:
+def _stage1(cfg: dict, seed: int, run: _Run) -> _Stage1:
     """Run Stage 1 on `clinical_csv`; `network_json`, when given, replaces the bootstrap."""
-    records = load_clinical(inputs.required(cfg, "clinical_csv"))
+    records = load_clinical(run.required(cfg, "clinical_csv"))
     report, imputed, encoded = _encode(cfg, records)
     dag = None
     if "network_json" in cfg:
-        dag, _ = bayesnet.load_network_json(inputs.path(cfg["network_json"]))
+        dag, _ = bayesnet.load_network_json(run.path(cfg["network_json"]))
     _, _, network = _learn_network(cfg, encoded, seed, dag)
     codecs = {codec.name: codec for codec in encoded.codecs}
     excluded = {entry["subject_id"]: entry["reason"] for entry in report}
@@ -264,17 +249,17 @@ def _design(tester: GlucoseSeries, donors: Sequence[GlucoseSeries], gl_table, n_
     return build_similarity_design(tester, donors, gl_columns or None, n_rows)
 
 
-def _tester_designs(cfg: dict, seed: int, inputs: _Inputs, subjects_flag, m: int):
+def _tester_designs(cfg: dict, seed: int, run: _Run, m: int):
     """Each tester with its Stage-1 donors' design: yields (EvalSubject, selection log).
 
     Without `clinical_csv` no donors are selected and testers carry no design.
     """
-    series_map = inputs.series_map(cfg)
-    gl_table = inputs.gl_table(cfg)
-    stage1 = _stage1(cfg, seed, inputs) if "clinical_csv" in cfg else None
-    for tester_id in subjects_flag or cfg.get("subjects") or sorted(series_map):
+    series_map = run.series_map(cfg)
+    gl_table = run.gl_table(cfg)
+    stage1 = _stage1(cfg, seed, run) if "clinical_csv" in cfg else None
+    for tester_id in cfg.get("subjects") or sorted(series_map):
         if tester_id not in series_map:
-            raise ConfigError(f"{inputs.command}: no series for subject {tester_id}")
+            raise ConfigError(f"{run.command}: no series for subject {tester_id}")
         tester = series_map[tester_id]
         donors, selection = stage1.select_donors(tester_id, series_map, m) if stage1 else ([], None)
         regressors, names = (None, ())
@@ -283,107 +268,70 @@ def _tester_designs(cfg: dict, seed: int, inputs: _Inputs, subjects_flag, m: int
         yield EvalSubject(series=tester, regressors=regressors, regressor_names=names), selection
 
 
-def _cmd_preprocess(cfg: dict, out_dir: Path, seed: int, config_path: Optional[str], started: float) -> int:
-    inputs = _Inputs("preprocess")
-    records = load_clinical(inputs.required(cfg, "clinical_csv"))
+def _cmd_preprocess(cfg: dict, seed: int, run: _Run) -> None:
+    records = load_clinical(run.required(cfg, "clinical_csv"))
     report, imputed, encoded = _encode(cfg, records)
-
-    outputs = []
-    cleaned_path = out_dir / "clinical_clean.csv"
-    write_clinical(cleaned_path, imputed)
-    outputs.append(cleaned_path)
-    exclusions_path = out_dir / "exclusions.jsonl"
-    preprocess.write_exclusion_report(exclusions_path, report)
-    outputs.append(exclusions_path)
-    encoded_csv = out_dir / "encoded.csv"
-    encoded_meta = out_dir / "encoded_meta.json"
-    encoded.to_files(encoded_csv, encoded_meta)
-    outputs.extend([encoded_csv, encoded_meta])
+    write_clinical(run.output("clinical_clean.csv"), imputed)
+    preprocess.write_exclusion_report(run.output("exclusions.jsonl"), report)
+    encoded.to_files(run.output("encoded.csv"), run.output("encoded_meta.json"))
 
     if "series_dir" in cfg or cfg.get("series"):
-        table = inputs.gl_table(cfg)
-        regressor_dir = out_dir / "regressors"
-        regressor_dir.mkdir(parents=True, exist_ok=True)
-        for sid, series in inputs.series_map(cfg).items():
+        table = run.gl_table(cfg)
+        for sid, series in run.series_map(cfg).items():
             regressor = preprocess.build_meal_regressor(series, table)
-            path = regressor_dir / f"{sid}.csv"
-            with path.open("w", encoding="utf-8") as handle:
+            with run.output(f"regressors/{sid}.csv").open("w", encoding="utf-8") as handle:
                 handle.write("timestamp,gl\n")
                 for i, value in enumerate(regressor.values):
                     handle.write(f"{series.timestamp_at(i).isoformat()},{float(value)!r}\n")
-            outputs.append(path)
 
-    _write_manifest(out_dir, "preprocess", config_path, seed, inputs.paths, outputs, started)
     print(
         f"preprocess: kept {len(imputed)} of {len(records)} records "
         f"({len(report)} excluded); encoded {len(encoded.variables)} variables"
     )
-    return 0
 
 
-def _cmd_learn(cfg: dict, out_dir: Path, seed: int, config_path: Optional[str], started: float) -> int:
-    inputs = _Inputs("learn")
+def _cmd_learn(cfg: dict, seed: int, run: _Run) -> None:
     data = preprocess.DiscreteDataset.from_files(
-        inputs.required(cfg, "encoded_csv"), inputs.required(cfg, "encoded_meta")
+        run.required(cfg, "encoded_csv"), run.required(cfg, "encoded_meta")
     )
     strengths, consensus, model = _learn_network(cfg, data, seed)
 
     types = None
     if "annotations_csv" in cfg:
-        annotations = bayesnet.load_arc_annotations(inputs.path(cfg["annotations_csv"]))
+        annotations = bayesnet.load_arc_annotations(run.path(cfg["annotations_csv"]))
         model = replace(model, annotations={a: c for a, c in annotations.items() if a in consensus.arcs})
         types = model.annotations
 
-    outputs = []
-    network_path = out_dir / "network.json"
+    network_path = run.output("network.json")
     bayesnet.save_network_json(network_path, consensus, strengths, types)
-    outputs.append(network_path)
-    cpts_path = out_dir / "cpts.json"
-    cpts_path.write_text(json.dumps(bayesnet.cpts_to_json(model), indent=2, sort_keys=True), encoding="utf-8")
-    outputs.append(cpts_path)
-
-    _write_manifest(out_dir, "learn", config_path, seed, inputs.paths, outputs, started)
+    _write_json(run.output("cpts.json"), bayesnet.cpts_to_json(model))
     print(f"learn: consensus network with {len(consensus.arcs)} arcs -> {network_path}")
-    return 0
 
 
-def _eval_config(cfg: dict, seed: int, horizons: Optional[Sequence[int]]) -> EvalConfig:
-    settings = _settings(cfg, EVAL_KEYS)
-    if horizons:
-        settings["horizons"] = tuple(horizons)
-    return EvalConfig(seed=seed, **settings)
+def _eval_config(cfg: dict, seed: int) -> EvalConfig:
+    return EvalConfig(seed=seed, **_settings(cfg, EVAL_KEYS))
 
 
-def _cmd_forecast(
-    cfg: dict, out_dir: Path, seed: int, config_path: Optional[str], started: float,
-    horizon_minutes: Optional[int],
-) -> int:
-    inputs = _Inputs("forecast")
-    series = load_timeseries(inputs.required(cfg, "series_csv"))
-    horizon = HORIZON_MINUTES[horizon_minutes] if horizon_minutes else int(cfg.get("horizon_steps", 4))
+def _cmd_forecast(cfg: dict, seed: int, run: _Run) -> None:
+    series = load_timeseries(run.required(cfg, "series_csv"))
+    horizon = int(cfg.get("horizon_steps", 4))
 
     regressors = None
     names: tuple[str, ...] = ()
     if cfg.get("similar_series"):
-        donors = [load_timeseries(inputs.path(raw)) for raw in cfg["similar_series"]]
+        donors = [load_timeseries(run.path(raw)) for raw in cfg["similar_series"]]
         # Rows n..n+h-1 are the future rows, read from the donors at the forecast times of day.
-        regressors, names = _design(series, donors, inputs.gl_table(cfg), len(series) + horizon)
+        regressors, names = _design(series, donors, run.gl_table(cfg), len(series) + horizon)
 
     custom = tuple(specs_from_json(cfg)) if "components" in cfg else None
     pipeline = ForecastPipeline(regressors=regressors, regressor_names=names, custom_specs=custom)
-    specs = pipeline.component_specs(series, len(series))
-    x_train = regressors[: len(series)] if regressors is not None else None
-    model = assemble_model(specs, series.cgm, x_train)
-    draws = mcmc_fit(
-        model, series.cgm, x=x_train,
-        draws=int(cfg.get("draws", EvalConfig.draws)), burn=int(cfg.get("burn", EvalConfig.burn)), seed=seed,
-    )
+    model, draws = pipeline.fit(series, len(series), _eval_config(cfg, seed))
     x_future = regressors[len(series) : len(series) + horizon] if regressors is not None else None
     result = posterior_forecast(
         draws, model, horizon, x_future, sample=not cfg.get("deterministic", False)
     )
 
-    forecast_path = out_dir / f"forecast_{series.subject_id}.csv"
+    forecast_path = run.output(f"forecast_{series.subject_id}.csv")
     with forecast_path.open("w", encoding="utf-8") as handle:
         handle.write("timestamp,point,lower95,upper95\n")
         for j in range(horizon):
@@ -392,22 +340,15 @@ def _cmd_forecast(
                 f"{ts.isoformat()},{float(result.mean[j])!r},"
                 f"{float(result.lower95[j])!r},{float(result.upper95[j])!r}\n"
             )
-    _write_manifest(out_dir, "forecast", config_path, seed, inputs.paths, [forecast_path], started)
     print(f"forecast: {horizon} step(s) for {series.subject_id} -> {forecast_path}")
-    return 0
 
 
-def _cmd_evaluate(
-    cfg: dict, out_dir: Path, seed: int, config_path: Optional[str], started: float,
-    horizon_minutes: Optional[int], subjects_flag: Optional[list[str]],
-) -> int:
-    horizons = [HORIZON_MINUTES[horizon_minutes]] if horizon_minutes else None
-    eval_cfg = _eval_config(cfg, seed, horizons)
+def _cmd_evaluate(cfg: dict, seed: int, run: _Run) -> None:
+    eval_cfg = _eval_config(cfg, seed)
     custom = tuple(specs_from_json(cfg)) if "components" in cfg else None
-    inputs = _Inputs("evaluate")
     reports = []
     selections = {}
-    for subject, selection in _tester_designs(cfg, seed, inputs, subjects_flag, eval_cfg.m_similar):
+    for subject, selection in _tester_designs(cfg, seed, run, eval_cfg.m_similar):
         pipeline = ForecastPipeline(
             regressors=subject.regressors, regressor_names=subject.regressor_names, custom_specs=custom
         )
@@ -418,38 +359,25 @@ def _cmd_evaluate(
         print(render_metrics_text(report))
         print()
 
-    outputs = []
-    metrics_path = out_dir / "metrics.json"
+    metrics_path = run.output("metrics.json")
     write_metrics_json(metrics_path, reports)
-    outputs.append(metrics_path)
     for report in reports:
-        path = out_dir / f"confusion_{report.subject_id}.csv"
-        write_confusion_csv(path, report)
-        outputs.append(path)
+        write_confusion_csv(run.output(f"confusion_{report.subject_id}.csv"), report)
     if selections:
-        sel_path = out_dir / "selections.json"
-        sel_path.write_text(json.dumps(selections, indent=2, sort_keys=True), encoding="utf-8")
-        outputs.append(sel_path)
-
-    _write_manifest(out_dir, "evaluate", config_path, seed, inputs.paths, outputs, started)
+        _write_json(run.output("selections.json"), selections)
     print(f"evaluate: {len(reports)} subject report(s) -> {metrics_path}")
-    return 0
 
 
-def _cmd_ablate(
-    cfg: dict, out_dir: Path, seed: int, config_path: Optional[str], started: float,
-    subjects_flag: Optional[list[str]],
-) -> int:
-    eval_cfg = _eval_config(cfg, seed, None)
+def _cmd_ablate(cfg: dict, seed: int, run: _Run) -> None:
+    eval_cfg = _eval_config(cfg, seed)
     removals = cfg.get("removals", list(ABLATION_NAMES))
     if "similar_subjects" in removals and "clinical_csv" not in cfg:
         raise ConfigError(
             "ablate: removal 'similar_subjects' needs clinical_csv to select donors; "
             "without them the row equals the baseline"
         )
-    inputs = _Inputs("ablate")
     subjects = []
-    for subject, selection in _tester_designs(cfg, seed, inputs, subjects_flag, eval_cfg.m_similar):
+    for subject, selection in _tester_designs(cfg, seed, run, eval_cfg.m_similar):
         if selection is not None and "excluded" in selection and "similar_subjects" in removals:
             raise ConfigError(
                 f"ablate: Stage 1 excluded tester {subject.series.subject_id} ({selection['excluded']}), "
@@ -457,17 +385,19 @@ def _cmd_ablate(
             )
         subjects.append(subject)
     table = run_ablation(eval_cfg, removals, subjects, seed=seed)
-    outputs = []
-    json_path = out_dir / "ablation.json"
-    json_path.write_text(json.dumps(table.to_json(), indent=2, sort_keys=True), encoding="utf-8")
-    outputs.append(json_path)
-    text_path = out_dir / "ablation.txt"
-    text_path.write_text(table.render_text() + "\n", encoding="utf-8")
-    outputs.append(text_path)
-
+    _write_json(run.output("ablation.json"), table.to_json())
+    run.output("ablation.txt").write_text(table.render_text() + "\n", encoding="utf-8")
     print(table.render_text())
-    _write_manifest(out_dir, "ablate", config_path, seed, inputs.paths, outputs, started)
-    return 0
+
+
+COMMANDS: dict[str, Callable[[dict, int, _Run], None]] = {
+    "preprocess": _cmd_preprocess,
+    "learn": _cmd_learn,
+    "forecast": _cmd_forecast,
+    "evaluate": _cmd_evaluate,
+    "ablate": _cmd_ablate,
+    "synth": _cmd_synth,
+}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -478,7 +408,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--out", type=str, default=None, help="override output directory")
     parser.add_argument(
         "--horizon", type=int, choices=sorted(HORIZON_MINUTES), default=None,
-        help="prediction horizon in minutes (forecast/evaluate)",
+        help="prediction horizon in minutes (forecast/evaluate/ablate)",
     )
     parser.add_argument("--subjects", type=str, default=None, help="comma-separated subject ids")
     args = parser.parse_args(argv)
@@ -487,23 +417,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = _load_config(args.config)
         seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-        out_dir = Path(args.out or cfg.get("out_dir", "out"))
-        out_dir.mkdir(parents=True, exist_ok=True)
-        subjects_flag = args.subjects.split(",") if args.subjects else None
-
-        if args.command == "synth":
-            return _cmd_synth(cfg, out_dir, seed, args.config, started)
-        if args.command == "preprocess":
-            return _cmd_preprocess(cfg, out_dir, seed, args.config, started)
-        if args.command == "learn":
-            return _cmd_learn(cfg, out_dir, seed, args.config, started)
-        if args.command == "forecast":
-            return _cmd_forecast(cfg, out_dir, seed, args.config, started, args.horizon)
-        if args.command == "evaluate":
-            return _cmd_evaluate(cfg, out_dir, seed, args.config, started, args.horizon, subjects_flag)
-        if args.command == "ablate":
-            return _cmd_ablate(cfg, out_dir, seed, args.config, started, subjects_flag)
-        raise ConfigError(f"unknown command {args.command}")
+        if args.horizon:
+            cfg["horizon_steps"] = HORIZON_MINUTES[args.horizon]
+            cfg["horizons"] = [cfg["horizon_steps"]]
+        if args.subjects:
+            cfg["subjects"] = args.subjects.split(",")
+        run = _Run(args.command, Path(args.out or cfg.get("out_dir", "out")))
+        COMMANDS[args.command](cfg, seed, run)
+        _write_manifest(run, args.config, seed, started)
+        return 0
     except GlycastError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

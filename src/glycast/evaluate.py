@@ -81,7 +81,9 @@ def compute_metrics(actual: Sequence[float], predicted: Sequence[float]) -> tupl
     return mae, rmse, mape
 
 
-def glycemic_band(value: float, hypo_max: float = 70.0, hyper_min: float = 180.0) -> int:
+def glycemic_band(
+    value: float, hypo_max: float = EvalConfig.hypo_max, hyper_min: float = EvalConfig.hyper_min
+) -> int:
     if value < hypo_max:
         return 0
     if value > hyper_min:
@@ -92,8 +94,8 @@ def glycemic_band(value: float, hypo_max: float = 70.0, hyper_min: float = 180.0
 def glycemic_confusion(
     actual: Sequence[float],
     predicted: Sequence[float],
-    hypo_max: float = 70.0,
-    hyper_min: float = 180.0,
+    hypo_max: float = EvalConfig.hypo_max,
+    hyper_min: float = EvalConfig.hyper_min,
 ) -> tuple[np.ndarray, float]:
     """3x3 counts (rows actual, columns predicted; hypo/normal/hyper order)."""
     x = np.asarray(actual, dtype=float)
@@ -198,6 +200,13 @@ class ForecastPipeline:
             specs.append(regression(self.regressor_names))
         return specs
 
+    def fit(self, series: GlucoseSeries, n_train: int, cfg: EvalConfig):
+        """Assemble the model on the first `n_train` points and run the Gibbs sampler: (model, draws)."""
+        y = series.cgm[:n_train]
+        x = self.regressors[:n_train] if self.regressors is not None else None
+        model = assemble_model(self.component_specs(series, n_train), y, x)
+        return model, mcmc_fit(model, y, x=x, draws=cfg.draws, burn=cfg.burn, seed=cfg.seed)
+
 
 def train_test_split_sizes(n: int, cfg: EvalConfig) -> tuple[int, int, tuple[int, int]]:
     n_train = int(math.floor(n * cfg.split_ratio))
@@ -244,10 +253,7 @@ def sliding_window_eval(
     if x_full is not None and x_full.shape[0] < n:
         raise SchemaError(f"regressors cover {x_full.shape[0]} rows but the series has {n}")
 
-    specs = pipeline.component_specs(series, n_train)
-    x_train = x_full[:n_train] if x_full is not None else None
-    model = assemble_model(specs, y[:n_train], x_train)
-    draws = mcmc_fit(model, y[:n_train], x=x_train, draws=cfg.draws, burn=cfg.burn, seed=cfg.seed)
+    model, draws = pipeline.fit(series, n_train, cfg)
 
     anchors = np.arange(n_train - 1, n - max_h)
     rng = np.random.default_rng([cfg.seed, 0xF0C5])

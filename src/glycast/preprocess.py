@@ -41,9 +41,12 @@ class VariableCodec:
     representatives: tuple[float, ...] = ()
     levels: tuple[str, ...] = ()
 
-    def encode_value(self, value: float) -> int:
+    def encode_value(self, value: float | str) -> int:
+        """The class of one original-scale value: a binary variable's level index, a numeric value's bin."""
         if self.kind == "binary":
-            raise EncodingError(f"{self.name}: encode_value applies to numeric variables")
+            if value not in self.levels:
+                raise EncodingError(f"{self.name}: unknown level {value!r}; expected one of {self.levels}")
+            return self.levels.index(value)
         z = (value - self.mean) / self.sd
         return int(np.searchsorted(np.asarray(self.edges), z, side="right"))
 
@@ -279,19 +282,11 @@ def standardize_encode(records: Sequence[ClinicalRecord], n_bins: int = 4) -> Di
     codecs: list[VariableCodec] = []
     cards: list[int] = []
 
-    gender_classes = np.array(
-        [GENDER_LEVELS.index(r.gender) for r in records], dtype=np.int64
+    gender = VariableCodec(
+        name="gender", card=2, kind="binary", representatives=(0.0, 1.0), levels=GENDER_LEVELS
     )
-    codecs.append(
-        VariableCodec(
-            name="gender",
-            card=2,
-            kind="binary",
-            representatives=(0.0, 1.0),
-            levels=GENDER_LEVELS,
-        )
-    )
-    columns.append(gender_classes)
+    codecs.append(gender)
+    columns.append(np.array([gender.encode_value(r.gender) for r in records], dtype=np.int64))
     cards.append(2)
 
     for feature in numeric_features:

@@ -296,6 +296,17 @@ class TestAblateCommand:
         assert main(["ablate", "--config", cfg, "--subjects", "S000"]) == 2
         assert "excluded tester S000" in capsys.readouterr().err
 
+    def test_horizon_flag_sets_horizons(self, tmp_path, synth_dir):
+        out = tmp_path / "ab"
+        cfg = write_config(
+            tmp_path / "ab.json", seed=3, out_dir=str(out), series_dir=str(synth_dir / "series"),
+            removals=["day_seasonal"], draws=12, burn=2,
+        )
+        assert main(["ablate", "--config", cfg, "--subjects", "S000", "--horizon", "15"]) == 0
+        table = json.loads((out / "ablation.json").read_text())
+        assert set(table) == {"baseline", "day_seasonal"}
+        assert all(set(per_h) == {"1"} for per_h in table.values())
+
     def test_similar_subjects_requires_clinical(self, tmp_path, synth_dir, capsys):
         cfg = write_config(
             tmp_path / "ab.json", seed=3, out_dir=str(tmp_path / "ab"),
@@ -329,6 +340,40 @@ class TestManifestInputs:
         (manifest,) = read_manifests(out)
         assert manifest["command"] == command
         assert set(manifest["inputs"]) == expected
+
+
+class TestManifestOutputs:
+    def test_outputs_are_the_files_each_command_wrote(self, tmp_path):
+        """Each command, run into an out dir of its own, lists exactly the files it left there."""
+
+        def run(command, name, **settings):
+            out = tmp_path / name
+            cfg = write_config(tmp_path / f"{name}.json", seed=3, **settings)
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+            (manifest,) = read_manifests(out)
+            written = {str(p) for p in out.rglob("*") if p.is_file() and p.name != "manifests.jsonl"}
+            assert manifest["outputs"] == sorted(written)
+            return out
+
+        data = run("synth", "data", n_subjects=4, n_days=3, latent_share=0.8, latent_sd=8.0)
+        series, gl_table = data / "series", str(data / "gl_table.csv")
+        prep = run(
+            "preprocess", "prep", clinical_csv=str(data / "clinical.csv"), series_dir=str(series), gl_table=gl_table,
+        )
+        learned = run(
+            "learn", "learned", bootstrap=2,
+            encoded_csv=str(prep / "encoded.csv"), encoded_meta=str(prep / "encoded_meta.json"),
+        )
+        run(
+            "forecast", "fc", series_csv=str(series / "S000.csv"), similar_series=[str(series / "S001.csv")],
+            gl_table=gl_table, draws=4, burn=1,
+        )
+        two_stage = dict(
+            series_dir=str(series), clinical_csv=str(data / "clinical.csv"), gl_table=gl_table,
+            network_json=str(learned / "network.json"), draws=12, burn=2, horizons=[1], subjects=["S000"],
+        )
+        run("evaluate", "ev", **two_stage)
+        run("ablate", "ab", removals=["similar_subjects"], **two_stage)
 
 
 class TestLearnEvaluateChain:

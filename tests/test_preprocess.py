@@ -116,6 +116,17 @@ class TestStandardizeEncode:
         np.testing.assert_array_equal(data.column("gender"), [0, 1, 0])
         assert data.card_of("gender") == 2
 
+    def test_gender_codec_round_trip(self, tmp_path, complete_record):
+        records = records_with_column([3.0, 7.0, 11.0, 5.0], complete_record)
+        standardize_encode(records).to_files(tmp_path / "enc.csv", tmp_path / "meta.json")
+        data = DiscreteDataset.from_files(tmp_path / "enc.csv", tmp_path / "meta.json")
+        codec = next(c for c in data.codecs if c.name == "gender")
+        for record, k in zip(records, data.column("gender")):
+            assert codec.encode_value(record.gender) == k
+            assert codec.levels[k] == record.gender
+        with pytest.raises(EncodingError, match="gender: unknown level 'other'"):
+            codec.encode_value("other")
+
     def test_constant_column_rejected(self, complete_record):
         records = records_with_column(np.arange(1.0, 7.0), complete_record)
         records = [r.with_values(bmi=25.0) for r in records]
