@@ -17,7 +17,7 @@ from .components import (
     specs_from_json,
 )
 from .kalman import FilterResult, ParamPoint, ffbs_sample, kalman_loglik
-from .spike_slab import RegressionSettings, exact_inclusion_posterior, sample_regression
+from .spike_slab import exact_inclusion_posterior, sample_regression
 from .sampler import ForecastResult, PosteriorDraws, forecast_anchors, mcmc_fit, posterior_forecast
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "ForecastResult",
     "ParamPoint",
     "PosteriorDraws",
-    "RegressionSettings",
     "SeasonalLayout",
     "SpikeSlabSettings",
     "StateSpaceModel",

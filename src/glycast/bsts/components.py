@@ -54,6 +54,14 @@ class VariancePrior:
     def scale(self) -> float:
         return self.df * self.guess / 2.0
 
+    def draw(self, ss: float, count: int, rng: np.random.Generator) -> float:
+        """A variance from the conditional given `count` residuals of sum of squares `ss`.
+
+        Inverse-gamma with shape + count/2 and scale + ss/2; the scale is
+        floored at 1e-300, and so is the gamma draw it is divided by.
+        """
+        return max(self.scale + ss / 2.0, 1e-300) / max(rng.gamma(self.shape + count / 2.0), 1e-300)
+
 
 @dataclass(frozen=True)
 class TrendPriors:

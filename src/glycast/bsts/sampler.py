@@ -2,15 +2,17 @@
 
 Each sweep: (1) draw a state path with the simulation smoother (one Kalman
 filter pass plus a matrix-vector backward recursion) given the current
-parameters; (2) conjugate inverse-gamma draws for the level, slope, and
-seasonal noise variances from state-innovation sums of squares; (3) Gaussian
-draw for the long-run slope D and truncated-Gaussian draw for the AR
-coefficient phi given the slope path; (4) a spike-and-slab sweep on the
-observation residual (or a plain inverse-gamma observation-variance draw when
-there is no regression). Forecasts work on all retained draws at once:
-`posterior_forecast` samples joint forward paths from each draw's terminal
-state; `forecast_anchors` filters every draw through the series and samples
-y_{t+h} from each draw's exact Gaussian predictive at every anchor.
+parameters; (2) conjugate inverse-gamma draws (`VariancePrior.draw`) for the
+level, slope, and seasonal noise variances from state-innovation sums of
+squares; (3) Gaussian draw for the long-run slope D and truncated-Gaussian
+draw for the AR coefficient phi given the slope path; (4) a spike-and-slab
+sweep on the observation residual, which draws the observation variance too
+(a model without regression runs the zero-column sweep). The chain's state is
+one `ParamPoint`; `PosteriorDraws.from_rows` stacks the retained draws.
+Forecasts work on all retained draws at once: `posterior_forecast` samples
+joint forward paths from each draw's terminal state; `forecast_anchors`
+filters every draw through the series and samples y_{t+h} from each draw's
+exact Gaussian predictive at every anchor.
 
 Both run on one draws-last transition kernel, `_DrawOperators`: states are
 (m, K) and covariances (m, m, K) for K draws. The draws' transitions differ
@@ -36,9 +38,9 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from ..errors import NumericalError, RangeError, SchemaError
-from .components import MAX_HORIZON, StateSpaceModel, VariancePrior
+from .components import MAX_HORIZON, StateSpaceModel
 from .kalman import ParamPoint, ffbs_sample
-from .spike_slab import RegressionSettings, sample_regression
+from .spike_slab import sample_regression
 
 _FORECAST_SALT = 0x5EED
 _PHI_EDGE = 1e-9
@@ -82,11 +84,29 @@ class PosteriorDraws:
         if self.beta.size and np.any(self.beta[self.gamma == 0] != 0.0):
             raise RangeError("beta must be exactly zero wherever gamma is zero")
 
+    @classmethod
+    def from_rows(
+        cls, rows: Sequence[tuple[ParamPoint, np.ndarray, np.ndarray]], requested: int, burn: int, seed: int
+    ) -> "PosteriorDraws":
+        """Stack one or more retained draws, each a row (ParamPoint, gamma, terminal state).
 
-def _draw_variance(prior: VariancePrior, ss: float, count: int, rng: np.random.Generator) -> float:
-    shape = prior.shape + count / 2.0
-    scale = prior.scale + ss / 2.0
-    return scale / max(rng.gamma(shape), 1e-300)
+        Vector fields stack to (K, S), (K, J) and (K, m), so to (K, 0) when
+        the model has no seasonals or no regression columns.
+        """
+        params, gamma, terminal = zip(*rows)
+
+        def stacked(values, dtype=float) -> np.ndarray:
+            return np.stack([np.asarray(value, dtype=dtype) for value in values])
+
+        names = ("sigma_level", "sigma_slope", "sigma_obs", "sigma_seasonal", "d", "phi", "beta")
+        return cls(
+            **{name: stacked(getattr(p, name) for p in params) for name in names},
+            gamma=stacked(gamma, np.int64),
+            terminal_state=stacked(terminal),
+            requested=requested,
+            burn=burn,
+            seed=seed,
+        )
 
 
 def _draw_truncated_normal(
@@ -120,70 +140,43 @@ def mcmc_fit(
     n = y.size
     rng = np.random.default_rng(seed)
     tp = model.trend_priors
-    n_seasonal = len(model.seasonals)
-    j_total = model.n_regressors
     design = model.design if x is None else np.asarray(x, dtype=float)
-    reg_settings = RegressionSettings(spike_slab=model.spike_slab, obs_var_prior=model.obs_var_prior)
+    params = ParamPoint(
+        sigma_level=float(np.sqrt(tp.level_var.guess)),
+        sigma_slope=float(np.sqrt(tp.slope_var.guess)),
+        sigma_obs=float(np.sqrt(model.obs_var_prior.guess)),
+        sigma_seasonal=tuple(float(np.sqrt(s.var_prior.guess)) for s in model.seasonals),
+        d=tp.d_mean,
+        phi=float(np.clip(tp.phi_mean, -1.0 + _PHI_EDGE, 1.0 - _PHI_EDGE)),
+        beta=np.zeros(model.n_regressors),
+    )
+    gamma = np.zeros(model.n_regressors, dtype=np.int64)
 
-    sigma_level = float(np.sqrt(tp.level_var.guess))
-    sigma_slope = float(np.sqrt(tp.slope_var.guess))
-    sigma_obs = float(np.sqrt(model.obs_var_prior.guess))
-    sigma_seasonal = [float(np.sqrt(s.var_prior.guess)) for s in model.seasonals]
-    d = tp.d_mean
-    phi = float(np.clip(tp.phi_mean, -1.0 + _PHI_EDGE, 1.0 - _PHI_EDGE))
-    beta = np.zeros(j_total)
-    gamma = np.zeros(j_total, dtype=np.int64)
+    # Per seasonal, the steps t < n-1 whose move to t+1 starts a new season.
+    boundary = np.array(model.masks, dtype=bool)[np.asarray(model.step_masks)[np.arange(n - 1) % model.period]]
+    boundary_steps = [np.flatnonzero(flags) for flags in boundary.T]
 
-    # Per seasonal, the steps t whose move to t+1 starts a new season.
-    masks = [model.boundary_mask(t) for t in range(n - 1)]
-    boundary_steps = [np.flatnonzero([mask[k] for mask in masks]) for k in range(n_seasonal)]
-
-    kept = draws - burn
-    out_sigma_level = np.empty(kept)
-    out_sigma_slope = np.empty(kept)
-    out_sigma_obs = np.empty(kept)
-    out_sigma_seasonal = np.empty((kept, n_seasonal))
-    out_d = np.empty(kept)
-    out_phi = np.empty(kept)
-    out_gamma = np.zeros((kept, j_total), dtype=np.int64)
-    out_beta = np.zeros((kept, j_total))
-    out_terminal = np.empty((kept, model.state_dim))
-
+    rows = []
     for it in range(draws):
-        params = ParamPoint(
-            sigma_level=sigma_level,
-            sigma_slope=sigma_slope,
-            sigma_obs=sigma_obs,
-            sigma_seasonal=tuple(sigma_seasonal),
-            d=d,
-            phi=phi,
-            beta=beta,
-        )
         try:
-            states = ffbs_sample(model, params, y, rng, x=design if j_total else None)
+            states = ffbs_sample(model, params, y, rng, x=design)
         except NumericalError as exc:
             raise NumericalError(f"MCMC aborted at draw {it}: {exc}") from exc
 
+        d, phi = params.d, params.phi
         level = states[:, 0]
         slope = states[:, 1]
         u = level[1:] - level[:-1] - slope[:-1]
-        sigma_level = float(np.sqrt(_draw_variance(tp.level_var, float(u @ u), n - 1, rng)))
+        sigma_level = float(np.sqrt(tp.level_var.draw(float(u @ u), n - 1, rng)))
         v = slope[1:] - (d + phi * (slope[:-1] - d))
-        sigma_slope = float(np.sqrt(_draw_variance(tp.slope_var, float(v @ v), n - 1, rng)))
+        sigma_slope = float(np.sqrt(tp.slope_var.draw(float(v @ v), n - 1, rng)))
         slope_var = sigma_slope**2
 
-        for s_idx, layout in enumerate(model.seasonals):
-            steps = boundary_steps[s_idx]
+        sigma_seasonal = []
+        for layout, steps in zip(model.seasonals, boundary_steps):
             i0 = layout.state_start
-            dim = layout.state_dim
-            if steps.size:
-                w = states[steps + 1, i0] + states[steps][:, i0 : i0 + dim].sum(axis=1)
-                ss = float(w @ w)
-            else:
-                ss = 0.0
-            sigma_seasonal[s_idx] = float(
-                np.sqrt(_draw_variance(layout.var_prior, ss, int(steps.size), rng))
-            )
+            w = states[steps + 1, i0] + states[steps][:, i0 : i0 + layout.state_dim].sum(axis=1)
+            sigma_seasonal.append(float(np.sqrt(layout.var_prior.draw(float(w @ w), steps.size, rng))))
 
         # D | slope path, phi: z_t = slope_{t+1} - phi slope_t = D(1-phi) + v_t
         zt = slope[1:] - phi * slope[:-1]
@@ -200,39 +193,14 @@ def mcmc_fit(
         phi = _draw_truncated_normal(mean, float(1.0 / np.sqrt(prec)), -1.0, 1.0, rng)
 
         residual = y - states @ model.z
-        if j_total:
-            gamma, beta, sigma_obs = sample_regression(residual, design[:n], gamma, reg_settings, rng)
-        else:
-            ss = float(residual @ residual)
-            sigma_obs = float(np.sqrt(_draw_variance(model.obs_var_prior, ss, n, rng)))
-
+        gamma, beta, sigma_obs = sample_regression(
+            residual, design[:n], gamma, model.spike_slab, model.obs_var_prior, rng
+        )
+        params = ParamPoint(sigma_level, sigma_slope, sigma_obs, tuple(sigma_seasonal), d, phi, beta)
         if it >= burn:
-            k = it - burn
-            out_sigma_level[k] = sigma_level
-            out_sigma_slope[k] = sigma_slope
-            out_sigma_obs[k] = sigma_obs
-            out_sigma_seasonal[k] = sigma_seasonal
-            out_d[k] = d
-            out_phi[k] = phi
-            if j_total:
-                out_gamma[k] = gamma
-                out_beta[k] = beta
-            out_terminal[k] = states[-1]
+            rows.append((params, gamma, states[-1].copy()))
 
-    return PosteriorDraws(
-        sigma_level=out_sigma_level,
-        sigma_slope=out_sigma_slope,
-        sigma_obs=out_sigma_obs,
-        sigma_seasonal=out_sigma_seasonal,
-        d=out_d,
-        phi=out_phi,
-        gamma=out_gamma,
-        beta=out_beta,
-        terminal_state=out_terminal,
-        requested=draws,
-        burn=burn,
-        seed=seed,
-    )
+    return PosteriorDraws.from_rows(rows, requested=draws, burn=burn, seed=seed)
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,14 @@
 Each sweep resamples every inclusion indicator from the ratio of conjugate
 Gaussian-inverse-gamma marginal likelihoods, draws the active coefficients
 from their conditional Gaussian, zeroes the rest exactly, and draws the
-observation variance from its inverse-gamma conditional.
+observation variance from its inverse-gamma conditional. The Gibbs fit runs
+the sweep for every model, so it is the fit's one observation-variance draw;
+with no columns it is that draw alone.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -21,12 +22,6 @@ from .components import SpikeSlabSettings, VariancePrior
 logger = logging.getLogger(__name__)
 
 _RIDGE = 1e-8
-
-
-@dataclass(frozen=True)
-class RegressionSettings:
-    spike_slab: SpikeSlabSettings
-    obs_var_prior: VariancePrior
 
 
 def _slab_precision(xtx: np.ndarray, n: int, weight: float) -> np.ndarray:
@@ -58,6 +53,13 @@ def _chol_with_ridge(matrix: np.ndarray, context: str) -> np.ndarray:
         return np.linalg.cholesky(matrix + jitter * np.eye(matrix.shape[0]))
 
 
+def _sweep_terms(r: np.ndarray, x: np.ndarray, spike_slab: SpikeSlabSettings) -> tuple:
+    """(x'x, x'r, r'r, slab precision, pi) that the sweep and the 2^J oracle share; J >= 1."""
+    xtx = x.T @ x
+    pi = float(np.clip(spike_slab.expected_model_size / x.shape[1], 1e-6, 1.0 - 1e-6))
+    return xtx, x.T @ r, float(r @ r), _slab_precision(xtx, r.size, spike_slab.information_weight), pi
+
+
 def _log_marginal(
     active: np.ndarray,
     xtx: np.ndarray,
@@ -65,9 +67,9 @@ def _log_marginal(
     rtr: float,
     p0: np.ndarray,
     n: int,
-    a0: float,
-    b0: float,
+    prior: VariancePrior,
 ) -> float:
+    a0, b0 = prior.shape, prior.scale
     an = a0 + n / 2.0
     base = -(n / 2.0) * np.log(2.0 * np.pi) + a0 * np.log(b0) + gammaln(an) - gammaln(a0)
     if not active.size:
@@ -89,14 +91,16 @@ def sample_regression(
     y_minus_state: Sequence[float],
     x: np.ndarray,
     gamma: Sequence[int],
-    settings: RegressionSettings,
+    spike_slab: SpikeSlabSettings,
+    obs_var_prior: VariancePrior,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """One spike-and-slab sweep; returns (gamma, beta, sigma_obs).
 
     beta_j is exactly zero wherever gamma_j is zero; sigma_obs is the
-    observation noise sd drawn from its inverse-gamma conditional given the
-    final inclusion set.
+    observation noise sd drawn from its inverse-gamma conditional
+    (`obs_var_prior.draw`) given the final inclusion set. With no columns
+    (J = 0) the sweep is that draw alone, on the residual's sum of squares.
     """
     r = np.asarray(y_minus_state, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -108,55 +112,40 @@ def sample_regression(
         raise SchemaError(f"gamma must have length {j_total}")
     if n < 1:
         raise RangeError("residual series is empty")
-
-    a0 = settings.obs_var_prior.shape
-    b0 = settings.obs_var_prior.scale
-    an = a0 + n / 2.0
-
     if j_total == 0:
-        bn = b0 + 0.5 * float(r @ r)
-        sigma2 = bn / max(rng.gamma(an), 1e-300)
-        return gamma, np.zeros(0), float(np.sqrt(sigma2))
+        return gamma, np.zeros(0), float(np.sqrt(obs_var_prior.draw(float(r @ r), n, rng)))
 
-    xtx = x.T @ x
-    xtr = x.T @ r
-    rtr = float(r @ r)
-    p0 = _slab_precision(xtx, n, settings.spike_slab.information_weight)
-    pi = float(np.clip(settings.spike_slab.expected_model_size / j_total, 1e-6, 1.0 - 1e-6))
+    xtx, xtr, rtr, p0, pi = _sweep_terms(r, x, spike_slab)
     log_pi = np.log(pi)
     log_not = np.log1p(-pi)
 
     for j in range(j_total):
         gamma[j] = 1
-        lm1 = _log_marginal(np.flatnonzero(gamma), xtx, xtr, rtr, p0, n, a0, b0)
+        lm1 = _log_marginal(np.flatnonzero(gamma), xtx, xtr, rtr, p0, n, obs_var_prior)
         gamma[j] = 0
-        lm0 = _log_marginal(np.flatnonzero(gamma), xtx, xtr, rtr, p0, n, a0, b0)
+        lm0 = _log_marginal(np.flatnonzero(gamma), xtx, xtr, rtr, p0, n, obs_var_prior)
         logit = (lm1 + log_pi) - (lm0 + log_not)
         p_on = 1.0 / (1.0 + np.exp(-np.clip(logit, -700, 700)))
         gamma[j] = 1 if rng.random() < p_on else 0
 
     beta = np.zeros(j_total)
     active = np.flatnonzero(gamma)
-    if active.size:
-        idx = np.ix_(active, active)
-        pna = p0[idx] + xtx[idx]
-        chol = _chol_with_ridge(pna, "active-column")
-        beta_hat = np.linalg.solve(pna, xtr[active])
-        bn = max(b0 + 0.5 * (rtr - float(xtr[active] @ beta_hat)), 1e-300)
-        sigma2 = bn / max(rng.gamma(an), 1e-300)
-        z = rng.standard_normal(active.size)
-        beta[active] = beta_hat + np.sqrt(sigma2) * np.linalg.solve(chol.T, z)
-    else:
-        bn = b0 + 0.5 * rtr
-        sigma2 = bn / max(rng.gamma(an), 1e-300)
-
+    if not active.size:
+        return gamma, beta, float(np.sqrt(obs_var_prior.draw(rtr, n, rng)))
+    idx = np.ix_(active, active)
+    pna = p0[idx] + xtx[idx]
+    chol = _chol_with_ridge(pna, "active-column")
+    beta_hat = np.linalg.solve(pna, xtr[active])
+    sigma2 = obs_var_prior.draw(rtr - float(xtr[active] @ beta_hat), n, rng)
+    beta[active] = beta_hat + np.sqrt(sigma2) * np.linalg.solve(chol.T, rng.standard_normal(active.size))
     return gamma, beta, float(np.sqrt(sigma2))
 
 
 def exact_inclusion_posterior(
     y_minus_state: Sequence[float],
     x: np.ndarray,
-    settings: RegressionSettings,
+    spike_slab: SpikeSlabSettings,
+    obs_var_prior: VariancePrior,
 ) -> np.ndarray:
     """Per-column inclusion probabilities by enumerating all 2^J models.
 
@@ -167,20 +156,14 @@ def exact_inclusion_posterior(
     n, j_total = x.shape
     if j_total > 12:
         raise RangeError(f"enumeration oracle limited to 12 columns, got {j_total}")
-    xtx = x.T @ x
-    xtr = x.T @ r
-    rtr = float(r @ r)
-    p0 = _slab_precision(xtx, n, settings.spike_slab.information_weight)
-    pi = float(np.clip(settings.spike_slab.expected_model_size / j_total, 1e-6, 1.0 - 1e-6))
-    a0 = settings.obs_var_prior.shape
-    b0 = settings.obs_var_prior.scale
+    xtx, xtr, rtr, p0, pi = _sweep_terms(r, x, spike_slab)
 
     log_weights = np.empty(2**j_total)
     members = np.zeros((2**j_total, j_total), dtype=bool)
     for code in range(2**j_total):
         active = np.array([j for j in range(j_total) if code >> j & 1], dtype=np.int64)
         members[code, active] = True
-        lm = _log_marginal(active, xtx, xtr, rtr, p0, n, a0, b0)
+        lm = _log_marginal(active, xtx, xtr, rtr, p0, n, obs_var_prior)
         log_prior = active.size * np.log(pi) + (j_total - active.size) * np.log1p(-pi)
         log_weights[code] = lm + log_prior
     log_weights -= log_weights.max()

@@ -253,7 +253,11 @@ def _tester_designs(cfg: dict, seed: int, run: _Run, m: int):
     """Each tester with its Stage-1 donors' design: yields (EvalSubject, selection log).
 
     Without `clinical_csv` no donors are selected and testers carry no design.
+    A subject listed twice is refused before anything is loaded.
     """
+    repeated = sorted({sid for sid in cfg.get("subjects") or () if cfg["subjects"].count(sid) > 1})
+    if repeated:
+        raise ConfigError(f"{run.command}: subjects listed more than once: {', '.join(repeated)}")
     series_map = run.series_map(cfg)
     gl_table = run.gl_table(cfg)
     stage1 = _stage1(cfg, seed, run) if "clinical_csv" in cfg else None

@@ -14,7 +14,6 @@ import pytest
 from glycast.bayesnet import BayesianNetworkModel, Dag, bic_score, bootstrap_consensus, infer_posterior, tabu_search
 from glycast.bsts import (
     ParamPoint,
-    RegressionSettings,
     SpikeSlabSettings,
     VariancePrior,
     assemble_model,
@@ -227,14 +226,12 @@ def test_criterion_6_spike_slab_discrimination():
     signal = rng.normal(0.0, 1.0, n)
     residual = signal + rng.normal(0.0, 0.01, n)
     x = np.column_stack([signal, rng.normal(0.0, 1.0, n)])
-    settings = RegressionSettings(
-        spike_slab=SpikeSlabSettings(expected_model_size=1.0),
-        obs_var_prior=VariancePrior(df=0.01 * n, guess=0.01),
-    )
+    spike_slab = SpikeSlabSettings(expected_model_size=1.0)
+    obs_var_prior = VariancePrior(df=0.01 * n, guess=0.01)
     gamma = np.zeros(2, dtype=np.int64)
     inclusion = np.zeros(2)
     for _ in range(200):
-        gamma, _, _ = sample_regression(residual, x, gamma, settings, rng)
+        gamma, _, _ = sample_regression(residual, x, gamma, spike_slab, obs_var_prior, rng)
         inclusion += gamma
     inclusion /= 200
     assert inclusion[0] > 0.95

@@ -194,6 +194,23 @@ class TestParamPoint:
         assert point.phi == 1.0
 
 
+class TestVarianceConditional:
+    DRAWS = 20_000
+
+    @pytest.mark.parametrize("ss, count", [(0.0, 0), (3.0, 4), (48.0, 20)])
+    def test_mean_matches_inverse_gamma(self, ss, count):
+        prior = VariancePrior(df=10.0, guess=2.0)  # shape 5, scale 10
+        rng = np.random.default_rng(17)
+        values = np.array([prior.draw(ss, count, rng) for _ in range(self.DRAWS)])
+        shape, scale = 5.0 + count / 2.0, 10.0 + ss / 2.0
+        mean = scale / (shape - 1.0)
+        if count == 0 and ss == 0.0:
+            # No data: the prior's own mean df * guess / (df - 2).
+            assert mean == pytest.approx(10.0 * 2.0 / 8.0)
+        # The inverse-gamma sd is mean / sqrt(shape - 2).
+        assert abs(values.mean() - mean) <= 5.0 * mean / math.sqrt((shape - 2.0) * self.DRAWS)
+
+
 class TestSpecsFromJson:
     def test_standard_stack_document(self):
         from glycast.bsts import specs_from_json

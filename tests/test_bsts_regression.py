@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from glycast.bsts import (
-    RegressionSettings,
     SpikeSlabSettings,
     VariancePrior,
     exact_inclusion_posterior,
@@ -14,9 +13,10 @@ from glycast.errors import SchemaError
 
 
 def settings(n, expected_model_size=1.0, guess=0.01):
-    return RegressionSettings(
-        spike_slab=SpikeSlabSettings(expected_model_size=expected_model_size),
-        obs_var_prior=VariancePrior(df=max(0.01 * n, 0.01), guess=guess),
+    """(spike_slab, obs_var_prior), the two arguments the sweep and the oracle take after the design."""
+    return (
+        SpikeSlabSettings(expected_model_size=expected_model_size),
+        VariancePrior(df=max(0.01 * n, 0.01), guess=guess),
     )
 
 
@@ -31,13 +31,13 @@ class TestSpikeSlabSweep:
         gamma = np.zeros(2, dtype=np.int64)
         inclusion = np.zeros(2)
         for _ in range(200):
-            gamma, beta, sigma = sample_regression(residual, x, gamma, cfg, rng)
+            gamma, beta, sigma = sample_regression(residual, x, gamma, *cfg, rng)
             inclusion += gamma
         inclusion /= 200
         assert inclusion[0] > 0.95
         assert inclusion[1] < 0.2
         # Gibbs inclusion frequencies agree with the exact 2^J enumeration.
-        exact = exact_inclusion_posterior(residual, x, cfg)
+        exact = exact_inclusion_posterior(residual, x, *cfg)
         assert exact[0] > 0.95 and exact[1] < 0.2
 
     def test_zero_column_recovers_prior(self):
@@ -50,7 +50,7 @@ class TestSpikeSlabSweep:
         hits = 0
         for _ in range(sweeps):
             residual = rng.normal(0, 1, n)
-            gamma, _, _ = sample_regression(residual, x, gamma, cfg, rng)
+            gamma, _, _ = sample_regression(residual, x, gamma, *cfg, rng)
             hits += int(gamma[1])
         freq = hits / sweeps
         se = np.sqrt(0.25 / sweeps)
@@ -59,7 +59,7 @@ class TestSpikeSlabSweep:
     def test_empty_design_residual_only(self):
         rng = np.random.default_rng(2)
         residual = rng.normal(0, 2.0, 400)
-        gamma, beta, sigma = sample_regression(residual, np.zeros((400, 0)), np.zeros(0, dtype=np.int64), settings(400), rng)
+        gamma, beta, sigma = sample_regression(residual, np.zeros((400, 0)), np.zeros(0, dtype=np.int64), *settings(400), rng)
         assert gamma.size == 0 and beta.size == 0
         assert sigma == pytest.approx(2.0, rel=0.2)
 
@@ -71,7 +71,7 @@ class TestSpikeSlabSweep:
         cfg = settings(n)
         gamma = np.zeros(4, dtype=np.int64)
         for _ in range(50):
-            gamma, beta, _ = sample_regression(residual, x, gamma, cfg, rng)
+            gamma, beta, _ = sample_regression(residual, x, gamma, *cfg, rng)
             assert np.all(beta[gamma == 0] == 0.0)
 
     def test_singular_gram_ridge_fallback(self, caplog):
@@ -84,12 +84,12 @@ class TestSpikeSlabSweep:
         gamma = np.ones(2, dtype=np.int64)
         with caplog.at_level(logging.WARNING, logger="glycast.bsts.spike_slab"):
             for _ in range(20):
-                gamma, beta, sigma = sample_regression(residual, x, gamma, cfg, rng)
+                gamma, beta, sigma = sample_regression(residual, x, gamma, *cfg, rng)
                 assert np.isfinite(beta).all() and np.isfinite(sigma)
 
     def test_shape_validation(self):
         rng = np.random.default_rng(0)
         with pytest.raises(SchemaError):
-            sample_regression(np.zeros(10), np.zeros((5, 2)), np.zeros(2, dtype=np.int64), settings(10), rng)
+            sample_regression(np.zeros(10), np.zeros((5, 2)), np.zeros(2, dtype=np.int64), *settings(10), rng)
         with pytest.raises(SchemaError):
-            sample_regression(np.zeros(10), np.zeros((10, 2)), np.zeros(3, dtype=np.int64), settings(10), rng)
+            sample_regression(np.zeros(10), np.zeros((10, 2)), np.zeros(3, dtype=np.int64), *settings(10), rng)

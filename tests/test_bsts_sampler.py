@@ -24,24 +24,10 @@ from glycast.synth import gaussian_predictive_oracle, simulate_from_model
 
 
 def make_draws(model, entries, requested=None, burn=0, seed=0):
-    """Hand-build PosteriorDraws from a list of (params, terminal_state)."""
-    k = len(entries)
-    n_seas = len(model.seasonals)
-    j = model.n_regressors
-    return PosteriorDraws(
-        sigma_level=np.array([p.sigma_level for p, _ in entries]),
-        sigma_slope=np.array([p.sigma_slope for p, _ in entries]),
-        sigma_obs=np.array([p.sigma_obs for p, _ in entries]),
-        sigma_seasonal=np.array([[s for s in p.sigma_seasonal] for p, _ in entries]).reshape(k, n_seas),
-        d=np.array([p.d for p, _ in entries]),
-        phi=np.array([p.phi for p, _ in entries]),
-        gamma=np.array([[1] * j for _ in entries], dtype=np.int64).reshape(k, j),
-        beta=np.array([p.beta for p, _ in entries]).reshape(k, j),
-        terminal_state=np.array([s for _, s in entries]),
-        requested=requested if requested is not None else k,
-        burn=burn,
-        seed=seed,
-    )
+    """Hand-build PosteriorDraws from a list of (params, terminal_state), every column included."""
+    rows = [(p, np.ones(model.n_regressors, dtype=np.int64), s) for p, s in entries]
+    requested = len(rows) if requested is None else requested
+    return PosteriorDraws.from_rows(rows, requested=requested, burn=burn, seed=seed)
 
 
 def trend_series(n=120, seed=0):
@@ -86,6 +72,20 @@ class TestMcmcFit:
         assert np.all(draws.sigma_seasonal > 0)
         assert np.all(np.abs(draws.phi) < 1.0)
         assert np.all(draws.beta[draws.gamma == 0] == 0.0)
+
+    def test_trend_only_fit_has_zero_width_fields(self):
+        y = trend_series(60, seed=2)
+        model = assemble_model([semi_local_trend()], y)
+        draws = mcmc_fit(model, y, draws=12, burn=4, seed=3)
+        for field, dtype in (("sigma_seasonal", np.float64), ("beta", np.float64), ("gamma", np.int64)):
+            value = getattr(draws, field)
+            assert value.shape == (8, 0) and value.dtype == dtype
+        assert draws.terminal_state.shape == (8, 2)
+        forecast = posterior_forecast(draws, model, horizon=4)
+        assert forecast.paths.shape == (8, 4) and np.isfinite(forecast.paths).all()
+        anchored = forecast_anchors(model, draws, y, anchors=[10, 30, 50], horizons=[1, 4])
+        for band in anchored.values():
+            assert all(values.shape == (3,) and np.isfinite(values).all() for values in band.values())
 
     def test_self_consistency_on_simulated_data(self):
         true = ParamPoint(sigma_level=0.3, sigma_slope=0.05, sigma_obs=1.5, d=0.02, phi=0.4)

@@ -568,6 +568,15 @@ class TestErrorHandling:
         )
         assert main(["evaluate", "--config", cfg, "--subjects", "NOPE"]) == 2
 
+    def test_repeated_subject(self, tmp_path, synth_dir, capsys):
+        out = tmp_path / "o"
+        cfg = write_config(
+            tmp_path / "ev.json", seed=0, out_dir=str(out), series_dir=str(synth_dir / "series"), draws=20, burn=5
+        )
+        assert main(["evaluate", "--config", cfg, "--subjects", "S000,S000"]) == 2
+        assert "listed more than once: S000" in capsys.readouterr().err
+        assert not (out / "metrics.json").exists() and not (out / "manifests.jsonl").exists()
+
 
 class TestPreprocessCommand:
     def test_outputs(self, tmp_path, synth_dir):
