@@ -292,6 +292,11 @@ class StateSpaceModel:
     def boundary_mask(self, t: int) -> tuple[bool, ...]:
         return self.masks[self.step_masks[t % self.period]]
 
+    def boundaries(self, n: int) -> np.ndarray:
+        """Boundary flags (n-1, number of seasonals) of an n-step series: row t is the mask of the step t to t+1."""
+        table = np.array(self.masks, dtype=bool).reshape(len(self.masks), len(self.seasonals))
+        return table[np.asarray(self.step_masks)[np.arange(max(n - 1, 0)) % self.period]]
+
     def transition_matrix(self, phi: float, t: int) -> np.ndarray:
         T = self.templates[self.step_masks[t % self.period]].copy()
         T[1, 1] = phi

@@ -1,8 +1,9 @@
 """Gibbs MCMC over the structural model and model-averaged forecasting.
 
-Each sweep: (1) draw a state path with the simulation smoother (one Kalman
-filter pass plus a matrix-vector backward recursion) given the current
-parameters; (2) conjugate inverse-gamma draws (`VariancePrior.draw`) for the
+Each sweep: (1) draw a state path with the simulation smoother given the
+current parameters (`ffbs_sample`: a noise-only path plus the smoothed mean
+from one banded-plus-border precision solve, or from a Kalman filter pass and
+a backward recursion where a variance is zero or subnormal); (2) conjugate inverse-gamma draws (`VariancePrior.draw`) for the
 level, slope, and seasonal noise variances from state-innovation sums of
 squares; (3) Gaussian draw for the long-run slope D and truncated-Gaussian
 draw for the AR coefficient phi given the slope path; (4) a spike-and-slab
@@ -24,9 +25,10 @@ identity outside rows 0 and 1 and the products become in-place row and
 column updates. Row 1 of S is zero and column 1 is e_0, so the anchored
 predictive's backward vector is u_h = w_h + g_h e_1 with w_h shared by every
 draw, and u'Pu comes from one product of the (H, m) w with the draws-last P.
-The Gibbs fit's `kalman_loglik` and `ffbs_sample` filter one parameter point
-and keep their single-point path, which is faster for one point and also
-returns each step's gain, predicted covariance and log-likelihood term.
+`kalman_loglik` filters one parameter point on its own single-point path,
+which also returns each step's gain, predicted covariance and log-likelihood
+term; the Gibbs fit's `ffbs_sample` runs it only where the precision of the
+state path does not exist.
 """
 
 from __future__ import annotations
@@ -153,8 +155,7 @@ def mcmc_fit(
     gamma = np.zeros(model.n_regressors, dtype=np.int64)
 
     # Per seasonal, the steps t < n-1 whose move to t+1 starts a new season.
-    boundary = np.array(model.masks, dtype=bool)[np.asarray(model.step_masks)[np.arange(n - 1) % model.period]]
-    boundary_steps = [np.flatnonzero(flags) for flags in boundary.T]
+    boundary_steps = [np.flatnonzero(flags) for flags in model.boundaries(n).T]
 
     rows = []
     for it in range(draws):
@@ -394,6 +395,24 @@ def _filter_draws(model: StateSpaceModel, ops: _DrawOperators, y: np.ndarray, x:
         yield t, a, P
 
 
+def _sorted_percentiles(ordered: np.ndarray, percents: Sequence[float]) -> np.ndarray:
+    """np.percentile's linear rule along the last axis of samples sorted on it: (len(percents), ...).
+
+    Percentile q of K sorted values lies at position q/100 (K-1) and
+    interpolates the two order statistics around it, from the nearer one, as
+    numpy's lerp does.
+    """
+    k = ordered.shape[-1]
+    bands = []
+    for q in percents:
+        position = q / 100.0 * (k - 1)
+        lo = int(position)
+        frac = position - lo
+        a, b = ordered[..., lo], ordered[..., min(lo + 1, k - 1)]
+        bands.append(b - (b - a) * (1.0 - frac) if frac >= 0.5 else a + (b - a) * frac)
+    return np.stack(bands)
+
+
 def forecast_anchors(
     model: StateSpaceModel,
     draws: PosteriorDraws,
@@ -416,7 +435,8 @@ def forecast_anchors(
     with moments read from the draws-last a_t and P_t through the shared w_h
     of `horizon_terms`. One value per draw and horizon is sampled from it, and
     the forecast is the mean and empirical 2.5%/97.5% band over draws, in
-    blocks of up to 64 anchors whose noise is drawn in one call. Draw
+    blocks of up to 64 anchors whose noise is drawn in one call and whose
+    band comes from one sort along the draw axis (`_sorted_percentiles`). Draw
     parameters may be thinned (every `thin`-th draw) to bound the cost of long
     anchor sweeps.
     Returns {h: {"mean", "lower95", "upper95"} arrays over anchors}.
@@ -464,7 +484,8 @@ def forecast_anchors(
                 samples += block[0, :filled]
                 rows = slice(next_anchor - filled, next_anchor)
                 summary[0, rows] = samples.mean(axis=2)
-                summary[1:, rows] = np.percentile(samples, [2.5, 97.5], axis=2)
+                samples.sort(axis=2)
+                summary[1:, rows] = _sorted_percentiles(samples, (2.5, 97.5))
                 filled = 0
 
     return {

@@ -149,13 +149,16 @@ def exact_inclusion_posterior(
 ) -> np.ndarray:
     """Per-column inclusion probabilities by enumerating all 2^J models.
 
-    Exponential in J; intended as the small-J oracle for the Gibbs sweep.
+    Exponential in J; intended as the small-J oracle for the Gibbs sweep. A
+    design with no columns has no inclusion probabilities: the result is empty.
     """
     r = np.asarray(y_minus_state, dtype=float)
     x = np.asarray(x, dtype=float)
     n, j_total = x.shape
     if j_total > 12:
         raise RangeError(f"enumeration oracle limited to 12 columns, got {j_total}")
+    if j_total == 0:
+        return np.zeros(0)
     xtx, xtr, rtr, p0, pi = _sweep_terms(r, x, spike_slab)
 
     log_weights = np.empty(2**j_total)

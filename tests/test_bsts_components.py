@@ -175,9 +175,12 @@ class TestStepSchedule:
         specs += [seasonal(f"s{i}", len(d), d, phase) for i, (d, phase) in enumerate(stack)]
         model = assemble_model(specs, series(20))
         assert model.period == math.lcm(*(sum(d) for d, _ in stack))
+        table = model.boundaries(2 * model.period + 1)
+        assert table.shape == (2 * model.period, len(stack))
         for t in range(2 * model.period):
             boundary = tuple(season_index(d, p, t + 1) != season_index(d, p, t) for d, p in stack)
             assert model.boundary_mask(t) == boundary
+            assert tuple(table[t]) == boundary
             np.testing.assert_array_equal(model.transition_matrix(phi, t), dense_transition(stack, phi, boundary))
             q = model.noise_diag(0.1, 0.2, [0.3] * len(stack), t)
             starts = [layout.state_start for layout in model.seasonals]

@@ -11,6 +11,7 @@ from glycast.bsts import (
     seasonal,
     semi_local_trend,
 )
+from glycast.bsts import kalman
 from glycast.errors import SchemaError
 from glycast.synth import gaussian_predictive_oracle
 
@@ -117,18 +118,26 @@ class TestFFBS:
         b = ffbs_sample(model, params, y, np.random.default_rng(99))
         np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize("sigma_a", [0.5, 0.0])
-    def test_sample_moments_match_dense_smoother(self, sigma_a):
-        # Trend, two seasonals whose boundaries fall on 4 of 13 transitions,
-        # and a 2-column regression; sigma_a = 0 freezes the first seasonal.
+    @pytest.mark.parametrize(
+        "sigma_a, phases",
+        [
+            pytest.param(0.5, (0, 0), id="0.5"),
+            pytest.param(0.0, (0, 0), id="0.0"),
+            pytest.param(0.5, (9, 4), id="phased"),
+        ],
+    )
+    def test_sample_moments_match_dense_smoother(self, sigma_a, phases):
+        # Trend, two seasonals whose boundaries fall on 4 of 13 transitions
+        # (5 when phased: each series starts inside a season), and a 2-column
+        # regression; sigma_a = 0 freezes the first seasonal.
         rng = np.random.default_rng(5)
         n = 14
         y = rng.normal(0, 1, n).cumsum()
         x = rng.normal(0, 1, (n, 2))
         specs = [
             semi_local_trend(),
-            seasonal("a", 3, (4, 4, 5)),
-            seasonal("b", 2, (6, 7)),
+            seasonal("a", 3, (4, 4, 5), phase=phases[0]),
+            seasonal("b", 2, (6, 7), phase=phases[1]),
             regression(("u", "v")),
         ]
         model = assemble_model(specs, y, x)
@@ -148,3 +157,71 @@ class TestFFBS:
         # Gaussian sampling variance of a covariance estimate.
         cov_se = np.sqrt((var[:, :, None] * var[:, None, :] + cov**2) / n_draws)
         assert np.all(np.abs(sample_cov - cov) <= 5.0 * np.maximum(cov_se, 1e-12))
+
+
+def random_model(rng, n):
+    """Trend, 0-3 seasonals with random durations and phases, 0-4 regressors on a unit-scale series."""
+    specs = [semi_local_trend()]
+    for k in range(int(rng.integers(0, 4))):
+        durations = tuple(int(d) for d in rng.integers(1, 30, int(rng.integers(2, 5))))
+        specs.append(seasonal(f"s{k}", len(durations), durations, phase=int(rng.integers(0, sum(durations)))))
+    j = int(rng.integers(0, 5))
+    x = rng.normal(0, 1, (n, j)) if j else None
+    if j:
+        specs.append(regression(tuple(f"c{i}" for i in range(j))))
+    y = rng.normal(0, 1, n)
+    model = assemble_model(specs, y, x)
+    params = ParamPoint(
+        *rng.uniform(0.05, 1.5, 3),
+        sigma_seasonal=tuple(rng.uniform(0.05, 1.5, len(model.seasonals))),
+        d=float(rng.normal(0, 0.3)),
+        phi=float(rng.uniform(-0.95, 0.95)),
+        beta=rng.normal(0, 1, j),
+    )
+    return model, params, y, x
+
+
+def banded_mean(model, params, y, x):
+    """The precision branch's smoothed mean of the state, gathered to (n, m)."""
+    form = kalman._SequenceForm(model, params, y.size)
+    assert form.has_precision
+    return form.smoothed_mean(y - model.observation_offsets(params.beta, x, y.size))[form.index]
+
+
+class TestSmoothedMean:
+    def test_banded_matches_filter_branch(self):
+        rng = np.random.default_rng(31)
+        for n in np.unique(np.geomspace(3, 400, 30).astype(int)):
+            model, params, y, x = random_model(rng, n)
+            reference = kalman._filtered_mean(model, params, y, x)
+            scale = np.max(np.abs(reference))
+            assert np.max(np.abs(banded_mean(model, params, y, x) - reference)) <= 1e-9 * scale
+
+    def test_banded_matches_dense_oracle(self):
+        rng = np.random.default_rng(32)
+        checked = 0
+        while checked < 25:
+            model, params, y, x = random_model(rng, int(rng.integers(3, 21)))
+            if model.state_dim > 8:
+                continue
+            oracle = gaussian_predictive_oracle(model, params, y, x=x).smoothed_state_means
+            assert np.max(np.abs(banded_mean(model, params, y, x) - oracle)) <= 1e-8 * np.max(np.abs(oracle))
+            checked += 1
+
+    def test_subnormal_variance_takes_filter_branch(self, monkeypatch):
+        # sigma_level^2 = 1e-320 is subnormal: its reciprocal overflows, so the precision does not exist.
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return kalman_loglik(*args, **kwargs)
+
+        monkeypatch.setattr(kalman, "kalman_loglik", spy)
+        rng = np.random.default_rng(33)
+        y = rng.normal(0, 1, 40)
+        model = assemble_model([semi_local_trend(), seasonal("s", 3, (2, 3, 2))], y)
+        params = ParamPoint(1e-160, 0.2, 0.5, (0.3,), d=0.0, phi=0.4)
+        assert not kalman._SequenceForm(model, params, y.size).has_precision
+        states = ffbs_sample(model, params, y, rng)
+        assert len(calls) == 1
+        assert states.shape == (40, model.state_dim) and np.all(np.isfinite(states))

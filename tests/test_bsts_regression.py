@@ -63,6 +63,11 @@ class TestSpikeSlabSweep:
         assert gamma.size == 0 and beta.size == 0
         assert sigma == pytest.approx(2.0, rel=0.2)
 
+    def test_empty_design_has_no_inclusion_probabilities(self):
+        residual = np.random.default_rng(4).normal(0, 1, 5)
+        exact = exact_inclusion_posterior(residual, np.zeros((5, 0)), *settings(5))
+        assert exact.shape == (0,) and exact.dtype == float
+
     def test_inactive_betas_exactly_zero(self):
         rng = np.random.default_rng(7)
         n = 120

@@ -18,7 +18,7 @@ from glycast.bsts import (
     semi_local_trend,
 )
 from glycast.bsts.components import MAX_HORIZON
-from glycast.bsts.sampler import _DrawOperators, _filter_draws, _predictive_moments
+from glycast.bsts.sampler import _DrawOperators, _filter_draws, _predictive_moments, _sorted_percentiles
 from glycast.errors import NumericalError, RangeError
 from glycast.synth import gaussian_predictive_oracle, simulate_from_model
 
@@ -218,6 +218,16 @@ class TestForecastAnchors:
         )
         assert out[1]["mean"].shape == (2,)
         assert out[3]["upper95"].shape == (2,)
+
+    @pytest.mark.parametrize("k", [1, 2, 200])
+    @pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+    def test_sorted_band_matches_numpy_percentile(self, k, tied):
+        # A block's band: (anchors, horizons, K) samples sorted along the draws.
+        samples = np.random.default_rng(k).normal(0.0, 3.0, (5, 3, k))
+        if tied:
+            samples = np.round(samples)  # whole numbers: most order statistics repeat
+        band = _sorted_percentiles(np.sort(samples, axis=2), (2.5, 97.5))
+        np.testing.assert_allclose(band, np.percentile(samples, [2.5, 97.5], axis=2), rtol=1e-12, atol=0.0)
 
 
 def two_seasonal_model(y, x=None):
