@@ -8,13 +8,16 @@ Ties within _SCORE_EPS go to the smallest (move kind, arc), whatever the order
 candidates come in. Robustness comes from bootstrap resampling: the
 fraction of resampled networks containing a directed arc is that arc's
 strength, and the consensus network keeps arcs at or above a strength
-threshold. Parameters are multinomial MLE with optional Laplace smoothing, and
-marker posteriors come from exact variable elimination.
+threshold. Parameters are multinomial MLE with optional Laplace smoothing.
+Inference is exact variable elimination by one routine: `infer_markers` takes
+the FPG and 2HPP posteriors as the marginals of their joint, and
+`infer_posterior` asks it for one target.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from collections import deque
@@ -98,8 +101,11 @@ class _FamilyScores:
     `families` scores one node under several parent sets from a single
     np.bincount over offset configuration codes; `family` is the one-set,
     by-name form. Either way a family's score is computed with the same
-    operations: c*ln(c) read from a table over 0..n_rows and summed per family
-    by np.add.reduce, so a score does not depend on the batch it came from.
+    operations: c*ln(c) of every cell and of every row total, read from a
+    table over 0..n_rows, and summed per family by one np.add.reduceat over
+    the cells and one over the rows of the whole batch. reduceat sums each
+    family's segment on its own, so a score does not depend on the batch it
+    came from.
     """
 
     def __init__(self, data: DiscreteDataset):
@@ -115,6 +121,7 @@ class _FamilyScores:
         # families come from one matrix product, which is exact because every
         # code is an integer below the number of cells counted, far below 2**53.
         self._columns = np.vstack((data.matrix.T, np.ones(data.n_rows)))
+        self._cards = np.asarray(data.cards, np.int64)
         self._cache: dict[tuple[int, tuple[int, ...]], float] = {}
 
     def family(self, node: str, parents: tuple[str, ...]) -> float:
@@ -135,41 +142,35 @@ class _FamilyScores:
         return [cache[(node, ps)] for ps in parent_sets]
 
     def _score(self, node: int, parent_sets: list[tuple[int, ...]]) -> list[float]:
-        cards = self.data.cards
-        card = cards[node]
+        cards = self._cards
+        card = int(cards[node])
         # Family j's code is node + card*(p1 + card1*(p2 + ...)), shifted past
-        # the cells of the families before it: weights[j] @ columns.
-        weights = np.zeros((len(parent_sets), len(self._columns)))
-        offsets = [0]
-        n_cfgs = []
-        for row, parents in zip(weights, parent_sets):
-            row[node] = 1.0
-            row[-1] = offsets[-1]
-            stride = card
-            for parent in parents:
-                row[parent] = stride
-                stride *= cards[parent]
-            offsets.append(offsets[-1] + stride)
-            n_cfgs.append(stride // card)
+        # the cells of the families before it: weights[j] @ columns. Parent k
+        # of a set has stride card * (product of the cards before it), read
+        # from a row-wise cumulative product over the sets padded with ones.
+        n_sets = len(parent_sets)
+        sizes = np.fromiter(map(len, parent_sets), np.intp, n_sets)
+        parents = np.fromiter(itertools.chain.from_iterable(parent_sets), np.intp, sizes.sum())
+        rows = np.repeat(np.arange(n_sets), sizes)
+        slots = np.arange(len(parents)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        padded = np.ones((n_sets, sizes.max(initial=0) + 1), np.int64)
+        padded[rows, slots + 1] = cards[parents]
+        strides = card * np.cumprod(padded, axis=1)
+        n_cfgs = strides[:, -1] // card
+        offsets = np.concatenate(([0], np.cumsum(strides[:, -1])))
+        weights = np.zeros((n_sets, len(self._columns)))
+        weights[:, node] = 1.0
+        weights[:, -1] = offsets[:-1]
+        weights[rows, parents] = strides[rows, slots]
         codes = (weights @ self._columns).astype(np.int64)
         counts = np.bincount(codes.ravel(), minlength=offsets[-1])
         by_config = counts.reshape(-1, card)
         row_totals = sum(by_config[:, i] for i in range(card))  # faster than .sum(axis=1)
-        cell_terms, cell_ends = self._terms(counts, offsets)
-        row_terms, row_ends = self._terms(row_totals, [o // card for o in offsets])
-        total = np.add.reduce  # np.sum without its wrapper
-        scores = []
-        for j, n_cfg in enumerate(n_cfgs):
-            loglik = float(total(cell_terms[cell_ends[j] : cell_ends[j + 1]]))
-            loglik -= float(total(row_terms[row_ends[j] : row_ends[j + 1]]))
-            k_params = (card - 1) * n_cfg
-            scores.append(loglik - 0.5 * k_params * self.log_n)
-        return scores
-
-    def _terms(self, counts: np.ndarray, bounds: list[int]) -> tuple[np.ndarray, list[int]]:
-        """c*ln(c) of the nonzero counts, and where each segment's terms start."""
-        nonzero = np.flatnonzero(counts)
-        return self._xlogx[counts[nonzero]], np.searchsorted(nonzero, bounds).tolist()
+        xlogx = self._xlogx
+        loglik = np.add.reduceat(xlogx[counts], offsets[:-1])
+        loglik -= np.add.reduceat(xlogx[row_totals], offsets[:-1] // card)
+        k_params = (card - 1) * n_cfgs
+        return (loglik - 0.5 * k_params * self.log_n).tolist()
 
 
 def bic_score(dag: Dag, data: DiscreteDataset) -> float:
@@ -286,9 +287,11 @@ def tabu_search(data: DiscreteDataset, params: TabuParams = TabuParams()) -> Dag
         dropped[:, v] = -np.inf
         dropped[list(own), v] = scores[1 + len(others) :] - scores[0]
 
-    current_score = sum(scorer.family(node, ()) for node in nodes)
     for v in range(n):
         rescore(v)
+    # Every empty-parent family was just scored in its node's batch; a score
+    # does not depend on its batch, so these are cache hits.
+    current_score = sum(scorer.family(node, ()) for node in nodes)
     mask = 0  # bit u*n + v set iff the arc u->v is present
     best_mask = mask
     best_score = current_score
@@ -537,96 +540,96 @@ def fit_parameters(dag: Dag, data: DiscreteDataset, alpha: float = 1.0) -> Bayes
     )
 
 
-@dataclass(frozen=True)
-class _Factor:
-    vars: tuple[str, ...]
-    table: np.ndarray
-
-    def reduce(self, var: str, value: int) -> "_Factor":
-        axis = self.vars.index(var)
-        table = np.take(self.table, value, axis=axis)
-        return _Factor(tuple(v for v in self.vars if v != var), table)
-
-    def sum_out(self, var: str) -> "_Factor":
-        axis = self.vars.index(var)
-        return _Factor(tuple(v for v in self.vars if v != var), self.table.sum(axis=axis))
-
-
-def _multiply(factors: Sequence[_Factor]) -> _Factor:
-    all_vars = tuple(sorted({v for f in factors for v in f.vars}))
-    table = np.ones([1] * len(all_vars)) if all_vars else np.ones(())
-    for factor in factors:
-        present = [v for v in all_vars if v in factor.vars]
-        aligned = np.transpose(factor.table, [factor.vars.index(v) for v in present])
-        shape = [aligned.shape[present.index(v)] if v in factor.vars else 1 for v in all_vars]
-        table = table * aligned.reshape(shape)
-    return _Factor(all_vars, table)
-
-
-def infer_posterior(
-    model: BayesianNetworkModel, target: str, evidence: Mapping[str, int]
+def _eliminate(
+    model: BayesianNetworkModel, targets: tuple[str, ...], evidence: Mapping[str, int]
 ) -> np.ndarray:
-    """Exact posterior over `target` classes by variable elimination."""
-    if target not in model.cards:
-        raise SchemaError(f"unknown target variable {target}")
+    """Posterior joint over `targets` (axes in that order) by variable elimination.
+
+    Each CPT is reduced by the evidence with one index. The factors that the
+    evidence reduces to scalars fold into one float: it takes part in the
+    zero-mass test, but not in the normalised result, so evidence that
+    reaches the targets only through such factors leaves the posterior the
+    same to the bit (subjects with the same Markov-blanket evidence tie
+    exactly). The other variables are then summed
+    out one at a time, each with one np.einsum over the factors that hold it,
+    in min-weight order: the variable whose product factor is smallest first,
+    ties broken by name. A final np.einsum multiplies what is left into the
+    table over the targets.
+    """
     for var, value in evidence.items():
         if var not in model.cards:
             raise SchemaError(f"evidence variable {var} is not in the model")
         if not 0 <= value < model.cards[var]:
             raise RangeError(f"evidence {var}={value} outside 0..{model.cards[var] - 1}")
-    if target in evidence:
-        raise SchemaError(f"target {target} cannot also be evidence")
+    for target in targets:
+        if target not in model.cards:
+            raise SchemaError(f"unknown target variable {target}")
+        if target in evidence:
+            raise SchemaError(f"target {target} cannot also be evidence")
 
-    factors: list[_Factor] = []
-    for node in model.dag.nodes:
-        parents = model.parent_order[node]
-        shape = [model.cards[p] for p in parents] + [model.cards[node]]
-        factor = _Factor(tuple(parents) + (node,), model.cpts[node].reshape(shape))
-        for var in factor.vars:
-            if var in evidence:
-                factor = factor.reduce(var, evidence[var])
-        factors.append(factor)
+    nodes = model.dag.nodes
+    label = {node: i for i, node in enumerate(nodes)}
+    scale = 1.0
+    factors: list[tuple[np.ndarray, list[int]]] = []
+    for node in nodes:
+        names = model.parent_order[node] + (node,)
+        table = model.cpts[node].reshape([model.cards[v] for v in names])
+        table = table[tuple(evidence.get(v, slice(None)) for v in names)]
+        free = [label[v] for v in names if v not in evidence]
+        if free:
+            factors.append((table, free))
+        else:
+            scale *= float(table)
 
-    to_eliminate = sorted(set(model.dag.nodes) - set(evidence) - {target})
+    def weight(var: int) -> tuple[int, str]:
+        size = 1
+        for v in {v for _, held in factors if var in held for v in held}:
+            size *= model.cards[nodes[v]]
+        return size, nodes[var]
+
+    to_eliminate = [label[v] for v in nodes if v not in evidence and v not in targets]
     while to_eliminate:
-        # Min-weight heuristic: eliminate the variable whose product factor is
-        # smallest; deterministic tie-break by name.
-        def weight(var: str) -> tuple[int, str]:
-            involved_vars = {v for f in factors if var in f.vars for v in f.vars}
-            size = 1
-            for v in involved_vars:
-                size *= model.cards[v]
-            return size, var
-
         var = min(to_eliminate, key=weight)
         to_eliminate.remove(var)
-        involved = [f for f in factors if var in f.vars]
-        if not involved:
-            continue
-        factors = [f for f in factors if var not in f.vars]
-        factors.append(_multiply(involved).sum_out(var))
+        involved = [f for f in factors if var in f[1]]
+        factors = [f for f in factors if var not in f[1]]
+        kept = sorted({v for _, held in involved for v in held} - {var})
+        factors.append((np.einsum(*itertools.chain.from_iterable(involved), kept), kept))
 
-    joint = _multiply(factors)
-    if joint.vars != (target,):
-        raise InferenceError(f"elimination left unexpected variables {joint.vars}")
-    table = joint.table
-    total = float(table.sum())
-    if total <= 0.0:
+    joint = np.einsum(*itertools.chain.from_iterable(factors), [label[t] for t in targets])
+    total = float(joint.sum())
+    if not (scale > 0.0 and total > 0.0):
         raise InferenceError("contradictory evidence: posterior mass is zero")
-    return table / total
+    return joint / total
+
+
+def infer_posterior(
+    model: BayesianNetworkModel, target: str, evidence: Mapping[str, int]
+) -> np.ndarray:
+    """Exact posterior over `target` classes given `evidence`: `_eliminate` with one target.
+
+    Raises SchemaError or RangeError on invalid evidence and InferenceError
+    when the evidence has probability zero anywhere in the network.
+    """
+    return _eliminate(model, (target,), evidence)
 
 
 def infer_markers(
     model: BayesianNetworkModel, evidence: Mapping[str, int]
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Posteriors and expected mg/dL values for the FPG and 2HPP markers."""
+    """Posteriors and expected mg/dL values for the FPG and 2HPP markers.
+
+    One elimination gives the markers' posterior joint (`_eliminate` with
+    targets fpg, hpp2); the two posteriors are its row and column sums.
+    """
     for marker in ("fpg", "hpp2"):
         if marker not in model.cards:
             raise SchemaError(f"model has no {marker} node")
         if marker in evidence:
             raise SchemaError(f"evidence must not include {marker}")
-    fpg_posterior = infer_posterior(model, "fpg", evidence)
-    hpp2_posterior = infer_posterior(model, "hpp2", evidence)
+    joint = _eliminate(model, ("fpg", "hpp2"), evidence)
+    fpg_posterior = joint.sum(axis=1)
+    hpp2_posterior = joint.sum(axis=0)
     fpg_hat = float(np.dot(fpg_posterior, model.representative_values("fpg")))
     hpp2_hat = float(np.dot(hpp2_posterior, model.representative_values("hpp2")))
     return fpg_posterior, hpp2_posterior, fpg_hat, hpp2_hat

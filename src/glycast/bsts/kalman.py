@@ -168,8 +168,9 @@ _TREND_NOT_PD = "the trend's posterior precision is not positive definite"
 def _inverse_2x2(blocks: np.ndarray) -> np.ndarray:
     """Inverses of a stack (N, 2, 2) of symmetric blocks; NumericalError unless every block is positive definite."""
     a, b, c = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 1]
-    det = a * c - b * b
-    if not (a.min() > 0.0 and det.min() > 0.0):  # a NaN fails here too
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the test below
+        det = a * c - b * b
+    if not (a.min() > 0.0 and 0.0 < det.min() and det.max() < np.inf):  # a NaN fails here too
         raise NumericalError(_TREND_NOT_PD)
     inverse = np.empty_like(blocks)
     inverse[:, 0, 0] = c / det

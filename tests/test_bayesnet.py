@@ -16,6 +16,7 @@ import glycast
 from glycast import preprocess
 from glycast.bayesnet import (
     _SCORE_EPS,
+    _FamilyScores,
     ArcStrengthTable,
     Dag,
     TabuParams,
@@ -349,9 +350,10 @@ class TestFitParameters:
             np.testing.assert_allclose(model.cpts[node].sum(axis=1), 1.0, atol=1e-9)
 
 
-def random_model(seed, n_nodes=5, max_card=3):
+def random_model(seed, n_nodes=5, max_card=3, names=None):
     rng = np.random.default_rng(seed)
-    names = tuple(f"v{i}" for i in range(n_nodes))
+    names = names or tuple(f"v{i}" for i in range(n_nodes))
+    n_nodes = len(names)
     cards = {n: int(rng.integers(2, max_card + 1)) for n in names}
     arcs = set()
     for i in range(n_nodes):
@@ -458,6 +460,106 @@ class TestInference:
         assert hpp2_hat == pytest.approx(float(np.dot(hpp2_post, np.arange(4))))
         with pytest.raises(SchemaError):
             infer_markers(model, {"fpg": 1})
+
+
+def disconnected_zero_model(evidence_on):
+    """fpg -> hpp2, plus a -> b not connected to them, where b = a exactly.
+
+    The returned evidence gives a value of probability zero: b=1 against a=0
+    (both CPTs reduce to scalars), or a=1 alone (P(a=1) = 0).
+    """
+    cpts = {
+        "fpg": np.array([[0.3, 0.7]]),
+        "hpp2": np.array([[0.6, 0.4], [0.1, 0.9]]),
+        "a": np.array([[1.0, 0.0]]),
+        "b": np.eye(2),
+    }
+    from glycast.bayesnet import BayesianNetworkModel
+
+    model = BayesianNetworkModel(
+        dag=Dag(("a", "b", "fpg", "hpp2"), frozenset({("a", "b"), ("fpg", "hpp2")})),
+        cards={name: 2 for name in cpts},
+        cpts=cpts,
+        parent_order={"a": (), "b": ("a",), "fpg": (), "hpp2": ("fpg",)},
+    )
+    return model, {"both": {"a": 0, "b": 1}, "root": {"a": 1}}[evidence_on]
+
+
+class TestElimination:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_joint_enumeration(self, seed):
+        rng = np.random.default_rng([13, seed])
+        names = ["fpg", "hpp2"] + [f"v{i}" for i in range(1 + seed % 5)]  # 3-7 nodes
+        model = random_model(seed, names=tuple(rng.permutation(names)))
+        others = [v for v in model.dag.nodes if v not in ("fpg", "hpp2")]
+        full = {v: int(rng.integers(model.cards[v])) for v in others}
+        partial = {v: full[v] for v in others if rng.random() < 0.5}
+        for evidence in ({}, partial, full):
+            for target in model.dag.nodes:
+                if target in evidence:
+                    continue
+                oracle = joint_enumeration_posterior(model, target, evidence)
+                np.testing.assert_allclose(infer_posterior(model, target, evidence), oracle, rtol=0, atol=1e-12)
+            fpg_post, hpp2_post, fpg_hat, hpp2_hat = infer_markers(model, evidence)
+            for marker, post in (("fpg", fpg_post), ("hpp2", hpp2_post)):
+                oracle = joint_enumeration_posterior(model, marker, evidence)
+                np.testing.assert_allclose(post, oracle, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(post, infer_posterior(model, marker, evidence), rtol=0, atol=1e-12)
+            assert fpg_hat == float(np.dot(fpg_post, model.representative_values("fpg")))
+            assert hpp2_hat == float(np.dot(hpp2_post, model.representative_values("hpp2")))
+
+    def test_evidence_outside_markov_blanket_leaves_markers_bit_identical(self):
+        # Subjects whose Markov-blanket evidence agrees tie exactly in donor selection.
+        checked = 0
+        for seed in range(20):
+            rng = np.random.default_rng([14, seed])
+            model = random_model(seed, names=tuple(rng.permutation(["fpg", "hpp2", "v0", "v1", "v2", "v3"])))
+            markers = {"fpg", "hpp2"}
+            parents = {u for u, v in model.dag.arcs if v in markers}
+            children = {v for u, v in model.dag.arcs if u in markers}
+            blanket = parents | children | {u for u, v in model.dag.arcs if v in children}
+            outside = [v for v in model.dag.nodes if v not in blanket | markers]
+            if not outside:
+                continue
+            evidence = {v: int(rng.integers(model.cards[v])) for v in model.dag.nodes if v not in markers}
+            moved = dict(evidence, **{v: (evidence[v] + 1) % model.cards[v] for v in outside})
+            for got, want in zip(infer_markers(model, moved), infer_markers(model, evidence)):
+                assert np.array_equal(got, want)
+            checked += 1
+        assert checked >= 5
+
+    @pytest.mark.parametrize("evidence_on", ["both", "root"])
+    def test_zero_mass_away_from_markers_raises(self, evidence_on):
+        model, evidence = disconnected_zero_model(evidence_on)
+        with pytest.raises(InferenceError):
+            infer_markers(model, evidence)
+        with pytest.raises(InferenceError):
+            infer_posterior(model, "fpg", evidence)
+        consistent = {"a": 0, "b": 0}
+        np.testing.assert_allclose(infer_markers(model, consistent)[0], [0.3, 0.7], atol=1e-15)
+
+
+class TestFamilyScores:
+    @given(discrete_data(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_score_independent_of_batch(self, data, draws):
+        n = len(data.variables)
+        node = draws.draw(st.integers(0, n - 1))
+        others = [u for u in range(n) if u != node]
+        subsets = st.lists(st.sampled_from(others), max_size=min(3, len(others)), unique=True)
+        by_name = data.variables.__getitem__
+        sets = [
+            tuple(sorted(subset, key=by_name))
+            for subset in draws.draw(st.lists(subsets, min_size=1, max_size=12))
+        ]
+        batch = _FamilyScores(data).families(node, sets)
+        alone = [_FamilyScores(data).families(node, [ps])[0] for ps in sets]
+        assert batch == alone
+        order = draws.draw(st.permutations(range(len(sets))))
+        shuffled = _FamilyScores(data).families(node, [sets[i] for i in order])
+        assert [shuffled[order.index(j)] for j in range(len(sets))] == batch
+        named = [_FamilyScores(data).family(by_name(node), tuple(map(by_name, ps))) for ps in sets]
+        assert named == batch
 
 
 class TestSerialization:

@@ -12,7 +12,7 @@ from glycast.bsts import (
     semi_local_trend,
 )
 from glycast.bsts import kalman
-from glycast.errors import SchemaError
+from glycast.errors import NumericalError, SchemaError
 from glycast.synth import gaussian_predictive_oracle
 
 
@@ -207,6 +207,18 @@ class TestSmoothedMean:
             oracle = gaussian_predictive_oracle(model, params, y, x=x).smoothed_state_means
             assert np.max(np.abs(banded_mean(model, params, y, x) - oracle)) <= 1e-8 * np.max(np.abs(oracle))
             checked += 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_trend_block_raises_numerical_error(self):
+        # sigma_level = 1e-150 keeps every reciprocal finite (1e300), so the precision branch runs, but the
+        # trend blocks' 2x2 determinants overflow: a typed error, not a RuntimeWarning.
+        rng = np.random.default_rng(34)
+        y = rng.normal(0, 1, 100)
+        model = assemble_model([semi_local_trend(), seasonal("s", 3, (2, 3, 2))], y)
+        params = ParamPoint(1e-150, 0.2, 0.5, (0.3,), d=0.0, phi=0.4)
+        assert kalman._SequenceForm(model, params, y.size).has_precision
+        with pytest.raises(NumericalError):
+            ffbs_sample(model, params, y, rng)
 
     def test_subnormal_variance_takes_filter_branch(self, monkeypatch):
         # sigma_level^2 = 1e-320 is subnormal: its reciprocal overflows, so the precision does not exist.
