@@ -693,10 +693,18 @@ def save_network_json(
 
 
 def load_network_json(path: Path | str) -> tuple[Dag, ArcStrengthTable]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    nodes = tuple(payload["nodes"])
-    arcs = frozenset((a["from"], a["to"]) for a in payload["arcs"])
-    strengths = {
-        (a["from"], a["to"]): float(a.get("strength", 1.0)) for a in payload["arcs"]
-    }
+    """Read a `save_network_json` document; SchemaError naming the file if it is not one."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        nodes = tuple(payload["nodes"])
+        arcs = frozenset((a["from"], a["to"]) for a in payload["arcs"])
+        strengths = {
+            (a["from"], a["to"]): float(a.get("strength", 1.0)) for a in payload["arcs"]
+        }
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: not valid JSON: {exc}") from None
+    except KeyError as exc:
+        raise SchemaError(f"{path}: network document lacks key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: malformed network document: {exc}") from None
     return Dag(nodes, arcs), ArcStrengthTable(strengths=strengths)

@@ -135,7 +135,8 @@ def specs_from_json(payload: dict) -> list[ComponentSpec]:
     Seasonal entries carry name/n_seasons/durations/phase and an optional
     var_prior {df, guess}; the trend entry may carry level/slope variance
     priors plus d/phi hyperparameters; a regression entry carries columns and
-    optional spike_slab settings.
+    optional spike_slab settings. An entry that lacks a key or holds a value
+    of the wrong type raises SchemaError naming the entry.
     """
     if "components" not in payload or not isinstance(payload["components"], list):
         raise SchemaError("component document requires a 'components' list")
@@ -146,42 +147,47 @@ def specs_from_json(payload: dict) -> list[ComponentSpec]:
         return VariancePrior(df=float(entry["df"]), guess=float(entry["guess"]))
 
     specs: list[ComponentSpec] = []
-    for i, entry in enumerate(payload["components"]):
-        kind = entry.get("kind")
-        if kind == "semi_local_trend":
-            priors = None
-            raw = entry.get("priors")
-            if raw is not None:
-                priors = TrendPriors(
-                    level_var=var_prior(raw["level"]),
-                    slope_var=var_prior(raw["slope"]),
-                    d_mean=float(raw["d_mean"]),
-                    d_sd=float(raw["d_sd"]),
-                    phi_mean=float(raw.get("phi_mean", 0.0)),
-                    phi_sd=float(raw.get("phi_sd", 0.5)),
+    try:
+        for i, entry in enumerate(payload["components"]):
+            kind = entry.get("kind")
+            if kind == "semi_local_trend":
+                priors = None
+                raw = entry.get("priors")
+                if raw is not None:
+                    priors = TrendPriors(
+                        level_var=var_prior(raw["level"]),
+                        slope_var=var_prior(raw["slope"]),
+                        d_mean=float(raw["d_mean"]),
+                        d_sd=float(raw["d_sd"]),
+                        phi_mean=float(raw.get("phi_mean", 0.0)),
+                        phi_sd=float(raw.get("phi_sd", 0.5)),
+                    )
+                specs.append(semi_local_trend(priors))
+            elif kind == "seasonal":
+                specs.append(
+                    seasonal(
+                        name=str(entry.get("name", f"seasonal_{i}")),
+                        n_seasons=int(entry["n_seasons"]),
+                        durations=[int(d) for d in entry["durations"]],
+                        phase=int(entry.get("phase", 0)),
+                        var_prior=var_prior(entry.get("var_prior")),
+                    )
                 )
-            specs.append(semi_local_trend(priors))
-        elif kind == "seasonal":
-            specs.append(
-                seasonal(
-                    name=str(entry.get("name", f"seasonal_{i}")),
-                    n_seasons=int(entry["n_seasons"]),
-                    durations=[int(d) for d in entry["durations"]],
-                    phase=int(entry.get("phase", 0)),
-                    var_prior=var_prior(entry.get("var_prior")),
-                )
-            )
-        elif kind == "regression":
-            raw = entry.get("spike_slab")
-            settings = None
-            if raw is not None:
-                settings = SpikeSlabSettings(
-                    expected_model_size=float(raw.get("expected_model_size", 2.0)),
-                    information_weight=float(raw.get("information_weight", 0.5)),
-                )
-            specs.append(regression([str(c) for c in entry["columns"]], settings))
-        else:
-            raise SchemaError(f"component {i}: unknown kind {kind!r}")
+            elif kind == "regression":
+                raw = entry.get("spike_slab")
+                settings = None
+                if raw is not None:
+                    settings = SpikeSlabSettings(
+                        expected_model_size=float(raw.get("expected_model_size", 2.0)),
+                        information_weight=float(raw.get("information_weight", 0.5)),
+                    )
+                specs.append(regression([str(c) for c in entry["columns"]], settings))
+            else:
+                raise SchemaError(f"component {i}: unknown kind {kind!r}")
+    except KeyError as exc:
+        raise SchemaError(f"component {i}: missing key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise SchemaError(f"component {i}: malformed entry: {exc}") from None
     return specs
 
 
@@ -288,9 +294,6 @@ class StateSpaceModel:
         if a1.shape != (self.state_dim,) or p1.shape != (self.state_dim,):
             raise SchemaError("initial state dimensions do not match the model")
         return replace(self, a1=a1, p1_diag=p1)
-
-    def boundary_mask(self, t: int) -> tuple[bool, ...]:
-        return self.masks[self.step_masks[t % self.period]]
 
     def boundaries(self, n: int) -> np.ndarray:
         """Boundary flags (n-1, number of seasonals) of an n-step series: row t is the mask of the step t to t+1."""

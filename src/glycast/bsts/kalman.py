@@ -2,6 +2,18 @@
 
 Conventions: the state at index t carries the components generating y_t;
 `transition_matrix(phi, t)` maps the time-t state to the time-(t+1) state.
+
+One Kalman filter, `_filter_draws`, filters a batch of K parameter draws at
+once on the draws-last transition kernel `_DrawOperators`: states are (m, K)
+and covariances (m, m, K). The draws' transitions differ only in T[1, 1] =
+phi, so each boundary mask of the model's step schedule gives the phi = 0
+template S shared by every draw, and T = S + phi e_1 e_1'. Then T x = S x +
+phi x_1 e_1 and T P T' = T (T P)' for symmetric P, each one matrix product
+over all draws; where no seasonal boundary falls, S is the identity outside
+rows 0 and 1 and the products become in-place row and column updates.
+`forecast_anchors` runs it on a fit's retained draws, `kalman_loglik` on one
+parameter point (K = 1).
+
 State paths are drawn with the mean-corrected simulation smoother of Durbin &
 Koopman (2002): a noise-only path plus the smoothed mean of the state given y
 minus the noise-only observations. The parameters choose, before any
@@ -12,10 +24,10 @@ division, how that mean is computed:
   component-sequence coordinates (Chan & Jeliazkov 2009): the trend's band of
   half-width 2, bordered by the seasonals' distinct effects;
 - where one of them is zero or subnormal, the precision does not exist, and
-  the forward filter `kalman_loglik` plus a backward recursion give the mean.
-  The filter skips degenerate updates, so exact zero variances work (the
-  smoother collapses to the deterministic path), which the noiseless oracle
-  cases rely on.
+  the filtered moments of `kalman_loglik` plus a backward recursion give the
+  mean. The filter skips degenerate updates, so exact zero variances work
+  (the smoother collapses to the deterministic path), which the noiseless
+  oracle cases rely on.
 
 The two round differently: the precision solve loses accuracy as a noise
 variance falls far below the others (about 1e-10 of the path's scale at
@@ -25,7 +37,7 @@ filter as p1_diag grows diffuse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -70,29 +82,130 @@ def _check_params(model: StateSpaceModel, params: ParamPoint) -> None:
 @dataclass(frozen=True)
 class FilterResult:
     loglik: float
-    filtered_means: np.ndarray  # (n, m) E[state_t | y_1..t]
-    predicted_means: np.ndarray  # (n,) E[y_t | y_1..t-1]
-    predicted_variances: np.ndarray  # (n,)
-    state_pred_means: np.ndarray  # (n, m) E[state_t | y_1..t-1]
-    state_pred_covs: np.ndarray  # (n, m, m)
-    innovations: np.ndarray  # (n,) y_t - E[y_t | y_1..t-1]
-    gains: np.ndarray  # (n, m) P_t z / F_t; zero where F_t = 0
+    filtered_means: np.ndarray  # (n, m) E[state_t | y_0..t]
+    filtered_covs: np.ndarray  # (n, m, m) Cov[state_t | y_0..t]
+    predicted_means: np.ndarray  # (n,) E[y_t | y_0..t-1]
+    predicted_variances: np.ndarray  # (n,) F_t = Var[y_t | y_0..t-1]
+    innovations: np.ndarray  # (n,) v_t = y_t - E[y_t | y_0..t-1]
+    gains: np.ndarray  # (n, m) g_t = Cov[state_t | y_0..t-1] z / F_t; zero where F_t = 0
 
 
-def _step_operators(
-    model: StateSpaceModel, params: ParamPoint
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(T, T', Q) for every step of one period, built once per boundary mask."""
-    level_var = params.sigma_level**2
-    slope_var = params.sigma_slope**2
-    seasonal_vars = [s**2 for s in params.sigma_seasonal]
-    ops = []
-    for i, template in enumerate(model.templates):
-        T = template.copy()
-        T[1, 1] = params.phi
-        q = model.mask_noise(i, level_var, slope_var, seasonal_vars)
-        ops.append((T, T.T.copy(), np.diag(q)))
-    return [ops[i] for i in model.step_masks]
+class _DrawOperators:
+    """The draws-last transition kernel of a batch of K parameter draws (module docstring).
+
+    `points` is one `ParamPoint` (K = 1) or the retained draws of a fit, whose
+    seven parameter fields carry a leading draw axis; `keep` selects draws
+    along it. The kernel reads the model's step schedule: per boundary mask
+    the phi = 0 template S (m, m) shared by every draw, whether the mask is
+    plain (no seasonal boundary, so S is the identity outside rows 0 and 1,
+    where S[0] = e_0 + e_1 and S[1] = 0) and the noise variances (m, K). A
+    state is (m, ..., K) and a covariance (m, m, K).
+    """
+
+    def __init__(self, model: StateSpaceModel, points, keep: slice = slice(None)) -> None:
+        def param(name: str) -> np.ndarray:
+            value = np.asarray(getattr(points, name), dtype=float)
+            return (value[None] if isinstance(points, ParamPoint) else value)[keep]
+
+        self.phi = param("phi")  # (K,)
+        variances = (param("sigma_level") ** 2, param("sigma_slope") ** 2, (param("sigma_seasonal") ** 2).T)
+        self.step_masks = model.step_masks
+        self.templates = model.templates  # (m, m) each
+        self.plain = [not any(mask) for mask in model.masks]
+        self.noise_vars = [model.mask_noise(i, *variances).T.copy() for i in range(len(model.masks))]  # (m, K)
+        self.intercept = model.state_intercept(param("d"), self.phi).T.copy()  # (m, K)
+        self.obs_var = param("sigma_obs") ** 2  # (K,)
+        self.beta = param("beta").T  # (J, K): x_t @ beta is x_t' beta per draw
+        self.z = model.z
+        self._terms: dict[tuple, tuple[np.ndarray, ...]] = {}
+
+    def step(self, t: int) -> int:
+        """Index of the operators that move the state from t to t+1."""
+        return self.step_masks[t % len(self.step_masks)]
+
+    def transition(self, step: int, x: np.ndarray) -> np.ndarray:
+        """T x for every draw, x of shape (m, ..., K); x may be overwritten."""
+        if self.plain[step]:
+            x[0] += x[1]
+            x[1] *= self.phi
+            return x
+        out = self.templates[step].dot(x.reshape(len(x), -1)).reshape(x.shape)
+        out[1] = self.phi * x[1]
+        return out
+
+    def transition_cov(self, step: int, P: np.ndarray) -> np.ndarray:
+        """T P T' = T (T P)' for every draw, P (m, m, K) symmetric; P may be overwritten."""
+        if self.plain[step]:
+            # The row updates of T x, then the same on the columns, in place.
+            P[0] += P[1]
+            P[1] *= self.phi
+            P[:, 0] += P[:, 1]
+            P[:, 1] *= self.phi
+            return P
+        return self.transition(step, self.transition(step, P).transpose(1, 0, 2))
+
+    def horizon_terms(self, t: int, horizons: Sequence[int]) -> tuple[np.ndarray, ...]:
+        """(w_h (H, m), g_h (H, K), b_h (H, K), s_h (H, K)) of y_{t+h} given the state at t.
+
+        y_{t+h} = u_h' alpha_t + b_h + x_{t+h}' beta + e_h with Var(e_h) = s_h:
+        u_h = (T_{t+h-1} ... T_t)' z = w_h + g_h e_1 is built backwards from z
+        (T'(w + g e_1) is S'w with row 1 zeroed plus (w_0 + phi g) e_1, so w_h
+        is shared), b_h collects the state intercepts, s_h the state noise and
+        observation variance. They depend on t only through the boundary
+        masks of steps t..t+h-1, which key the cache.
+        """
+        horizons = tuple(horizons)
+        key = (horizons, tuple(self.step(t + j) for j in range(max(horizons))))
+        if key not in self._terms:
+            self._terms[key] = self._backward_terms(*key)
+        return self._terms[key]
+
+    def _backward_terms(self, horizons: tuple[int, ...], masks: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+        k = self.obs_var.size
+        w = np.empty((len(horizons), self.z.size))
+        g, b, s = np.zeros((3, len(horizons), k))
+        for i, h in enumerate(horizons):
+            v, gv = self.z.copy(), np.zeros(k)  # z_1 = 0: the slope is not observed
+            s[i] = self.obs_var
+            for step in reversed(masks[:h]):
+                b[i] += v.dot(self.intercept) + gv * self.intercept[1]
+                s[i] += (v * v).dot(self.noise_vars[step]) + gv * gv * self.noise_vars[step][1]
+                gv = v[0] + self.phi * gv
+                v = self.templates[step].T.dot(v)
+                v[1] = 0.0
+            w[i], g[i] = v, gv
+        return w, g, b, s
+
+
+def _filter_draws(model: StateSpaceModel, ops: _DrawOperators, y: np.ndarray, x: np.ndarray):
+    """Kalman filter of every draw at once: yields (t, a_t, P_t, v_t, F_t, g_t) for every t of y.
+
+    a_t (m, K) and P_t (m, m, K) are the filtered state moments given
+    y_0..y_t, draws last; v_t and F_t (K,) the innovation and its variance,
+    g_t (m, K) the gain; row t of the design x (n, J) gives x_t' beta. Steps
+    with zero predictive variance have zero gain and leave the state
+    untouched. Later steps may overwrite the yielded arrays.
+    """
+    m, k = ops.intercept.shape
+    z = ops.z
+    a = np.repeat(model.a1[:, None], k, axis=1)
+    P = np.zeros((m, m, k))
+    P.reshape(m * m, k)[:: m + 1] = model.p1_diag[:, None]
+    rank_one = np.empty_like(P)
+    for t in range(y.size):
+        if t:
+            step = ops.step(t - 1)
+            a = ops.transition(step, a)
+            a += ops.intercept
+            P = ops.transition_cov(step, P)
+            P.reshape(m * m, k)[:: m + 1] += ops.noise_vars[step]
+        pz = z.dot(P.reshape(m, m * k)).reshape(m, k)  # z'P, which is (P z)' for symmetric P
+        f = z.dot(pz) + ops.obs_var
+        v = y[t] - (z.dot(a) + x[t].dot(ops.beta))
+        gain = np.divide(pz, f, out=np.zeros_like(pz), where=f > 0.0)
+        a += gain * v
+        P -= np.multiply(gain[:, None, :], pz[None, :, :], out=rank_one)
+        yield t, a, P, v, f, gain
 
 
 def kalman_loglik(
@@ -101,61 +214,37 @@ def kalman_loglik(
     y: Sequence[float],
     x: Optional[np.ndarray] = None,
 ) -> FilterResult:
-    """Run the forward filter and return the exact Gaussian log-likelihood.
+    """Run the forward filter on one parameter point and return the exact Gaussian log-likelihood.
 
-    Degenerate steps (zero predictive variance) contribute nothing to the
-    likelihood and leave the state untouched.
+    The filter is `_filter_draws` at K = 1, run on y minus the regression
+    offsets x_t' beta. Degenerate steps (zero predictive variance) contribute
+    nothing to the likelihood and leave the state untouched.
     """
     _check_params(model, params)
     y = np.asarray(y, dtype=float)
     n = y.size
     m = model.state_dim
-    z = model.z
     offsets = model.observation_offsets(params.beta, x, n)
-    obs_var = params.sigma_obs**2
-    c = model.state_intercept(params.d, params.phi)
-    period = model.period
-    schedule = _step_operators(model, params)
-
-    a = model.a1.copy()
-    P = np.diag(model.p1_diag).astype(float)
-    state_pred_means = np.empty((n, m))
-    state_pred_covs = np.empty((n, m, m))
-    predicted_variances = np.empty(n)
-    innovations = np.empty(n)
-
-    # The loop bodies call ndarray.dot: on operands this small its call
-    # overhead is about half that of the @ operator.
-    y_obs = y - offsets
-    for t in range(n):
-        state_pred_means[t] = a
-        state_pred_covs[t] = P
-        pz = P.dot(z)
-        f = z.dot(pz) + obs_var
-        v = y_obs[t] - z.dot(a)
-        predicted_variances[t] = f
-        innovations[t] = v
-        if f > 0.0:
-            gain = pz / f
-            a = a + gain * v
-            P = P - gain[:, None] * pz
-        T, Tt, Q = schedule[t % period]
-        a = T.dot(a) + c
-        P = T.dot(P).dot(Tt) + Q
+    ops = _DrawOperators(model, replace(params, beta=np.zeros(0)))
+    filtered_means = np.empty((n, m))
+    filtered_covs = np.empty((n, m, m))
+    gains = np.empty((n, m))
+    innovations, predicted_variances = np.empty((2, n))
+    for t, a, P, v, f, gain in _filter_draws(model, ops, y - offsets, np.zeros((n, 0))):
+        filtered_means[t], filtered_covs[t], gains[t] = a[:, 0], P[:, :, 0], gain[:, 0]
+        innovations[t], predicted_variances[t] = v[0], f[0]
 
     bad = ~(np.isfinite(predicted_variances) & np.isfinite(innovations))
     if bad.any():
         raise NumericalError(f"non-finite filter quantity at step {int(np.argmax(bad))}")
     informative = predicted_variances > 0.0
     f = np.where(informative, predicted_variances, 1.0)
-    gains = (state_pred_covs @ z) * (informative / f)[:, None]
     return FilterResult(
         loglik=-0.5 * float(np.sum((np.log(2.0 * np.pi * f) + innovations**2 / f)[informative])),
-        filtered_means=state_pred_means + gains * innovations[:, None],
+        filtered_means=filtered_means,
+        filtered_covs=filtered_covs,
         predicted_means=y - innovations,
         predicted_variances=predicted_variances,
-        state_pred_means=state_pred_means,
-        state_pred_covs=state_pred_covs,
         innovations=innovations,
         gains=gains,
     )
@@ -368,29 +457,25 @@ class _SequenceForm:
 
 
 def _filtered_mean(model: StateSpaceModel, params: ParamPoint, y: np.ndarray, x: Optional[np.ndarray]) -> np.ndarray:
-    """E[alpha | y] (n, m) from `kalman_loglik` and a backward recursion.
+    """E[alpha | y] (n, m) from `kalman_loglik`'s filtered moments and a backward recursion.
 
-    r_{t-1} = z v_t / F_t + (I - g_t z')' T_t' r_t with r_{n-1} = 0 and
-    filtered gain g_t = P_t z / F_t; the mean is a_t + P_t r_{t-1}. Steps with
-    zero predictive variance carry no information (v/F = 0, g = 0), so a
-    noiseless model returns its deterministic path.
+    With w_t = T_t' r_t, r_{t-1} = z v_t / F_t + w_t - z (g_t' w_t) and
+    r_{n-1} = 0, the mean is a_t|t + P_t|t w_t. Steps with zero predictive
+    variance carry no information (v/F = 0, g = 0), so a noiseless model
+    returns its deterministic path.
     """
     n = y.size
-    m = model.state_dim
     z = model.z
-    period = model.period
-    schedule = _step_operators(model, params)
     filt = kalman_loglik(model, params, y, x)
     f = filt.predicted_variances
     scaled_innovations = np.divide(filt.innovations, f, out=np.zeros(n), where=f > 0.0)
 
-    r = np.zeros(m)
-    rs = np.empty((n, m))
+    r = np.zeros(model.state_dim)
+    ws = np.empty((n, model.state_dim))
     for t in range(n - 1, -1, -1):
-        w = schedule[t % period][1].dot(r)
+        w = ws[t] = model.transition_matrix(params.phi, t).T.dot(r)
         r = w + z * (scaled_innovations[t] - filt.gains[t].dot(w))
-        rs[t] = r
-    return filt.state_pred_means + np.einsum("tij,tj->ti", filt.state_pred_covs, rs)
+    return filt.filtered_means + np.einsum("tij,tj->ti", filt.filtered_covs, ws)
 
 
 def ffbs_sample(

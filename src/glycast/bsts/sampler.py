@@ -15,20 +15,13 @@ joint forward paths from each draw's terminal state; `forecast_anchors`
 filters every draw through the series and samples y_{t+h} from each draw's
 exact Gaussian predictive at every anchor.
 
-Both run on one draws-last transition kernel, `_DrawOperators`: states are
-(m, K) and covariances (m, m, K) for K draws. The draws' transitions differ
-only in T[1, 1] = phi, so each boundary mask of the model's step schedule
-gives the phi = 0 template S shared by every draw, and T = S + phi e_1 e_1'.
-Then T x = S x + phi x_1 e_1 and T P T' = T (T P)' for symmetric P, each one
-matrix product over all draws; where no seasonal boundary falls, S is the
-identity outside rows 0 and 1 and the products become in-place row and
-column updates. Row 1 of S is zero and column 1 is e_0, so the anchored
-predictive's backward vector is u_h = w_h + g_h e_1 with w_h shared by every
-draw, and u'Pu comes from one product of the (H, m) w with the draws-last P.
-`kalman_loglik` filters one parameter point on its own single-point path,
-which also returns each step's gain, predicted covariance and log-likelihood
-term; the Gibbs fit's `ffbs_sample` runs it only where the precision of the
-state path does not exist.
+Both move every draw at once on the draws-last transition kernel
+`kalman._DrawOperators` (states (m, K), covariances (m, m, K) for K draws),
+and `forecast_anchors` filters with `kalman._filter_draws`, the one Kalman
+filter, which `kalman_loglik` runs at K = 1. Row 1 of every phi = 0 template
+S is zero and column 1 is e_0, so the anchored predictive's backward vector
+is u_h = w_h + g_h e_1 with w_h shared by every draw, and u'Pu comes from one
+product of the (H, m) w with the draws-last P.
 """
 
 from __future__ import annotations
@@ -41,7 +34,7 @@ from scipy.special import ndtr, ndtri
 
 from ..errors import NumericalError, RangeError, SchemaError
 from .components import MAX_HORIZON, StateSpaceModel
-from .kalman import ParamPoint, ffbs_sample
+from .kalman import ParamPoint, _DrawOperators, _filter_draws, ffbs_sample
 from .spike_slab import sample_regression
 
 _FORECAST_SALT = 0x5EED
@@ -212,88 +205,6 @@ class ForecastResult:
     paths: np.ndarray  # (K, h) per-draw sampled paths
 
 
-class _DrawOperators:
-    """The draws-last transition kernel of a batch of K draws (module docstring).
-
-    It reads the model's step schedule: per boundary mask the phi = 0
-    template S (m, m) shared by every draw, whether the mask is plain (no
-    seasonal boundary, so S is the identity outside rows 0 and 1, where
-    S[0] = e_0 + e_1 and S[1] = 0) and the noise variances (m, K). A state is
-    (m, ..., K) and a covariance (m, m, K).
-    """
-
-    def __init__(self, model: StateSpaceModel, draws: PosteriorDraws, keep: slice) -> None:
-        self.phi = draws.phi[keep]  # (K,)
-        variances = (draws.sigma_level[keep] ** 2, draws.sigma_slope[keep] ** 2)
-        variances += ((draws.sigma_seasonal[keep] ** 2).T,)
-        self.step_masks = model.step_masks
-        self.templates = model.templates  # (m, m) each
-        self.plain = [not any(mask) for mask in model.masks]
-        self.noise_vars = [model.mask_noise(i, *variances).T.copy() for i in range(len(model.masks))]  # (m, K)
-        self.intercept = model.state_intercept(draws.d[keep], self.phi).T.copy()  # (m, K)
-        self.obs_var = draws.sigma_obs[keep] ** 2  # (K,)
-        self.beta = draws.beta[keep].T  # (J, K): x_t @ beta is x_t' beta per draw
-        self.z = model.z
-        self._terms: dict[tuple, tuple[np.ndarray, ...]] = {}
-
-    def step(self, t: int) -> int:
-        """Index of the operators that move the state from t to t+1."""
-        return self.step_masks[t % len(self.step_masks)]
-
-    def transition(self, step: int, x: np.ndarray) -> np.ndarray:
-        """T x for every draw, x of shape (m, ..., K); x may be overwritten."""
-        if self.plain[step]:
-            x[0] += x[1]
-            x[1] *= self.phi
-            return x
-        out = self.templates[step].dot(x.reshape(len(x), -1)).reshape(x.shape)
-        out[1] = self.phi * x[1]
-        return out
-
-    def transition_cov(self, step: int, P: np.ndarray) -> np.ndarray:
-        """T P T' = T (T P)' for every draw, P (m, m, K) symmetric; P may be overwritten."""
-        if self.plain[step]:
-            # The row updates of T x, then the same on the columns, in place.
-            P[0] += P[1]
-            P[1] *= self.phi
-            P[:, 0] += P[:, 1]
-            P[:, 1] *= self.phi
-            return P
-        return self.transition(step, self.transition(step, P).transpose(1, 0, 2))
-
-    def horizon_terms(self, t: int, horizons: Sequence[int]) -> tuple[np.ndarray, ...]:
-        """(w_h (H, m), g_h (H, K), b_h (H, K), s_h (H, K)) of y_{t+h} given the state at t.
-
-        y_{t+h} = u_h' alpha_t + b_h + x_{t+h}' beta + e_h with Var(e_h) = s_h:
-        u_h = (T_{t+h-1} ... T_t)' z = w_h + g_h e_1 is built backwards from z
-        (T'(w + g e_1) is S'w with row 1 zeroed plus (w_0 + phi g) e_1, so w_h
-        is shared), b_h collects the state intercepts, s_h the state noise and
-        observation variance. They depend on t only through the boundary
-        masks of steps t..t+h-1, which key the cache.
-        """
-        horizons = tuple(horizons)
-        key = (horizons, tuple(self.step(t + j) for j in range(max(horizons))))
-        if key not in self._terms:
-            self._terms[key] = self._backward_terms(*key)
-        return self._terms[key]
-
-    def _backward_terms(self, horizons: tuple[int, ...], masks: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-        k = self.obs_var.size
-        w = np.empty((len(horizons), self.z.size))
-        g, b, s = np.zeros((3, len(horizons), k))
-        for i, h in enumerate(horizons):
-            v, gv = self.z.copy(), np.zeros(k)  # z_1 = 0: the slope is not observed
-            s[i] = self.obs_var
-            for step in reversed(masks[:h]):
-                b[i] += v.dot(self.intercept) + gv * self.intercept[1]
-                s[i] += (v * v).dot(self.noise_vars[step]) + gv * gv * self.noise_vars[step][1]
-                gv = v[0] + self.phi * gv
-                v = self.templates[step].T.dot(v)
-                v[1] = 0.0
-            w[i], g[i] = v, gv
-        return w, g, b, s
-
-
 def posterior_forecast(
     draws: PosteriorDraws,
     model: StateSpaceModel,
@@ -315,7 +226,7 @@ def posterior_forecast(
         raise RangeError(f"horizon must lie in 1..{MAX_HORIZON}, got {horizon}")
     if rng is None:
         rng = np.random.default_rng([draws.seed, _FORECAST_SALT])
-    ops = _DrawOperators(model, draws, slice(None))
+    ops = _DrawOperators(model, draws)
     offsets = np.zeros(horizon)
     if model.n_regressors:
         if x_future is None or np.shape(x_future) != (horizon, model.n_regressors):
@@ -363,36 +274,6 @@ def _predictive_moments(
             raise NumericalError("negative or non-finite predictive variance")
         var = np.maximum(var, 0.0)
     return mean, var
-
-
-def _filter_draws(model: StateSpaceModel, ops: _DrawOperators, y: np.ndarray, x: np.ndarray):
-    """Kalman filter of every draw at once: yields (t, a_t, P_t) for every t of y.
-
-    a_t (m, K) and P_t (m, m, K) are the filtered state moments given
-    y_0..y_t, draws last; row t of the design x (n, J) gives x_t' beta.
-    Steps with zero predictive variance leave the state untouched. Later
-    steps may overwrite the yielded arrays.
-    """
-    m, k = ops.intercept.shape
-    z = ops.z
-    a = np.repeat(model.a1[:, None], k, axis=1)
-    P = np.zeros((m, m, k))
-    P.reshape(m * m, k)[:: m + 1] = model.p1_diag[:, None]
-    rank_one = np.empty_like(P)
-    for t in range(y.size):
-        if t:
-            step = ops.step(t - 1)
-            a = ops.transition(step, a)
-            a += ops.intercept
-            P = ops.transition_cov(step, P)
-            P.reshape(m * m, k)[:: m + 1] += ops.noise_vars[step]
-        pz = z.dot(P.reshape(m, m * k)).reshape(m, k)  # z'P, which is (P z)' for symmetric P
-        f = z.dot(pz) + ops.obs_var
-        v = y[t] - (z.dot(a) + x[t].dot(ops.beta))
-        gain = np.divide(pz, f, out=np.zeros_like(pz), where=f > 0.0)
-        a += gain * v
-        P -= np.multiply(gain[:, None, :], pz[None, :, :], out=rank_one)
-        yield t, a, P
 
 
 def _sorted_percentiles(ordered: np.ndarray, percents: Sequence[float]) -> np.ndarray:
@@ -469,7 +350,7 @@ def forecast_anchors(
     block = np.empty((2, min(_ANCHOR_BLOCK, anchors.size), steps_ahead.size, ops.obs_var.size))  # mean, sd
     filled = next_anchor = 0
 
-    for t, a, P in _filter_draws(model, ops, y[: anchors[-1] + 1], x):
+    for t, a, P, *_ in _filter_draws(model, ops, y[: anchors[-1] + 1], x):
         if anchors[next_anchor] != t:
             continue
         mean, var = _predictive_moments(ops.horizon_terms(t, horizons), a, P, x[t + steps_ahead] @ ops.beta)

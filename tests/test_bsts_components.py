@@ -85,9 +85,9 @@ class TestAssembly:
         y = series(200)
         base = assemble_model([semi_local_trend(), seasonal("s", 4, (24,) * 4)], y)
         shifted = assemble_model([semi_local_trend(), seasonal("s", 4, (24,) * 4, phase=23)], y)
-        assert base.boundary_mask(23) == (True,)
-        assert shifted.boundary_mask(0) == (True,)
-        assert shifted.boundary_mask(1) == (False,)
+        assert tuple(base.boundaries(25)[23]) == (True,)
+        assert tuple(shifted.boundaries(25)[0]) == (True,)
+        assert tuple(shifted.boundaries(25)[1]) == (False,)
 
     def test_prior_validation(self):
         with pytest.raises(RangeError):
@@ -179,7 +179,6 @@ class TestStepSchedule:
         assert table.shape == (2 * model.period, len(stack))
         for t in range(2 * model.period):
             boundary = tuple(season_index(d, p, t + 1) != season_index(d, p, t) for d, p in stack)
-            assert model.boundary_mask(t) == boundary
             assert tuple(table[t]) == boundary
             np.testing.assert_array_equal(model.transition_matrix(phi, t), dense_transition(stack, phi, boundary))
             q = model.noise_diag(0.1, 0.2, [0.3] * len(stack), t)

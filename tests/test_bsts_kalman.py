@@ -67,6 +67,9 @@ class TestFilter:
             np.testing.assert_allclose(
                 filt.predicted_variances, oracle.onestep_variances, atol=1e-8
             )
+            # At the last step the filtered state is the smoothed one.
+            np.testing.assert_allclose(filt.filtered_means[-1], oracle.smoothed_state_means[-1], atol=1e-8)
+            np.testing.assert_allclose(filt.filtered_covs[-1], oracle.smoothed_state_covs[-1], atol=1e-8)
 
     def test_regression_offset(self):
         rng = np.random.default_rng(3)

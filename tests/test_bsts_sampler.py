@@ -18,7 +18,8 @@ from glycast.bsts import (
     semi_local_trend,
 )
 from glycast.bsts.components import MAX_HORIZON
-from glycast.bsts.sampler import _DrawOperators, _filter_draws, _predictive_moments, _sorted_percentiles
+from glycast.bsts.kalman import _DrawOperators, _filter_draws
+from glycast.bsts.sampler import _predictive_moments, _sorted_percentiles
 from glycast.errors import NumericalError, RangeError
 from glycast.synth import gaussian_predictive_oracle, simulate_from_model
 
@@ -268,16 +269,16 @@ class TestAnchoredPredictive:
         assert model.period == 12
         ops = _DrawOperators(model, draws, slice(None))
         crossings = 0
+        flags = model.boundaries(19)
         for t in range(3, 15):
             terms = ops.horizon_terms(t, self.HORIZONS)
-            crossings += any(any(model.boundary_mask(j)) for j in range(t, t + 4))
+            crossings += bool(flags[t : t + 4].any())
             a, P, offsets = [], [], []
             oracles = []
             for params in self.PARAMS:
                 filt = kalman_loglik(model, params, y[: t + 1], x[: t + 1])
-                pred = filt.state_pred_covs[t]
                 a.append(filt.filtered_means[t])
-                P.append(pred - np.outer(filt.gains[t], pred @ model.z))
+                P.append(filt.filtered_covs[t])
                 offsets.append(x[t + 1 : t + 5] @ params.beta)
                 oracles.append(
                     gaussian_predictive_oracle(
@@ -367,8 +368,7 @@ class TestAnchoredPredictive:
         for i, t in enumerate(sorted(anchors)):
             mean, var = np.empty((2, len(self.PARAMS), len(horizons)))
             for k, (params, filt) in enumerate(zip(self.PARAMS, filters)):
-                pred = filt.state_pred_covs[t]
-                a, P = filt.filtered_means[t], pred - np.outer(filt.gains[t], pred @ model.z)
+                a, P = filt.filtered_means[t], filt.filtered_covs[t]
                 noise_vars = (params.sigma_level**2, params.sigma_slope**2, np.square(params.sigma_seasonal))
                 for step in range(t, t + max(horizons)):
                     T = model.transition_matrix(params.phi, step)
@@ -458,12 +458,16 @@ class TestBatchedFilter:
             assert np.all(filters[-1].predicted_variances == 0.0)
 
         steps = 0
-        for t, a, P in _filter_draws(model, ops, y, x):
+        for t, a, P, v, f, gain in _filter_draws(model, ops, y, x):
             for k, filt in enumerate(filters):
-                pred = filt.state_pred_covs[t]
                 assert_close_relative(a[:, k], filt.filtered_means[t], filt.filtered_means[t])
                 # The update subtracts from the predicted covariance, so rounding scales with it.
-                assert_close_relative(P[:, :, k], pred - np.outer(filt.gains[t], pred @ model.z), pred)
+                pred = filt.filtered_covs[t] + filt.predicted_variances[t] * np.outer(filt.gains[t], filt.gains[t])
+                assert_close_relative(P[:, :, k], filt.filtered_covs[t], pred)
+                # Each draw's innovation and its variance, so its log-likelihood terms, are kalman_loglik's.
+                assert_close_relative(v[k], filt.innovations[t], y[t])
+                assert_close_relative(f[k], filt.predicted_variances[t], filt.predicted_variances[t])
+                assert_close_relative(gain[:, k], filt.gains[t], filt.gains[t])
             steps += 1
         assert steps == y.size
 

@@ -557,6 +557,31 @@ class TestErrorHandling:
         assert main(["preprocess", "--config", cfg]) == 2
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "document, message",
+        [('{"nodes": ["a"]}', "lacks key 'arcs'"), ("{not json", "not valid JSON")],
+        ids=["no-arcs", "not-json"],
+    )
+    def test_malformed_network_json(self, tmp_path, synth_dir, capsys, document, message):
+        network = tmp_path / "network.json"
+        network.write_text(document, encoding="utf-8")
+        cfg = write_config(
+            tmp_path / "ev.json", seed=0, out_dir=str(tmp_path / "o"), series_dir=str(synth_dir / "series"),
+            clinical_csv=str(synth_dir / "clinical.csv"), network_json=str(network), draws=20, burn=5,
+        )
+        assert main(["evaluate", "--config", cfg, "--subjects", "S000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(network) in err and message in err
+
+    def test_malformed_component_document(self, tmp_path, synth_dir, capsys):
+        cfg = write_config(
+            tmp_path / "fc.json", seed=0, out_dir=str(tmp_path / "o"),
+            series_csv=str(synth_dir / "series" / "S000.csv"), draws=20, burn=5,
+            components=[{"kind": "semi_local_trend"}, {"kind": "seasonal"}],
+        )
+        assert main(["forecast", "--config", cfg, "--horizon", "15"]) == 2
+        assert "error: component 1: missing key 'n_seasons'" in capsys.readouterr().err
+
     def test_unknown_subject(self, tmp_path, synth_dir, capsys):
         cfg = write_config(
             tmp_path / "ev.json",
