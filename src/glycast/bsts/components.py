@@ -43,8 +43,8 @@ class VariancePrior:
     guess: float
 
     def __post_init__(self) -> None:
-        if self.df <= 0 or self.guess <= 0:
-            raise RangeError(f"variance prior requires positive df and guess, got {self}")
+        if not (0 < self.df < math.inf and 0 < self.guess < math.inf):  # NaN fails too
+            raise RangeError(f"variance prior requires finite positive df and guess, got {self}")
 
     @property
     def shape(self) -> float:
@@ -73,6 +73,8 @@ class TrendPriors:
     phi_sd: float = 0.5
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.d_mean, self.d_sd, self.phi_mean, self.phi_sd))):
+            raise RangeError(f"trend prior hyperparameters must be finite, got {self}")
         if self.d_sd <= 0 or self.phi_sd <= 0:
             raise RangeError("prior standard deviations must be positive")
 
@@ -85,8 +87,8 @@ class SpikeSlabSettings:
     information_weight: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.expected_model_size <= 0:
-            raise RangeError("expected_model_size must be positive")
+        if not 0 < self.expected_model_size < math.inf:  # NaN fails too
+            raise RangeError(f"expected_model_size must be finite and positive, got {self.expected_model_size}")
         if not 0.0 <= self.information_weight <= 1.0:
             raise RangeError("information_weight must lie in [0, 1]")
 

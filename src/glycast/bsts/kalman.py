@@ -16,23 +16,15 @@ parameter point (K = 1).
 
 State paths are drawn with the mean-corrected simulation smoother of Durbin &
 Koopman (2002): a noise-only path plus the smoothed mean of the state given y
-minus the noise-only observations. The parameters choose, before any
-division, how that mean is computed:
-
-- where every noise variance, the observation variance and every p1_diag
-  entry has a finite reciprocal, by one sparse precision solve in
-  component-sequence coordinates (Chan & Jeliazkov 2009): the trend's band of
-  half-width 2, bordered by the seasonals' distinct effects;
-- where one of them is zero or subnormal, the precision does not exist, and
-  the filtered moments of `kalman_loglik` plus a backward recursion give the
-  mean. The filter skips degenerate updates, so exact zero variances work
-  (the smoother collapses to the deterministic path), which the noiseless
-  oracle cases rely on.
-
-The two round differently: the precision solve loses accuracy as a noise
-variance falls far below the others (about 1e-10 of the path's scale at
-n = 40 with sigma_level = 1e-3 sigma_obs, against a 50-digit solve), the
-filter as p1_diag grows diffuse.
+minus the noise-only observations. That mean is one sparse precision solve in
+component-sequence coordinates (Chan & Jeliazkov 2009): the trend's band of
+half-width 2, bordered by the seasonals' distinct effects. The precision
+exists only where every noise variance, the observation variance and every
+p1_diag entry has a finite reciprocal; parameters where one is zero,
+subnormal or NaN raise RangeError before any normal is drawn. The solve loses
+accuracy as a noise variance falls far below the others (about 1e-10 of the
+path's scale at n = 40 with sigma_level = 1e-3 sigma_obs, against a 50-digit
+solve).
 """
 
 from __future__ import annotations
@@ -340,8 +332,12 @@ class _SequenceForm:
         self.level_var, self.slope_var, self.obs_var = variances[:3]
         self.phi, self.d = params.phi, params.d
         self.trend_p1, self.trend_a1 = model.p1_diag[:2], model.a1[:2]
-        # Decided before any division: every variance must have a finite reciprocal.
-        self.has_precision = bool(np.all(np.concatenate((variances, model.p1_diag)) >= np.finfo(float).tiny))
+        # Checked before any division: every variance must have a finite reciprocal (NaN fails too).
+        if not np.all(np.concatenate((variances, model.p1_diag)) >= np.finfo(float).tiny):
+            raise RangeError(
+                "every noise variance and p1_diag entry must be a normal positive float: "
+                "the state path's posterior precision does not exist"
+            )
 
         flags = model.boundaries(n)  # (n-1, K)
         dims = np.array([layout.state_dim for layout in model.seasonals], dtype=np.intp)
@@ -399,7 +395,7 @@ class _SequenceForm:
         return np.concatenate((trend.ravel(), np.linalg.solve(self.L, innovations)))
 
     def smoothed_mean(self, r: np.ndarray) -> np.ndarray:
-        """E[v | r] for r = y - x'beta under the full model; only where `has_precision`.
+        """E[v | r] for r = y - x'beta under the full model.
 
         The posterior precision is [[A, C], [C', D]]: A (2n, 2n) the trend's,
         a band of half-width 2 (2x2 blocks (mu_t, delta_t) on three block
@@ -456,28 +452,6 @@ class _SequenceForm:
         return np.concatenate((trend.ravel(), x_border))
 
 
-def _filtered_mean(model: StateSpaceModel, params: ParamPoint, y: np.ndarray, x: Optional[np.ndarray]) -> np.ndarray:
-    """E[alpha | y] (n, m) from `kalman_loglik`'s filtered moments and a backward recursion.
-
-    With w_t = T_t' r_t, r_{t-1} = z v_t / F_t + w_t - z (g_t' w_t) and
-    r_{n-1} = 0, the mean is a_t|t + P_t|t w_t. Steps with zero predictive
-    variance carry no information (v/F = 0, g = 0), so a noiseless model
-    returns its deterministic path.
-    """
-    n = y.size
-    z = model.z
-    filt = kalman_loglik(model, params, y, x)
-    f = filt.predicted_variances
-    scaled_innovations = np.divide(filt.innovations, f, out=np.zeros(n), where=f > 0.0)
-
-    r = np.zeros(model.state_dim)
-    ws = np.empty((n, model.state_dim))
-    for t in range(n - 1, -1, -1):
-        w = ws[t] = model.transition_matrix(params.phi, t).T.dot(r)
-        r = w + z * (scaled_innovations[t] - filt.gains[t].dot(w))
-    return filt.filtered_means + np.einsum("tij,tj->ti", filt.filtered_covs, ws)
-
-
 def ffbs_sample(
     model: StateSpaceModel,
     params: ParamPoint,
@@ -491,25 +465,18 @@ def ffbs_sample(
     noise-only state path and its observations (zero initial mean, no
     intercept, no regression) from (n, m) state normals and then n
     observation normals, and add to the path the smoothed mean of the state
-    given y minus those observations under the full model. Where every
-    variance and every p1_diag entry has a finite reciprocal, that mean is one
-    precision solve in component-sequence coordinates
-    (`_SequenceForm.smoothed_mean`); where one is zero or subnormal, the
-    precision does not exist and the mean comes from `kalman_loglik` plus the
-    backward recursion (`_filtered_mean`). A non-finite path raises
-    NumericalError.
+    given y minus those observations under the full model, one precision
+    solve in component-sequence coordinates (`_SequenceForm.smoothed_mean`).
+    A variance or p1_diag entry without a finite reciprocal raises RangeError
+    before any draw from rng; a non-finite path raises NumericalError.
     """
     _check_params(model, params)
     y = np.asarray(y, dtype=float)
     n = y.size
     form = _SequenceForm(model, params, n)
     noise = form.noise(rng.standard_normal((n, model.state_dim)))
-    noise_path = noise[form.index]
-    y_star = y - (noise_path @ model.z + params.sigma_obs * rng.standard_normal(n))
-    if form.has_precision:
-        path = (noise + form.smoothed_mean(y_star - model.observation_offsets(params.beta, x, n)))[form.index]
-    else:
-        path = noise_path + _filtered_mean(model, params, y_star, x)
+    y_star = y - (noise[form.index] @ model.z + params.sigma_obs * rng.standard_normal(n))
+    path = (noise + form.smoothed_mean(y_star - model.observation_offsets(params.beta, x, n)))[form.index]
     if not np.all(np.isfinite(path)):
         raise NumericalError("non-finite smoothed state path")
     return path

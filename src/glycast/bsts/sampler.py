@@ -2,11 +2,11 @@
 
 Each sweep: (1) draw a state path with the simulation smoother given the
 current parameters (`ffbs_sample`: a noise-only path plus the smoothed mean
-from one banded-plus-border precision solve, or from a Kalman filter pass and
-a backward recursion where a variance is zero or subnormal); (2) conjugate inverse-gamma draws (`VariancePrior.draw`) for the
-level, slope, and seasonal noise variances from state-innovation sums of
-squares; (3) Gaussian draw for the long-run slope D and truncated-Gaussian
-draw for the AR coefficient phi given the slope path; (4) a spike-and-slab
+from one banded-plus-border precision solve); (2) conjugate inverse-gamma
+draws (`VariancePrior.draw`) for the level, slope, and seasonal noise
+variances from state-innovation sums of squares; (3) Gaussian draw for the
+long-run slope D and truncated-Gaussian draw for the AR coefficient phi
+given the slope path; (4) a spike-and-slab
 sweep on the observation residual, which draws the observation variance too
 (a model without regression runs the zero-column sweep). The chain's state is
 one `ParamPoint`; `PosteriorDraws.from_rows` stacks the retained draws.

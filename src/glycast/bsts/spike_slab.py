@@ -130,8 +130,6 @@ def sample_regression(
 
     beta = np.zeros(j_total)
     active = np.flatnonzero(gamma)
-    if not active.size:
-        return gamma, beta, float(np.sqrt(obs_var_prior.draw(rtr, n, rng)))
     idx = np.ix_(active, active)
     pna = p0[idx] + xtx[idx]
     chol = _chol_with_ridge(pna, "active-column")

@@ -47,23 +47,47 @@ from .evaluate import (
 
 HORIZON_MINUTES = {15: 1, 30: 2, 45: 3, 60: 4}
 
+
+def _boolean(value) -> bool:
+    """A JSON true or false: `bool("false")` would read as True."""
+    if not isinstance(value, bool):
+        raise TypeError
+    return value
+
+
+def _steps(value) -> tuple:
+    """A JSON list of integer steps."""
+    if not isinstance(value, list) or any(isinstance(v, bool) or not isinstance(v, int) for v in value):
+        raise TypeError
+    return tuple(value)
+
+
+_EXPECTED = {int: "an integer", float: "a number", _boolean: "true or false", _steps: "a list of integer steps"}
+
 # Config keys that map one-to-one onto a settings dataclass, with their types;
 # the dataclass holds each default.
 SYNTH_KEYS = {
     "n_subjects": int, "n_days": int, "day_amplitude": float, "meal_amplitude": float,
     "circadian_amplitude": float, "noise_sd": float, "latent_share": float, "latent_sd": float,
-    "latent_ar": float, "missing_rate": float, "egfr_gender_factor": bool,
+    "latent_ar": float, "missing_rate": float, "egfr_gender_factor": _boolean,
 }
 TABU_KEYS = {"tabu_len": int, "max_iter": int, "stall_limit": int}
 EVAL_KEYS = {
-    "split_ratio": float, "horizons": tuple, "hypo_max": float, "hyper_min": float,
+    "split_ratio": float, "horizons": _steps, "hypo_max": float, "hyper_min": float,
     "draws": int, "burn": int, "m_similar": int, "forecast_thin": int,
 }
 
 
 def _settings(cfg: dict, keys: dict) -> dict:
-    """The `keys` that `cfg` sets, each converted to its type."""
-    return {key: cast(cfg[key]) for key, cast in keys.items() if key in cfg}
+    """The `keys` that `cfg` sets, each converted to its type; ConfigError naming a key whose value is not one."""
+    settings = {}
+    for key, cast in keys.items():
+        if key in cfg:
+            try:
+                settings[key] = cast(cfg[key])
+            except (TypeError, ValueError, OverflowError):  # int(Infinity) overflows
+                raise ConfigError(f"config key {key!r} must be {_EXPECTED[cast]}, got {cfg[key]!r}") from None
+    return settings
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -318,7 +342,8 @@ def _eval_config(cfg: dict, seed: int) -> EvalConfig:
 
 def _cmd_forecast(cfg: dict, seed: int, run: _Run) -> None:
     series = load_timeseries(run.required(cfg, "series_csv"))
-    horizon = int(cfg.get("horizon_steps", 4))
+    options = _settings(cfg, {"horizon_steps": int, "deterministic": _boolean})
+    horizon = options.get("horizon_steps", 4)
 
     regressors = None
     names: tuple[str, ...] = ()
@@ -332,7 +357,7 @@ def _cmd_forecast(cfg: dict, seed: int, run: _Run) -> None:
     model, draws = pipeline.fit(series, len(series), _eval_config(cfg, seed))
     x_future = regressors[len(series) : len(series) + horizon] if regressors is not None else None
     result = posterior_forecast(
-        draws, model, horizon, x_future, sample=not cfg.get("deterministic", False)
+        draws, model, horizon, x_future, sample=not options.get("deterministic", False)
     )
 
     forecast_path = run.output(f"forecast_{series.subject_id}.csv")
@@ -420,7 +445,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     started = time.time()
     try:
         cfg = _load_config(args.config)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = args.seed if args.seed is not None else _settings(cfg, {"seed": int}).get("seed", 0)
         if args.horizon:
             cfg["horizon_steps"] = HORIZON_MINUTES[args.horizon]
             cfg["horizons"] = [cfg["horizon_steps"]]

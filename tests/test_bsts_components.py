@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -98,6 +99,20 @@ class TestAssembly:
             )
         with pytest.raises(RangeError):
             SpikeSlabSettings(expected_model_size=0)
+        unit = VariancePrior(1, 1)
+        for value in (math.nan, math.inf, -math.inf):
+            for build in (
+                lambda v: VariancePrior(df=v, guess=1.0),
+                lambda v: VariancePrior(df=1.0, guess=v),
+                lambda v: TrendPriors(unit, unit, d_mean=v, d_sd=1),
+                lambda v: TrendPriors(unit, unit, d_mean=0, d_sd=v),
+                lambda v: TrendPriors(unit, unit, 0, 1, phi_mean=v),
+                lambda v: TrendPriors(unit, unit, 0, 1, phi_sd=v),
+                lambda v: SpikeSlabSettings(expected_model_size=v),
+                lambda v: SpikeSlabSettings(information_weight=v),
+            ):
+                with pytest.raises(RangeError):
+                    build(value)
 
 
 class TestSeasonalRecursion:
@@ -269,3 +284,33 @@ class TestSpecsFromJson:
             specs_from_json({})
         with pytest.raises(SchemaError, match="unknown kind"):
             specs_from_json({"components": [{"kind": "wavelet"}]})
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            '{"kind": "seasonal", "n_seasons": 2, "durations": [1, 1], "var_prior": {"df": NaN, "guess": 1}}',
+            '{"kind": "seasonal", "n_seasons": 2, "durations": [1, 1], "var_prior": {"df": 1, "guess": NaN}}',
+            '{"kind": "semi_local_trend", "priors": {"level": {"df": 1, "guess": Infinity}, '
+            '"slope": {"df": 1, "guess": 1}, "d_mean": 0, "d_sd": 1}}',
+            '{"kind": "semi_local_trend", "priors": {"level": {"df": 1, "guess": 1}, '
+            '"slope": {"df": Infinity, "guess": 1}, "d_mean": 0, "d_sd": 1}}',
+            '{"kind": "semi_local_trend", "priors": {"level": {"df": 1, "guess": 1}, '
+            '"slope": {"df": 1, "guess": 1}, "d_mean": NaN, "d_sd": 1}}',
+            '{"kind": "semi_local_trend", "priors": {"level": {"df": 1, "guess": 1}, '
+            '"slope": {"df": 1, "guess": 1}, "d_mean": 0, "d_sd": Infinity}}',
+            '{"kind": "semi_local_trend", "priors": {"level": {"df": 1, "guess": 1}, '
+            '"slope": {"df": 1, "guess": 1}, "d_mean": 0, "d_sd": 1, "phi_mean": -Infinity}}',
+            '{"kind": "semi_local_trend", "priors": {"level": {"df": 1, "guess": 1}, '
+            '"slope": {"df": 1, "guess": 1}, "d_mean": 0, "d_sd": 1, "phi_sd": NaN}}',
+            '{"kind": "regression", "columns": ["a"], "spike_slab": {"expected_model_size": Infinity}}',
+            '{"kind": "regression", "columns": ["a"], "spike_slab": {"information_weight": NaN}}',
+        ],
+        ids=["df", "guess", "level", "slope", "d_mean", "d_sd", "phi_mean", "phi_sd", "model_size", "weight"],
+    )
+    def test_non_finite_prior_names_the_entry(self, entry):
+        # Python's json reads NaN and Infinity; the entry at index 1 must be refused before any fit.
+        from glycast.bsts import specs_from_json
+
+        payload = json.loads(f'{{"components": [{{"kind": "semi_local_trend"}}, {entry}]}}')
+        with pytest.raises(SchemaError, match="component 1: malformed entry"):
+            specs_from_json(payload)

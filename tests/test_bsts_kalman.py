@@ -12,7 +12,7 @@ from glycast.bsts import (
     semi_local_trend,
 )
 from glycast.bsts import kalman
-from glycast.errors import NumericalError, SchemaError
+from glycast.errors import NumericalError, RangeError, SchemaError
 from glycast.synth import gaussian_predictive_oracle
 
 
@@ -90,13 +90,31 @@ class TestFilter:
 
 
 class TestFFBS:
-    def test_zero_noise_reproduces_deterministic_path(self):
-        y = np.array([100.0, 102.0, 103.0, 103.5])
-        model = trend_model(y).with_initial_state([100.0, 2.0], [0.0, 0.0])
-        params = ParamPoint(0.0, 0.0, 0.0, d=0.0, phi=0.5)
-        states = ffbs_sample(model, params, y, np.random.default_rng(0))
-        np.testing.assert_allclose(states[:, 0], [100.0, 102.0, 103.0, 103.5])
-        np.testing.assert_allclose(states[:, 1], [2.0, 1.0, 0.5, 0.25])
+    @pytest.mark.parametrize(
+        "sds, p1_diag",
+        [
+            pytest.param((0.0, 0.0, 0.0, (0.0,)), (0.0,) * 4, id="zero-noise"),
+            pytest.param((1e-160, 0.2, 0.5, (0.3,)), None, id="subnormal-level"),
+            pytest.param((0.3, 0.2, np.nan, (0.3,)), None, id="nan-obs"),
+            pytest.param((0.3, 0.2, 0.5, (0.0,)), None, id="zero-seasonal"),
+            pytest.param((0.3, 0.2, 0.5, (0.3,)), (1.0, 0.0, 1.0, 1.0), id="zero-p1"),
+            pytest.param((0.3, 0.2, 0.5, (0.3,)), (1.0, 1.0, 1e-320, 1.0), id="subnormal-p1"),
+            pytest.param((0.3, 0.2, 0.5, (0.3,)), (np.nan, 1.0, 1.0, 1.0), id="nan-p1"),
+        ],
+    )
+    def test_variance_without_reciprocal_raises_range_error(self, sds, p1_diag):
+        # The state path's precision needs 1/variance finite for every noise variance and p1_diag entry;
+        # the check runs before the smoother draws its first normal.
+        y = np.array([100.0, 102.0, 103.0, 103.5, 104.0, 103.0, 102.5])
+        model = assemble_model([semi_local_trend(), seasonal("s", 3, (2, 3, 2))], y)
+        if p1_diag is not None:
+            model = model.with_initial_state(model.a1, p1_diag)
+        params = ParamPoint(*sds[:3], sds[3], d=0.0, phi=0.5)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(RangeError, match="p1_diag"):
+            ffbs_sample(model, params, y, rng)
+        assert rng.bit_generator.state == before
 
     def test_sample_means_match_dense_smoother(self):
         rng = np.random.default_rng(11)
@@ -125,14 +143,14 @@ class TestFFBS:
         "sigma_a, phases",
         [
             pytest.param(0.5, (0, 0), id="0.5"),
-            pytest.param(0.0, (0, 0), id="0.0"),
+            pytest.param(0.01, (0, 0), id="0.01"),
             pytest.param(0.5, (9, 4), id="phased"),
         ],
     )
     def test_sample_moments_match_dense_smoother(self, sigma_a, phases):
         # Trend, two seasonals whose boundaries fall on 4 of 13 transitions
         # (5 when phased: each series starts inside a season), and a 2-column
-        # regression; sigma_a = 0 freezes the first seasonal.
+        # regression; sigma_a = 0.01 all but freezes the first seasonal.
         rng = np.random.default_rng(5)
         n = 14
         y = rng.normal(0, 1, n).cumsum()
@@ -185,20 +203,43 @@ def random_model(rng, n):
 
 
 def banded_mean(model, params, y, x):
-    """The precision branch's smoothed mean of the state, gathered to (n, m)."""
+    """The precision solve's smoothed mean of the state, gathered to (n, m)."""
     form = kalman._SequenceForm(model, params, y.size)
-    assert form.has_precision
     return form.smoothed_mean(y - model.observation_offsets(params.beta, x, y.size))[form.index]
 
 
 class TestSmoothedMean:
-    def test_banded_matches_filter_branch(self):
+    @pytest.mark.parametrize("blocks", [1, 2, 3, 31, 32, 33, 34, 63, 64, 65, 127, 300])
+    def test_block_tridiagonal_solve_matches_dense(self, blocks):
+        # Above 32 blocks the solve runs levels of cyclic reduction; odd and even counts end each level differently.
+        rng = np.random.default_rng(blocks)
+        lower = rng.normal(0, 1, (blocks - 1, 2, 2))
+        dense = np.zeros((blocks, 2, blocks, 2))
+        index = np.arange(blocks)
+        dense[index[1:], :, index[:-1], :] = lower
+        dense[index[:-1], :, index[1:], :] = lower.transpose(0, 2, 1)
+        off = rng.normal(0, 1, blocks)
+        diag = np.zeros((blocks, 2, 2))
+        diag[:, 0, 1] = diag[:, 1, 0] = off
+        dense[index, :, index, :] = diag
+        matrix = dense.reshape(2 * blocks, 2 * blocks)
+        # Diagonally dominant rows: positive definite, and well conditioned.
+        dominance = np.abs(matrix).sum(axis=1).reshape(blocks, 2) + rng.uniform(0.5, 2.0, (blocks, 2))
+        diag[:, [0, 1], [0, 1]] = dominance
+        matrix[np.arange(2 * blocks), np.arange(2 * blocks)] = dominance.ravel()
+        rhs = rng.normal(0, 1, (blocks, 2, 3))
+        expected = np.linalg.solve(matrix, rhs.reshape(2 * blocks, 3)).reshape(rhs.shape)
+        solved = kalman._block_tridiagonal_solve(diag, lower, rhs)
+        assert np.max(np.abs(solved - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_last_row_matches_filter(self):
+        # At the last step the smoothed state is the filtered one.
         rng = np.random.default_rng(31)
         for n in np.unique(np.geomspace(3, 400, 30).astype(int)):
             model, params, y, x = random_model(rng, n)
-            reference = kalman._filtered_mean(model, params, y, x)
-            scale = np.max(np.abs(reference))
-            assert np.max(np.abs(banded_mean(model, params, y, x) - reference)) <= 1e-9 * scale
+            smoothed = banded_mean(model, params, y, x)
+            filtered = kalman_loglik(model, params, y, x).filtered_means[-1]
+            assert np.max(np.abs(smoothed[-1] - filtered)) <= 1e-9 * np.max(np.abs(smoothed))
 
     def test_banded_matches_dense_oracle(self):
         rng = np.random.default_rng(32)
@@ -213,30 +254,11 @@ class TestSmoothedMean:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_trend_block_raises_numerical_error(self):
-        # sigma_level = 1e-150 keeps every reciprocal finite (1e300), so the precision branch runs, but the
+        # sigma_level = 1e-150 keeps every reciprocal finite (1e300), so the precision is formed, but the
         # trend blocks' 2x2 determinants overflow: a typed error, not a RuntimeWarning.
         rng = np.random.default_rng(34)
         y = rng.normal(0, 1, 100)
         model = assemble_model([semi_local_trend(), seasonal("s", 3, (2, 3, 2))], y)
         params = ParamPoint(1e-150, 0.2, 0.5, (0.3,), d=0.0, phi=0.4)
-        assert kalman._SequenceForm(model, params, y.size).has_precision
         with pytest.raises(NumericalError):
             ffbs_sample(model, params, y, rng)
-
-    def test_subnormal_variance_takes_filter_branch(self, monkeypatch):
-        # sigma_level^2 = 1e-320 is subnormal: its reciprocal overflows, so the precision does not exist.
-        calls = []
-
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return kalman_loglik(*args, **kwargs)
-
-        monkeypatch.setattr(kalman, "kalman_loglik", spy)
-        rng = np.random.default_rng(33)
-        y = rng.normal(0, 1, 40)
-        model = assemble_model([semi_local_trend(), seasonal("s", 3, (2, 3, 2))], y)
-        params = ParamPoint(1e-160, 0.2, 0.5, (0.3,), d=0.0, phi=0.4)
-        assert not kalman._SequenceForm(model, params, y.size).has_precision
-        states = ffbs_sample(model, params, y, rng)
-        assert len(calls) == 1
-        assert states.shape == (40, model.state_dim) and np.all(np.isfinite(states))

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -581,6 +582,46 @@ class TestErrorHandling:
         )
         assert main(["forecast", "--config", cfg, "--horizon", "15"]) == 2
         assert "error: component 1: missing key 'n_seasons'" in capsys.readouterr().err
+
+    def test_non_finite_prior_in_component_document(self, tmp_path, synth_dir, capsys):
+        # json.dumps writes NaN, and Python's json reads it back: the document, not the fit, must refuse it.
+        cfg = write_config(
+            tmp_path / "fc.json", seed=0, out_dir=str(tmp_path / "o"),
+            series_csv=str(synth_dir / "series" / "S000.csv"), draws=20, burn=5,
+            components=[
+                {"kind": "semi_local_trend"},
+                {"kind": "seasonal", "n_seasons": 2, "durations": [48, 48], "var_prior": {"df": 1, "guess": math.nan}},
+            ],
+        )
+        assert main(["forecast", "--config", cfg, "--horizon", "15"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: component 1: malformed entry") and "finite positive df and guess" in err
+
+    @pytest.mark.parametrize(
+        "key, value, expected",
+        [
+            ("draws", "abc", "an integer"),
+            ("split_ratio", "x", "a number"),
+            ("horizons", "1", "a list of integer steps"),
+            ("horizons", [1.5], "a list of integer steps"),
+            ("m_similar", None, "an integer"),
+            ("seed", "abc", "an integer"),
+        ],
+        ids=["draws", "split_ratio", "horizons-string", "horizons-float", "m_similar-null", "seed"],
+    )
+    def test_malformed_config_value(self, tmp_path, capsys, key, value, expected):
+        cfg = write_config(tmp_path / "ev.json", out_dir=str(tmp_path / "o"), **{key: value})
+        assert main(["evaluate", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"error: config key {key!r} must be {expected}, got {value!r}\n"
+
+    @pytest.mark.parametrize("command, key", [("synth", "egfr_gender_factor"), ("forecast", "deterministic")])
+    def test_boolean_key_refuses_string(self, tmp_path, synth_dir, capsys, command, key):
+        # bool("false") is True: a string must not pass for a boolean.
+        series = str(synth_dir / "series" / "S000.csv")
+        cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "o"), series_csv=series, **{key: "false"})
+        assert main([command, "--config", cfg]) == 2
+        assert f"error: config key {key!r} must be true or false" in capsys.readouterr().err
+        assert cli._settings({key: False}, {key: cli._boolean}) == {key: False}
 
     def test_unknown_subject(self, tmp_path, synth_dir, capsys):
         cfg = write_config(
