@@ -16,13 +16,12 @@ from .components import (
     semi_local_trend,
     specs_from_json,
 )
-from .kalman import FilterResult, ParamPoint, ffbs_sample, kalman_loglik
+from .kalman import ParamPoint, ffbs_sample, kalman_loglik
 from .spike_slab import exact_inclusion_posterior, sample_regression
 from .sampler import ForecastResult, PosteriorDraws, forecast_anchors, mcmc_fit, posterior_forecast
 
 __all__ = [
     "ComponentSpec",
-    "FilterResult",
     "ForecastResult",
     "ParamPoint",
     "PosteriorDraws",

@@ -252,6 +252,7 @@ class StateSpaceModel:
     masks: tuple[tuple[bool, ...], ...] = field(init=False, repr=False, compare=False)
     templates: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
     step_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    sequence_layouts: dict = field(init=False, repr=False, compare=False)  # n -> kalman._SequenceLayout
 
     def __post_init__(self) -> None:
         period = math.lcm(1, *(s.cycle for s in self.seasonals))
@@ -277,6 +278,7 @@ class StateSpaceModel:
         object.__setattr__(self, "masks", masks)
         object.__setattr__(self, "templates", tuple(templates))
         object.__setattr__(self, "step_masks", tuple(map(masks.index, by_step)))
+        object.__setattr__(self, "sequence_layouts", {})
 
     @property
     def state_dim(self) -> int:

@@ -3,33 +3,34 @@
 Conventions: the state at index t carries the components generating y_t;
 `transition_matrix(phi, t)` maps the time-t state to the time-(t+1) state.
 
-One Kalman filter, `_filter_draws`, filters a batch of K parameter draws at
-once on the draws-last transition kernel `_DrawOperators`: states are (m, K)
-and covariances (m, m, K). The draws' transitions differ only in T[1, 1] =
-phi, so each boundary mask of the model's step schedule gives the phi = 0
-template S shared by every draw, and T = S + phi e_1 e_1'. Then T x = S x +
-phi x_1 e_1 and T P T' = T (T P)' for symmetric P, each one matrix product
-over all draws; where no seasonal boundary falls, S is the identity outside
-rows 0 and 1 and the products become in-place row and column updates.
-`forecast_anchors` runs it on a fit's retained draws, `kalman_loglik` on one
-parameter point (K = 1).
+One Kalman filter, `_filter_draws`, filters a fit's K retained draws at once
+for `forecast_anchors` on the draws-last transition kernel `_DrawOperators`:
+states are (m, K) and covariances (m, m, K). The draws' transitions differ
+only in T[1, 1] = phi, so each boundary mask of the model's step schedule
+gives the phi = 0 template S shared by every draw, and T = S + phi e_1 e_1'.
+Then T x = S x + phi x_1 e_1 and T P T' = T (T P)' for symmetric P, each one
+matrix product over all draws; where no seasonal boundary falls, S is the
+identity outside rows 0 and 1 and the products become in-place row and
+column updates.
 
-State paths are drawn with the mean-corrected simulation smoother of Durbin &
-Koopman (2002): a noise-only path plus the smoothed mean of the state given y
-minus the noise-only observations. That mean is one sparse precision solve in
+One parameter point's state path has one sparse posterior precision in
 component-sequence coordinates (Chan & Jeliazkov 2009): the trend's band of
-half-width 2, bordered by the seasonals' distinct effects. The precision
-exists only where every noise variance, the observation variance and every
-p1_diag entry has a finite reciprocal; parameters where one is zero,
-subnormal or NaN raise RangeError before any normal is drawn. The solve loses
-accuracy as a noise variance falls far below the others (about 1e-10 of the
-path's scale at n = 40 with sigma_level = 1e-3 sigma_obs, against a 50-digit
-solve).
+half-width 2, bordered by the seasonals' distinct effects. One factorisation
+of it gives both the state draw (`ffbs_sample`) and the exact log-likelihood
+(`kalman_loglik`). The precision exists only where every noise variance, the
+observation variance and every p1_diag entry has a finite reciprocal;
+parameters where one is zero, subnormal or NaN raise RangeError before any
+normal is drawn. The solve loses accuracy as a noise variance falls far
+below the others (about 1e-10 of the path's scale at n = 40 with
+sigma_level = 1e-3 sigma_obs, against a 50-digit solve). Its cost grows as
+n x seasonal effects, which grow with the days crossed: with the three
+default seasonals it nears the filter's by about 28 days (55.6 against
+78.2 ms at n = 2688).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -61,43 +62,21 @@ class ParamPoint:
             raise RangeError(f"phi must lie in [-1, 1], got {self.phi}")
 
 
-def _check_params(model: StateSpaceModel, params: ParamPoint) -> None:
-    if len(params.sigma_seasonal) != len(model.seasonals):
-        raise SchemaError(
-            f"params carry {len(params.sigma_seasonal)} seasonal sds for "
-            f"{len(model.seasonals)} seasonal components"
-        )
-    if model.n_regressors and params.beta.shape != (model.n_regressors,):
-        raise SchemaError(f"beta must have length {model.n_regressors}")
-
-
-@dataclass(frozen=True)
-class FilterResult:
-    loglik: float
-    filtered_means: np.ndarray  # (n, m) E[state_t | y_0..t]
-    filtered_covs: np.ndarray  # (n, m, m) Cov[state_t | y_0..t]
-    predicted_means: np.ndarray  # (n,) E[y_t | y_0..t-1]
-    predicted_variances: np.ndarray  # (n,) F_t = Var[y_t | y_0..t-1]
-    innovations: np.ndarray  # (n,) v_t = y_t - E[y_t | y_0..t-1]
-    gains: np.ndarray  # (n, m) g_t = Cov[state_t | y_0..t-1] z / F_t; zero where F_t = 0
-
-
 class _DrawOperators:
     """The draws-last transition kernel of a batch of K parameter draws (module docstring).
 
-    `points` is one `ParamPoint` (K = 1) or the retained draws of a fit, whose
-    seven parameter fields carry a leading draw axis; `keep` selects draws
-    along it. The kernel reads the model's step schedule: per boundary mask
-    the phi = 0 template S (m, m) shared by every draw, whether the mask is
-    plain (no seasonal boundary, so S is the identity outside rows 0 and 1,
-    where S[0] = e_0 + e_1 and S[1] = 0) and the noise variances (m, K). A
-    state is (m, ..., K) and a covariance (m, m, K).
+    `draws` are the retained draws of a fit, whose seven parameter fields
+    carry a leading draw axis; `keep` selects draws along it. The kernel
+    reads the model's step schedule: per boundary mask the phi = 0 template
+    S (m, m) shared by every draw, whether the mask is plain (no seasonal
+    boundary, so S is the identity outside rows 0 and 1, where S[0] = e_0 +
+    e_1 and S[1] = 0) and the noise variances (m, K). A state is (m, ..., K)
+    and a covariance (m, m, K).
     """
 
-    def __init__(self, model: StateSpaceModel, points, keep: slice = slice(None)) -> None:
+    def __init__(self, model: StateSpaceModel, draws, keep: slice = slice(None)) -> None:
         def param(name: str) -> np.ndarray:
-            value = np.asarray(getattr(points, name), dtype=float)
-            return (value[None] if isinstance(points, ParamPoint) else value)[keep]
+            return np.asarray(getattr(draws, name), dtype=float)[keep]
 
         self.phi = param("phi")  # (K,)
         variances = (param("sigma_level") ** 2, param("sigma_slope") ** 2, (param("sigma_seasonal") ** 2).T)
@@ -200,54 +179,12 @@ def _filter_draws(model: StateSpaceModel, ops: _DrawOperators, y: np.ndarray, x:
         yield t, a, P, v, f, gain
 
 
-def kalman_loglik(
-    model: StateSpaceModel,
-    params: ParamPoint,
-    y: Sequence[float],
-    x: Optional[np.ndarray] = None,
-) -> FilterResult:
-    """Run the forward filter on one parameter point and return the exact Gaussian log-likelihood.
-
-    The filter is `_filter_draws` at K = 1, run on y minus the regression
-    offsets x_t' beta. Degenerate steps (zero predictive variance) contribute
-    nothing to the likelihood and leave the state untouched.
-    """
-    _check_params(model, params)
-    y = np.asarray(y, dtype=float)
-    n = y.size
-    m = model.state_dim
-    offsets = model.observation_offsets(params.beta, x, n)
-    ops = _DrawOperators(model, replace(params, beta=np.zeros(0)))
-    filtered_means = np.empty((n, m))
-    filtered_covs = np.empty((n, m, m))
-    gains = np.empty((n, m))
-    innovations, predicted_variances = np.empty((2, n))
-    for t, a, P, v, f, gain in _filter_draws(model, ops, y - offsets, np.zeros((n, 0))):
-        filtered_means[t], filtered_covs[t], gains[t] = a[:, 0], P[:, :, 0], gain[:, 0]
-        innovations[t], predicted_variances[t] = v[0], f[0]
-
-    bad = ~(np.isfinite(predicted_variances) & np.isfinite(innovations))
-    if bad.any():
-        raise NumericalError(f"non-finite filter quantity at step {int(np.argmax(bad))}")
-    informative = predicted_variances > 0.0
-    f = np.where(informative, predicted_variances, 1.0)
-    return FilterResult(
-        loglik=-0.5 * float(np.sum((np.log(2.0 * np.pi * f) + innovations**2 / f)[informative])),
-        filtered_means=filtered_means,
-        filtered_covs=filtered_covs,
-        predicted_means=y - innovations,
-        predicted_variances=predicted_variances,
-        innovations=innovations,
-        gains=gains,
-    )
-
-
 _DENSE_BLOCKS = 32  # up to this many blocks, one dense Cholesky costs less than another level of reduction
 _TREND_NOT_PD = "the trend's posterior precision is not positive definite"
 
 
-def _inverse_2x2(blocks: np.ndarray) -> np.ndarray:
-    """Inverses of a stack (N, 2, 2) of symmetric blocks; NumericalError unless every block is positive definite."""
+def _inverse_2x2(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses and determinants of a stack (N, 2, 2) of symmetric blocks; NumericalError unless each is PD."""
     a, b, c = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 1]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the test below
         det = a * c - b * b
@@ -257,11 +194,11 @@ def _inverse_2x2(blocks: np.ndarray) -> np.ndarray:
     inverse[:, 0, 0] = c / det
     inverse[:, 1, 1] = a / det
     inverse[:, 0, 1] = inverse[:, 1, 0] = -b / det
-    return inverse
+    return inverse, det
 
 
-def _block_tridiagonal_solve(diag: np.ndarray, lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """x of A x = rhs for a symmetric positive definite A with 2x2 blocks on three diagonals.
+def _block_tridiagonal_solve(diag: np.ndarray, lower: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """x of A x = rhs, and log|A|, for a symmetric positive definite A with 2x2 blocks on three diagonals.
 
     diag (N, 2, 2) holds the diagonal blocks, lower (N-1, 2, 2) the blocks
     A[i+1, i] below them, rhs (N, 2, c). Cyclic reduction: the odd-indexed
@@ -269,9 +206,10 @@ def _block_tridiagonal_solve(diag: np.ndarray, lower: np.ndarray, rhs: np.ndarra
     over the even ones, and so on for log2(N) levels, each a few stacked 2x2
     products, down to a dense Cholesky of at most 32 blocks. This is the block
     Cholesky factorization in odd-even order, so a pivot block that is not
-    positive definite raises NumericalError. (LAPACK's banded Cholesky in
-    scipy.linalg would serve too, but importing scipy.linalg adds about 6 MB
-    of resident memory to a process that does not otherwise load it.)
+    positive definite raises NumericalError, and log|A| is the sum of the
+    pivot blocks' log-determinants. (LAPACK's banded Cholesky in scipy.linalg
+    would serve too, but importing scipy.linalg adds about 6 MB of resident
+    memory to a process that does not otherwise load it.)
     """
     n = len(diag)
     if n <= _DENSE_BLOCKS:
@@ -285,8 +223,8 @@ def _block_tridiagonal_solve(diag: np.ndarray, lower: np.ndarray, rhs: np.ndarra
         except np.linalg.LinAlgError as exc:
             raise NumericalError(_TREND_NOT_PD) from exc
         x = np.linalg.solve(factor.T, np.linalg.solve(factor, rhs.reshape(2 * n, -1)))
-        return x.reshape(rhs.shape)
-    odd_inverse = _inverse_2x2(diag[1::2])
+        return x.reshape(rhs.shape), 2.0 * float(np.log(np.diagonal(factor)).sum())
+    odd_inverse, odd_det = _inverse_2x2(diag[1::2])
     left, right = lower[0::2], lower[1::2]  # A[2j+1, 2j] and A[2j+2, 2j+1]
     inner = len(right)  # the odd blocks with an even block on both sides
     to_left = odd_inverse @ left
@@ -299,17 +237,17 @@ def _block_tridiagonal_solve(diag: np.ndarray, lower: np.ndarray, rhs: np.ndarra
     even_rhs = rhs[0::2].copy()
     even_rhs[: len(left)] -= left_t @ odd_rhs
     even_rhs[1 : inner + 1] -= right @ odd_rhs[:inner]
-    even = _block_tridiagonal_solve(even_diag, -(right @ to_left[:inner]), even_rhs)
+    even, logdet = _block_tridiagonal_solve(even_diag, -(right @ to_left[:inner]), even_rhs)
     x = np.empty_like(rhs)
     x[0::2] = even
     odd = odd_rhs - to_left @ even[: len(left)]
     odd[:inner] -= to_right @ even[1 : inner + 1]
     x[1::2] = odd
-    return x
+    return x, logdet + float(np.log(odd_det).sum())
 
 
-class _SequenceForm:
-    """The prior of an n-step state path in component-sequence coordinates.
+class _SequenceLayout:
+    """Where an n-step state path sits in component-sequence coordinates; it depends only on (model, n).
 
     A path is the vector v: the trend interleaved (v[2t] = mu_t, v[2t+1] =
     delta_t), then the border, which holds each seasonal's distinct effects in
@@ -320,25 +258,14 @@ class _SequenceForm:
     of each seasonal's current effect at t and `runs` gives per seasonal the
     first step and position of every effect that is ever current; an effect's
     steps are contiguous. `L` (B, B) is the border's difference operator: the
-    rows of L v are independent Gaussians with `border_mean` and
-    `border_var`, an initial value itself or a new effect plus the S-1 before
-    it (its seasonal's noise).
+    rows of L v are independent Gaussians, an initial value itself (mean
+    `border_mean`) or a new effect plus the S-1 before it (mean zero). Row i's
+    variance is entry `variance[i]` of (p1_diag[2:], the seasonal noise
+    variances), and `shock[i]` its normal in the flattened (n, m) shocks.
     """
 
-    def __init__(self, model: StateSpaceModel, params: ParamPoint, n: int) -> None:
+    def __init__(self, model: StateSpaceModel, n: int) -> None:
         m = model.state_dim
-        sds = (params.sigma_level, params.sigma_slope, params.sigma_obs) + tuple(params.sigma_seasonal)
-        variances = np.square(sds)
-        self.level_var, self.slope_var, self.obs_var = variances[:3]
-        self.phi, self.d = params.phi, params.d
-        self.trend_p1, self.trend_a1 = model.p1_diag[:2], model.a1[:2]
-        # Checked before any division: every variance must have a finite reciprocal (NaN fails too).
-        if not np.all(np.concatenate((variances, model.p1_diag)) >= np.finfo(float).tiny):
-            raise RangeError(
-                "every noise variance and p1_diag entry must be a normal positive float: "
-                "the state path's posterior precision does not exist"
-            )
-
         flags = model.boundaries(n)  # (n-1, K)
         dims = np.array([layout.state_dim for layout in model.seasonals], dtype=np.intp)
         first = np.array([layout.state_start for layout in model.seasonals], dtype=np.intp)
@@ -366,14 +293,40 @@ class _SequenceForm:
         for lag in range(1, int(dims.max(initial=0)) + 1):
             deep = dims[seasonal] >= lag  # a new effect's row also holds the S-1 effects before it
             self.L[new[deep], new[deep] - lag] = 1.0
-        self.border_var = np.empty(size)
-        self.border_var[initial] = model.p1_diag[2:]
-        self.border_var[new] = variances[3:][seasonal]
+        self.variance = np.empty(size, dtype=np.intp)
+        self.variance[initial] = np.arange(m - 2)
+        self.variance[new] = m - 2 + seasonal
         self.border_mean = np.zeros(size)
         self.border_mean[initial] = model.a1[2:]
-        self.shock = np.empty(size, dtype=np.intp)  # each effect's normal in the flattened (n, m) shocks
+        self.shock = np.empty(size, dtype=np.intp)
         self.shock[initial] = np.arange(2, m)
         self.shock[new] = (steps + 1) * m + first[seasonal]
+
+
+class _SequenceForm:
+    """One parameter point's prior of an n-step state path on its `_SequenceLayout`, and the posterior given r."""
+
+    def __init__(self, model: StateSpaceModel, params: ParamPoint, n: int) -> None:
+        if len(params.sigma_seasonal) != len(model.seasonals):
+            count = len(params.sigma_seasonal)
+            raise SchemaError(f"params carry {count} seasonal sds for {len(model.seasonals)} seasonal components")
+        if model.n_regressors and params.beta.shape != (model.n_regressors,):
+            raise SchemaError(f"beta must have length {model.n_regressors}")
+        sds = (params.sigma_level, params.sigma_slope, params.sigma_obs) + tuple(params.sigma_seasonal)
+        variances = np.square(sds)
+        self.level_var, self.slope_var, self.obs_var = variances[:3]
+        self.phi, self.d = params.phi, params.d
+        self.trend_p1, self.trend_a1 = model.p1_diag[:2], model.a1[:2]
+        # Checked before any division: every variance must have a finite reciprocal (NaN fails too).
+        if not np.all(np.concatenate((variances, model.p1_diag)) >= np.finfo(float).tiny):
+            raise RangeError(
+                "every noise variance and p1_diag entry must be a normal positive float: "
+                "the state path's posterior precision does not exist"
+            )
+        if n not in model.sequence_layouts:  # built once per (model, n)
+            model.sequence_layouts[n] = _SequenceLayout(model, n)
+        self.layout = model.sequence_layouts[n]
+        self.border_var = np.concatenate((model.p1_diag[2:], variances[3:]))[self.layout.variance]
 
     def noise(self, shocks: np.ndarray) -> np.ndarray:
         """v of the noise-only path (zero initial mean, no intercept) driven by the (n, m) shocks.
@@ -391,23 +344,25 @@ class _SequenceForm:
         while shift < n:
             trend[shift:] += trend[:-shift] @ power.T
             power, shift = power @ power, 2 * shift
-        innovations = np.sqrt(self.border_var) * shocks.ravel()[self.shock]
-        return np.concatenate((trend.ravel(), np.linalg.solve(self.L, innovations)))
+        innovations = np.sqrt(self.border_var) * shocks.ravel()[self.layout.shock]
+        return np.concatenate((trend.ravel(), np.linalg.solve(self.layout.L, innovations)))
 
-    def smoothed_mean(self, r: np.ndarray) -> np.ndarray:
-        """E[v | r] for r = y - x'beta under the full model.
+    def posterior(self, r: np.ndarray) -> tuple[np.ndarray, float]:
+        """E[v | r] for r = y - x'beta under the full model, and log|Q| of v's posterior precision Q.
 
-        The posterior precision is [[A, C], [C', D]]: A (2n, 2n) the trend's,
-        a band of half-width 2 (2x2 blocks (mu_t, delta_t) on three block
-        diagonals); D (B, B) the border's, dense; C = E / obs_var couples them
-        only through the observations, E[2t, current[t, k]] = 1. With
-        W = A^{-1} E and u = A^{-1} b_A from one block-tridiagonal solve, the
-        border solves the Schur complement D - C'A^{-1}C, whose observation
-        part is G'(G - W_mu / obs_var) / obs_var with G the mu rows of E; as
-        every effect's steps are contiguous, G'M is a sum of M's rows per
-        effect. The trend then is u - W x_B / obs_var.
+        Q is [[A, C], [C', D]]: A (2n, 2n) the trend's, a band of half-width 2
+        (2x2 blocks (mu_t, delta_t) on three block diagonals); D (B, B) the
+        border's, dense; C = E / obs_var couples them only through the
+        observations, E[2t, current[t, k]] = 1. With W = A^{-1} E and
+        u = A^{-1} b_A from one block-tridiagonal solve, the border solves the
+        Schur complement D - C'A^{-1}C, whose observation part is
+        G'(G - W_mu / obs_var) / obs_var with G the mu rows of E; as every
+        effect's steps are contiguous, G'M is a sum of M's rows per effect. The
+        trend then is u - W x_B / obs_var, and log|Q| is log|A| plus the Schur
+        complement's log-determinant.
         """
         n = r.size
+        layout = self.layout
         level_prec, slope_prec, obs_prec = 1.0 / self.level_var, 1.0 / self.slope_var, 1.0 / self.obs_var
         phi, intercept = self.phi, (1.0 - self.phi) * self.d
 
@@ -422,61 +377,94 @@ class _SequenceForm:
         diag[0] += np.diag(1.0 / self.trend_p1)
         lower = np.broadcast_to([[-level_prec, -level_prec], [0.0, -phi * slope_prec]], (n - 1, 2, 2))
 
-        border = self.L.shape[0]
+        border = layout.L.shape[0]
         rhs = np.zeros((n, 2, border + 1))  # [E | b_A]
-        rhs[np.arange(n)[:, None], 0, self.current] = 1.0
+        rhs[np.arange(n)[:, None], 0, layout.current] = 1.0
         b_trend = rhs[:, :, border]
         b_trend[:, 0] = obs_prec * r
         b_trend[:-1, 1] -= phi * intercept * slope_prec
         b_trend[1:, 1] += intercept * slope_prec
         b_trend[0] += self.trend_a1 / self.trend_p1
-        solved = _block_tridiagonal_solve(diag, lower, rhs)  # [W | u], (n, 2, B + 1)
+        solved, logdet = _block_tridiagonal_solve(diag, lower, rhs)  # [W | u], (n, 2, B + 1)
         if not border:
-            return solved.reshape(2 * n)
+            return solved.reshape(2 * n), logdet
 
         terms = solved[:, 0] * -obs_prec
         terms[:, :border] += rhs[:, 0, :border]  # G - W_mu / obs_var
         terms[:, border] = r - solved[:, 0, border]
         per_effect = np.zeros((border, border + 1))
-        for starts, positions in self.runs:
+        for starts, positions in layout.runs:
             per_effect[positions] = np.add.reduceat(terms, starts, axis=0)
-        weighted = self.L.T / self.border_var
-        schur = weighted @ self.L + obs_prec * per_effect[:, :border]
-        b_border = weighted @ self.border_mean + obs_prec * per_effect[:, border]
+        weighted = layout.L.T / self.border_var
+        schur = weighted @ layout.L + obs_prec * per_effect[:, :border]
+        b_border = weighted @ layout.border_mean + obs_prec * per_effect[:, border]
         try:
             factor = np.linalg.cholesky(schur)
         except np.linalg.LinAlgError as exc:
             raise NumericalError("the seasonal effects' posterior precision is not positive definite") from exc
         x_border = np.linalg.solve(factor.T, np.linalg.solve(factor, b_border))
         trend = solved[:, :, border] - obs_prec * solved[:, :, :border].dot(x_border)
-        return np.concatenate((trend.ravel(), x_border))
+        return np.concatenate((trend.ravel(), x_border)), logdet + 2.0 * float(np.log(np.diagonal(factor)).sum())
+
+    def loglik(self, r: np.ndarray) -> float:
+        """log p(r) = log p(r | m) + log p(m) - log p(m | r) at the posterior mean m (Chan & Jeliazkov 2009).
+
+        The maps from a path to its innovations (the trend recursion and L)
+        are unit triangular, so the prior's log-determinant is the sum of the
+        innovations' log variances, and log p(m | r) is log|Q| / 2 less the
+        normalising constant that log p(m) shares.
+        """
+        n = r.size
+        mean, logdet = self.posterior(r)
+        trend, border = mean[: 2 * n].reshape(n, 2), mean[2 * n :]
+        innovations = np.concatenate((
+            r - trend[:, 0] - border[self.layout.current].sum(axis=1),
+            trend[1:, 0] - trend[:-1, 0] - trend[:-1, 1],
+            trend[1:, 1] - self.phi * trend[:-1, 1] - (1.0 - self.phi) * self.d,
+            trend[0] - self.trend_a1,
+            self.layout.L @ border - self.layout.border_mean,
+        ))
+        variances = np.repeat((self.obs_var, self.level_var, self.slope_var), (n, n - 1, n - 1))
+        variances = np.concatenate((variances, self.trend_p1, self.border_var))
+        quadratic = innovations**2 / variances
+        return -0.5 * float(n * np.log(2.0 * np.pi) + np.log(variances).sum() + quadratic.sum() + logdet)
 
 
 def ffbs_sample(
-    model: StateSpaceModel,
-    params: ParamPoint,
-    y: Sequence[float],
-    rng: np.random.Generator,
+    model: StateSpaceModel, params: ParamPoint, y: Sequence[float], rng: np.random.Generator,
     x: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Draw one state trajectory from the smoothing distribution.
 
-    Mean-corrected simulation smoother (Durbin & Koopman 2002): draw a
-    noise-only state path and its observations (zero initial mean, no
-    intercept, no regression) from (n, m) state normals and then n
-    observation normals, and add to the path the smoothed mean of the state
-    given y minus those observations under the full model, one precision
-    solve in component-sequence coordinates (`_SequenceForm.smoothed_mean`).
-    A variance or p1_diag entry without a finite reciprocal raises RangeError
-    before any draw from rng; a non-finite path raises NumericalError.
+    Mean-corrected simulation smoother (Durbin & Koopman 2002): a noise-only
+    state path and its observations (zero initial mean, no intercept, no
+    regression), from (n, m) state normals and then n observation normals,
+    plus the smoothed mean (`_SequenceForm.posterior`) of the state given y
+    minus those observations. A variance or p1_diag entry without a finite
+    reciprocal raises RangeError before any draw from rng; a non-finite path
+    raises NumericalError.
     """
-    _check_params(model, params)
     y = np.asarray(y, dtype=float)
     n = y.size
     form = _SequenceForm(model, params, n)
+    index = form.layout.index
     noise = form.noise(rng.standard_normal((n, model.state_dim)))
-    y_star = y - (noise[form.index] @ model.z + params.sigma_obs * rng.standard_normal(n))
-    path = (noise + form.smoothed_mean(y_star - model.observation_offsets(params.beta, x, n)))[form.index]
+    y_star = y - (noise[index] @ model.z + params.sigma_obs * rng.standard_normal(n))
+    path = (noise + form.posterior(y_star - model.observation_offsets(params.beta, x, n))[0])[index]
     if not np.all(np.isfinite(path)):
         raise NumericalError("non-finite smoothed state path")
     return path
+
+
+def kalman_loglik(
+    model: StateSpaceModel, params: ParamPoint, y: Sequence[float], x: Optional[np.ndarray] = None
+) -> float:
+    """The exact Gaussian log-likelihood of y at one parameter point: `_SequenceForm.loglik` of y - x'beta.
+
+    Errors as in `ffbs_sample`, and NumericalError for a non-finite value.
+    """
+    y = np.asarray(y, dtype=float)
+    loglik = _SequenceForm(model, params, y.size).loglik(y - model.observation_offsets(params.beta, x, y.size))
+    if not np.isfinite(loglik):
+        raise NumericalError("non-finite log-likelihood")
+    return loglik

@@ -2,7 +2,8 @@
 
 Each sweep: (1) draw a state path with the simulation smoother given the
 current parameters (`ffbs_sample`: a noise-only path plus the smoothed mean
-from one banded-plus-border precision solve); (2) conjugate inverse-gamma
+from the banded-plus-border precision solve that also gives `kalman_loglik`'s
+log-likelihood, which the sweep does not use yet); (2) conjugate inverse-gamma
 draws (`VariancePrior.draw`) for the level, slope, and seasonal noise
 variances from state-innovation sums of squares; (3) Gaussian draw for the
 long-run slope D and truncated-Gaussian draw for the AR coefficient phi
@@ -18,10 +19,10 @@ exact Gaussian predictive at every anchor.
 Both move every draw at once on the draws-last transition kernel
 `kalman._DrawOperators` (states (m, K), covariances (m, m, K) for K draws),
 and `forecast_anchors` filters with `kalman._filter_draws`, the one Kalman
-filter, which `kalman_loglik` runs at K = 1. Row 1 of every phi = 0 template
-S is zero and column 1 is e_0, so the anchored predictive's backward vector
-is u_h = w_h + g_h e_1 with w_h shared by every draw, and u'Pu comes from one
-product of the (H, m) w with the draws-last P.
+filter. Row 1 of every phi = 0 template S is zero and column 1 is e_0, so
+the anchored predictive's backward vector is u_h = w_h + g_h e_1 with w_h
+shared by every draw, and u'Pu comes from one product of the (H, m) w with
+the draws-last P.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 import time
 from dataclasses import replace
@@ -48,11 +49,7 @@ from .evaluate import (
 HORIZON_MINUTES = {15: 1, 30: 2, 45: 3, 60: 4}
 
 
-def _boolean(value) -> bool:
-    """A JSON true or false: `bool("false")` would read as True."""
-    if not isinstance(value, bool):
-        raise TypeError
-    return value
+_integer = operator.index  # an integer as it is: `int(20.7)` would truncate
 
 
 def _steps(value) -> tuple:
@@ -62,19 +59,27 @@ def _steps(value) -> tuple:
     return tuple(value)
 
 
-_EXPECTED = {int: "an integer", float: "a number", _boolean: "true or false", _steps: "a list of integer steps"}
+def _strings(value) -> list:
+    """A JSON list of strings: a lone string would be read character by character."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError
+    return value
+
+
+_EXPECTED = {_integer: "an integer", float: "a number", bool: "true or false",
+             _steps: "a list of integer steps", _strings: "a list of strings"}
 
 # Config keys that map one-to-one onto a settings dataclass, with their types;
 # the dataclass holds each default.
 SYNTH_KEYS = {
-    "n_subjects": int, "n_days": int, "day_amplitude": float, "meal_amplitude": float,
+    "n_subjects": _integer, "n_days": _integer, "day_amplitude": float, "meal_amplitude": float,
     "circadian_amplitude": float, "noise_sd": float, "latent_share": float, "latent_sd": float,
-    "latent_ar": float, "missing_rate": float, "egfr_gender_factor": _boolean,
+    "latent_ar": float, "missing_rate": float, "egfr_gender_factor": bool,
 }
-TABU_KEYS = {"tabu_len": int, "max_iter": int, "stall_limit": int}
+TABU_KEYS = {"tabu_len": _integer, "max_iter": _integer, "stall_limit": _integer}
 EVAL_KEYS = {
     "split_ratio": float, "horizons": _steps, "hypo_max": float, "hyper_min": float,
-    "draws": int, "burn": int, "m_similar": int, "forecast_thin": int,
+    "draws": _integer, "burn": _integer, "m_similar": _integer, "forecast_thin": _integer,
 }
 
 
@@ -84,8 +89,11 @@ def _settings(cfg: dict, keys: dict) -> dict:
     for key, cast in keys.items():
         if key in cfg:
             try:
+                # true and false only for a boolean key: True is an int to Python, and bool("false") True.
+                if isinstance(cfg[key], bool) != (cast is bool):
+                    raise TypeError
                 settings[key] = cast(cfg[key])
-            except (TypeError, ValueError, OverflowError):  # int(Infinity) overflows
+            except (TypeError, ValueError, OverflowError):  # float() of a huge JSON integer overflows
                 raise ConfigError(f"config key {key!r} must be {_EXPECTED[cast]}, got {cfg[key]!r}") from None
     return settings
 
@@ -189,16 +197,16 @@ def _cmd_synth(cfg: dict, seed: int, run: _Run) -> None:
 
 def _encode(cfg: dict, records):
     """Exclude, impute and encode clinical records: (exclusion report, imputed, encoded)."""
-    kept, report = preprocess.exclude_incomplete(records, **_settings(cfg, {"max_missing": int}))
+    kept, report = preprocess.exclude_incomplete(records, **_settings(cfg, {"max_missing": _integer}))
     imputed = preprocess.impute_means(kept)
-    return report, imputed, preprocess.standardize_encode(imputed, **_settings(cfg, {"n_bins": int}))
+    return report, imputed, preprocess.standardize_encode(imputed, **_settings(cfg, {"n_bins": _integer}))
 
 
 def _learn_network(cfg: dict, encoded, seed: int, dag=None):
     """Bootstrap consensus (unless a DAG is given) and its CPTs: (strengths, dag, network)."""
     strengths = None
     if dag is None:
-        consensus = _settings(cfg, {"bootstrap": int, "threshold": float})
+        consensus = _settings(cfg, {"bootstrap": _integer, "threshold": float})
         if "bootstrap" in consensus:
             consensus["b"] = consensus.pop("bootstrap")
         params = bayesnet.TabuParams(**_settings(cfg, TABU_KEYS))
@@ -342,7 +350,7 @@ def _eval_config(cfg: dict, seed: int) -> EvalConfig:
 
 def _cmd_forecast(cfg: dict, seed: int, run: _Run) -> None:
     series = load_timeseries(run.required(cfg, "series_csv"))
-    options = _settings(cfg, {"horizon_steps": int, "deterministic": _boolean})
+    options = _settings(cfg, {"horizon_steps": _integer, "deterministic": bool})
     horizon = options.get("horizon_steps", 4)
 
     regressors = None
@@ -445,12 +453,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     started = time.time()
     try:
         cfg = _load_config(args.config)
-        seed = args.seed if args.seed is not None else _settings(cfg, {"seed": int}).get("seed", 0)
+        seed = args.seed if args.seed is not None else _settings(cfg, {"seed": _integer}).get("seed", 0)
         if args.horizon:
             cfg["horizon_steps"] = HORIZON_MINUTES[args.horizon]
             cfg["horizons"] = [cfg["horizon_steps"]]
         if args.subjects:
             cfg["subjects"] = args.subjects.split(",")
+        _settings(cfg, dict.fromkeys(("series", "similar_series", "subjects", "removals"), _strings))
         run = _Run(args.command, Path(args.out or cfg.get("out_dir", "out")))
         COMMANDS[args.command](cfg, seed, run)
         _write_manifest(run, args.config, seed, started)

@@ -3,6 +3,8 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+from glycast.bsts import PosteriorDraws
+from glycast.bsts.kalman import _DrawOperators, _filter_draws
 from glycast.dataset import ClinicalRecord, GlucoseSeries, MealEvent
 
 START = datetime(2024, 1, 1, tzinfo=timezone.utc)
@@ -10,6 +12,30 @@ START = datetime(2024, 1, 1, tzinfo=timezone.utc)
 
 def grid_timestamps(n, start=START):
     return [start + timedelta(minutes=15 * i) for i in range(n)]
+
+
+def make_draws(model, entries, requested=None, burn=0, seed=0):
+    """Hand-build PosteriorDraws from a list of (params, terminal_state), every column included."""
+    rows = [(p, np.ones(model.n_regressors, dtype=np.int64), s) for p, s in entries]
+    requested = len(rows) if requested is None else requested
+    return PosteriorDraws.from_rows(rows, requested=requested, burn=burn, seed=seed)
+
+
+def filter_point(model, params, y, x=None):
+    """`_filter_draws` on the one-row PosteriorDraws of `params`, stacked over the steps of y.
+
+    Returns a_t|t (n, m), P_t|t (n, m, m), v_t (n,), F_t (n,) and the gains (n, m);
+    x defaults to the model's design.
+    """
+    ops = _DrawOperators(model, make_draws(model, [(params, np.zeros(model.state_dim))]))
+    steps = _filter_draws(model, ops, np.asarray(y, dtype=float), model.design if x is None else x)
+    rows = [[value[..., 0].copy() for value in step[1:]] for step in steps]  # later steps overwrite a and P
+    return tuple(np.array(column) for column in zip(*rows))
+
+
+def filter_loglik(v, f):
+    """The filter's log-likelihood: the sum of its innovation terms."""
+    return -0.5 * float(np.sum(np.log(2.0 * np.pi * f) + v * v / f))
 
 
 def write_csv(path, header, rows):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from conftest import filter_loglik, filter_point
 from glycast.bsts import (
     ParamPoint,
     assemble_model,
@@ -26,8 +27,9 @@ class TestFilter:
         y = np.array([100.0, 102.0, 103.0, 103.5])
         model = trend_model(y).with_initial_state([100.0, 2.0], [0.0, 0.0])
         params = ParamPoint(0.0, 0.0, 0.0, d=0.0, phi=0.5)
-        filt = kalman_loglik(model, params, y)
-        np.testing.assert_allclose(filt.predicted_means, [100.0, 102.0, 103.0, 103.5])
+        _, _, v, f, _ = filter_point(model, params, y)
+        np.testing.assert_allclose(y - v, [100.0, 102.0, 103.0, 103.5])
+        np.testing.assert_array_equal(f, 0.0)
 
     def test_white_noise_loglik(self):
         # Fixed level, no state evolution: independent Gaussians around mu.
@@ -35,9 +37,11 @@ class TestFilter:
         y = rng.normal(5.0, 2.0, 40)
         model = trend_model(y).with_initial_state([5.0, 0.0], [0.0, 0.0])
         params = ParamPoint(0.0, 0.0, 2.0, d=0.0, phi=0.0)
-        filt = kalman_loglik(model, params, y)
+        _, _, v, f, _ = filter_point(model, params, y)
         expected = norm.logpdf(y, 5.0, 2.0).sum()
-        assert filt.loglik == pytest.approx(expected, rel=1e-12)
+        assert filter_loglik(v, f) == pytest.approx(expected, rel=1e-12)
+        with pytest.raises(RangeError):  # zero state noise: the precision the likelihood reads does not exist
+            kalman_loglik(model, params, y)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(2)
@@ -60,16 +64,42 @@ class TestFilter:
                 d=float(rng.normal(0, 0.3)),
                 phi=float(rng.uniform(-0.9, 0.9)),
             )
-            filt = kalman_loglik(model, params, y)
+            loglik = kalman_loglik(model, params, y)
+            assert isinstance(loglik, float)
+            means, covs, v, f, _ = filter_point(model, params, y)
             oracle = gaussian_predictive_oracle(model, params, y)
-            assert filt.loglik == pytest.approx(oracle.loglik, rel=1e-8)
-            np.testing.assert_allclose(filt.predicted_means, oracle.onestep_means, atol=1e-8)
-            np.testing.assert_allclose(
-                filt.predicted_variances, oracle.onestep_variances, atol=1e-8
-            )
+            assert loglik == pytest.approx(oracle.loglik, rel=1e-8)
+            np.testing.assert_allclose(y - v, oracle.onestep_means, atol=1e-8)
+            np.testing.assert_allclose(f, oracle.onestep_variances, atol=1e-8)
             # At the last step the filtered state is the smoothed one.
-            np.testing.assert_allclose(filt.filtered_means[-1], oracle.smoothed_state_means[-1], atol=1e-8)
-            np.testing.assert_allclose(filt.filtered_covs[-1], oracle.smoothed_state_covs[-1], atol=1e-8)
+            np.testing.assert_allclose(means[-1], oracle.smoothed_state_means[-1], atol=1e-8)
+            np.testing.assert_allclose(covs[-1], oracle.smoothed_state_covs[-1], atol=1e-8)
+
+    def test_loglik_matches_filter_terms(self):
+        # n up to 700, 0-3 seasonals with random durations and phases, 0-4 regressors.
+        rng = np.random.default_rng(33)
+        for n in np.unique(np.geomspace(3, 700, 30).astype(int)):
+            model, params, y, x = random_model(rng, n)
+            _, _, v, f, _ = filter_point(model, params, y, x)
+            assert kalman_loglik(model, params, y, x) == pytest.approx(filter_loglik(v, f), rel=1e-9)
+
+    @pytest.mark.parametrize("ratio, rtol", [(1e-3, 2e-10), (1e-4, 2e-8), (1e-5, 2e-6)])
+    def test_loglik_at_tiny_variance_ratio(self, ratio, rtol):
+        # sigma_level far below sigma_obs: the precision solve loses accuracy (module docstring).
+        # Each tolerance is the smoothed mean's error at that ratio against a 50-digit solve.
+        y = np.random.default_rng(0).normal(0, 1, 40)
+        model = assemble_model([semi_local_trend(), seasonal("s", 3, (2, 3, 2))], y)
+        params = ParamPoint(ratio * 0.5, 0.2, 0.5, (0.3,), d=0.0, phi=0.4)
+        _, _, v, f, _ = filter_point(model, params, y)
+        assert kalman_loglik(model, params, y) == pytest.approx(filter_loglik(v, f), rel=rtol)
+
+    @pytest.mark.parametrize("sigma_level", [1e-9, 1e-12, 1e-100])
+    def test_loglik_raises_where_the_solve_fails(self, sigma_level):
+        # Never a finite wrong value: the trend's precision is not positive definite in floating point.
+        y = np.random.default_rng(34).normal(0, 1, 100)
+        model = assemble_model([semi_local_trend(), seasonal("s", 3, (2, 3, 2))], y)
+        with pytest.raises(NumericalError):
+            kalman_loglik(model, ParamPoint(sigma_level, 0.2, 0.5, (0.3,), d=0.0, phi=0.4), y)
 
     def test_regression_offset(self):
         rng = np.random.default_rng(3)
@@ -78,9 +108,9 @@ class TestFilter:
         model = assemble_model([semi_local_trend(), regression(("a", "b"))], y, x)
         beta = np.array([1.5, -0.5])
         params = ParamPoint(0.2, 0.1, 0.7, d=0.0, phi=0.3, beta=beta)
-        filt = kalman_loglik(model, params, y)
+        loglik = kalman_loglik(model, params, y)
         oracle = gaussian_predictive_oracle(model, params, y, x=x)
-        assert filt.loglik == pytest.approx(oracle.loglik, rel=1e-8)
+        assert loglik == pytest.approx(oracle.loglik, rel=1e-8)
 
     def test_params_shape_validation(self):
         y = np.zeros(10) + np.arange(10)
@@ -205,13 +235,15 @@ def random_model(rng, n):
 def banded_mean(model, params, y, x):
     """The precision solve's smoothed mean of the state, gathered to (n, m)."""
     form = kalman._SequenceForm(model, params, y.size)
-    return form.smoothed_mean(y - model.observation_offsets(params.beta, x, y.size))[form.index]
+    mean, _ = form.posterior(y - model.observation_offsets(params.beta, x, y.size))
+    return mean[form.layout.index]
 
 
 class TestSmoothedMean:
     @pytest.mark.parametrize("blocks", [1, 2, 3, 31, 32, 33, 34, 63, 64, 65, 127, 300])
     def test_block_tridiagonal_solve_matches_dense(self, blocks):
         # Above 32 blocks the solve runs levels of cyclic reduction; odd and even counts end each level differently.
+        # The log-determinant sums the reduction's pivot blocks and the dense Cholesky's.
         rng = np.random.default_rng(blocks)
         lower = rng.normal(0, 1, (blocks - 1, 2, 2))
         dense = np.zeros((blocks, 2, blocks, 2))
@@ -229,8 +261,10 @@ class TestSmoothedMean:
         matrix[np.arange(2 * blocks), np.arange(2 * blocks)] = dominance.ravel()
         rhs = rng.normal(0, 1, (blocks, 2, 3))
         expected = np.linalg.solve(matrix, rhs.reshape(2 * blocks, 3)).reshape(rhs.shape)
-        solved = kalman._block_tridiagonal_solve(diag, lower, rhs)
+        solved, logdet = kalman._block_tridiagonal_solve(diag, lower, rhs)
         assert np.max(np.abs(solved - expected)) <= 1e-12 * np.max(np.abs(expected))
+        sign, expected_logdet = np.linalg.slogdet(matrix)
+        assert sign == 1.0 and logdet == pytest.approx(expected_logdet, rel=1e-12)
 
     def test_last_row_matches_filter(self):
         # At the last step the smoothed state is the filtered one.
@@ -238,7 +272,7 @@ class TestSmoothedMean:
         for n in np.unique(np.geomspace(3, 400, 30).astype(int)):
             model, params, y, x = random_model(rng, n)
             smoothed = banded_mean(model, params, y, x)
-            filtered = kalman_loglik(model, params, y, x).filtered_means[-1]
+            filtered = filter_point(model, params, y, x)[0][-1]
             assert np.max(np.abs(smoothed[-1] - filtered)) <= 1e-9 * np.max(np.abs(smoothed))
 
     def test_banded_matches_dense_oracle(self):
@@ -251,6 +285,24 @@ class TestSmoothedMean:
             oracle = gaussian_predictive_oracle(model, params, y, x=x).smoothed_state_means
             assert np.max(np.abs(banded_mean(model, params, y, x) - oracle)) <= 1e-8 * np.max(np.abs(oracle))
             checked += 1
+
+    def test_layout_is_cached_per_model_and_length(self):
+        # The layout is built once per (model, n); a model with another initial state has its own,
+        # whose border mean carries that state's seasonal effects.
+        rng = np.random.default_rng(35)
+        y = rng.normal(0, 1, 30)
+        model = assemble_model([semi_local_trend(), seasonal("s", 3, (2, 3, 2))], y)
+        params = ParamPoint(0.3, 0.2, 0.5, (0.3,), d=0.1, phi=0.4)
+        first = kalman_loglik(model, params, y)
+        layout = model.sequence_layouts[30]
+        ffbs_sample(model, params, y, rng)
+        kalman_loglik(model, params, y[:20])
+        assert model.sequence_layouts[30] is layout and set(model.sequence_layouts) == {20, 30}
+        shifted = model.with_initial_state(model.a1 + [0.0, 0.0, 2.0, -1.0], model.p1_diag)
+        assert shifted.sequence_layouts == {}
+        _, _, v, f, _ = filter_point(shifted, params, y)
+        assert kalman_loglik(shifted, params, y) == pytest.approx(filter_loglik(v, f), rel=1e-9)
+        assert shifted.sequence_layouts[30] is not layout and kalman_loglik(model, params, y) == first
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_trend_block_raises_numerical_error(self):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import filter_loglik, filter_point, make_draws
 from glycast.bsts import (
     ParamPoint,
-    PosteriorDraws,
     assemble_model,
     forecast_anchors,
     kalman_loglik,
@@ -22,13 +22,6 @@ from glycast.bsts.kalman import _DrawOperators, _filter_draws
 from glycast.bsts.sampler import _predictive_moments, _sorted_percentiles
 from glycast.errors import NumericalError, RangeError
 from glycast.synth import gaussian_predictive_oracle, simulate_from_model
-
-
-def make_draws(model, entries, requested=None, burn=0, seed=0):
-    """Hand-build PosteriorDraws from a list of (params, terminal_state), every column included."""
-    rows = [(p, np.ones(model.n_regressors, dtype=np.int64), s) for p, s in entries]
-    requested = len(rows) if requested is None else requested
-    return PosteriorDraws.from_rows(rows, requested=requested, burn=burn, seed=seed)
 
 
 def trend_series(n=120, seed=0):
@@ -268,6 +261,7 @@ class TestAnchoredPredictive:
         model, draws, y, x = self.setup_case()
         assert model.period == 12
         ops = _DrawOperators(model, draws, slice(None))
+        filtered = [filter_point(model, params, y, x)[:2] for params in self.PARAMS]
         crossings = 0
         flags = model.boundaries(19)
         for t in range(3, 15):
@@ -275,10 +269,9 @@ class TestAnchoredPredictive:
             crossings += bool(flags[t : t + 4].any())
             a, P, offsets = [], [], []
             oracles = []
-            for params in self.PARAMS:
-                filt = kalman_loglik(model, params, y[: t + 1], x[: t + 1])
-                a.append(filt.filtered_means[t])
-                P.append(filt.filtered_covs[t])
+            for params, (means, covs) in zip(self.PARAMS, filtered):
+                a.append(means[t])
+                P.append(covs[t])
                 offsets.append(x[t + 1 : t + 5] @ params.beta)
                 oracles.append(
                     gaussian_predictive_oracle(
@@ -352,7 +345,7 @@ class TestAnchoredPredictive:
 
     def test_block_noise_matches_per_anchor_reference(self):
         # 73 anchors (one block of 64 and a partial one, 40 twice): each draw's
-        # moments by dense propagation of kalman_loglik's filtered state, then
+        # moments by dense propagation of its one-draw filtered state, then
         # one (K, H) normal draw per anchor, as the samples were once drawn.
         horizons = (1, 2, 4)
         rng = np.random.default_rng(12)
@@ -363,12 +356,12 @@ class TestAnchoredPredictive:
         anchors = list(range(3, 75)) + [40]
         out = forecast_anchors(model, draws, y, anchors, horizons, x=x, rng=np.random.default_rng(8))
 
-        filters = [kalman_loglik(model, p, y, x) for p in self.PARAMS]
+        filters = [filter_point(model, p, y, x)[:2] for p in self.PARAMS]
         rng = np.random.default_rng(8)
         for i, t in enumerate(sorted(anchors)):
             mean, var = np.empty((2, len(self.PARAMS), len(horizons)))
-            for k, (params, filt) in enumerate(zip(self.PARAMS, filters)):
-                a, P = filt.filtered_means[t], filt.filtered_covs[t]
+            for k, (params, (means, covs)) in enumerate(zip(self.PARAMS, filters)):
+                a, P = means[t], covs[t]
                 noise_vars = (params.sigma_level**2, params.sigma_slope**2, np.square(params.sigma_seasonal))
                 for step in range(t, t + max(horizons)):
                     T = model.transition_matrix(params.phi, step)
@@ -433,9 +426,12 @@ class TestBatchedFilter:
     @pytest.mark.parametrize("initial", ["prior", "known"])
     def test_matches_kalman_loglik_at_every_step(self, initial):
         # Every mask kind of two_seasonal_model, and thin=2: odd-indexed draws
-        # are decoys that must not be filtered. From a known initial state a
-        # zero-noise draw joins, whose predictive variance is exactly zero at
-        # every step (from the prior it would be rounding noise).
+        # are decoys that must not be filtered. Each draw's filter matches the
+        # same draw filtered alone, and its v_t and F_t sum to kalman_loglik,
+        # which reads the state draw's precision solve, not a filter. From a
+        # known initial state a zero-noise draw joins, whose predictive
+        # variance is exactly zero at every step (from the prior it would be
+        # rounding noise) and which has no precision, so no kalman_loglik.
         rng = np.random.default_rng(21)
         x = rng.normal(0.0, 1.0, (30, 2))
         params = [
@@ -453,21 +449,23 @@ class TestBatchedFilter:
         entries = [(p, np.zeros(model.state_dim)) for pair in zip(params, [decoy] * len(params)) for p in pair]
         draws = make_draws(model, entries)
         ops = _DrawOperators(model, draws, slice(None, None, 2))
-        filters = [kalman_loglik(model, p, y, x) for p in params]
+        alone = [filter_point(model, p, y, x) for p in params]
         if initial == "known":
-            assert np.all(filters[-1].predicted_variances == 0.0)
+            assert np.all(alone[-1][3] == 0.0)
+        else:
+            for p, (_, _, v, f, _) in zip(params, alone):
+                assert kalman_loglik(model, p, y, x) == pytest.approx(filter_loglik(v, f), rel=1e-10)
 
         steps = 0
         for t, a, P, v, f, gain in _filter_draws(model, ops, y, x):
-            for k, filt in enumerate(filters):
-                assert_close_relative(a[:, k], filt.filtered_means[t], filt.filtered_means[t])
+            for k, (means, covs, innovations, variances, gains) in enumerate(alone):
+                assert_close_relative(a[:, k], means[t], means[t])
                 # The update subtracts from the predicted covariance, so rounding scales with it.
-                pred = filt.filtered_covs[t] + filt.predicted_variances[t] * np.outer(filt.gains[t], filt.gains[t])
-                assert_close_relative(P[:, :, k], filt.filtered_covs[t], pred)
-                # Each draw's innovation and its variance, so its log-likelihood terms, are kalman_loglik's.
-                assert_close_relative(v[k], filt.innovations[t], y[t])
-                assert_close_relative(f[k], filt.predicted_variances[t], filt.predicted_variances[t])
-                assert_close_relative(gain[:, k], filt.gains[t], filt.gains[t])
+                pred = covs[t] + variances[t] * np.outer(gains[t], gains[t])
+                assert_close_relative(P[:, :, k], covs[t], pred)
+                assert_close_relative(v[k], innovations[t], y[t])
+                assert_close_relative(f[k], variances[t], variances[t])
+                assert_close_relative(gain[:, k], gains[t], gains[t])
             steps += 1
         assert steps == y.size
 

@@ -606,13 +606,46 @@ class TestErrorHandling:
             ("horizons", [1.5], "a list of integer steps"),
             ("m_similar", None, "an integer"),
             ("seed", "abc", "an integer"),
+            ("draws", 20.7, "an integer"),
+            ("burn", True, "an integer"),
+            ("split_ratio", True, "a number"),
+            ("horizons", [True], "a list of integer steps"),
         ],
-        ids=["draws", "split_ratio", "horizons-string", "horizons-float", "m_similar-null", "seed"],
+        ids=[
+            "draws", "split_ratio", "horizons-string", "horizons-float", "m_similar-null", "seed",
+            "draws-float", "burn-boolean", "split_ratio-boolean", "horizons-boolean",
+        ],
     )
     def test_malformed_config_value(self, tmp_path, capsys, key, value, expected):
         cfg = write_config(tmp_path / "ev.json", out_dir=str(tmp_path / "o"), **{key: value})
         assert main(["evaluate", "--config", cfg]) == 2
         assert capsys.readouterr().err == f"error: config key {key!r} must be {expected}, got {value!r}\n"
+
+    def test_integer_keys_take_only_integers(self):
+        # int() would truncate 20.7 and read true as 1.
+        with pytest.raises(cli.ConfigError, match="config key 'draws' must be an integer, got 20.7"):
+            cli._settings({"draws": 20.7, "burn": True}, cli.EVAL_KEYS)
+        with pytest.raises(cli.ConfigError, match="config key 'burn' must be an integer, got True"):
+            cli._settings({"draws": 20, "burn": True}, cli.EVAL_KEYS)
+        assert cli._settings({"draws": 20, "burn": 5, "split_ratio": 1}, cli.EVAL_KEYS) == {
+            "draws": 20, "burn": 5, "split_ratio": 1.0,
+        }
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [("evaluate", "series"), ("forecast", "similar_series"), ("evaluate", "subjects"), ("ablate", "removals")],
+    )
+    def test_list_key_refuses_a_lone_string(self, tmp_path, synth_dir, capsys, command, key):
+        # Iterated as given, a string would be read character by character.
+        value = {"removals": "day", "subjects": "S000"}.get(key, str(synth_dir / "series" / "S001.csv"))
+        out = tmp_path / "o"
+        cfg = write_config(
+            tmp_path / "cfg.json", seed=0, out_dir=str(out), series_dir=str(synth_dir / "series"),
+            series_csv=str(synth_dir / "series" / "S000.csv"), draws=20, burn=5, **{key: value},
+        )
+        assert main([command, "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"error: config key {key!r} must be a list of strings, got {value!r}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, key", [("synth", "egfr_gender_factor"), ("forecast", "deterministic")])
     def test_boolean_key_refuses_string(self, tmp_path, synth_dir, capsys, command, key):
@@ -621,7 +654,7 @@ class TestErrorHandling:
         cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "o"), series_csv=series, **{key: "false"})
         assert main([command, "--config", cfg]) == 2
         assert f"error: config key {key!r} must be true or false" in capsys.readouterr().err
-        assert cli._settings({key: False}, {key: cli._boolean}) == {key: False}
+        assert cli._settings({key: False}, {key: bool}) == {key: False}
 
     def test_unknown_subject(self, tmp_path, synth_dir, capsys):
         cfg = write_config(

@@ -202,9 +202,10 @@ class TestGaussianOracle:
         model = assemble_model([semi_local_trend()], y)
         params = ParamPoint(0.3, 0.1, 0.8, d=0.05, phi=0.4)
         oracle = gaussian_predictive_oracle(model, params, y, horizon=3)
-        from glycast.bsts import PosteriorDraws, kalman_loglik, posterior_forecast
+        from conftest import filter_point
+        from glycast.bsts import PosteriorDraws, posterior_forecast
 
-        filt = kalman_loglik(model, params, y)
+        filtered_means = filter_point(model, params, y)[0]
         draws = PosteriorDraws(
             sigma_level=np.array([params.sigma_level]),
             sigma_slope=np.array([params.sigma_slope]),
@@ -214,7 +215,7 @@ class TestGaussianOracle:
             phi=np.array([params.phi]),
             gamma=np.zeros((1, 0), dtype=np.int64),
             beta=np.zeros((1, 0)),
-            terminal_state=filt.filtered_means[-1:],
+            terminal_state=filtered_means[-1:],
             requested=1,
             burn=0,
             seed=0,
