@@ -17,7 +17,7 @@ from .components import (
     specs_from_json,
 )
 from .kalman import ParamPoint, ffbs_sample, kalman_loglik
-from .spike_slab import exact_inclusion_posterior, sample_regression
+from .spike_slab import SweepTerms, exact_inclusion_posterior, sample_regression
 from .sampler import ForecastResult, PosteriorDraws, forecast_anchors, mcmc_fit, posterior_forecast
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "SeasonalLayout",
     "SpikeSlabSettings",
     "StateSpaceModel",
+    "SweepTerms",
     "TrendPriors",
     "VariancePrior",
     "assemble_model",

@@ -36,7 +36,7 @@ from scipy.special import ndtr, ndtri
 from ..errors import NumericalError, RangeError, SchemaError
 from .components import MAX_HORIZON, StateSpaceModel
 from .kalman import ParamPoint, _DrawOperators, _filter_draws, ffbs_sample
-from .spike_slab import sample_regression
+from .spike_slab import SweepTerms, sample_regression
 
 _FORECAST_SALT = 0x5EED
 _PHI_EDGE = 1e-9
@@ -148,6 +148,7 @@ def mcmc_fit(
     )
     gamma = np.zeros(model.n_regressors, dtype=np.int64)
 
+    terms = SweepTerms(design[:n], model.spike_slab, model.obs_var_prior)
     # Per seasonal, the steps t < n-1 whose move to t+1 starts a new season.
     boundary_steps = [np.flatnonzero(flags) for flags in model.boundaries(n).T]
 
@@ -188,9 +189,7 @@ def mcmc_fit(
         phi = _draw_truncated_normal(mean, float(1.0 / np.sqrt(prec)), -1.0, 1.0, rng)
 
         residual = y - states @ model.z
-        gamma, beta, sigma_obs = sample_regression(
-            residual, design[:n], gamma, model.spike_slab, model.obs_var_prior, rng
-        )
+        gamma, beta, sigma_obs = sample_regression(residual, terms, gamma, rng)
         params = ParamPoint(sigma_level, sigma_slope, sigma_obs, tuple(sigma_seasonal), d, phi, beta)
         if it >= burn:
             rows.append((params, gamma, states[-1].copy()))

@@ -121,6 +121,7 @@ class _Run:
         self.out_dir = out_dir
         self.inputs: list[Path] = []
         self.outputs: list[Path] = []
+        self._series: dict[Path, GlucoseSeries] = {}
 
     def path(self, raw, record: bool = True) -> Path:
         path = Path(raw)
@@ -145,18 +146,26 @@ class _Run:
     def gl_table(self, cfg: dict):
         return load_gl_table(self.path(cfg["gl_table"])) if "gl_table" in cfg else None
 
-    def series_map(self, cfg: dict) -> dict[str, GlucoseSeries]:
-        series: dict[str, GlucoseSeries] = {}
+    def series_map(self, cfg: dict) -> dict[str, Path]:
+        """subject_id (the file stem) -> path of every series supplied, each checked to exist, none read.
+
+        A `series` entry replaces a `series_dir` file with the same stem.
+        """
         paths = []
         if "series_dir" in cfg:
             paths.extend(sorted(self.path(cfg["series_dir"], record=False).glob("*.csv")))
         paths.extend(cfg.get("series", []))
-        for raw in paths:
-            s = load_timeseries(self.path(raw))
-            series[s.subject_id] = s
+        series = {path.stem: path for path in (self.path(raw, record=False) for raw in paths)}
         if not series:
             raise ConfigError(f"{self.command}: no time series supplied (series_dir or series)")
         return series
+
+    def series(self, path: Path) -> GlucoseSeries:
+        """The series at `path`, read on first use and recorded as an input; later calls reuse it."""
+        if path not in self._series:
+            self._series[path] = load_timeseries(path)
+            self.inputs.append(path)
+        return self._series[path]
 
 
 def _write_manifest(run: _Run, config_path: Optional[str], seed: int, started: float) -> None:
@@ -285,22 +294,25 @@ def _tester_designs(cfg: dict, seed: int, run: _Run, m: int):
     """Each tester with its Stage-1 donors' design: yields (EvalSubject, selection log).
 
     Without `clinical_csv` no donors are selected and testers carry no design.
-    A subject listed twice is refused before anything is loaded.
+    A subject listed twice, or with no series, is refused before anything is
+    loaded. Only the testers' and their donors' series are read.
     """
     repeated = sorted({sid for sid in cfg.get("subjects") or () if cfg["subjects"].count(sid) > 1})
     if repeated:
         raise ConfigError(f"{run.command}: subjects listed more than once: {', '.join(repeated)}")
     series_map = run.series_map(cfg)
-    gl_table = run.gl_table(cfg)
-    stage1 = _stage1(cfg, seed, run) if "clinical_csv" in cfg else None
-    for tester_id in cfg.get("subjects") or sorted(series_map):
+    testers = cfg.get("subjects") or sorted(series_map)
+    for tester_id in testers:
         if tester_id not in series_map:
             raise ConfigError(f"{run.command}: no series for subject {tester_id}")
-        tester = series_map[tester_id]
+    gl_table = run.gl_table(cfg)
+    stage1 = _stage1(cfg, seed, run) if "clinical_csv" in cfg else None
+    for tester_id in testers:
+        tester = run.series(series_map[tester_id])
         donors, selection = stage1.select_donors(tester_id, series_map, m) if stage1 else ([], None)
         regressors, names = (None, ())
         if donors:
-            regressors, names = _design(tester, [series_map[sid] for sid in donors], gl_table)
+            regressors, names = _design(tester, [run.series(series_map[sid]) for sid in donors], gl_table)
         yield EvalSubject(series=tester, regressors=regressors, regressor_names=names), selection
 
 
@@ -313,7 +325,8 @@ def _cmd_preprocess(cfg: dict, seed: int, run: _Run) -> None:
 
     if "series_dir" in cfg or cfg.get("series"):
         table = run.gl_table(cfg)
-        for sid, series in run.series_map(cfg).items():
+        for sid, path in run.series_map(cfg).items():
+            series = run.series(path)
             regressor = preprocess.build_meal_regressor(series, table)
             with run.output(f"regressors/{sid}.csv").open("w", encoding="utf-8") as handle:
                 handle.write("timestamp,gl\n")

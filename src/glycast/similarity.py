@@ -34,6 +34,20 @@ def marker_distance(a: MarkerPoint, b: MarkerPoint) -> float:
     return math.hypot(a.fpg - b.fpg, a.hpp2 - b.hpp2)
 
 
+def _near(pool: Sequence[MarkerPoint], tester: MarkerPoint, m: int):
+    """The pool points that may lie within the m-th nearest distance of the tester.
+
+    numpy and math.hypot may differ in the last bit: screen the numpy
+    distances with a margin, so the survivors hold every point whose exact
+    `marker_distance` is at most the m-th.
+    """
+    fpg = np.fromiter((p.fpg for p in pool), float, len(pool))
+    hpp2 = np.fromiter((p.hpp2 for p in pool), float, len(pool))
+    dist = np.hypot(fpg - tester.fpg, hpp2 - tester.hpp2)
+    kth = dist[np.argpartition(dist, m - 1)[m - 1]]
+    return (pool[i] for i in np.flatnonzero(dist <= kth * (1.0 + 1e-9) + 1e-9).tolist())
+
+
 def select_similar(pool: Sequence[MarkerPoint], tester: MarkerPoint, m: int) -> list[str]:
     """The m pool subject_ids nearest the tester, ascending by distance.
 
@@ -43,22 +57,22 @@ def select_similar(pool: Sequence[MarkerPoint], tester: MarkerPoint, m: int) -> 
         raise SchemaError(f"tester {tester.subject_id} must not appear in the pool")
     if not 1 <= m <= len(pool):
         raise CapacityError(f"m must lie in 1..{len(pool)}, got {m}")
-    fpg = np.fromiter((p.fpg for p in pool), float, len(pool))
-    hpp2 = np.fromiter((p.hpp2 for p in pool), float, len(pool))
-    dist = np.hypot(fpg - tester.fpg, hpp2 - tester.hpp2)
-    kth = dist[np.argpartition(dist, m - 1)[m - 1]]
-    # numpy and math.hypot may differ in the last bit: screen with a margin,
-    # then order the survivors exactly as a full sort would.
-    near = (pool[i] for i in np.flatnonzero(dist <= kth * (1.0 + 1e-9) + 1e-9).tolist())
-    ranked = heapq.nsmallest(m, ((marker_distance(p, tester), p.subject_id) for p in near))
+    # Order the screened points exactly as a full sort would.
+    ranked = heapq.nsmallest(m, ((marker_distance(p, tester), p.subject_id) for p in _near(pool, tester, m)))
     return [subject_id for _, subject_id in ranked]
 
 
 def selection_log(pool: Sequence[MarkerPoint], tester: MarkerPoint, selected: Sequence[str]) -> dict:
+    """The tester, each donor with its distance, and `tie_group`.
+
+    `selected` is `select_similar`'s answer. `tie_group` counts the pool
+    subjects at exactly the last donor's distance, the donor among them: any
+    of them could have taken its place, and subject_id chose.
+    """
     by_id = {point.subject_id: point for point in pool}
+    distances = [marker_distance(by_id[sid], tester) for sid in selected]
     return {
         "tester": {"subject_id": tester.subject_id, "fpg": tester.fpg, "hpp2": tester.hpp2},
-        "selected": [
-            {"subject_id": sid, "distance": marker_distance(by_id[sid], tester)} for sid in selected
-        ],
+        "selected": [{"subject_id": sid, "distance": d} for sid, d in zip(selected, distances)],
+        "tie_group": sum(marker_distance(p, tester) == distances[-1] for p in _near(pool, tester, len(selected))),
     }

@@ -16,6 +16,7 @@ from glycast.bayesnet import BayesianNetworkModel, Dag, bic_score, bootstrap_con
 from glycast.bsts import (
     ParamPoint,
     SpikeSlabSettings,
+    SweepTerms,
     VariancePrior,
     assemble_model,
     forecast_anchors,
@@ -230,10 +231,11 @@ def test_criterion_6_spike_slab_discrimination():
     x = np.column_stack([signal, rng.normal(0.0, 1.0, n)])
     spike_slab = SpikeSlabSettings(expected_model_size=1.0)
     obs_var_prior = VariancePrior(df=0.01 * n, guess=0.01)
+    terms = SweepTerms(x, spike_slab, obs_var_prior)
     gamma = np.zeros(2, dtype=np.int64)
     inclusion = np.zeros(2)
     for _ in range(200):
-        gamma, _, _ = sample_regression(residual, x, gamma, spike_slab, obs_var_prior, rng)
+        gamma, _, _ = sample_regression(residual, terms, gamma, rng)
         inclusion += gamma
     inclusion /= 200
     assert inclusion[0] > 0.95

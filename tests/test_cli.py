@@ -82,6 +82,7 @@ class TestPipelineComposition:
         assert entry["tester"]["subject_id"] == "S000"
         assert len(entry["selected"]) == 2
         assert all("distance" in s and "subject_id" in s for s in entry["selected"])
+        assert 1 <= entry["tie_group"] <= 3  # the second donor among at most the three other subjects
 
     def test_learn_recovers_oracle_skeleton(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -320,6 +321,7 @@ class TestAblateCommand:
 class TestManifestInputs:
     @pytest.mark.parametrize("command", ["evaluate", "ablate", "forecast"])
     def test_every_config_input_is_recorded(self, tmp_path, synth_dir, command):
+        """Every file a command read, and only those: of `series_dir`, the tester's and its donors' series."""
         series = synth_dir / "series"
         if command == "forecast":
             inputs = {
@@ -330,17 +332,70 @@ class TestManifestInputs:
             expected = {inputs["series_csv"], *inputs["similar_series"], inputs["gl_table"]}
         else:
             inputs = two_stage_inputs(synth_dir)
-            expected = {str(p) for p in series.glob("*.csv")}
-            expected |= {inputs[k] for k in ("clinical_csv", "gl_table", "network_json")}
+            expected = {inputs[k] for k in ("clinical_csv", "gl_table", "network_json")}
         out = tmp_path / "out"
         cfg = write_config(
             tmp_path / "cfg.json", seed=3, out_dir=str(out), draws=12, burn=2, horizons=[1],
             subjects=["S000"], removals=["similar_subjects"], **inputs,
         )
         assert main([command, "--config", cfg]) == 0
+        if command != "forecast":
+            logged = out
+            if command == "ablate":  # ablate selects the donors evaluate logs
+                logged = tmp_path / "evaluated"
+                assert main(["evaluate", "--config", cfg, "--out", str(logged)]) == 0
+            selections = json.loads((logged / "selections.json").read_text(encoding="utf-8"))
+            donors = [entry["subject_id"] for entry in selections["S000"]["selected"]]
+            assert len(donors) == 2
+            expected |= {str(series / f"{sid}.csv") for sid in ["S000", *donors]}
         (manifest,) = read_manifests(out)
         assert manifest["command"] == command
         assert set(manifest["inputs"]) == expected
+
+
+class TestSeriesPool:
+    """`series_dir` is listed by file name; a series is read when a tester or donor needs it, once."""
+
+    @pytest.fixture
+    def pool_cfg(self, tmp_path, synth_dir):
+        (synth_dir / "series" / "ZZZ.csv").write_text("timestamp,cgm_mgdl\nnot a time,abc\n", encoding="utf-8")
+        return write_config(
+            tmp_path / "pool.json", seed=3, out_dir=str(tmp_path / "out"), draws=12, burn=2, horizons=[1],
+            **two_stage_inputs(synth_dir),
+        )
+
+    def test_unused_malformed_file_is_never_read(self, tmp_path, synth_dir, pool_cfg):
+        assert main(["evaluate", "--config", pool_cfg, "--subjects", "S000"]) == 0
+        (manifest,) = read_manifests(tmp_path / "out")
+        assert str(synth_dir / "series" / "ZZZ.csv") not in manifest["inputs"]
+
+    def test_malformed_tester_file_exits_2(self, tmp_path, pool_cfg, capsys):
+        assert main(["evaluate", "--config", pool_cfg, "--subjects", "ZZZ"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "out" / "manifests.jsonl").exists()
+
+    def test_each_file_read_once(self, tmp_path, synth_dir, monkeypatch):
+        read = []
+        load = cli.load_timeseries
+
+        def spy(path, *args, **kwargs):
+            read.append(str(path))
+            return load(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_timeseries", spy)
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path / "ev.json", seed=3, out_dir=str(out), draws=12, burn=2, horizons=[1],
+            **two_stage_inputs(synth_dir),
+        )
+        assert main(["evaluate", "--config", cfg, "--subjects", "S000,S001"]) == 0
+        selections = json.loads((out / "selections.json").read_text(encoding="utf-8"))
+        needs = {tester: {tester} | {d["subject_id"] for d in log["selected"]} for tester, log in selections.items()}
+        assert needs["S000"] & needs["S001"]  # the two testers' series and donors overlap
+        used = needs["S000"] | needs["S001"]
+        assert sorted(read) == sorted(str(synth_dir / "series" / f"{sid}.csv") for sid in used)
+        (manifest,) = read_manifests(out)
+        assert {p for p in manifest["inputs"] if p.endswith(".csv") and "/series/" in p} == set(read)
 
 
 class TestManifestOutputs:

@@ -146,3 +146,24 @@ class TestPartialSelection:
         tester = point("T", nudge(200.0, ux), nudge(150.0, uy), source="measured")
         m = data.draw(st.integers(min_value=1, max_value=len(pool)))
         assert select_similar(pool, tester, m) == self.sorted_reference(pool, tester, m)
+
+
+class TestTieGroup:
+    def test_spec_example(self):
+        pool = [point("A", 113, 164), point("B", 114, 163), point("C", 107, 156), point("D", 100, 150)]
+        log = selection_log(pool, TESTER, select_similar(pool, TESTER, 2))
+        assert [e["subject_id"] for e in log["selected"]] == ["A", "B"]
+        assert log["tie_group"] == 3  # A, B and C all sit at distance 5
+
+    def test_no_tie(self):
+        assert selection_log(POOL, TESTER, select_similar(POOL, TESTER, 2))["tie_group"] == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_pools(), st.integers(-1, 1), st.integers(-1, 1), st.data())
+    def test_matches_brute_force_count(self, pool, ux, uy, data):
+        tester = point("T", nudge(200.0, ux), nudge(150.0, uy), source="measured")
+        m = data.draw(st.integers(min_value=1, max_value=len(pool)))
+        selected = select_similar(pool, tester, m)
+        last = marker_distance(next(p for p in pool if p.subject_id == selected[-1]), tester)
+        expected = sum(1 for p in pool if marker_distance(p, tester) == last)
+        assert selection_log(pool, tester, selected)["tie_group"] == expected
