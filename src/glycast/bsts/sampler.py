@@ -27,11 +27,12 @@ the draws-last P.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from ..errors import NumericalError, RangeError, SchemaError
 from .components import MAX_HORIZON, StateSpaceModel
@@ -105,17 +106,21 @@ class PosteriorDraws:
         )
 
 
+def _ndtr(x: float) -> float:
+    """The standard normal CDF, through erfc so that the lower tail keeps its digits."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
 def _draw_truncated_normal(
     mean: float, sd: float, lo: float, hi: float, rng: np.random.Generator
 ) -> float:
-    a = ndtr((lo - mean) / sd)
-    b = ndtr((hi - mean) / sd)
+    a, b = _ndtr((lo - mean) / sd), _ndtr((hi - mean) / sd)
     if b - a < 1e-15:
         # Essentially no mass inside the interval: pin to the nearest edge.
         return lo + _PHI_EDGE if mean < lo else hi - _PHI_EDGE
     u = a + (b - a) * rng.random()
     u = min(max(u, 1e-15), 1.0 - 1e-15)
-    value = mean + sd * float(ndtri(u))
+    value = mean + sd * NormalDist().inv_cdf(u)
     return min(max(value, lo + _PHI_EDGE), hi - _PHI_EDGE)
 
 

@@ -12,10 +12,10 @@ design and the priors (`SweepTerms`) is built once per fit.
 from __future__ import annotations
 
 import logging
+import math
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from ..errors import RangeError, SchemaError
 from .components import SpikeSlabSettings, VariancePrior
@@ -45,13 +45,15 @@ def _slab_precision(xtx: np.ndarray, n: int, weight: float) -> np.ndarray:
     return v / n
 
 
-def _chol_with_ridge(matrix: np.ndarray, context: str) -> np.ndarray:
+def _chol_with_ridge(matrix: np.ndarray, context: str) -> tuple[np.ndarray, np.ndarray]:
+    """(matrix factored, its Cholesky factor): `matrix`, or a ridged copy if singular; solves use the former."""
     try:
-        return np.linalg.cholesky(matrix)
+        return matrix, np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError:
         jitter = _RIDGE * float(np.trace(matrix)) / max(matrix.shape[0], 1)
         logger.warning("singular %s Gram matrix; adding ridge jitter %.3e", context, jitter)
-        return np.linalg.cholesky(matrix + jitter * np.eye(matrix.shape[0]))
+        ridged = matrix + jitter * np.eye(matrix.shape[0])
+        return ridged, np.linalg.cholesky(ridged)
 
 
 class SweepTerms:
@@ -78,7 +80,7 @@ class SweepTerms:
         a0, b0 = obs_var_prior.shape, obs_var_prior.scale
         self.b0 = b0
         self.an = a0 + n / 2.0
-        self.base = -(n / 2.0) * np.log(2.0 * np.pi) + a0 * np.log(b0) + gammaln(self.an) - gammaln(a0)
+        self.base = -(n / 2.0) * np.log(2.0 * np.pi) + a0 * np.log(b0) + math.lgamma(self.an) - math.lgamma(a0)
         self._factors: dict[bytes, tuple] = {}
         if j_total:
             self.xtx = x.T @ x
@@ -95,9 +97,8 @@ class SweepTerms:
             active = np.flatnonzero(gamma)
             idx = np.ix_(active, active)
             p0a = self.p0[idx]
-            pna = p0a + self.xtx[idx]
-            chol_p0 = _chol_with_ridge(p0a, "slab-prior")
-            chol_pn = _chol_with_ridge(pna, "active-column")
+            _, chol_p0 = _chol_with_ridge(p0a, "slab-prior")
+            pna, chol_pn = _chol_with_ridge(p0a + self.xtx[idx], "active-column")
             logdet_p0 = 2.0 * float(np.sum(np.log(np.diag(chol_p0))))
             logdet_pn = 2.0 * float(np.sum(np.log(np.diag(chol_pn))))
             cached = self._factors[key] = (active, pna, chol_pn, self.base + 0.5 * logdet_p0 - 0.5 * logdet_pn)

@@ -1,9 +1,8 @@
 import logging
+import math
 
 import numpy as np
 import pytest
-
-from scipy.special import gammaln
 
 from glycast.bsts import (
     SpikeSlabSettings,
@@ -29,14 +28,14 @@ def reference_log_marginal(active, xtx, xtr, rtr, p0, n, prior):
     """log p(r | active columns), every prior constant and factor rebuilt on the call."""
     a0, b0 = prior.shape, prior.scale
     an = a0 + n / 2.0
-    base = -(n / 2.0) * np.log(2.0 * np.pi) + a0 * np.log(b0) + gammaln(an) - gammaln(a0)
+    base = -(n / 2.0) * np.log(2.0 * np.pi) + a0 * np.log(b0) + math.lgamma(an) - math.lgamma(a0)
     if not active.size:
         return float(base - an * np.log(b0 + 0.5 * rtr))
     idx = np.ix_(active, active)
     p0a = p0[idx]
     pna = p0a + xtx[idx]
-    chol_p0 = _chol_with_ridge(p0a, "slab-prior")
-    chol_pn = _chol_with_ridge(pna, "active-column")
+    _, chol_p0 = _chol_with_ridge(p0a, "slab-prior")
+    pna, chol_pn = _chol_with_ridge(pna, "active-column")
     beta_hat = np.linalg.solve(pna, xtr[active])
     bn = max(b0 + 0.5 * (rtr - float(xtr[active] @ beta_hat)), 1e-300)
     logdet_p0 = 2.0 * float(np.sum(np.log(np.diag(chol_p0))))
@@ -64,7 +63,7 @@ def reference_sweep(r, x, gamma, slab, prior, rng):
     active = np.flatnonzero(gamma)
     idx = np.ix_(active, active)
     pna = p0[idx] + xtx[idx]
-    chol = _chol_with_ridge(pna, "active-column")
+    pna, chol = _chol_with_ridge(pna, "active-column")
     beta_hat = np.linalg.solve(pna, xtr[active])
     sigma2 = prior.draw(rtr - float(xtr[active] @ beta_hat), n, rng)
     beta[active] = beta_hat + np.sqrt(sigma2) * np.linalg.solve(chol.T, rng.standard_normal(active.size))
@@ -149,6 +148,25 @@ class TestSpikeSlabSweep:
         contexts = [record.getMessage().split(" Gram")[0] for record in caplog.records]
         assert "singular slab-prior" in contexts
         assert len(contexts) == len(set(contexts))
+
+    def test_exactly_collinear_columns_solve_the_ridged_matrix(self, caplog):
+        """A duplicated column makes P_n singular at information_weight=1.0: the solve uses the ridged P_n."""
+        rng = np.random.default_rng(3)
+        n = 80
+        col = rng.normal(0, 1, n)
+        x = np.column_stack([col, col])
+        residual = col + rng.normal(0, 0.05, n)
+        terms = SweepTerms(x, *settings(n, information_weight=1.0))
+        gamma = np.ones(2, dtype=np.int64)
+        with caplog.at_level(logging.WARNING, logger="glycast.bsts.spike_slab"):
+            for _ in range(50):
+                gamma, beta, sigma = sample_regression(residual, terms, gamma, rng)
+                assert np.isfinite(beta).all() and np.isfinite(sigma) and sigma > 0.0
+        assert "singular active-column Gram matrix" in caplog.text
+        # The cached P_n is the matrix that was factored, so chol(P_n) reproduces it.
+        _, pna, chol, _ = terms.factors(np.ones(2, dtype=np.int64))
+        np.testing.assert_allclose(chol @ chol.T, pna, rtol=1e-12)
+        assert np.all(np.linalg.eigvalsh(pna) > 0.0)
 
     def test_shape_validation(self):
         rng = np.random.default_rng(0)

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import glycast
 from glycast import bayesnet, cli, preprocess, similarity, synth
 from glycast.cli import main
 from glycast.dataset import MealEvent, load_gl_table, load_timeseries, write_timeseries
@@ -41,6 +46,26 @@ class TestSynthCommand:
         assert len(manifests) == 1
         entry = json.loads(manifests[0])
         assert entry["command"] == "synth" and entry["seed"] == 3
+
+
+class TestRuntimeImports:
+    def test_no_scipy_module_is_loaded(self, tmp_path):
+        """numpy is the one runtime dependency: a fresh interpreter imports glycast and runs a command without scipy."""
+        src = str(Path(glycast.__file__).resolve().parents[1])
+        cfg = write_config(tmp_path / "synth.json", seed=7, n_subjects=3, n_days=1)
+        script = (
+            "import json, sys\n"
+            "import glycast, glycast.cli\n"
+            f"assert glycast.cli.main(['synth', '--config', {cfg!r}, '--out', {str(tmp_path / 'data')!r}]) == 0\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300, check=False
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.strip().splitlines()[-1]) == []
+        assert (tmp_path / "data" / "manifests.jsonl").exists()
 
 
 class TestPipelineComposition:
