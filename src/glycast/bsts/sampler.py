@@ -11,10 +11,11 @@ given the slope path; (4) a spike-and-slab
 sweep on the observation residual, which draws the observation variance too
 (a model without regression runs the zero-column sweep). The chain's state is
 one `ParamPoint`; `PosteriorDraws.from_rows` stacks the retained draws.
-Forecasts work on all retained draws at once: `posterior_forecast` samples
-joint forward paths from each draw's terminal state; `forecast_anchors`
-filters every draw through the series and samples y_{t+h} from each draw's
-exact Gaussian predictive at every anchor.
+Forecasts work on all retained draws at once and share one predictive:
+`forecast_anchors` filters every draw through the series and samples
+y_{t+h} from each draw's exact Gaussian predictive at every anchor;
+`posterior_forecast` samples that predictive at the last training index from
+each draw's terminal state, each step from its marginal, not joint paths.
 
 Both move every draw at once on the draws-last transition kernel
 `kalman._DrawOperators` (states (m, K), covariances (m, m, K) for K draws),
@@ -207,7 +208,7 @@ class ForecastResult:
     mean: np.ndarray  # (h,)
     lower95: np.ndarray
     upper95: np.ndarray
-    paths: np.ndarray  # (K, h) per-draw sampled paths
+    paths: np.ndarray  # (K, h) per draw: step j sampled from that draw's marginal predictive of y_{n+j}
 
 
 def posterior_forecast(
@@ -218,40 +219,34 @@ def posterior_forecast(
     rng: Optional[np.random.Generator] = None,
     sample: bool = True,
 ) -> ForecastResult:
-    """Model-averaged forecast from the terminal states of every draw.
+    """Model-averaged forecast of the `horizon` steps after the training series.
 
-    All draws are propagated together from the last training index, so the
-    seasonal boundary schedule continues in phase. Each row of `paths` is one
-    draw's jointly sampled path; the point forecast is the mean over draws and
-    the interval the empirical 2.5%/97.5% band. With sample=False innovations
-    and observation noise are suppressed and each path is the deterministic
-    propagation of its draw.
+    This is `forecast_anchors`' predictive at the anchor n_train - 1, with
+    each draw's terminal state known (P = 0): p(alpha_{n-1} | y, theta) is
+    both the smoothing and the filtering distribution at the last step. Row k
+    of `paths` holds one value per step from draw k's Gaussian predictive of
+    that step, drawn as one (K, h) call; the point forecast is the mean over
+    draws and the interval the 2.5%/97.5% band of `_sorted_percentiles`. With
+    sample=False each row is its draw's predictive mean and no normals are
+    drawn.
     """
     if not 1 <= horizon <= MAX_HORIZON:
         raise RangeError(f"horizon must lie in 1..{MAX_HORIZON}, got {horizon}")
+    if not model.n_regressors:
+        x_future = np.zeros((horizon, 0))
+    elif x_future is None or np.shape(x_future) != (horizon, model.n_regressors):
+        raise SchemaError(f"x_future of shape ({horizon}, {model.n_regressors}) is required with regressors")
     if rng is None:
         rng = np.random.default_rng([draws.seed, _FORECAST_SALT])
     ops = _DrawOperators(model, draws)
-    offsets = np.zeros(horizon)
-    if model.n_regressors:
-        if x_future is None or np.shape(x_future) != (horizon, model.n_regressors):
-            raise SchemaError(
-                f"x_future of shape ({horizon}, {model.n_regressors}) is required with regressors"
-            )
-        offsets = np.asarray(x_future, dtype=float) @ draws.beta.T  # (horizon, K)
-
-    alpha = np.asarray(draws.terminal_state, dtype=float).T.copy()  # (m, K)
-    paths = np.empty((draws.n_draws, horizon))
-    for j in range(horizon):
-        step = ops.step(model.n_train - 1 + j)
-        alpha = ops.transition(step, alpha)
-        alpha += ops.intercept
-        if sample:
-            alpha += np.sqrt(ops.noise_vars[step]) * rng.standard_normal(alpha.shape[::-1]).T
-        paths[:, j] = ops.z.dot(alpha) + offsets[j]
+    m, k = ops.intercept.shape
+    terms = ops.horizon_terms(model.n_train - 1, range(1, horizon + 1))
+    offsets = np.asarray(x_future, dtype=float) @ ops.beta  # (horizon, K)
+    mean, var = _predictive_moments(terms, draws.terminal_state.T, np.zeros((m, m, k)), offsets)
+    paths = mean.T.copy()
     if sample:
-        paths += np.sqrt(ops.obs_var)[:, None] * rng.standard_normal(paths.shape)
-    lower, upper = np.percentile(paths, [2.5, 97.5], axis=0)
+        paths += np.sqrt(var).T * rng.standard_normal((k, horizon))
+    lower, upper = _sorted_percentiles(np.sort(paths.T, axis=1), (2.5, 97.5))
     return ForecastResult(mean=paths.mean(axis=0), lower95=lower, upper95=upper, paths=paths)
 
 

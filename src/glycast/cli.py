@@ -36,7 +36,6 @@ from .errors import ConfigError, GlycastError
 from .evaluate import (
     ABLATION_NAMES,
     EvalConfig,
-    EvalSubject,
     ForecastPipeline,
     build_similarity_design,
     run_ablation,
@@ -291,11 +290,13 @@ def _design(tester: GlucoseSeries, donors: Sequence[GlucoseSeries], gl_table, n_
 
 
 def _tester_designs(cfg: dict, seed: int, run: _Run, m: int):
-    """Each tester with its Stage-1 donors' design: yields (EvalSubject, selection log).
+    """Each tester's run: yields (series, ForecastPipeline, selection log).
 
-    Without `clinical_csv` no donors are selected and testers carry no design.
-    A subject listed twice, or with no series, is refused before anything is
-    loaded. Only the testers' and their donors' series are read.
+    The pipeline carries the `components` specs, if any, and the Stage-1
+    donors' design; without `clinical_csv` no donors are selected and it
+    carries no design. A subject listed twice, or with no series, and a
+    malformed `components` document are refused before anything is loaded.
+    Only the testers' and their donors' series are read.
     """
     repeated = sorted({sid for sid in cfg.get("subjects") or () if cfg["subjects"].count(sid) > 1})
     if repeated:
@@ -305,6 +306,7 @@ def _tester_designs(cfg: dict, seed: int, run: _Run, m: int):
     for tester_id in testers:
         if tester_id not in series_map:
             raise ConfigError(f"{run.command}: no series for subject {tester_id}")
+    custom = tuple(specs_from_json(cfg)) if "components" in cfg else None
     gl_table = run.gl_table(cfg)
     stage1 = _stage1(cfg, seed, run) if "clinical_csv" in cfg else None
     for tester_id in testers:
@@ -313,7 +315,7 @@ def _tester_designs(cfg: dict, seed: int, run: _Run, m: int):
         regressors, names = (None, ())
         if donors:
             regressors, names = _design(tester, [run.series(series_map[sid]) for sid in donors], gl_table)
-        yield EvalSubject(series=tester, regressors=regressors, regressor_names=names), selection
+        yield tester, ForecastPipeline(regressors=regressors, regressor_names=names, custom_specs=custom), selection
 
 
 def _cmd_preprocess(cfg: dict, seed: int, run: _Run) -> None:
@@ -395,14 +397,10 @@ def _cmd_forecast(cfg: dict, seed: int, run: _Run) -> None:
 
 def _cmd_evaluate(cfg: dict, seed: int, run: _Run) -> None:
     eval_cfg = _eval_config(cfg, seed)
-    custom = tuple(specs_from_json(cfg)) if "components" in cfg else None
     reports = []
     selections = {}
-    for subject, selection in _tester_designs(cfg, seed, run, eval_cfg.m_similar):
-        pipeline = ForecastPipeline(
-            regressors=subject.regressors, regressor_names=subject.regressor_names, custom_specs=custom
-        )
-        report = sliding_window_eval(pipeline, subject.series, eval_cfg)
+    for series, pipeline, selection in _tester_designs(cfg, seed, run, eval_cfg.m_similar):
+        report = sliding_window_eval(pipeline, series, eval_cfg)
         reports.append(report)
         if selection is not None:
             selections[report.subject_id] = selection
@@ -421,19 +419,21 @@ def _cmd_evaluate(cfg: dict, seed: int, run: _Run) -> None:
 def _cmd_ablate(cfg: dict, seed: int, run: _Run) -> None:
     eval_cfg = _eval_config(cfg, seed)
     removals = cfg.get("removals", list(ABLATION_NAMES))
+    if "components" in cfg:
+        raise ConfigError("ablate: its rows remove seasonals of the standard stack, which 'components' replaces")
     if "similar_subjects" in removals and "clinical_csv" not in cfg:
         raise ConfigError(
             "ablate: removal 'similar_subjects' needs clinical_csv to select donors; "
             "without them the row equals the baseline"
         )
     subjects = []
-    for subject, selection in _tester_designs(cfg, seed, run, eval_cfg.m_similar):
+    for series, pipeline, selection in _tester_designs(cfg, seed, run, eval_cfg.m_similar):
         if selection is not None and "excluded" in selection and "similar_subjects" in removals:
             raise ConfigError(
-                f"ablate: Stage 1 excluded tester {subject.series.subject_id} ({selection['excluded']}), "
+                f"ablate: Stage 1 excluded tester {series.subject_id} ({selection['excluded']}), "
                 "so it has no donors and its 'similar_subjects' row would equal the baseline"
             )
-        subjects.append(subject)
+        subjects.append((series, pipeline))
     table = run_ablation(eval_cfg, removals, subjects, seed=seed)
     _write_json(run.output("ablation.json"), table.to_json())
     run.output("ablation.txt").write_text(table.render_text() + "\n", encoding="utf-8")

@@ -33,6 +33,7 @@ from .dataset import STEP, GlucoseSeries
 from .errors import CapacityError, ConfigError, RangeError, SchemaError
 
 ABLATION_NAMES = ("similar_subjects", "day_seasonal", "meal_seasonal", "circadian_seasonal")
+_SEASONAL_FLAGS = {"day_seasonal": "use_day", "meal_seasonal": "use_meal", "circadian_seasonal": "use_circadian"}
 GLYCEMIC_BANDS = ("hypo", "normal", "hyper")
 STEPS_PER_DAY = 96
 MIN_TRAIN = 10  # training points a fit needs
@@ -56,6 +57,8 @@ class EvalConfig:
             raise ConfigError("split_ratio must lie in (0, 1)")
         if not self.horizons or any(h < 1 for h in self.horizons):
             raise ConfigError("horizons must be a nonempty list of steps >= 1")
+        if len(set(self.horizons)) != len(self.horizons):
+            raise ConfigError(f"horizons must not repeat, got {list(self.horizons)}")
         if not self.hypo_max < self.hyper_min:
             raise ConfigError("hypo_max must be below hyper_min")
         if self.draws <= self.burn:
@@ -187,18 +190,28 @@ class ForecastPipeline:
             return specs
         offset = (series.start.hour * 60 + series.start.minute) // 15
         specs = [semi_local_trend()]
-        if self.use_day:
-            base = day_seasonal()
-            specs.append(replace(base, phase=offset % sum(base.durations)))
-        if self.use_meal:
-            base = meal_seasonal()
-            specs.append(replace(base, phase=offset % sum(base.durations)))
-        if self.use_circadian:
-            base = circadian_seasonal()
-            specs.append(replace(base, phase=offset % sum(base.durations)))
+        for use, base in (
+            (self.use_day, day_seasonal()), (self.use_meal, meal_seasonal()), (self.use_circadian, circadian_seasonal())
+        ):
+            if use:
+                specs.append(replace(base, phase=offset % sum(base.durations)))
         if self.regressors is not None and self.regressor_names:
             specs.append(regression(self.regressor_names))
         return specs
+
+    def without(self, removal: Optional[str]) -> "ForecastPipeline":
+        """This pipeline less one of ABLATION_NAMES (None: unchanged).
+
+        A seasonal cannot be removed from `custom_specs`, which replace the
+        standard seasonals: that raises ConfigError.
+        """
+        if removal is None:
+            return self
+        if removal == "similar_subjects":
+            return replace(self, regressors=None, regressor_names=())
+        if self.custom_specs is not None:
+            raise ConfigError(f"cannot ablate {removal!r}: custom component specs replace the standard seasonals")
+        return replace(self, **{_SEASONAL_FLAGS[removal]: False})
 
     def fit(self, series: GlucoseSeries, n_train: int, cfg: EvalConfig):
         """Assemble the model on the first `n_train` points and run the Gibbs sampler: (model, draws)."""
@@ -296,15 +309,6 @@ def sliding_window_eval(
     )
 
 
-@dataclass(frozen=True)
-class EvalSubject:
-    """One tester plus the regression design its pipeline would use."""
-
-    series: GlucoseSeries
-    regressors: Optional[np.ndarray] = None
-    regressor_names: tuple[str, ...] = ()
-
-
 def build_similarity_design(
     tester: GlucoseSeries,
     similar: Sequence[GlucoseSeries],
@@ -343,17 +347,6 @@ def build_similarity_design(
     return np.column_stack(columns), tuple(names)
 
 
-def _pipeline_for(subject: EvalSubject, removal: Optional[str]) -> ForecastPipeline:
-    use_regressors = removal != "similar_subjects" and subject.regressors is not None
-    return ForecastPipeline(
-        use_day=removal != "day_seasonal",
-        use_meal=removal != "meal_seasonal",
-        use_circadian=removal != "circadian_seasonal",
-        regressors=subject.regressors if use_regressors else None,
-        regressor_names=subject.regressor_names if use_regressors else (),
-    )
-
-
 @dataclass(frozen=True)
 class AblationTable:
     rows: Mapping[str, Mapping[int, dict]]  # row -> horizon -> {metric: (mean, sd)}
@@ -389,13 +382,14 @@ class AblationTable:
 def run_ablation(
     base_cfg: EvalConfig,
     removals: Sequence[str],
-    subjects: Sequence[EvalSubject],
+    subjects: Sequence[tuple[GlucoseSeries, ForecastPipeline]],
     seed: int = 0,
 ) -> AblationTable:
     """Evaluate the baseline plus each single-component removal.
 
-    Each removal drops exactly one component relative to the baseline; rows
-    report per-horizon mean ± sd over subjects.
+    `subjects` pairs each tester's series with its baseline pipeline; each
+    removal drops exactly one component from it (`ForecastPipeline.without`),
+    and rows report per-horizon mean ± sd over subjects.
     """
     for removal in removals:
         if removal not in ABLATION_NAMES:
@@ -410,10 +404,9 @@ def run_ablation(
         per_subject: dict[int, dict[str, list[float]]] = {
             h: {"mae": [], "rmse": [], "mape": []} for h in base_cfg.horizons
         }
-        for i, subject in enumerate(subjects):
+        for i, (series, pipeline) in enumerate(subjects):
             cfg = replace(base_cfg, seed=seed + 1000 * i)
-            pipeline = _pipeline_for(subject, removal)
-            report = sliding_window_eval(pipeline, subject.series, cfg)
+            report = sliding_window_eval(pipeline.without(removal), series, cfg)
             for h in base_cfg.horizons:
                 r = report.reports[h]
                 per_subject[h]["mae"].append(r.mae)

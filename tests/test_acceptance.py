@@ -27,7 +27,13 @@ from glycast.bsts import (
     semi_local_trend,
 )
 from glycast.cli import main
-from glycast.evaluate import EvalConfig, EvalSubject, build_similarity_design, compute_metrics, run_ablation
+from glycast.evaluate import (
+    EvalConfig,
+    ForecastPipeline,
+    build_similarity_design,
+    compute_metrics,
+    run_ablation,
+)
 from glycast.preprocess import (
     DiscreteDataset,
     exclude_incomplete,
@@ -291,7 +297,7 @@ def _ablation_subjects(n_subjects=2):
     for i in range(n_subjects):
         donors = [series[j] for j in range(len(series)) if j != i][:2]
         design, names = build_similarity_design(series[i], donors)
-        subjects.append(EvalSubject(series=series[i], regressors=design, regressor_names=names))
+        subjects.append((series[i], ForecastPipeline(regressors=design, regressor_names=names)))
     return subjects
 
 
@@ -329,7 +335,7 @@ def test_criterion_9_horizon_monotonicity():
     )
     series, _ = gen_cgm_series(cfg)
     eval_cfg = EvalConfig(draws=250, burn=80, seed=3, forecast_thin=2)
-    subjects = [EvalSubject(series=s) for s in series]
+    subjects = [(s, ForecastPipeline()) for s in series]
     table = run_ablation(eval_cfg, [], subjects, seed=3)
     rmse = [table.rows["baseline"][h]["rmse"][0] for h in eval_cfg.horizons]
     assert all(a <= b + 1e-9 for a, b in zip(rmse, rmse[1:])), rmse

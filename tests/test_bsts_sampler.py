@@ -155,9 +155,52 @@ class TestPosteriorForecast:
         with pytest.raises(RangeError):
             posterior_forecast(draws, model, horizon=MAX_HORIZON + 1)
 
+    def forecast_case(self):
+        """Two seasonals and two regressors fitted on 24 points; terminal states drawn at random."""
+        rng = np.random.default_rng(3)
+        x = rng.normal(0.0, 1.0, (30, 2))
+        model = two_seasonal_model(100.0 + np.arange(24.0), x[:24])
+        terminals = rng.normal(0.0, 5.0, (len(TestAnchoredPredictive.PARAMS), model.state_dim))
+        return model, terminals, x[24:]
+
+    def test_matches_dense_propagation(self):
+        model, terminals, x_future = self.forecast_case()
+        horizon = x_future.shape[0]
+        assert model.boundaries(24 + horizon)[23:].any(axis=0).all()  # each seasonal turns within the horizon
+        params = TestAnchoredPredictive.PARAMS
+        assert all(p.sigma_obs > 0 for p in params) and any(min(p.sigma_seasonal) > 0 for p in params)
+        draws = make_draws(model, list(zip(params, terminals)))
+        means = posterior_forecast(draws, model, horizon, x_future, sample=False).paths
+
+        class UnitNormals:
+            """A generator whose every normal is 1, so that a sample is its mean plus its sd."""
+
+            def standard_normal(self, shape):
+                return np.ones(shape)
+
+        sds = posterior_forecast(draws, model, horizon, x_future, rng=UnitNormals()).paths - means
+        for k, (p, state) in enumerate(zip(params, terminals)):
+            mean, var = dense_predictive(model, p, state, np.zeros((model.state_dim,) * 2), 23, x_future)
+            np.testing.assert_allclose(means[k], mean, rtol=1e-10, atol=0.0)
+            np.testing.assert_allclose(sds[k] ** 2, var, rtol=1e-10, atol=0.0)
+
+    def test_samples_match_dense_variance(self):
+        model, terminals, x_future = self.forecast_case()
+        params = TestAnchoredPredictive.PARAMS[0]
+        draws = make_draws(model, [(params, terminals[0])] * 4000)
+        result = posterior_forecast(draws, model, 6, x_future, rng=np.random.default_rng(2))
+        mean, var = dense_predictive(model, params, terminals[0], np.zeros((model.state_dim,) * 2), 23, x_future)
+        # The sample variance of 4000 normals has a relative sd of sqrt(2 / 3999), 0.022.
+        np.testing.assert_allclose(result.paths.var(axis=0, ddof=1), var, rtol=0.1)
+        assert np.all(np.abs(result.mean - mean) < 5.0 * np.sqrt(var / 4000))
+        np.testing.assert_allclose(
+            [result.lower95, result.upper95], np.percentile(result.paths, [2.5, 97.5], axis=0), rtol=1e-12
+        )
+
 
 class TestForecastAnchors:
     def test_degenerate_agrees_with_posterior_forecast(self):
+        # No noise and a known initial state: both forecasts are the dense propagation of that state.
         y = np.array([94.0, 96.0, 98.0, 100.0, 102.0, 104.0, 106.0, 108.0])
         model = assemble_model([semi_local_trend()], y[:4])
         model = model.with_initial_state([94.0, 2.0], [0.0, 0.0])
@@ -166,9 +209,9 @@ class TestForecastAnchors:
         anchored = forecast_anchors(
             model, draws, y, anchors=[3], horizons=[1, 2], rng=np.random.default_rng(0)
         )
-        reference = posterior_forecast(draws, model, horizon=2)
-        assert anchored[1]["mean"][0] == pytest.approx(reference.mean[0])
-        assert anchored[2]["mean"][0] == pytest.approx(reference.mean[1])
+        reference = [model.z @ propagate(model, params, model.a1, 3 + h) for h in (1, 2)]
+        assert [anchored[1]["mean"][0], anchored[2]["mean"][0]] == pytest.approx(reference)
+        assert posterior_forecast(draws, model, horizon=2).mean == pytest.approx(reference)
 
     def test_statistical_agreement_with_posterior_forecast(self):
         # Anchor at the fit's terminal index: the anchored filtered state and
@@ -238,6 +281,19 @@ def propagate(model, params, state, steps):
     for t in range(steps):
         state = model.transition_matrix(params.phi, t) @ state + c
     return state
+
+
+def dense_predictive(model, params, a, P, t, x_future):
+    """Mean and variance of y_{t+1..t+h} given state moments (a, P) at t, h = len(x_future), by dense propagation."""
+    noise_vars = (params.sigma_level**2, params.sigma_slope**2, np.square(params.sigma_seasonal))
+    mean, var = np.empty((2, len(x_future)))
+    for j, row in enumerate(x_future):
+        T = model.transition_matrix(params.phi, t + j)
+        a = T @ a + model.state_intercept(params.d, params.phi)
+        P = T @ P @ T.T + np.diag(model.noise_diag(*noise_vars, t + j))
+        mean[j] = model.z @ a + row @ params.beta
+        var[j] = model.z @ P @ model.z + params.sigma_obs**2
+    return mean, var
 
 
 class TestAnchoredPredictive:
@@ -330,12 +386,15 @@ class TestAnchoredPredictive:
             rng=np.random.default_rng(0),
         )
         for i, t in enumerate(anchors):
+            # Zero noise and P_1 = 0 keep every filtered state on its draw's dense propagation.
+            paths = np.array([[model.z @ propagate(model, p, a1, t + h) for h in self.HORIZONS] for p in params])
             terminal = [(p, propagate(model, p, a1, t)) for p in params]
             reference = posterior_forecast(
                 make_draws(model, terminal), replace(model, n_train=t + 1), horizon=4, sample=False
             )
+            np.testing.assert_allclose(reference.paths, paths, rtol=1e-12)
             for h in self.HORIZONS:
-                column = reference.paths[:, h - 1]
+                column = paths[:, h - 1]
                 np.testing.assert_allclose(out[h]["mean"][i], column.mean(), rtol=1e-12)
                 np.testing.assert_allclose(
                     [out[h]["lower95"][i], out[h]["upper95"][i]],
@@ -359,18 +418,11 @@ class TestAnchoredPredictive:
         filters = [filter_point(model, p, y, x)[:2] for p in self.PARAMS]
         rng = np.random.default_rng(8)
         for i, t in enumerate(sorted(anchors)):
-            mean, var = np.empty((2, len(self.PARAMS), len(horizons)))
-            for k, (params, (means, covs)) in enumerate(zip(self.PARAMS, filters)):
-                a, P = means[t], covs[t]
-                noise_vars = (params.sigma_level**2, params.sigma_slope**2, np.square(params.sigma_seasonal))
-                for step in range(t, t + max(horizons)):
-                    T = model.transition_matrix(params.phi, step)
-                    a = T @ a + model.state_intercept(params.d, params.phi)
-                    P = T @ P @ T.T + np.diag(model.noise_diag(*noise_vars, step))
-                    if step + 1 - t in horizons:
-                        j = horizons.index(step + 1 - t)
-                        mean[k, j] = model.z @ a + x[step + 1] @ params.beta
-                        var[k, j] = model.z @ P @ model.z + params.sigma_obs**2
+            columns = np.array(horizons) - 1
+            mean, var = np.stack([
+                np.array(dense_predictive(model, params, means[t], covs[t], t, x[t + 1 : t + 1 + max(horizons)]))
+                for params, (means, covs) in zip(self.PARAMS, filters)
+            ], axis=1)[:, :, columns]
             samples = mean + np.sqrt(var) * rng.standard_normal(mean.shape)
             lower, upper = np.percentile(samples, [2.5, 97.5], axis=0)
             for j, h in enumerate(horizons):

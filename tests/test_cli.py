@@ -268,10 +268,10 @@ class TestAblateCommand:
         monkeypatch.setattr(cli, "run_ablation", spy)
         with pytest.raises(_Stop):
             main(["ablate", "--config", cfg, "--subjects", testers])
-        assert [s.series.subject_id for s in seen] == testers.split(",")
-        for subject in seen:
-            donors = [n[len("sim_"): -len("_cgm")] for n in subject.regressor_names if n.endswith("_cgm")]
-            expected = [d["subject_id"] for d in selections[subject.series.subject_id]["selected"]]
+        assert [series.subject_id for series, _ in seen] == testers.split(",")
+        for series, pipeline in seen:
+            donors = [n[len("sim_"): -len("_cgm")] for n in pipeline.regressor_names if n.endswith("_cgm")]
+            expected = [d["subject_id"] for d in selections[series.subject_id]["selected"]]
             assert donors == expected
 
     def test_stage1_excluded_tester(self, tmp_path, capsys):
@@ -341,6 +341,22 @@ class TestAblateCommand:
         )
         assert main(["ablate", "--config", cfg, "--subjects", "S000"]) == 2
         assert "clinical_csv" in capsys.readouterr().err
+
+    def test_components_refused_before_stage1(self, tmp_path, synth_dir, capsys, monkeypatch):
+        # Its rows switch off seasonals of the standard stack, which a components document replaces.
+        def stage1(*args):
+            raise AssertionError("Stage 1 ran")
+
+        monkeypatch.setattr(cli, "_stage1", stage1)
+        out = tmp_path / "ab"
+        cfg = write_config(
+            tmp_path / "ab.json", seed=3, out_dir=str(out), series_dir=str(synth_dir / "series"),
+            clinical_csv=str(synth_dir / "clinical.csv"), removals=["day_seasonal"], draws=12, burn=2,
+            components=[{"kind": "semi_local_trend"}],
+        )
+        assert main(["ablate", "--config", cfg, "--subjects", "S000"]) == 2
+        assert "'components' replaces" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestManifestInputs:
@@ -755,6 +771,17 @@ class TestErrorHandling:
         assert main(["evaluate", "--config", cfg, "--subjects", "S000,S000"]) == 2
         assert "listed more than once: S000" in capsys.readouterr().err
         assert not (out / "metrics.json").exists() and not (out / "manifests.jsonl").exists()
+
+    def test_repeated_horizons(self, tmp_path, synth_dir, capsys):
+        # Each column and confusion row would be written twice.
+        out = tmp_path / "o"
+        cfg = write_config(
+            tmp_path / "ev.json", seed=0, out_dir=str(out), series_dir=str(synth_dir / "series"),
+            horizons=[1, 1], draws=20, burn=5,
+        )
+        assert main(["evaluate", "--config", cfg, "--subjects", "S000"]) == 2
+        assert "horizons must not repeat" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPreprocessCommand:

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from glycast.bsts import semi_local_trend
 from glycast.errors import CapacityError, ConfigError, RangeError, SchemaError
 from glycast.evaluate import (
     EvalConfig,
-    EvalSubject,
     ForecastPipeline,
     build_similarity_design,
     compute_metrics,
@@ -246,10 +246,31 @@ class TestRegressorEval:
         assert design.shape[1] == 2
 
 
+class TestForecastPipelineWithout:
+    def test_each_removal_drops_one_component(self):
+        series, _ = eval_series(seed=24, n_days=2)
+        design = np.ones((len(series), 2))
+        base = ForecastPipeline(regressors=design, regressor_names=("a", "b"))
+        names = [spec.name for spec in base.component_specs(series, 10)]
+        assert base.without(None) is base
+        for removal, dropped in (
+            ("similar_subjects", "regression"), ("day_seasonal", "day"),
+            ("meal_seasonal", "meal"), ("circadian_seasonal", "circadian"),
+        ):
+            remaining = [spec.name for spec in base.without(removal).component_specs(series, 10)]
+            assert remaining == [name for name in names if name != dropped]
+
+    def test_custom_specs_refuse_a_seasonal_removal(self):
+        custom = ForecastPipeline(custom_specs=(semi_local_trend(),))
+        assert custom.without("similar_subjects").custom_specs == custom.custom_specs
+        with pytest.raises(ConfigError, match="custom component specs"):
+            custom.without("day_seasonal")
+
+
 class TestRunAblation:
     def test_empty_removals_baseline_only(self):
         series, _ = eval_series(seed=21, n_days=3)
-        subject = EvalSubject(series=series)
+        subject = (series, ForecastPipeline())
         cfg = EvalConfig(horizons=(1,), seed=5, draws=100, burn=30, forecast_thin=2)
         table = run_ablation(cfg, [], [subject], seed=5)
         assert list(table.rows) == ["baseline"]
@@ -258,11 +279,11 @@ class TestRunAblation:
         series, _ = eval_series(seed=22, n_days=3)
         cfg = EvalConfig(horizons=(1,), seed=5, **FAST)
         with pytest.raises(ConfigError, match="unknown ablation"):
-            run_ablation(cfg, ["bogus"], [EvalSubject(series=series)], seed=5)
+            run_ablation(cfg, ["bogus"], [(series, ForecastPipeline())], seed=5)
 
     def test_rows_and_rendering(self):
         series, _ = eval_series(seed=23, n_days=3)
-        subject = EvalSubject(series=series)
+        subject = (series, ForecastPipeline())
         cfg = EvalConfig(horizons=(1,), seed=6, draws=100, burn=30, forecast_thin=2)
         table = run_ablation(cfg, ["day_seasonal"], [subject], seed=6)
         assert list(table.rows) == ["baseline", "day_seasonal"]
@@ -297,6 +318,8 @@ class TestEvalConfig:
             EvalConfig(split_ratio=1.0)
         with pytest.raises(ConfigError):
             EvalConfig(horizons=())
+        with pytest.raises(ConfigError, match="must not repeat"):
+            EvalConfig(horizons=(1, 1))
         with pytest.raises(ConfigError):
             EvalConfig(hypo_max=200.0, hyper_min=180.0)
         with pytest.raises(ConfigError):
