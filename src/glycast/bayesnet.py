@@ -81,7 +81,10 @@ class Dag:
         return frozenset(frozenset(arc) for arc in self.arcs)
 
 
-def _has_path(children: Mapping[str, set[str]], src: str, dst: str) -> bool:
+def _has_path(
+    children: Mapping[str, set[str]] | Sequence[set[int]], src: str | int, dst: str | int
+) -> bool:
+    """Whether a directed path leads from src to dst: depth-first over child sets keyed by name or index."""
     stack = [src]
     seen = {src}
     while stack:
@@ -210,26 +213,6 @@ _SCORE_EPS = 1e-6
 _ADD, _DELETE, _REVERSE = 0, 1, 2
 
 
-def _descendants(children: Sequence[set[int]]) -> list[int]:
-    """Bitset of each node's descendants in a DAG given by child index sets."""
-    reach = [-1] * len(children)
-    for node in range(len(children)):
-        if reach[node] < 0:
-            _reach_from(node, children, reach)
-    return reach
-
-
-def _reach_from(node: int, children: Sequence[set[int]], reach: list[int]) -> int:
-    bits = 0
-    for child in children[node]:
-        below = reach[child]
-        if below < 0:
-            below = _reach_from(child, children, reach)
-        bits |= (1 << child) | below
-    reach[node] = bits
-    return bits
-
-
 def tabu_search(data: DiscreteDataset, params: TabuParams = TabuParams()) -> Dag:
     """Hill-climb over add/delete/reverse arc moves with a visited-set tabu.
 
@@ -252,24 +235,28 @@ def tabu_search(data: DiscreteDataset, params: TabuParams = TabuParams()) -> Dag
     u. After a move only the changed nodes are rescored, all of one node's
     families from one bincount. Every candidate's score is then one array
     expression with the same float operations as scoring the move alone, e.g.
-    reversing u->v scores (drop + f(u, pa(u)+v)) - f(u, pa(u)). Reachability
-    is kept as descendant bitsets: adding u->v is legal iff v does not reach
-    u, and reversing u->v iff no other child of u reaches v. Visited
-    structures are arc bitmasks.
+    reversing u->v scores (drop + f(u, pa(u)+v)) - f(u, pa(u)).
+
+    Nodes are indexed in name order, so a candidate's flat index
+    kind*n*n + u*n + v is its tie key. The walk takes the argmax, sets it to
+    -inf while it closes a cycle or is tabu, and takes the argmax again; the
+    first legal, non-tabu index scoring within _SCORE_EPS of the score it
+    stops at is the move. An add u->v whose reverse is present scores -inf
+    outright. Cycles are found by `_has_path` on the candidates the walk
+    touches, and visited structures are arc bitmasks.
     """
     nodes = tuple(data.variables)
     n = len(nodes)
-    scorer = _FamilyScores(data)
-    # Nodes are column indices; the tie rule and parent sets (sorted as in
-    # bic_score) follow name order.
-    rank = [0] * n
-    for position, node in enumerate(sorted(range(n), key=nodes.__getitem__)):
-        rank[node] = position
-    by_name = rank.__getitem__
+    if n == 0:
+        return Dag(nodes)  # no candidate to take the argmax of
+    order = sorted(range(n), key=nodes.__getitem__)
+    names = tuple(nodes[c] for c in order)
+    scorer = _FamilyScores(
+        DiscreteDataset(names, tuple(data.cards[c] for c in order), data.matrix[:, order])
+    )
 
     parents: list[tuple[int, ...]] = [()] * n
     children: list[set[int]] = [set() for _ in range(n)]
-    reach = [0] * n
     base = np.empty(n)
     added = np.full((n, n), -np.inf)  # [u, v]: f(v, pa(v)+u)
     dropped = np.full((n, n), -np.inf)  # [u, v]: f(v, pa(v)-u) - f(v, pa(v))
@@ -278,7 +265,7 @@ def tabu_search(data: DiscreteDataset, params: TabuParams = TabuParams()) -> Dag
         own = parents[v]
         others = [u for u in range(n) if u != v and u not in own]
         sets = [own]
-        sets += [tuple(sorted(own + (u,), key=by_name)) for u in others]
+        sets += [tuple(sorted(own + (u,))) for u in others]
         sets += [tuple(p for p in own if p != u) for u in own]
         scores = np.array(scorer.families(v, sets))
         base[v] = scores[0]
@@ -310,61 +297,60 @@ def tabu_search(data: DiscreteDataset, params: TabuParams = TabuParams()) -> Dag
     remember(mask)
 
     n2 = n * n
+
+    def successor(index: int) -> Optional[int]:
+        """The arc bitmask candidate `index` leads to; None if it closes a cycle or is tabu."""
+        kind, arc = divmod(index, n2)
+        u, v = divmod(arc, n)
+        if kind == _ADD:
+            if _has_path(children, v, u):
+                return None
+            structure = mask | 1 << arc
+        elif kind == _DELETE:
+            structure = mask ^ 1 << arc
+        else:
+            if any(_has_path(children, c, v) for c in children[u] if c != v):
+                return None  # the reversed arc would close a cycle
+            structure = mask ^ 1 << arc ^ 1 << (v * n + u)
+        return None if structure in tabu_set else structure
+
     stall = 0
     for _ in range(params.max_iter):
-        # Flat index kind*n2 + u*n + v.
+        # Flat index kind*n2 + u*n + v, the tie key. An add whose reverse arc
+        # is present would close a 2-cycle.
         scores = np.concatenate(
             (
-                (current_score + (added - base)).ravel(),
+                np.where(np.isfinite(dropped.T), -np.inf, current_score + (added - base)).ravel(),
                 (current_score + dropped).ravel(),
                 (current_score + ((dropped + added.T) - base[:, None])).ravel(),
             )
         )
-        # Walk the candidates best first: the first legal, non-tabu one sets
-        # the tie window, and the walk stops below it.
-        chosen = -1
-        floor = -np.inf
-        for index in np.argsort(-scores).tolist():
-            score = scores[index]
-            if score == -np.inf or score < floor:
-                break
-            kind, arc = divmod(index, n2)
-            u, v = divmod(arc, n)
-            if kind == _ADD:
-                if reach[v] >> u & 1:
-                    continue  # would close a cycle
-                structure = mask | 1 << arc
-            elif kind == _DELETE:
-                structure = mask ^ 1 << arc
-            else:
-                if any(reach[c] >> v & 1 for c in children[u] if c != v):
-                    continue  # the reversed arc would close a cycle
-                structure = mask ^ 1 << arc ^ 1 << (v * n + u)
-            if structure in tabu_set:
-                continue
-            key = kind * n2 + rank[u] * n + rank[v]
-            if chosen < 0:
-                floor = score - _SCORE_EPS
-            if chosen < 0 or key < chosen_key:
-                chosen, chosen_key, chosen_structure = index, key, structure
-        if chosen < 0:
+        top = int(scores.argmax())
+        while scores[top] > -np.inf and successor(top) is None:
+            scores[top] = -np.inf
+            top = int(scores.argmax())
+        if scores[top] == -np.inf:
             break
+        # The window holds top itself, so the walk always stops.
+        for chosen in np.flatnonzero(scores >= scores[top] - _SCORE_EPS).tolist():
+            structure = successor(chosen)
+            if structure is not None:
+                break
 
         kind, arc = divmod(chosen, n2)
         u, v = divmod(arc, n)
         if kind == _ADD:
-            parents[v] = tuple(sorted(parents[v] + (u,), key=by_name))
+            parents[v] = tuple(sorted(parents[v] + (u,)))
             children[u].add(v)
         else:
             parents[v] = tuple(p for p in parents[v] if p != u)
             children[u].discard(v)
             if kind == _REVERSE:
-                parents[u] = tuple(sorted(parents[u] + (v,), key=by_name))
+                parents[u] = tuple(sorted(parents[u] + (v,)))
                 children[v].add(u)
                 rescore(u)
         rescore(v)
-        reach = _descendants(children)
-        mask = chosen_structure
+        mask = structure
         current_score = float(scores[chosen])
         remember(mask)
 
@@ -378,7 +364,7 @@ def tabu_search(data: DiscreteDataset, params: TabuParams = TabuParams()) -> Dag
                 break
 
     arcs = frozenset(
-        (nodes[arc // n], nodes[arc % n]) for arc in range(n2) if best_mask >> arc & 1
+        (names[arc // n], names[arc % n]) for arc in range(n2) if best_mask >> arc & 1
     )
     return Dag(nodes, arcs)
 

@@ -23,6 +23,7 @@ from typing import Callable, Optional, Sequence
 
 from . import __version__, bayesnet, preprocess, similarity, synth
 from .bsts import posterior_forecast, specs_from_json
+from .bsts.components import MAX_HORIZON
 from .dataset import (
     GlucoseSeries,
     load_clinical,
@@ -364,9 +365,12 @@ def _eval_config(cfg: dict, seed: int) -> EvalConfig:
 
 
 def _cmd_forecast(cfg: dict, seed: int, run: _Run) -> None:
-    series = load_timeseries(run.required(cfg, "series_csv"))
     options = _settings(cfg, {"horizon_steps": _integer, "deterministic": bool})
     horizon = options.get("horizon_steps", 4)
+    if not 1 <= horizon <= MAX_HORIZON:
+        raise ConfigError(f"config key 'horizon_steps' must lie in 1..{MAX_HORIZON}, got {horizon}")
+    eval_cfg = _eval_config(cfg, seed)
+    series = load_timeseries(run.required(cfg, "series_csv"))
 
     regressors = None
     names: tuple[str, ...] = ()
@@ -377,7 +381,7 @@ def _cmd_forecast(cfg: dict, seed: int, run: _Run) -> None:
 
     custom = tuple(specs_from_json(cfg)) if "components" in cfg else None
     pipeline = ForecastPipeline(regressors=regressors, regressor_names=names, custom_specs=custom)
-    model, draws = pipeline.fit(series, len(series), _eval_config(cfg, seed))
+    model, draws = pipeline.fit(series, len(series), eval_cfg)
     x_future = regressors[len(series) : len(series) + horizon] if regressors is not None else None
     result = posterior_forecast(
         draws, model, horizon, x_future, sample=not options.get("deterministic", False)

@@ -63,6 +63,8 @@ class EvalConfig:
             raise ConfigError("hypo_max must be below hyper_min")
         if self.draws <= self.burn:
             raise ConfigError("draws must exceed burn")
+        if self.m_similar < 1:
+            raise ConfigError(f"m_similar must be >= 1, got {self.m_similar}")
         if self.forecast_thin < 1:
             raise ConfigError("forecast_thin must be >= 1")
 

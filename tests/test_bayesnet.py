@@ -199,10 +199,23 @@ def single_moves(dag):
 
 
 class TestIncrementalTabuSearch:
-    @given(discrete_data())
+    @given(
+        discrete_data(),
+        st.one_of(
+            st.just(TabuParams()),
+            # Short tabu lists make the best candidate tabu more often, so the
+            # tie window must be taken below it.
+            st.builds(
+                TabuParams,
+                tabu_len=st.integers(1, 10),
+                max_iter=st.integers(0, 80),
+                stall_limit=st.integers(1, 30),
+            ),
+        ),
+    )
     @settings(max_examples=60, deadline=None)
-    def test_matches_reference_on_random_data(self, data):
-        assert tabu_search(data).arcs == tabu_search_reference(data).arcs
+    def test_matches_reference_on_random_data(self, data, params):
+        assert tabu_search(data, params).arcs == tabu_search_reference(data, params).arcs
 
     @given(rep=st.integers(0, 10_000))
     @settings(max_examples=5, deadline=None)
@@ -224,6 +237,10 @@ class TestIncrementalTabuSearch:
         best = bic_score(found, data)
         for neighbour in single_moves(found):
             assert bic_score(neighbour, data) <= best + _SCORE_EPS
+
+    def test_no_variables(self):
+        data = DiscreteDataset((), (), np.zeros((5, 0), np.int64))
+        assert tabu_search(data) == Dag(())
 
     def test_bootstrap_independent_of_hash_seed(self):
         # Set iteration order of strings follows PYTHONHASHSEED; the search's

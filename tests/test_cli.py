@@ -772,6 +772,35 @@ class TestErrorHandling:
         assert "listed more than once: S000" in capsys.readouterr().err
         assert not (out / "metrics.json").exists() and not (out / "manifests.jsonl").exists()
 
+    @pytest.mark.parametrize("steps", [0, -1, 97])
+    def test_forecast_horizon_refused_before_fit(self, tmp_path, synth_dir, capsys, monkeypatch, steps):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("mcmc_fit ran")
+
+        monkeypatch.setattr(glycast.evaluate, "mcmc_fit", no_fit)
+        out = tmp_path / "o"
+        cfg = write_config(
+            tmp_path / "fc.json", seed=0, out_dir=str(out), series_csv=str(synth_dir / "series" / "S000.csv"),
+            similar_series=[str(synth_dir / "series" / "S001.csv")], horizon_steps=steps, draws=20, burn=5,
+        )
+        assert main(["forecast", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"error: config key 'horizon_steps' must lie in 1..96, got {steps}\n"
+        assert not out.exists()
+
+    def test_m_similar_refused_before_stage1(self, tmp_path, synth_dir, capsys, monkeypatch):
+        def no_bootstrap(*args, **kwargs):
+            raise AssertionError("bootstrap ran")
+
+        monkeypatch.setattr(bayesnet, "bootstrap_consensus", no_bootstrap)
+        out = tmp_path / "o"
+        cfg = write_config(
+            tmp_path / "ev.json", seed=0, out_dir=str(out), series_dir=str(synth_dir / "series"),
+            clinical_csv=str(synth_dir / "clinical.csv"), m_similar=0, draws=20, burn=5,
+        )
+        assert main(["evaluate", "--config", cfg, "--subjects", "S000"]) == 2
+        assert "m_similar" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_repeated_horizons(self, tmp_path, synth_dir, capsys):
         # Each column and confusion row would be written twice.
         out = tmp_path / "o"

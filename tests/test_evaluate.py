@@ -324,3 +324,5 @@ class TestEvalConfig:
             EvalConfig(hypo_max=200.0, hyper_min=180.0)
         with pytest.raises(ConfigError):
             EvalConfig(draws=100, burn=100)
+        with pytest.raises(ConfigError, match="m_similar"):
+            EvalConfig(m_similar=0)
