@@ -15,17 +15,22 @@ column updates.
 
 One parameter point's state path has one sparse posterior precision in
 component-sequence coordinates (Chan & Jeliazkov 2009): the trend's band of
-half-width 2, bordered by the seasonals' distinct effects. One factorisation
-of it gives both the state draw (`ffbs_sample`) and the exact log-likelihood
+half-width 2, bordered by the seasonals' distinct effects. One forward sweep
+of block cyclic reduction over the band (`_CyclicReduction`) carries the
+effects' columns and the trend's right-hand side and sums their Gram; the
+border's Schur complement is read off the Gram, and the trend's mean is one
+column back-substituted through the sweep's levels. That one factorisation
+gives both the state draw (`ffbs_sample`) and the exact log-likelihood
 (`kalman_loglik`). The precision exists only where every noise variance, the
 observation variance and every p1_diag entry has a finite reciprocal;
 parameters where one is zero, subnormal or NaN raise RangeError before any
 normal is drawn. The solve loses accuracy as a noise variance falls far
-below the others (about 1e-10 of the path's scale at n = 40 with
-sigma_level = 1e-3 sigma_obs, against a 50-digit solve). Its cost grows as
-n x seasonal effects, which grow with the days crossed: with the three
-default seasonals it nears the filter's by about 28 days (55.6 against
-78.2 ms at n = 2688).
+below the others (about 2e-10 of the path's scale at n = 40 with
+sigma_level = 1e-3 sigma_obs, against a 50-digit solve). The Gram costs
+n x (seasonal effects)^2, and the effects grow with the days crossed: with
+the three default seasonals a state draw takes 1.2-1.9 ms at n = 384,
+15-18 ms at n = 1344 and 67-70 ms at n = 2688 (2-core x86-64, OpenBLAS on
+one thread).
 """
 
 from __future__ import annotations
@@ -197,53 +202,77 @@ def _inverse_2x2(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return inverse, det
 
 
-def _block_tridiagonal_solve(diag: np.ndarray, lower: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """x of A x = rhs, and log|A|, for a symmetric positive definite A with 2x2 blocks on three diagonals.
+class _CyclicReduction:
+    """One forward sweep of block cyclic reduction over a symmetric positive definite, block tridiagonal A.
 
-    diag (N, 2, 2) holds the diagonal blocks, lower (N-1, 2, 2) the blocks
-    A[i+1, i] below them, rhs (N, 2, c). Cyclic reduction: the odd-indexed
-    blocks are eliminated, their Schur complement is again block tridiagonal
-    over the even ones, and so on for log2(N) levels, each a few stacked 2x2
-    products, down to a dense Cholesky of at most 32 blocks. This is the block
-    Cholesky factorization in odd-even order, so a pivot block that is not
-    positive definite raises NumericalError, and log|A| is the sum of the
-    pivot blocks' log-determinants. (LAPACK's banded Cholesky in scipy.linalg
-    would serve too, but importing scipy.linalg adds about 6 MB of resident
-    memory to a process that does not otherwise load it.)
+    A has 2x2 blocks: diag (N, 2, 2) holds the diagonal blocks and
+    lower (N-1, 2, 2) the blocks A[i+1, i] below them; rhs (N, 2, c) holds
+    the c columns of a matrix R. The odd-indexed blocks are eliminated, their Schur complement is
+    again block tridiagonal over the even ones, and so on for log2(N) levels,
+    each a few stacked 2x2 products, down to a dense base of at most 32
+    blocks. This is the block Cholesky factorisation in odd-even order, so a
+    pivot block that is not positive definite, at a level or in the base's
+    Cholesky, raises NumericalError, and `logdet` = log|A| is the sum of the
+    pivot blocks' log-determinants. R is forward-reduced on the way and its
+    Gram `gram` = R'A^{-1}R summed: R_odd' P^{-1} R_odd at each level, for the
+    reduced columns R_odd at the odd blocks and their pivots P, and
+    R'A_base^{-1}R at the base. Each level keeps P^{-1} R_odd and the products
+    that eliminate it, and the base keeps A_base^{-1} R, so `solve`
+    back-substitutes any combination R w of the columns without a second
+    forward pass. (LAPACK's banded Cholesky in scipy.linalg would serve too,
+    but importing scipy.linalg adds about 6 MB of resident memory to a process
+    that does not otherwise load it.)
     """
-    n = len(diag)
-    if n <= _DENSE_BLOCKS:
+
+    def __init__(self, diag: np.ndarray, lower: np.ndarray, rhs: np.ndarray) -> None:
+        columns = rhs.shape[2]
+        self.levels: list[tuple[np.ndarray, ...]] = []  # (P^{-1} R_odd, to_left, to_right) per level
+        self.gram = np.zeros((columns, columns))
+        self.logdet = 0.0
+        while len(diag) > _DENSE_BLOCKS:
+            odd_inverse, odd_det = _inverse_2x2(diag[1::2])
+            left, right = lower[0::2], lower[1::2]  # A[2j+1, 2j] and A[2j+2, 2j+1]
+            left_t = left.transpose(0, 2, 1)
+            inner = len(right)  # the odd blocks with an even block on both sides
+            to_left = odd_inverse @ left
+            to_right = odd_inverse[:inner] @ right.transpose(0, 2, 1)
+            odd_rhs = odd_inverse @ rhs[1::2]
+            self.gram += rhs[1::2].reshape(-1, columns).T @ odd_rhs.reshape(-1, columns)
+            self.logdet += float(np.log(odd_det).sum())
+            self.levels.append((odd_rhs, to_left, to_right))
+            even_diag = diag[0::2].copy()
+            even_diag[: len(left)] -= left_t @ to_left
+            even_diag[1 : inner + 1] -= right @ to_right
+            even_rhs = rhs[0::2].copy()
+            even_rhs[: len(left)] -= left_t @ odd_rhs
+            even_rhs[1 : inner + 1] -= right @ odd_rhs[:inner]
+            diag, lower, rhs = even_diag, -(right @ to_left[:inner]), even_rhs
+        n = len(diag)
         dense = np.zeros((n, 2, n, 2))
         blocks = np.arange(n)
         dense[blocks, :, blocks, :] = diag
         dense[blocks[1:], :, blocks[:-1], :] = lower
         dense[blocks[:-1], :, blocks[1:], :] = lower.transpose(0, 2, 1)
+        dense, rhs = dense.reshape(2 * n, 2 * n), rhs.reshape(2 * n, columns)
         try:
-            factor = np.linalg.cholesky(dense.reshape(2 * n, 2 * n))
+            factor = np.linalg.cholesky(dense)
+            self.base = np.linalg.solve(dense, rhs)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(_TREND_NOT_PD) from exc
-        x = np.linalg.solve(factor.T, np.linalg.solve(factor, rhs.reshape(2 * n, -1)))
-        return x.reshape(rhs.shape), 2.0 * float(np.log(np.diagonal(factor)).sum())
-    odd_inverse, odd_det = _inverse_2x2(diag[1::2])
-    left, right = lower[0::2], lower[1::2]  # A[2j+1, 2j] and A[2j+2, 2j+1]
-    inner = len(right)  # the odd blocks with an even block on both sides
-    to_left = odd_inverse @ left
-    to_right = odd_inverse[:inner] @ right.transpose(0, 2, 1)
-    odd_rhs = odd_inverse @ rhs[1::2]
-    left_t = left.transpose(0, 2, 1)
-    even_diag = diag[0::2].copy()
-    even_diag[: len(left)] -= left_t @ to_left
-    even_diag[1 : inner + 1] -= right @ to_right
-    even_rhs = rhs[0::2].copy()
-    even_rhs[: len(left)] -= left_t @ odd_rhs
-    even_rhs[1 : inner + 1] -= right @ odd_rhs[:inner]
-    even, logdet = _block_tridiagonal_solve(even_diag, -(right @ to_left[:inner]), even_rhs)
-    x = np.empty_like(rhs)
-    x[0::2] = even
-    odd = odd_rhs - to_left @ even[: len(left)]
-    odd[:inner] -= to_right @ even[1 : inner + 1]
-    x[1::2] = odd
-    return x, logdet + float(np.log(odd_det).sum())
+        self.gram += rhs.T @ self.base
+        self.logdet += 2.0 * float(np.log(np.diagonal(factor)).sum())
+
+    def solve(self, weights: np.ndarray) -> np.ndarray:
+        """x (N, 2) of A x = R w for the weights w (c,) of the swept columns, back-substituted level by level."""
+        x = (self.base @ weights).reshape(-1, 2, 1)
+        for odd_rhs, to_left, to_right in reversed(self.levels):
+            odd = (odd_rhs.reshape(-1, len(weights)) @ weights).reshape(-1, 2, 1)
+            odd -= to_left @ x[: len(odd)]
+            odd[: len(to_right)] -= to_right @ x[1 : len(to_right) + 1]
+            full = np.empty((len(x) + len(odd), 2, 1))
+            full[0::2], full[1::2] = x, odd
+            x = full
+        return x[:, :, 0]
 
 
 class _SequenceLayout:
@@ -255,13 +284,15 @@ class _SequenceLayout:
     season boundary crossed (`model.boundaries`). A seasonal's block of the
     state at t is its current effect and the S-2 before it, so `index` (n, m)
     gathers the path from v. On the border, `current` (n, K) is the position
-    of each seasonal's current effect at t and `runs` gives per seasonal the
-    first step and position of every effect that is ever current; an effect's
-    steps are contiguous. `L` (B, B) is the border's difference operator: the
-    rows of L v are independent Gaussians, an initial value itself (mean
+    of each seasonal's current effect at t, and `overlap` (B, B) = G'G counts
+    the steps at which two effects are both current (G (n, B) the 0/1 matrix
+    of `current`). `L` (B, B) is the border's difference operator: the rows
+    of L v are independent Gaussians, an initial value itself (mean
     `border_mean`) or a new effect plus the S-1 before it (mean zero). Row i's
     variance is entry `variance[i]` of (p1_diag[2:], the seasonal noise
     variances), and `shock[i]` its normal in the flattened (n, m) shocks.
+    L is unit lower triangular with entries 0 and 1, so its inverse
+    `L_inverse` has small integer entries and is exact in floating point.
     """
 
     def __init__(self, model: StateSpaceModel, n: int) -> None:
@@ -280,19 +311,18 @@ class _SequenceLayout:
         self.index = np.empty((n, m), dtype=np.intp)
         self.index[:, :2] = np.arange(2 * n).reshape(n, 2)
         self.index[:, 2:] = 2 * n + self.current[:, slot_seasonal] - slot_lag
-        self.runs = []
-        for k, crossing in enumerate(flags.T):
-            starts = np.concatenate(([0], np.flatnonzero(crossing) + 1))
-            self.runs.append((starts, self.current[starts, k]))
 
         steps, seasonal = np.nonzero(flags)  # the effect a boundary starts is current from the next step on
         new = self.current[steps + 1, seasonal]
         initial = self.index[0, 2:] - 2 * n  # the initial effect of every state slot
         size = int(counts.sum())
+        pairs = self.current[:, :, None] * size + self.current[:, None, :]
+        self.overlap = np.bincount(pairs.ravel(), minlength=size * size).reshape(size, size).astype(float)
         self.L = np.eye(size)
         for lag in range(1, int(dims.max(initial=0)) + 1):
             deep = dims[seasonal] >= lag  # a new effect's row also holds the S-1 effects before it
             self.L[new[deep], new[deep] - lag] = 1.0
+        self.L_inverse = np.linalg.inv(self.L)
         self.variance = np.empty(size, dtype=np.intp)
         self.variance[initial] = np.arange(m - 2)
         self.variance[new] = m - 2 + seasonal
@@ -334,8 +364,8 @@ class _SequenceForm:
         The shocks meet the same states as in the state recursion: row t + 1
         drives the move from t to t + 1 and row 0 the initial state. The trend
         follows x_{t+1} = M x_t + e_{t+1} with M = [[1, 1], [0, phi]], so
-        x_t = sum_s M^(t-s) e_s, summed by a doubling scan; the border is one
-        solve with L.
+        x_t = sum_s M^(t-s) e_s, summed by a doubling scan; the border is
+        L^{-1} times its innovations.
         """
         n = shocks.shape[0]
         trend = shocks[:, :2] * np.sqrt([self.level_var, self.slope_var])
@@ -345,21 +375,23 @@ class _SequenceForm:
             trend[shift:] += trend[:-shift] @ power.T
             power, shift = power @ power, 2 * shift
         innovations = np.sqrt(self.border_var) * shocks.ravel()[self.layout.shock]
-        return np.concatenate((trend.ravel(), np.linalg.solve(self.layout.L, innovations)))
+        return np.concatenate((trend.ravel(), self.layout.L_inverse @ innovations))
 
     def posterior(self, r: np.ndarray) -> tuple[np.ndarray, float]:
         """E[v | r] for r = y - x'beta under the full model, and log|Q| of v's posterior precision Q.
 
         Q is [[A, C], [C', D]]: A (2n, 2n) the trend's, a band of half-width 2
         (2x2 blocks (mu_t, delta_t) on three block diagonals); D (B, B) the
-        border's, dense; C = E / obs_var couples them only through the
-        observations, E[2t, current[t, k]] = 1. With W = A^{-1} E and
-        u = A^{-1} b_A from one block-tridiagonal solve, the border solves the
-        Schur complement D - C'A^{-1}C, whose observation part is
-        G'(G - W_mu / obs_var) / obs_var with G the mu rows of E; as every
-        effect's steps are contiguous, G'M is a sum of M's rows per effect. The
-        trend then is u - W x_B / obs_var, and log|Q| is log|A| plus the Schur
-        complement's log-determinant.
+        border's, L' diag(1 / border_var) L plus G'G / obs_var; C = E / obs_var
+        couples them only through the observations, E[2t, current[t, k]] = 1,
+        so E's mu rows are G. One forward sweep of cyclic reduction over A
+        carries R = [E | b_A] and returns the Gram R'A^{-1}R, which holds
+        E'A^{-1}E and E'A^{-1}b_A. The border x_B then solves the Schur
+        complement D - E'A^{-1}E / obs_var^2, whose Cholesky checks that it is
+        positive definite, against L' diag(1 / border_var) border_mean +
+        (G'r - E'A^{-1}b_A) / obs_var, and the trend is the one column
+        A^{-1}(b_A - E x_B / obs_var), back-substituted through the sweep's
+        levels. log|Q| is log|A| plus the Schur complement's log-determinant.
         """
         n = r.size
         layout = self.layout
@@ -375,7 +407,9 @@ class _SequenceForm:
         diag[1:, 0, 0] += level_prec
         diag[1:, 1, 1] += slope_prec
         diag[0] += np.diag(1.0 / self.trend_p1)
-        lower = np.broadcast_to([[-level_prec, -level_prec], [0.0, -phi * slope_prec]], (n - 1, 2, 2))
+        lower = np.empty((n - 1, 2, 2))
+        lower[:, 0] = -level_prec
+        lower[:, 1] = (0.0, -phi * slope_prec)
 
         border = layout.L.shape[0]
         rhs = np.zeros((n, 2, border + 1))  # [E | b_A]
@@ -385,26 +419,20 @@ class _SequenceForm:
         b_trend[:-1, 1] -= phi * intercept * slope_prec
         b_trend[1:, 1] += intercept * slope_prec
         b_trend[0] += self.trend_a1 / self.trend_p1
-        solved, logdet = _block_tridiagonal_solve(diag, lower, rhs)  # [W | u], (n, 2, B + 1)
-        if not border:
-            return solved.reshape(2 * n), logdet
+        sweep = _CyclicReduction(diag, lower, rhs)
 
-        terms = solved[:, 0] * -obs_prec
-        terms[:, :border] += rhs[:, 0, :border]  # G - W_mu / obs_var
-        terms[:, border] = r - solved[:, 0, border]
-        per_effect = np.zeros((border, border + 1))
-        for starts, positions in layout.runs:
-            per_effect[positions] = np.add.reduceat(terms, starts, axis=0)
         weighted = layout.L.T / self.border_var
-        schur = weighted @ layout.L + obs_prec * per_effect[:, :border]
-        b_border = weighted @ layout.border_mean + obs_prec * per_effect[:, border]
+        schur = weighted @ layout.L + obs_prec * layout.overlap - obs_prec * obs_prec * sweep.gram[:border, :border]
+        observed = np.bincount(layout.current.ravel(), weights=np.repeat(r, layout.current.shape[1]), minlength=border)
+        b_border = weighted @ layout.border_mean + obs_prec * (observed - sweep.gram[:border, border])
         try:
             factor = np.linalg.cholesky(schur)
+            x_border = np.linalg.solve(schur, b_border)
         except np.linalg.LinAlgError as exc:
             raise NumericalError("the seasonal effects' posterior precision is not positive definite") from exc
-        x_border = np.linalg.solve(factor.T, np.linalg.solve(factor, b_border))
-        trend = solved[:, :, border] - obs_prec * solved[:, :, :border].dot(x_border)
-        return np.concatenate((trend.ravel(), x_border)), logdet + 2.0 * float(np.log(np.diagonal(factor)).sum())
+        trend = sweep.solve(np.append(-obs_prec * x_border, 1.0))
+        logdet = sweep.logdet + 2.0 * float(np.log(np.diagonal(factor)).sum())
+        return np.concatenate((trend.ravel(), x_border)), logdet
 
     def loglik(self, r: np.ndarray) -> float:
         """log p(r) = log p(r | m) + log p(m) - log p(m | r) at the posterior mean m (Chan & Jeliazkov 2009).

@@ -6,8 +6,11 @@ from conftest import filter_loglik, filter_point
 from glycast.bsts import (
     ParamPoint,
     assemble_model,
+    circadian_seasonal,
+    day_seasonal,
     ffbs_sample,
     kalman_loglik,
+    meal_seasonal,
     regression,
     seasonal,
     semi_local_trend,
@@ -239,32 +242,64 @@ def banded_mean(model, params, y, x):
     return mean[form.layout.index]
 
 
+def random_block_tridiagonal(rng, blocks):
+    """(diag, lower, the dense matrix) of a well-conditioned positive definite A with 2x2 blocks on three diagonals."""
+    lower = rng.normal(0, 1, (blocks - 1, 2, 2))
+    dense = np.zeros((blocks, 2, blocks, 2))
+    index = np.arange(blocks)
+    dense[index[1:], :, index[:-1], :] = lower
+    dense[index[:-1], :, index[1:], :] = lower.transpose(0, 2, 1)
+    off = rng.normal(0, 1, blocks)
+    diag = np.zeros((blocks, 2, 2))
+    diag[:, 0, 1] = diag[:, 1, 0] = off
+    dense[index, :, index, :] = diag
+    matrix = dense.reshape(2 * blocks, 2 * blocks)
+    # Diagonally dominant rows: positive definite, and well conditioned.
+    dominance = np.abs(matrix).sum(axis=1).reshape(blocks, 2) + rng.uniform(0.5, 2.0, (blocks, 2))
+    diag[:, [0, 1], [0, 1]] = dominance
+    matrix[np.arange(2 * blocks), np.arange(2 * blocks)] = dominance.ravel()
+    return diag, lower, matrix
+
+
 class TestSmoothedMean:
     @pytest.mark.parametrize("blocks", [1, 2, 3, 31, 32, 33, 34, 63, 64, 65, 127, 300])
     def test_block_tridiagonal_solve_matches_dense(self, blocks):
-        # Above 32 blocks the solve runs levels of cyclic reduction; odd and even counts end each level differently.
-        # The log-determinant sums the reduction's pivot blocks and the dense Cholesky's.
+        # The cyclic reduction's sweep against dense numpy. Above 32 blocks it runs levels of reduction; odd and even
+        # counts end each level differently. The log-determinant sums the reduction's pivot blocks and the dense
+        # base's, the Gram R'A^{-1}R each level's and the base's; a combination R w of the swept columns, given after
+        # the sweep, is back-substituted through the kept levels.
         rng = np.random.default_rng(blocks)
-        lower = rng.normal(0, 1, (blocks - 1, 2, 2))
-        dense = np.zeros((blocks, 2, blocks, 2))
-        index = np.arange(blocks)
-        dense[index[1:], :, index[:-1], :] = lower
-        dense[index[:-1], :, index[1:], :] = lower.transpose(0, 2, 1)
-        off = rng.normal(0, 1, blocks)
-        diag = np.zeros((blocks, 2, 2))
-        diag[:, 0, 1] = diag[:, 1, 0] = off
-        dense[index, :, index, :] = diag
-        matrix = dense.reshape(2 * blocks, 2 * blocks)
-        # Diagonally dominant rows: positive definite, and well conditioned.
-        dominance = np.abs(matrix).sum(axis=1).reshape(blocks, 2) + rng.uniform(0.5, 2.0, (blocks, 2))
-        diag[:, [0, 1], [0, 1]] = dominance
-        matrix[np.arange(2 * blocks), np.arange(2 * blocks)] = dominance.ravel()
+        diag, lower, matrix = random_block_tridiagonal(rng, blocks)
         rhs = rng.normal(0, 1, (blocks, 2, 3))
-        expected = np.linalg.solve(matrix, rhs.reshape(2 * blocks, 3)).reshape(rhs.shape)
-        solved, logdet = kalman._block_tridiagonal_solve(diag, lower, rhs)
-        assert np.max(np.abs(solved - expected)) <= 1e-12 * np.max(np.abs(expected))
+        flat = rhs.reshape(2 * blocks, 3)
+        solved = np.linalg.solve(matrix, flat)
+        sweep = kalman._CyclicReduction(diag, lower, rhs)
+        gram = flat.T @ solved
+        assert np.max(np.abs(sweep.gram - gram)) <= 1e-12 * np.max(np.abs(gram))
+        weights = rng.normal(0, 1, 3)
+        expected = (solved @ weights).reshape(blocks, 2)
+        assert np.max(np.abs(sweep.solve(weights) - expected)) <= 1e-12 * np.max(np.abs(expected))
         sign, expected_logdet = np.linalg.slogdet(matrix)
-        assert sign == 1.0 and logdet == pytest.approx(expected_logdet, rel=1e-12)
+        assert sign == 1.0 and sweep.logdet == pytest.approx(expected_logdet, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "blocks, bad, base",
+        [
+            pytest.param(16, 5, True, id="16-base"),
+            pytest.param(100, 1, False, id="100-first-level"),
+            pytest.param(100, 2, False, id="100-second-level"),
+            pytest.param(100, 0, True, id="100-base"),
+        ],
+    )
+    def test_indefinite_pivot_raises_numerical_error(self, blocks, bad, base):
+        # Block `bad` made negative definite stays so under every Schur update, so the pivot that eliminates it fails:
+        # the dense base's Cholesky up to 32 blocks; with 100 blocks (100 -> 50 -> 25) block 1 at the first level,
+        # block 2 at the second (the first level's odd block 1) and block 0, always even, in the base.
+        diag, lower, _ = random_block_tridiagonal(np.random.default_rng(blocks), blocks)
+        diag[bad] *= -1.0
+        with pytest.raises(NumericalError) as raised:
+            kalman._CyclicReduction(diag, lower, np.zeros((blocks, 2, 1)))
+        assert isinstance(raised.value.__cause__, np.linalg.LinAlgError) == base
 
     def test_last_row_matches_filter(self):
         # At the last step the smoothed state is the filtered one.
@@ -274,6 +309,21 @@ class TestSmoothedMean:
             smoothed = banded_mean(model, params, y, x)
             filtered = filter_point(model, params, y, x)[0][-1]
             assert np.max(np.abs(smoothed[-1] - filtered)) <= 1e-9 * np.max(np.abs(smoothed))
+
+    def test_long_series_matches_filter(self):
+        # 28 days under the three default seasonals: 274 seasonal effects, where the Schur complement
+        # D - E'A^{-1}E / obs_var^2 read off the sweep's Gram cancels the most.
+        rng = np.random.default_rng(36)
+        n = 28 * 96
+        y = 10.0 * np.sin(2.0 * np.pi * np.arange(n) / 96) + rng.normal(0, 1, n).cumsum() * 0.2
+        x = rng.normal(0, 1, (n, 2))
+        specs = [semi_local_trend(), day_seasonal(), meal_seasonal(), circadian_seasonal(), regression(("a", "b"))]
+        model = assemble_model(specs, y, x)
+        params = ParamPoint(0.05, 0.02, 1.0, (0.1, 0.1, 0.1), d=0.0, phi=0.5, beta=np.array([0.5, -0.3]))
+        means, _, v, f, _ = filter_point(model, params, y, x)
+        assert kalman_loglik(model, params, y, x) == pytest.approx(filter_loglik(v, f), rel=1e-9)
+        smoothed = banded_mean(model, params, y, x)
+        assert np.max(np.abs(smoothed[-1] - means[-1])) <= 1e-9 * np.max(np.abs(smoothed))
 
     def test_banded_matches_dense_oracle(self):
         rng = np.random.default_rng(32)
