@@ -23,7 +23,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -35,27 +35,6 @@ Arc = tuple[str, str]
 ANNOTATION_CATEGORIES = ("causal", "correlated", "independent")
 
 
-def _toposort(nodes: Sequence[str], arcs: Iterable[Arc]) -> list[str]:
-    children: dict[str, set[str]] = {n: set() for n in nodes}
-    indegree: dict[str, int] = {n: 0 for n in nodes}
-    for u, v in arcs:
-        if v not in children[u]:
-            children[u].add(v)
-            indegree[v] += 1
-    ready = deque(sorted(n for n in nodes if indegree[n] == 0))
-    order: list[str] = []
-    while ready:
-        node = ready.popleft()
-        order.append(node)
-        for child in sorted(children[node]):
-            indegree[child] -= 1
-            if indegree[child] == 0:
-                ready.append(child)
-    if len(order) != len(nodes):
-        raise SchemaError("arc set contains a cycle")
-    return order
-
-
 @dataclass(frozen=True)
 class Dag:
     """Directed acyclic graph over named nodes."""
@@ -64,15 +43,17 @@ class Dag:
     arcs: frozenset[Arc] = frozenset()
 
     def __post_init__(self) -> None:
-        node_set = set(self.nodes)
-        if len(node_set) != len(self.nodes):
+        children: dict[str, set[str]] = {n: set() for n in self.nodes}
+        if len(children) != len(self.nodes):
             raise SchemaError("duplicate node names")
         for u, v in self.arcs:
             if u == v:
                 raise SchemaError(f"self-arc {u}->{v}")
-            if u not in node_set or v not in node_set:
+            if u not in children or v not in children:
                 raise SchemaError(f"arc {u}->{v} references unknown node")
-        _toposort(self.nodes, self.arcs)  # raises on cycles
+            children[u].add(v)
+        if any(_has_path(children, v, u) for u, v in self.arcs):
+            raise SchemaError("arc set contains a cycle")
 
     def parents_of(self, node: str) -> tuple[str, ...]:
         return tuple(sorted(u for u, v in self.arcs if v == node))

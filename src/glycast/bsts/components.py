@@ -28,7 +28,7 @@ import numpy as np
 
 from ..errors import RangeError, SchemaError
 
-MAX_HORIZON = 96  # longest posterior_forecast, in steps (one day); its backward terms cost the horizon squared
+MAX_HORIZON = 96  # longest posterior_forecast, in steps: one day, an input limit
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,12 @@ Conventions: the state at index t carries the components generating y_t;
 One Kalman filter, `_filter_draws`, filters a fit's K retained draws at once
 for `forecast_anchors` on the draws-last transition kernel `_DrawOperators`:
 states are (m, K) and covariances (m, m, K). The draws' transitions differ
-only in T[1, 1] = phi, so each boundary mask of the model's step schedule
-gives the phi = 0 template S shared by every draw, and T = S + phi e_1 e_1'.
-Then T x = S x + phi x_1 e_1 and T P T' = T (T P)' for symmetric P, each one
-matrix product over all draws; where no seasonal boundary falls, S is the
-identity outside rows 0 and 1 and the products become in-place row and
-column updates.
+only in T[1, 1] = phi, so each boundary mask of the step schedule gives the
+phi = 0 template S shared by every draw, and T = S + phi e_1 e_1': T x and
+T P T' = T (T P)' are each one matrix product over all draws, or in-place
+row and column updates where no seasonal boundary falls. The filter's one
+predict step, `_DrawOperators.predict`, also builds every forecast horizon's
+terms in one forward pass (`horizon_terms`).
 
 One parameter point's state path has one sparse posterior precision in
 component-sequence coordinates (Chan & Jeliazkov 2009): the trend's band of
@@ -120,37 +120,41 @@ class _DrawOperators:
             return P
         return self.transition(step, self.transition(step, P).transpose(1, 0, 2))
 
+    def predict(self, step: int, a: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(T a + c, T P T' + Q) for every draw, a (m, K) and P (m, m, K) symmetric; both may be overwritten."""
+        a = self.transition(step, a)
+        a += self.intercept
+        P = self.transition_cov(step, P)
+        P.reshape(len(P) ** 2, -1)[:: len(P) + 1] += self.noise_vars[step]
+        return a, P
+
     def horizon_terms(self, t: int, horizons: Sequence[int]) -> tuple[np.ndarray, ...]:
         """(w_h (H, m), g_h (H, K), b_h (H, K), s_h (H, K)) of y_{t+h} given the state at t.
 
-        y_{t+h} = u_h' alpha_t + b_h + x_{t+h}' beta + e_h with Var(e_h) = s_h:
-        u_h = (T_{t+h-1} ... T_t)' z = w_h + g_h e_1 is built backwards from z
-        (T'(w + g e_1) is S'w with row 1 zeroed plus (w_0 + phi g) e_1, so w_h
-        is shared), b_h collects the state intercepts, s_h the state noise and
-        observation variance. They depend on t only through the boundary
-        masks of steps t..t+h-1, which key the cache.
+        y_{t+h} = u_h' alpha_t + b_h + x_{t+h}' beta + e_h with Var(e_h) = s_h, all
+        horizons from one forward pass over steps t..t+max(h)-1 (Durbin & Koopman
+        2012, sec. 4.11). u_h = (T_{t+h-1} ... T_t)' z = w_h + g_h e_1: T x = S x
+        when x_1 = 0 and T e_1 = e_0 + phi e_1, so w_h, shared by every draw, is
+        z' times the product of the phi = 0 templates with its slope entry
+        zeroed, and g_h = 1 + phi g_{h-1}. b_h = z'b and s_h = z'Vz + obs_var,
+        where `predict` moves the mean b and covariance V forward from zero.
+        They depend on t only through the masks of steps t..t+h-1, the cache key.
         """
-        horizons = tuple(horizons)
-        key = (horizons, tuple(self.step(t + j) for j in range(max(horizons))))
+        key = (tuple(horizons), tuple(self.step(t + j) for j in range(max(horizons))))
         if key not in self._terms:
-            self._terms[key] = self._backward_terms(*key)
+            m, k = self.intercept.shape
+            product, g, b, V = np.eye(m), np.zeros(k), np.zeros((m, k)), np.zeros((m, m, k))
+            terms = []
+            for step in key[1]:
+                product = self.templates[step].dot(product)
+                g = 1.0 + self.phi * g
+                b, V = self.predict(step, b, V)
+                zv = self.z.dot(V.reshape(m, m * k)).reshape(m, k)  # z'V, which is (V z)' for symmetric V
+                terms.append((self.z.dot(product), g, self.z.dot(b), self.z.dot(zv)))
+            w, g, b, s = (np.array(column) for column in zip(*(terms[h - 1] for h in horizons)))
+            w[:, 1] = 0.0
+            self._terms[key] = w, g, b, s + self.obs_var
         return self._terms[key]
-
-    def _backward_terms(self, horizons: tuple[int, ...], masks: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-        k = self.obs_var.size
-        w = np.empty((len(horizons), self.z.size))
-        g, b, s = np.zeros((3, len(horizons), k))
-        for i, h in enumerate(horizons):
-            v, gv = self.z.copy(), np.zeros(k)  # z_1 = 0: the slope is not observed
-            s[i] = self.obs_var
-            for step in reversed(masks[:h]):
-                b[i] += v.dot(self.intercept) + gv * self.intercept[1]
-                s[i] += (v * v).dot(self.noise_vars[step]) + gv * gv * self.noise_vars[step][1]
-                gv = v[0] + self.phi * gv
-                v = self.templates[step].T.dot(v)
-                v[1] = 0.0
-            w[i], g[i] = v, gv
-        return w, g, b, s
 
 
 def _filter_draws(model: StateSpaceModel, ops: _DrawOperators, y: np.ndarray, x: np.ndarray):
@@ -170,11 +174,7 @@ def _filter_draws(model: StateSpaceModel, ops: _DrawOperators, y: np.ndarray, x:
     rank_one = np.empty_like(P)
     for t in range(y.size):
         if t:
-            step = ops.step(t - 1)
-            a = ops.transition(step, a)
-            a += ops.intercept
-            P = ops.transition_cov(step, P)
-            P.reshape(m * m, k)[:: m + 1] += ops.noise_vars[step]
+            a, P = ops.predict(ops.step(t - 1), a, P)
         pz = z.dot(P.reshape(m, m * k)).reshape(m, k)  # z'P, which is (P z)' for symmetric P
         f = z.dot(pz) + ops.obs_var
         v = y[t] - (z.dot(a) + x[t].dot(ops.beta))

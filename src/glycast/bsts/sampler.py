@@ -20,10 +20,11 @@ each draw's terminal state, each step from its marginal, not joint paths.
 Both move every draw at once on the draws-last transition kernel
 `kalman._DrawOperators` (states (m, K), covariances (m, m, K) for K draws),
 and `forecast_anchors` filters with `kalman._filter_draws`, the one Kalman
-filter. Row 1 of every phi = 0 template S is zero and column 1 is e_0, so
-the anchored predictive's backward vector is u_h = w_h + g_h e_1 with w_h
-shared by every draw, and u'Pu comes from one product of the (H, m) w with
-the draws-last P.
+filter. The predictive's terms come from `_DrawOperators.horizon_terms`, one
+forward pass of the filter's predict step over the horizon. Row 1 of every
+phi = 0 template S is zero and column 1 is e_0, so the predictive's loading
+on the state is u_h = w_h + g_h e_1 with w_h shared by every draw, and u'Pu
+comes from one product of the (H, m) w with the draws-last P.
 """
 
 from __future__ import annotations

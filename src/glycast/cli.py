@@ -438,7 +438,7 @@ def _cmd_ablate(cfg: dict, seed: int, run: _Run) -> None:
                 "so it has no donors and its 'similar_subjects' row would equal the baseline"
             )
         subjects.append((series, pipeline))
-    table = run_ablation(eval_cfg, removals, subjects, seed=seed)
+    table = run_ablation(eval_cfg, removals, subjects)
     _write_json(run.output("ablation.json"), table.to_json())
     run.output("ablation.txt").write_text(table.render_text() + "\n", encoding="utf-8")
     print(table.render_text())

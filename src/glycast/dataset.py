@@ -303,7 +303,8 @@ def load_timeseries(path: Path | str, subject_id: Optional[str] = None) -> Gluco
 
     Rows carrying a cgm value must form the strict 15-minute grid. Rows with a
     blank cgm cell are meal-only entries and may sit off-grid; each meal is
-    attached to the nearest grid point, ties toward the earlier point.
+    attached to the nearest grid point, ties toward the earlier point. Every
+    timestamp must carry a UTC offset if the first row's does, and none if not.
     """
     path = Path(path)
     rows = _read_rows(path, TIMESERIES_COLUMNS)
@@ -314,6 +315,10 @@ def load_timeseries(path: Path | str, subject_id: Optional[str] = None) -> Gluco
     meal_rows: list[tuple[datetime, Optional[str], Optional[float], Optional[float], int]] = []
     for i, row in enumerate(rows):
         ts = _parse_timestamp(row.get("timestamp", ""), i)
+        if i == 0:
+            naive = ts.utcoffset() is None
+        elif (ts.utcoffset() is None) != naive:
+            raise ParseError(f"row {i}: timestamp {ts.isoformat()} mixes offset-aware and naive times with row 0")
         cgm = _parse_float(row.get("cgm_mgdl", ""), "cgm_mgdl", i)
         desc = row.get("meal_desc", "").strip() or None
         grams = _parse_float(row.get("meal_grams", ""), "meal_grams", i)

@@ -385,13 +385,13 @@ def run_ablation(
     base_cfg: EvalConfig,
     removals: Sequence[str],
     subjects: Sequence[tuple[GlucoseSeries, ForecastPipeline]],
-    seed: int = 0,
 ) -> AblationTable:
     """Evaluate the baseline plus each single-component removal.
 
     `subjects` pairs each tester's series with its baseline pipeline; each
     removal drops exactly one component from it (`ForecastPipeline.without`),
-    and rows report per-horizon mean ± sd over subjects.
+    and rows report per-horizon mean ± sd over subjects. Subject i is
+    evaluated with seed base_cfg.seed + 1000 i under every condition.
     """
     for removal in removals:
         if removal not in ABLATION_NAMES:
@@ -407,7 +407,7 @@ def run_ablation(
             h: {"mae": [], "rmse": [], "mape": []} for h in base_cfg.horizons
         }
         for i, (series, pipeline) in enumerate(subjects):
-            cfg = replace(base_cfg, seed=seed + 1000 * i)
+            cfg = replace(base_cfg, seed=base_cfg.seed + 1000 * i)
             report = sliding_window_eval(pipeline.without(removal), series, cfg)
             for h in base_cfg.horizons:
                 r = report.reports[h]

@@ -305,7 +305,7 @@ def test_criterion_8_ablation_direction():
     start = time.monotonic()
     subjects = _ablation_subjects(2)
     cfg = EvalConfig(draws=300, burn=100, seed=5, forecast_thin=2)
-    table = run_ablation(cfg, ["day_seasonal", "similar_subjects"], subjects, seed=5)
+    table = run_ablation(cfg, ["day_seasonal", "similar_subjects"], subjects)
     detail = []
     for h in cfg.horizons:
         base = table.rows["baseline"][h]["rmse"][0]
@@ -336,7 +336,7 @@ def test_criterion_9_horizon_monotonicity():
     series, _ = gen_cgm_series(cfg)
     eval_cfg = EvalConfig(draws=250, burn=80, seed=3, forecast_thin=2)
     subjects = [(s, ForecastPipeline()) for s in series]
-    table = run_ablation(eval_cfg, [], subjects, seed=3)
+    table = run_ablation(eval_cfg, [], subjects)
     rmse = [table.rows["baseline"][h]["rmse"][0] for h in eval_cfg.horizons]
     assert all(a <= b + 1e-9 for a, b in zip(rmse, rmse[1:])), rmse
     elapsed = time.monotonic() - start

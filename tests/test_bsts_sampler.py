@@ -156,16 +156,20 @@ class TestPosteriorForecast:
             posterior_forecast(draws, model, horizon=MAX_HORIZON + 1)
 
     def forecast_case(self):
-        """Two seasonals and two regressors fitted on 24 points; terminal states drawn at random."""
+        """Two seasonals and two regressors fitted on 24 points, with a design for MAX_HORIZON more steps.
+
+        Terminal states are drawn at random.
+        """
         rng = np.random.default_rng(3)
-        x = rng.normal(0.0, 1.0, (30, 2))
+        x = rng.normal(0.0, 1.0, (24 + MAX_HORIZON, 2))
         model = two_seasonal_model(100.0 + np.arange(24.0), x[:24])
         terminals = rng.normal(0.0, 5.0, (len(TestAnchoredPredictive.PARAMS), model.state_dim))
         return model, terminals, x[24:]
 
-    def test_matches_dense_propagation(self):
+    @pytest.mark.parametrize("horizon", [6, MAX_HORIZON])
+    def test_matches_dense_propagation(self, horizon):
         model, terminals, x_future = self.forecast_case()
-        horizon = x_future.shape[0]
+        x_future = x_future[:horizon]
         assert model.boundaries(24 + horizon)[23:].any(axis=0).all()  # each seasonal turns within the horizon
         params = TestAnchoredPredictive.PARAMS
         assert all(p.sigma_obs > 0 for p in params) and any(min(p.sigma_seasonal) > 0 for p in params)
@@ -188,6 +192,7 @@ class TestPosteriorForecast:
         model, terminals, x_future = self.forecast_case()
         params = TestAnchoredPredictive.PARAMS[0]
         draws = make_draws(model, [(params, terminals[0])] * 4000)
+        x_future = x_future[:6]
         result = posterior_forecast(draws, model, 6, x_future, rng=np.random.default_rng(2))
         mean, var = dense_predictive(model, params, terminals[0], np.zeros((model.state_dim,) * 2), 23, x_future)
         # The sample variance of 4000 normals has a relative sd of sqrt(2 / 3999), 0.022.

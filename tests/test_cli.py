@@ -261,7 +261,7 @@ class TestAblateCommand:
 
         seen = []
 
-        def spy(base_cfg, removals, subjects, seed=0):
+        def spy(base_cfg, removals, subjects):
             seen.extend(subjects)
             raise _Stop  # the ablation fits are not under test
 
@@ -669,6 +669,21 @@ class TestErrorHandling:
         assert main(["evaluate", "--config", cfg, "--subjects", "S000"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(network) in err and message in err
+
+    def test_mixed_time_zones_exit_2(self, tmp_path, synth_dir, capsys):
+        # A meal row without a UTC offset under the synthetic series' offset-aware grid.
+        lines = (synth_dir / "series" / "S000.csv").read_text(encoding="utf-8").splitlines()
+        stamp = lines[5].split(",")[0]
+        assert lines[0] == "timestamp,cgm_mgdl,meal_desc,meal_grams,meal_gl" and stamp.endswith("+00:00")
+        lines.insert(6, stamp[: -len("+00:00")] + ",,,,30")
+        series = tmp_path / "mixed.csv"
+        series.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = write_config(
+            tmp_path / "fc.json", seed=0, out_dir=str(tmp_path / "o"), series_csv=str(series), draws=20, burn=5,
+        )
+        assert main(["forecast", "--config", cfg, "--horizon", "15"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "row 5" in err and "offset-aware and naive" in err
 
     def test_malformed_component_document(self, tmp_path, synth_dir, capsys):
         cfg = write_config(

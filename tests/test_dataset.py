@@ -107,6 +107,20 @@ class TestLoadTimeseries:
         with pytest.raises(GridError, match="gap|misaligned"):
             load_timeseries(path)
 
+    def test_naive_meal_under_aware_grid_is_parse_error(self, tmp_path):
+        rows = timeseries_rows(8)
+        rows.append([(START + timedelta(minutes=20)).replace(tzinfo=None).isoformat(), "", "rice", 50, ""])
+        path = write_csv(tmp_path / "s.csv", HEADER, rows)
+        with pytest.raises(ParseError, match="row 8: .*offset-aware and naive"):
+            load_timeseries(path)
+
+    def test_naive_grid_row_after_aware_rows_is_parse_error(self, tmp_path):
+        rows = timeseries_rows(6)
+        rows[4][0] = (START + timedelta(minutes=60)).replace(tzinfo=None).isoformat()
+        path = write_csv(tmp_path / "s.csv", HEADER, rows)
+        with pytest.raises(ParseError, match="row 4: .*offset-aware and naive"):
+            load_timeseries(path)
+
     def test_meal_attaches_to_nearest_grid_point(self, tmp_path):
         rows = timeseries_rows(96)
         meal_ts = START + timedelta(hours=7, minutes=3)

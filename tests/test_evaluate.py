@@ -272,20 +272,20 @@ class TestRunAblation:
         series, _ = eval_series(seed=21, n_days=3)
         subject = (series, ForecastPipeline())
         cfg = EvalConfig(horizons=(1,), seed=5, draws=100, burn=30, forecast_thin=2)
-        table = run_ablation(cfg, [], [subject], seed=5)
+        table = run_ablation(cfg, [], [subject])
         assert list(table.rows) == ["baseline"]
 
     def test_unknown_removal_rejected(self):
         series, _ = eval_series(seed=22, n_days=3)
         cfg = EvalConfig(horizons=(1,), seed=5, **FAST)
         with pytest.raises(ConfigError, match="unknown ablation"):
-            run_ablation(cfg, ["bogus"], [(series, ForecastPipeline())], seed=5)
+            run_ablation(cfg, ["bogus"], [(series, ForecastPipeline())])
 
     def test_rows_and_rendering(self):
         series, _ = eval_series(seed=23, n_days=3)
         subject = (series, ForecastPipeline())
         cfg = EvalConfig(horizons=(1,), seed=6, draws=100, burn=30, forecast_thin=2)
-        table = run_ablation(cfg, ["day_seasonal"], [subject], seed=6)
+        table = run_ablation(cfg, ["day_seasonal"], [subject])
         assert list(table.rows) == ["baseline", "day_seasonal"]
         text = table.render_text()
         assert "baseline" in text and "day_seasonal" in text and "MAPE" in text
