@@ -2,10 +2,15 @@
 
 Structure search is score-based hill climbing with a tabu memory of visited
 structures, scored by BIC. The search is incremental: BIC decomposes over
-families, so each node caches the scores of its own family and of every family
-one parent away, and a move rescores only the nodes whose parents it changed.
-Ties within _SCORE_EPS go to the smallest (move kind, arc), whatever the order
-candidates come in. Robustness comes from bootstrap resampling: the
+families, so each node keeps the scores of its own family and of every family
+one parent away (its neighbourhood), and a move rescores only the nodes whose
+parents it changed. A neighbourhood is scored in two steps: a plan that does
+not depend on the data (the families' code weights and segment starts), built
+once per bootstrap for each (node, parent set) the searches visit, then one
+count over a resample's columns. A search keeps every neighbourhood it scored,
+so returning to a parent set costs no count. Ties within _SCORE_EPS go to the
+smallest (move kind, arc), whatever the order candidates come in. Robustness
+comes from bootstrap resampling: the
 fraction of resampled networks containing a directed arc is that arc's
 strength, and the consensus network keeps arcs at or above a strength
 threshold. Parameters are multinomial MLE with optional Laplace smoothing.
@@ -79,11 +84,69 @@ def _has_path(
     return False
 
 
+@dataclass(frozen=True)
+class _FamilyPlan:
+    """The data-free layout of a batch of one node's families.
+
+    Family j's configuration code is weights[j] @ columns, over a dataset's
+    class columns and a row of ones: node + card*(p1 + card1*(p2 + ...)),
+    shifted past the cells of the families before it. Its cells start at
+    cell_starts[j], its parent configurations at config_starts[j], and half_k
+    holds k/2, half its free parameters. The layout depends on the cards
+    only, so one plan scores every dataset over them; its arrays are
+    read-only.
+    """
+
+    card: int
+    n_cells: int
+    weights: np.ndarray
+    cell_starts: np.ndarray
+    config_starts: np.ndarray
+    half_k: np.ndarray
+
+
+def _family_plan(cards: np.ndarray, node: int, parent_sets: Sequence[tuple[int, ...]]) -> _FamilyPlan:
+    """The plan of column `node` under each parent set (column indices), in order.
+
+    The order within a parent set fixes the configuration code layout;
+    callers keep parents sorted by name.
+    """
+    card = int(cards[node])
+    # Parent k of a set has stride card * (product of the cards before it),
+    # read from a row-wise cumulative product over the sets padded with ones.
+    n_sets = len(parent_sets)
+    sizes = np.fromiter(map(len, parent_sets), np.intp, n_sets)
+    parents = np.fromiter(itertools.chain.from_iterable(parent_sets), np.intp, sizes.sum())
+    rows = np.repeat(np.arange(n_sets), sizes)
+    slots = np.arange(len(parents)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    padded = np.ones((n_sets, sizes.max(initial=0) + 1), np.int64)
+    padded[rows, slots + 1] = cards[parents]
+    strides = card * np.cumprod(padded, axis=1)
+    n_cfgs = strides[:, -1] // card
+    offsets = np.concatenate(([0], np.cumsum(strides[:, -1])))
+    weights = np.zeros((n_sets, len(cards) + 1))
+    weights[:, node] = 1.0
+    weights[:, -1] = offsets[:-1]
+    weights[rows, parents] = strides[rows, slots]
+    plan = _FamilyPlan(
+        card=card,
+        n_cells=int(offsets[-1]),
+        weights=weights,
+        cell_starts=offsets[:-1],
+        config_starts=offsets[:-1] // card,
+        half_k=0.5 * ((card - 1) * n_cfgs),
+    )
+    for array in (weights, plan.cell_starts, plan.config_starts, plan.half_k):
+        array.setflags(write=False)
+    return plan
+
+
 class _FamilyScores:
     """Caching BIC family scorer over one DiscreteDataset.
 
-    `families` scores one node under several parent sets from a single
-    np.bincount over offset configuration codes; `family` is the one-set,
+    `counted` scores a plan's families from a single np.bincount over their
+    offset configuration codes. `families` scores one node under several
+    parent sets through the plan of that batch, and `family` is the one-set,
     by-name form. Either way a family's score is computed with the same
     operations: c*ln(c) of every cell and of every row total, read from a
     table over 0..n_rows, and summed per family by one np.add.reduceat over
@@ -113,48 +176,50 @@ class _FamilyScores:
         return self.families(index(node), [tuple(index(p) for p in parents)])[0]
 
     def families(self, node: int, parent_sets: Sequence[tuple[int, ...]]) -> list[float]:
-        """Scores of column `node` under each parent set (column indices).
-
-        The order within a parent set fixes the configuration code layout;
-        callers keep parents sorted by name.
-        """
+        """Scores of column `node` under each parent set (column indices), cached per set."""
         cache = self._cache
         missing = [ps for ps in parent_sets if (node, ps) not in cache]
         if missing:
-            for ps, score in zip(missing, self._score(node, missing)):
-                cache[(node, ps)] = score
+            scores = self.counted(_family_plan(self._cards, node, missing)).tolist()
+            cache.update(((node, ps), score) for ps, score in zip(missing, scores))
         return [cache[(node, ps)] for ps in parent_sets]
 
-    def _score(self, node: int, parent_sets: list[tuple[int, ...]]) -> list[float]:
-        cards = self._cards
-        card = int(cards[node])
-        # Family j's code is node + card*(p1 + card1*(p2 + ...)), shifted past
-        # the cells of the families before it: weights[j] @ columns. Parent k
-        # of a set has stride card * (product of the cards before it), read
-        # from a row-wise cumulative product over the sets padded with ones.
-        n_sets = len(parent_sets)
-        sizes = np.fromiter(map(len, parent_sets), np.intp, n_sets)
-        parents = np.fromiter(itertools.chain.from_iterable(parent_sets), np.intp, sizes.sum())
-        rows = np.repeat(np.arange(n_sets), sizes)
-        slots = np.arange(len(parents)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        padded = np.ones((n_sets, sizes.max(initial=0) + 1), np.int64)
-        padded[rows, slots + 1] = cards[parents]
-        strides = card * np.cumprod(padded, axis=1)
-        n_cfgs = strides[:, -1] // card
-        offsets = np.concatenate(([0], np.cumsum(strides[:, -1])))
-        weights = np.zeros((n_sets, len(self._columns)))
-        weights[:, node] = 1.0
-        weights[:, -1] = offsets[:-1]
-        weights[rows, parents] = strides[rows, slots]
-        codes = (weights @ self._columns).astype(np.int64)
-        counts = np.bincount(codes.ravel(), minlength=offsets[-1])
-        by_config = counts.reshape(-1, card)
-        row_totals = sum(by_config[:, i] for i in range(card))  # faster than .sum(axis=1)
+    def counted(self, plan: _FamilyPlan) -> np.ndarray:
+        """The BIC score of each of the plan's families on this dataset."""
+        codes = (plan.weights @ self._columns).astype(np.int64)
+        counts = np.bincount(codes.ravel(), minlength=plan.n_cells)
+        by_config = counts.reshape(-1, plan.card)
+        row_totals = sum(by_config[:, i] for i in range(plan.card))  # faster than .sum(axis=1)
         xlogx = self._xlogx
-        loglik = np.add.reduceat(xlogx[counts], offsets[:-1])
-        loglik -= np.add.reduceat(xlogx[row_totals], offsets[:-1] // card)
-        k_params = (card - 1) * n_cfgs
-        return (loglik - 0.5 * k_params * self.log_n).tolist()
+        loglik = np.add.reduceat(xlogx[counts], plan.cell_starts)
+        loglik -= np.add.reduceat(xlogx[row_totals], plan.config_starts)
+        return loglik - plan.half_k * self.log_n
+
+
+class _PlanTable:
+    """Neighbourhood plans by (node, own parent set), over name-ordered cards.
+
+    Node v's neighbourhood under parents `own` is the batch of families
+    [own] + [own+u for each non-parent u] + [own-u for each parent u], sets
+    sorted, u ascending. A plan does not depend on the data, so the searches
+    of one bootstrap share one table.
+    """
+
+    def __init__(self, cards: tuple[int, ...]):
+        self.cards = tuple(cards)
+        self._cards = np.asarray(self.cards, np.int64)
+        self._plans: dict[tuple[int, tuple[int, ...]], tuple[_FamilyPlan, list[int]]] = {}
+
+    def neighbourhood(self, node: int, own: tuple[int, ...]) -> tuple[_FamilyPlan, list[int]]:
+        """The plan of node's neighbourhood and its non-parents u, ascending."""
+        found = self._plans.get((node, own))
+        if found is None:
+            others = [u for u in range(len(self.cards)) if u != node and u not in own]
+            sets = [own]
+            sets += [tuple(sorted(own + (u,))) for u in others]
+            sets += [tuple(p for p in own if p != u) for u in own]
+            found = self._plans[(node, own)] = (_family_plan(self._cards, node, sets), others)
+        return found
 
 
 def bic_score(dag: Dag, data: DiscreteDataset) -> float:
@@ -194,7 +259,9 @@ _SCORE_EPS = 1e-6
 _ADD, _DELETE, _REVERSE = 0, 1, 2
 
 
-def tabu_search(data: DiscreteDataset, params: TabuParams = TabuParams()) -> Dag:
+def tabu_search(
+    data: DiscreteDataset, params: TabuParams = TabuParams(), *, _plans: Optional[_PlanTable] = None
+) -> Dag:
     """Hill-climb over add/delete/reverse arc moves with a visited-set tabu.
 
     Every iteration applies the best legal move whose result is not among the
@@ -213,10 +280,14 @@ def tabu_search(data: DiscreteDataset, params: TabuParams = TabuParams()) -> Dag
     the family terms of only the node (add, delete) or two nodes (reverse)
     whose parents it changes. Each node v keeps f(v, pa(v)), f(v, pa(v)+u)
     for every non-parent u, and f(v, pa(v)-u) - f(v, pa(v)) for every parent
-    u. After a move only the changed nodes are rescored, all of one node's
-    families from one bincount. Every candidate's score is then one array
-    expression with the same float operations as scoring the move alone, e.g.
-    reversing u->v scores (drop + f(u, pa(u)+v)) - f(u, pa(u)).
+    u. After a move only the changed nodes are rescored: a node's
+    neighbourhood plan comes from `_plans` (a `_PlanTable` that
+    `bootstrap_consensus` shares between its searches; a fresh one when
+    None), and one count on this data scores all of its families. Those
+    terms are kept per (v, pa(v)) for the rest of the search, so a parent set
+    the walk returns to costs three copies. Every candidate's score is then
+    one array expression with the same float operations as scoring the move
+    alone, e.g. reversing u->v scores (drop + f(u, pa(u)+v)) - f(u, pa(u)).
 
     Nodes are indexed in name order, so a candidate's flat index
     kind*n*n + u*n + v is its tie key. The walk takes the argmax, sets it to
@@ -232,34 +303,38 @@ def tabu_search(data: DiscreteDataset, params: TabuParams = TabuParams()) -> Dag
         return Dag(nodes)  # no candidate to take the argmax of
     order = sorted(range(n), key=nodes.__getitem__)
     names = tuple(nodes[c] for c in order)
-    scorer = _FamilyScores(
-        DiscreteDataset(names, tuple(data.cards[c] for c in order), data.matrix[:, order])
-    )
+    cards = tuple(data.cards[c] for c in order)
+    plans = _PlanTable(cards) if _plans is None else _plans
+    if plans.cards != cards:
+        raise SchemaError("plan table built for other cards")
+    scorer = _FamilyScores(DiscreteDataset(names, cards, data.matrix[:, order]))
 
     parents: list[tuple[int, ...]] = [()] * n
     children: list[set[int]] = [set() for _ in range(n)]
     base = np.empty(n)
     added = np.full((n, n), -np.inf)  # [u, v]: f(v, pa(v)+u)
     dropped = np.full((n, n), -np.inf)  # [u, v]: f(v, pa(v)-u) - f(v, pa(v))
+    # (v, pa(v)) -> (f(v, pa(v)), column v of added, column v of dropped)
+    terms: dict[tuple[int, tuple[int, ...]], tuple[float, np.ndarray, np.ndarray]] = {}
 
     def rescore(v: int) -> None:
         own = parents[v]
-        others = [u for u in range(n) if u != v and u not in own]
-        sets = [own]
-        sets += [tuple(sorted(own + (u,))) for u in others]
-        sets += [tuple(p for p in own if p != u) for u in own]
-        scores = np.array(scorer.families(v, sets))
-        base[v] = scores[0]
-        added[:, v] = -np.inf
-        added[others, v] = scores[1 : 1 + len(others)]
-        dropped[:, v] = -np.inf
-        dropped[list(own), v] = scores[1 + len(others) :] - scores[0]
+        kept = terms.get((v, own))
+        if kept is None:
+            plan, others = plans.neighbourhood(v, own)
+            scores = scorer.counted(plan)
+            add = np.full(n, -np.inf)
+            add[others] = scores[1 : 1 + len(others)]
+            drop = np.full(n, -np.inf)
+            drop[list(own)] = scores[1 + len(others) :] - scores[0]
+            kept = terms[(v, own)] = (scores[0], add, drop)
+        base[v], added[:, v], dropped[:, v] = kept
 
     for v in range(n):
         rescore(v)
-    # Every empty-parent family was just scored in its node's batch; a score
-    # does not depend on its batch, so these are cache hits.
-    current_score = sum(scorer.family(node, ()) for node in nodes)
+    # f(v, ()) summed in data order, as scoring the empty DAG does.
+    empty = base.tolist()
+    current_score = sum(empty[i] for i in sorted(range(n), key=order.__getitem__))
     mask = 0  # bit u*n + v set iff the arc u->v is present
     best_mask = mask
     best_score = current_score
@@ -383,6 +458,9 @@ def bootstrap_consensus(
     if not 0.0 < threshold <= 1.0:
         raise RangeError("threshold must lie in (0, 1]")
     n = data.n_rows
+    # Searches index nodes in name order; their neighbourhood plans depend on
+    # the cards alone, so the b searches share them.
+    plans = _PlanTable(tuple(card for _, card in sorted(zip(data.variables, data.cards))))
 
     def one_replicate(rep: int) -> frozenset[Arc]:
         rng = np.random.default_rng([seed, rep])
@@ -393,7 +471,7 @@ def bootstrap_consensus(
             matrix=data.matrix[rows],
             codecs=data.codecs,
         )
-        return tabu_search(resample, params).arcs
+        return tabu_search(resample, params, _plans=plans).arcs
 
     replicate_arcs = [one_replicate(rep) for rep in range(b)]
 

@@ -34,18 +34,23 @@ def marker_distance(a: MarkerPoint, b: MarkerPoint) -> float:
     return math.hypot(a.fpg - b.fpg, a.hpp2 - b.hpp2)
 
 
-def _near(pool: Sequence[MarkerPoint], tester: MarkerPoint, m: int):
-    """The pool points that may lie within the m-th nearest distance of the tester.
+def _near(pool: Sequence[MarkerPoint], tester: MarkerPoint, m: int) -> tuple[list[int], list[float]]:
+    """Indices and exact distances of the pool points that may lie within the m-th nearest distance.
 
     numpy and math.hypot may differ in the last bit: screen the numpy
     distances with a margin, so the survivors hold every point whose exact
-    `marker_distance` is at most the m-th.
+    `marker_distance` is at most the m-th. A float64 subtraction is the
+    Python float one, so the survivors' math.hypot of the same differences is
+    `marker_distance(point, tester)` to the bit.
     """
-    fpg = np.fromiter((p.fpg for p in pool), float, len(pool))
-    hpp2 = np.fromiter((p.hpp2 for p in pool), float, len(pool))
-    dist = np.hypot(fpg - tester.fpg, hpp2 - tester.hpp2)
+    n = len(pool)
+    # List comprehensions read the attributes faster than generators or attrgetter.
+    dx = np.fromiter([p.fpg for p in pool], float, n) - tester.fpg
+    dy = np.fromiter([p.hpp2 for p in pool], float, n) - tester.hpp2
+    dist = np.hypot(dx, dy)
     kth = dist[np.argpartition(dist, m - 1)[m - 1]]
-    return (pool[i] for i in np.flatnonzero(dist <= kth * (1.0 + 1e-9) + 1e-9).tolist())
+    kept = np.flatnonzero(dist <= kth * (1.0 + 1e-9) + 1e-9)
+    return kept.tolist(), list(map(math.hypot, dx[kept].tolist(), dy[kept].tolist()))
 
 
 def select_similar(pool: Sequence[MarkerPoint], tester: MarkerPoint, m: int) -> list[str]:
@@ -53,12 +58,14 @@ def select_similar(pool: Sequence[MarkerPoint], tester: MarkerPoint, m: int) -> 
 
     Distances are raw-mg/dL Euclidean; ties break by subject_id.
     """
-    if any(point.subject_id == tester.subject_id for point in pool):
+    ids = [point.subject_id for point in pool]
+    if tester.subject_id in ids:
         raise SchemaError(f"tester {tester.subject_id} must not appear in the pool")
     if not 1 <= m <= len(pool):
         raise CapacityError(f"m must lie in 1..{len(pool)}, got {m}")
     # Order the screened points exactly as a full sort would.
-    ranked = heapq.nsmallest(m, ((marker_distance(p, tester), p.subject_id) for p in _near(pool, tester, m)))
+    kept, distances = _near(pool, tester, m)
+    ranked = heapq.nsmallest(m, zip(distances, map(ids.__getitem__, kept)))
     return [subject_id for _, subject_id in ranked]
 
 
@@ -69,10 +76,11 @@ def selection_log(pool: Sequence[MarkerPoint], tester: MarkerPoint, selected: Se
     subjects at exactly the last donor's distance, the donor among them: any
     of them could have taken its place, and subject_id chose.
     """
-    by_id = {point.subject_id: point for point in pool}
-    distances = [marker_distance(by_id[sid], tester) for sid in selected]
+    kept, screened = _near(pool, tester, len(selected))
+    distance_of = {pool[i].subject_id: d for i, d in zip(kept, screened)}
+    distances = [distance_of[sid] for sid in selected]
     return {
         "tester": {"subject_id": tester.subject_id, "fpg": tester.fpg, "hpp2": tester.hpp2},
         "selected": [{"subject_id": sid, "distance": d} for sid, d in zip(selected, distances)],
-        "tie_group": sum(marker_distance(p, tester) == distances[-1] for p in _near(pool, tester, len(selected))),
+        "tie_group": screened.count(distances[-1]),
     }

@@ -17,6 +17,7 @@ from glycast import preprocess
 from glycast.bayesnet import (
     _SCORE_EPS,
     _FamilyScores,
+    _PlanTable,
     ArcStrengthTable,
     Dag,
     TabuParams,
@@ -242,6 +243,11 @@ class TestIncrementalTabuSearch:
         data = DiscreteDataset((), (), np.zeros((5, 0), np.int64))
         assert tabu_search(data) == Dag(())
 
+    def test_plan_table_over_other_cards_refused(self):
+        data = chain_dataset(50, seed=1)
+        with pytest.raises(SchemaError):
+            tabu_search(data, _plans=_PlanTable((2, 2, 2)))
+
     def test_bootstrap_independent_of_hash_seed(self):
         # Set iteration order of strings follows PYTHONHASHSEED; the search's
         # choices must not.
@@ -335,6 +341,21 @@ class TestBootstrapConsensus:
         t1, c1 = bootstrap_consensus(data, b=10, threshold=0.85, seed=11)
         t2, c2 = bootstrap_consensus(data, b=10, threshold=0.85, seed=11)
         assert t1.strengths == t2.strengths and c1.arcs == c2.arcs
+
+    def test_replicates_stay_independent(self, clinical_data):
+        # The b searches share one plan table. Searches run alone, last
+        # replicate first, each with a fresh table, must tally the same
+        # strengths: nothing one search leaves behind changes another.
+        b, seed, n = 6, 21, clinical_data.n_rows
+        table, _ = bootstrap_consensus(clinical_data, b=b, threshold=0.85, seed=seed)
+        counts = {}
+        for rep in reversed(range(b)):
+            rows = np.random.default_rng([seed, rep]).integers(0, n, n)
+            resample = DiscreteDataset(clinical_data.variables, clinical_data.cards, clinical_data.matrix[rows])
+            for arc in tabu_search(resample).arcs:
+                counts[arc] = counts.get(arc, 0) + 1
+        assert table.strengths == {arc: count / b for arc, count in counts.items()}
+        assert set(table.strengths.values()) - {1.0}  # the replicates disagree somewhere
 
     def test_invalid_params(self):
         data = chain_dataset(100, seed=0)
@@ -577,6 +598,35 @@ class TestFamilyScores:
         assert [shuffled[order.index(j)] for j in range(len(sets))] == batch
         named = [_FamilyScores(data).family(by_name(node), tuple(map(by_name, ps))) for ps in sets]
         assert named == batch
+
+    @given(discrete_data(), discrete_data(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_neighbourhood_plan_is_the_one_scoring_path(self, data, other, draws):
+        # A neighbourhood plan scores f(v, own), f(v, own+u) for each
+        # non-parent u and f(v, own-u) for each parent u, u ascending, to the
+        # bit as `families` does; the plan is read-only and, built from the
+        # cards alone, scores a second dataset over the same cards as well.
+        n = len(data.variables)
+        node = draws.draw(st.integers(0, n - 1))
+        own = tuple(sorted(draws.draw(
+            st.lists(st.sampled_from([u for u in range(n) if u != node]), max_size=3, unique=True)
+        )))
+        plan, others = _PlanTable(data.cards).neighbourhood(node, own)
+        assert others == [u for u in range(n) if u != node and u not in own]
+        sets = [own] + [tuple(sorted(own + (u,))) for u in others] + [
+            tuple(p for p in own if p != u) for u in own
+        ]
+        assert _FamilyScores(data).counted(plan).tolist() == _FamilyScores(data).families(node, sets)
+        rows = draws.draw(st.integers(1, 60))
+        matrix = np.column_stack([
+            np.resize(other.matrix[:, j % other.matrix.shape[1]] % card, rows)
+            for j, card in enumerate(data.cards)
+        ])
+        same_cards = DiscreteDataset(data.variables, data.cards, matrix)
+        assert _FamilyScores(same_cards).counted(plan).tolist() == _FamilyScores(same_cards).families(node, sets)
+        for array in (plan.weights, plan.cell_starts, plan.config_starts, plan.half_k):
+            with pytest.raises(ValueError):
+                array[0] = 0
 
 
 class TestSerialization:

@@ -167,3 +167,47 @@ class TestTieGroup:
         last = marker_distance(next(p for p in pool if p.subject_id == selected[-1]), tester)
         expected = sum(1 for p in pool if marker_distance(p, tester) == last)
         assert selection_log(pool, tester, selected)["tie_group"] == expected
+
+
+class TestLargeTieGroups:
+    """Leave-one-out over a pool with few distinct points, as inferred markers are.
+
+    Inferred markers are posterior means over a handful of classes, so a
+    cohort's points take few distinct values and hundreds of subjects tie at
+    the nearest distance.
+    """
+
+    @staticmethod
+    def cohort():
+        corners = [(120.0, 180.0), (123.0, 184.0), (95.0, 140.0), (150.0, 230.0)]
+        points = []
+        for i in range(301):
+            fpg, hpp2 = corners[i % 4]
+            if i % 7 == 0:
+                fpg = nudge(fpg, 1 if i % 2 else -1)
+            points.append(point(f"S{(i * 37) % 301:03d}", fpg, hpp2))
+        return points
+
+    def test_leave_one_out_matches_full_sort_and_brute_force_ties(self):
+        points = self.cohort()
+        reference = TestPartialSelection().sorted_reference
+        largest = 0
+        for k, held_out in enumerate(points):
+            pool = points[:k] + points[k + 1:]
+            tester = point(held_out.subject_id, held_out.fpg, held_out.hpp2, source="measured")
+            for m in (1, 2, 150) if k % 50 == 0 else (2,):
+                selected = select_similar(pool, tester, m)
+                assert selected == reference(pool, tester, m)
+                last = marker_distance(next(p for p in pool if p.subject_id == selected[-1]), tester)
+                expected = sum(marker_distance(p, tester) == last for p in pool)
+                assert selection_log(pool, tester, selected)["tie_group"] == expected
+                largest = max(largest, expected)
+        assert largest > 50  # the nearest distance is tied across a large group
+
+    def test_tester_in_pool_refused_at_either_end(self):
+        points = self.cohort()
+        tester = point(points[0].subject_id, 100.0, 150.0, source="measured")
+        with pytest.raises(SchemaError):
+            select_similar(points, tester, 2)
+        with pytest.raises(SchemaError):
+            select_similar(points[1:] + points[:1], tester, 2)
