@@ -1,4 +1,4 @@
-"""Linear-Gaussian filtering, likelihood, and simulation smoothing.
+"""Linear-Gaussian filtering, likelihood, and state-path draws.
 
 Conventions: the state at index t carries the components generating y_t;
 `transition_matrix(phi, t)` maps the time-t state to the time-(t+1) state.
@@ -18,19 +18,21 @@ component-sequence coordinates (Chan & Jeliazkov 2009): the trend's band of
 half-width 2, bordered by the seasonals' distinct effects. One forward sweep
 of block cyclic reduction over the band (`_CyclicReduction`) carries the
 effects' columns and the trend's right-hand side and sums their Gram; the
-border's Schur complement is read off the Gram, and the trend's mean is one
-column back-substituted through the sweep's levels. That one factorisation
-gives both the state draw (`ffbs_sample`) and the exact log-likelihood
-(`kalman_loglik`). The precision exists only where every noise variance, the
-observation variance and every p1_diag entry has a finite reciprocal;
-parameters where one is zero, subnormal or NaN raise RangeError before any
-normal is drawn. The solve loses accuracy as a noise variance falls far
-below the others (about 2e-10 of the path's scale at n = 40 with
-sigma_level = 1e-3 sigma_obs, against a 50-digit solve). The Gram costs
-n x (seasonal effects)^2, and the effects grow with the days crossed: with
-the three default seasonals a state draw takes 1.2-1.9 ms at n = 384,
-15-18 ms at n = 1344 and 67-70 ms at n = 2688 (2-core x86-64, OpenBLAS on
-one thread).
+border's Schur complement is read off the Gram, and the trend is one column
+back-substituted through the sweep's levels. That one factorisation gives
+both the state draw (`ffbs_sample`) and the exact log-likelihood
+(`kalman_loglik`): the draw adds L'^{-1} e to the mean for the precision's
+block Cholesky factor L and standard normal shocks e (Rue 2001), and the
+log-likelihood reads the mean, the draw at zero shocks. The precision exists
+only where every noise variance, the observation variance and every p1_diag
+entry has a finite reciprocal; parameters where one is zero, subnormal or
+NaN raise RangeError before any normal is drawn. The solve loses accuracy as
+a noise variance falls far below the others (about 2e-10 of the path's scale
+at n = 40 with sigma_level = 1e-3 sigma_obs, against a 50-digit solve). The
+Gram costs n x (seasonal effects)^2, and the effects grow with the days
+crossed: with the three default seasonals a state draw takes 1.0-1.2 ms at
+n = 384, 12-13 ms at n = 1344 and 47-50 ms at n = 2688 (2-core x86-64,
+OpenBLAS on one thread).
 """
 
 from __future__ import annotations
@@ -216,17 +218,18 @@ class _CyclicReduction:
     pivot blocks' log-determinants. R is forward-reduced on the way and its
     Gram `gram` = R'A^{-1}R summed: R_odd' P^{-1} R_odd at each level, for the
     reduced columns R_odd at the odd blocks and their pivots P, and
-    R'A_base^{-1}R at the base. Each level keeps P^{-1} R_odd and the products
-    that eliminate it, and the base keeps A_base^{-1} R, so `solve`
-    back-substitutes any combination R w of the columns without a second
-    forward pass. (LAPACK's banded Cholesky in scipy.linalg would serve too,
-    but importing scipy.linalg adds about 6 MB of resident memory to a process
-    that does not otherwise load it.)
+    R'A_base^{-1}R at the base. Each level keeps P^{-1} R_odd, the products
+    that eliminate it and its pivots' top rows and determinants, and the base
+    keeps A_base^{-1} R and its Cholesky factor, so `solve` back-substitutes
+    any combination R w of the columns, plus a draw from N(0, A^{-1}), without
+    a second forward pass. (LAPACK's banded Cholesky in scipy.linalg would
+    serve too, but importing scipy.linalg adds about 6 MB of resident memory
+    to a process that does not otherwise load it.)
     """
 
     def __init__(self, diag: np.ndarray, lower: np.ndarray, rhs: np.ndarray) -> None:
         columns = rhs.shape[2]
-        self.levels: list[tuple[np.ndarray, ...]] = []  # (P^{-1} R_odd, to_left, to_right) per level
+        self.levels: list[tuple[np.ndarray, ...]] = []  # (P^{-1} R_odd, to_left, to_right, P's top rows, |P|)
         self.gram = np.zeros((columns, columns))
         self.logdet = 0.0
         while len(diag) > _DENSE_BLOCKS:
@@ -239,7 +242,7 @@ class _CyclicReduction:
             odd_rhs = odd_inverse @ rhs[1::2]
             self.gram += rhs[1::2].reshape(-1, columns).T @ odd_rhs.reshape(-1, columns)
             self.logdet += float(np.log(odd_det).sum())
-            self.levels.append((odd_rhs, to_left, to_right))
+            self.levels.append((odd_rhs, to_left, to_right, diag[1::2, 0], odd_det))
             even_diag = diag[0::2].copy()
             even_diag[: len(left)] -= left_t @ to_left
             even_diag[1 : inner + 1] -= right @ to_right
@@ -255,18 +258,31 @@ class _CyclicReduction:
         dense[blocks[:-1], :, blocks[1:], :] = lower.transpose(0, 2, 1)
         dense, rhs = dense.reshape(2 * n, 2 * n), rhs.reshape(2 * n, columns)
         try:
-            factor = np.linalg.cholesky(dense)
+            self.factor = np.linalg.cholesky(dense)
             self.base = np.linalg.solve(dense, rhs)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(_TREND_NOT_PD) from exc
         self.gram += rhs.T @ self.base
-        self.logdet += 2.0 * float(np.log(np.diagonal(factor)).sum())
+        self.logdet += 2.0 * float(np.log(np.diagonal(self.factor)).sum())
 
-    def solve(self, weights: np.ndarray) -> np.ndarray:
-        """x (N, 2) of A x = R w for the weights w (c,) of the swept columns, back-substituted level by level."""
-        x = (self.base @ weights).reshape(-1, 2, 1)
-        for odd_rhs, to_left, to_right in reversed(self.levels):
+    def solve(self, weights: np.ndarray, shocks: np.ndarray) -> np.ndarray:
+        """x (N, 2) = A^{-1} R w + L'^{-1} e for the weights w (c,) of the swept columns and the shocks e (N, 2).
+
+        L is the sweep's block Cholesky factor (A = L L'), so standard normal
+        shocks draw x from N(A^{-1} R w, A^{-1}). Back-substituted level by
+        level; block i's shock enters where block i is eliminated, at a level
+        as L_P'^{-1} e for its pivot [[a, b], [b, c]] with det = ac - b^2:
+        (e_0 / sqrt(a) - b e_1 / sqrt(a det), sqrt(a / det) e_1).
+        """
+        stride = 2 ** len(self.levels)  # the base's blocks are every stride-th block of A
+        x = (self.base @ weights + np.linalg.solve(self.factor.T, shocks[::stride].ravel())).reshape(-1, 2, 1)
+        for odd_rhs, to_left, to_right, top, det in reversed(self.levels):
+            stride //= 2
+            e = shocks[stride :: 2 * stride]
+            root_a, root_det = np.sqrt(top[:, 0]), np.sqrt(det)
             odd = (odd_rhs.reshape(-1, len(weights)) @ weights).reshape(-1, 2, 1)
+            odd[:, 0, 0] += e[:, 0] / root_a - top[:, 1] * e[:, 1] / (root_a * root_det)
+            odd[:, 1, 0] += root_a * e[:, 1] / root_det
             odd -= to_left @ x[: len(odd)]
             odd[: len(to_right)] -= to_right @ x[1 : len(to_right) + 1]
             full = np.empty((len(x) + len(odd), 2, 1))
@@ -290,9 +306,7 @@ class _SequenceLayout:
     of L v are independent Gaussians, an initial value itself (mean
     `border_mean`) or a new effect plus the S-1 before it (mean zero). Row i's
     variance is entry `variance[i]` of (p1_diag[2:], the seasonal noise
-    variances), and `shock[i]` its normal in the flattened (n, m) shocks.
-    L is unit lower triangular with entries 0 and 1, so its inverse
-    `L_inverse` has small integer entries and is exact in floating point.
+    variances). L is unit lower triangular with entries 0 and 1.
     """
 
     def __init__(self, model: StateSpaceModel, n: int) -> None:
@@ -322,15 +336,11 @@ class _SequenceLayout:
         for lag in range(1, int(dims.max(initial=0)) + 1):
             deep = dims[seasonal] >= lag  # a new effect's row also holds the S-1 effects before it
             self.L[new[deep], new[deep] - lag] = 1.0
-        self.L_inverse = np.linalg.inv(self.L)
         self.variance = np.empty(size, dtype=np.intp)
         self.variance[initial] = np.arange(m - 2)
         self.variance[new] = m - 2 + seasonal
         self.border_mean = np.zeros(size)
         self.border_mean[initial] = model.a1[2:]
-        self.shock = np.empty(size, dtype=np.intp)
-        self.shock[initial] = np.arange(2, m)
-        self.shock[new] = (steps + 1) * m + first[seasonal]
 
 
 class _SequenceForm:
@@ -358,27 +368,11 @@ class _SequenceForm:
         self.layout = model.sequence_layouts[n]
         self.border_var = np.concatenate((model.p1_diag[2:], variances[3:]))[self.layout.variance]
 
-    def noise(self, shocks: np.ndarray) -> np.ndarray:
-        """v of the noise-only path (zero initial mean, no intercept) driven by the (n, m) shocks.
+    def posterior(self, r: np.ndarray, shocks: np.ndarray) -> tuple[np.ndarray, float]:
+        """A draw of v | r for r = y - x'beta under the full model, and log|Q| of v's posterior precision Q.
 
-        The shocks meet the same states as in the state recursion: row t + 1
-        drives the move from t to t + 1 and row 0 the initial state. The trend
-        follows x_{t+1} = M x_t + e_{t+1} with M = [[1, 1], [0, phi]], so
-        x_t = sum_s M^(t-s) e_s, summed by a doubling scan; the border is
-        L^{-1} times its innovations.
-        """
-        n = shocks.shape[0]
-        trend = shocks[:, :2] * np.sqrt([self.level_var, self.slope_var])
-        trend[0] = shocks[0, :2] * np.sqrt(self.trend_p1)
-        power, shift = np.array([[1.0, 1.0], [0.0, self.phi]]), 1
-        while shift < n:
-            trend[shift:] += trend[:-shift] @ power.T
-            power, shift = power @ power, 2 * shift
-        innovations = np.sqrt(self.border_var) * shocks.ravel()[self.layout.shock]
-        return np.concatenate((trend.ravel(), self.layout.L_inverse @ innovations))
-
-    def posterior(self, r: np.ndarray) -> tuple[np.ndarray, float]:
-        """E[v | r] for r = y - x'beta under the full model, and log|Q| of v's posterior precision Q.
+        The draw is Q^{-1} b + L'^{-1} e for Q's block Cholesky factor L and the
+        shocks e (2n + B,) in v's order; zero shocks give the mean Q^{-1} b.
 
         Q is [[A, C], [C', D]]: A (2n, 2n) the trend's, a band of half-width 2
         (2x2 blocks (mu_t, delta_t) on three block diagonals); D (B, B) the
@@ -386,12 +380,13 @@ class _SequenceForm:
         couples them only through the observations, E[2t, current[t, k]] = 1,
         so E's mu rows are G. One forward sweep of cyclic reduction over A
         carries R = [E | b_A] and returns the Gram R'A^{-1}R, which holds
-        E'A^{-1}E and E'A^{-1}b_A. The border x_B then solves the Schur
-        complement D - E'A^{-1}E / obs_var^2, whose Cholesky checks that it is
-        positive definite, against L' diag(1 / border_var) border_mean +
-        (G'r - E'A^{-1}b_A) / obs_var, and the trend is the one column
-        A^{-1}(b_A - E x_B / obs_var), back-substituted through the sweep's
-        levels. log|Q| is log|A| plus the Schur complement's log-determinant.
+        E'A^{-1}E and E'A^{-1}b_A. The Schur complement S = D - E'A^{-1}E /
+        obs_var^2 takes one Cholesky S = F F', which checks that it is positive
+        definite, and the border is x_B = S^{-1}(b_B + F e_B) for b_B = L'
+        diag(1 / border_var) border_mean + (G'r - E'A^{-1}b_A) / obs_var: its
+        mean plus F'^{-1} e_B. The trend is the one column A^{-1}(b_A - E x_B /
+        obs_var) plus the sweep's L_A'^{-1} e_A, back-substituted through the
+        sweep's levels. log|Q| is log|A| plus log|S|.
         """
         n = r.size
         layout = self.layout
@@ -427,10 +422,10 @@ class _SequenceForm:
         b_border = weighted @ layout.border_mean + obs_prec * (observed - sweep.gram[:border, border])
         try:
             factor = np.linalg.cholesky(schur)
-            x_border = np.linalg.solve(schur, b_border)
+            x_border = np.linalg.solve(schur, b_border + factor @ shocks[2 * n :])
         except np.linalg.LinAlgError as exc:
             raise NumericalError("the seasonal effects' posterior precision is not positive definite") from exc
-        trend = sweep.solve(np.append(-obs_prec * x_border, 1.0))
+        trend = sweep.solve(np.append(-obs_prec * x_border, 1.0), shocks[: 2 * n].reshape(n, 2))
         logdet = sweep.logdet + 2.0 * float(np.log(np.diagonal(factor)).sum())
         return np.concatenate((trend.ravel(), x_border)), logdet
 
@@ -443,7 +438,7 @@ class _SequenceForm:
         normalising constant that log p(m) shares.
         """
         n = r.size
-        mean, logdet = self.posterior(r)
+        mean, logdet = self.posterior(r, np.zeros(2 * n + self.border_var.size))
         trend, border = mean[: 2 * n].reshape(n, 2), mean[2 * n :]
         innovations = np.concatenate((
             r - trend[:, 0] - border[self.layout.current].sum(axis=1),
@@ -462,23 +457,18 @@ def ffbs_sample(
     model: StateSpaceModel, params: ParamPoint, y: Sequence[float], rng: np.random.Generator,
     x: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Draw one state trajectory from the smoothing distribution.
+    """Draw one state trajectory (n, m) from the smoothing distribution.
 
-    Mean-corrected simulation smoother (Durbin & Koopman 2002): a noise-only
-    state path and its observations (zero initial mean, no intercept, no
-    regression), from (n, m) state normals and then n observation normals,
-    plus the smoothed mean (`_SequenceForm.posterior`) of the state given y
-    minus those observations. A variance or p1_diag entry without a finite
-    reciprocal raises RangeError before any draw from rng; a non-finite path
-    raises NumericalError.
+    `_SequenceForm.posterior` at one `rng.standard_normal(2n + B)` call, a
+    normal for each of the path's 2n trend and B seasonal-effect coordinates.
+    A variance or p1_diag entry without a finite reciprocal raises RangeError
+    before any draw from rng; a non-finite path raises NumericalError.
     """
     y = np.asarray(y, dtype=float)
     n = y.size
     form = _SequenceForm(model, params, n)
-    index = form.layout.index
-    noise = form.noise(rng.standard_normal((n, model.state_dim)))
-    y_star = y - (noise[index] @ model.z + params.sigma_obs * rng.standard_normal(n))
-    path = (noise + form.posterior(y_star - model.observation_offsets(params.beta, x, n))[0])[index]
+    shocks = rng.standard_normal(2 * n + form.border_var.size)
+    path = form.posterior(y - model.observation_offsets(params.beta, x, n), shocks)[0][form.layout.index]
     if not np.all(np.isfinite(path)):
         raise NumericalError("non-finite smoothed state path")
     return path

@@ -1,8 +1,8 @@
 """Gibbs MCMC over the structural model and model-averaged forecasting.
 
-Each sweep: (1) draw a state path with the simulation smoother given the
-current parameters (`ffbs_sample`: a noise-only path plus the smoothed mean
-from the banded-plus-border precision solve that also gives `kalman_loglik`'s
+Each sweep: (1) draw a state path given the current parameters
+(`ffbs_sample`: one vector of normals through the factorisation of the
+banded-plus-border precision solve that also gives `kalman_loglik`'s
 log-likelihood, which the sweep does not use yet); (2) conjugate inverse-gamma
 draws (`VariancePrior.draw`) for the level, slope, and seasonal noise
 variances from state-innovation sums of squares; (3) Gaussian draw for the

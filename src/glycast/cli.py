@@ -224,21 +224,21 @@ def _learn_network(cfg: dict, encoded, seed: int, dag=None):
 
 
 class _Stage1:
-    """Fitted network, evidence codecs, imputed records, exclusions, and the markers inferred so far."""
+    """Fitted network, evidence codecs, imputed records in subject_id order, exclusions, and the points inferred."""
 
     def __init__(self, network, codecs, records_by_id, excluded: dict[str, str]):
         self.network = network
         self.codecs = codecs
-        self.records_by_id = records_by_id
+        self.records_by_id = dict(sorted(records_by_id.items()))
         self.excluded = excluded
-        self._markers: dict[str, tuple[float, float]] = {}
+        self._points: dict[str, similarity.MarkerPoint] = {}
 
-    def inferred_markers(self, record) -> tuple[float, float]:
-        """(FPG, 2HPP) inferred from a record's non-marker features, once per subject."""
-        if record.subject_id not in self._markers:
+    def inferred_point(self, record) -> similarity.MarkerPoint:
+        """The (FPG, 2HPP) point inferred from a record's non-marker features, built once per subject."""
+        if record.subject_id not in self._points:
             _, _, fpg_hat, hpp2_hat = bayesnet.infer_markers(self.network, self.evidence_for(record))
-            self._markers[record.subject_id] = (fpg_hat, hpp2_hat)
-        return self._markers[record.subject_id]
+            self._points[record.subject_id] = similarity.MarkerPoint(record.subject_id, fpg_hat, hpp2_hat)
+        return self._points[record.subject_id]
 
     def evidence_for(self, record) -> dict[str, int]:
         """Encode a complete record's features (markers excluded) as classes."""
@@ -260,8 +260,8 @@ class _Stage1:
         if tester is None:
             return [], {"selected": [], "excluded": self.excluded.get(tester_id, "no clinical record")}
         points = [
-            similarity.MarkerPoint(sid, *self.inferred_markers(record), "inferred")
-            for sid, record in sorted(self.records_by_id.items())
+            self.inferred_point(record)
+            for sid, record in self.records_by_id.items()
             if sid != tester_id and sid in candidates
         ]
         if len(points) < m:

@@ -181,21 +181,8 @@ class TestFFBS:
         ],
     )
     def test_sample_moments_match_dense_smoother(self, sigma_a, phases):
-        # Trend, two seasonals whose boundaries fall on 4 of 13 transitions
-        # (5 when phased: each series starts inside a season), and a 2-column
-        # regression; sigma_a = 0.01 all but freezes the first seasonal.
         rng = np.random.default_rng(5)
-        n = 14
-        y = rng.normal(0, 1, n).cumsum()
-        x = rng.normal(0, 1, (n, 2))
-        specs = [
-            semi_local_trend(),
-            seasonal("a", 3, (4, 4, 5), phase=phases[0]),
-            seasonal("b", 2, (6, 7), phase=phases[1]),
-            regression(("u", "v")),
-        ]
-        model = assemble_model(specs, y, x)
-        params = ParamPoint(0.4, 0.2, 0.6, (sigma_a, 0.3), d=0.05, phi=0.5, beta=np.array([0.7, -0.4]))
+        model, params, y, x = two_seasonal_case(rng, sigma_a, phases)
         oracle = gaussian_predictive_oracle(model, params, y, x=x)
         n_draws = 6000
         draws = np.array([ffbs_sample(model, params, y, rng, x=x) for _ in range(n_draws)])
@@ -211,6 +198,58 @@ class TestFFBS:
         # Gaussian sampling variance of a covariance estimate.
         cov_se = np.sqrt((var[:, :, None] * var[:, None, :] + cov**2) / n_draws)
         assert np.all(np.abs(sample_cov - cov) <= 5.0 * np.maximum(cov_se, 1e-12))
+
+    @pytest.mark.parametrize("phases", [(0, 0), (9, 4)], ids=["aligned", "phased"])
+    def test_draw_covariance_is_the_dense_smoothed_covariance(self, phases):
+        # The draw is the posterior mean plus M e, linear in the shocks e: M's columns are the draws minus the mean
+        # at unit shocks, and M M' gathered to each step's state must be the dense smoother's covariance exactly.
+        model, params, y, x = two_seasonal_case(np.random.default_rng(5), 0.5, phases)
+        oracle = gaussian_predictive_oracle(model, params, y, x=x)
+        form = kalman._SequenceForm(model, params, y.size)
+        r = y - model.observation_offsets(params.beta, x, y.size)
+        units = np.eye(2 * y.size + form.border_var.size)
+        mean = form.posterior(r, np.zeros(len(units)))[0]
+        columns = np.array([form.posterior(r, unit)[0] - mean for unit in units]).T
+        gathered = columns[form.layout.index]  # (n, m, shocks)
+        cov = np.einsum("tis,tjs->tij", gathered, gathered)
+        expected = oracle.smoothed_state_covs
+        assert np.max(np.abs(cov - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n", [14, 100, 385])
+    def test_draw_consumes_two_normals_per_step_and_one_per_seasonal_effect(self, n):
+        # One standard_normal(2n + B) call for B seasonal effects, each seasonal's S-1 initial values and one per
+        # boundary crossed: a twin generator that draws as many normals is left in the same state, and those
+        # normals as the posterior's shocks give the same path.
+        rng = np.random.default_rng(37)
+        y = rng.normal(0, 1, n).cumsum()
+        specs = [semi_local_trend(), seasonal("a", 3, (4, 4, 5), phase=2), seasonal("b", 2, (6, 7))]
+        model = assemble_model(specs, y)
+        params = ParamPoint(0.4, 0.2, 0.6, (0.5, 0.3), d=0.05, phi=0.5)
+        effects = sum(s.state_dim for s in model.seasonals) + int(model.boundaries(n).sum())
+        path = ffbs_sample(model, params, y, rng)
+        twin = np.random.default_rng(37)
+        twin.normal(0, 1, n)
+        shocks = twin.standard_normal(2 * n + effects)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        form = kalman._SequenceForm(model, params, n)
+        np.testing.assert_array_equal(path, form.posterior(y, shocks)[0][form.layout.index])
+
+
+def two_seasonal_case(rng, sigma_a, phases):
+    """Trend, two seasonals whose boundaries fall on 4 of 13 transitions (5 when phased: each series starts inside
+    a season), and a 2-column regression, n = 14; sigma_a = 0.01 all but freezes the first seasonal."""
+    n = 14
+    y = rng.normal(0, 1, n).cumsum()
+    x = rng.normal(0, 1, (n, 2))
+    specs = [
+        semi_local_trend(),
+        seasonal("a", 3, (4, 4, 5), phase=phases[0]),
+        seasonal("b", 2, (6, 7), phase=phases[1]),
+        regression(("u", "v")),
+    ]
+    model = assemble_model(specs, y, x)
+    params = ParamPoint(0.4, 0.2, 0.6, (sigma_a, 0.3), d=0.05, phi=0.5, beta=np.array([0.7, -0.4]))
+    return model, params, y, x
 
 
 def random_model(rng, n):
@@ -238,7 +277,8 @@ def random_model(rng, n):
 def banded_mean(model, params, y, x):
     """The precision solve's smoothed mean of the state, gathered to (n, m)."""
     form = kalman._SequenceForm(model, params, y.size)
-    mean, _ = form.posterior(y - model.observation_offsets(params.beta, x, y.size))
+    r = y - model.observation_offsets(params.beta, x, y.size)
+    mean, _ = form.posterior(r, np.zeros(2 * y.size + form.border_var.size))
     return mean[form.layout.index]
 
 
@@ -278,9 +318,22 @@ class TestSmoothedMean:
         assert np.max(np.abs(sweep.gram - gram)) <= 1e-12 * np.max(np.abs(gram))
         weights = rng.normal(0, 1, 3)
         expected = (solved @ weights).reshape(blocks, 2)
-        assert np.max(np.abs(sweep.solve(weights) - expected)) <= 1e-12 * np.max(np.abs(expected))
+        swept = sweep.solve(weights, np.zeros((blocks, 2)))  # zero shocks: the solve alone
+        assert np.max(np.abs(swept - expected)) <= 1e-12 * np.max(np.abs(expected))
         sign, expected_logdet = np.linalg.slogdet(matrix)
         assert sign == 1.0 and sweep.logdet == pytest.approx(expected_logdet, rel=1e-12)
+
+    @pytest.mark.parametrize("blocks", [33, 100, 257])
+    def test_block_tridiagonal_draw_factor_inverts_the_matrix(self, blocks):
+        # With zero weights solve(0, e) = M e, linear in the shocks: through one, two and four levels of reduction
+        # (33 -> 17, 100 -> 50 -> 25, 257 -> 129 -> 65 -> 33 -> 17) M M' must be A^{-1}, the draw's covariance.
+        rng = np.random.default_rng(blocks)
+        diag, lower, matrix = random_block_tridiagonal(rng, blocks)
+        sweep = kalman._CyclicReduction(diag, lower, rng.normal(0, 1, (blocks, 2, 1)))
+        units = np.eye(2 * blocks).reshape(-1, blocks, 2)
+        factor = np.array([sweep.solve(np.zeros(1), unit).ravel() for unit in units]).T
+        inverse = np.linalg.inv(matrix)
+        assert np.max(np.abs(factor @ factor.T - inverse)) <= 1e-12 * np.max(np.abs(inverse))
 
     @pytest.mark.parametrize(
         "blocks, bad, base",
