@@ -234,9 +234,9 @@ class StateSpaceModel:
     one period (the lcm of the seasonal cycles) is derived from `seasonals`
     at construction: `masks` holds the distinct boundary masks in order of
     first appearance (flag k: the step from t to t+1 starts a new season of
-    seasonal k), `templates` each mask's transition matrix at phi = 0 (read
-    only), and `step_masks` the index into `masks` of every step of the
-    period.
+    seasonal k), `shifts` each mask's state slices of the seasonals that turn,
+    and `step_masks` the index into `masks` of every step of the period.
+    `transition` is the one rule that moves a state by a step of a mask.
     """
 
     z: np.ndarray  # observation vector (m,)
@@ -250,7 +250,7 @@ class StateSpaceModel:
     p1_diag: np.ndarray  # initial state variance diagonal (m,)
     n_train: int
     masks: tuple[tuple[bool, ...], ...] = field(init=False, repr=False, compare=False)
-    templates: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    shifts: tuple[tuple[slice, ...], ...] = field(init=False, repr=False, compare=False)
     step_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
     sequence_layouts: dict = field(init=False, repr=False, compare=False)  # n -> kalman._SequenceLayout
 
@@ -263,20 +263,10 @@ class StateSpaceModel:
         ]
         by_step = [tuple(season[u + 1] != season[u] for season in seasons) for u in range(period)]
         masks = tuple(dict.fromkeys(by_step))
-        templates = []
-        for mask in masks:
-            T = np.zeros((self.state_dim, self.state_dim))
-            T[0, :2] = 1.0
-            for layout, boundary in zip(self.seasonals, mask):
-                i, j = layout.state_start, layout.state_start + layout.state_dim
-                # At a boundary the block shifts the stored effects down and puts the new one on top.
-                T[i:j, i:j] = np.eye(j - i, k=-1 if boundary else 0)
-                if boundary:
-                    T[i, i:j] = -1.0
-            T.flags.writeable = False
-            templates.append(T)
+        blocks = [slice(s.state_start, s.state_start + s.state_dim) for s in self.seasonals]
+        shifts = tuple(tuple(block for block, turns in zip(blocks, mask) if turns) for mask in masks)
         object.__setattr__(self, "masks", masks)
-        object.__setattr__(self, "templates", tuple(templates))
+        object.__setattr__(self, "shifts", shifts)
         object.__setattr__(self, "step_masks", tuple(map(masks.index, by_step)))
         object.__setattr__(self, "sequence_layouts", {})
 
@@ -304,10 +294,24 @@ class StateSpaceModel:
         table = np.array(self.masks, dtype=bool).reshape(len(self.masks), len(self.seasonals))
         return table[np.asarray(self.step_masks)[np.arange(max(n - 1, 0)) % self.period]]
 
+    def transition(self, mask: int, x: np.ndarray, phi: float | np.ndarray) -> np.ndarray:
+        """T x in place along axis 0 for a step with mask index `mask`; phi broadcasts against x[1]. Returns x.
+
+        mu' = mu + delta and delta' = phi delta (the intercept c holds the rest);
+        each seasonal that turns puts minus the sum of its stored effects on
+        top and shifts them down one place, and every other seasonal holds.
+        """
+        x[0] += x[1]
+        x[1] *= phi
+        for block in self.shifts[mask]:
+            top = x[block].sum(axis=0)
+            x[block.start + 1 : block.stop] = x[block.start : block.stop - 1]
+            np.negative(top, out=x[block.start])
+        return x
+
     def transition_matrix(self, phi: float, t: int) -> np.ndarray:
-        T = self.templates[self.step_masks[t % self.period]].copy()
-        T[1, 1] = phi
-        return T
+        """The dense T of the step from t to t+1: `transition` applied to the identity."""
+        return self.transition(self.step_masks[t % self.period], np.eye(self.state_dim), phi)
 
     # These three also take arrays of K draws' parameters and then return a leading (K,) axis.
 

@@ -1,15 +1,15 @@
 """Linear-Gaussian filtering, likelihood, and state-path draws.
 
 Conventions: the state at index t carries the components generating y_t;
-`transition_matrix(phi, t)` maps the time-t state to the time-(t+1) state.
+`StateSpaceModel.transition` maps the time-t state to the time-(t+1) state
+in place, and `transition_matrix(phi, t)` is its dense T.
 
 One Kalman filter, `_filter_draws`, filters a fit's K retained draws at once
 for `forecast_anchors` on the draws-last transition kernel `_DrawOperators`:
-states are (m, K) and covariances (m, m, K). The draws' transitions differ
-only in T[1, 1] = phi, so each boundary mask of the step schedule gives the
-phi = 0 template S shared by every draw, and T = S + phi e_1 e_1': T x and
-T P T' = T (T P)' are each one matrix product over all draws, or in-place
-row and column updates where no seasonal boundary falls. The filter's one
+states are (m, K) and covariances (m, m, K). Every step moves the state in
+place by the model's one rule, `StateSpaceModel.transition`, with the draws'
+phi: T x updates rows 0 and 1 and shifts each seasonal that turns, and
+T P T' is that rule on the rows of P, then on its columns. The filter's one
 predict step, `_DrawOperators.predict`, also builds every forecast horizon's
 terms in one forward pass (`horizon_terms`).
 
@@ -74,11 +74,9 @@ class _DrawOperators:
 
     `draws` are the retained draws of a fit, whose seven parameter fields
     carry a leading draw axis; `keep` selects draws along it. The kernel
-    reads the model's step schedule: per boundary mask the phi = 0 template
-    S (m, m) shared by every draw, whether the mask is plain (no seasonal
-    boundary, so S is the identity outside rows 0 and 1, where S[0] = e_0 +
-    e_1 and S[1] = 0) and the noise variances (m, K). A state is (m, ..., K)
-    and a covariance (m, m, K).
+    reads the model's step schedule and, per boundary mask, the noise
+    variances (m, K); T is the model's `transition` at the draws' phi. A
+    state is (m, ..., K) and a covariance (m, m, K).
     """
 
     def __init__(self, model: StateSpaceModel, draws, keep: slice = slice(None)) -> None:
@@ -87,9 +85,8 @@ class _DrawOperators:
 
         self.phi = param("phi")  # (K,)
         variances = (param("sigma_level") ** 2, param("sigma_slope") ** 2, (param("sigma_seasonal") ** 2).T)
+        self.model = model
         self.step_masks = model.step_masks
-        self.templates = model.templates  # (m, m) each
-        self.plain = [not any(mask) for mask in model.masks]
         self.noise_vars = [model.mask_noise(i, *variances).T.copy() for i in range(len(model.masks))]  # (m, K)
         self.intercept = model.state_intercept(param("d"), self.phi).T.copy()  # (m, K)
         self.obs_var = param("sigma_obs") ** 2  # (K,)
@@ -102,25 +99,14 @@ class _DrawOperators:
         return self.step_masks[t % len(self.step_masks)]
 
     def transition(self, step: int, x: np.ndarray) -> np.ndarray:
-        """T x for every draw, x of shape (m, ..., K); x may be overwritten."""
-        if self.plain[step]:
-            x[0] += x[1]
-            x[1] *= self.phi
-            return x
-        out = self.templates[step].dot(x.reshape(len(x), -1)).reshape(x.shape)
-        out[1] = self.phi * x[1]
-        return out
+        """T x for every draw, in place, x of shape (m, ..., K)."""
+        return self.model.transition(step, x, self.phi)
 
     def transition_cov(self, step: int, P: np.ndarray) -> np.ndarray:
-        """T P T' = T (T P)' for every draw, P (m, m, K) symmetric; P may be overwritten."""
-        if self.plain[step]:
-            # The row updates of T x, then the same on the columns, in place.
-            P[0] += P[1]
-            P[1] *= self.phi
-            P[:, 0] += P[:, 1]
-            P[:, 1] *= self.phi
-            return P
-        return self.transition(step, self.transition(step, P).transpose(1, 0, 2))
+        """T P T' for every draw, in place, P (m, m, K): T on the rows, then on the columns."""
+        self.transition(step, P)
+        self.transition(step, P.swapaxes(0, 1))
+        return P
 
     def predict(self, step: int, a: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(T a + c, T P T' + Q) for every draw, a (m, K) and P (m, m, K) symmetric; both may be overwritten."""
@@ -135,12 +121,13 @@ class _DrawOperators:
 
         y_{t+h} = u_h' alpha_t + b_h + x_{t+h}' beta + e_h with Var(e_h) = s_h, all
         horizons from one forward pass over steps t..t+max(h)-1 (Durbin & Koopman
-        2012, sec. 4.11). u_h = (T_{t+h-1} ... T_t)' z = w_h + g_h e_1: T x = S x
-        when x_1 = 0 and T e_1 = e_0 + phi e_1, so w_h, shared by every draw, is
-        z' times the product of the phi = 0 templates with its slope entry
-        zeroed, and g_h = 1 + phi g_{h-1}. b_h = z'b and s_h = z'Vz + obs_var,
-        where `predict` moves the mean b and covariance V forward from zero.
-        They depend on t only through the masks of steps t..t+h-1, the cache key.
+        2012, sec. 4.11). u_h = (T_{t+h-1} ... T_t)' z = w_h + g_h e_1: phi
+        enters T x only through x_1, and T e_1 = e_0 + phi e_1, so w_h, shared by
+        every draw, is z' times the product of the steps' transitions at phi = 0
+        (the rule applied to the identity) with its slope entry zeroed, and
+        g_h = 1 + phi g_{h-1}. b_h = z'b and s_h = z'Vz + obs_var, where
+        `predict` moves the mean b and covariance V forward from zero. They
+        depend on t only through the masks of steps t..t+h-1, the cache key.
         """
         key = (tuple(horizons), tuple(self.step(t + j) for j in range(max(horizons))))
         if key not in self._terms:
@@ -148,7 +135,7 @@ class _DrawOperators:
             product, g, b, V = np.eye(m), np.zeros(k), np.zeros((m, k)), np.zeros((m, m, k))
             terms = []
             for step in key[1]:
-                product = self.templates[step].dot(product)
+                self.model.transition(step, product, 0.0)
                 g = 1.0 + self.phi * g
                 b, V = self.predict(step, b, V)
                 zv = self.z.dot(V.reshape(m, m * k)).reshape(m, k)  # z'V, which is (V z)' for symmetric V

@@ -19,12 +19,14 @@ each draw's terminal state, each step from its marginal, not joint paths.
 
 Both move every draw at once on the draws-last transition kernel
 `kalman._DrawOperators` (states (m, K), covariances (m, m, K) for K draws),
+whose every step is the model's one in-place rule `StateSpaceModel.transition`,
 and `forecast_anchors` filters with `kalman._filter_draws`, the one Kalman
 filter. The predictive's terms come from `_DrawOperators.horizon_terms`, one
-forward pass of the filter's predict step over the horizon. Row 1 of every
-phi = 0 template S is zero and column 1 is e_0, so the predictive's loading
-on the state is u_h = w_h + g_h e_1 with w_h shared by every draw, and u'Pu
-comes from one product of the (H, m) w with the draws-last P.
+forward pass of the filter's predict step over the horizon. phi enters a
+step only through the slope, which moves into the level alone, so the
+predictive's loading on the state is u_h = w_h + g_h e_1 with w_h shared by
+every draw, and u'Pu comes from one product of the (H, m) w with the
+draws-last P.
 """
 
 from __future__ import annotations
@@ -310,9 +312,8 @@ def forecast_anchors(
     The filter consumes all observations up to and including each anchor, so a
     forecast at anchor t depends only on y_0..y_t. All draws are filtered
     together with the draw axis last, through the transition kernel of
-    `_DrawOperators`: each step's T P T' is built from the boundary mask's
-    shared phi = 0 template plus a phi update of row and column 1, in place
-    when the step crosses no seasonal boundary. Given a draw and its filtered
+    `_DrawOperators`: each step's T P T' is the model's transition rule on
+    the rows of P, then on its columns, in place. Given a draw and its filtered
     state at t, y_{t+h} is Gaussian in closed form (Durbin & Koopman, ch. 4),
     with moments read from the draws-last a_t and P_t through the shared w_h
     of `horizon_terms`. One value per draw and horizon is sampled from it, and

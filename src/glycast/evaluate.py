@@ -322,14 +322,20 @@ def build_similarity_design(
     Columns are aligned by time of day: tester row i reads the donor at index
     i + round((tester.start - donor.start) / 15 min) mod 96, and each donor is
     cycled over its whole days so every tester row has a value at its time of
-    day. A donor shorter than one day raises CapacityError. The design has
-    `n_rows` rows (default: the tester's length); rows past the tester's end
-    are the future rows a forecast reads.
+    day. A donor shorter than one day raises CapacityError, and one whose
+    timestamps carry a UTC offset where the tester's do not, or the other way
+    round, SchemaError. The design has `n_rows` rows (default: the tester's
+    length); rows past the tester's end are the future rows a forecast reads.
     """
     n = len(tester) if n_rows is None else n_rows
     columns = []
     names = []
     for donor in similar:
+        if (donor.start.utcoffset() is None) != (tester.start.utcoffset() is None):
+            raise SchemaError(
+                f"tester {tester.subject_id} and donor {donor.subject_id}: one series has offset-aware "
+                "timestamps and the other naive ones, so their times of day cannot be aligned"
+            )
         whole_days = STEPS_PER_DAY * (len(donor) // STEPS_PER_DAY)
         if not whole_days:
             raise CapacityError(

@@ -568,15 +568,31 @@ class TestTransitionKernel:
 
     @settings(max_examples=30, deadline=None)
     @given(specs=seasonal_specs(), seed=st.integers(0, 2**32 - 1))
+    def test_steps_move_the_state_in_place(self, specs, seed):
+        # Every mask, with or without a seasonal turning, writes T x and T P T' into the arrays it was given.
+        rng = np.random.default_rng(seed)
+        model = assemble_model(specs, np.arange(10.0))
+        m, k = model.state_dim, 3
+        sds = (0.1,) * len(model.seasonals)
+        points = [(ParamPoint(0.1, 0.1, 0.1, sds, phi=phi), np.zeros(m)) for phi in rng.uniform(-1.0, 1.0, k)]
+        ops = _DrawOperators(model, make_draws(model, points), slice(None))
+        for step in range(len(model.masks)):
+            a, P = rng.normal(size=(m, k)), rng.normal(size=(m, m, k))
+            assert ops.transition(step, a) is a
+            assert ops.transition_cov(step, P) is P
+
+    @settings(max_examples=30, deadline=None)
+    @given(specs=seasonal_specs(), seed=st.integers(0, 2**32 - 1))
     def test_backward_vector_splits_into_shared_and_phi_parts(self, specs, seed):
-        # Row 1 of every phi = 0 template is zero and column 1 is e_0, so
+        # Row 1 of every step's transition at phi = 0 is zero and column 1 is e_0, so
         # (T_{t+h-1} ... T_t)' z = w_h + g_h e_1 with w_h shared by every draw.
         rng = np.random.default_rng(seed)
         model = assemble_model(specs, np.arange(10.0))
         m = model.state_dim
-        for template in model.templates:
-            np.testing.assert_array_equal(template[1], 0.0)
-            np.testing.assert_array_equal(template[:, 1], np.eye(m)[0])
+        for t in range(model.period):
+            T = model.transition_matrix(0.0, t)
+            np.testing.assert_array_equal(T[1], 0.0)
+            np.testing.assert_array_equal(T[:, 1], np.eye(m)[0])
         phis = rng.uniform(-1.0, 1.0, 3)
         sds = (0.1,) * len(model.seasonals)
         draws = make_draws(model, [(ParamPoint(0.1, 0.1, 0.1, sds, phi=phi), np.zeros(m)) for phi in phis])

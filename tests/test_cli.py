@@ -685,6 +685,21 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "row 5" in err and "offset-aware and naive" in err
 
+    def test_naive_donor_of_offset_aware_tester_exits_2(self, tmp_path, synth_dir, capsys):
+        # The donor's timestamps lose their UTC offset; the tester's keep theirs.
+        text = (synth_dir / "series" / "S001.csv").read_text(encoding="utf-8")
+        assert "+00:00" in text
+        donor = tmp_path / "S001_naive.csv"
+        donor.write_text(text.replace("+00:00", ""), encoding="utf-8")
+        cfg = write_config(
+            tmp_path / "fc.json", seed=0, out_dir=str(tmp_path / "o"),
+            series_csv=str(synth_dir / "series" / "S000.csv"), similar_series=[str(donor)], draws=20, burn=5,
+        )
+        assert main(["forecast", "--config", cfg, "--horizon", "15"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "tester S000 and donor S001" in err
+        assert not (tmp_path / "o" / "forecast_S000.csv").exists()
+
     def test_malformed_component_document(self, tmp_path, synth_dir, capsys):
         cfg = write_config(
             tmp_path / "fc.json", seed=0, out_dir=str(tmp_path / "o"),

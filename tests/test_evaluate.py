@@ -237,6 +237,14 @@ class TestRegressorEval:
         with pytest.raises(CapacityError, match="less than one day"):
             build_similarity_design(tester, [short])
 
+    @pytest.mark.parametrize("naive", ["tester", "donor"])
+    def test_mixed_time_zones_refused(self, naive):
+        # Synthetic series start at 00:00 UTC; one side loses its offset.
+        series = dict(zip(("tester", "donor"), gen_cgm_series(SynthConfig(n_subjects=2, n_days=2, seed=1))[0]))
+        series[naive] = replace(series[naive], start=series[naive].start.replace(tzinfo=None))
+        with pytest.raises(SchemaError, match="tester S000 and donor S001: one series has offset-aware"):
+            build_similarity_design(series["tester"], [series["donor"]])
+
     def test_gl_columns_included(self):
         cfg = SynthConfig(n_subjects=2, n_days=3, seed=3)
         series, _ = gen_cgm_series(cfg)
