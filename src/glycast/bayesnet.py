@@ -666,12 +666,9 @@ def infer_markers(
 
     One elimination gives the markers' posterior joint (`_eliminate` with
     targets fpg, hpp2); the two posteriors are its row and column sums.
+    `_eliminate` raises SchemaError when the model has no fpg or hpp2 node
+    or the evidence names one.
     """
-    for marker in ("fpg", "hpp2"):
-        if marker not in model.cards:
-            raise SchemaError(f"model has no {marker} node")
-        if marker in evidence:
-            raise SchemaError(f"evidence must not include {marker}")
     joint = _eliminate(model, ("fpg", "hpp2"), evidence)
     fpg_posterior = joint.sum(axis=1)
     hpp2_posterior = joint.sum(axis=0)

@@ -60,13 +60,22 @@ class ParamPoint:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
-        for name in ("sigma_level", "sigma_slope", "sigma_obs"):
-            if getattr(self, name) < 0:
-                raise RangeError(f"{name} must be >= 0")
-        if any(s < 0 for s in self.sigma_seasonal):
-            raise RangeError("seasonal sds must be >= 0")
-        if abs(self.phi) > 1.0:
-            raise RangeError(f"phi must lie in [-1, 1], got {self.phi}")
+        _check_ranges(self)
+
+
+def _check_ranges(params) -> None:
+    """RangeError unless every noise sd of `params` is >= 0 and its phi lies in [-1, 1].
+
+    `params` is a ParamPoint or a fit's draws (one value per draw). Each
+    check is written so that NaN fails it.
+    """
+    for name in ("sigma_level", "sigma_slope", "sigma_obs", "sigma_seasonal"):
+        values = np.asarray(getattr(params, name), dtype=float)
+        if not np.all(values >= 0):
+            raise RangeError(f"{name} must be >= 0, got {values[~(values >= 0)][0]}")
+    phi = np.asarray(params.phi, dtype=float)
+    if not np.all(np.abs(phi) <= 1.0):
+        raise RangeError(f"phi must lie in [-1, 1], got {phi[~(np.abs(phi) <= 1.0)][0]}")
 
 
 class _DrawOperators:

@@ -40,7 +40,7 @@ import numpy as np
 
 from ..errors import NumericalError, RangeError, SchemaError
 from .components import MAX_HORIZON, StateSpaceModel
-from .kalman import ParamPoint, _DrawOperators, _filter_draws, ffbs_sample
+from .kalman import ParamPoint, _DrawOperators, _check_ranges, _filter_draws, ffbs_sample
 from .spike_slab import SweepTerms, sample_regression
 
 _FORECAST_SALT = 0x5EED
@@ -76,12 +76,7 @@ class PosteriorDraws:
         # MCMC output is strictly positive with |phi| < 1 by construction;
         # hand-built degenerate draws (zero noise) are allowed for testing
         # deterministic propagation.
-        if np.any(self.sigma_level < 0) or np.any(self.sigma_slope < 0) or np.any(self.sigma_obs < 0):
-            raise RangeError("noise sds must be >= 0")
-        if self.sigma_seasonal.size and np.any(self.sigma_seasonal < 0):
-            raise RangeError("seasonal noise sds must be >= 0")
-        if np.any(np.abs(self.phi) > 1.0):
-            raise RangeError("phi draws must lie in [-1, 1]")
+        _check_ranges(self)
         if self.beta.size and np.any(self.beta[self.gamma == 0] != 0.0):
             raise RangeError("beta must be exactly zero wherever gamma is zero")
 

@@ -16,7 +16,7 @@ import json
 import operator
 import sys
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -199,7 +199,8 @@ def _cmd_synth(cfg: dict, seed: int, run: _Run) -> None:
     print(f"synth: wrote {len(series)} series and {len(records)} clinical rows to {run.out_dir}")
 
 
-# Stage 1: clinical records -> exclude -> impute -> encode -> consensus DAG -> CPTs.
+# Stage 1: clinical records -> exclude -> impute -> encode -> consensus DAG -> CPTs
+# -> the candidates' inferred markers.
 # `preprocess` and `learn` run its steps one command each; `evaluate` and
 # `ablate` run them all through `_stage1`.
 
@@ -223,32 +224,15 @@ def _learn_network(cfg: dict, encoded, seed: int, dag=None):
     return strengths, dag, bayesnet.fit_parameters(dag, encoded, **_settings(cfg, {"alpha": float}))
 
 
+@dataclass(frozen=True)
 class _Stage1:
-    """Fitted network, evidence codecs, imputed records in subject_id order, exclusions, and the points inferred."""
+    """Stage 1's output: imputed records by subject_id, exclusions, and the candidates' inferred points."""
 
-    def __init__(self, network, codecs, records_by_id, excluded: dict[str, str]):
-        self.network = network
-        self.codecs = codecs
-        self.records_by_id = dict(sorted(records_by_id.items()))
-        self.excluded = excluded
-        self._points: dict[str, similarity.MarkerPoint] = {}
+    records_by_id: dict
+    excluded: dict[str, str]
+    points: list[similarity.MarkerPoint]  # subject_id order
 
-    def inferred_point(self, record) -> similarity.MarkerPoint:
-        """The (FPG, 2HPP) point inferred from a record's non-marker features, built once per subject."""
-        if record.subject_id not in self._points:
-            _, _, fpg_hat, hpp2_hat = bayesnet.infer_markers(self.network, self.evidence_for(record))
-            self._points[record.subject_id] = similarity.MarkerPoint(record.subject_id, fpg_hat, hpp2_hat)
-        return self._points[record.subject_id]
-
-    def evidence_for(self, record) -> dict[str, int]:
-        """Encode a complete record's features (markers excluded) as classes."""
-        return {
-            name: self.codecs[name].encode_value(getattr(record, name))
-            for name in preprocess.ENCODED_FEATURES
-            if name not in ("fpg", "hpp2")
-        }
-
-    def select_donors(self, tester_id: str, candidates, m: int) -> tuple[list[str], Optional[dict]]:
+    def select_donors(self, tester_id: str, m: int) -> tuple[list[str], Optional[dict]]:
         """The m candidates whose inferred markers sit nearest the tester's measured ones.
 
         A tester that Stage 1 excluded (for example, no measured FPG), that
@@ -259,11 +243,7 @@ class _Stage1:
         tester = self.records_by_id.get(tester_id)
         if tester is None:
             return [], {"selected": [], "excluded": self.excluded.get(tester_id, "no clinical record")}
-        points = [
-            self.inferred_point(record)
-            for sid, record in self.records_by_id.items()
-            if sid != tester_id and sid in candidates
-        ]
+        points = [point for point in self.points if point.subject_id != tester_id]
         if len(points) < m:
             return [], {"selected": [], "excluded": f"{len(points)} candidates, fewer than m_similar={m}"}
         tester_point = similarity.MarkerPoint(tester_id, tester.fpg, tester.hpp2, "measured")
@@ -271,17 +251,28 @@ class _Stage1:
         return selected, similarity.selection_log(points, tester_point, selected)
 
 
-def _stage1(cfg: dict, seed: int, run: _Run) -> _Stage1:
-    """Run Stage 1 on `clinical_csv`; `network_json`, when given, replaces the bootstrap."""
+def _stage1(cfg: dict, seed: int, run: _Run, candidates) -> _Stage1:
+    """Run Stage 1 on `clinical_csv` and infer the markers of every candidate it kept.
+
+    `network_json`, when given, replaces the bootstrap. `candidates` holds
+    the subject_ids with a series. Each one Stage 1 kept is inferred once, in
+    subject_id order, from its encoded row without the fpg and hpp2 columns.
+    """
     records = load_clinical(run.required(cfg, "clinical_csv"))
     report, imputed, encoded = _encode(cfg, records)
     dag = None
     if "network_json" in cfg:
         dag, _ = bayesnet.load_network_json(run.path(cfg["network_json"]))
     _, _, network = _learn_network(cfg, encoded, seed, dag)
-    codecs = {codec.name: codec for codec in encoded.codecs}
+    features = [j for j, name in enumerate(encoded.variables) if name not in ("fpg", "hpp2")]
+    names = [encoded.variables[j] for j in features]
+    points = []
+    for sid, row in sorted(zip(encoded.subject_ids, encoded.matrix[:, features].tolist())):
+        if sid in candidates:
+            _, _, fpg_hat, hpp2_hat = bayesnet.infer_markers(network, dict(zip(names, row)))
+            points.append(similarity.MarkerPoint(sid, fpg_hat, hpp2_hat))
     excluded = {entry["subject_id"]: entry["reason"] for entry in report}
-    return _Stage1(network, codecs, {r.subject_id: r for r in imputed}, excluded)
+    return _Stage1({r.subject_id: r for r in imputed}, excluded, points)
 
 
 def _design(tester: GlucoseSeries, donors: Sequence[GlucoseSeries], gl_table, n_rows: Optional[int] = None):
@@ -309,10 +300,10 @@ def _tester_designs(cfg: dict, seed: int, run: _Run, m: int):
             raise ConfigError(f"{run.command}: no series for subject {tester_id}")
     custom = tuple(specs_from_json(cfg)) if "components" in cfg else None
     gl_table = run.gl_table(cfg)
-    stage1 = _stage1(cfg, seed, run) if "clinical_csv" in cfg else None
+    stage1 = _stage1(cfg, seed, run, series_map) if "clinical_csv" in cfg else None
     for tester_id in testers:
         tester = run.series(series_map[tester_id])
-        donors, selection = stage1.select_donors(tester_id, series_map, m) if stage1 else ([], None)
+        donors, selection = stage1.select_donors(tester_id, m) if stage1 else ([], None)
         regressors, names = (None, ())
         if donors:
             regressors, names = _design(tester, [run.series(series_map[sid]) for sid in donors], gl_table)

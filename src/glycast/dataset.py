@@ -278,14 +278,19 @@ def _optional_column(name: str) -> bool:
 def load_clinical(path: Path | str) -> list[ClinicalRecord]:
     """Load one clinical CSV (one row per subject admission) into records.
 
-    Blank cells become missing markers; row order is preserved.
+    Blank cells become missing markers; row order is preserved. A
+    subject_id listed on two rows is a ParseError naming both.
     """
     rows = _read_rows(path, CLINICAL_COLUMNS)
     records: list[ClinicalRecord] = []
+    row_of: dict[str, int] = {}
     for i, row in enumerate(rows):
         subject_id = row.get("subject_id", "").strip()
         if not subject_id:
             raise ParseError(f"row {i}: empty subject_id")
+        if subject_id in row_of:
+            raise ParseError(f"rows {row_of[subject_id]} and {i}: subject_id {subject_id} repeated")
+        row_of[subject_id] = i
         gender_raw = row.get("gender", "").strip().lower()
         gender = gender_raw if gender_raw else None
         values: dict[str, Optional[float]] = {}

@@ -24,6 +24,24 @@ def trend_model(y):
     return assemble_model([semi_local_trend()], y)
 
 
+class TestParamPoint:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            dict(phi=float("nan")),
+            dict(phi=1.5),
+            dict(sigma_level=float("nan")),
+            dict(sigma_obs=-0.1),
+            dict(sigma_seasonal=(0.1, float("nan"))),
+            dict(sigma_seasonal=(-0.1,)),
+        ],
+    )
+    def test_nan_and_out_of_range_refused(self, values):
+        fields = dict(sigma_level=0.1, sigma_slope=0.1, sigma_obs=0.1, sigma_seasonal=(0.1,), phi=0.5)
+        with pytest.raises(RangeError):
+            ParamPoint(**{**fields, **values})
+
+
 class TestFilter:
     def test_noiseless_semi_local_recursion(self):
         # mu0=100, delta0=2, D=0, phi=0.5: slope halves toward D each step.
@@ -142,7 +160,9 @@ class TestFFBS:
         model = assemble_model([semi_local_trend(), seasonal("s", 3, (2, 3, 2))], y)
         if p1_diag is not None:
             model = model.with_initial_state(model.a1, p1_diag)
-        params = ParamPoint(*sds[:3], sds[3], d=0.0, phi=0.5)
+        params = ParamPoint(0.3, 0.2, 0.5, (0.3,), d=0.0, phi=0.5)
+        for name, value in zip(("sigma_level", "sigma_slope", "sigma_obs", "sigma_seasonal"), sds):
+            object.__setattr__(params, name, value)  # past ParamPoint's own check, which refuses a NaN sd
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
         with pytest.raises(RangeError, match="p1_diag"):

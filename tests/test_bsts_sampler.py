@@ -44,6 +44,19 @@ class TestMcmcFit:
         with pytest.raises(RangeError):
             mcmc_fit(model, y, draws=10, burn=10)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("phi", np.nan), ("phi", -1.5), ("sigma_obs", np.nan), ("sigma_slope", -0.1), ("sigma_seasonal", np.nan)],
+    )
+    def test_draws_refuse_nan_and_out_of_range(self, name, value):
+        y = trend_series(40)
+        model = assemble_model([semi_local_trend(), seasonal("s", 4, (6, 6, 6, 6))], y)
+        draws = mcmc_fit(model, y, draws=6, burn=2, seed=0)
+        bad = getattr(draws, name).copy()
+        bad.flat[-1] = value
+        with pytest.raises(RangeError):
+            replace(draws, **{name: bad})
+
     def test_determinism(self):
         y = trend_series(80, seed=3)
         model = assemble_model([semi_local_trend(), seasonal("s", 4, (6, 6, 6, 6))], y)

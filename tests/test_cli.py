@@ -12,7 +12,7 @@ import pytest
 import glycast
 from glycast import bayesnet, cli, preprocess, similarity, synth
 from glycast.cli import main
-from glycast.dataset import MealEvent, load_gl_table, load_timeseries, write_timeseries
+from glycast.dataset import MealEvent, load_clinical, load_gl_table, load_timeseries, write_timeseries
 from glycast.preprocess import DiscreteDataset, build_meal_regressor
 from glycast.synth import dag_enumeration_oracle
 
@@ -802,6 +802,19 @@ class TestErrorHandling:
         assert "listed more than once: S000" in capsys.readouterr().err
         assert not (out / "metrics.json").exists() and not (out / "manifests.jsonl").exists()
 
+    def test_repeated_clinical_subject_exits_2(self, tmp_path, synth_dir, capsys):
+        clinical = synth_dir / "clinical.csv"
+        lines = clinical.read_text().splitlines()
+        clinical.write_text("\n".join(lines + [lines[2]]) + "\n", encoding="utf-8")
+        out = tmp_path / "o"
+        cfg = write_config(
+            tmp_path / "ev.json", seed=0, out_dir=str(out), series_dir=str(synth_dir / "series"),
+            clinical_csv=str(clinical), bootstrap=2, draws=12, burn=2, horizons=[1],
+        )
+        assert main(["evaluate", "--config", cfg, "--subjects", "S000"]) == 2
+        assert "rows 1 and 4: subject_id S001 repeated" in capsys.readouterr().err
+        assert not (out / "metrics.json").exists()
+
     @pytest.mark.parametrize("steps", [0, -1, 97])
     def test_forecast_horizon_refused_before_fit(self, tmp_path, synth_dir, capsys, monkeypatch, steps):
         def no_fit(*args, **kwargs):
@@ -885,3 +898,26 @@ class TestMarkerInference:
         assert len(pools) == 3
         assert sum(len(pool) for pool in pools) > len(set().union(*pools))
         assert len(inferred) == len(set().union(*pools))
+
+    def test_one_tester_reads_the_pool_a_cohort_run_reads(self, tmp_path, synth_dir, monkeypatch):
+        common = dict(
+            seed=3, series_dir=str(synth_dir / "series"), clinical_csv=str(synth_dir / "clinical.csv"),
+            bootstrap=2, draws=12, burn=2, horizons=[1],
+        )
+        three = write_config(tmp_path / "three.json", out_dir=str(tmp_path / "three"), **common)
+        one = write_config(tmp_path / "one.json", out_dir=str(tmp_path / "one"), **common)
+        assert main(["evaluate", "--config", three, "--subjects", "S000,S001,S002"]) == 0
+
+        inferred = []
+        infer = bayesnet.infer_markers
+
+        def infer_spy(network, evidence):
+            inferred.append(evidence)
+            return infer(network, evidence)
+
+        monkeypatch.setattr(bayesnet, "infer_markers", infer_spy)
+        assert main(["evaluate", "--config", one, "--subjects", "S001"]) == 0
+        kept, _ = preprocess.exclude_incomplete(load_clinical(synth_dir / "clinical.csv"))
+        assert len(inferred) == len(kept) == 4  # the tester too: every candidate once, whoever is tested
+        selections = [json.loads((tmp_path / out / "selections.json").read_text()) for out in ("three", "one")]
+        assert json.dumps(selections[1]["S001"]) == json.dumps(selections[0]["S001"])

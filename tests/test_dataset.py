@@ -69,6 +69,13 @@ class TestLoadClinical:
         with pytest.raises(ParseError, match="row 1"):
             load_clinical(path)
 
+    def test_repeated_subject_id_names_both_rows(self, tmp_path):
+        # Stage 1 would learn from both rows but keep one record per subject_id.
+        rows = [clinical_row("A"), clinical_row("B"), clinical_row("A", age=60)]
+        path = write_csv(tmp_path / "c.csv", CLINICAL_COLUMNS, rows)
+        with pytest.raises(ParseError, match="rows 0 and 2: subject_id A repeated"):
+            load_clinical(path)
+
     def test_loading_is_pure(self, tmp_path):
         path = write_csv(tmp_path / "c.csv", CLINICAL_COLUMNS, [clinical_row("A")])
         assert load_clinical(path) == load_clinical(path)

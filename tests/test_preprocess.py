@@ -14,6 +14,7 @@ from glycast.preprocess import (
     standardize_encode,
 )
 from glycast.dataset import GlycemicTable
+from glycast.synth import SynthConfig, gen_clinical
 
 
 class TestExclusion:
@@ -168,6 +169,18 @@ class TestStandardizeEncode:
         classes = np.searchsorted(edges, z, side="right")
         counts = np.bincount(classes, minlength=n_bins)
         assert set(counts) == {n // n_bins}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n_subjects, missing_rate", [(40, 0.0), (40, 0.2), (100, 0.05), (100, 0.3)])
+    def test_rows_are_each_records_encoded_values(self, seed, n_subjects, missing_rate):
+        # Stage 1 reads a subject's evidence from its row: the row must be its values encoded one by one.
+        records, _ = gen_clinical(SynthConfig(n_subjects=n_subjects, seed=seed, missing_rate=missing_rate))
+        imputed = impute_means(exclude_incomplete(records)[0])
+        data = standardize_encode(imputed)
+        assert [codec.name for codec in data.codecs] == list(data.variables)
+        assert data.subject_ids == tuple(record.subject_id for record in imputed)
+        for record, row in zip(imputed, data.matrix.tolist()):
+            assert row == [codec.encode_value(getattr(record, codec.name)) for codec in data.codecs]
 
 
 class TestGlycemicLoad:
