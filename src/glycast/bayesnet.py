@@ -7,16 +7,21 @@ one parent away (its neighbourhood), and a move rescores only the nodes whose
 parents it changed. A neighbourhood is scored in two steps: a plan that does
 not depend on the data (the families' code weights and segment starts), built
 once per bootstrap for each (node, parent set) the searches visit, then one
-count over a resample's columns. A search keeps every neighbourhood it scored,
-so returning to a parent set costs no count. Ties within _SCORE_EPS go to the
+count over a resample. A resample is a row multiplicity: the count reads each
+row drawn at least once, once, weighted by how often it was drawn, so it
+gives the same integer cell counts, and the same scores to the bit, as a
+count over the copied rows. Codes come from one float32 product, exact
+because a plan refuses a batch of 2**24 cells or more. A search keeps every
+neighbourhood it scored, so returning to a parent set costs no count, and it
+keeps the number of directed paths between every two nodes, so an add that
+would close a cycle is never a candidate. Ties within _SCORE_EPS go to the
 smallest (move kind, arc), whatever the order candidates come in. Robustness
-comes from bootstrap resampling: the
-fraction of resampled networks containing a directed arc is that arc's
-strength, and the consensus network keeps arcs at or above a strength
-threshold. Parameters are multinomial MLE with optional Laplace smoothing.
-Inference is exact variable elimination by one routine: `infer_markers` takes
-the FPG and 2HPP posteriors as the marginals of their joint, and
-`infer_posterior` asks it for one target.
+comes from bootstrap resampling: the fraction of resampled networks
+containing a directed arc is that arc's strength, and the consensus network
+keeps arcs at or above a strength threshold. Parameters are multinomial MLE
+with optional Laplace smoothing. Inference is exact variable elimination by
+one routine: `infer_markers` takes the FPG and 2HPP posteriors as the
+marginals of their joint, and `infer_posterior` asks it for one target.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import InferenceError, RangeError, SchemaError
+from .errors import CapacityError, InferenceError, RangeError, SchemaError
 from .preprocess import DiscreteDataset
 
 Arc = tuple[str, str]
@@ -67,10 +72,8 @@ class Dag:
         return frozenset(frozenset(arc) for arc in self.arcs)
 
 
-def _has_path(
-    children: Mapping[str, set[str]] | Sequence[set[int]], src: str | int, dst: str | int
-) -> bool:
-    """Whether a directed path leads from src to dst: depth-first over child sets keyed by name or index."""
+def _has_path(children: Mapping[str, set[str]], src: str, dst: str) -> bool:
+    """Whether a directed path leads from src to dst: depth-first over child sets keyed by name."""
     stack = [src]
     seen = {src}
     while stack:
@@ -84,6 +87,11 @@ def _has_path(
     return False
 
 
+# Codes are float32 products; every integer below 2**24 is a float32, and so is
+# every partial sum of a code's nonnegative integer terms.
+_MAX_CELLS = 2**24
+
+
 @dataclass(frozen=True)
 class _FamilyPlan:
     """The data-free layout of a batch of one node's families.
@@ -92,9 +100,10 @@ class _FamilyPlan:
     class columns and a row of ones: node + card*(p1 + card1*(p2 + ...)),
     shifted past the cells of the families before it. Its cells start at
     cell_starts[j], its parent configurations at config_starts[j], and half_k
-    holds k/2, half its free parameters. The layout depends on the cards
-    only, so one plan scores every dataset over them; its arrays are
-    read-only.
+    holds k/2, half its free parameters. The weights are float32 and the
+    batch holds fewer than _MAX_CELLS cells, so every code is exact. The
+    layout depends on the cards only, so one plan scores every dataset over
+    them; its arrays are read-only.
     """
 
     card: int
@@ -109,7 +118,8 @@ def _family_plan(cards: np.ndarray, node: int, parent_sets: Sequence[tuple[int, 
     """The plan of column `node` under each parent set (column indices), in order.
 
     The order within a parent set fixes the configuration code layout;
-    callers keep parents sorted by name.
+    callers keep parents sorted by name. Raises CapacityError when the batch
+    holds _MAX_CELLS cells or more, past which float32 codes are not exact.
     """
     card = int(cards[node])
     # Parent k of a set has stride card * (product of the cards before it),
@@ -124,7 +134,9 @@ def _family_plan(cards: np.ndarray, node: int, parent_sets: Sequence[tuple[int, 
     strides = card * np.cumprod(padded, axis=1)
     n_cfgs = strides[:, -1] // card
     offsets = np.concatenate(([0], np.cumsum(strides[:, -1])))
-    weights = np.zeros((n_sets, len(cards) + 1))
+    if offsets[-1] >= _MAX_CELLS:
+        raise CapacityError(f"a batch of {offsets[-1]} family cells reaches the float32 code bound {_MAX_CELLS}")
+    weights = np.zeros((n_sets, len(cards) + 1), np.float32)
     weights[:, node] = 1.0
     weights[:, -1] = offsets[:-1]
     weights[rows, parents] = strides[rows, slots]
@@ -142,32 +154,43 @@ def _family_plan(cards: np.ndarray, node: int, parent_sets: Sequence[tuple[int, 
 
 
 class _FamilyScores:
-    """Caching BIC family scorer over one DiscreteDataset.
+    """Caching BIC family scorer over one DiscreteDataset, its rows weighted.
 
-    `counted` scores a plan's families from a single np.bincount over their
-    offset configuration codes. `families` scores one node under several
-    parent sets through the plan of that batch, and `family` is the one-set,
-    by-name form. Either way a family's score is computed with the same
-    operations: c*ln(c) of every cell and of every row total, read from a
-    table over 0..n_rows, and summed per family by one np.add.reduceat over
-    the cells and one over the rows of the whole batch. reduceat sums each
+    Row i counts `multiplicity[i]` times (once each when None): a bootstrap
+    resample is the multiplicity of each row it drew. Only the rows with a
+    nonzero multiplicity are kept, and the BIC n is the total multiplicity.
+    `codes` gives the offset configuration codes of a plan's families, and
+    `counted` scores them from a single np.bincount over those codes,
+    weighted by the rows' multiplicities, which gives the integer cell
+    counts of the copied rows exactly. `families` scores one node under
+    several parent sets through the plan of that batch, and `family` is the
+    one-set, by-name form. Either way a family's score is computed with the
+    same operations: c*ln(c) of every cell and of every row total, read from
+    a table over 0..n, and summed per family by one np.add.reduceat over the
+    cells and one over the rows of the whole batch. reduceat sums each
     family's segment on its own, so a score does not depend on the batch it
     came from.
     """
 
-    def __init__(self, data: DiscreteDataset):
-        if data.n_rows == 0:
+    def __init__(self, data: DiscreteDataset, multiplicity: Optional[np.ndarray] = None):
+        multiplicity = np.ones(data.n_rows, np.int64) if multiplicity is None else np.asarray(multiplicity)
+        if multiplicity.shape != (data.n_rows,):
+            raise SchemaError("one multiplicity per row expected")
+        n = int(multiplicity.sum())
+        if n == 0:
             raise SchemaError("cannot score an empty dataset")
         self.data = data
-        self.log_n = math.log(data.n_rows)
-        counts = np.arange(data.n_rows + 1)
+        self.log_n = math.log(n)
+        counts = np.arange(n + 1)
         with np.errstate(divide="ignore", invalid="ignore"):
             self._xlogx = counts * np.log(counts)
         self._xlogx[0] = 0.0
-        # Class columns as float64 rows plus a row of ones: the codes of many
-        # families come from one matrix product, which is exact because every
-        # code is an integer below the number of cells counted, far below 2**53.
-        self._columns = np.vstack((data.matrix.T, np.ones(data.n_rows)))
+        drawn = np.flatnonzero(multiplicity)
+        # Class columns of the drawn rows as float32 rows plus a row of ones:
+        # the codes of many families come from one matrix product.
+        self._columns = np.ones((len(data.cards) + 1, len(drawn)), np.float32)
+        self._columns[:-1] = data.matrix[drawn].T
+        self._row_weights = multiplicity[drawn].astype(np.float64)
         self._cards = np.asarray(data.cards, np.int64)
         self._cache: dict[tuple[int, tuple[int, ...]], float] = {}
 
@@ -184,10 +207,21 @@ class _FamilyScores:
             cache.update(((node, ps), score) for ps, score in zip(missing, scores))
         return [cache[(node, ps)] for ps in parent_sets]
 
+    def codes(self, plan: _FamilyPlan) -> np.ndarray:
+        """Each family's (rows) configuration code of each drawn row (columns).
+
+        The codes are below _MAX_CELLS, so int32 holds them, and float32
+        converts to int32 faster than to int64.
+        """
+        return (plan.weights @ self._columns).astype(np.int32)
+
     def counted(self, plan: _FamilyPlan) -> np.ndarray:
         """The BIC score of each of the plan's families on this dataset."""
-        codes = (plan.weights @ self._columns).astype(np.int64)
-        counts = np.bincount(codes.ravel(), minlength=plan.n_cells)
+        codes = self.codes(plan)
+        if len(self._row_weights) < codes.size:  # one copy of the row weights per family
+            self._row_weights = np.tile(self._row_weights[: codes.shape[1]], len(codes))
+        # Sums of integer float64 weights below 2**53: exact integer counts.
+        counts = np.bincount(codes.ravel(), self._row_weights[: codes.size], plan.n_cells).astype(np.intp)
         by_config = counts.reshape(-1, plan.card)
         row_totals = sum(by_config[:, i] for i in range(plan.card))  # faster than .sum(axis=1)
         xlogx = self._xlogx
@@ -260,7 +294,11 @@ _ADD, _DELETE, _REVERSE = 0, 1, 2
 
 
 def tabu_search(
-    data: DiscreteDataset, params: TabuParams = TabuParams(), *, _plans: Optional[_PlanTable] = None
+    data: DiscreteDataset,
+    params: TabuParams = TabuParams(),
+    *,
+    _plans: Optional[_PlanTable] = None,
+    _multiplicity: Optional[np.ndarray] = None,
 ) -> Dag:
     """Hill-climb over add/delete/reverse arc moves with a visited-set tabu.
 
@@ -283,19 +321,26 @@ def tabu_search(
     u. After a move only the changed nodes are rescored: a node's
     neighbourhood plan comes from `_plans` (a `_PlanTable` that
     `bootstrap_consensus` shares between its searches; a fresh one when
-    None), and one count on this data scores all of its families. Those
-    terms are kept per (v, pa(v)) for the rest of the search, so a parent set
-    the walk returns to costs three copies. Every candidate's score is then
-    one array expression with the same float operations as scoring the move
-    alone, e.g. reversing u->v scores (drop + f(u, pa(u)+v)) - f(u, pa(u)).
+    None), and one count on this data scores all of its families. The data
+    are the rows of `data`, row i taken `_multiplicity[i]` times (once each
+    when None): `bootstrap_consensus` passes each resample's row counts
+    rather than a copy of its rows, with the same result. Those terms are
+    kept per (v, pa(v)) for the rest of the search, so a parent set the walk
+    returns to costs three copies. Every candidate's score is then one array
+    expression with the same float operations as scoring the move alone,
+    e.g. reversing u->v scores (drop + f(u, pa(u)+v)) - f(u, pa(u)).
 
     Nodes are indexed in name order, so a candidate's flat index
-    kind*n*n + u*n + v is its tie key. The walk takes the argmax, sets it to
-    -inf while it closes a cycle or is tabu, and takes the argmax again; the
-    first legal, non-tabu index scoring within _SCORE_EPS of the score it
-    stops at is the move. An add u->v whose reverse is present scores -inf
-    outright. Cycles are found by `_has_path` on the candidates the walk
-    touches, and visited structures are arc bitmasks.
+    kind*n*n + u*n + v is its tie key. The search keeps an (n, n) matrix of
+    path counts, paths[a, b] the number of directed paths from a to b. The
+    paths through an arc u->v are those into u times those out of v, so an
+    add or a delete moves the matrix by one outer product, and a reversal by
+    two. An add u->v with a path from v to u would close a cycle and scores
+    -inf outright, and reversing u->v closes one iff u has a path to v other
+    than the arc itself. The walk takes the argmax, sets it to -inf while it
+    is an illegal reversal or tabu, and takes the argmax again; the first
+    legal, non-tabu index scoring within _SCORE_EPS of the score it stops at
+    is the move. Visited structures are arc bitmasks.
     """
     nodes = tuple(data.variables)
     n = len(nodes)
@@ -307,10 +352,9 @@ def tabu_search(
     plans = _PlanTable(cards) if _plans is None else _plans
     if plans.cards != cards:
         raise SchemaError("plan table built for other cards")
-    scorer = _FamilyScores(DiscreteDataset(names, cards, data.matrix[:, order]))
+    scorer = _FamilyScores(DiscreteDataset(names, cards, data.matrix[:, order]), _multiplicity)
 
     parents: list[tuple[int, ...]] = [()] * n
-    children: list[set[int]] = [set() for _ in range(n)]
     base = np.empty(n)
     added = np.full((n, n), -np.inf)  # [u, v]: f(v, pa(v)+u)
     dropped = np.full((n, n), -np.inf)  # [u, v]: f(v, pa(v)-u) - f(v, pa(v))
@@ -352,31 +396,44 @@ def tabu_search(
 
     remember(mask)
 
+    # [a, b]: the number of directed paths from a to b, at most 2**(n-2), so
+    # int64 holds it up to 64 nodes and Python integers past that.
+    paths = np.zeros((n, n), np.int64 if n <= 64 else object)
+
+    def through(u: int, v: int) -> np.ndarray:
+        """The paths that run through an arc u->v: those into u times those out of v, empty ones included."""
+        into = paths[:, u].copy()
+        into[u] = 1
+        out = paths[v].copy()
+        out[v] = 1
+        return into[:, None] * out
+
     n2 = n * n
 
     def successor(index: int) -> Optional[int]:
-        """The arc bitmask candidate `index` leads to; None if it closes a cycle or is tabu."""
+        """The arc bitmask candidate `index` leads to; None if it closes a cycle or is tabu.
+
+        Adds that close a cycle are not candidates: they score -inf.
+        """
         kind, arc = divmod(index, n2)
         u, v = divmod(arc, n)
         if kind == _ADD:
-            if _has_path(children, v, u):
-                return None
             structure = mask | 1 << arc
         elif kind == _DELETE:
             structure = mask ^ 1 << arc
         else:
-            if any(_has_path(children, c, v) for c in children[u] if c != v):
-                return None  # the reversed arc would close a cycle
+            if paths[u, v] > 1:
+                return None  # another path from u to v would close a cycle with v->u
             structure = mask ^ 1 << arc ^ 1 << (v * n + u)
         return None if structure in tabu_set else structure
 
     stall = 0
     for _ in range(params.max_iter):
-        # Flat index kind*n2 + u*n + v, the tie key. An add whose reverse arc
-        # is present would close a 2-cycle.
+        # Flat index kind*n2 + u*n + v, the tie key. An add u->v closes a
+        # cycle iff a path leads from v to u.
         scores = np.concatenate(
             (
-                np.where(np.isfinite(dropped.T), -np.inf, current_score + (added - base)).ravel(),
+                np.where(paths.T != 0, -np.inf, current_score + (added - base)).ravel(),
                 (current_score + dropped).ravel(),
                 (current_score + ((dropped + added.T) - base[:, None])).ravel(),
             )
@@ -397,13 +454,13 @@ def tabu_search(
         u, v = divmod(arc, n)
         if kind == _ADD:
             parents[v] = tuple(sorted(parents[v] + (u,)))
-            children[u].add(v)
+            paths += through(u, v)
         else:
             parents[v] = tuple(p for p in parents[v] if p != u)
-            children[u].discard(v)
+            paths -= through(u, v)
             if kind == _REVERSE:
                 parents[u] = tuple(sorted(parents[u] + (v,)))
-                children[v].add(u)
+                paths += through(v, u)
                 rescore(u)
         rescore(v)
         mask = structure
@@ -465,13 +522,8 @@ def bootstrap_consensus(
     def one_replicate(rep: int) -> frozenset[Arc]:
         rng = np.random.default_rng([seed, rep])
         rows = rng.integers(0, n, size=n)
-        resample = DiscreteDataset(
-            variables=data.variables,
-            cards=data.cards,
-            matrix=data.matrix[rows],
-            codecs=data.codecs,
-        )
-        return tabu_search(resample, params, _plans=plans).arcs
+        # The resample as how often each row was drawn, not a copy of its rows.
+        return tabu_search(data, params, _plans=plans, _multiplicity=np.bincount(rows, minlength=n)).arcs
 
     replicate_arcs = [one_replicate(rep) for rep in range(b)]
 

@@ -16,6 +16,8 @@ import glycast
 from glycast import preprocess
 from glycast.bayesnet import (
     _SCORE_EPS,
+    _family_plan,
+    _has_path,
     _FamilyScores,
     _PlanTable,
     ArcStrengthTable,
@@ -32,12 +34,13 @@ from glycast.bayesnet import (
     save_network_json,
     tabu_search,
 )
-from glycast.errors import InferenceError, RangeError, SchemaError
+from glycast.errors import CapacityError, InferenceError, RangeError, SchemaError
 from glycast.preprocess import DiscreteDataset
 from glycast.synth import (
     SynthConfig,
     bic_brute_force,
     dag_enumeration_oracle,
+    enumerate_dags,
     gen_clinical,
     joint_enumeration_posterior,
     tabu_search_reference,
@@ -175,11 +178,34 @@ def discrete_data(draw):
     return DiscreteDataset(tuple(names), tuple(cards), np.column_stack(columns))
 
 
+@st.composite
+def row_multiplicities(draw, n_rows):
+    """How often each of n_rows rows is drawn: Poisson counts, zeros among
+    them, and up to three rows drawn thousands of times; never all zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = rng.poisson(draw(st.sampled_from((0.3, 1.0, 3.0))), n_rows)
+    counts[draw(st.lists(st.integers(0, n_rows - 1), max_size=3))] = draw(st.integers(1000, 20_000))
+    counts[draw(st.integers(0, n_rows - 1))] += 1
+    return counts
+
+
+def copied(data, multiplicity):
+    """The dataset whose rows are row i of `data` repeated multiplicity[i] times."""
+    rows = np.repeat(np.arange(data.n_rows), multiplicity)
+    return DiscreteDataset(data.variables, data.cards, data.matrix[rows])
+
+
 @pytest.fixture(scope="module")
 def clinical_data():
     records, _ = gen_clinical(SynthConfig(n_subjects=400, seed=5, missing_rate=0.05))
     kept, _ = preprocess.exclude_incomplete(records, 3)
     return preprocess.standardize_encode(preprocess.impute_means(kept), 4)
+
+
+@pytest.fixture(scope="module")
+def small_dags():
+    """Every DAG over five nodes a-e."""
+    return set(enumerate_dags(("a", "b", "c", "d", "e")))
 
 
 def single_moves(dag):
@@ -239,6 +265,67 @@ class TestIncrementalTabuSearch:
         for neighbour in single_moves(found):
             assert bic_score(neighbour, data) <= best + _SCORE_EPS
 
+    @given(discrete_data(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_multiplicities_search_as_the_copied_rows(self, data, draws):
+        counts = draws.draw(row_multiplicities(data.n_rows))
+        assert tabu_search(data, _multiplicity=counts) == tabu_search(copied(data, counts))
+
+    @pytest.mark.parametrize("length", range(3, 9))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_best_add_closing_a_cycle_is_passed_over(self, length, seed):
+        # Each node copies the one before it but for 5% noise, so every two
+        # nodes of the chain are strongly dependent: once the chain is
+        # oriented, an arc into its root from a node below it scores best of
+        # all adds and would close a cycle.
+        rng = np.random.default_rng([length, seed])
+        card = 2 + seed % 2
+        columns = [rng.integers(0, card, 400)]
+        for _ in range(length - 1):
+            noisy = rng.random(400) < 0.05
+            columns.append(np.where(noisy, rng.integers(0, card, 400), columns[-1]))
+        names = tuple(rng.permutation([f"x{j}" for j in range(length)]))
+        data = DiscreteDataset(names, (card,) * length, np.column_stack(columns))
+        found = tabu_search(data)
+        assert found == tabu_search_reference(data)
+        # At the DAG returned, the best-scoring add closes a cycle.
+        scorer = _FamilyScores(data)
+        children = {node: {v for u, v in found.arcs if u == node} for node in names}
+
+        def add_delta(u, v):
+            parents = found.parents_of(v)
+            return scorer.family(v, tuple(sorted(parents + (u,)))) - scorer.family(v, parents)
+
+        adds = [(u, v) for u, v in itertools.permutations(names, 2) if (u, v) not in found.arcs]
+        best = max(adds, key=lambda arc: add_delta(*arc))
+        assert _has_path(children, best[1], best[0])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_result_is_a_dag_of_the_enumeration(self, seed, small_dags):
+        rng = np.random.default_rng([5, seed])
+        columns = [rng.integers(0, 2, 300)]
+        for _ in range(4):
+            source = columns[rng.integers(0, len(columns))]
+            columns.append(np.where(rng.random(300) < 0.1, rng.integers(0, 2, 300), source))
+        data = DiscreteDataset(("a", "b", "c", "d", "e"), (2,) * 5, np.column_stack(columns))
+        found = tabu_search(data)
+        assert found in small_dags
+        assert found == tabu_search_reference(data)
+
+    def test_path_counts_past_64_nodes(self):
+        # 66 binary nodes, each a noisy copy of an earlier one: past 64 nodes
+        # the search counts paths in Python integers, with the same walk.
+        rng = np.random.default_rng(66)
+        columns = [rng.integers(0, 2, 40)]
+        for j in range(1, 66):
+            source = columns[rng.integers(0, j)]
+            columns.append(np.where(rng.random(40) < 0.1, rng.integers(0, 2, 40), source))
+        data = DiscreteDataset(tuple(f"v{j:02d}" for j in range(66)), (2,) * 66, np.column_stack(columns))
+        params = TabuParams(max_iter=30)
+        found = tabu_search(data, params)
+        assert len(found.arcs) >= 20
+        assert found == tabu_search_reference(data, params)
+
     def test_no_variables(self):
         data = DiscreteDataset((), (), np.zeros((5, 0), np.int64))
         assert tabu_search(data) == Dag(())
@@ -280,6 +367,18 @@ class TestIncrementalTabuSearch:
 
 
 class TestBootstrapConsensus:
+    @given(discrete_data(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_strengths_equal_searches_on_copied_resamples(self, data, b, seed):
+        table, _ = bootstrap_consensus(data, b=b, threshold=0.5, seed=seed)
+        counts = {}
+        for rep in range(b):
+            rows = np.random.default_rng([seed, rep]).integers(0, data.n_rows, data.n_rows)
+            resample = DiscreteDataset(data.variables, data.cards, data.matrix[rows])
+            for arc in tabu_search(resample).arcs:
+                counts[arc] = counts.get(arc, 0) + 1
+        assert table.strengths == {arc: count / b for arc, count in counts.items()}
+
     def test_b1_equals_single_search(self):
         data = chain_dataset(600, seed=2)
         table, consensus = bootstrap_consensus(data, b=1, threshold=0.85, seed=5)
@@ -578,6 +677,46 @@ class TestElimination:
 
 
 class TestFamilyScores:
+    @given(discrete_data(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_multiplicities_score_as_the_copied_rows(self, data, draws):
+        counts = draws.draw(row_multiplicities(data.n_rows))
+        n = len(data.variables)
+        node = draws.draw(st.integers(0, n - 1))
+        others = [u for u in range(n) if u != node]
+        subsets = st.lists(st.sampled_from(others), max_size=min(3, len(others)), unique=True)
+        sets = [tuple(sorted(subset)) for subset in draws.draw(st.lists(subsets, min_size=1, max_size=8))]
+        weighted, copy = _FamilyScores(data, counts), _FamilyScores(copied(data, counts))
+        assert weighted.families(node, sets) == copy.families(node, sets)
+        plan, _ = _PlanTable(data.cards).neighbourhood(node, sets[0])
+        assert weighted.counted(plan).tolist() == copy.counted(plan).tolist()
+
+    def test_multiplicities_checked(self):
+        data = chain_dataset(10, seed=0)
+        with pytest.raises(SchemaError):
+            _FamilyScores(data, np.ones(9, np.int64))
+        with pytest.raises(SchemaError, match="empty"):
+            _FamilyScores(data, np.zeros(10, np.int64))
+
+    def test_float32_codes_exact_below_the_bound(self):
+        # Node 0 and 23 more binary columns: the family under parents 1..k has
+        # 2**(k+1) cells, so k = 22 down to 0 fill 2**24 - 2 cells and one more
+        # parentless family reaches 2**24.
+        cards = np.full(24, 2, np.int64)
+        sets = [tuple(range(1, k + 1)) for k in range(22, -1, -1)]
+        plan = _family_plan(cards, 0, sets)
+        assert plan.n_cells == 2**24 - 2
+        assert plan.weights.dtype == np.float32
+        with pytest.raises(CapacityError):
+            _family_plan(cards, 0, sets + [()])
+        matrix = np.random.default_rng(24).integers(0, 2, (63, 24))
+        matrix = np.vstack((matrix, np.ones(24, np.int64)))  # the last cell of every family
+        data = DiscreteDataset(tuple(f"v{j:02d}" for j in range(24)), tuple(cards), matrix)
+        codes = _FamilyScores(data).codes(plan)
+        exact = plan.weights.astype(np.int64) @ np.vstack((matrix.T, np.ones(64, np.int64)))
+        assert np.array_equal(codes, exact)
+        assert codes.max() == plan.n_cells - 1
+
     @given(discrete_data(), st.data())
     @settings(max_examples=40, deadline=None)
     def test_score_independent_of_batch(self, data, draws):
