@@ -293,6 +293,15 @@ _SCORE_EPS = 1e-6
 _ADD, _DELETE, _REVERSE = 0, 1, 2
 
 
+def _in_name_order(data: DiscreteDataset) -> DiscreteDataset:
+    """`data` with its columns in name order: `data` itself when they already are, else one copy."""
+    order = sorted(range(len(data.variables)), key=data.variables.__getitem__)
+    if order == list(range(len(order))):
+        return data
+    names = tuple(data.variables[c] for c in order)
+    return DiscreteDataset(names, tuple(data.cards[c] for c in order), data.matrix[:, order])
+
+
 def tabu_search(
     data: DiscreteDataset,
     params: TabuParams = TabuParams(),
@@ -330,12 +339,14 @@ def tabu_search(
     expression with the same float operations as scoring the move alone,
     e.g. reversing u->v scores (drop + f(u, pa(u)+v)) - f(u, pa(u)).
 
-    Nodes are indexed in name order, so a candidate's flat index
-    kind*n*n + u*n + v is its tie key. The search keeps an (n, n) matrix of
-    path counts, paths[a, b] the number of directed paths from a to b. The
-    paths through an arc u->v are those into u times those out of v, so an
-    add or a delete moves the matrix by one outer product, and a reversal by
-    two. An add u->v with a path from v to u would close a cycle and scores
+    Nodes are indexed in name order (the columns are copied into that order
+    unless they already are in it, as `bootstrap_consensus` hands them over),
+    so a candidate's flat index kind*n*n + u*n + v is its tie key, and the
+    empty DAG's score sums f(v, ()) in that order. The search keeps an (n, n)
+    matrix of path counts, paths[a, b] the number of directed paths from a to
+    b. The paths through an arc u->v are those into u times those out of v, so
+    an add or a delete moves the matrix by one outer product, and a reversal
+    by two. An add u->v with a path from v to u would close a cycle and scores
     -inf outright, and reversing u->v closes one iff u has a path to v other
     than the arc itself. The walk takes the argmax, sets it to -inf while it
     is an illegal reversal or tabu, and takes the argmax again; the first
@@ -346,13 +357,12 @@ def tabu_search(
     n = len(nodes)
     if n == 0:
         return Dag(nodes)  # no candidate to take the argmax of
-    order = sorted(range(n), key=nodes.__getitem__)
-    names = tuple(nodes[c] for c in order)
-    cards = tuple(data.cards[c] for c in order)
+    data = _in_name_order(data)
+    names, cards = data.variables, data.cards
     plans = _PlanTable(cards) if _plans is None else _plans
     if plans.cards != cards:
         raise SchemaError("plan table built for other cards")
-    scorer = _FamilyScores(DiscreteDataset(names, cards, data.matrix[:, order]), _multiplicity)
+    scorer = _FamilyScores(data, _multiplicity)
 
     parents: list[tuple[int, ...]] = [()] * n
     base = np.empty(n)
@@ -376,9 +386,7 @@ def tabu_search(
 
     for v in range(n):
         rescore(v)
-    # f(v, ()) summed in data order, as scoring the empty DAG does.
-    empty = base.tolist()
-    current_score = sum(empty[i] for i in sorted(range(n), key=order.__getitem__))
+    current_score = sum(base.tolist())  # f(v, ()) summed in name order, whatever the columns' order
     mask = 0  # bit u*n + v set iff the arc u->v is present
     best_mask = mask
     best_score = current_score
@@ -515,15 +523,17 @@ def bootstrap_consensus(
     if not 0.0 < threshold <= 1.0:
         raise RangeError("threshold must lie in (0, 1]")
     n = data.n_rows
-    # Searches index nodes in name order; their neighbourhood plans depend on
-    # the cards alone, so the b searches share them.
-    plans = _PlanTable(tuple(card for _, card in sorted(zip(data.variables, data.cards))))
+    # Searches index nodes in name order: the columns are put in that order
+    # once, and the b searches share their neighbourhood plans, which depend
+    # on the cards alone.
+    ordered = _in_name_order(data)
+    plans = _PlanTable(ordered.cards)
 
     def one_replicate(rep: int) -> frozenset[Arc]:
         rng = np.random.default_rng([seed, rep])
         rows = rng.integers(0, n, size=n)
         # The resample as how often each row was drawn, not a copy of its rows.
-        return tabu_search(data, params, _plans=plans, _multiplicity=np.bincount(rows, minlength=n)).arcs
+        return tabu_search(ordered, params, _plans=plans, _multiplicity=np.bincount(rows, minlength=n)).arcs
 
     replicate_arcs = [one_replicate(rep) for rep in range(b)]
 
@@ -599,8 +609,8 @@ def fit_parameters(dag: Dag, data: DiscreteDataset, alpha: float = 1.0) -> Bayes
     entry = (count + alpha) / (row_total + alpha * card); alpha=0 is pure MLE
     and leaves unseen parent configurations as uniform rows.
     """
-    if alpha < 0:
-        raise RangeError("alpha must be >= 0")
+    if not 0 <= alpha < math.inf:  # NaN fails too
+        raise RangeError(f"alpha must be finite and >= 0, got {alpha}")
     cards = {name: data.card_of(name) for name in dag.nodes}
     cpts: dict[str, np.ndarray] = {}
     parent_order: dict[str, tuple[str, ...]] = {}

@@ -26,9 +26,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ..casts import integer, integers, number
 from ..errors import RangeError, SchemaError
 
 MAX_HORIZON = 96  # longest posterior_forecast, in steps: one day, an input limit
+_EXPECTED = {integer: "an integer", integers: "a list of integers", number: "a number"}
 
 
 @dataclass(frozen=True)
@@ -138,15 +140,29 @@ def specs_from_json(payload: dict) -> list[ComponentSpec]:
     var_prior {df, guess}; the trend entry may carry level/slope variance
     priors plus d/phi hyperparameters; a regression entry carries columns and
     optional spike_slab settings. An entry that lacks a key or holds a value
-    of the wrong type raises SchemaError naming the entry.
+    of the wrong type raises SchemaError naming the entry. Counts, durations
+    and phases take JSON integers and the priors finite JSON numbers, read by
+    the casts of `glycast.casts` that the config keys use too.
     """
     if "components" not in payload or not isinstance(payload["components"], list):
         raise SchemaError("component document requires a 'components' list")
 
+    def read(entry: dict, key: str, cast, default=None):
+        """cast(entry[key]), or cast(default) where the key is absent and a default is given."""
+        value = entry[key] if default is None else entry.get(key, default)
+        try:
+            return cast(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"{key!r} must be {_EXPECTED[cast]}, got {value!r}") from None
+
     def var_prior(entry: Optional[dict]) -> Optional[VariancePrior]:
         if entry is None:
             return None
-        return VariancePrior(df=float(entry["df"]), guess=float(entry["guess"]))
+        try:
+            df, guess = number(entry["df"]), number(entry["guess"])
+        except (TypeError, ValueError, OverflowError):  # the prior's own rule, as VariancePrior states it
+            raise ValueError(f"variance prior requires finite positive df and guess, got {entry!r}") from None
+        return VariancePrior(df=df, guess=guess)
 
     specs: list[ComponentSpec] = []
     try:
@@ -159,19 +175,19 @@ def specs_from_json(payload: dict) -> list[ComponentSpec]:
                     priors = TrendPriors(
                         level_var=var_prior(raw["level"]),
                         slope_var=var_prior(raw["slope"]),
-                        d_mean=float(raw["d_mean"]),
-                        d_sd=float(raw["d_sd"]),
-                        phi_mean=float(raw.get("phi_mean", 0.0)),
-                        phi_sd=float(raw.get("phi_sd", 0.5)),
+                        d_mean=read(raw, "d_mean", number),
+                        d_sd=read(raw, "d_sd", number),
+                        phi_mean=read(raw, "phi_mean", number, 0.0),
+                        phi_sd=read(raw, "phi_sd", number, 0.5),
                     )
                 specs.append(semi_local_trend(priors))
             elif kind == "seasonal":
                 specs.append(
                     seasonal(
                         name=str(entry.get("name", f"seasonal_{i}")),
-                        n_seasons=int(entry["n_seasons"]),
-                        durations=[int(d) for d in entry["durations"]],
-                        phase=int(entry.get("phase", 0)),
+                        n_seasons=read(entry, "n_seasons", integer),
+                        durations=read(entry, "durations", integers),
+                        phase=read(entry, "phase", integer, 0),
                         var_prior=var_prior(entry.get("var_prior")),
                     )
                 )
@@ -180,8 +196,8 @@ def specs_from_json(payload: dict) -> list[ComponentSpec]:
                 settings = None
                 if raw is not None:
                     settings = SpikeSlabSettings(
-                        expected_model_size=float(raw.get("expected_model_size", 2.0)),
-                        information_weight=float(raw.get("information_weight", 0.5)),
+                        expected_model_size=read(raw, "expected_model_size", number, 2.0),
+                        information_weight=read(raw, "information_weight", number, 0.5),
                     )
                 specs.append(regression([str(c) for c in entry["columns"]], settings))
             else:
@@ -313,17 +329,12 @@ class StateSpaceModel:
         """The dense T of the step from t to t+1: `transition` applied to the identity."""
         return self.transition(self.step_masks[t % self.period], np.eye(self.state_dim), phi)
 
-    # These three also take arrays of K draws' parameters and then return a leading (K,) axis.
+    # These two also take arrays of K draws' parameters and then return a leading (K,) axis.
 
     def state_intercept(self, d: float | np.ndarray, phi: float | np.ndarray) -> np.ndarray:
         c = np.zeros(np.shape(d) + (self.state_dim,))
         c[..., 1] = (1.0 - phi) * d
         return c
-
-    def noise_diag(
-        self, level_var: float | np.ndarray, slope_var: float | np.ndarray, seasonal_vars: Sequence, t: int
-    ) -> np.ndarray:
-        return self.mask_noise(self.step_masks[t % self.period], level_var, slope_var, seasonal_vars)
 
     def mask_noise(
         self, i: int, level_var: float | np.ndarray, slope_var: float | np.ndarray, seasonal_vars: Sequence

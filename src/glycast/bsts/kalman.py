@@ -23,16 +23,19 @@ back-substituted through the sweep's levels. That one factorisation gives
 both the state draw (`ffbs_sample`) and the exact log-likelihood
 (`kalman_loglik`): the draw adds L'^{-1} e to the mean for the precision's
 block Cholesky factor L and standard normal shocks e (Rue 2001), and the
-log-likelihood reads the mean, the draw at zero shocks. The precision exists
-only where every noise variance, the observation variance and every p1_diag
-entry has a finite reciprocal; parameters where one is zero, subnormal or
-NaN raise RangeError before any normal is drawn. The solve loses accuracy as
-a noise variance falls far below the others (about 2e-10 of the path's scale
-at n = 40 with sigma_level = 1e-3 sigma_obs, against a 50-digit solve). The
-Gram costs n x (seasonal effects)^2, and the effects grow with the days
-crossed: with the three default seasonals a state draw takes 1.0-1.2 ms at
-n = 384, 12-13 ms at n = 1344 and 47-50 ms at n = 2688 (2-core x86-64,
-OpenBLAS on one thread).
+log-likelihood reads the mean, the draw at zero shocks, term by term: its
+residual, its initial deviation and its state noise, which
+`_SequenceLayout.innovations` gives for `kalman_loglik` and for `mcmc_fit`'s
+conjugate variance draws alike. The precision exists only where every noise
+variance, the observation variance and every p1_diag entry has a finite
+reciprocal; parameters where one is zero, subnormal or NaN raise RangeError
+before any normal is drawn. The solve loses accuracy as a noise variance
+falls far below the others (about 2e-10 of the path's scale at n = 40 with
+sigma_level = 1e-3 sigma_obs, against a 50-digit solve). The Gram costs n x
+(seasonal effects)^2, and the effects grow with the days crossed: with the
+three default seasonals a state draw takes 1.0-1.2 ms at n = 384, 12-13 ms
+at n = 1344 and 47-50 ms at n = 2688 (2-core x86-64, OpenBLAS on one
+thread).
 """
 
 from __future__ import annotations
@@ -293,14 +296,15 @@ class _SequenceLayout:
     A path is the vector v: the trend interleaved (v[2t] = mu_t, v[2t+1] =
     delta_t), then the border, which holds each seasonal's distinct effects in
     order of appearance: its S-1 initial values, oldest first, then one per
-    season boundary crossed (`model.boundaries`). A seasonal's block of the
-    state at t is its current effect and the S-2 before it, so `index` (n, m)
-    gathers the path from v. On the border, `current` (n, K) is the position
-    of each seasonal's current effect at t, and `overlap` (B, B) = G'G counts
-    the steps at which two effects are both current (G (n, B) the 0/1 matrix
-    of `current`). `L` (B, B) is the border's difference operator: the rows
-    of L v are independent Gaussians, an initial value itself (mean
-    `border_mean`) or a new effect plus the S-1 before it (mean zero). Row i's
+    season boundary crossed (at its `steps`, from `model.boundaries`). A
+    seasonal's block of the state at t is its current effect and the S-2
+    before it, so `index` (n, m) gathers the path from v. On the border,
+    `current` (n, K) is the position of each seasonal's current effect at t,
+    and `overlap` (B, B) = G'G counts the steps at which two effects are both
+    current (G (n, B) the 0/1 matrix of `current`). `L` (B, B) is the border's
+    difference operator: the rows of L v are independent Gaussians, an initial
+    value itself (mean `border_mean`) or a new effect plus the S-1 before it
+    (mean zero), the noise that `innovations` reads off a path. Row i's
     variance is entry `variance[i]` of (p1_diag[2:], the seasonal noise
     variances). L is unit lower triangular with entries 0 and 1.
     """
@@ -322,6 +326,8 @@ class _SequenceLayout:
         self.index[:, :2] = np.arange(2 * n).reshape(n, 2)
         self.index[:, 2:] = 2 * n + self.current[:, slot_seasonal] - slot_lag
 
+        self.blocks = [slice(layout.state_start, layout.state_start + layout.state_dim) for layout in model.seasonals]
+        self.steps = [np.flatnonzero(column) for column in flags.T]
         steps, seasonal = np.nonzero(flags)  # the effect a boundary starts is current from the next step on
         new = self.current[steps + 1, seasonal]
         initial = self.index[0, 2:] - 2 * n  # the initial effect of every state slot
@@ -338,6 +344,25 @@ class _SequenceLayout:
         self.border_mean = np.zeros(size)
         self.border_mean[initial] = model.a1[2:]
 
+    def innovations(self, path: np.ndarray, d: float, phi: float) -> list[np.ndarray]:
+        """The state noise of an (n, m) path at (d, phi): level (n-1,), slope (n-1,), then each seasonal's new effects.
+
+        mu_{t+1} - mu_t - delta_t, delta_{t+1} - (d + phi (delta_t - d)), and at each of a seasonal's
+        `steps` t its new effect at t+1 plus the S-1 effects stored at t.
+        """
+        level, slope = path[:, 0], path[:, 1]
+        terms = [level[1:] - level[:-1] - slope[:-1], slope[1:] - (d + phi * (slope[:-1] - d))]
+        for block, steps in zip(self.blocks, self.steps):
+            terms.append(path[steps + 1, block.start] + path[steps, block].sum(axis=1))
+        return terms
+
+
+def _sequence_layout(model: StateSpaceModel, n: int) -> _SequenceLayout:
+    """The `_SequenceLayout` of (model, n), built once and kept on the model."""
+    if n not in model.sequence_layouts:
+        model.sequence_layouts[n] = _SequenceLayout(model, n)
+    return model.sequence_layouts[n]
+
 
 class _SequenceForm:
     """One parameter point's prior of an n-step state path on its `_SequenceLayout`, and the posterior given r."""
@@ -348,20 +373,17 @@ class _SequenceForm:
             raise SchemaError(f"params carry {count} seasonal sds for {len(model.seasonals)} seasonal components")
         if model.n_regressors and params.beta.shape != (model.n_regressors,):
             raise SchemaError(f"beta must have length {model.n_regressors}")
-        sds = (params.sigma_level, params.sigma_slope, params.sigma_obs) + tuple(params.sigma_seasonal)
-        variances = np.square(sds)
-        self.level_var, self.slope_var, self.obs_var = variances[:3]
+        sds = (params.sigma_obs, params.sigma_level, params.sigma_slope) + tuple(params.sigma_seasonal)
+        self.variances = variances = np.square(sds)  # the observation's, then the noise's as `innovations` lists it
         self.phi, self.d = params.phi, params.d
-        self.trend_p1, self.trend_a1 = model.p1_diag[:2], model.a1[:2]
+        self.z, self.a1, self.p1_diag = model.z, model.a1, model.p1_diag
         # Checked before any division: every variance must have a finite reciprocal (NaN fails too).
         if not np.all(np.concatenate((variances, model.p1_diag)) >= np.finfo(float).tiny):
             raise RangeError(
                 "every noise variance and p1_diag entry must be a normal positive float: "
                 "the state path's posterior precision does not exist"
             )
-        if n not in model.sequence_layouts:  # built once per (model, n)
-            model.sequence_layouts[n] = _SequenceLayout(model, n)
-        self.layout = model.sequence_layouts[n]
+        self.layout = _sequence_layout(model, n)
         self.border_var = np.concatenate((model.p1_diag[2:], variances[3:]))[self.layout.variance]
 
     def posterior(self, r: np.ndarray, shocks: np.ndarray) -> tuple[np.ndarray, float]:
@@ -386,7 +408,7 @@ class _SequenceForm:
         """
         n = r.size
         layout = self.layout
-        level_prec, slope_prec, obs_prec = 1.0 / self.level_var, 1.0 / self.slope_var, 1.0 / self.obs_var
+        obs_prec, level_prec, slope_prec = 1.0 / self.variances[:3]
         phi, intercept = self.phi, (1.0 - self.phi) * self.d
 
         # A's blocks: each level step t -> t+1 weighs (mu_{t+1} - mu_t - delta_t)^2 by level_prec,
@@ -397,7 +419,7 @@ class _SequenceForm:
         diag[:-1, 1, 1] += phi * phi * slope_prec
         diag[1:, 0, 0] += level_prec
         diag[1:, 1, 1] += slope_prec
-        diag[0] += np.diag(1.0 / self.trend_p1)
+        diag[0] += np.diag(1.0 / self.p1_diag[:2])
         lower = np.empty((n - 1, 2, 2))
         lower[:, 0] = -level_prec
         lower[:, 1] = (0.0, -phi * slope_prec)
@@ -409,7 +431,7 @@ class _SequenceForm:
         b_trend[:, 0] = obs_prec * r
         b_trend[:-1, 1] -= phi * intercept * slope_prec
         b_trend[1:, 1] += intercept * slope_prec
-        b_trend[0] += self.trend_a1 / self.trend_p1
+        b_trend[0] += self.a1[:2] / self.p1_diag[:2]
         sweep = _CyclicReduction(diag, lower, rhs)
 
         weighted = layout.L.T / self.border_var
@@ -428,24 +450,17 @@ class _SequenceForm:
     def loglik(self, r: np.ndarray) -> float:
         """log p(r) = log p(r | m) + log p(m) - log p(m | r) at the posterior mean m (Chan & Jeliazkov 2009).
 
-        The maps from a path to its innovations (the trend recursion and L)
-        are unit triangular, so the prior's log-determinant is the sum of the
-        innovations' log variances, and log p(m | r) is log|Q| / 2 less the
+        The path's independent Gaussian terms are the residual r - m z, the layout's `innovations` and the
+        initial deviation m_0 - a1. The map from a path to them is unit triangular, so the prior's
+        log-determinant is the sum of their log variances, and log p(m | r) is log|Q| / 2 less the
         normalising constant that log p(m) shares.
         """
         n = r.size
         mean, logdet = self.posterior(r, np.zeros(2 * n + self.border_var.size))
-        trend, border = mean[: 2 * n].reshape(n, 2), mean[2 * n :]
-        innovations = np.concatenate((
-            r - trend[:, 0] - border[self.layout.current].sum(axis=1),
-            trend[1:, 0] - trend[:-1, 0] - trend[:-1, 1],
-            trend[1:, 1] - self.phi * trend[:-1, 1] - (1.0 - self.phi) * self.d,
-            trend[0] - self.trend_a1,
-            self.layout.L @ border - self.layout.border_mean,
-        ))
-        variances = np.repeat((self.obs_var, self.level_var, self.slope_var), (n, n - 1, n - 1))
-        variances = np.concatenate((variances, self.trend_p1, self.border_var))
-        quadratic = innovations**2 / variances
+        path = mean[self.layout.index]
+        terms = (r - path @ self.z, *self.layout.innovations(path, self.d, self.phi), path[0] - self.a1)
+        variances = np.concatenate([np.full(e.shape, v) for v, e in zip((*self.variances, self.p1_diag), terms)])
+        quadratic = np.concatenate(terms) ** 2 / variances
         return -0.5 * float(n * np.log(2.0 * np.pi) + np.log(variances).sum() + quadratic.sum() + logdet)
 
 

@@ -3,14 +3,16 @@
 Each sweep: (1) draw a state path given the current parameters
 (`ffbs_sample`: one vector of normals through the factorisation of the
 banded-plus-border precision solve that also gives `kalman_loglik`'s
-log-likelihood, which the sweep does not use yet); (2) conjugate inverse-gamma
-draws (`VariancePrior.draw`) for the level, slope, and seasonal noise
-variances from state-innovation sums of squares; (3) Gaussian draw for the
-long-run slope D and truncated-Gaussian draw for the AR coefficient phi
-given the slope path; (4) a spike-and-slab
-sweep on the observation residual, which draws the observation variance too
-(a model without regression runs the zero-column sweep). The chain's state is
-one `ParamPoint`; `PosteriorDraws.from_rows` stacks the retained draws.
+log-likelihood, which the sweep does not use yet); (2) conjugate
+inverse-gamma draws (`VariancePrior.draw`) for the level, slope, and
+seasonal noise variances, one per prior, from the sums of squares of the
+path's `_SequenceLayout.innovations`, the state noise that `kalman_loglik`
+scores too; (3) Gaussian draw for the long-run slope D and
+truncated-Gaussian draw for the AR coefficient phi given the slope path; (4)
+a spike-and-slab sweep on the observation residual, which draws the
+observation variance too (a model without regression runs the zero-column
+sweep). The chain's state is one `ParamPoint`; `PosteriorDraws.from_rows`
+stacks the retained draws.
 Forecasts work on all retained draws at once and share one predictive:
 `forecast_anchors` filters every draw through the series and samples
 y_{t+h} from each draw's exact Gaussian predictive at every anchor;
@@ -40,7 +42,7 @@ import numpy as np
 
 from ..errors import NumericalError, RangeError, SchemaError
 from .components import MAX_HORIZON, StateSpaceModel
-from .kalman import ParamPoint, _DrawOperators, _check_ranges, _filter_draws, ffbs_sample
+from .kalman import ParamPoint, _DrawOperators, _check_ranges, _filter_draws, _sequence_layout, ffbs_sample
 from .spike_slab import SweepTerms, sample_regression
 
 _FORECAST_SALT = 0x5EED
@@ -153,8 +155,8 @@ def mcmc_fit(
     gamma = np.zeros(model.n_regressors, dtype=np.int64)
 
     terms = SweepTerms(design[:n], model.spike_slab, model.obs_var_prior)
-    # Per seasonal, the steps t < n-1 whose move to t+1 starts a new season.
-    boundary_steps = [np.flatnonzero(flags) for flags in model.boundaries(n).T]
+    layout = _sequence_layout(model, n)
+    priors = (tp.level_var, tp.slope_var, *(s.var_prior for s in model.seasonals))
 
     rows = []
     for it in range(draws):
@@ -164,19 +166,12 @@ def mcmc_fit(
             raise NumericalError(f"MCMC aborted at draw {it}: {exc}") from exc
 
         d, phi = params.d, params.phi
-        level = states[:, 0]
+        sigma_level, sigma_slope, *sigma_seasonal = (
+            float(np.sqrt(prior.draw(float(e @ e), e.size, rng)))
+            for prior, e in zip(priors, layout.innovations(states, d, phi))
+        )
         slope = states[:, 1]
-        u = level[1:] - level[:-1] - slope[:-1]
-        sigma_level = float(np.sqrt(tp.level_var.draw(float(u @ u), n - 1, rng)))
-        v = slope[1:] - (d + phi * (slope[:-1] - d))
-        sigma_slope = float(np.sqrt(tp.slope_var.draw(float(v @ v), n - 1, rng)))
         slope_var = sigma_slope**2
-
-        sigma_seasonal = []
-        for layout, steps in zip(model.seasonals, boundary_steps):
-            i0 = layout.state_start
-            w = states[steps + 1, i0] + states[steps][:, i0 : i0 + layout.state_dim].sum(axis=1)
-            sigma_seasonal.append(float(np.sqrt(layout.var_prior.draw(float(w @ w), steps.size, rng))))
 
         # D | slope path, phi: z_t = slope_{t+1} - phi slope_t = D(1-phi) + v_t
         zt = slope[1:] - phi * slope[:-1]

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import operator
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -24,6 +23,7 @@ from typing import Callable, Optional, Sequence
 from . import __version__, bayesnet, preprocess, similarity, synth
 from .bsts import posterior_forecast, specs_from_json
 from .bsts.components import MAX_HORIZON
+from .casts import integer, integers, number
 from .dataset import (
     GlucoseSeries,
     load_clinical,
@@ -49,16 +49,6 @@ from .evaluate import (
 HORIZON_MINUTES = {15: 1, 30: 2, 45: 3, 60: 4}
 
 
-_integer = operator.index  # an integer as it is: `int(20.7)` would truncate
-
-
-def _steps(value) -> tuple:
-    """A JSON list of integer steps."""
-    if not isinstance(value, list) or any(isinstance(v, bool) or not isinstance(v, int) for v in value):
-        raise TypeError
-    return tuple(value)
-
-
 def _strings(value) -> list:
     """A JSON list of strings: a lone string would be read character by character."""
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
@@ -66,20 +56,20 @@ def _strings(value) -> list:
     return value
 
 
-_EXPECTED = {_integer: "an integer", float: "a number", bool: "true or false",
-             _steps: "a list of integer steps", _strings: "a list of strings"}
+_EXPECTED = {integer: "an integer", number: "a number", bool: "true or false",
+             integers: "a list of integer steps", _strings: "a list of strings"}
 
 # Config keys that map one-to-one onto a settings dataclass, with their types;
 # the dataclass holds each default.
 SYNTH_KEYS = {
-    "n_subjects": _integer, "n_days": _integer, "day_amplitude": float, "meal_amplitude": float,
-    "circadian_amplitude": float, "noise_sd": float, "latent_share": float, "latent_sd": float,
-    "latent_ar": float, "missing_rate": float, "egfr_gender_factor": bool,
+    "n_subjects": integer, "n_days": integer, "day_amplitude": number, "meal_amplitude": number,
+    "circadian_amplitude": number, "noise_sd": number, "latent_share": number, "latent_sd": number,
+    "latent_ar": number, "missing_rate": number, "egfr_gender_factor": bool,
 }
-TABU_KEYS = {"tabu_len": _integer, "max_iter": _integer, "stall_limit": _integer}
+TABU_KEYS = {"tabu_len": integer, "max_iter": integer, "stall_limit": integer}
 EVAL_KEYS = {
-    "split_ratio": float, "horizons": _steps, "hypo_max": float, "hyper_min": float,
-    "draws": _integer, "burn": _integer, "m_similar": _integer, "forecast_thin": _integer,
+    "split_ratio": number, "horizons": integers, "hypo_max": number, "hyper_min": number,
+    "draws": integer, "burn": integer, "m_similar": integer, "forecast_thin": integer,
 }
 
 
@@ -89,11 +79,12 @@ def _settings(cfg: dict, keys: dict) -> dict:
     for key, cast in keys.items():
         if key in cfg:
             try:
-                # true and false only for a boolean key: True is an int to Python, and bool("false") True.
-                if isinstance(cfg[key], bool) != (cast is bool):
+                # true and false only for a boolean key, where bool("false") would be True;
+                # the casts of the other keys refuse them.
+                if cast is bool and not isinstance(cfg[key], bool):
                     raise TypeError
                 settings[key] = cast(cfg[key])
-            except (TypeError, ValueError, OverflowError):  # float() of a huge JSON integer overflows
+            except (TypeError, ValueError, OverflowError):  # a huge JSON integer overflows a float
                 raise ConfigError(f"config key {key!r} must be {_EXPECTED[cast]}, got {cfg[key]!r}") from None
     return settings
 
@@ -207,21 +198,22 @@ def _cmd_synth(cfg: dict, seed: int, run: _Run) -> None:
 
 def _encode(cfg: dict, records):
     """Exclude, impute and encode clinical records: (exclusion report, imputed, encoded)."""
-    kept, report = preprocess.exclude_incomplete(records, **_settings(cfg, {"max_missing": _integer}))
+    kept, report = preprocess.exclude_incomplete(records, **_settings(cfg, {"max_missing": integer}))
     imputed = preprocess.impute_means(kept)
-    return report, imputed, preprocess.standardize_encode(imputed, **_settings(cfg, {"n_bins": _integer}))
+    return report, imputed, preprocess.standardize_encode(imputed, **_settings(cfg, {"n_bins": integer}))
 
 
 def _learn_network(cfg: dict, encoded, seed: int, dag=None):
     """Bootstrap consensus (unless a DAG is given) and its CPTs: (strengths, dag, network)."""
+    smoothing = _settings(cfg, {"alpha": number})  # refused before the bootstrap runs
     strengths = None
     if dag is None:
-        consensus = _settings(cfg, {"bootstrap": _integer, "threshold": float})
+        consensus = _settings(cfg, {"bootstrap": integer, "threshold": number})
         if "bootstrap" in consensus:
             consensus["b"] = consensus.pop("bootstrap")
         params = bayesnet.TabuParams(**_settings(cfg, TABU_KEYS))
         strengths, dag = bayesnet.bootstrap_consensus(encoded, seed=seed, params=params, **consensus)
-    return strengths, dag, bayesnet.fit_parameters(dag, encoded, **_settings(cfg, {"alpha": float}))
+    return strengths, dag, bayesnet.fit_parameters(dag, encoded, **smoothing)
 
 
 @dataclass(frozen=True)
@@ -356,7 +348,7 @@ def _eval_config(cfg: dict, seed: int) -> EvalConfig:
 
 
 def _cmd_forecast(cfg: dict, seed: int, run: _Run) -> None:
-    options = _settings(cfg, {"horizon_steps": _integer, "deterministic": bool})
+    options = _settings(cfg, {"horizon_steps": integer, "deterministic": bool})
     horizon = options.get("horizon_steps", 4)
     if not 1 <= horizon <= MAX_HORIZON:
         raise ConfigError(f"config key 'horizon_steps' must lie in 1..{MAX_HORIZON}, got {horizon}")
@@ -461,7 +453,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     started = time.time()
     try:
         cfg = _load_config(args.config)
-        seed = args.seed if args.seed is not None else _settings(cfg, {"seed": _integer}).get("seed", 0)
+        seed = args.seed if args.seed is not None else _settings(cfg, {"seed": integer}).get("seed", 0)
         if args.horizon:
             cfg["horizon_steps"] = HORIZON_MINUTES[args.horizon]
             cfg["horizons"] = [cfg["horizon_steps"]]

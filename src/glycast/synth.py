@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from typing import Mapping, Optional, Sequence
 
@@ -75,6 +75,10 @@ class SynthConfig:
     missing_rate: float = 0.0
 
     def __post_init__(self) -> None:
+        # Checked first, so that the range checks below see numbers: a NaN or infinite setting wrote all-NaN series.
+        for setting in fields(self):
+            if setting.type == "float" and not math.isfinite(getattr(self, setting.name)):
+                raise RangeError(f"{setting.name} must be finite, got {getattr(self, setting.name)}")
         if self.n_days < 1:
             raise RangeError("n_days must be >= 1")
         if self.n_subjects < 0:
@@ -378,7 +382,7 @@ def tabu_search_reference(data: DiscreteDataset, params: TabuParams = TabuParams
     parents: dict[str, tuple[str, ...]] = {n: () for n in nodes}
     children: dict[str, set[str]] = {n: set() for n in nodes}
     arcs: set[tuple[str, str]] = set()
-    current_score = sum(scorer.family(n, ()) for n in nodes)
+    current_score = sum(scorer.family(n, ()) for n in sorted(nodes))  # in name order, as `tabu_search` sums
     best_arcs = frozenset(arcs)
     best_score = current_score
 
@@ -574,7 +578,7 @@ def gaussian_predictive_oracle(
     cov[:m, :m] = np.diag(model.p1_diag)
     for t in range(total - 1):
         Tt = model.transition_matrix(params.phi, t)
-        q = model.noise_diag(level_var, slope_var, seasonal_vars, t)
+        q = model.mask_noise(model.step_masks[t % model.period], level_var, slope_var, seasonal_vars)
         i0 = t * m
         i1 = (t + 1) * m
         mean[i1 : i1 + m] = Tt @ mean[i0 : i0 + m] + c
@@ -667,6 +671,6 @@ def simulate_from_model(
     for t in range(n):
         out[t] = model.z @ alpha + offsets[t] + params.sigma_obs * rng.standard_normal()
         T = model.transition_matrix(params.phi, t)
-        q = model.noise_diag(level_var, slope_var, seasonal_vars, t)
+        q = model.mask_noise(model.step_masks[t % model.period], level_var, slope_var, seasonal_vars)
         alpha = T @ alpha + c + np.sqrt(q) * rng.standard_normal(alpha.size)
     return out

@@ -18,6 +18,7 @@ from glycast.bayesnet import (
     _SCORE_EPS,
     _family_plan,
     _has_path,
+    _in_name_order,
     _FamilyScores,
     _PlanTable,
     ArcStrengthTable,
@@ -271,6 +272,19 @@ class TestIncrementalTabuSearch:
         counts = draws.draw(row_multiplicities(data.n_rows))
         assert tabu_search(data, _multiplicity=counts) == tabu_search(copied(data, counts))
 
+    @given(discrete_data(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_column_order_does_not_change_the_search(self, data, draws):
+        # Columns in any order search as in name order, the empty DAG's score summed in that order too;
+        # data already in name order, as bootstrap_consensus hands them over, are searched uncopied.
+        order = draws.draw(st.permutations(range(len(data.variables))))
+        shuffled = DiscreteDataset(
+            tuple(data.variables[c] for c in order), tuple(data.cards[c] for c in order), data.matrix[:, order]
+        )
+        ordered = _in_name_order(shuffled)
+        assert ordered.variables == tuple(sorted(data.variables)) and _in_name_order(ordered) is ordered
+        assert tabu_search(shuffled).arcs == tabu_search(ordered).arcs == tabu_search(data).arcs
+
     @pytest.mark.parametrize("length", range(3, 9))
     @pytest.mark.parametrize("seed", range(3))
     def test_best_add_closing_a_cycle_is_passed_over(self, length, seed):
@@ -465,6 +479,13 @@ class TestBootstrapConsensus:
 
 
 class TestFitParameters:
+    @pytest.mark.parametrize("alpha", [-0.5, math.nan, math.inf])
+    def test_alpha_must_be_finite_and_non_negative(self, alpha):
+        # A NaN alpha made every CPT row uniform.
+        data = dataset({"x": [1, 1, 1, 0]}, cards=(2,))
+        with pytest.raises(RangeError, match="alpha must be finite and >= 0"):
+            fit_parameters(Dag(("x",)), data, alpha=alpha)
+
     def test_single_binary_node_mle(self):
         data = dataset({"x": [1, 1, 1, 0]}, cards=(2,))
         model = fit_parameters(Dag(("x",)), data, alpha=0.0)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -138,8 +139,8 @@ class TestSeasonalRecursion:
     def test_noise_only_at_boundaries(self):
         y = series(50)
         model = assemble_model([semi_local_trend(), seasonal("s", 3, (4, 4, 4))], y)
-        q_inside = model.noise_diag(0.1, 0.2, [0.5], t=0)
-        q_boundary = model.noise_diag(0.1, 0.2, [0.5], t=3)
+        q_inside = model.mask_noise(model.step_masks[0], 0.1, 0.2, [0.5])
+        q_boundary = model.mask_noise(model.step_masks[3], 0.1, 0.2, [0.5])
         assert q_inside[2] == 0.0
         assert q_boundary[2] == 0.5
         np.testing.assert_allclose(q_inside[:2], [0.1, 0.2])
@@ -196,7 +197,7 @@ class TestStepSchedule:
             boundary = tuple(season_index(d, p, t + 1) != season_index(d, p, t) for d, p in stack)
             assert tuple(table[t]) == boundary
             np.testing.assert_array_equal(model.transition_matrix(phi, t), dense_transition(stack, phi, boundary))
-            q = model.noise_diag(0.1, 0.2, [0.3] * len(stack), t)
+            q = model.mask_noise(model.step_masks[t % model.period], 0.1, 0.2, [0.3] * len(stack))
             starts = [layout.state_start for layout in model.seasonals]
             np.testing.assert_array_equal(q[starts], [0.3 if b else 0.0 for b in boundary])
 
@@ -276,6 +277,29 @@ class TestSpecsFromJson:
         assert spec.trend_priors.phi_sd == 0.3
         model = assemble_model([spec], series(50))
         assert model.trend_priors.d_mean == 0.2
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ('{"kind": "seasonal", "n_seasons": 2, "durations": [1, 1], "var_prior": {"df": "1", "guess": 1}}',
+             "variance prior requires finite positive df and guess"),
+            ('{"kind": "semi_local_trend", "priors": {"level": {"df": 1, "guess": 1}, '
+             '"slope": {"df": 1, "guess": 1}, "d_mean": "0", "d_sd": 1}}', "'d_mean' must be a number, got '0'"),
+            ('{"kind": "semi_local_trend", "priors": {"level": {"df": 1, "guess": 1}, '
+             '"slope": {"df": 1, "guess": 1}, "d_mean": 0, "d_sd": true}}', "'d_sd' must be a number, got True"),
+            ('{"kind": "regression", "columns": ["a"], "spike_slab": {"information_weight": "0.5"}}',
+             "'information_weight' must be a number, got '0.5'"),
+            ('{"kind": "seasonal", "n_seasons": 2, "durations": 2}', "'durations' must be a list of integers, got 2"),
+        ],
+        ids=["df-string", "d_mean-string", "d_sd-boolean", "weight-string", "durations-number"],
+    )
+    def test_priors_take_numbers_as_they_are(self, entry, message):
+        # float() read strings and booleans: the priors take the finite JSON numbers the config keys take.
+        from glycast.bsts import specs_from_json
+
+        payload = json.loads(f'{{"components": [{{"kind": "semi_local_trend"}}, {entry}]}}')
+        with pytest.raises(SchemaError, match=re.escape(f"component 1: malformed entry: {message}")):
+            specs_from_json(payload)
 
     def test_invalid_documents(self):
         from glycast.bsts import specs_from_json

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -17,7 +19,7 @@ from glycast.bsts import (
 )
 from glycast.bsts import kalman
 from glycast.errors import NumericalError, RangeError, SchemaError
-from glycast.synth import gaussian_predictive_oracle
+from glycast.synth import SynthConfig, gaussian_predictive_oracle, gen_cgm_series
 
 
 def trend_model(y):
@@ -113,6 +115,39 @@ class TestFilter:
         params = ParamPoint(ratio * 0.5, 0.2, 0.5, (0.3,), d=0.0, phi=0.4)
         _, _, v, f, _ = filter_point(model, params, y)
         assert kalman_loglik(model, params, y) == pytest.approx(filter_loglik(v, f), rel=rtol)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_tiny_ratio_error_is_dwarfed_by_the_level_prior(self, seed):
+        # The default stack at the priors' guesses, sigma_level / sigma_obs from 1e-4 down to 1e-8: wherever
+        # kalman_loglik returns, its error against the filter is a millionth of the fall in the level
+        # variance's inverse-gamma log density from its guess, so a sampler scoring the ratio with it
+        # (ROADMAP item 2) never prefers such a ratio for the error's sake.
+        y = gen_cgm_series(SynthConfig(n_subjects=3, n_days=14, seed=seed, latent_share=0.7))[0][0].cgm[:384]
+        model = assemble_model([semi_local_trend(), day_seasonal(), meal_seasonal(), circadian_seasonal()], y)
+        priors = model.trend_priors
+        prior = priors.level_var
+
+        def log_density(var):
+            return (prior.shape * math.log(prior.scale) - math.lgamma(prior.shape)
+                    - (prior.shape + 1.0) * math.log(var) - prior.scale / var)
+
+        sigma_obs = math.sqrt(model.obs_var_prior.guess)
+        seasonal_sds = tuple(math.sqrt(s.var_prior.guess) for s in model.seasonals)
+        returned = []
+        for ratio in (1e-4, 1e-5, 1e-6, 1e-7, 1e-8):
+            sigma_level = ratio * sigma_obs
+            params = ParamPoint(
+                sigma_level, math.sqrt(priors.slope_var.guess), sigma_obs, seasonal_sds, d=priors.d_mean, phi=0.0
+            )
+            try:
+                loglik = kalman_loglik(model, params, y)
+            except NumericalError:
+                continue
+            _, _, v, f, _ = filter_point(model, params, y)
+            drop = log_density(prior.guess) - log_density(sigma_level**2)
+            assert drop > 1e6 * abs(loglik - filter_loglik(v, f)), ratio
+            returned.append(ratio)
+        assert returned[:2] == [1e-4, 1e-5]
 
     @pytest.mark.parametrize("sigma_level", [1e-9, 1e-12, 1e-100])
     def test_loglik_raises_where_the_solve_fails(self, sigma_level):
@@ -437,3 +472,37 @@ class TestSmoothedMean:
         params = ParamPoint(1e-150, 0.2, 0.5, (0.3,), d=0.0, phi=0.4)
         with pytest.raises(NumericalError):
             ffbs_sample(model, params, y, rng)
+
+
+class TestInnovations:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_returns_the_shocks_that_moved_the_path(self, seed):
+        # Level, slope and seasonal shocks moved through the model's transition, every seasonal turning at
+        # the first and the last step: `innovations` gives back each shock, in order.
+        rng = np.random.default_rng(seed)
+        n = 30
+        stack = [((2, 3, 2), 6), ((3, 1), 3), ((1, 2, 1, 1), 4)]  # (durations, phase)
+        specs = [semi_local_trend()] + [seasonal(f"s{i}", len(d), d, phase) for i, (d, phase) in enumerate(stack)]
+        model = assemble_model(specs, rng.normal(0, 1, n))
+        turns = [model.masks[model.step_masks[t % model.period]] for t in range(n - 1)]
+        assert all(turns[0]) and all(turns[-1])
+        d, phi = float(rng.normal(0, 0.3)), float(rng.uniform(-0.9, 0.9))
+        level, slope = rng.normal(0, 1, (2, n - 1))
+        seasonal_shocks = [rng.normal(0, 1, sum(mask[k] for mask in turns)) for k in range(len(stack))]
+        drawn = [0] * len(stack)
+        path = np.empty((n, model.state_dim))
+        path[0] = rng.normal(0, 1, model.state_dim)
+        for t in range(n - 1):
+            state = model.transition(model.step_masks[t % model.period], path[t][:, None].copy(), phi)[:, 0]
+            state += model.state_intercept(d, phi)
+            state[:2] += level[t], slope[t]
+            for k, layout in enumerate(model.seasonals):
+                if turns[t][k]:
+                    state[layout.state_start] += seasonal_shocks[k][drawn[k]]
+                    drawn[k] += 1
+            path[t + 1] = state
+        terms = kalman._sequence_layout(model, n).innovations(path, d, phi)
+        expected = [level, slope, *seasonal_shocks]
+        assert len(terms) == len(expected)
+        for term, shocks in zip(terms, expected):
+            np.testing.assert_allclose(term, shocks, rtol=0, atol=1e-12)

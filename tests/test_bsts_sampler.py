@@ -308,7 +308,7 @@ def dense_predictive(model, params, a, P, t, x_future):
     for j, row in enumerate(x_future):
         T = model.transition_matrix(params.phi, t + j)
         a = T @ a + model.state_intercept(params.d, params.phi)
-        P = T @ P @ T.T + np.diag(model.noise_diag(*noise_vars, t + j))
+        P = T @ P @ T.T + np.diag(model.mask_noise(model.step_masks[(t + j) % model.period], *noise_vars))
         mean[j] = model.z @ a + row @ params.beta
         var[j] = model.z @ P @ model.z + params.sigma_obs**2
     return mean, var

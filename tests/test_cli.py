@@ -709,6 +709,28 @@ class TestErrorHandling:
         assert main(["forecast", "--config", cfg, "--horizon", "15"]) == 2
         assert "error: component 1: missing key 'n_seasons'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"durations": [24.5, 24, 24, 23.5]}, "'durations' must be a list of integers, got [24.5, 24, 24, 23.5]"),
+            ({"n_seasons": 4.9}, "'n_seasons' must be an integer, got 4.9"),
+            ({"phase": "3"}, "'phase' must be an integer, got '3'"),
+            ({"durations": [24, 24, True, 24]}, "'durations' must be a list of integers, got [24, 24, True, 24]"),
+        ],
+        ids=["fractional-durations", "fractional-n_seasons", "string-phase", "boolean-duration"],
+    )
+    def test_component_document_takes_integers_as_they_are(self, tmp_path, synth_dir, capsys, entry, message):
+        # int() made 24.5 + 24 + 24 + 23.5 a 95-step cycle, 4.9 seasons 4 and "3" a phase.
+        day = {"kind": "seasonal", "name": "day", "n_seasons": 4, "durations": [24, 24, 24, 24], **entry}
+        out = tmp_path / "o"
+        cfg = write_config(
+            tmp_path / "fc.json", seed=0, out_dir=str(out), series_csv=str(synth_dir / "series" / "S000.csv"),
+            draws=20, burn=5, components=[{"kind": "semi_local_trend"}, day],
+        )
+        assert main(["forecast", "--config", cfg, "--horizon", "15"]) == 2
+        assert capsys.readouterr().err == f"error: component 1: malformed entry: {message}\n"
+        assert not (out / "forecast_S000.csv").exists()
+
     def test_non_finite_prior_in_component_document(self, tmp_path, synth_dir, capsys):
         # json.dumps writes NaN, and Python's json reads it back: the document, not the fit, must refuse it.
         cfg = write_config(
@@ -736,16 +758,43 @@ class TestErrorHandling:
             ("burn", True, "an integer"),
             ("split_ratio", True, "a number"),
             ("horizons", [True], "a list of integer steps"),
+            ("split_ratio", "0.8", "a number"),
+            ("split_ratio", math.nan, "a number"),
+            ("hypo_max", -math.inf, "a number"),
         ],
         ids=[
             "draws", "split_ratio", "horizons-string", "horizons-float", "m_similar-null", "seed",
             "draws-float", "burn-boolean", "split_ratio-boolean", "horizons-boolean",
+            "split_ratio-numeric-string", "split_ratio-nan", "hypo_max-infinity",
         ],
     )
     def test_malformed_config_value(self, tmp_path, capsys, key, value, expected):
         cfg = write_config(tmp_path / "ev.json", out_dir=str(tmp_path / "o"), **{key: value})
         assert main(["evaluate", "--config", cfg]) == 2
         assert capsys.readouterr().err == f"error: config key {key!r} must be {expected}, got {value!r}\n"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "nan"], ids=["nan", "infinity", "string"])
+    def test_learn_refuses_a_non_finite_alpha(self, tmp_path, capsys, value):
+        # Python's json reads NaN: a NaN alpha made every CPT row uniform, and learn exited 0.
+        data = DiscreteDataset(("a", "b"), (2, 2), np.array([[0, 1], [1, 0], [1, 1], [0, 0]]))
+        data.to_files(tmp_path / "enc.csv", tmp_path / "meta.json")
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path / "learn.json", seed=1, out_dir=str(out), encoded_csv=str(tmp_path / "enc.csv"),
+            encoded_meta=str(tmp_path / "meta.json"), bootstrap=2, alpha=value,
+        )
+        assert main(["learn", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"error: config key 'alpha' must be a number, got {value!r}\n"
+        assert not (out / "network.json").exists()
+
+    @pytest.mark.parametrize("key", ["day_amplitude", "noise_sd", "latent_sd"])
+    def test_synth_refuses_a_non_finite_number(self, tmp_path, capsys, key):
+        # A NaN amplitude wrote all-NaN series that load_timeseries then refused; synth exited 0.
+        out = tmp_path / "data"
+        cfg = write_config(tmp_path / "synth.json", seed=1, out_dir=str(out), n_subjects=2, n_days=1, **{key: math.nan})
+        assert main(["synth", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"error: config key {key!r} must be a number, got nan\n"
+        assert not out.exists()
 
     def test_integer_keys_take_only_integers(self):
         # int() would truncate 20.7 and read true as 1.

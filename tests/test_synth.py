@@ -58,6 +58,22 @@ class TestMdrd:
             mdrd_egfr(1.0, -1, "male")
 
 
+class TestSynthConfig:
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            dict(noise_sd=math.nan), dict(noise_sd=math.inf), dict(noise_sd=-1.0),
+            dict(day_amplitude=math.nan), dict(meal_amplitude=math.inf), dict(circadian_amplitude=-1.0),
+            dict(latent_share=math.nan), dict(missing_rate=math.nan), dict(latent_sd=math.nan),
+            dict(latent_ar=-math.inf), dict(baseline=math.nan), dict(meal_gl_sd=math.inf),
+        ],
+    )
+    def test_non_finite_and_negative_settings_refused(self, setting):
+        # A NaN amplitude, noise sd, latent sd or baseline wrote all-NaN series.
+        with pytest.raises(RangeError):
+            SynthConfig(**setting)
+
+
 class TestGenClinical:
     def test_deterministic(self):
         cfg = SynthConfig(n_subjects=30, seed=5)
