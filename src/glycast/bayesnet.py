@@ -26,7 +26,6 @@ marginals of their joint, and `infer_posterior` asks it for one target.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import math
@@ -37,7 +36,9 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InferenceError, RangeError, SchemaError
+from .casts import load_json, number, objects, read, string, strings
+from .dataset import _read_rows
+from .errors import CapacityError, GlycastError, InferenceError, RangeError, SchemaError
 from .preprocess import DiscreteDataset
 
 Arc = tuple[str, str]
@@ -769,20 +770,15 @@ def cpts_to_json(model: BayesianNetworkModel) -> dict:
 def load_arc_annotations(path: Path | str) -> dict[Arc, str]:
     """Read a from,to,category CSV of expert arc annotations."""
     annotations: dict[Arc, str] = {}
-    with Path(path).open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = [h.strip().lower() for h in next(reader)]
-        if header != ["from", "to", "category"]:
-            raise SchemaError(f"{path}: expected header from,to,category")
-        for i, cells in enumerate(reader):
-            if len(cells) < 3:
-                raise SchemaError(f"{path}: row {i} is incomplete")
-            u, v, category = (c.strip() for c in cells[:3])
-            if category not in ANNOTATION_CATEGORIES:
-                raise SchemaError(f"{path}: row {i}: unknown category {category!r}")
-            if (u, v) in annotations:
-                raise SchemaError(f"{path}: duplicate annotation for {u}->{v}")
-            annotations[(u, v)] = category
+    for i, row in enumerate(_read_rows(path, ("from", "to", "category"))):
+        u, v, category = (row[c].strip() for c in ("from", "to", "category"))
+        if not (u and v and category):
+            raise SchemaError(f"{path}: row {i} is incomplete")
+        if category not in ANNOTATION_CATEGORIES:
+            raise SchemaError(f"{path}: row {i}: unknown category {category!r}")
+        if (u, v) in annotations:
+            raise SchemaError(f"{path}: duplicate annotation for {u}->{v}")
+        annotations[(u, v)] = category
     return annotations
 
 
@@ -798,17 +794,15 @@ def save_network_json(
 
 def load_network_json(path: Path | str) -> tuple[Dag, ArcStrengthTable]:
     """Read a `save_network_json` document; SchemaError naming the file if it is not one."""
+    payload = load_json(path)
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        nodes = tuple(payload["nodes"])
-        arcs = frozenset((a["from"], a["to"]) for a in payload["arcs"])
+        nodes = read(payload, "nodes", strings)
         strengths = {
-            (a["from"], a["to"]): float(a.get("strength", 1.0)) for a in payload["arcs"]
+            (read(a, "from", string), read(a, "to", string)): read(a, "strength", number, 1.0)
+            for a in read(payload, "arcs", objects)
         }
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON: {exc}") from None
+        return Dag(nodes, frozenset(strengths)), ArcStrengthTable(strengths=strengths)
     except KeyError as exc:
         raise SchemaError(f"{path}: network document lacks key {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except GlycastError as exc:
         raise SchemaError(f"{path}: malformed network document: {exc}") from None
-    return Dag(nodes, arcs), ArcStrengthTable(strengths=strengths)

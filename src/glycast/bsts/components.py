@@ -26,11 +26,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..casts import integer, integers, number
+from ..casts import integer, integers, number, read, string, strings
 from ..errors import RangeError, SchemaError
 
 MAX_HORIZON = 96  # longest posterior_forecast, in steps: one day, an input limit
-_EXPECTED = {integer: "an integer", integers: "a list of integers", number: "a number"}
 
 
 @dataclass(frozen=True)
@@ -119,11 +118,19 @@ def seasonal(
     phase: int = 0,
     var_prior: Optional[VariancePrior] = None,
 ) -> ComponentSpec:
+    """A seasonal spec; SchemaError unless n_seasons, each duration and phase are integers (int() would truncate)."""
+    try:
+        n_seasons, durations, phase = integer(n_seasons), tuple(map(integer, durations)), integer(phase)
+    except (TypeError, ValueError):
+        raise SchemaError(
+            f"seasonal {name!r}: n_seasons, durations and phase must be integers, "
+            f"got {n_seasons!r}, {durations!r}, {phase!r}"
+        ) from None
     return ComponentSpec(
         kind="seasonal",
         name=name,
         n_seasons=n_seasons,
-        durations=tuple(int(d) for d in durations),
+        durations=durations,
         phase=phase,
         var_prior=var_prior,
     )
@@ -141,19 +148,12 @@ def specs_from_json(payload: dict) -> list[ComponentSpec]:
     priors plus d/phi hyperparameters; a regression entry carries columns and
     optional spike_slab settings. An entry that lacks a key or holds a value
     of the wrong type raises SchemaError naming the entry. Counts, durations
-    and phases take JSON integers and the priors finite JSON numbers, read by
-    the casts of `glycast.casts` that the config keys use too.
+    and phases take JSON integers, the priors finite JSON numbers, a name a
+    string and columns a list of strings, each read by `glycast.casts.read`
+    as the config keys are.
     """
     if "components" not in payload or not isinstance(payload["components"], list):
         raise SchemaError("component document requires a 'components' list")
-
-    def read(entry: dict, key: str, cast, default=None):
-        """cast(entry[key]), or cast(default) where the key is absent and a default is given."""
-        value = entry[key] if default is None else entry.get(key, default)
-        try:
-            return cast(value)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"{key!r} must be {_EXPECTED[cast]}, got {value!r}") from None
 
     def var_prior(entry: Optional[dict]) -> Optional[VariancePrior]:
         if entry is None:
@@ -184,7 +184,7 @@ def specs_from_json(payload: dict) -> list[ComponentSpec]:
             elif kind == "seasonal":
                 specs.append(
                     seasonal(
-                        name=str(entry.get("name", f"seasonal_{i}")),
+                        name=read(entry, "name", string, f"seasonal_{i}"),
                         n_seasons=read(entry, "n_seasons", integer),
                         durations=read(entry, "durations", integers),
                         phase=read(entry, "phase", integer, 0),
@@ -199,7 +199,7 @@ def specs_from_json(payload: dict) -> list[ComponentSpec]:
                         expected_model_size=read(raw, "expected_model_size", number, 2.0),
                         information_weight=read(raw, "information_weight", number, 0.5),
                     )
-                specs.append(regression([str(c) for c in entry["columns"]], settings))
+                specs.append(regression(read(entry, "columns", strings), settings))
             else:
                 raise SchemaError(f"component {i}: unknown kind {kind!r}")
     except KeyError as exc:

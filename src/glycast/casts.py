@@ -1,15 +1,21 @@
-"""Casts of JSON values to the integers and numbers of settings, shared by the config and component readers.
+"""The one reader of JSON input: casts of values, `read` of a key and `load_json` of a file.
 
-Each returns the value as its type, or raises TypeError or ValueError (or
-OverflowError, for an int beyond the float range) when it is not one; the
-reader names the key. None truncates or parses a string, and none reads a
-boolean, which Python counts as an int.
+The config, component documents, the encoded dataset's sidecar and network
+documents all read through here. Each cast returns the value as its type, or
+raises TypeError or ValueError (or OverflowError, for an int beyond the float
+range) when it is not one; `read` turns that into a SchemaError naming the key
+and the cast's description. No cast truncates or parses a string, and only
+`boolean` reads a boolean, which Python counts as an int.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import operator
+from pathlib import Path
+
+from .errors import SchemaError
 
 
 def integer(value) -> int:
@@ -34,3 +40,75 @@ def number(value) -> float:
     if not math.isfinite(value):
         raise ValueError
     return value
+
+
+def numbers(value) -> tuple[float, ...]:
+    """A JSON list of numbers, each as `number` reads it."""
+    if not isinstance(value, list):
+        raise TypeError
+    return tuple(map(number, value))
+
+
+def boolean(value) -> bool:
+    """true or false only: `bool("false")` would be True."""
+    if not isinstance(value, bool):
+        raise TypeError
+    return value
+
+
+def string(value) -> str:
+    """A string as it is: `str(["x"])` would be "['x']"."""
+    if not isinstance(value, str):
+        raise TypeError
+    return value
+
+
+def strings(value) -> tuple[str, ...]:
+    """A JSON list of strings: a lone string would be read character by character."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError
+    return tuple(value)
+
+
+def objects(value) -> tuple[dict, ...]:
+    """A JSON list of objects."""
+    if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
+        raise TypeError
+    return tuple(value)
+
+
+DESCRIPTIONS = {
+    integer: "an integer", integers: "a list of integers", number: "a number", numbers: "a list of numbers",
+    boolean: "true or false", string: "a string", strings: "a list of strings", objects: "a list of objects",
+}
+
+
+def read(document, key: str, cast, default=None):
+    """cast(document[key]), or cast(default) where the key is absent and a default is given.
+
+    KeyError for an absent key without a default, which the caller words;
+    SchemaError "'key' must be <description>, got <value>" for a value the
+    cast refuses.
+    """
+    value = document[key] if default is None else document.get(key, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):  # a huge JSON integer overflows a float
+        raise SchemaError(f"{key!r} must be {DESCRIPTIONS[cast]}, got {value!r}") from None
+
+
+def load_json(path: Path | str) -> dict:
+    """The JSON object in the file at `path`.
+
+    SchemaError naming the file for bytes that are not UTF-8, invalid JSON
+    or a document that is not an object.
+    """
+    try:
+        document = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(document, dict):
+        raise SchemaError(f"{path}: must be a JSON object, got {type(document).__name__}")
+    return document

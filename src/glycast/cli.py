@@ -1,12 +1,14 @@
 """Command-line pipeline orchestrator.
 
 One JSON config per command with a shared {seed, out_dir} preamble. The flags
-fold into config keys before the command runs: `--horizon` (minutes) into
-`horizon_steps` and `horizons`, `--subjects` into `subjects`. Each command is
-a function `(cfg, seed, run)`; `run` checks and records every file it reads
-and places and records every file it writes. After a command succeeds, one
-manifest line listing those files is appended to <out_dir>/manifests.jsonl.
-Exit status is 0 only when all declared outputs were written.
+fold into config keys before the command runs: `--seed` into `seed` (a
+non-negative integer), `--horizon` (minutes) into `horizon_steps` and
+`horizons`, `--subjects` into `subjects`. Each command is a function
+`(cfg, seed, run)`; `run` checks and records every file it reads and places
+and records every file it writes. After a command succeeds, one manifest line
+listing those files is appended to <out_dir>/manifests.jsonl. Exit status is
+0 only when all declared outputs were written; a GlycastError or an OSError
+on a file exits 2 with one `error:` line.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable, Optional, Sequence
 from . import __version__, bayesnet, preprocess, similarity, synth
 from .bsts import posterior_forecast, specs_from_json
 from .bsts.components import MAX_HORIZON
-from .casts import integer, integers, number
+from .casts import boolean, integer, integers, load_json, number, read, strings
 from .dataset import (
     GlucoseSeries,
     load_clinical,
@@ -33,7 +35,7 @@ from .dataset import (
     write_gl_table,
     write_timeseries,
 )
-from .errors import ConfigError, GlycastError
+from .errors import ConfigError, GlycastError, SchemaError
 from .evaluate import (
     ABLATION_NAMES,
     EvalConfig,
@@ -49,22 +51,12 @@ from .evaluate import (
 HORIZON_MINUTES = {15: 1, 30: 2, 45: 3, 60: 4}
 
 
-def _strings(value) -> list:
-    """A JSON list of strings: a lone string would be read character by character."""
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise TypeError
-    return value
-
-
-_EXPECTED = {integer: "an integer", number: "a number", bool: "true or false",
-             integers: "a list of integer steps", _strings: "a list of strings"}
-
 # Config keys that map one-to-one onto a settings dataclass, with their types;
 # the dataclass holds each default.
 SYNTH_KEYS = {
     "n_subjects": integer, "n_days": integer, "day_amplitude": number, "meal_amplitude": number,
     "circadian_amplitude": number, "noise_sd": number, "latent_share": number, "latent_sd": number,
-    "latent_ar": number, "missing_rate": number, "egfr_gender_factor": bool,
+    "latent_ar": number, "missing_rate": number, "egfr_gender_factor": boolean,
 }
 TABU_KEYS = {"tabu_len": integer, "max_iter": integer, "stall_limit": integer}
 EVAL_KEYS = {
@@ -74,34 +66,19 @@ EVAL_KEYS = {
 
 
 def _settings(cfg: dict, keys: dict) -> dict:
-    """The `keys` that `cfg` sets, each converted to its type; ConfigError naming a key whose value is not one."""
-    settings = {}
-    for key, cast in keys.items():
-        if key in cfg:
-            try:
-                # true and false only for a boolean key, where bool("false") would be True;
-                # the casts of the other keys refuse them.
-                if cast is bool and not isinstance(cfg[key], bool):
-                    raise TypeError
-                settings[key] = cast(cfg[key])
-            except (TypeError, ValueError, OverflowError):  # a huge JSON integer overflows a float
-                raise ConfigError(f"config key {key!r} must be {_EXPECTED[cast]}, got {cfg[key]!r}") from None
-    return settings
+    """The `keys` that `cfg` sets, each read by its cast; ConfigError naming a key whose value is not one."""
+    try:
+        return {key: read(cfg, key, cast) for key, cast in keys.items() if key in cfg}
+    except SchemaError as exc:
+        raise ConfigError(f"config key {exc}") from None
 
 
 def _load_config(path: Optional[str]) -> dict:
     if path is None:
         return {}
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
-    try:
-        payload = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {p} is not valid JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ConfigError(f"config {p} must be a JSON object")
-    return payload
+    if not Path(path).exists():
+        raise ConfigError(f"config file not found: {path}")
+    return load_json(path)
 
 
 class _Run:
@@ -348,7 +325,7 @@ def _eval_config(cfg: dict, seed: int) -> EvalConfig:
 
 
 def _cmd_forecast(cfg: dict, seed: int, run: _Run) -> None:
-    options = _settings(cfg, {"horizon_steps": integer, "deterministic": bool})
+    options = _settings(cfg, {"horizon_steps": integer, "deterministic": boolean})
     horizon = options.get("horizon_steps", 4)
     if not 1 <= horizon <= MAX_HORIZON:
         raise ConfigError(f"config key 'horizon_steps' must lie in 1..{MAX_HORIZON}, got {horizon}")
@@ -453,13 +430,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     started = time.time()
     try:
         cfg = _load_config(args.config)
-        seed = args.seed if args.seed is not None else _settings(cfg, {"seed": integer}).get("seed", 0)
+        if args.seed is not None:
+            cfg["seed"] = args.seed
+        seed = _settings(cfg, {"seed": integer}).get("seed", 0)
+        if seed < 0:
+            raise ConfigError(f"config key 'seed' must be a non-negative integer, got {seed}")
         if args.horizon:
             cfg["horizon_steps"] = HORIZON_MINUTES[args.horizon]
             cfg["horizons"] = [cfg["horizon_steps"]]
         if args.subjects:
             cfg["subjects"] = args.subjects.split(",")
-        _settings(cfg, dict.fromkeys(("series", "similar_series", "subjects", "removals"), _strings))
+        _settings(cfg, dict.fromkeys(("series", "similar_series", "subjects", "removals"), strings))
         run = _Run(args.command, Path(args.out or cfg.get("out_dir", "out")))
         COMMANDS[args.command](cfg, seed, run)
         _write_manifest(run, args.config, seed, started)
@@ -467,8 +448,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except GlycastError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: missing file: {exc}", file=sys.stderr)
+    except OSError as exc:  # a file that cannot be opened or read, such as a directory
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

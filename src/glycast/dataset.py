@@ -246,33 +246,36 @@ def _parse_float(raw: str, column: str, row: int) -> Optional[float]:
     return value
 
 
-def _read_rows(path: Path | str, expected: Sequence[str]) -> list[dict[str, str]]:
+def _read_rows(path: Path | str, required: Sequence[str], optional: Sequence[str] = ()) -> list[dict[str, str]]:
+    """The CSV's non-blank rows as {column: cell}, keyed by the columns' names as given here.
+
+    The header, matched without case, must hold every `required` column and
+    no column outside `required` and `optional`; a missing cell reads "".
+    SchemaError or ParseError naming the file.
+    """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        raw_header = [h.strip() for h in header]
-        header = [h.lower() for h in raw_header]
-        expected_set = {c.lower() for c in expected}
-        for raw, column in zip(raw_header, header):
-            if column not in expected_set:
-                raise SchemaError(f"{path}: unknown column {raw}")
-        missing = [c for c in expected if c.lower() not in header and not _optional_column(c)]
-        if missing:
-            raise SchemaError(f"{path}: missing required column(s) {', '.join(missing)}")
-        rows = []
-        for cells in reader:
-            if not any(cell.strip() for cell in cells):
-                continue
-            rows.append({header[i]: (cells[i] if i < len(cells) else "") for i in range(len(header))})
-        return rows
-
-
-def _optional_column(name: str) -> bool:
-    return name.startswith("meal_")
+    names = {c.lower(): c for c in (*required, *optional)}
+    try:
+        with path.open(newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            try:
+                raw_header = [h.strip() for h in next(reader)]
+            except StopIteration:
+                raise SchemaError(f"{path}: empty file") from None
+            for raw in raw_header:
+                if raw.lower() not in names:
+                    raise SchemaError(f"{path}: unknown column {raw}")
+            header = [names[raw.lower()] for raw in raw_header]
+            missing = [c for c in required if c not in header]
+            if missing:
+                raise SchemaError(f"{path}: missing required column(s) {', '.join(missing)}")
+            return [
+                {column: (cells[i] if i < len(cells) else "") for i, column in enumerate(header)}
+                for cells in reader
+                if any(cell.strip() for cell in cells)
+            ]
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def load_clinical(path: Path | str) -> list[ClinicalRecord]:
@@ -312,7 +315,7 @@ def load_timeseries(path: Path | str, subject_id: Optional[str] = None) -> Gluco
     timestamp must carry a UTC offset if the first row's does, and none if not.
     """
     path = Path(path)
-    rows = _read_rows(path, TIMESERIES_COLUMNS)
+    rows = _read_rows(path, TIMESERIES_COLUMNS[:2], TIMESERIES_COLUMNS[2:])
     if subject_id is None:
         subject_id = path.stem
 

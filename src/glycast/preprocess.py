@@ -16,8 +16,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import IMPUTABLE_FEATURES, ClinicalRecord, GlucoseSeries, GlycemicTable
-from .errors import EncodingError, ImputationError, RangeError, SchemaError
+from .casts import integer, integers, load_json, number, numbers, objects, read, string, strings
+from .dataset import IMPUTABLE_FEATURES, ClinicalRecord, GlucoseSeries, GlycemicTable, _read_rows
+from .errors import EncodingError, ImputationError, ParseError, RangeError, SchemaError
 
 ENCODED_FEATURES = ("gender",) + IMPUTABLE_FEATURES + ("fpg", "hpp2")
 
@@ -40,6 +41,10 @@ class VariableCodec:
     edges: tuple[float, ...] = ()
     representatives: tuple[float, ...] = ()
     levels: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("numeric", "binary"):
+            raise SchemaError(f"variable {self.name}: codec kind must be numeric or binary, got {self.kind!r}")
 
     def encode_value(self, value: float | str) -> int:
         """The class of one original-scale value: a binary variable's level index, a numeric value's bin."""
@@ -117,34 +122,50 @@ class DiscreteDataset:
 
     @classmethod
     def from_files(cls, csv_path: Path | str, sidecar_path: Path | str) -> "DiscreteDataset":
-        sidecar = json.loads(Path(sidecar_path).read_text(encoding="utf-8"))
-        variables = tuple(sidecar["variables"])
-        cards = tuple(int(c) for c in sidecar["cards"])
-        codecs = tuple(
-            VariableCodec(
-                name=c["name"],
-                card=int(c["card"]),
-                kind=c["kind"],
-                mean=float(c["mean"]),
-                sd=float(c["sd"]),
-                edges=tuple(float(e) for e in c["edges"]),
-                representatives=tuple(float(r) for r in c["representatives"]),
-                levels=tuple(c["levels"]),
+        """Read what `to_files` wrote.
+
+        SchemaError naming the sidecar for a key it lacks, a value of the
+        wrong type, or variables, cards and codecs that disagree (the codecs
+        may be absent); ParseError naming the CSV's row and column for a cell
+        that is not an integer.
+        """
+        sidecar = load_json(sidecar_path)
+        try:
+            variables = read(sidecar, "variables", strings)
+            cards = read(sidecar, "cards", integers)
+            codecs = tuple(
+                VariableCodec(
+                    name=read(c, "name", string),
+                    card=read(c, "card", integer),
+                    kind=read(c, "kind", string),
+                    mean=read(c, "mean", number),
+                    sd=read(c, "sd", number),
+                    edges=read(c, "edges", numbers),
+                    representatives=read(c, "representatives", numbers),
+                    levels=read(c, "levels", strings),
+                )
+                for c in read(sidecar, "codecs", objects)
             )
-            for c in sidecar["codecs"]
-        )
-        ids: list[str] = []
-        rows: list[list[int]] = []
-        with Path(csv_path).open(newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            header = next(reader)
-            if tuple(header[1:]) != variables:
-                raise SchemaError("encoded CSV columns do not match the sidecar variables")
-            for cells in reader:
-                ids.append(cells[0])
-                rows.append([int(v) for v in cells[1:]])
-        matrix = np.array(rows, dtype=np.int64) if rows else np.zeros((0, len(variables)), dtype=np.int64)
-        return cls(variables=variables, cards=cards, matrix=matrix, codecs=codecs, subject_ids=tuple(ids))
+            if len(cards) != len(variables):
+                raise SchemaError(f"{len(cards)} cards for {len(variables)} variables")
+            if codecs and [(c.name, c.card) for c in codecs] != list(zip(variables, cards)):
+                raise SchemaError("codecs do not match the variables and their cards")
+        except KeyError as exc:
+            raise SchemaError(f"{sidecar_path}: lacks key {exc}") from None
+        except SchemaError as exc:
+            raise SchemaError(f"{sidecar_path}: {exc}") from None
+        rows = _read_rows(csv_path, ("subject_id",) + variables)
+        matrix = np.zeros((len(rows), len(variables)), dtype=np.int64)
+        for i, row in enumerate(rows):
+            for j, name in enumerate(variables):
+                try:
+                    matrix[i, j] = int(row[name])
+                except (ValueError, OverflowError):
+                    raise ParseError(
+                        f"{csv_path}: row {i}: column {name} holds {row[name]!r}, not a class index"
+                    ) from None
+        ids = tuple(row["subject_id"] for row in rows)
+        return cls(variables=variables, cards=cards, matrix=matrix, codecs=codecs, subject_ids=ids)
 
 
 @dataclass(frozen=True)

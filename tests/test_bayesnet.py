@@ -827,3 +827,14 @@ class TestSerialization:
         bad.write_text("from,to,category\na,b,mystery\n", encoding="utf-8")
         with pytest.raises(SchemaError, match="category"):
             load_arc_annotations(bad)
+
+    def test_annotations_skip_blank_lines_and_refuse_blank_cells(self, tmp_path):
+        # A blank line raised "row 1 is incomplete"; every other CSV reader skips it.
+        path = tmp_path / "ann.csv"
+        path.write_text("From,to,category\na,b,causal\n\n b , c ,correlated\n", encoding="utf-8")
+        assert load_arc_annotations(path) == {("a", "b"): "causal", ("b", "c"): "correlated"}
+        for rows in ("a,b\n", "a,,causal\n", " ,b,causal\n"):
+            path.write_text("from,to,category\n" + rows, encoding="utf-8")
+            with pytest.raises(SchemaError, match="row 0 is incomplete") as caught:
+                load_arc_annotations(path)
+            assert str(caught.value).startswith(f"{path}: ")

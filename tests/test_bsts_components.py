@@ -229,6 +229,17 @@ class TestVarianceConditional:
         assert abs(values.mean() - mean) <= 5.0 * mean / math.sqrt((shape - 2.0) * self.DRAWS)
 
 
+@pytest.mark.parametrize(
+    "n_seasons, durations, phase",
+    [(2, (1.5, 1), 0), (2.0, (1, 1), 0), (2, (1, 1), 0.5), (2, (1, True), 0), (2, "11", 0)],
+    ids=["fractional-duration", "float-count", "fractional-phase", "boolean-duration", "string-durations"],
+)
+def test_seasonal_takes_integers_as_they_are(n_seasons, durations, phase):
+    # int() made durations (1.5, 1) the 2-step cycle (1, 1).
+    with pytest.raises(SchemaError, match="seasonal 'd': n_seasons, durations and phase must be integers"):
+        seasonal("d", n_seasons, durations, phase)
+    assert seasonal("d", np.int64(2), [np.int64(3), 1], 1).durations == (3, 1)
+
 class TestSpecsFromJson:
     def test_standard_stack_document(self):
         from glycast.bsts import specs_from_json

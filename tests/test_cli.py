@@ -750,14 +750,14 @@ class TestErrorHandling:
         [
             ("draws", "abc", "an integer"),
             ("split_ratio", "x", "a number"),
-            ("horizons", "1", "a list of integer steps"),
-            ("horizons", [1.5], "a list of integer steps"),
+            ("horizons", "1", "a list of integers"),
+            ("horizons", [1.5], "a list of integers"),
             ("m_similar", None, "an integer"),
             ("seed", "abc", "an integer"),
             ("draws", 20.7, "an integer"),
             ("burn", True, "an integer"),
             ("split_ratio", True, "a number"),
-            ("horizons", [True], "a list of integer steps"),
+            ("horizons", [True], "a list of integers"),
             ("split_ratio", "0.8", "a number"),
             ("split_ratio", math.nan, "a number"),
             ("hypo_max", -math.inf, "a number"),
@@ -829,7 +829,7 @@ class TestErrorHandling:
         cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "o"), series_csv=series, **{key: "false"})
         assert main([command, "--config", cfg]) == 2
         assert f"error: config key {key!r} must be true or false" in capsys.readouterr().err
-        assert cli._settings({key: False}, {key: bool}) == {key: False}
+        assert cli._settings({key: False}, {key: cli.boolean}) == {key: False}
 
     def test_unknown_subject(self, tmp_path, synth_dir, capsys):
         cfg = write_config(
@@ -902,6 +902,171 @@ class TestErrorHandling:
         )
         assert main(["evaluate", "--config", cfg, "--subjects", "S000"]) == 2
         assert "horizons must not repeat" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def prepared(tmp_path_factory):
+    """A synthetic cohort (data/) and its preprocess outputs (prep/), shared by the malformed-input cases."""
+    base = tmp_path_factory.mktemp("prepared")
+    synth_cfg = write_config(base / "synth.json", seed=3, n_subjects=4, n_days=2)
+    assert main(["synth", "--config", synth_cfg, "--out", str(base / "data")]) == 0
+    prep_cfg = write_config(base / "prep.json", seed=3, clinical_csv=str(base / "data" / "clinical.csv"))
+    assert main(["preprocess", "--config", prep_cfg, "--out", str(base / "prep")]) == 0
+    return base
+
+
+def _learn(base, tmp, sidecar=None, encoded=None, annotations=None):
+    """A learn run on the prepared encoding: `sidecar` edits the sidecar, `encoded` the encoded CSV's text."""
+    meta, csv_path = base / "prep" / "encoded_meta.json", base / "prep" / "encoded.csv"
+    if sidecar is not None:
+        document = json.loads(meta.read_text(encoding="utf-8"))
+        sidecar(document)
+        meta = tmp / "encoded_meta.json"
+        meta.write_text(json.dumps(document), encoding="utf-8")
+    if encoded is not None:
+        text = csv_path.read_text(encoding="utf-8")
+        csv_path = tmp / "encoded.csv"
+        csv_path.write_text(encoded(text), encoding="utf-8")
+    cfg = {"encoded_csv": str(csv_path), "encoded_meta": str(meta), "bootstrap": 2}
+    if annotations is not None:
+        cfg["annotations_csv"] = str(annotations)
+    return ["learn", "--config", write_config(tmp / "learn.json", **cfg)]
+
+
+def _meta_bytes(data):
+    """A learn run whose sidecar holds `data`."""
+    def build(base, tmp):
+        (tmp / "meta.json").write_bytes(data)
+        cfg = write_config(
+            tmp / "learn.json", encoded_csv=str(base / "prep" / "encoded.csv"), encoded_meta=str(tmp / "meta.json"),
+        )
+        return ["learn", "--config", cfg]
+    return build
+
+
+def _first_cell(value):
+    """The encoded CSV with the first row's second cell (its first class) replaced by `value`."""
+    def edit(text):
+        header, first, *rest = text.splitlines()
+        cells = first.split(",")
+        cells[1] = value
+        return "\n".join([header, ",".join(cells), *rest]) + "\n"
+    return edit
+
+
+def _empty_annotations(base, tmp):
+    (tmp / "annotations.csv").write_text("", encoding="utf-8")
+    return _learn(base, tmp, annotations=tmp / "annotations.csv")
+
+
+def _latin1_clinical(base, tmp):
+    text = (base / "data" / "clinical.csv").read_text(encoding="utf-8")
+    (tmp / "clinical.csv").write_bytes(text.replace("S000", "S\xe9000").encode("latin-1"))
+    return ["preprocess", "--config", write_config(tmp / "prep.json", clinical_csv=str(tmp / "clinical.csv"))]
+
+
+def _directory_clinical(base, tmp):
+    (tmp / "clinical.csv").mkdir()
+    return ["preprocess", "--config", write_config(tmp / "prep.json", clinical_csv=str(tmp / "clinical.csv"))]
+
+
+def _latin1_config(base, tmp):
+    (tmp / "synth.json").write_bytes('{"n_subjects": 2, "n_days": 1, "note": "\xe9"}'.encode("latin-1"))
+    return ["synth", "--config", str(tmp / "synth.json")]
+
+
+def _network_nodes(base, tmp):
+    (tmp / "network.json").write_text(json.dumps({"nodes": "fpg", "arcs": []}), encoding="utf-8")
+    cfg = write_config(
+        tmp / "ev.json", series_dir=str(base / "data" / "series"), clinical_csv=str(base / "data" / "clinical.csv"),
+        network_json=str(tmp / "network.json"), draws=12, burn=2,
+    )
+    return ["evaluate", "--config", cfg, "--subjects", "S000"]
+
+
+def _component(entry):
+    def build(base, tmp):
+        cfg = write_config(
+            tmp / "fc.json", series_csv=str(base / "data" / "series" / "S000.csv"), draws=12, burn=2,
+            components=[{"kind": "semi_local_trend"}, entry],
+        )
+        return ["forecast", "--config", cfg, "--horizon", "15"]
+    return build
+
+
+def _synth_seed(seed, flag):
+    def build(base, tmp):
+        cfg = {"n_subjects": 2, "n_days": 1} if flag else {"n_subjects": 2, "n_days": 1, "seed": seed}
+        argv = ["synth", "--config", write_config(tmp / "synth.json", **cfg)]
+        return argv + ["--seed", str(seed)] if flag else argv
+    return build
+
+
+def _set(*path_and_value):
+    """A sidecar edit: document[k1][k2]... = value."""
+    *path, last, value = path_and_value
+
+    def edit(document):
+        for key in path:
+            document = document[key]
+        document[last] = value
+    return edit
+
+
+# (id, argv builder, what the one error line must hold: {tmp} is the case's directory)
+MALFORMED_INPUTS = [
+    ("sidecar-not-json", _meta_bytes(b'{"variables": ['), "{tmp}/meta.json: not valid JSON"),
+    ("sidecar-not-object", _meta_bytes(b"[]"), "{tmp}/meta.json: must be a JSON object, got list"),
+    ("sidecar-not-utf8", _meta_bytes(b'{"variables": ["\xe9"]}'), "{tmp}/meta.json: not UTF-8 text"),
+    ("sidecar-no-cards", lambda b, t: _learn(b, t, lambda d: d.pop("cards")),
+     "{tmp}/encoded_meta.json: lacks key 'cards'"),
+    ("sidecar-fractional-card", lambda b, t: _learn(b, t, _set("cards", 1, 4.7)),
+     "{tmp}/encoded_meta.json: 'cards' must be a list of integers, got [2, 4.7,"),
+    ("sidecar-card-count", lambda b, t: _learn(b, t, lambda d: d["cards"].pop()),
+     "{tmp}/encoded_meta.json: 14 cards for 15 variables"),
+    ("codec-name", lambda b, t: _learn(b, t, _set("codecs", 1, "name", "zzz")),
+     "{tmp}/encoded_meta.json: codecs do not match the variables and their cards"),
+    ("codec-card", lambda b, t: _learn(b, t, _set("codecs", 1, "card", 3)),
+     "{tmp}/encoded_meta.json: codecs do not match the variables and their cards"),
+    ("codec-kind", lambda b, t: _learn(b, t, _set("codecs", 0, "kind", "bogus")),
+     "{tmp}/encoded_meta.json: variable gender: codec kind must be numeric or binary, got 'bogus'"),
+    ("codec-edges", lambda b, t: _learn(b, t, _set("codecs", 1, "edges", ["x"])),
+     "{tmp}/encoded_meta.json: 'edges' must be a list of numbers, got ['x']"),
+    ("codecs-not-objects", lambda b, t: _learn(b, t, _set("codecs", "x")),
+     "{tmp}/encoded_meta.json: 'codecs' must be a list of objects, got 'x'"),
+    ("encoded-fraction", lambda b, t: _learn(b, t, encoded=_first_cell("1.5")),
+     "{tmp}/encoded.csv: row 0: column gender holds '1.5', not a class index"),
+    ("encoded-overflow", lambda b, t: _learn(b, t, encoded=_first_cell("9" * 30)),
+     "{tmp}/encoded.csv: row 0: column gender holds '" + "9" * 30 + "', not a class index"),
+    ("annotations-empty", _empty_annotations, "{tmp}/annotations.csv: empty file"),
+    ("clinical-not-utf8", _latin1_clinical, "{tmp}/clinical.csv: not UTF-8 text"),
+    ("clinical-directory", _directory_clinical, "{tmp}/clinical.csv"),
+    ("config-not-utf8", _latin1_config, "{tmp}/synth.json: not UTF-8 text"),
+    ("network-nodes-string", _network_nodes,
+     "{tmp}/network.json: malformed network document: 'nodes' must be a list of strings, got 'fpg'"),
+    ("seasonal-name", _component({"kind": "seasonal", "name": ["x"], "n_seasons": 2, "durations": [48, 48]}),
+     "component 1: malformed entry: 'name' must be a string, got ['x']"),
+    ("regression-columns", _component({"kind": "regression", "columns": [1, None]}),
+     "component 1: malformed entry: 'columns' must be a list of strings, got [1, None]"),
+    ("seed-config", _synth_seed(-3, flag=False), "config key 'seed' must be a non-negative integer, got -3"),
+    ("seed-flag", _synth_seed(-1, flag=True), "config key 'seed' must be a non-negative integer, got -1"),
+]
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize(
+        "build, expected", [case[1:] for case in MALFORMED_INPUTS], ids=[case[0] for case in MALFORMED_INPUTS]
+    )
+    def test_exits_2_with_one_error_line(self, prepared, tmp_path, capsys, build, expected):
+        # Each of these ended in a traceback (exit 1), passed with a value truncated or read character by
+        # character, or failed with an error that named neither the file nor the key.
+        out = tmp_path / "out"
+        argv = build(prepared, tmp_path) + ["--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert expected.format(tmp=tmp_path) in err
         assert not out.exists()
 
 
