@@ -36,7 +36,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .casts import load_json, number, objects, read, string, strings
+from .casts import load_json, number, objects, read, string, strings, text
 from .dataset import _read_rows
 from .errors import CapacityError, GlycastError, InferenceError, RangeError, SchemaError
 from .preprocess import DiscreteDataset
@@ -770,8 +770,7 @@ def cpts_to_json(model: BayesianNetworkModel) -> dict:
 def load_arc_annotations(path: Path | str) -> dict[Arc, str]:
     """Read a from,to,category CSV of expert arc annotations."""
     annotations: dict[Arc, str] = {}
-    for i, row in enumerate(_read_rows(path, ("from", "to", "category"))):
-        u, v, category = (row[c].strip() for c in ("from", "to", "category"))
+    for i, (u, v, category) in enumerate(_read_rows(path, dict.fromkeys(("from", "to", "category"), text))):
         if not (u and v and category):
             raise SchemaError(f"{path}: row {i} is incomplete")
         if category not in ANNOTATION_CATEGORIES:

@@ -1,11 +1,12 @@
-"""The one reader of JSON input: casts of values, `read` of a key and `load_json` of a file.
+"""The one reader of JSON input (casts of values, `read` of a key, `load_json` of a file), and the CSV cell casts.
 
 The config, component documents, the encoded dataset's sidecar and network
 documents all read through here. Each cast returns the value as its type, or
 raises TypeError or ValueError (or OverflowError, for an int beyond the float
 range) when it is not one; `read` turns that into a SchemaError naming the key
-and the cast's description. No cast truncates or parses a string, and only
-`boolean` reads a boolean, which Python counts as an int.
+and the cast's description. No JSON cast truncates or parses a string, and
+only `boolean` reads a boolean, which Python counts as an int. The cell casts,
+`text` to `class_index`, read CSV cells for `glycast.dataset._read_rows`.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+from datetime import datetime
 from pathlib import Path
 
 from .errors import SchemaError
@@ -77,9 +79,37 @@ def objects(value) -> tuple[dict, ...]:
     return tuple(value)
 
 
+text = str.strip  # a CSV cell without its surrounding whitespace
+
+
+def optional_number(cell: str) -> float | None:
+    """A CSV cell's float, finite as `number` reads it, or None for a blank cell."""
+    if not cell.strip():
+        return None
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError
+    return value
+
+
+def timestamp(cell: str) -> datetime:
+    """An RFC 3339 timestamp; a trailing Z or z reads as +00:00, which `fromisoformat` refuses before Python 3.11."""
+    value = cell.strip()
+    return datetime.fromisoformat(value[:-1] + "+00:00" if value[-1:] in ("Z", "z") else value)
+
+
+def class_index(cell: str) -> int:
+    """A CSV cell's non-negative integer below 2**63, so that an int64 holds it: int() refuses "1.5"."""
+    value = int(cell)
+    if not 0 <= value < 2**63:
+        raise ValueError
+    return value
+
+
 DESCRIPTIONS = {
     integer: "an integer", integers: "a list of integers", number: "a number", numbers: "a list of numbers",
     boolean: "true or false", string: "a string", strings: "a list of strings", objects: "a list of objects",
+    text: "text", optional_number: "a number", timestamp: "an RFC 3339 timestamp", class_index: "a class index",
 }
 
 

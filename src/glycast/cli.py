@@ -282,19 +282,19 @@ def _tester_designs(cfg: dict, seed: int, run: _Run, m: int):
 def _cmd_preprocess(cfg: dict, seed: int, run: _Run) -> None:
     records = load_clinical(run.required(cfg, "clinical_csv"))
     report, imputed, encoded = _encode(cfg, records)
+    # Every input is read before the first output is written.
+    series_map = run.series_map(cfg) if "series_dir" in cfg or cfg.get("series") else {}
+    table = run.gl_table(cfg) if series_map else None
+    regressors = {sid: preprocess.build_meal_regressor(run.series(path), table) for sid, path in series_map.items()}
     write_clinical(run.output("clinical_clean.csv"), imputed)
     preprocess.write_exclusion_report(run.output("exclusions.jsonl"), report)
     encoded.to_files(run.output("encoded.csv"), run.output("encoded_meta.json"))
-
-    if "series_dir" in cfg or cfg.get("series"):
-        table = run.gl_table(cfg)
-        for sid, path in run.series_map(cfg).items():
-            series = run.series(path)
-            regressor = preprocess.build_meal_regressor(series, table)
-            with run.output(f"regressors/{sid}.csv").open("w", encoding="utf-8") as handle:
-                handle.write("timestamp,gl\n")
-                for i, value in enumerate(regressor.values):
-                    handle.write(f"{series.timestamp_at(i).isoformat()},{float(value)!r}\n")
+    for sid, regressor in regressors.items():
+        series = run.series(series_map[sid])
+        with run.output(f"regressors/{sid}.csv").open("w", encoding="utf-8") as handle:
+            handle.write("timestamp,gl\n")
+            for i, value in enumerate(regressor.values):
+                handle.write(f"{series.timestamp_at(i).isoformat()},{float(value)!r}\n")
 
     print(
         f"preprocess: kept {len(imputed)} of {len(records)} records "

@@ -11,10 +11,11 @@ import math
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from .casts import DESCRIPTIONS, optional_number, text, timestamp
 from .errors import GridError, FoodLookupError, ParseError, RangeError, SchemaError
 
 STEP_MINUTES = 15
@@ -115,13 +116,9 @@ class ClinicalRecord:
     def __post_init__(self) -> None:
         if self.gender is not None and self.gender not in ("male", "female"):
             raise RangeError(f"subject {self.subject_id}: gender must be male/female, got {self.gender!r}")
-        if self.age is not None and not self.age > 0:
-            raise RangeError(f"subject {self.subject_id}: age must be > 0, got {self.age}")
         if self.height_m is not None and not (0.5 < self.height_m < 2.5):
             raise RangeError(f"subject {self.subject_id}: height {self.height_m} m outside (0.5, 2.5)")
-        if self.weight_kg is not None and not self.weight_kg > 0:
-            raise RangeError(f"subject {self.subject_id}: weight must be > 0, got {self.weight_kg}")
-        for name in ("bmi", "hba1c", "ga", "tc", "tg", "hdl", "ldl", "cr", "egfr", "ua", "bun"):
+        for name in ("age", "weight_kg", "bmi", "hba1c", "ga", "tc", "tg", "hdl", "ldl", "cr", "egfr", "ua", "bun"):
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise RangeError(f"subject {self.subject_id}: {name} must be > 0, got {value}")
@@ -223,57 +220,53 @@ class GlycemicTable:
         return self._by_pattern[best]
 
 
-def _parse_timestamp(raw: str, row: int) -> datetime:
-    text = raw.strip()
-    if text.endswith("Z") or text.endswith("z"):
-        text = text[:-1] + "+00:00"
-    try:
-        return datetime.fromisoformat(text)
-    except ValueError as exc:
-        raise ParseError(f"row {row}: bad timestamp {raw!r}: {exc}") from None
+def _read_rows(path: Path | str, casts: Mapping[str, Callable], optional: Sequence[str] = ()) -> list[tuple]:
+    """The CSV's non-blank rows, each the tuple of its cells cast by `casts`, in the order of `casts`.
 
-
-def _parse_float(raw: str, column: str, row: int) -> Optional[float]:
-    text = raw.strip()
-    if text == "":
-        return None
-    try:
-        value = float(text)
-    except ValueError:
-        raise ParseError(f"row {row}: non-numeric value {raw!r} in column {column}") from None
-    if not math.isfinite(value):
-        raise ParseError(f"row {row}: non-finite value in column {column}")
-    return value
-
-
-def _read_rows(path: Path | str, required: Sequence[str], optional: Sequence[str] = ()) -> list[dict[str, str]]:
-    """The CSV's non-blank rows as {column: cell}, keyed by the columns' names as given here.
-
-    The header, matched without case, must hold every `required` column and
-    no column outside `required` and `optional`; a missing cell reads "".
-    SchemaError or ParseError naming the file.
+    The header, matched without case, must name every column of `casts` that
+    `optional` lacks, none twice and no other; a row must hold no more cells
+    than the header, and a cell it lacks, or a column the header lacks, reads
+    blank. SchemaError or ParseError naming the file; for a cell its cast
+    refuses, "<file>: row <i>: column <c> holds '<cell>', not <description>",
+    with rows counted from 0 over the non-blank rows.
     """
     path = Path(path)
-    names = {c.lower(): c for c in (*required, *optional)}
+    names = {c.lower(): c for c in casts}
     try:
         with path.open(newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
             try:
-                raw_header = [h.strip() for h in next(reader)]
+                header = [names.get(h.strip().lower(), h.strip()) for h in next(reader)]
             except StopIteration:
                 raise SchemaError(f"{path}: empty file") from None
-            for raw in raw_header:
-                if raw.lower() not in names:
-                    raise SchemaError(f"{path}: unknown column {raw}")
-            header = [names[raw.lower()] for raw in raw_header]
-            missing = [c for c in required if c not in header]
+            for k, column in enumerate(header):
+                if column not in casts:
+                    raise SchemaError(f"{path}: unknown column {column}")
+                if column in header[:k]:
+                    raise SchemaError(f"{path}: column {column} appears twice")
+            missing = [c for c in casts if c not in header and c not in optional]
             if missing:
                 raise SchemaError(f"{path}: missing required column(s) {', '.join(missing)}")
-            return [
-                {column: (cells[i] if i < len(cells) else "") for i, column in enumerate(header)}
-                for cells in reader
-                if any(cell.strip() for cell in cells)
-            ]
+            width = len(header)
+            # A column the header lacks reads the blank cell padded after a row's last one.
+            plan = [(c, cast, header.index(c) if c in header else width) for c, cast in casts.items()]
+            rows: list[tuple] = []
+            for cells in reader:
+                if not any(cell.strip() for cell in cells):
+                    continue
+                if len(cells) > width:
+                    raise ParseError(f"{path}: row {len(rows)} holds {len(cells)} cells under {width} columns")
+                cells.extend([""] * (width + 1 - len(cells)))
+                row = []
+                try:
+                    for column, cast, k in plan:
+                        row.append(cast(cells[k]))
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: row {len(rows)}: column {column} holds {cells[k]!r}, not {DESCRIPTIONS[cast]}"
+                    ) from None
+                rows.append(tuple(row))
+            return rows
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
 
@@ -284,22 +277,19 @@ def load_clinical(path: Path | str) -> list[ClinicalRecord]:
     Blank cells become missing markers; row order is preserved. A
     subject_id listed on two rows is a ParseError naming both.
     """
-    rows = _read_rows(path, CLINICAL_COLUMNS)
+    casts = {"subject_id": text, "gender": text, **dict.fromkeys(CLINICAL_COLUMNS[2:], optional_number)}
     records: list[ClinicalRecord] = []
     row_of: dict[str, int] = {}
-    for i, row in enumerate(rows):
-        subject_id = row.get("subject_id", "").strip()
+    for i, (subject_id, gender, *values) in enumerate(_read_rows(path, casts)):
         if not subject_id:
-            raise ParseError(f"row {i}: empty subject_id")
+            raise ParseError(f"{path}: row {i}: empty subject_id")
         if subject_id in row_of:
-            raise ParseError(f"rows {row_of[subject_id]} and {i}: subject_id {subject_id} repeated")
+            raise ParseError(f"{path}: rows {row_of[subject_id]} and {i}: subject_id {subject_id} repeated")
         row_of[subject_id] = i
-        gender_raw = row.get("gender", "").strip().lower()
-        gender = gender_raw if gender_raw else None
-        values: dict[str, Optional[float]] = {}
-        for column, attr in zip(CLINICAL_COLUMNS[2:], NUMERIC_FIELDS):
-            values[attr] = _parse_float(row.get(column, ""), column, i)
-        records.append(ClinicalRecord(subject_id=subject_id, gender=gender, **values))
+        try:
+            records.append(ClinicalRecord(subject_id, gender.lower() or None, **dict(zip(NUMERIC_FIELDS, values))))
+        except RangeError as exc:
+            raise RangeError(f"{path}: row {i}: {exc}") from None
     return records
 
 
@@ -311,78 +301,58 @@ def load_timeseries(path: Path | str, subject_id: Optional[str] = None) -> Gluco
 
     Rows carrying a cgm value must form the strict 15-minute grid. Rows with a
     blank cgm cell are meal-only entries and may sit off-grid; each meal is
-    attached to the nearest grid point, ties toward the earlier point. Every
-    timestamp must carry a UTC offset if the first row's does, and none if not.
+    attached to the nearest grid point, ties toward the earlier point. A
+    meal_grams cell needs a meal_desc on its row. Every timestamp must carry a
+    UTC offset if the first row's does, and none if not.
     """
     path = Path(path)
-    rows = _read_rows(path, TIMESERIES_COLUMNS[:2], TIMESERIES_COLUMNS[2:])
-    if subject_id is None:
-        subject_id = path.stem
-
-    grid: list[tuple[datetime, float]] = []
-    meal_rows: list[tuple[datetime, Optional[str], Optional[float], Optional[float], int]] = []
-    for i, row in enumerate(rows):
-        ts = _parse_timestamp(row.get("timestamp", ""), i)
+    casts = dict(zip(TIMESERIES_COLUMNS, (timestamp, optional_number, text, optional_number, optional_number)))
+    start: Optional[datetime] = None
+    cgm_values: list[float] = []
+    meal_rows: list[tuple[datetime, Optional[str], Optional[float], Optional[float]]] = []
+    for i, (ts, cgm, desc, grams, gl) in enumerate(_read_rows(path, casts, TIMESERIES_COLUMNS[2:])):
         if i == 0:
             naive = ts.utcoffset() is None
         elif (ts.utcoffset() is None) != naive:
-            raise ParseError(f"row {i}: timestamp {ts.isoformat()} mixes offset-aware and naive times with row 0")
-        cgm = _parse_float(row.get("cgm_mgdl", ""), "cgm_mgdl", i)
-        desc = row.get("meal_desc", "").strip() or None
-        grams = _parse_float(row.get("meal_grams", ""), "meal_grams", i)
-        gl = _parse_float(row.get("meal_gl", ""), "meal_gl", i)
+            raise ParseError(f"{path}: row {i}: {ts.isoformat()} mixes offset-aware and naive timestamps with row 0")
         if cgm is not None:
-            lo, hi = CGM_RANGE
-            if not (lo < cgm < hi):
-                raise RangeError(f"row {i}: cgm {cgm} mg/dL outside ({lo}, {hi})")
-            grid.append((ts, cgm))
-        if desc is not None or gl is not None:
-            meal_rows.append((ts, desc, grams, gl, i))
+            start = ts if start is None else start
+            expected = start + len(cgm_values) * STEP
+            if ts != expected:
+                problem = "duplicate timestamp" if ts == expected - STEP else "grid gap or misaligned timestamp"
+                raise GridError(f"{path}: row {i}: {problem} {ts.isoformat()} (expected {expected.isoformat()})")
+            cgm_values.append(cgm)
+        if grams is not None and not desc:
+            raise ParseError(f"{path}: row {i}: meal_grams without meal_desc")
+        if desc or gl is not None:
+            meal_rows.append((ts, desc or None, grams, gl))
         elif cgm is None:
-            raise ParseError(f"row {i}: neither cgm_mgdl nor meal columns present")
-
-    if not grid:
+            raise ParseError(f"{path}: row {i}: neither cgm_mgdl nor meal columns present")
+    if start is None:
         raise GridError(f"{path}: no cgm rows")
-    start = grid[0][0]
-    for k, (ts, _) in enumerate(grid):
-        expected = start + k * STEP
-        if ts == expected:
-            continue
-        if k > 0 and ts == grid[k - 1][0]:
-            raise GridError(f"duplicate timestamp {ts.isoformat()}")
-        raise GridError(f"grid gap or misaligned timestamp {ts.isoformat()} (expected {expected.isoformat()})")
 
-    n = len(grid)
     meals: list[MealEvent] = []
-    for ts, desc, grams, gl, i in meal_rows:
+    for ts, desc, grams, gl in meal_rows:
         offset = (ts - start).total_seconds() / STEP.total_seconds()
-        index = int(math.floor(offset + 0.5))
-        if offset - math.floor(offset) == 0.5:
-            index = int(math.floor(offset))  # tie: attach to the earlier point
-        if not 0 <= index < n:
-            raise GridError(f"row {i}: meal at {ts.isoformat()} falls outside the cgm grid")
+        index = math.ceil(offset - 0.5)  # the nearest point; a tie attaches to the earlier one
         meals.append(MealEvent(timestamp=ts, grid_index=index, description=desc, grams=grams, gl=gl))
-
-    return GlucoseSeries(
-        subject_id=subject_id,
-        start=start,
-        cgm=np.array([v for _, v in grid], dtype=float),
-        meals=tuple(meals),
-    )
+    subject_id = path.stem if subject_id is None else subject_id
+    try:
+        return GlucoseSeries(subject_id=subject_id, start=start, cgm=np.array(cgm_values), meals=tuple(meals))
+    except (GridError, RangeError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def load_gl_table(path: Path | str) -> GlycemicTable:
     """Load the (pattern, gi, cho_per_100g) reference table."""
-    rows = _read_rows(path, ("pattern", "gi", "cho_per_100g"))
-    entries = []
-    for i, row in enumerate(rows):
-        pattern = row.get("pattern", "").strip()
-        gi = _parse_float(row.get("gi", ""), "gi", i)
-        cho = _parse_float(row.get("cho_per_100g", ""), "cho_per_100g", i)
+    entries = tuple(_read_rows(path, {"pattern": text, "gi": optional_number, "cho_per_100g": optional_number}))
+    for i, (pattern, gi, cho) in enumerate(entries):
         if not pattern or gi is None or cho is None:
-            raise ParseError(f"row {i}: pattern, gi, and cho_per_100g are all required")
-        entries.append((pattern, gi, cho))
-    return GlycemicTable(entries=tuple(entries))
+            raise ParseError(f"{path}: row {i}: pattern, gi, and cho_per_100g are all required")
+    try:
+        return GlycemicTable(entries=entries)
+    except (RangeError, SchemaError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _format_number(value: Optional[float]) -> str:

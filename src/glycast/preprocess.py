@@ -16,9 +16,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .casts import integer, integers, load_json, number, numbers, objects, read, string, strings
+from .casts import class_index, integer, integers, load_json, number, numbers, objects, read, string, strings, text
 from .dataset import IMPUTABLE_FEATURES, ClinicalRecord, GlucoseSeries, GlycemicTable, _read_rows
-from .errors import EncodingError, ImputationError, ParseError, RangeError, SchemaError
+from .errors import EncodingError, ImputationError, RangeError, SchemaError
 
 ENCODED_FEATURES = ("gender",) + IMPUTABLE_FEATURES + ("fpg", "hpp2")
 
@@ -127,7 +127,7 @@ class DiscreteDataset:
         SchemaError naming the sidecar for a key it lacks, a value of the
         wrong type, or variables, cards and codecs that disagree (the codecs
         may be absent); ParseError naming the CSV's row and column for a cell
-        that is not an integer.
+        that is not a class index, RangeError for one outside its card.
         """
         sidecar = load_json(sidecar_path)
         try:
@@ -154,17 +154,16 @@ class DiscreteDataset:
             raise SchemaError(f"{sidecar_path}: lacks key {exc}") from None
         except SchemaError as exc:
             raise SchemaError(f"{sidecar_path}: {exc}") from None
-        rows = _read_rows(csv_path, ("subject_id",) + variables)
-        matrix = np.zeros((len(rows), len(variables)), dtype=np.int64)
-        for i, row in enumerate(rows):
-            for j, name in enumerate(variables):
-                try:
-                    matrix[i, j] = int(row[name])
-                except (ValueError, OverflowError):
-                    raise ParseError(
-                        f"{csv_path}: row {i}: column {name} holds {row[name]!r}, not a class index"
-                    ) from None
-        ids = tuple(row["subject_id"] for row in rows)
+        rows = _read_rows(csv_path, {"subject_id": text, **dict.fromkeys(variables, class_index)})
+        matrix = np.array([row[1:] for row in rows], dtype=np.int64).reshape(len(rows), len(variables))
+        outside = np.argwhere(matrix >= np.array(cards))
+        if outside.size:
+            i, j = outside[0]
+            raise RangeError(
+                f"{csv_path}: row {i}: column {variables[j]} holds '{matrix[i, j]}', "
+                f"not a class index in 0..{cards[j] - 1}"
+            )
+        ids = tuple(row[0] for row in rows)
         return cls(variables=variables, cards=cards, matrix=matrix, codecs=codecs, subject_ids=ids)
 
 

@@ -945,14 +945,48 @@ def _meta_bytes(data):
     return build
 
 
-def _first_cell(value):
-    """The encoded CSV with the first row's second cell (its first class) replaced by `value`."""
+def _cell(row, column, value):
+    """A CSV edit: the cell of data row `row` (from 0) under `column` replaced by `value`."""
     def edit(text):
-        header, first, *rest = text.splitlines()
-        cells = first.split(",")
-        cells[1] = value
-        return "\n".join([header, ",".join(cells), *rest]) + "\n"
+        header, *rows = text.splitlines()
+        cells = rows[row].split(",")
+        cells[header.split(",").index(column)] = value
+        rows[row] = ",".join(cells)
+        return "\n".join([header, *rows]) + "\n"
     return edit
+
+
+def _preprocess(clinical=None, series=None, gl_table=None):
+    """A preprocess run on the prepared cohort's clinical CSV, S000's series and glycemic table.
+
+    Each given edit rewrites the text of its CSV into the case's directory.
+    """
+    def build(base, tmp):
+        paths = {}
+        for key, source, edit in (
+            ("clinical_csv", base / "data" / "clinical.csv", clinical),
+            ("series", base / "data" / "series" / "S000.csv", series),
+            ("gl_table", base / "data" / "gl_table.csv", gl_table),
+        ):
+            paths[key] = source if edit is None else tmp / source.name
+            if edit is not None:
+                paths[key].write_text(edit(source.read_text(encoding="utf-8")), encoding="utf-8")
+        cfg = write_config(
+            tmp / "prep.json", clinical_csv=str(paths["clinical_csv"]), series=[str(paths["series"])],
+            gl_table=str(paths["gl_table"]),
+        )
+        return ["preprocess", "--config", cfg]
+    return build
+
+
+def _repeat_column(index):
+    """A CSV edit: every line gains a copy of its cell at `index`, so the header names that column twice."""
+    return lambda text: "".join(f"{line},{line.split(',')[index]}\n" for line in text.splitlines())
+
+
+def _extra_cell(text):
+    header, first, *rest = text.splitlines()
+    return "\n".join([header, first + ",1", *rest]) + "\n"
 
 
 def _empty_annotations(base, tmp):
@@ -1035,10 +1069,28 @@ MALFORMED_INPUTS = [
      "{tmp}/encoded_meta.json: 'edges' must be a list of numbers, got ['x']"),
     ("codecs-not-objects", lambda b, t: _learn(b, t, _set("codecs", "x")),
      "{tmp}/encoded_meta.json: 'codecs' must be a list of objects, got 'x'"),
-    ("encoded-fraction", lambda b, t: _learn(b, t, encoded=_first_cell("1.5")),
+    ("encoded-fraction", lambda b, t: _learn(b, t, encoded=_cell(0, "gender", "1.5")),
      "{tmp}/encoded.csv: row 0: column gender holds '1.5', not a class index"),
-    ("encoded-overflow", lambda b, t: _learn(b, t, encoded=_first_cell("9" * 30)),
+    ("encoded-overflow", lambda b, t: _learn(b, t, encoded=_cell(0, "gender", "9" * 30)),
      "{tmp}/encoded.csv: row 0: column gender holds '" + "9" * 30 + "', not a class index"),
+    ("encoded-outside-card", lambda b, t: _learn(b, t, encoded=_cell(1, "age", "4")),
+     "{tmp}/encoded.csv: row 1: column age holds '4', not a class index in 0..3"),
+    ("clinical-non-numeric", _preprocess(clinical=_cell(0, "age", "abc")),
+     "{tmp}/clinical.csv: row 0: column age holds 'abc', not a number"),
+    ("clinical-gender", _preprocess(clinical=_cell(2, "gender", "other")),
+     "{tmp}/clinical.csv: row 2: subject S002: gender must be male/female, got 'other'"),
+    ("clinical-extra-cell", _preprocess(clinical=_extra_cell),
+     "{tmp}/clinical.csv: row 0 holds 19 cells under 18 columns"),
+    ("series-timestamp", _preprocess(series=_cell(3, "timestamp", "yesterday")),
+     "{tmp}/S000.csv: row 3: column timestamp holds 'yesterday', not an RFC 3339 timestamp"),
+    ("series-cgm-range", _preprocess(series=_cell(3, "cgm_mgdl", "900")),
+     "{tmp}/S000.csv: subject S000: cgm value 900.0 at index 3 outside (20.0, 700.0) mg/dL"),
+    ("series-grams-without-description", _preprocess(series=_cell(0, "meal_grams", "150")),
+     "{tmp}/S000.csv: row 0: meal_grams without meal_desc"),
+    ("gl-table-non-numeric", _preprocess(gl_table=_cell(1, "gi", "high")),
+     "{tmp}/gl_table.csv: row 1: column gi holds 'high', not a number"),
+    ("gl-table-repeated-column", _preprocess(gl_table=_repeat_column(1)),
+     "{tmp}/gl_table.csv: column gi appears twice"),
     ("annotations-empty", _empty_annotations, "{tmp}/annotations.csv: empty file"),
     ("clinical-not-utf8", _latin1_clinical, "{tmp}/clinical.csv: not UTF-8 text"),
     ("clinical-directory", _directory_clinical, "{tmp}/clinical.csv"),
@@ -1059,7 +1111,7 @@ class TestMalformedInputs:
         "build, expected", [case[1:] for case in MALFORMED_INPUTS], ids=[case[0] for case in MALFORMED_INPUTS]
     )
     def test_exits_2_with_one_error_line(self, prepared, tmp_path, capsys, build, expected):
-        # Each of these ended in a traceback (exit 1), passed with a value truncated or read character by
+        # Each of these ended in a traceback (exit 1), passed with a value truncated, dropped or read character by
         # character, or failed with an error that named neither the file nor the key.
         out = tmp_path / "out"
         argv = build(prepared, tmp_path) + ["--out", str(out)]

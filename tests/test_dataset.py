@@ -66,8 +66,31 @@ class TestLoadClinical:
         path = write_csv(
             tmp_path / "c.csv", CLINICAL_COLUMNS, [clinical_row("A"), clinical_row("B", age="old")]
         )
-        with pytest.raises(ParseError, match="row 1"):
+        with pytest.raises(ParseError) as caught:
             load_clinical(path)
+        assert str(caught.value) == f"{path}: row 1: column age holds 'old', not a number"
+
+    def test_record_range_error_names_file_and_row(self, tmp_path):
+        path = write_csv(tmp_path / "c.csv", CLINICAL_COLUMNS, [clinical_row("A"), clinical_row("B", gender="x")])
+        with pytest.raises(RangeError) as caught:
+            load_clinical(path)
+        assert str(caught.value) == f"{path}: row 1: subject B: gender must be male/female, got 'x'"
+
+    def test_repeated_column_is_schema_error(self, tmp_path):
+        # The second age column's cells were read and the first's dropped.
+        path = write_csv(tmp_path / "c.csv", CLINICAL_COLUMNS + ("AGE",), [clinical_row() + [99]])
+        with pytest.raises(SchemaError) as caught:
+            load_clinical(path)
+        assert str(caught.value) == f"{path}: column age appears twice"
+
+    def test_extra_cell_is_parse_error_and_a_missing_cell_reads_blank(self, tmp_path):
+        path = write_csv(tmp_path / "c.csv", CLINICAL_COLUMNS, [clinical_row("A"), clinical_row("B") + [1]])
+        with pytest.raises(ParseError) as caught:
+            load_clinical(path)
+        assert str(caught.value) == f"{path}: row 1 holds 19 cells under 18 columns"
+        path = write_csv(tmp_path / "c.csv", CLINICAL_COLUMNS, [clinical_row("A")[:-2]])
+        (record,) = load_clinical(path)
+        assert (record.fpg, record.hpp2) == (None, None)
 
     def test_repeated_subject_id_names_both_rows(self, tmp_path):
         # Stage 1 would learn from both rows but keep one record per subject_id.
@@ -138,6 +161,15 @@ class TestLoadTimeseries:
         assert meal.grid_index == 28  # 07:00
         assert series.timestamp_at(meal.grid_index) == START + timedelta(hours=7)
 
+    def test_meal_outside_the_grid_names_the_file(self, tmp_path):
+        rows = timeseries_rows(8)
+        early = START - timedelta(minutes=20)
+        rows.append([early.isoformat(), "", "", "", 5.0])
+        path = write_csv(tmp_path / "s.csv", HEADER, rows)
+        with pytest.raises(GridError) as caught:
+            load_timeseries(path)
+        assert str(caught.value) == f"{path}: subject s: meal at {early} attached outside the grid"
+
     def test_meal_tie_goes_to_earlier_point(self, tmp_path):
         rows = timeseries_rows(8)
         rows.append([(START + timedelta(minutes=22, seconds=30)).isoformat(), "", "rice", 50, ""])
@@ -149,8 +181,36 @@ class TestLoadTimeseries:
         rows = timeseries_rows(4)
         rows[2][1] = 720.0
         path = write_csv(tmp_path / "s.csv", HEADER, rows)
-        with pytest.raises(RangeError):
+        with pytest.raises(RangeError) as caught:
             load_timeseries(path)
+        assert str(caught.value) == f"{path}: subject s: cgm value 720.0 at index 2 outside (20.0, 700.0) mg/dL"
+
+    def test_bad_timestamp_names_file_row_and_column(self, tmp_path):
+        rows = timeseries_rows(4)
+        rows[1][0] = "2024-13-01T00:15:00Z"
+        path = write_csv(tmp_path / "s.csv", HEADER, rows)
+        with pytest.raises(ParseError) as caught:
+            load_timeseries(path)
+        assert str(caught.value) == (
+            f"{path}: row 1: column timestamp holds '2024-13-01T00:15:00Z', not an RFC 3339 timestamp"
+        )
+
+    def test_grams_without_description_is_parse_error(self, tmp_path):
+        # On a cgm row the grams were dropped; on a cgm-less row they raised "neither cgm_mgdl nor meal columns".
+        on_grid = timeseries_rows(8)
+        on_grid[2][3] = 150
+        off_grid = timeseries_rows(8) + [[(START + timedelta(minutes=20)).isoformat(), "", "", 150, ""]]
+        for rows, i in ((on_grid, 2), (off_grid, 8)):
+            path = write_csv(tmp_path / "s.csv", HEADER, rows)
+            with pytest.raises(ParseError) as caught:
+                load_timeseries(path)
+            assert str(caught.value) == f"{path}: row {i}: meal_grams without meal_desc"
+
+    def test_trailing_z_reads_as_utc(self, tmp_path):
+        rows = timeseries_rows(4)
+        for k, row in enumerate(rows):
+            row[0] = (START + k * timedelta(minutes=15)).strftime("%Y-%m-%dT%H:%M:%S") + "Zz"[k % 2]
+        assert load_timeseries(write_csv(tmp_path / "s.csv", HEADER, rows)).start == START
 
     def test_round_trip(self, tmp_path, simple_series, meal_at):
         rng = np.random.default_rng(1)
@@ -213,6 +273,16 @@ class TestGlycemicTable:
         table = GlycemicTable(entries=(("rice", 73, 28),))
         with pytest.raises(FoodLookupError, match="tofu"):
             table.lookup("tofu soup")
+
+    def test_gl_table_errors_name_the_file(self, tmp_path):
+        path = write_csv(tmp_path / "gl.csv", ("pattern", "gi", "cho_per_100g"), [["rice", "nan", 28]])
+        with pytest.raises(ParseError) as caught:
+            load_gl_table(path)
+        assert str(caught.value) == f"{path}: row 0: column gi holds 'nan', not a number"
+        path = write_csv(tmp_path / "gl.csv", ("pattern", "gi", "cho_per_100g"), [["rice", 73, 28], ["Rice", 70, 25]])
+        with pytest.raises(SchemaError) as caught:
+            load_gl_table(path)
+        assert str(caught.value) == f"{path}: duplicate food pattern 'Rice'"
 
     def test_table_round_trip(self, tmp_path):
         table = GlycemicTable(entries=(("rice", 73.0, 28.0), ("milk", 31.0, 5.0)))

@@ -249,6 +249,20 @@ class TestMealRegressor:
 
 
 class TestDiscreteDatasetIO:
+    def test_class_index_outside_card_names_file_row_and_column(self, tmp_path, complete_record):
+        # __post_init__'s RangeError named the variable alone.
+        standardize_encode(records_with_column(np.arange(6.0), complete_record)).to_files(
+            tmp_path / "enc.csv", tmp_path / "meta.json"
+        )
+        lines = (tmp_path / "enc.csv").read_text(encoding="utf-8").splitlines()
+        cells = lines[3].split(",")
+        cells[2] = "4"  # age, card 4
+        lines[3] = ",".join(cells)
+        (tmp_path / "enc.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(RangeError) as caught:
+            DiscreteDataset.from_files(tmp_path / "enc.csv", tmp_path / "meta.json")
+        assert str(caught.value) == f"{tmp_path / 'enc.csv'}: row 2: column age holds '4', not a class index in 0..3"
+
     def test_round_trip(self, tmp_path, complete_record):
         records = records_with_column(np.arange(12, dtype=float), complete_record)
         data = standardize_encode(records)
