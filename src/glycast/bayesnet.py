@@ -27,7 +27,6 @@ marginals of their joint, and `infer_posterior` asks it for one target.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -36,7 +35,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .casts import load_json, number, objects, read, string, strings, text
+from .casts import load_json, number, objects, read, string, strings, text, write_json
 from .dataset import _read_rows
 from .errors import CapacityError, GlycastError, InferenceError, RangeError, SchemaError
 from .preprocess import DiscreteDataset
@@ -787,8 +786,7 @@ def save_network_json(
     strengths: Optional[ArcStrengthTable] = None,
     types: Optional[Mapping[Arc, str]] = None,
 ) -> None:
-    payload = network_to_json(dag, strengths, types)
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
+    write_json(path, network_to_json(dag, strengths, types))
 
 
 def load_network_json(path: Path | str) -> tuple[Dag, ArcStrengthTable]:

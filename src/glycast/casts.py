@@ -1,4 +1,4 @@
-"""The one reader of JSON input (casts of values, `read` of a key, `load_json` of a file), and the CSV cell casts.
+"""JSON's one reader and writer (value casts, `read`, `load_json`, `write_json`), and the CSV cell casts and formats.
 
 The config, component documents, the encoded dataset's sidecar and network
 documents all read through here. Each cast returns the value as its type, or
@@ -6,7 +6,10 @@ raises TypeError or ValueError (or OverflowError, for an int beyond the float
 range) when it is not one; `read` turns that into a SchemaError naming the key
 and the cast's description. No JSON cast truncates or parses a string, and
 only `boolean` reads a boolean, which Python counts as an int. The cell casts,
-`text` to `class_index`, read CSV cells for `glycast.dataset._read_rows`.
+`text` to `class_index`, read CSV cells for `glycast.dataset._read_rows`, and
+each one's `FORMATS` entry writes the cell it reads back, for
+`glycast.dataset._write_rows`. Every JSON document glycast writes goes through
+`write_json`.
 """
 
 from __future__ import annotations
@@ -106,6 +109,19 @@ def class_index(cell: str) -> int:
     return value
 
 
+def _number_cell(value: float | None) -> str:
+    """Python's shortest repr, which `float` reads back to the same value, or blank for None."""
+    return "" if value is None else repr(float(value))
+
+
+# The inverse of each cell cast: the cell it reads back as the value.
+FORMATS = {
+    text: lambda value: "" if value is None else value,
+    optional_number: _number_cell,
+    timestamp: datetime.isoformat,
+    class_index: lambda value: str(int(value)),
+}
+
 DESCRIPTIONS = {
     integer: "an integer", integers: "a list of integers", number: "a number", numbers: "a list of numbers",
     boolean: "true or false", string: "a string", strings: "a list of strings", objects: "a list of objects",
@@ -142,3 +158,8 @@ def load_json(path: Path | str) -> dict:
     if not isinstance(document, dict):
         raise SchemaError(f"{path}: must be a JSON object, got {type(document).__name__}")
     return document
+
+
+def write_json(path: Path | str, document) -> None:
+    """Write `document` as JSON indented by two spaces with its keys sorted."""
+    Path(path).write_text(json.dumps(document, indent=2, sort_keys=True), encoding="utf-8")

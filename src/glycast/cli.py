@@ -25,9 +25,10 @@ from typing import Callable, Optional, Sequence
 from . import __version__, bayesnet, preprocess, similarity, synth
 from .bsts import posterior_forecast, specs_from_json
 from .bsts.components import MAX_HORIZON
-from .casts import boolean, integer, integers, load_json, number, read, strings
+from .casts import boolean, integer, integers, load_json, number, optional_number, read, strings, timestamp, write_json
 from .dataset import (
     GlucoseSeries,
+    _write_rows,
     load_clinical,
     load_gl_table,
     load_timeseries,
@@ -151,10 +152,6 @@ def _write_manifest(run: _Run, config_path: Optional[str], seed: int, started: f
         handle.write(json.dumps(manifest, sort_keys=True) + "\n")
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
-
-
 def _cmd_synth(cfg: dict, seed: int, run: _Run) -> None:
     synth_cfg = synth.SynthConfig(seed=seed, **_settings(cfg, SYNTH_KEYS))
     records, truth = synth.gen_clinical(synth_cfg)
@@ -163,7 +160,7 @@ def _cmd_synth(cfg: dict, seed: int, run: _Run) -> None:
     write_gl_table(run.output("gl_table.csv"), synth.default_gl_table())
     for s in series:
         write_timeseries(run.output(f"series/{s.subject_id}.csv"), s)
-    _write_json(run.output("truth.json"), bayesnet.network_to_json(truth))
+    write_json(run.output("truth.json"), bayesnet.network_to_json(truth))
     print(f"synth: wrote {len(series)} series and {len(records)} clinical rows to {run.out_dir}")
 
 
@@ -291,10 +288,8 @@ def _cmd_preprocess(cfg: dict, seed: int, run: _Run) -> None:
     encoded.to_files(run.output("encoded.csv"), run.output("encoded_meta.json"))
     for sid, regressor in regressors.items():
         series = run.series(series_map[sid])
-        with run.output(f"regressors/{sid}.csv").open("w", encoding="utf-8") as handle:
-            handle.write("timestamp,gl\n")
-            for i, value in enumerate(regressor.values):
-                handle.write(f"{series.timestamp_at(i).isoformat()},{float(value)!r}\n")
+        rows = [(series.timestamp_at(i), value) for i, value in enumerate(regressor.values.tolist())]
+        _write_rows(run.output(f"regressors/{sid}.csv"), {"timestamp": timestamp, "gl": optional_number}, rows)
 
     print(
         f"preprocess: kept {len(imputed)} of {len(records)} records "
@@ -316,7 +311,7 @@ def _cmd_learn(cfg: dict, seed: int, run: _Run) -> None:
 
     network_path = run.output("network.json")
     bayesnet.save_network_json(network_path, consensus, strengths, types)
-    _write_json(run.output("cpts.json"), bayesnet.cpts_to_json(model))
+    write_json(run.output("cpts.json"), bayesnet.cpts_to_json(model))
     print(f"learn: consensus network with {len(consensus.arcs)} arcs -> {network_path}")
 
 
@@ -348,14 +343,9 @@ def _cmd_forecast(cfg: dict, seed: int, run: _Run) -> None:
     )
 
     forecast_path = run.output(f"forecast_{series.subject_id}.csv")
-    with forecast_path.open("w", encoding="utf-8") as handle:
-        handle.write("timestamp,point,lower95,upper95\n")
-        for j in range(horizon):
-            ts = series.timestamp_at(len(series) + j)
-            handle.write(
-                f"{ts.isoformat()},{float(result.mean[j])!r},"
-                f"{float(result.lower95[j])!r},{float(result.upper95[j])!r}\n"
-            )
+    casts = {"timestamp": timestamp, **dict.fromkeys(("point", "lower95", "upper95"), optional_number)}
+    times = [series.timestamp_at(len(series) + j) for j in range(horizon)]
+    _write_rows(forecast_path, casts, zip(times, result.mean, result.lower95, result.upper95))
     print(f"forecast: {horizon} step(s) for {series.subject_id} -> {forecast_path}")
 
 
@@ -376,7 +366,7 @@ def _cmd_evaluate(cfg: dict, seed: int, run: _Run) -> None:
     for report in reports:
         write_confusion_csv(run.output(f"confusion_{report.subject_id}.csv"), report)
     if selections:
-        _write_json(run.output("selections.json"), selections)
+        write_json(run.output("selections.json"), selections)
     print(f"evaluate: {len(reports)} subject report(s) -> {metrics_path}")
 
 
@@ -399,7 +389,7 @@ def _cmd_ablate(cfg: dict, seed: int, run: _Run) -> None:
             )
         subjects.append((series, pipeline))
     table = run_ablation(eval_cfg, removals, subjects)
-    _write_json(run.output("ablation.json"), table.to_json())
+    write_json(run.output("ablation.json"), table.to_json())
     run.output("ablation.txt").write_text(table.render_text() + "\n", encoding="utf-8")
     print(table.render_text())
 

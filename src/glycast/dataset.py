@@ -1,7 +1,10 @@
-"""Clinical records, CGM time series, and the glycemic-index table.
+"""Clinical records, CGM time series, and the glycemic-index table, and glycast's one CSV reader and writer.
 
 All loaders are pure functions of the file bytes: they either return a fully
-validated value or raise; no partially valid object ever escapes.
+validated value or raise; no partially valid object ever escapes. Every CSV
+glycast reads goes through `_read_rows` and every CSV it writes through
+`_write_rows`, its inverse; the clinical, series and glycemic-table formats
+each have one column schema that their loader and writer share.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .casts import DESCRIPTIONS, optional_number, text, timestamp
+from .casts import DESCRIPTIONS, FORMATS, optional_number, text, timestamp
 from .errors import GridError, FoodLookupError, ParseError, RangeError, SchemaError
 
 STEP_MINUTES = 15
@@ -24,65 +27,28 @@ STEP = timedelta(minutes=STEP_MINUTES)
 CGM_RANGE = (20.0, 700.0)
 MARKER_RANGE = (20.0, 700.0)
 
-CLINICAL_COLUMNS = (
-    "subject_id",
-    "gender",
-    "age",
-    "height_m",
-    "weight_kg",
-    "bmi",
-    "hba1c",
-    "ga",
-    "tc",
-    "tg",
-    "hdl",
-    "ldl",
-    "cr",
-    "egfr",
-    "ua",
-    "bun",
-    "fpg_mgdl",
-    "hpp2_mgdl",
-)
-
-# Numeric record attributes in column order; fpg/hpp2 carry the _mgdl suffix
-# only in the file header.
-NUMERIC_FIELDS = (
-    "age",
-    "height_m",
-    "weight_kg",
-    "bmi",
-    "hba1c",
-    "ga",
-    "tc",
-    "tg",
-    "hdl",
-    "ldl",
-    "cr",
-    "egfr",
-    "ua",
-    "bun",
-    "fpg",
-    "hpp2",
-)
-
 # Features eligible for mean imputation and network encoding. UA/BUN are
 # excluded (dropped wholesale during preprocessing) as are the FPG/2HPP
 # markers themselves.
-IMPUTABLE_FEATURES = (
-    "age",
-    "height_m",
-    "weight_kg",
-    "bmi",
-    "hba1c",
-    "ga",
-    "tc",
-    "tg",
-    "hdl",
-    "ldl",
-    "cr",
-    "egfr",
-)
+IMPUTABLE_FEATURES = ("age", "height_m", "weight_kg", "bmi", "hba1c", "ga", "tc", "tg", "hdl", "ldl", "cr", "egfr")
+
+# Numeric record attributes in column order; fpg/hpp2 carry the _mgdl suffix
+# only in the file header.
+NUMERIC_FIELDS = IMPUTABLE_FEATURES + ("ua", "bun", "fpg", "hpp2")
+
+# Each file format's column schema: its columns in order, each with the cell
+# cast that reads it and whose `FORMATS` entry writes it.
+CLINICAL_SCHEMA = {
+    "subject_id": text,
+    "gender": text,
+    **dict.fromkeys(NUMERIC_FIELDS[:-2] + ("fpg_mgdl", "hpp2_mgdl"), optional_number),
+}
+CLINICAL_COLUMNS = tuple(CLINICAL_SCHEMA)
+TIMESERIES_SCHEMA = {
+    "timestamp": timestamp, "cgm_mgdl": optional_number,
+    "meal_desc": text, "meal_grams": optional_number, "meal_gl": optional_number,
+}
+GL_TABLE_SCHEMA = {"pattern": text, "gi": optional_number, "cho_per_100g": optional_number}
 
 
 @dataclass(frozen=True)
@@ -141,7 +107,9 @@ class ClinicalRecord:
 class MealEvent:
     """A dietary entry attached to a grid point of its owning series.
 
-    Either (description, grams) for raw records or a pre-quantified gl.
+    Either (description, grams) for raw records or a pre-quantified gl. The
+    rules of the series CSV's meal columns hold: a description or a gl, and
+    grams only with a description; ParseError otherwise.
     """
 
     timestamp: datetime
@@ -150,10 +118,25 @@ class MealEvent:
     grams: Optional[float] = None
     gl: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        if self.grams is not None and not self.description:
+            raise ParseError("meal_grams without meal_desc")
+        if not self.description and self.gl is None:
+            raise ParseError("neither meal_desc nor meal_gl present")
+
+
+def _check_clock(ts: datetime, reference: datetime) -> None:
+    """ParseError unless both timestamps carry a UTC offset or neither does: only then do they subtract."""
+    if (ts.utcoffset() is None) != (reference.utcoffset() is None):
+        raise ParseError(f"{ts.isoformat()} mixes offset-aware and naive timestamps with {reference.isoformat()}")
+
 
 @dataclass(frozen=True)
 class GlucoseSeries:
-    """CGM values on a strict 15-minute grid with attached meal events."""
+    """CGM values on a strict 15-minute grid with attached meal events.
+
+    Each meal's timestamp carries a UTC offset exactly when `start` does.
+    """
 
     subject_id: str
     start: datetime
@@ -173,6 +156,10 @@ class GlucoseSeries:
                 f"outside ({lo}, {hi}) mg/dL"
             )
         for meal in self.meals:
+            try:
+                _check_clock(meal.timestamp, self.start)
+            except ParseError as exc:
+                raise ParseError(f"subject {self.subject_id}: meal at {exc}") from None
             if not 0 <= meal.grid_index < cgm.size:
                 raise GridError(
                     f"subject {self.subject_id}: meal at {meal.timestamp} attached outside the grid"
@@ -277,10 +264,9 @@ def load_clinical(path: Path | str) -> list[ClinicalRecord]:
     Blank cells become missing markers; row order is preserved. A
     subject_id listed on two rows is a ParseError naming both.
     """
-    casts = {"subject_id": text, "gender": text, **dict.fromkeys(CLINICAL_COLUMNS[2:], optional_number)}
     records: list[ClinicalRecord] = []
     row_of: dict[str, int] = {}
-    for i, (subject_id, gender, *values) in enumerate(_read_rows(path, casts)):
+    for i, (subject_id, gender, *values) in enumerate(_read_rows(path, CLINICAL_SCHEMA)):
         if not subject_id:
             raise ParseError(f"{path}: row {i}: empty subject_id")
         if subject_id in row_of:
@@ -293,49 +279,39 @@ def load_clinical(path: Path | str) -> list[ClinicalRecord]:
     return records
 
 
-TIMESERIES_COLUMNS = ("timestamp", "cgm_mgdl", "meal_desc", "meal_grams", "meal_gl")
-
-
 def load_timeseries(path: Path | str, subject_id: Optional[str] = None) -> GlucoseSeries:
     """Load one subject's CGM series from CSV.
 
     Rows carrying a cgm value must form the strict 15-minute grid. Rows with a
     blank cgm cell are meal-only entries and may sit off-grid; each meal is
-    attached to the nearest grid point, ties toward the earlier point. A
-    meal_grams cell needs a meal_desc on its row. Every timestamp must carry a
-    UTC offset if the first row's does, and none if not.
+    attached to the nearest grid point, ties toward the earlier point, and
+    follows `MealEvent`'s rules. Every timestamp must carry a UTC offset if the
+    first cgm row's does, and none if not.
     """
     path = Path(path)
-    casts = dict(zip(TIMESERIES_COLUMNS, (timestamp, optional_number, text, optional_number, optional_number)))
-    start: Optional[datetime] = None
-    cgm_values: list[float] = []
-    meal_rows: list[tuple[datetime, Optional[str], Optional[float], Optional[float]]] = []
-    for i, (ts, cgm, desc, grams, gl) in enumerate(_read_rows(path, casts, TIMESERIES_COLUMNS[2:])):
-        if i == 0:
-            naive = ts.utcoffset() is None
-        elif (ts.utcoffset() is None) != naive:
-            raise ParseError(f"{path}: row {i}: {ts.isoformat()} mixes offset-aware and naive timestamps with row 0")
-        if cgm is not None:
-            start = ts if start is None else start
-            expected = start + len(cgm_values) * STEP
-            if ts != expected:
-                problem = "duplicate timestamp" if ts == expected - STEP else "grid gap or misaligned timestamp"
-                raise GridError(f"{path}: row {i}: {problem} {ts.isoformat()} (expected {expected.isoformat()})")
-            cgm_values.append(cgm)
-        if grams is not None and not desc:
-            raise ParseError(f"{path}: row {i}: meal_grams without meal_desc")
-        if desc or gl is not None:
-            meal_rows.append((ts, desc or None, grams, gl))
-        elif cgm is None:
-            raise ParseError(f"{path}: row {i}: neither cgm_mgdl nor meal columns present")
+    rows = _read_rows(path, TIMESERIES_SCHEMA, tuple(TIMESERIES_SCHEMA)[2:])
+    start = next((ts for ts, cgm, *_ in rows if cgm is not None), None)
     if start is None:
         raise GridError(f"{path}: no cgm rows")
-
+    cgm_values: list[float] = []
     meals: list[MealEvent] = []
-    for ts, desc, grams, gl in meal_rows:
-        offset = (ts - start).total_seconds() / STEP.total_seconds()
-        index = math.ceil(offset - 0.5)  # the nearest point; a tie attaches to the earlier one
-        meals.append(MealEvent(timestamp=ts, grid_index=index, description=desc, grams=grams, gl=gl))
+    try:
+        for i, (ts, cgm, desc, grams, gl) in enumerate(rows):
+            _check_clock(ts, start)
+            if cgm is not None:
+                expected = start + len(cgm_values) * STEP
+                if ts != expected:
+                    problem = "duplicate timestamp" if ts == expected - STEP else "grid gap or misaligned timestamp"
+                    raise GridError(f"{problem} {ts.isoformat()} (expected {expected.isoformat()})")
+                cgm_values.append(cgm)
+            if desc or grams is not None or gl is not None:
+                offset = (ts - start).total_seconds() / STEP.total_seconds()
+                index = math.ceil(offset - 0.5)  # the nearest point; a tie attaches to the earlier one
+                meals.append(MealEvent(timestamp=ts, grid_index=index, description=desc or None, grams=grams, gl=gl))
+            elif cgm is None:
+                raise ParseError("neither cgm_mgdl nor meal columns present")
+    except (GridError, ParseError) as exc:
+        raise type(exc)(f"{path}: row {i}: {exc}") from None
     subject_id = path.stem if subject_id is None else subject_id
     try:
         return GlucoseSeries(subject_id=subject_id, start=start, cgm=np.array(cgm_values), meals=tuple(meals))
@@ -345,7 +321,7 @@ def load_timeseries(path: Path | str, subject_id: Optional[str] = None) -> Gluco
 
 def load_gl_table(path: Path | str) -> GlycemicTable:
     """Load the (pattern, gi, cho_per_100g) reference table."""
-    entries = tuple(_read_rows(path, {"pattern": text, "gi": optional_number, "cho_per_100g": optional_number}))
+    entries = tuple(_read_rows(path, GL_TABLE_SCHEMA))
     for i, (pattern, gi, cho) in enumerate(entries):
         if not pattern or gi is None or cho is None:
             raise ParseError(f"{path}: row {i}: pattern, gi, and cho_per_100g are all required")
@@ -355,64 +331,46 @@ def load_gl_table(path: Path | str) -> GlycemicTable:
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def _format_number(value: Optional[float]) -> str:
-    if value is None:
-        return ""
-    return repr(float(value))
+def _write_rows(path: Path | str, casts: Mapping[str, Callable], rows: Iterable[Sequence]) -> None:
+    """Write the CSV from which `_read_rows(path, casts)` reads `rows` back.
+
+    The header names the columns of `casts`, and each row holds one value per
+    column, in that order. Each cell is its value formatted by the `FORMATS`
+    entry of its column's cast, one column at a time.
+    """
+    columns = [map(FORMATS[cast], values) for cast, values in zip(casts.values(), zip(*rows))]
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(casts)
+        writer.writerows(zip(*columns))
 
 
 def write_clinical(path: Path | str, records: Iterable[ClinicalRecord]) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CLINICAL_COLUMNS)
-        for record in records:
-            row = [record.subject_id, record.gender or ""]
-            row.extend(_format_number(getattr(record, attr)) for attr in NUMERIC_FIELDS)
-            writer.writerow(row)
+    rows = [(r.subject_id, r.gender, *(getattr(r, name) for name in NUMERIC_FIELDS)) for r in records]
+    _write_rows(path, CLINICAL_SCHEMA, rows)
 
 
 def write_timeseries(path: Path | str, series: GlucoseSeries) -> None:
-    path = Path(path)
-    meals_by_index: dict[int, list[MealEvent]] = {}
+    """Write `series` as the CSV that `load_timeseries` reads back.
+
+    A meal shares its grid point's row when it sits exactly on that point;
+    any other meal keeps its own timestamp on a cgm-less row after it.
+    """
+    attached: dict[int, list[MealEvent]] = {}
     for meal in series.meals:
-        meals_by_index.setdefault(meal.grid_index, []).append(meal)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(TIMESERIES_COLUMNS)
-        for i, value in enumerate(series.cgm):
-            grid_ts = series.timestamp_at(i)
-            attached = meals_by_index.get(i, [])
-            # A meal shares the grid row only when it sits exactly on the grid
-            # point; off-grid meals keep their own timestamp on a cgm-less row.
-            merged = next((m for m in attached if m.timestamp == grid_ts), None)
-            writer.writerow(
-                [
-                    grid_ts.isoformat(),
-                    _format_number(float(value)),
-                    (merged.description or "") if merged else "",
-                    _format_number(merged.grams) if merged else "",
-                    _format_number(merged.gl) if merged else "",
-                ]
-            )
-            for extra in attached:
-                if extra is merged:
-                    continue
-                writer.writerow(
-                    [
-                        extra.timestamp.isoformat(),
-                        "",
-                        extra.description or "",
-                        _format_number(extra.grams),
-                        _format_number(extra.gl),
-                    ]
-                )
+        attached.setdefault(meal.grid_index, []).append(meal)
+    rows: list[tuple] = []
+    for i, value in enumerate(series.cgm.tolist()):
+        ts = series.start + i * STEP
+        meals = attached.get(i)
+        if meals is None:
+            rows.append((ts, value, None, None, None))
+            continue
+        merged = next((m for m in meals if m.timestamp == ts), None)
+        rows.append((ts, value, merged.description, merged.grams, merged.gl) if merged else (ts, value, None, None, None))
+        rows.extend((m.timestamp, None, m.description, m.grams, m.gl) for m in meals if m is not merged)
+    _write_rows(path, TIMESERIES_SCHEMA, rows)
 
 
 def write_gl_table(path: Path | str, table: GlycemicTable) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("pattern", "gi", "cho_per_100g"))
-        for pattern, gi, cho in table.entries:
-            writer.writerow([pattern, _format_number(gi), _format_number(cho)])
+    _write_rows(path, GL_TABLE_SCHEMA, table.entries)

@@ -10,8 +10,6 @@ steps ahead, so no forecast ever sees its own target.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -29,7 +27,8 @@ from .bsts.components import (
     semi_local_trend,
 )
 from .bsts.sampler import forecast_anchors, mcmc_fit
-from .dataset import STEP, GlucoseSeries
+from .casts import class_index, text, write_json
+from .dataset import STEP, GlucoseSeries, _write_rows
 from .errors import CapacityError, ConfigError, RangeError, SchemaError
 
 ABLATION_NAMES = ("similar_subjects", "day_seasonal", "meal_seasonal", "circadian_seasonal")
@@ -457,15 +456,12 @@ def render_metrics_text(report: MetricsReport) -> str:
 
 
 def write_metrics_json(path: Path | str, reports: Sequence[MetricsReport]) -> None:
-    payload = [r.to_json() for r in reports]
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
+    write_json(path, [r.to_json() for r in reports])
 
 
 def write_confusion_csv(path: Path | str, report: MetricsReport) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["horizon", "actual_band"] + [f"pred_{b}" for b in GLYCEMIC_BANDS])
-        for h in report.horizons:
-            matrix = report.reports[h].confusion
-            for i, band in enumerate(GLYCEMIC_BANDS):
-                writer.writerow([h, band] + [int(v) for v in matrix[i]])
+    """One row per horizon and actual band: the counts of each predicted band."""
+    casts = {"horizon": class_index, "actual_band": text, **{f"pred_{b}": class_index for b in GLYCEMIC_BANDS}}
+    _write_rows(path, casts, [
+        (h, band, *report.reports[h].confusion[i]) for h in report.horizons for i, band in enumerate(GLYCEMIC_BANDS)
+    ])

@@ -8,16 +8,17 @@ turn dietary entries into a per-grid-point glycemic-load regressor.
 
 from __future__ import annotations
 
-import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .casts import class_index, integer, integers, load_json, number, numbers, objects, read, string, strings, text
-from .dataset import IMPUTABLE_FEATURES, ClinicalRecord, GlucoseSeries, GlycemicTable, _read_rows
+from .casts import (
+    class_index, integer, integers, load_json, number, numbers, objects, read, string, strings, text, write_json,
+)
+from .dataset import IMPUTABLE_FEATURES, ClinicalRecord, GlucoseSeries, GlycemicTable, _read_rows, _write_rows
 from .errors import EncodingError, ImputationError, RangeError, SchemaError
 
 ENCODED_FEATURES = ("gender",) + IMPUTABLE_FEATURES + ("fpg", "hpp2")
@@ -54,6 +55,11 @@ class VariableCodec:
             return self.levels.index(value)
         z = (value - self.mean) / self.sd
         return int(np.searchsorted(np.asarray(self.edges), z, side="right"))
+
+
+def _encoded_schema(variables: Sequence[str]) -> dict:
+    """The encoded CSV's column schema: subject_id, then one class index per variable."""
+    return {"subject_id": text, **dict.fromkeys(variables, class_index)}
 
 
 @dataclass(frozen=True)
@@ -95,30 +101,12 @@ class DiscreteDataset:
         return self.cards[self.index_of(name)]
 
     def to_files(self, csv_path: Path | str, sidecar_path: Path | str) -> None:
-        with Path(csv_path).open("w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(("subject_id",) + self.variables)
-            ids = self.subject_ids or tuple(str(i) for i in range(self.n_rows))
-            for sid, row in zip(ids, self.matrix):
-                writer.writerow([sid] + [int(v) for v in row])
-        sidecar = {
-            "variables": list(self.variables),
-            "cards": list(self.cards),
-            "codecs": [
-                {
-                    "name": c.name,
-                    "card": c.card,
-                    "kind": c.kind,
-                    "mean": c.mean,
-                    "sd": c.sd,
-                    "edges": list(c.edges),
-                    "representatives": list(c.representatives),
-                    "levels": list(c.levels),
-                }
-                for c in self.codecs
-            ],
-        }
-        Path(sidecar_path).write_text(json.dumps(sidecar, indent=2, sort_keys=True), encoding="utf-8")
+        """Write the encoded CSV and its sidecar, whose codecs' keys are `VariableCodec`'s fields."""
+        ids = self.subject_ids or tuple(str(i) for i in range(self.n_rows))
+        rows = [(sid, *row) for sid, row in zip(ids, self.matrix.tolist())]
+        _write_rows(csv_path, _encoded_schema(self.variables), rows)
+        sidecar = {"variables": self.variables, "cards": self.cards, "codecs": [asdict(c) for c in self.codecs]}
+        write_json(sidecar_path, sidecar)
 
     @classmethod
     def from_files(cls, csv_path: Path | str, sidecar_path: Path | str) -> "DiscreteDataset":
@@ -154,7 +142,7 @@ class DiscreteDataset:
             raise SchemaError(f"{sidecar_path}: lacks key {exc}") from None
         except SchemaError as exc:
             raise SchemaError(f"{sidecar_path}: {exc}") from None
-        rows = _read_rows(csv_path, {"subject_id": text, **dict.fromkeys(variables, class_index)})
+        rows = _read_rows(csv_path, _encoded_schema(variables))
         matrix = np.array([row[1:] for row in rows], dtype=np.int64).reshape(len(rows), len(variables))
         outside = np.argwhere(matrix >= np.array(cards))
         if outside.size:

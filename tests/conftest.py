@@ -9,6 +9,18 @@ from glycast.dataset import ClinicalRecord, GlucoseSeries, MealEvent
 
 START = datetime(2024, 1, 1, tzinfo=timezone.utc)
 
+# Values a writer must write so that its reader reads them back exactly: the smallest subnormal, a float near the
+# largest, a sum with no short decimal and a negative zero; microseconds, a +05:30 offset and naive times; text
+# holding a comma and quotes.
+EDGE_FLOATS = (5e-324, 1.7e308, 0.1 + 0.2, -0.0)
+EDGE_TIMES = (
+    datetime(2024, 3, 1, 8, 5, 7, 123456, tzinfo=timezone(timedelta(hours=5, minutes=30))),
+    datetime(2024, 3, 1, 8, 5, 7, 999999),
+    datetime(2024, 3, 1, 8, 5),
+    START,
+)
+EDGE_TEXT = 'rice, "fried" with egg'
+
 
 def grid_timestamps(n, start=START):
     return [start + timedelta(minutes=15 * i) for i in range(n)]

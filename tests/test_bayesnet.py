@@ -801,6 +801,14 @@ class TestSerialization:
         back_dag, back_strengths = load_network_json(path)
         assert back_dag.arcs == dag.arcs
         assert back_strengths.strength("a", "b") == 0.92
+        # A node name holding a comma and quotes, and strengths at the float edges that [0, 1] admits.
+        name = 'fpg, "fasting"'
+        strengths = {(name, "b"): 5e-324, ("b", "c"): 0.1 + 0.2, ("c", "d"): -0.0}
+        dag = Dag((name, "b", "c", "d"), frozenset(strengths))
+        save_network_json(path, dag, ArcStrengthTable(strengths))
+        back_dag, back_strengths = load_network_json(path)
+        assert back_dag == dag
+        assert repr(sorted(back_strengths.strengths.items())) == repr(sorted(strengths.items()))
 
     def test_cpts_json_shape(self):
         data = dataset({"a": [0, 1, 0, 1], "b": [0, 0, 1, 1]}, cards=(2, 2))

@@ -5,16 +5,21 @@ import pytest
 
 from glycast.dataset import (
     CLINICAL_COLUMNS,
+    CLINICAL_SCHEMA,
+    TIMESERIES_SCHEMA,
     GlycemicTable,
+    _read_rows,
+    _write_rows,
     load_clinical,
     load_gl_table,
     load_timeseries,
+    write_clinical,
     write_gl_table,
     write_timeseries,
 )
 from glycast.errors import GridError, FoodLookupError, ParseError, RangeError, SchemaError
 
-from conftest import START, grid_timestamps, write_csv
+from conftest import EDGE_FLOATS, EDGE_TEXT, EDGE_TIMES, START, grid_timestamps, write_csv
 
 
 def clinical_row(subject_id="P1", **overrides):
@@ -102,6 +107,15 @@ class TestLoadClinical:
     def test_loading_is_pure(self, tmp_path):
         path = write_csv(tmp_path / "c.csv", CLINICAL_COLUMNS, [clinical_row("A")])
         assert load_clinical(path) == load_clinical(path)
+
+    def test_round_trip(self, tmp_path, complete_record):
+        path = tmp_path / "c.csv"
+        rows = [(EDGE_TEXT, "female", *EDGE_FLOATS * 4), ("P2", "", *(None,) * 16)]
+        _write_rows(path, CLINICAL_SCHEMA, rows)
+        assert repr(_read_rows(path, CLINICAL_SCHEMA)) == repr(rows)
+        records = [complete_record(EDGE_TEXT, gender=None, tc=5e-324, egfr=1.7e308, tg=0.1 + 0.2, hdl=None)]
+        write_clinical(path, records)
+        assert load_clinical(path) == records
 
     def test_marker_range_enforced(self, tmp_path):
         path = write_csv(tmp_path / "c.csv", CLINICAL_COLUMNS, [clinical_row(fpg_mgdl=900)])
@@ -217,17 +231,35 @@ class TestLoadTimeseries:
         series = simple_series(
             n=48,
             values=rng.uniform(80, 240, 48),
-            meals=(meal_at(10, gl=13.8), meal_at(20, description="rice", grams=150.0)),
+            meals=(meal_at(10, gl=13.8), meal_at(20, description=EDGE_TEXT, grams=0.1 + 0.2, gl=-0.0)),
         )
         path = tmp_path / "rt.csv"
         write_timeseries(path, series)
         back = load_timeseries(path, subject_id=series.subject_id)
         assert back.start == series.start
         np.testing.assert_array_equal(back.cgm, series.cgm)
-        assert [(m.grid_index, m.gl, m.description, m.grams) for m in back.meals] == [
+        assert repr([(m.grid_index, m.gl, m.description, m.grams) for m in back.meals]) == repr([
             (10, 13.8, None, None),
-            (20, None, "rice", 150.0),
-        ]
+            (20, -0.0, EDGE_TEXT, 0.1 + 0.2),
+        ])
+        rows = [(ts, value, EDGE_TEXT, value, value) for ts, value in zip(EDGE_TIMES, EDGE_FLOATS)]
+        rows.append((START, None, "", None, None))
+        _write_rows(path, TIMESERIES_SCHEMA, rows)
+        assert repr(_read_rows(path, TIMESERIES_SCHEMA)) == repr(rows)
+
+    def test_a_meal_the_reader_refuses_is_refused(self, tmp_path, simple_series, meal_at):
+        # Each was accepted, written by write_timeseries, and then refused by load_timeseries.
+        with pytest.raises(ParseError, match="^neither meal_desc nor meal_gl present$"):
+            meal_at(3)
+        with pytest.raises(ParseError, match="^meal_grams without meal_desc$"):
+            meal_at(3, grams=50.0, gl=4.0)
+        naive = meal_at(3, gl=4.0, timestamp=(START + timedelta(minutes=45)).replace(tzinfo=None))
+        with pytest.raises(ParseError) as caught:
+            simple_series(n=8, meals=(naive,))
+        assert str(caught.value) == (
+            "subject P1: meal at 2024-01-01T00:45:00 mixes offset-aware and naive timestamps"
+            " with 2024-01-01T00:00:00+00:00"
+        )
 
     def test_off_grid_meal_round_trip(self, tmp_path, simple_series, meal_at):
         off = START + timedelta(minutes=33)
@@ -285,7 +317,9 @@ class TestGlycemicTable:
         assert str(caught.value) == f"{path}: duplicate food pattern 'Rice'"
 
     def test_table_round_trip(self, tmp_path):
-        table = GlycemicTable(entries=(("rice", 73.0, 28.0), ("milk", 31.0, 5.0)))
+        table = GlycemicTable(entries=(("rice", 73.0, 28.0), (EDGE_TEXT, 5e-324, 0.1 + 0.2), ("milk", 1.7e308, -0.0)))
         path = tmp_path / "gl.csv"
         write_gl_table(path, table)
-        assert load_gl_table(path) == table
+        back = load_gl_table(path)
+        assert back == table
+        assert repr(back.entries) == repr(table.entries)

@@ -239,9 +239,10 @@ class TestRegressorEval:
 
     @pytest.mark.parametrize("naive", ["tester", "donor"])
     def test_mixed_time_zones_refused(self, naive):
-        # Synthetic series start at 00:00 UTC; one side loses its offset.
+        # Synthetic series start at 00:00 UTC; one side, its meals included, loses its offset.
         series = dict(zip(("tester", "donor"), gen_cgm_series(SynthConfig(n_subjects=2, n_days=2, seed=1))[0]))
-        series[naive] = replace(series[naive], start=series[naive].start.replace(tzinfo=None))
+        meals = tuple(replace(m, timestamp=m.timestamp.replace(tzinfo=None)) for m in series[naive].meals)
+        series[naive] = replace(series[naive], start=series[naive].start.replace(tzinfo=None), meals=meals)
         with pytest.raises(SchemaError, match="tester S000 and donor S001: one series has offset-aware"):
             build_similarity_design(series["tester"], [series["donor"]])
 

@@ -1,12 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glycast.dataset import IMPUTABLE_FEATURES
+from glycast.dataset import IMPUTABLE_FEATURES, _read_rows, _write_rows
 from glycast.errors import EncodingError, ImputationError, FoodLookupError, RangeError
 from glycast.preprocess import (
     DiscreteDataset,
+    VariableCodec,
+    _encoded_schema,
     build_meal_regressor,
     exclude_incomplete,
     glycemic_load,
@@ -15,6 +19,8 @@ from glycast.preprocess import (
 )
 from glycast.dataset import GlycemicTable
 from glycast.synth import SynthConfig, gen_clinical
+
+from conftest import EDGE_FLOATS, EDGE_TEXT
 
 
 class TestExclusion:
@@ -272,3 +278,17 @@ class TestDiscreteDatasetIO:
         assert back.cards == data.cards
         np.testing.assert_array_equal(back.matrix, data.matrix)
         assert [c.representatives for c in back.codecs] == [c.representatives for c in data.codecs]
+        # A subject_id holding a comma and quotes, and a codec of edge floats, read back exactly.
+        low, high, inexact, zero = EDGE_FLOATS
+        card = data.cards[1]
+        edge = VariableCodec(data.variables[1], card, "numeric", low, high, (zero, inexact), (zero,) * card)
+        codecs = (data.codecs[0], edge) + data.codecs[2:]
+        data = replace(data, subject_ids=(EDGE_TEXT,) + data.subject_ids[1:], codecs=codecs)
+        data.to_files(tmp_path / "enc.csv", tmp_path / "meta.json")
+        back = DiscreteDataset.from_files(tmp_path / "enc.csv", tmp_path / "meta.json")
+        assert back.subject_ids == data.subject_ids
+        assert repr(back.codecs[1]) == repr(edge)
+        schema = _encoded_schema(("a", "b"))
+        rows = [(EDGE_TEXT, 0, 2**63 - 1), ("", 7, 1)]
+        _write_rows(tmp_path / "enc.csv", schema, rows)
+        assert _read_rows(tmp_path / "enc.csv", schema) == rows
