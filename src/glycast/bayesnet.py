@@ -21,7 +21,11 @@ containing a directed arc is that arc's strength, and the consensus network
 keeps arcs at or above a strength threshold. Parameters are multinomial MLE
 with optional Laplace smoothing. Inference is exact variable elimination by
 one routine: `infer_markers` takes the FPG and 2HPP posteriors as the
-marginals of their joint, and `infer_posterior` asks it for one target.
+marginals of their joint, and `infer_posterior` asks it for one target. A
+posterior depends only on the evidence in CPTs that also hold an unobserved
+variable, so the model caches each elimination by those values: subjects
+whose evidence differs only in fully observed families share one
+elimination, and read the same posterior to the bit.
 """
 
 from __future__ import annotations
@@ -569,7 +573,10 @@ class BayesianNetworkModel:
     """Consensus DAG with fitted CPTs and optional expert arc annotations.
 
     CPT rows are indexed by the mixed-radix code of the node's sorted parent
-    classes (first parent most significant); every row sums to 1.
+    classes (first parent most significant); every row sums to 1. The model
+    keeps read-only copies of the CPTs, so `eliminations`, the cache of
+    `_eliminate` (set of evidence variables -> `_EliminationPlan`), never
+    goes stale; `dataclasses.replace` starts an empty one.
     """
 
     dag: Dag
@@ -578,8 +585,14 @@ class BayesianNetworkModel:
     parent_order: Mapping[str, tuple[str, ...]]
     representatives: Mapping[str, tuple[float, ...]] = field(default_factory=dict)
     annotations: Mapping[Arc, str] = field(default_factory=dict)
+    eliminations: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        cpts = {node: np.array(cpt) for node, cpt in self.cpts.items()}
+        for cpt in cpts.values():
+            cpt.flags.writeable = False
+        object.__setattr__(self, "cpts", cpts)
+        object.__setattr__(self, "eliminations", {})
         for node in self.dag.nodes:
             cpt = self.cpts[node]
             card = self.cards[node]
@@ -647,13 +660,42 @@ def fit_parameters(dag: Dag, data: DiscreteDataset, alpha: float = 1.0) -> Bayes
     )
 
 
+@dataclass(frozen=True)
+class _EliminationPlan:
+    """What an elimination needs of one set of evidence variables.
+
+    `observed` holds each fully observed family (its CPT entries as a flat
+    list, and its variables), `free` the other nodes in model order.
+    `shared` names the evidence variables in a `free` family: only their
+    values reach the posterior, so `results` keys each normalised posterior
+    on (targets, those values).
+    """
+
+    observed: tuple[tuple[list[float], tuple[str, ...]], ...]
+    free: tuple[str, ...]
+    shared: tuple[str, ...]
+    results: dict = field(default_factory=dict)
+
+
+def _elimination_plan(model: BayesianNetworkModel, evidence: Mapping[str, int]) -> _EliminationPlan:
+    observed, free, shared = [], [], set()
+    for node in model.dag.nodes:
+        names = model.parent_order[node] + (node,)
+        if all(v in evidence for v in names):
+            observed.append((model.cpts[node].ravel().tolist(), names))
+        else:
+            free.append(node)
+            shared.update(v for v in names if v in evidence)
+    return _EliminationPlan(tuple(observed), tuple(free), tuple(sorted(shared)))
+
+
 def _eliminate(
     model: BayesianNetworkModel, targets: tuple[str, ...], evidence: Mapping[str, int]
 ) -> np.ndarray:
     """Posterior joint over `targets` (axes in that order) by variable elimination.
 
-    Each CPT is reduced by the evidence with one index. The factors that the
-    evidence reduces to scalars fold into one float: it takes part in the
+    Each CPT is reduced by the evidence with one index. The fully observed
+    CPTs reduce to scalars, which fold into one float: it takes part in the
     zero-mass test, but not in the normalised result, so evidence that
     reaches the targets only through such factors leaves the posterior the
     same to the bit (subjects with the same Markov-blanket evidence tie
@@ -662,6 +704,12 @@ def _eliminate(
     in min-weight order: the variable whose product factor is smallest first,
     ties broken by name. A final np.einsum multiplies what is left into the
     table over the targets.
+
+    The posterior is therefore a function of the targets and the values of
+    the evidence in the other CPTs (`_EliminationPlan.shared`), and the
+    model's `eliminations` cache returns a copy of the one computed for them.
+    Every call validates the evidence and multiplies the scalars, so a call
+    that hits the cache raises what a fresh elimination would.
     """
     for var, value in evidence.items():
         if var not in model.cards:
@@ -674,19 +722,30 @@ def _eliminate(
         if target in evidence:
             raise SchemaError(f"target {target} cannot also be evidence")
 
+    plan = model.eliminations.get(frozenset(evidence))
+    if plan is None:
+        plan = model.eliminations[frozenset(evidence)] = _elimination_plan(model, evidence)
+    scale = 1.0
+    for entries, names in plan.observed:
+        code = 0
+        for v in names:  # the CPT's row code, then its column
+            code = code * model.cards[v] + evidence[v]
+        scale *= entries[code]
+    key = (targets, tuple(evidence[v] for v in plan.shared))
+    posterior = plan.results.get(key)
+    if posterior is not None:
+        if not scale > 0.0:
+            raise InferenceError("contradictory evidence: posterior mass is zero")
+        return posterior.copy()
+
     nodes = model.dag.nodes
     label = {node: i for i, node in enumerate(nodes)}
-    scale = 1.0
     factors: list[tuple[np.ndarray, list[int]]] = []
-    for node in nodes:
+    for node in plan.free:
         names = model.parent_order[node] + (node,)
         table = model.cpts[node].reshape([model.cards[v] for v in names])
         table = table[tuple(evidence.get(v, slice(None)) for v in names)]
-        free = [label[v] for v in names if v not in evidence]
-        if free:
-            factors.append((table, free))
-        else:
-            scale *= float(table)
+        factors.append((table, [label[v] for v in names if v not in evidence]))
 
     def weight(var: int) -> tuple[int, str]:
         size = 1
@@ -707,7 +766,8 @@ def _eliminate(
     total = float(joint.sum())
     if not (scale > 0.0 and total > 0.0):
         raise InferenceError("contradictory evidence: posterior mass is zero")
-    return joint / total
+    posterior = plan.results[key] = joint / total
+    return posterior.copy()
 
 
 def infer_posterior(

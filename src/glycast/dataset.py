@@ -125,6 +125,11 @@ class MealEvent:
             raise ParseError("neither meal_desc nor meal_gl present")
 
 
+def _nearest_index(ts: datetime, start: datetime) -> int:
+    """The grid point nearest `ts` on the grid from `start`; a tie goes to the earlier point."""
+    return math.ceil((ts - start).total_seconds() / STEP.total_seconds() - 0.5)
+
+
 def _check_clock(ts: datetime, reference: datetime) -> None:
     """ParseError unless both timestamps carry a UTC offset or neither does: only then do they subtract."""
     if (ts.utcoffset() is None) != (reference.utcoffset() is None):
@@ -135,7 +140,9 @@ def _check_clock(ts: datetime, reference: datetime) -> None:
 class GlucoseSeries:
     """CGM values on a strict 15-minute grid with attached meal events.
 
-    Each meal's timestamp carries a UTC offset exactly when `start` does.
+    Each meal's timestamp carries a UTC offset exactly when `start` does, and
+    its grid_index is the grid point nearest its timestamp (a tie goes to the
+    earlier point), the point `load_timeseries` attaches it to.
     """
 
     subject_id: str
@@ -160,6 +167,12 @@ class GlucoseSeries:
                 _check_clock(meal.timestamp, self.start)
             except ParseError as exc:
                 raise ParseError(f"subject {self.subject_id}: meal at {exc}") from None
+            nearest = _nearest_index(meal.timestamp, self.start)
+            if meal.grid_index != nearest:
+                raise GridError(
+                    f"subject {self.subject_id}: meal at {meal.timestamp} has grid_index {meal.grid_index},"
+                    f" but its nearest grid point is {nearest}"
+                )
             if not 0 <= meal.grid_index < cgm.size:
                 raise GridError(
                     f"subject {self.subject_id}: meal at {meal.timestamp} attached outside the grid"
@@ -305,9 +318,7 @@ def load_timeseries(path: Path | str, subject_id: Optional[str] = None) -> Gluco
                     raise GridError(f"{problem} {ts.isoformat()} (expected {expected.isoformat()})")
                 cgm_values.append(cgm)
             if desc or grams is not None or gl is not None:
-                offset = (ts - start).total_seconds() / STEP.total_seconds()
-                index = math.ceil(offset - 0.5)  # the nearest point; a tie attaches to the earlier one
-                meals.append(MealEvent(timestamp=ts, grid_index=index, description=desc or None, grams=grams, gl=gl))
+                meals.append(MealEvent(ts, _nearest_index(ts, start), desc or None, grams, gl))
             elif cgm is None:
                 raise ParseError("neither cgm_mgdl nor meal columns present")
     except (GridError, ParseError) as exc:

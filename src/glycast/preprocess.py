@@ -8,6 +8,7 @@ turn dietary entries into a per-grid-point glycemic-load regressor.
 
 from __future__ import annotations
 
+import bisect
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -53,8 +54,8 @@ class VariableCodec:
             if value not in self.levels:
                 raise EncodingError(f"{self.name}: unknown level {value!r}; expected one of {self.levels}")
             return self.levels.index(value)
-        z = (value - self.mean) / self.sd
-        return int(np.searchsorted(np.asarray(self.edges), z, side="right"))
+        # The class np.searchsorted(edges, z, side="right") gives, NaN past the last edge.
+        return bisect.bisect_right(self.edges, float((value - self.mean) / self.sd))
 
 
 def _encoded_schema(variables: Sequence[str]) -> dict:

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import CapacityError, RangeError, SchemaError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MarkerPoint:
     """A subject's (FPG, 2HPP) point in mg/dL, inferred or measured."""
 

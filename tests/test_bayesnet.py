@@ -22,6 +22,7 @@ from glycast.bayesnet import (
     _FamilyScores,
     _PlanTable,
     ArcStrengthTable,
+    BayesianNetworkModel,
     Dag,
     TabuParams,
     bic_score,
@@ -695,6 +696,96 @@ class TestElimination:
             infer_posterior(model, "fpg", evidence)
         consistent = {"a": 0, "b": 0}
         np.testing.assert_allclose(infer_markers(model, consistent)[0], [0.3, 0.7], atol=1e-15)
+
+
+@pytest.fixture(scope="module")
+def cohort_network():
+    """The network Stage 1 would fit to a 1500-record cohort, and the encoded rows without the markers."""
+    records, _ = gen_clinical(SynthConfig(n_subjects=1500, seed=5150, missing_rate=0.05))
+    kept, _ = preprocess.exclude_incomplete(records, 3)
+    data = preprocess.standardize_encode(preprocess.impute_means(kept), 4)
+    model = fit_parameters(tabu_search(data), data, alpha=1.0)
+    names = [v for v in data.variables if v not in ("fpg", "hpp2")]
+    rows = [dict(zip(names, row)) for row in data.matrix[:, [data.variables.index(v) for v in names]].tolist()]
+    return model, rows
+
+
+class TestEliminationCache:
+    def test_cached_results_equal_a_fresh_models(self, cohort_network):
+        model, rows = cohort_network
+        model = replace(model)
+        rng = np.random.default_rng(8)
+        for full in rows:
+            partial = {v: k for v, k in full.items() if rng.random() < 0.6}
+            target = str(rng.choice([v for v in model.dag.nodes if v not in partial]))
+            for evidence in (full, partial):
+                for got, want in zip(infer_markers(model, evidence), infer_markers(replace(model), evidence)):
+                    assert np.array_equal(got, want)
+            assert np.array_equal(
+                infer_posterior(model, target, partial), infer_posterior(replace(model), target, partial)
+            )
+        # Almost every full row reused an elimination: the cache is what the test exercised.
+        plan = model.eliminations[frozenset(rows[0])]
+        assert len(plan.results) < len(rows) / 10
+
+    def test_a_hit_returns_a_copy(self, cohort_network):
+        model, rows = cohort_network
+        first = infer_markers(model, rows[0])[0]
+        first[:] = 0.0
+        assert infer_markers(model, rows[0])[0].sum() == pytest.approx(1.0)
+
+    def test_zero_mass_raises_on_a_cache_hit(self):
+        # b copies a, so alpha=0 leaves P(b=1 | a=0) = 0; the markers see neither.
+        data = dataset({"fpg": [0, 1, 1, 0], "hpp2": [0, 1, 0, 1], "a": [0, 1, 0, 1], "b": [0, 1, 0, 1]})
+        model = fit_parameters(Dag(data.variables, frozenset({("fpg", "hpp2"), ("a", "b")})), data, alpha=0.0)
+        infer_markers(model, {"a": 0, "b": 0})
+        (plan,) = model.eliminations.values()
+        assert plan.shared == () and list(plan.results) == [(("fpg", "hpp2"), ())]
+        with pytest.raises(InferenceError, match="contradictory evidence"):
+            infer_markers(model, {"a": 0, "b": 1})
+        with pytest.raises(InferenceError, match="contradictory evidence"):
+            infer_posterior(model, "fpg", {"a": 0, "b": 1})
+
+    def test_invalid_evidence_raises_as_on_a_fresh_model(self, cohort_network):
+        model, rows = cohort_network
+        evidence = rows[0]
+        infer_markers(model, evidence)
+        infer_posterior(model, "fpg", evidence)
+        variable = next(iter(evidence))
+        cases = [
+            (infer_markers, (dict(evidence, nope=0),), SchemaError),
+            (infer_markers, (dict(evidence, **{variable: model.cards[variable]}),), RangeError),
+            (infer_markers, (dict(evidence, **{variable: -1}),), RangeError),
+            (infer_markers, (dict(evidence, fpg=0),), SchemaError),
+            (infer_posterior, ("nope", evidence), SchemaError),
+            (infer_posterior, (variable, evidence), SchemaError),
+        ]
+        for infer, args, error in cases:
+            with pytest.raises(error) as warm:
+                infer(model, *args)
+            with pytest.raises(error) as fresh:
+                infer(replace(model), *args)
+            assert str(warm.value) == str(fresh.value)
+
+    def test_replace_starts_an_empty_cache(self, cohort_network):
+        model, rows = cohort_network
+        infer_markers(model, rows[0])
+        assert model.eliminations
+        assert replace(model).eliminations == {}
+
+    def test_cpts_are_read_only_copies(self):
+        cpts = {"fpg": np.array([[0.3, 0.7]]), "hpp2": np.array([[0.6, 0.4], [0.1, 0.9]])}
+        model = BayesianNetworkModel(
+            dag=Dag(("fpg", "hpp2"), frozenset({("fpg", "hpp2")})),
+            cards={"fpg": 2, "hpp2": 2},
+            cpts=cpts,
+            parent_order={"fpg": (), "hpp2": ("fpg",)},
+        )
+        cpts["fpg"][0] = [0.9, 0.1]
+        assert model.cpts["fpg"].tolist() == [[0.3, 0.7]]
+        for cpt in model.cpts.values():
+            with pytest.raises(ValueError, match="read-only"):
+                cpt[0, 0] = 0.5
 
 
 class TestFamilyScores:

@@ -271,6 +271,24 @@ class TestLoadTimeseries:
         (meal,) = back.meals
         assert (meal.grid_index, meal.timestamp) == (2, off)
 
+    @pytest.mark.parametrize(
+        "minutes, index, nearest",
+        [(40, 1, 3), (7.5, 1, 0), (-20, 0, -1)],  # 7.5 ties between points 0 and 1: the earlier wins
+    )
+    def test_a_meal_must_sit_at_its_nearest_grid_point(self, tmp_path, simple_series, meal_at, minutes, index, nearest):
+        # Each series was accepted before, and load_timeseries moved its meal or refused the file.
+        ts = START + timedelta(minutes=minutes)
+        with pytest.raises(GridError) as caught:
+            simple_series(n=8, meals=(meal_at(index, gl=4.0, timestamp=ts),))
+        assert str(caught.value) == (
+            f"subject P1: meal at {ts} has grid_index {index}, but its nearest grid point is {nearest}"
+        )
+        if nearest >= 0:
+            path = tmp_path / "rt.csv"
+            write_timeseries(path, simple_series(n=8, meals=(meal_at(nearest, gl=4.0, timestamp=ts),)))
+            (meal,) = load_timeseries(path).meals
+            assert (meal.grid_index, meal.timestamp) == (nearest, ts)
+
 
 class TestGlycemicTable:
     def test_longest_match(self):

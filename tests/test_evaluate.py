@@ -213,7 +213,9 @@ class TestRegressorEval:
         tester, donor = gen_cgm_series(cfg)[0]
         gl = {donor.subject_id: np.arange(len(donor), dtype=float)}
         unshifted, _ = build_similarity_design(tester, [donor], gl)
-        moved = replace(donor, start=donor.start + timedelta(hours=hours))
+        shift_by = timedelta(hours=hours)  # the meals move with the grid, keeping their grid points
+        meals = tuple(replace(m, timestamp=m.timestamp + shift_by) for m in donor.meals)
+        moved = replace(donor, start=donor.start + shift_by, meals=meals)
         design, _ = build_similarity_design(tester, [moved], gl)
         # Tester row i reads the donor's reading at the same time of day.
         np.testing.assert_array_equal(design, np.roll(unshifted, -shift, axis=0))

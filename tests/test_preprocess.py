@@ -188,6 +188,26 @@ class TestStandardizeEncode:
         for record, row in zip(imputed, data.matrix.tolist()):
             assert row == [codec.encode_value(getattr(record, codec.name)) for codec in data.codecs]
 
+    def test_encode_value_is_searchsorted_right(self):
+        # encode_value bisects the edges; the class must be np.searchsorted's for every float.
+        records, _ = gen_clinical(SynthConfig(n_subjects=200, seed=11, missing_rate=0.0))
+        data = standardize_encode(records)
+        rng = np.random.default_rng(11)
+        for codec in data.codecs:
+            if codec.kind != "numeric":
+                continue
+            edges = np.array(codec.edges)
+            unit = replace(codec, mean=0.0, sd=1.0)  # z is the value itself
+            zs = np.concatenate([
+                edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                [-np.inf, np.inf, np.nan, 0.0, -0.0], rng.normal(0.0, 2.0, 10_000),
+            ])
+            assert [unit.encode_value(z) for z in zs.tolist()] == np.searchsorted(edges, zs, side="right").tolist()
+            values = codec.mean + codec.sd * zs
+            want = np.searchsorted(edges, (values - codec.mean) / codec.sd, side="right")
+            assert [codec.encode_value(v) for v in values.tolist()] == want.tolist()
+        assert data.matrix.tolist() == [[c.encode_value(getattr(r, c.name)) for c in data.codecs] for r in records]
+
 
 class TestGlycemicLoad:
     def test_paper_value(self):
