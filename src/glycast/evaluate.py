@@ -11,7 +11,7 @@ steps ahead, so no forecast ever sees its own target.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -34,6 +34,7 @@ from .errors import CapacityError, ConfigError, RangeError, SchemaError
 ABLATION_NAMES = ("similar_subjects", "day_seasonal", "meal_seasonal", "circadian_seasonal")
 _SEASONAL_FLAGS = {"day_seasonal": "use_day", "meal_seasonal": "use_meal", "circadian_seasonal": "use_circadian"}
 GLYCEMIC_BANDS = ("hypo", "normal", "hyper")
+SCORES = ("mae", "rmse", "mape")  # compute_metrics' order: the point-forecast scores a table reports
 STEPS_PER_DAY = 96
 MIN_TRAIN = 10  # training points a fit needs
 VALIDATION_FRACTION = 0.2  # trailing share of train reported as the validation range
@@ -60,6 +61,8 @@ class EvalConfig:
             raise ConfigError(f"horizons must not repeat, got {list(self.horizons)}")
         if not self.hypo_max < self.hyper_min:
             raise ConfigError("hypo_max must be below hyper_min")
+        if self.burn < 0:
+            raise ConfigError(f"burn must be >= 0, got {self.burn}")
         if self.draws <= self.burn:
             raise ConfigError("draws must exceed burn")
         if self.m_similar < 1:
@@ -85,36 +88,37 @@ def compute_metrics(actual: Sequence[float], predicted: Sequence[float]) -> tupl
     return mae, rmse, mape
 
 
-def glycemic_band(
-    value: float, hypo_max: float = EvalConfig.hypo_max, hyper_min: float = EvalConfig.hyper_min
-) -> int:
-    if value < hypo_max:
-        return 0
-    if value > hyper_min:
-        return 2
-    return 1
-
-
 def glycemic_confusion(
     actual: Sequence[float],
     predicted: Sequence[float],
     hypo_max: float = EvalConfig.hypo_max,
     hyper_min: float = EvalConfig.hyper_min,
 ) -> tuple[np.ndarray, float]:
-    """3x3 counts (rows actual, columns predicted; hypo/normal/hyper order)."""
+    """3x3 counts (rows actual, columns predicted; hypo/normal/hyper order) and the diagonal's share.
+
+    A value below `hypo_max` is hypo, one above `hyper_min` hyper, any other
+    (the edges themselves and NaN included) normal.
+    """
     x = np.asarray(actual, dtype=float)
     y = np.asarray(predicted, dtype=float)
     if x.shape != y.shape:
         raise SchemaError(f"series shapes differ: {x.shape} vs {y.shape}")
-    matrix = np.zeros((3, 3), dtype=np.int64)
-    for a, p in zip(x, y):
-        matrix[glycemic_band(a, hypo_max, hyper_min), glycemic_band(p, hypo_max, hyper_min)] += 1
+    bands = [1 - (v < hypo_max) + (v > hyper_min) for v in (x, y)]
+    matrix = np.bincount(3 * bands[0] + bands[1], minlength=9).reshape(3, 3)
     accuracy = float(np.trace(matrix) / matrix.sum()) if matrix.sum() else 0.0
     return matrix, accuracy
 
 
 @dataclass(frozen=True)
 class HorizonReport:
+    """One horizon's scores over the test anchors: the one record every report reads.
+
+    `metrics.json` holds each field but `horizon` (`to_json`), the
+    `confusion_<subject_id>.csv` rows its `confusion`, `render_metrics_text`
+    (evaluate's stdout) its SCORES, accuracy and range, and `run_ablation`
+    (`ablation.json`, `ablation.txt`) its SCORES.
+    """
+
     horizon: int
     mae: float
     rmse: float
@@ -124,6 +128,20 @@ class HorizonReport:
     forecast_max: float
     confusion: np.ndarray
     accuracy: float
+
+    @classmethod
+    def score(cls, horizon: int, actual: np.ndarray, predicted: np.ndarray, cfg: EvalConfig) -> "HorizonReport":
+        """Score the mean forecasts `predicted` of the targets `actual` at `horizon`."""
+        scores = compute_metrics(actual, predicted)
+        confusion, accuracy = glycemic_confusion(actual, predicted, cfg.hypo_max, cfg.hyper_min)
+        return cls(
+            horizon, *scores, n=int(actual.size), forecast_min=float(np.min(predicted)),
+            forecast_max=float(np.max(predicted)), confusion=confusion, accuracy=accuracy,
+        )
+
+    def to_json(self) -> dict:
+        cell = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "horizon"}
+        return {**cell, "confusion": self.confusion.tolist()}
 
 
 @dataclass(frozen=True)
@@ -141,19 +159,7 @@ class MetricsReport:
             "n_train": self.n_train,
             "n_test": self.n_test,
             "validation_range": list(self.validation_range),
-            "horizons": {
-                str(h): {
-                    "mae": r.mae,
-                    "rmse": r.rmse,
-                    "mape": r.mape,
-                    "n": r.n,
-                    "forecast_min": r.forecast_min,
-                    "forecast_max": r.forecast_max,
-                    "accuracy": r.accuracy,
-                    "confusion": [[int(c) for c in row] for row in r.confusion],
-                }
-                for h, r in sorted(self.reports.items())
-            },
+            "horizons": {str(h): r.to_json() for h, r in sorted(self.reports.items())},
         }
 
 
@@ -282,28 +288,10 @@ def sliding_window_eval(
         thin=cfg.forecast_thin,
     )
 
-    reports: dict[int, HorizonReport] = {}
-    for h in cfg.horizons:
-        predicted = forecasts[h]["mean"]
-        actual = y[anchors + h]
-        mae, rmse, mape = compute_metrics(actual, predicted)
-        confusion, accuracy = glycemic_confusion(actual, predicted, cfg.hypo_max, cfg.hyper_min)
-        reports[h] = HorizonReport(
-            horizon=h,
-            mae=mae,
-            rmse=rmse,
-            mape=mape,
-            n=int(actual.size),
-            forecast_min=float(np.min(predicted)),
-            forecast_max=float(np.max(predicted)),
-            confusion=confusion,
-            accuracy=accuracy,
-        )
-
     return MetricsReport(
         subject_id=series.subject_id,
         horizons=tuple(cfg.horizons),
-        reports=reports,
+        reports={h: HorizonReport.score(h, y[anchors + h], forecasts[h]["mean"], cfg) for h in cfg.horizons},
         n_train=n_train,
         n_test=n_test,
         validation_range=validation_range,
@@ -376,12 +364,9 @@ class AblationTable:
         lines.append(header)
         lines.append("-" * len(header))
         for row_name, per_h in self.rows.items():
-            for metric in ("mae", "rmse", "mape"):
-                cells = []
-                for h in self.horizons:
-                    mean, sd = per_h[h][metric]
-                    cells.append(f"{mean:10.2f} ± {sd:5.2f}")
-                label = row_name if metric == "mae" else ""
+            for i, metric in enumerate(SCORES):
+                cells = ["{:10.2f} ± {:5.2f}".format(*per_h[h][metric]) for h in self.horizons]
+                label = "" if i else row_name
                 lines.append(f"{label:<28}{metric.upper():<12}" + "".join(f"{c:>18}" for c in cells))
         return "\n".join(lines)
 
@@ -408,27 +393,14 @@ def run_ablation(
     conditions: list[tuple[str, Optional[str]]] = [("baseline", None)]
     conditions += [(name, name) for name in sorted(set(removals))]
     for row_name, removal in conditions:
-        per_subject: dict[int, dict[str, list[float]]] = {
-            h: {"mae": [], "rmse": [], "mape": []} for h in base_cfg.horizons
-        }
-        for i, (series, pipeline) in enumerate(subjects):
-            cfg = replace(base_cfg, seed=base_cfg.seed + 1000 * i)
-            report = sliding_window_eval(pipeline.without(removal), series, cfg)
-            for h in base_cfg.horizons:
-                r = report.reports[h]
-                per_subject[h]["mae"].append(r.mae)
-                per_subject[h]["rmse"].append(r.rmse)
-                per_subject[h]["mape"].append(r.mape)
-        rows[row_name] = {
-            h: {
-                metric: (
-                    float(np.mean(values)),
-                    float(np.std(values)) if len(values) > 1 else 0.0,
-                )
-                for metric, values in metrics.items()
-            }
-            for h, metrics in per_subject.items()
-        }
+        reports = [
+            sliding_window_eval(pipeline.without(removal), series, replace(base_cfg, seed=base_cfg.seed + 1000 * i))
+            for i, (series, pipeline) in enumerate(subjects)
+        ]
+        rows[row_name] = {}
+        for h in base_cfg.horizons:
+            scores = {metric: [getattr(r.reports[h], metric) for r in reports] for metric in SCORES}
+            rows[row_name][h] = {metric: (float(np.mean(v)), float(np.std(v))) for metric, v in scores.items()}
     return AblationTable(rows=rows, horizons=tuple(base_cfg.horizons))
 
 
@@ -440,12 +412,9 @@ def render_metrics_text(report: MetricsReport) -> str:
     header = f"{'metric':<14}" + "".join(f"{f'{h}-step':>14}" for h in report.horizons)
     lines.append(header)
     lines.append("-" * len(header))
-    for metric in ("mae", "rmse", "mape", "accuracy"):
-        cells = []
-        for h in report.horizons:
-            r = report.reports[h]
-            value = getattr(r, metric)
-            cells.append(f"{value * 100.0 if metric == 'accuracy' else value:14.2f}")
+    for metric in (*SCORES, "accuracy"):
+        scale = 100.0 if metric == "accuracy" else 1.0  # accuracy in percent
+        cells = [f"{getattr(report.reports[h], metric) * scale:14.2f}" for h in report.horizons]
         lines.append(f"{metric.upper():<14}" + "".join(cells))
     cells = [
         f"({report.reports[h].forecast_min:.1f}, {report.reports[h].forecast_max:.1f})"

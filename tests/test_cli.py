@@ -893,6 +893,29 @@ class TestErrorHandling:
         assert "m_similar" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, output", [
+        ("evaluate", "metrics.json"), ("ablate", "ablation.json"), ("forecast", "forecast_S000.csv"),
+    ])
+    def test_negative_burn_refused_before_stage1(self, tmp_path, synth_dir, capsys, monkeypatch, command, output):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return bootstrap(*args, **kwargs)
+
+        bootstrap = bayesnet.bootstrap_consensus
+        monkeypatch.setattr(bayesnet, "bootstrap_consensus", spy)
+        out = tmp_path / "o"
+        cfg = write_config(
+            tmp_path / "ev.json", seed=0, out_dir=str(out), series_dir=str(synth_dir / "series"),
+            series_csv=str(synth_dir / "series" / "S000.csv"), clinical_csv=str(synth_dir / "clinical.csv"),
+            bootstrap=2, draws=20, burn=-1, removals=["day_seasonal"],
+        )
+        assert main([command, "--config", cfg, "--subjects", "S000"]) == 2
+        assert capsys.readouterr().err == "error: burn must be >= 0, got -1\n"
+        assert calls == []
+        assert not (out / output).exists()
+
     def test_repeated_horizons(self, tmp_path, synth_dir, capsys):
         # Each column and confusion row would be written twice.
         out = tmp_path / "o"

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from datetime import timedelta
 
@@ -9,8 +10,11 @@ from hypothesis import strategies as st
 from glycast.bsts import semi_local_trend
 from glycast.errors import CapacityError, ConfigError, RangeError, SchemaError
 from glycast.evaluate import (
+    AblationTable,
     EvalConfig,
     ForecastPipeline,
+    HorizonReport,
+    MetricsReport,
     build_similarity_design,
     compute_metrics,
     glycemic_confusion,
@@ -81,6 +85,28 @@ class TestGlycemicConfusion:
         predicted = rng.uniform(40, 400, 50)
         matrix, _ = glycemic_confusion(actual, predicted)
         assert matrix.sum() == 50
+
+    @pytest.mark.parametrize("hypo_max, hyper_min", [(70.0, 180.0), (54.0, 250.0)])
+    def test_band_edges(self, hypo_max, hyper_min):
+        def band(v):  # the documented rule, one value at a time
+            return 0 if v < hypo_max else 2 if v > hyper_min else 1
+
+        values = [hypo_max, hyper_min, np.nextafter(hypo_max, 0), np.nextafter(hyper_min, np.inf), np.nan]
+        assert [band(v) for v in values] == [1, 1, 0, 2, 1]
+        pairs = [(a, p) for a in values for p in values]
+        for a, p in pairs:
+            matrix, accuracy = glycemic_confusion([a], [p], hypo_max, hyper_min)
+            expected = np.zeros((3, 3), dtype=np.int64)
+            expected[band(a), band(p)] = 1
+            np.testing.assert_array_equal(matrix, expected)
+            assert accuracy == float(band(a) == band(p))
+        matrix, _ = glycemic_confusion(*zip(*pairs), hypo_max=hypo_max, hyper_min=hyper_min)
+        expected = np.zeros((3, 3), dtype=np.int64)
+        for a, p in pairs:
+            expected[band(a), band(p)] += 1
+        np.testing.assert_array_equal(matrix, expected)
+        if (hypo_max, hyper_min) == (70.0, 180.0):
+            np.testing.assert_array_equal(glycemic_confusion(*zip(*pairs))[0], expected)
 
 
 def eval_series(n_days=4, seed=0, **kwargs):
@@ -323,6 +349,74 @@ class TestReportIO:
         assert len(lines) == 1 + 2 * 3
 
 
+def hand_built_report():
+    """A two-horizon MetricsReport whose scores are exact binary fractions, built without a fit."""
+    one = HorizonReport(
+        horizon=1, mae=5.125, rmse=7.5, mape=4.0625, n=3, forecast_min=95.25, forecast_max=182.0,
+        confusion=np.eye(3, dtype=np.int64), accuracy=1.0,
+    )
+    four = HorizonReport(
+        horizon=4, mae=12.5, rmse=15.75, mape=10.25, n=3, forecast_min=68.5, forecast_max=150.0,
+        confusion=np.array([[0, 1, 0]] * 3, dtype=np.int64), accuracy=1 / 3,
+    )
+    return MetricsReport(
+        subject_id="S007", horizons=(1, 4), reports={4: four, 1: one}, n_train=12, n_test=7, validation_range=(10, 12)
+    )
+
+
+class TestReportPins:
+    """The exact text and bytes of each report written from hand-built records."""
+
+    def test_metrics_text(self):
+        assert render_metrics_text(hand_built_report()) == (
+            "subject S007  (train 12, test 7, validation rows 10..11)\n"
+            "metric                1-step        4-step\n"
+            "------------------------------------------\n"
+            "MAE                     5.12         12.50\n"
+            "RMSE                    7.50         15.75\n"
+            "MAPE                    4.06         10.25\n"
+            "ACCURACY              100.00         33.33\n"
+            "range          (95.2, 182.0) (68.5, 150.0)"
+        )
+
+    def test_metrics_json_bytes(self, tmp_path):
+        write_metrics_json(tmp_path / "m.json", [hand_built_report()])
+        document = [{
+            "subject_id": "S007", "n_train": 12, "n_test": 7, "validation_range": [10, 12],
+            "horizons": {
+                "1": {
+                    "mae": 5.125, "rmse": 7.5, "mape": 4.0625, "n": 3, "forecast_min": 95.25, "forecast_max": 182.0,
+                    "accuracy": 1.0, "confusion": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                },
+                "4": {
+                    "mae": 12.5, "rmse": 15.75, "mape": 10.25, "n": 3, "forecast_min": 68.5, "forecast_max": 150.0,
+                    "accuracy": 0.3333333333333333, "confusion": [[0, 1, 0], [0, 1, 0], [0, 1, 0]],
+                },
+            },
+        }]
+        assert (tmp_path / "m.json").read_bytes() == json.dumps(document, indent=2, sort_keys=True).encode()
+
+    def test_ablation_text(self):
+        cells = {
+            "baseline": {1: (5.125, 0.5, 7.5, 0.25, 4.0625, 0.0), 4: (12.5, 1.0, 15.75, 2.5, 10.25, 0.125)},
+            "day_seasonal": {1: (6.0, 0.75, 8.25, 0.5, 4.5, 0.25), 4: (14.0, 1.5, 18.5, 3.0, 11.75, 0.5)},
+        }
+        rows = {
+            row: {h: {"mae": c[0:2], "rmse": c[2:4], "mape": c[4:6]} for h, c in per_h.items()}
+            for row, per_h in cells.items()
+        }
+        assert AblationTable(rows=rows, horizons=(1, 4)).render_text() == (
+            "experiment                  metric                  1-step            4-step\n"
+            "----------------------------------------------------------------------------\n"
+            "baseline                    MAE               5.12 ±  0.50     12.50 ±  1.00\n"
+            "                            RMSE              7.50 ±  0.25     15.75 ±  2.50\n"
+            "                            MAPE              4.06 ±  0.00     10.25 ±  0.12\n"
+            "day_seasonal                MAE               6.00 ±  0.75     14.00 ±  1.50\n"
+            "                            RMSE              8.25 ±  0.50     18.50 ±  3.00\n"
+            "                            MAPE              4.50 ±  0.25     11.75 ±  0.50"
+        )
+
+
 class TestEvalConfig:
     def test_invalid_configs(self):
         with pytest.raises(ConfigError):
@@ -335,5 +429,7 @@ class TestEvalConfig:
             EvalConfig(hypo_max=200.0, hyper_min=180.0)
         with pytest.raises(ConfigError):
             EvalConfig(draws=100, burn=100)
+        with pytest.raises(ConfigError, match="burn must be >= 0, got -1"):
+            EvalConfig(draws=100, burn=-1)
         with pytest.raises(ConfigError, match="m_similar"):
             EvalConfig(m_similar=0)
