@@ -106,6 +106,32 @@ class ComponentSpec:
     trend_priors: Optional[TrendPriors] = None
     spike_slab: Optional[SpikeSlabSettings] = None
 
+    def __post_init__(self) -> None:
+        """SchemaError unless a seasonal holds integers (as they are) that tile its cycle from a phase inside it."""
+        if self.kind != "seasonal":
+            return
+        name = self.name
+        try:
+            n_seasons, phase = integer(self.n_seasons), integer(self.phase)
+            durations = tuple(map(integer, self.durations))
+        except (TypeError, ValueError):
+            raise SchemaError(
+                f"seasonal {name!r}: n_seasons, durations and phase must be integers, "
+                f"got {self.n_seasons!r}, {self.durations!r}, {self.phase!r}"
+            ) from None
+        if n_seasons < 2:
+            raise SchemaError(f"seasonal {name!r}: n_seasons must be >= 2")
+        if len(durations) != n_seasons:
+            raise SchemaError(f"seasonal {name!r}: {len(durations)} durations do not tile {n_seasons} seasons")
+        if any(d < 1 for d in durations):
+            raise SchemaError(f"seasonal {name!r}: durations must all be >= 1")
+        cycle = sum(durations)
+        if not 0 <= phase < cycle:
+            raise SchemaError(f"seasonal {name!r}: phase must lie in 0..{cycle - 1}")
+        object.__setattr__(self, "n_seasons", n_seasons)
+        object.__setattr__(self, "durations", durations)
+        object.__setattr__(self, "phase", phase)
+
 
 def semi_local_trend(priors: Optional[TrendPriors] = None) -> ComponentSpec:
     return ComponentSpec(kind="semi_local_trend", name="trend", trend_priors=priors)
@@ -118,21 +144,9 @@ def seasonal(
     phase: int = 0,
     var_prior: Optional[VariancePrior] = None,
 ) -> ComponentSpec:
-    """A seasonal spec; SchemaError unless n_seasons, each duration and phase are integers (int() would truncate)."""
-    try:
-        n_seasons, durations, phase = integer(n_seasons), tuple(map(integer, durations)), integer(phase)
-    except (TypeError, ValueError):
-        raise SchemaError(
-            f"seasonal {name!r}: n_seasons, durations and phase must be integers, "
-            f"got {n_seasons!r}, {durations!r}, {phase!r}"
-        ) from None
+    """A seasonal spec, checked by ComponentSpec."""
     return ComponentSpec(
-        kind="seasonal",
-        name=name,
-        n_seasons=n_seasons,
-        durations=durations,
-        phase=phase,
-        var_prior=var_prior,
+        kind="seasonal", name=name, n_seasons=n_seasons, durations=durations, phase=phase, var_prior=var_prior
     )
 
 
@@ -146,11 +160,11 @@ def specs_from_json(payload: dict) -> list[ComponentSpec]:
     Seasonal entries carry name/n_seasons/durations/phase and an optional
     var_prior {df, guess}; the trend entry may carry level/slope variance
     priors plus d/phi hyperparameters; a regression entry carries columns and
-    optional spike_slab settings. An entry that lacks a key or holds a value
-    of the wrong type raises SchemaError naming the entry. Counts, durations
-    and phases take JSON integers, the priors finite JSON numbers, a name a
-    string and columns a list of strings, each read by `glycast.casts.read`
-    as the config keys are.
+    optional spike_slab settings. An entry that lacks a key, holds a value
+    of the wrong type or is a seasonal that cannot tile its cycle raises
+    SchemaError naming the entry. Counts, durations and phases take JSON
+    integers, the priors finite JSON numbers, a name a string and columns a
+    list of strings, each read by `glycast.casts.read` as the config keys are.
     """
     if "components" not in payload or not isinstance(payload["components"], list):
         raise SchemaError("component document requires a 'components' list")
@@ -219,9 +233,13 @@ def meal_seasonal() -> ComponentSpec:
     return seasonal("meal", 3, (32, 32, 32))
 
 
-def circadian_seasonal(durations: tuple[int, int] = (48, 24)) -> ComponentSpec:
-    """Asymmetric active/sleep split; (64, 32) is the 16h/8h alternative."""
-    return seasonal("circadian", 2, durations)
+def circadian_seasonal() -> ComponentSpec:
+    """Asymmetric active/sleep split: 12 then 6 hours, an 18-hour cycle."""
+    return seasonal("circadian", 2, (48, 24))
+
+
+# The paper's Stage-2 stack before the regression on similar subjects.
+STANDARD_STACK = (semi_local_trend(), day_seasonal(), meal_seasonal(), circadian_seasonal())
 
 
 @dataclass(frozen=True)
@@ -412,18 +430,6 @@ def assemble_model(
     layouts: list[SeasonalLayout] = []
     offset = 2
     for spec in seasonal_specs:
-        if spec.n_seasons < 2:
-            raise SchemaError(f"seasonal {spec.name!r}: n_seasons must be >= 2")
-        if len(spec.durations) != spec.n_seasons:
-            raise SchemaError(
-                f"seasonal {spec.name!r}: {len(spec.durations)} durations do not tile "
-                f"{spec.n_seasons} seasons"
-            )
-        if any(d < 1 for d in spec.durations):
-            raise SchemaError(f"seasonal {spec.name!r}: durations must all be >= 1")
-        cycle = sum(spec.durations)
-        if not 0 <= spec.phase < cycle:
-            raise SchemaError(f"seasonal {spec.name!r}: phase must lie in 0..{cycle - 1}")
         var_prior = spec.var_prior or VariancePrior(df=prior_df, guess=(0.01 * sd_y) ** 2)
         layouts.append(
             SeasonalLayout(

@@ -23,8 +23,8 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from . import __version__, bayesnet, preprocess, similarity, synth
-from .bsts import posterior_forecast, specs_from_json
-from .bsts.components import MAX_HORIZON
+from .bsts import ComponentSpec, posterior_forecast, specs_from_json
+from .bsts.components import MAX_HORIZON, STANDARD_STACK
 from .casts import boolean, integer, integers, load_json, number, optional_number, read, strings, timestamp, write_json
 from .dataset import (
     GlucoseSeries,
@@ -247,10 +247,15 @@ def _design(tester: GlucoseSeries, donors: Sequence[GlucoseSeries], gl_table, n_
     return build_similarity_design(tester, donors, gl_columns or None, n_rows)
 
 
+def _stack(cfg: dict) -> tuple[ComponentSpec, ...]:
+    """The run's component stack: the `components` document's specs, or STANDARD_STACK."""
+    return tuple(specs_from_json(cfg)) if "components" in cfg else STANDARD_STACK
+
+
 def _tester_designs(cfg: dict, seed: int, run: _Run, m: int):
     """Each tester's run: yields (series, ForecastPipeline, selection log).
 
-    The pipeline carries the `components` specs, if any, and the Stage-1
+    The pipeline carries the run's stack (`_stack`) and the Stage-1
     donors' design; without `clinical_csv` no donors are selected and it
     carries no design. A subject listed twice, or with no series, and a
     malformed `components` document are refused before anything is loaded.
@@ -264,7 +269,7 @@ def _tester_designs(cfg: dict, seed: int, run: _Run, m: int):
     for tester_id in testers:
         if tester_id not in series_map:
             raise ConfigError(f"{run.command}: no series for subject {tester_id}")
-    custom = tuple(specs_from_json(cfg)) if "components" in cfg else None
+    specs = _stack(cfg)
     gl_table = run.gl_table(cfg)
     stage1 = _stage1(cfg, seed, run, series_map) if "clinical_csv" in cfg else None
     for tester_id in testers:
@@ -273,7 +278,7 @@ def _tester_designs(cfg: dict, seed: int, run: _Run, m: int):
         regressors, names = (None, ())
         if donors:
             regressors, names = _design(tester, [run.series(series_map[sid]) for sid in donors], gl_table)
-        yield tester, ForecastPipeline(regressors=regressors, regressor_names=names, custom_specs=custom), selection
+        yield tester, ForecastPipeline(regressors=regressors, regressor_names=names, specs=specs), selection
 
 
 def _cmd_preprocess(cfg: dict, seed: int, run: _Run) -> None:
@@ -334,8 +339,7 @@ def _cmd_forecast(cfg: dict, seed: int, run: _Run) -> None:
         # Rows n..n+h-1 are the future rows, read from the donors at the forecast times of day.
         regressors, names = _design(series, donors, run.gl_table(cfg), len(series) + horizon)
 
-    custom = tuple(specs_from_json(cfg)) if "components" in cfg else None
-    pipeline = ForecastPipeline(regressors=regressors, regressor_names=names, custom_specs=custom)
+    pipeline = ForecastPipeline(regressors=regressors, regressor_names=names, specs=_stack(cfg))
     model, draws = pipeline.fit(series, len(series), eval_cfg)
     x_future = regressors[len(series) : len(series) + horizon] if regressors is not None else None
     result = posterior_forecast(

@@ -17,22 +17,13 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .bsts.components import (
-    ComponentSpec,
-    assemble_model,
-    circadian_seasonal,
-    day_seasonal,
-    meal_seasonal,
-    regression,
-    semi_local_trend,
-)
+from .bsts.components import STANDARD_STACK, ComponentSpec, assemble_model, regression
 from .bsts.sampler import forecast_anchors, mcmc_fit
 from .casts import class_index, text, write_json
 from .dataset import STEP, GlucoseSeries, _write_rows
 from .errors import CapacityError, ConfigError, RangeError, SchemaError
 
 ABLATION_NAMES = ("similar_subjects", "day_seasonal", "meal_seasonal", "circadian_seasonal")
-_SEASONAL_FLAGS = {"day_seasonal": "use_day", "meal_seasonal": "use_meal", "circadian_seasonal": "use_circadian"}
 GLYCEMIC_BANDS = ("hypo", "normal", "hyper")
 SCORES = ("mae", "rmse", "mape")  # compute_metrics' order: the point-forecast scores a table reports
 STEPS_PER_DAY = 96
@@ -165,21 +156,21 @@ class MetricsReport:
 
 @dataclass(frozen=True)
 class ForecastPipeline:
-    """Component selection and regression design for one tester's run.
+    """One tester's run: its component stack and regression design.
 
     `regressors`, when present, must cover the tester's full series (train and
     test rows) so that anchored forecasts can read future regressor values;
     similar subjects' trajectories are historical data, so their future values
-    are known. `custom_specs` replaces the standard trend + three-seasonal
-    stack entirely (a regression spec is still appended for the design).
+    are known. `specs` is the stack (default STANDARD_STACK); a regression
+    spec is appended for the design unless the stack holds one. Every
+    seasonal keeps the clock: its phase counts from midnight of the series'
+    first day, so a series starting at 15-minute slot s of its day fits
+    phase (phase + s) % cycle.
     """
 
-    use_day: bool = True
-    use_meal: bool = True
-    use_circadian: bool = True
     regressors: Optional[np.ndarray] = None
     regressor_names: tuple[str, ...] = ()
-    custom_specs: Optional[tuple[ComponentSpec, ...]] = None
+    specs: tuple[ComponentSpec, ...] = STANDARD_STACK
 
     def __post_init__(self) -> None:
         if self.regressors is not None:
@@ -189,36 +180,29 @@ class ForecastPipeline:
                 raise SchemaError("regressors must be (n, J) matching regressor_names")
 
     def component_specs(self, series: GlucoseSeries, n_train: int) -> list[ComponentSpec]:
-        if self.custom_specs is not None:
-            specs = list(self.custom_specs)
-            has_regression = any(s.kind == "regression" for s in specs)
-            if self.regressors is not None and self.regressor_names and not has_regression:
-                specs.append(regression(self.regressor_names))
-            return specs
-        offset = (series.start.hour * 60 + series.start.minute) // 15
-        specs = [semi_local_trend()]
-        for use, base in (
-            (self.use_day, day_seasonal()), (self.use_meal, meal_seasonal()), (self.use_circadian, circadian_seasonal())
-        ):
-            if use:
-                specs.append(replace(base, phase=offset % sum(base.durations)))
-        if self.regressors is not None and self.regressor_names:
+        start = (series.start.hour * 60 + series.start.minute) // 15
+        specs = [
+            replace(s, phase=(s.phase + start) % sum(s.durations)) if s.kind == "seasonal" else s for s in self.specs
+        ]
+        if self.regressors is not None and self.regressor_names and all(s.kind != "regression" for s in specs):
             specs.append(regression(self.regressor_names))
         return specs
 
     def without(self, removal: Optional[str]) -> "ForecastPipeline":
         """This pipeline less one of ABLATION_NAMES (None: unchanged).
 
-        A seasonal cannot be removed from `custom_specs`, which replace the
-        standard seasonals: that raises ConfigError.
+        `similar_subjects` drops the design and `<name>_seasonal` the stack's
+        seasonal called `<name>`; ConfigError if the stack holds none.
         """
         if removal is None:
             return self
         if removal == "similar_subjects":
             return replace(self, regressors=None, regressor_names=())
-        if self.custom_specs is not None:
-            raise ConfigError(f"cannot ablate {removal!r}: custom component specs replace the standard seasonals")
-        return replace(self, **{_SEASONAL_FLAGS[removal]: False})
+        name = removal.removesuffix("_seasonal")
+        specs = tuple(s for s in self.specs if (s.kind, s.name) != ("seasonal", name))
+        if len(specs) == len(self.specs):
+            raise ConfigError(f"cannot ablate {removal!r}: the component stack has no seasonal named {name!r}")
+        return replace(self, specs=specs)
 
     def fit(self, series: GlucoseSeries, n_train: int, cfg: EvalConfig):
         """Assemble the model on the first `n_train` points and run the Gibbs sampler: (model, draws)."""

@@ -45,7 +45,7 @@ class TestAssembly:
         assert layout.durations == (48, 24)
         assert layout.cycle == 72
         assert layout.state_dim == 1
-        alt = assemble_model([semi_local_trend(), circadian_seasonal((64, 32))], series())
+        alt = assemble_model([semi_local_trend(), seasonal("circadian", 2, (64, 32))], series())
         assert alt.seasonals[0].cycle == 96
 
     def test_full_stack_state_dim(self):

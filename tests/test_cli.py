@@ -916,6 +916,32 @@ class TestErrorHandling:
         assert calls == []
         assert not (out / output).exists()
 
+    @pytest.mark.parametrize("entry, message", [
+        ({"n_seasons": 1, "durations": [24]}, "n_seasons must be >= 2"),
+        ({"n_seasons": 4, "durations": [32, 32, 32]}, "3 durations do not tile 4 seasons"),
+        ({"n_seasons": 4, "durations": [24, 24, 24, 24], "phase": 96}, "phase must lie in 0..95"),
+    ], ids=["one-season", "short-durations", "phase-past-cycle"])
+    def test_malformed_seasonal_refused_before_stage1(self, tmp_path, synth_dir, capsys, monkeypatch, entry, message):
+        # The document itself is refused: a seasonal that cannot tile its cycle never waits for the bootstrap.
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return bootstrap(*args, **kwargs)
+
+        bootstrap = bayesnet.bootstrap_consensus
+        monkeypatch.setattr(bayesnet, "bootstrap_consensus", spy)
+        out = tmp_path / "o"
+        cfg = write_config(
+            tmp_path / "ev.json", seed=0, out_dir=str(out), series_dir=str(synth_dir / "series"),
+            clinical_csv=str(synth_dir / "clinical.csv"), bootstrap=2, draws=20, burn=5,
+            components=[{"kind": "semi_local_trend"}, {"kind": "seasonal", "name": "x", **entry}],
+        )
+        assert main(["evaluate", "--config", cfg, "--subjects", "S000"]) == 2
+        assert capsys.readouterr().err == f"error: component 1: malformed entry: seasonal 'x': {message}\n"
+        assert calls == []
+        assert not (out / "metrics.json").exists()
+
     def test_repeated_horizons(self, tmp_path, synth_dir, capsys):
         # Each column and confusion row would be written twice.
         out = tmp_path / "o"

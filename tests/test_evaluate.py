@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glycast.bsts import semi_local_trend
+from glycast.bsts import assemble_model, seasonal, semi_local_trend, specs_from_json
+from glycast.bsts.components import STANDARD_STACK
+from glycast.dataset import GlucoseSeries
 from glycast.errors import CapacityError, ConfigError, RangeError, SchemaError
 from glycast.evaluate import (
     AblationTable,
@@ -126,7 +128,7 @@ class TestSlidingWindowEval:
     def test_anchor_count_contract(self):
         series, _ = eval_series()
         cfg = EvalConfig(seed=1, **FAST)
-        report = sliding_window_eval(ForecastPipeline(use_meal=False, use_circadian=False), series, cfg)
+        report = sliding_window_eval(ForecastPipeline(specs=STANDARD_STACK[:2]), series, cfg)
         n = len(series)
         n_train, n_test, _ = train_test_split_sizes(n, cfg)
         expected = n_test - max(cfg.horizons) + 1
@@ -139,7 +141,7 @@ class TestSlidingWindowEval:
 
         series = GlucoseSeries(subject_id="C", start=START, cgm=np.full(200, 120.0))
         cfg = EvalConfig(horizons=(1,), seed=3, draws=150, burn=50)
-        pipeline = ForecastPipeline(use_day=False, use_meal=False, use_circadian=False)
+        pipeline = ForecastPipeline(specs=STANDARD_STACK[:1])
         report = sliding_window_eval(pipeline, series, cfg)
         assert report.reports[1].mae < 2.0
 
@@ -157,7 +159,7 @@ class TestSlidingWindowEval:
         from conftest import START
 
         cfg = EvalConfig(split_ratio=split_ratio, draws=20, burn=5)
-        pipeline = ForecastPipeline(use_day=False, use_meal=False, use_circadian=False)
+        pipeline = ForecastPipeline(specs=STANDARD_STACK[:1])
         short = GlucoseSeries(subject_id="S", start=START, cgm=np.full(shortest - 1, 120.0))
         with pytest.raises(CapacityError, match=f"need at least {shortest} points"):
             sliding_window_eval(pipeline, short, cfg)
@@ -168,7 +170,7 @@ class TestSlidingWindowEval:
     def test_no_leakage_from_test_segment(self):
         series, _ = eval_series(seed=5)
         cfg = EvalConfig(horizons=(1, 2), seed=7, **FAST)
-        pipeline = ForecastPipeline(use_meal=False, use_circadian=False)
+        pipeline = ForecastPipeline(specs=STANDARD_STACK[:2])
         n_train, _, _ = train_test_split_sizes(len(series), cfg)
 
         perturbed = np.array(series.cgm)
@@ -195,7 +197,7 @@ class TestSlidingWindowEval:
     def test_report_determinism(self):
         series, _ = eval_series(seed=9)
         cfg = EvalConfig(horizons=(1,), seed=11, **FAST)
-        pipeline = ForecastPipeline(use_meal=False)
+        pipeline = ForecastPipeline().without("meal_seasonal")
         a = sliding_window_eval(pipeline, series, cfg)
         b = sliding_window_eval(pipeline, series, cfg)
         assert a.reports[1].mae == b.reports[1].mae
@@ -209,7 +211,7 @@ class TestSlidingWindowEval:
                                 day_amplitude=8.0, noise_sd=3.0,
                                 meal_bump_scale=1.6, meal_gl_mean=22.0)
         cfg = EvalConfig(horizons=(1, 4), seed=2, draws=200, burn=60, forecast_thin=2)
-        pipeline = ForecastPipeline(use_meal=False, use_circadian=False)
+        pipeline = ForecastPipeline(specs=STANDARD_STACK[:2])
         report = sliding_window_eval(pipeline, series, cfg)
         assert report.reports[4].rmse >= report.reports[1].rmse
         assert report.reports[4].forecast_min <= report.reports[1].forecast_min
@@ -218,7 +220,7 @@ class TestSlidingWindowEval:
     def test_validation_range_reported(self):
         series, _ = eval_series(seed=1)
         cfg = EvalConfig(horizons=(1,), seed=1, **FAST)
-        report = sliding_window_eval(ForecastPipeline(use_day=False, use_meal=False, use_circadian=False), series, cfg)
+        report = sliding_window_eval(ForecastPipeline(specs=STANDARD_STACK[:1]), series, cfg)
         lo, hi = report.validation_range
         assert hi == report.n_train
         assert hi - lo == int(0.2 * report.n_train)
@@ -298,10 +300,57 @@ class TestForecastPipelineWithout:
             assert remaining == [name for name in names if name != dropped]
 
     def test_custom_specs_refuse_a_seasonal_removal(self):
-        custom = ForecastPipeline(custom_specs=(semi_local_trend(),))
-        assert custom.without("similar_subjects").custom_specs == custom.custom_specs
-        with pytest.raises(ConfigError, match="custom component specs"):
+        custom = ForecastPipeline(specs=(semi_local_trend(),))
+        assert custom.without("similar_subjects").specs == custom.specs
+        with pytest.raises(ConfigError, match="the component stack has no seasonal named 'day'"):
             custom.without("day_seasonal")
+
+
+# The standard stack spelled out as a `components` document.
+SPELLED_OUT = {"components": [
+    {"kind": "semi_local_trend"},
+    {"kind": "seasonal", "name": "day", "n_seasons": 4, "durations": [24, 24, 24, 24]},
+    {"kind": "seasonal", "name": "meal", "n_seasons": 3, "durations": [32, 32, 32]},
+    {"kind": "seasonal", "name": "circadian", "n_seasons": 2, "durations": [48, 24]},
+]}
+
+
+class TestSeasonalClock:
+    """A seasonal's phase counts from midnight of the series' first day, whichever stack it comes from."""
+
+    def test_seasons_follow_the_clock_from_every_start_slot(self):
+        from conftest import START
+
+        spelled = ForecastPipeline(specs=tuple(specs_from_json(SPELLED_OUT)))
+        # A 37-step cycle at phase 5: whole days do not tile it, so its season at midnight changes from day to day.
+        odd = ForecastPipeline(specs=(semi_local_trend(), seasonal("odd", 3, (10, 20, 7), phase=5)))
+        n = 200
+        for slot in range(96):
+            start = START + slot * timedelta(minutes=15)
+            series = GlucoseSeries(subject_id="C", start=start, cgm=120.0 + np.arange(n) % 7)
+            midnight = start.replace(hour=0, minute=0)
+            clock = [(series.timestamp_at(t) - midnight) // timedelta(minutes=15) for t in range(n)]
+            specs = ForecastPipeline().component_specs(series, n)
+            assert spelled.component_specs(series, n) == specs
+            for pipeline, stack in ((ForecastPipeline(), specs), (odd, odd.component_specs(series, n))):
+                seasonals = [s for s in pipeline.specs if s.kind == "seasonal"]
+                fitted = [s for s in stack if s.kind == "seasonal"]
+                seasons = []
+                for base, spec in zip(seasonals, fitted):
+                    cycle = [k for k, d in enumerate(base.durations) for _ in range(d)]
+                    expected = [cycle[(c + base.phase) % len(cycle)] for c in clock]
+                    assert [cycle[(spec.phase + t) % len(cycle)] for t in range(n)] == expected, (slot, spec.name)
+                    seasons.append(expected)
+                turns = np.array([[a[t + 1] != a[t] for a in seasons] for t in range(n - 1)])
+                np.testing.assert_array_equal(assemble_model(stack, series.cgm).boundaries(n), turns)
+
+    def test_spelled_out_stack_evaluates_as_the_default_off_midnight(self):
+        series, _ = eval_series(seed=3, n_days=3)
+        six = replace(series, start=series.start + timedelta(hours=6), meals=())
+        cfg = EvalConfig(horizons=(1, 2), seed=4, **FAST)
+        default = sliding_window_eval(ForecastPipeline(), six, cfg)
+        spelled = sliding_window_eval(ForecastPipeline(specs=tuple(specs_from_json(SPELLED_OUT))), six, cfg)
+        assert spelled.to_json() == default.to_json()
 
 
 class TestRunAblation:
@@ -335,7 +384,7 @@ class TestReportIO:
         series, _ = eval_series(seed=31, n_days=3)
         cfg = EvalConfig(horizons=(1, 2), seed=7, **FAST)
         report = sliding_window_eval(
-            ForecastPipeline(use_day=False, use_meal=False, use_circadian=False), series, cfg
+            ForecastPipeline(specs=STANDARD_STACK[:1]), series, cfg
         )
         write_metrics_json(tmp_path / "m.json", [report])
         write_confusion_csv(tmp_path / "c.csv", report)
