@@ -25,7 +25,8 @@ marginals of their joint, and `infer_posterior` asks it for one target. A
 posterior depends only on the evidence in CPTs that also hold an unobserved
 variable, so the model caches each elimination by those values: subjects
 whose evidence differs only in fully observed families share one
-elimination, and read the same posterior to the bit.
+elimination, and read the same posterior to the bit; `infer_markers` keeps
+its marginals and expectations with the cached joint.
 """
 
 from __future__ import annotations
@@ -674,7 +675,15 @@ class _EliminationPlan:
     observed: tuple[tuple[list[float], tuple[str, ...]], ...]
     free: tuple[str, ...]
     shared: tuple[str, ...]
-    results: dict = field(default_factory=dict)
+    results: dict = field(default_factory=dict)  # (targets, shared values) -> _Posterior
+
+
+@dataclass
+class _Posterior:
+    """One cached elimination: the normalised joint over its targets, and `infer_markers`' reading of it once made."""
+
+    joint: np.ndarray
+    markers: Optional[tuple[np.ndarray, np.ndarray, float, float]] = None
 
 
 def _elimination_plan(model: BayesianNetworkModel, evidence: Mapping[str, int]) -> _EliminationPlan:
@@ -691,8 +700,8 @@ def _elimination_plan(model: BayesianNetworkModel, evidence: Mapping[str, int]) 
 
 def _eliminate(
     model: BayesianNetworkModel, targets: tuple[str, ...], evidence: Mapping[str, int]
-) -> np.ndarray:
-    """Posterior joint over `targets` (axes in that order) by variable elimination.
+) -> _Posterior:
+    """Posterior joint over `targets` (axes in that order) by variable elimination, as the cache holds it.
 
     Each CPT is reduced by the evidence with one index. The fully observed
     CPTs reduce to scalars, which fold into one float: it takes part in the
@@ -707,9 +716,10 @@ def _eliminate(
 
     The posterior is therefore a function of the targets and the values of
     the evidence in the other CPTs (`_EliminationPlan.shared`), and the
-    model's `eliminations` cache returns a copy of the one computed for them.
-    Every call validates the evidence and multiplies the scalars, so a call
-    that hits the cache raises what a fresh elimination would.
+    model's `eliminations` cache returns the record computed for them, which
+    callers copy from and never change. Every call validates the evidence and
+    multiplies the scalars, so a call that hits the cache raises what a fresh
+    elimination would.
     """
     for var, value in evidence.items():
         if var not in model.cards:
@@ -736,7 +746,7 @@ def _eliminate(
     if posterior is not None:
         if not scale > 0.0:
             raise InferenceError("contradictory evidence: posterior mass is zero")
-        return posterior.copy()
+        return posterior
 
     nodes = model.dag.nodes
     label = {node: i for i, node in enumerate(nodes)}
@@ -766,8 +776,8 @@ def _eliminate(
     total = float(joint.sum())
     if not (scale > 0.0 and total > 0.0):
         raise InferenceError("contradictory evidence: posterior mass is zero")
-    posterior = plan.results[key] = joint / total
-    return posterior.copy()
+    posterior = plan.results[key] = _Posterior(joint / total)
+    return posterior
 
 
 def infer_posterior(
@@ -778,7 +788,7 @@ def infer_posterior(
     Raises SchemaError or RangeError on invalid evidence and InferenceError
     when the evidence has probability zero anywhere in the network.
     """
-    return _eliminate(model, (target,), evidence)
+    return _eliminate(model, (target,), evidence).joint.copy()
 
 
 def infer_markers(
@@ -787,16 +797,20 @@ def infer_markers(
     """Posteriors and expected mg/dL values for the FPG and 2HPP markers.
 
     One elimination gives the markers' posterior joint (`_eliminate` with
-    targets fpg, hpp2); the two posteriors are its row and column sums.
-    `_eliminate` raises SchemaError when the model has no fpg or hpp2 node
-    or the evidence names one.
+    targets fpg, hpp2); the two posteriors are its row and column sums. The
+    posteriors and expectations are kept with the cached joint, so a cache
+    hit returns copies of them. `_eliminate` raises SchemaError when the
+    model has no fpg or hpp2 node or the evidence names one.
     """
-    joint = _eliminate(model, ("fpg", "hpp2"), evidence)
-    fpg_posterior = joint.sum(axis=1)
-    hpp2_posterior = joint.sum(axis=0)
-    fpg_hat = float(np.dot(fpg_posterior, model.representative_values("fpg")))
-    hpp2_hat = float(np.dot(hpp2_posterior, model.representative_values("hpp2")))
-    return fpg_posterior, hpp2_posterior, fpg_hat, hpp2_hat
+    posterior = _eliminate(model, ("fpg", "hpp2"), evidence)
+    if posterior.markers is None:
+        fpg_posterior = posterior.joint.sum(axis=1)
+        hpp2_posterior = posterior.joint.sum(axis=0)
+        fpg_hat = float(np.dot(fpg_posterior, model.representative_values("fpg")))
+        hpp2_hat = float(np.dot(hpp2_posterior, model.representative_values("hpp2")))
+        posterior.markers = fpg_posterior, hpp2_posterior, fpg_hat, hpp2_hat
+    fpg_posterior, hpp2_posterior, fpg_hat, hpp2_hat = posterior.markers
+    return fpg_posterior.copy(), hpp2_posterior.copy(), fpg_hat, hpp2_hat
 
 
 def network_to_json(

@@ -9,9 +9,13 @@ for `forecast_anchors` on the draws-last transition kernel `_DrawOperators`:
 states are (m, K) and covariances (m, m, K). Every step moves the state in
 place by the model's one rule, `StateSpaceModel.transition`, with the draws'
 phi: T x updates rows 0 and 1 and shifts each seasonal that turns, and
-T P T' is that rule on the rows of P, then on its columns. The filter's one
-predict step, `_DrawOperators.predict`, also builds every forecast horizon's
-terms in one forward pass (`horizon_terms`).
+T P T' is that rule on the rows of P, then on its columns; a step's noise is
+added to the diagonal entries of P that its mask gives noise. The update
+writes the gain pz / f (zero where f <= 0) and the rank-one term gain pz'
+into buffers reused at every step. The filter's one predict step,
+`_DrawOperators.predict`, also builds every forecast horizon's terms in one
+forward pass (`horizon_terms`), cached by the masks of the steps they cross
+and by the anchor's phase in the model's period.
 
 One parameter point's state path has one sparse posterior precision in
 component-sequence coordinates (Chan & Jeliazkov 2009): the trend's band of
@@ -87,8 +91,10 @@ class _DrawOperators:
     `draws` are the retained draws of a fit, whose seven parameter fields
     carry a leading draw axis; `keep` selects draws along it. The kernel
     reads the model's step schedule and, per boundary mask, the noise
-    variances (m, K); T is the model's `transition` at the draws' phi. A
-    state is (m, ..., K) and a covariance (m, m, K).
+    variances of the state slots it gives noise (rows, K) with the flat
+    indices of those slots' diagonal entries of P; T is the model's
+    `transition` at the draws' phi. A state is (m, ..., K) and a covariance
+    (m, m, K).
     """
 
     def __init__(self, model: StateSpaceModel, draws, keep: slice = slice(None)) -> None:
@@ -99,12 +105,18 @@ class _DrawOperators:
         variances = (param("sigma_level") ** 2, param("sigma_slope") ** 2, (param("sigma_seasonal") ** 2).T)
         self.model = model
         self.step_masks = model.step_masks
-        self.noise_vars = [model.mask_noise(i, *variances).T.copy() for i in range(len(model.masks))]  # (m, K)
+        m = model.state_dim
+        self.noise = []  # per mask: the flat indices of P's diagonal entries with noise, and that noise (rows, K)
+        for i in range(len(model.masks)):
+            noise = model.mask_noise(i, *variances).T  # (m, K)
+            rows = np.flatnonzero(noise.any(axis=1))
+            self.noise.append((rows * (m + 1), noise[rows].copy()))
         self.intercept = model.state_intercept(param("d"), self.phi).T.copy()  # (m, K)
         self.obs_var = param("sigma_obs") ** 2  # (K,)
         self.beta = param("beta").T  # (J, K): x_t @ beta is x_t' beta per draw
         self.z = model.z
-        self._terms: dict[tuple, tuple[np.ndarray, ...]] = {}
+        self._terms: dict[tuple, tuple[np.ndarray, ...]] = {}  # by (horizons, the steps' masks)
+        self._phases: dict[tuple, tuple[np.ndarray, ...]] = {}  # by (horizons, t mod the period)
 
     def step(self, t: int) -> int:
         """Index of the operators that move the state from t to t+1."""
@@ -125,11 +137,12 @@ class _DrawOperators:
         a = self.transition(step, a)
         a += self.intercept
         P = self.transition_cov(step, P)
-        P.reshape(len(P) ** 2, -1)[:: len(P) + 1] += self.noise_vars[step]
+        diagonal, noise = self.noise[step]
+        P.reshape(len(P) ** 2, -1)[diagonal] += noise
         return a, P
 
     def horizon_terms(self, t: int, horizons: Sequence[int]) -> tuple[np.ndarray, ...]:
-        """(w_h (H, m), g_h (H, K), b_h (H, K), s_h (H, K)) of y_{t+h} given the state at t.
+        """(w_h (H, m), g_h (H, K), b_h (H, K), s_h (H, K), w_h (x) w_h (H, m^2)) of y_{t+h} given the state at t.
 
         y_{t+h} = u_h' alpha_t + b_h + x_{t+h}' beta + e_h with Var(e_h) = s_h, all
         horizons from one forward pass over steps t..t+max(h)-1 (Durbin & Koopman
@@ -138,10 +151,16 @@ class _DrawOperators:
         every draw, is z' times the product of the steps' transitions at phi = 0
         (the rule applied to the identity) with its slope entry zeroed, and
         g_h = 1 + phi g_{h-1}. b_h = z'b and s_h = z'Vz + obs_var, where
-        `predict` moves the mean b and covariance V forward from zero. They
-        depend on t only through the masks of steps t..t+h-1, the cache key.
+        `predict` moves the mean b and covariance V forward from zero; the
+        flat outer products w_h (x) w_h give w'Pw as one product with P's flat
+        form. The terms depend on t only through the masks of steps
+        t..t+h-1, the cache key, and those masks only through t's phase in
+        the period, which keys a second cache of the same terms.
         """
-        key = (tuple(horizons), tuple(self.step(t + j) for j in range(max(horizons))))
+        phase = (tuple(horizons), t % len(self.step_masks))
+        if phase in self._phases:
+            return self._phases[phase]
+        key = (phase[0], tuple(self.step(t + j) for j in range(max(horizons))))
         if key not in self._terms:
             m, k = self.intercept.shape
             product, g, b, V = np.eye(m), np.zeros(k), np.zeros((m, k)), np.zeros((m, m, k))
@@ -154,7 +173,9 @@ class _DrawOperators:
                 terms.append((self.z.dot(product), g, self.z.dot(b), self.z.dot(zv)))
             w, g, b, s = (np.array(column) for column in zip(*(terms[h - 1] for h in horizons)))
             w[:, 1] = 0.0
-            self._terms[key] = w, g, b, s + self.obs_var
+            outer = (w[:, :, None] * w[:, None, :]).reshape(len(w), m * m)
+            self._terms[key] = w, g, b, s + self.obs_var, outer
+        self._phases[phase] = self._terms[key]
         return self._terms[key]
 
 
@@ -164,24 +185,25 @@ def _filter_draws(model: StateSpaceModel, ops: _DrawOperators, y: np.ndarray, x:
     a_t (m, K) and P_t (m, m, K) are the filtered state moments given
     y_0..y_t, draws last; v_t and F_t (K,) the innovation and its variance,
     g_t (m, K) the gain; row t of the design x (n, J) gives x_t' beta. Steps
-    with zero predictive variance have zero gain and leave the state
-    untouched. Later steps may overwrite the yielded arrays.
+    with zero predictive variance have zero gain (pz divided by f, with every
+    f <= 0 read as +inf) and leave the state untouched. Later steps
+    overwrite the yielded arrays.
     """
     m, k = ops.intercept.shape
     z = ops.z
     a = np.repeat(model.a1[:, None], k, axis=1)
     P = np.zeros((m, m, k))
     P.reshape(m * m, k)[:: m + 1] = model.p1_diag[:, None]
-    rank_one = np.empty_like(P)
+    gain, rank_one = np.empty((m, k)), np.empty_like(P)
     for t in range(y.size):
         if t:
             a, P = ops.predict(ops.step(t - 1), a, P)
         pz = z.dot(P.reshape(m, m * k)).reshape(m, k)  # z'P, which is (P z)' for symmetric P
         f = z.dot(pz) + ops.obs_var
         v = y[t] - (z.dot(a) + x[t].dot(ops.beta))
-        gain = np.divide(pz, f, out=np.zeros_like(pz), where=f > 0.0)
+        np.divide(pz, np.where(f > 0.0, f, np.inf), out=gain)  # zero gain where f <= 0
         a += gain * v
-        P -= np.multiply(gain[:, None, :], pz[None, :, :], out=rank_one)
+        P -= np.einsum("ik,jk->ijk", gain, pz, out=rank_one)
         yield t, a, P, v, f, gain
 
 

@@ -27,8 +27,11 @@ filter. The predictive's terms come from `_DrawOperators.horizon_terms`, one
 forward pass of the filter's predict step over the horizon. phi enters a
 step only through the slope, which moves into the level alone, so the
 predictive's loading on the state is u_h = w_h + g_h e_1 with w_h shared by
-every draw, and u'Pu comes from one product of the (H, m) w with the
-draws-last P.
+every draw. `_predictive_moments` reduces the draws-last (a, P) at an anchor
+to three products, w a, w P[:, 1] and w'Pw (one (H, m^2) x (m^2, K) product
+of the cached w_h (x) w_h with P's flat form), written straight into the
+anchor's rows of the block that is sampled, where g, b, s and x'beta are
+folded in place.
 """
 
 from __future__ import annotations
@@ -36,10 +39,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from ..casts import integer
 from ..errors import NumericalError, RangeError, SchemaError
 from .components import MAX_HORIZON, StateSpaceModel
 from .kalman import ParamPoint, _DrawOperators, _check_ranges, _filter_draws, _sequence_layout, ffbs_sample
@@ -244,29 +248,43 @@ def posterior_forecast(
 
 
 def _predictive_moments(
-    terms: tuple[np.ndarray, ...], a: np.ndarray, P: np.ndarray, offsets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and variance (H, K) of y_{t+h} for every horizon and draw.
+    terms: tuple[np.ndarray, ...], a: np.ndarray, P: np.ndarray, offsets: np.ndarray,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Mean and variance of y_{t+h} for every horizon and draw, written into out (2, H, K) and returned.
 
     a (m, K) and P (m, m, K) are the filtered state moments at t, draws last,
     `terms` is horizon_terms at t and offsets (H, K) holds x_{t+h}' beta.
-    u'Pu = w'Pw + g (2 (Pw)_1 + g P_11) with w'P one (H, m) x (m, m K)
-    product. Its rounding is bounded by (|w|' sqrt(diag P) + |g| sqrt(P_11))^2,
-    as |P_ij| <= sqrt(P_ii P_jj) for a covariance: a variance negative beyond
-    that raises NumericalError, one within it becomes zero.
+    Three products reduce (a, P): w a, w P[:, 1] and w'Pw, the last one
+    (H, m^2) x (m^2, K) product of the cached w_h (x) w_h with P's flat form;
+    g, b, s and the offsets are folded into their rows in place, with
+    u'Pu = w'Pw + g (2 (Pw)_1 + g P_11). Its rounding is bounded by
+    (|w|' sqrt(diag P) + |g| sqrt(P_11))^2, as |P_ij| <= sqrt(P_ii P_jj) for a
+    covariance: a variance negative beyond that raises NumericalError, one
+    within it becomes zero.
     """
-    w, g, b, s = terms
+    w, g, b, s, outer = terms
     m, k = a.shape
-    wp = w.dot(P.reshape(m, m * k)).reshape(-1, m, k)  # w'P, which is (P w)' for symmetric P
-    mean = w.dot(a) + g * a[1] + b + offsets
-    var = np.einsum("hm,hmk->hk", w, wp) + g * (2.0 * wp[:, 1] + g * P[1, 1]) + s
+    if out is None:
+        out = np.empty((2,) + g.shape)
+    mean, var = out[0], out[1]
+    np.add(offsets, b, out=mean)  # offsets may be out's own mean row
+    mean += g * a[1]
+    mean += w.dot(a)
+    np.dot(outer, P.reshape(m * m, k), out=var)  # w'Pw
+    cross = w.dot(P[:, 1])  # (P w)_1 for symmetric P
+    cross *= 2.0
+    cross += g * P[1, 1]
+    cross *= g
+    var += cross
+    var += s
     if not var.min() >= 0.0:  # a NaN takes this branch too
         diag_sd = np.sqrt(np.abs(P.reshape(m * m, k)[:: m + 1]))
         scale = (np.abs(w).dot(diag_sd) + np.abs(g) * diag_sd[1]) ** 2 + s
         if not np.all(var >= -_VARIANCE_RTOL * scale):
             raise NumericalError("negative or non-finite predictive variance")
-        var = np.maximum(var, 0.0)
-    return mean, var
+        np.maximum(var, 0.0, out=var)
+    return out
 
 
 def _sorted_percentiles(ordered: np.ndarray, percents: Sequence[float]) -> np.ndarray:
@@ -287,6 +305,17 @@ def _sorted_percentiles(ordered: np.ndarray, percents: Sequence[float]) -> np.nd
     return np.stack(bands)
 
 
+def _integers(values: Iterable, name: str) -> list[int]:
+    """Every entry as `casts.integer` reads it: SchemaError for 10.5 or True, which int() would read as 10 and 1."""
+    read = []
+    for value in values:
+        try:
+            read.append(integer(value))
+        except TypeError:
+            raise SchemaError(f"{name} must be integers, got {value!r}") from None
+    return read
+
+
 def forecast_anchors(
     model: StateSpaceModel,
     draws: PosteriorDraws,
@@ -304,20 +333,26 @@ def forecast_anchors(
     together with the draw axis last, through the transition kernel of
     `_DrawOperators`: each step's T P T' is the model's transition rule on
     the rows of P, then on its columns, in place. Given a draw and its filtered
-    state at t, y_{t+h} is Gaussian in closed form (Durbin & Koopman, ch. 4),
-    with moments read from the draws-last a_t and P_t through the shared w_h
-    of `horizon_terms`. One value per draw and horizon is sampled from it, and
-    the forecast is the mean and empirical 2.5%/97.5% band over draws, in
-    blocks of up to 64 anchors whose noise is drawn in one call and whose
-    band comes from one sort along the draw axis (`_sorted_percentiles`). Draw
-    parameters may be thinned (every `thin`-th draw) to bound the cost of long
-    anchor sweeps.
+    state at t, y_{t+h} is Gaussian in closed form (Durbin & Koopman, ch. 4).
+    The anchors are summarised in blocks of up to 64, one (2, 64, H, K)
+    buffer of means and sds: a block's mean rows start as its anchors'
+    offsets x_{t+h}' beta (one product per block), and at each anchor
+    `_predictive_moments` adds the three products of the filtered a_t and P_t
+    (w a, w P[:, 1] and w'Pw, through the shared w_h of `horizon_terms`) and
+    the g, b and s terms into the anchor's rows in place, so no anchor's
+    state is kept. One value per draw and horizon is sampled from each
+    predictive, and the forecast is the mean and empirical 2.5%/97.5% band
+    over draws: a block's noise is drawn in one call and its band comes from
+    one sort along the draw axis (`_sorted_percentiles`). Anchors and
+    horizons are read as `casts.integer` reads an int (SchemaError for 10.5
+    or True). Draw parameters may be thinned (every `thin`-th draw) to bound
+    the cost of long anchor sweeps.
     Returns {h: {"mean", "lower95", "upper95"} arrays over anchors}.
     """
     y = np.asarray(y, dtype=float)
     n = y.size
-    anchors = np.asarray(sorted(anchors), dtype=np.int64)
-    horizons = tuple(sorted(set(int(h) for h in horizons)))
+    anchors = np.sort(np.array(_integers(anchors, "anchors"), dtype=np.int64))
+    horizons = tuple(sorted(set(_integers(horizons, "horizons"))))
     if not horizons or horizons[0] < 1:
         raise RangeError("horizons must be >= 1")
     if anchors.size == 0:
@@ -340,17 +375,28 @@ def forecast_anchors(
     steps_ahead = np.asarray(horizons)
     summary = np.empty((3, anchors.size, steps_ahead.size))  # mean, lower95, upper95
     block = np.empty((2, min(_ANCHOR_BLOCK, anchors.size), steps_ahead.size, ops.obs_var.size))  # mean, sd
-    filled = next_anchor = 0
 
+    def start_block(first: int) -> None:
+        """Set the mean rows of the block's anchors from `first` on to their offsets x_{t+h}' beta."""
+        rows = anchors[first : first + block.shape[1]]
+        design = x[(rows[:, None] + steps_ahead).ravel()]
+        np.dot(design, ops.beta, out=block[0, : rows.size].reshape(design.shape[0], -1))
+
+    start_block(0)
+    filled = next_anchor = 0
     for t, a, P, *_ in _filter_draws(model, ops, y[: anchors[-1] + 1], x):
         if anchors[next_anchor] != t:
             continue
-        mean, var = _predictive_moments(ops.horizon_terms(t, horizons), a, P, x[t + steps_ahead] @ ops.beta)
-        while next_anchor < anchors.size and anchors[next_anchor] == t:
-            block[:, filled] = mean, np.sqrt(var)
+        moments = block[:, filled]
+        _predictive_moments(ops.horizon_terms(t, horizons), a, P, moments[0], moments)
+        np.sqrt(moments[1], out=moments[1])
+        while True:
             filled += 1
             next_anchor += 1
+            repeated = next_anchor < anchors.size and anchors[next_anchor] == t
             if filled == block.shape[1] or next_anchor == anchors.size:
+                if repeated:
+                    moments = moments.copy()  # the block is sampled in place below
                 # The block's noise in one call, the same stream as one (K, H) call per anchor.
                 samples = block[1, :filled]  # the sds become the samples, in place
                 samples *= rng.standard_normal((filled, block.shape[3], block.shape[2])).transpose(0, 2, 1)
@@ -360,6 +406,12 @@ def forecast_anchors(
                 samples.sort(axis=2)
                 summary[1:, rows] = _sorted_percentiles(samples, (2.5, 97.5))
                 filled = 0
+                if next_anchor < anchors.size:
+                    start_block(next_anchor)
+            if not repeated:
+                break
+            block[:, filled] = moments
+            moments = block[:, filled]
 
     return {
         h: {"mean": summary[0, :, i], "lower95": summary[1, :, i], "upper95": summary[2, :, i]}

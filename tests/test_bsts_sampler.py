@@ -19,8 +19,9 @@ from glycast.bsts import (
 )
 from glycast.bsts.components import MAX_HORIZON
 from glycast.bsts.kalman import _DrawOperators, _filter_draws
-from glycast.bsts.sampler import _predictive_moments, _sorted_percentiles
-from glycast.errors import NumericalError, RangeError
+from glycast.bsts import sampler
+from glycast.bsts.sampler import _ANCHOR_BLOCK, _predictive_moments, _sorted_percentiles
+from glycast.errors import NumericalError, RangeError, SchemaError
 from glycast.synth import gaussian_predictive_oracle, simulate_from_model
 
 
@@ -254,6 +255,29 @@ class TestForecastAnchors:
         with pytest.raises(RangeError):
             forecast_anchors(model, draws, y, anchors=[], horizons=[1])
 
+    @pytest.mark.parametrize(
+        "name, bad", [("anchors", [10.5]), ("anchors", [True]), ("horizons", [1.5]), ("horizons", [True])]
+    )
+    def test_non_integer_anchors_and_horizons_are_refused(self, name, bad):
+        # int() would read 10.5 as 10, 1.5 as 1 and True as 1.
+        y = trend_series(40)
+        model = assemble_model([semi_local_trend()], y)
+        draws = make_draws(model, [(ParamPoint(0.1, 0.1, 0.1), np.zeros(2))])
+        arguments = {"anchors": [10], "horizons": [1], name: bad}
+        with pytest.raises(SchemaError, match=name):
+            forecast_anchors(model, draws, y, **arguments)
+
+    def test_integer_arrays_are_read_as_anchors(self):
+        y = trend_series(40)
+        model = assemble_model([semi_local_trend()], y)
+        draws = make_draws(model, [(ParamPoint(0.1, 0.1, 0.1), np.zeros(2))])
+        rng = np.random.default_rng
+        out = forecast_anchors(model, draws, y, np.arange(10, 14), np.arange(1, 3), rng=rng(0))
+        reference = forecast_anchors(model, draws, y, [10, 11, 12, 13], [1, 2], rng=rng(0))
+        for h in (1, 2):
+            for key in ("mean", "lower95", "upper95"):
+                np.testing.assert_array_equal(out[h][key], reference[h][key])
+
     def test_repeated_anchor_fills_every_row(self):
         y = trend_series(50, seed=6)
         model = assemble_model([semi_local_trend()], y)
@@ -452,7 +476,7 @@ class TestAnchoredPredictive:
         # P = I - (1 + delta) 11'/m is a covariance pushed below zero along 1:
         # u = w = 1 gives u'Pu = -delta m.
         m, k = 6, 2
-        terms = (np.ones((1, m)), np.zeros((1, k)), np.zeros((1, k)), np.zeros((1, k)))
+        terms = moment_terms(np.ones((1, m)), np.zeros((1, k)))
         a = np.zeros((m, k))
         offsets = np.zeros((1, k))
 
@@ -471,7 +495,7 @@ class TestAnchoredPredictive:
         # 1 without the |g| term, so at delta = 1e-9 only the |g| term lets the
         # variance clamp to zero instead of raising.
         g = np.array([3.0, -3.0])
-        terms = (np.eye(m)[:1], g[None, :], np.zeros((1, k)), np.zeros((1, k)))
+        terms = moment_terms(np.eye(m)[:1], g[None, :])
 
         def phi_cov(delta):
             P = np.repeat(np.eye(m)[:, :, None], k, axis=2)
@@ -483,6 +507,119 @@ class TestAnchoredPredictive:
         np.testing.assert_array_equal(var, 0.0)
         with pytest.raises(NumericalError):
             _predictive_moments(terms, a, phi_cov(1e-8), offsets)
+
+
+def moment_terms(w, g):
+    """`horizon_terms`' (w, g, b, s, w (x) w) for w (H, m) and g (H, K), with b = s = 0."""
+    return w, g, np.zeros_like(g), np.zeros_like(g), (w[:, :, None] * w[:, None, :]).reshape(len(w), -1)
+
+
+def oracle_forecast(model, params, y, x, anchors, horizons, seed):
+    """`forecast_anchors`' output from each draw's `gaussian_predictive_oracle` moments at every sorted anchor.
+
+    One (K, H) call of standard normals per anchor, in anchor order, the stream that the blocks draw from.
+    """
+    rng = np.random.default_rng(seed)
+    longest, columns = max(horizons), np.array(horizons) - 1
+    moments, rows = {}, []
+    for t in sorted(anchors):
+        if t not in moments:
+            oracles = [
+                gaussian_predictive_oracle(
+                    model, p, y[: t + 1], horizon=longest,
+                    x=None if x is None else x[: t + 1], x_future=None if x is None else x[t + 1 : t + 1 + longest],
+                )
+                for p in params
+            ]
+            moments[t] = [
+                np.array([getattr(o, name)[columns] for o in oracles])
+                for name in ("forecast_means", "forecast_variances")
+            ]
+        mean, var = moments[t]
+        samples = mean + np.sqrt(var) * rng.standard_normal(mean.shape)
+        rows.append([samples.mean(axis=0), *np.percentile(samples, [2.5, 97.5], axis=0)])
+    summary = np.array(rows)  # (anchors, mean/lower/upper, H)
+    return {h: dict(zip(("mean", "lower95", "upper95"), summary[:, :, j].T)) for j, h in enumerate(horizons)}
+
+
+class TestAnchorBlocks:
+    """`forecast_anchors` against the dense oracle around the edges of its blocks of anchors."""
+
+    HORIZONS = (1, 2, 4)
+
+    def case(self, regressors=True):
+        """20 points of two seasonals (and two regressors), whose anchors 3..15 the oracle conditions on."""
+        rng = np.random.default_rng(31)
+        x = rng.normal(0.0, 1.0, (20, 2))
+        scaffold = two_seasonal_model(np.arange(20.0), x)
+        y = 100.0 + simulate_from_model(scaffold, TestAnchoredPredictive.PARAMS[0], 20, rng, x=x)
+        if regressors:
+            return two_seasonal_model(y, x), list(TestAnchoredPredictive.PARAMS), y, x
+        params = [replace(p, beta=np.zeros(0)) for p in TestAnchoredPredictive.PARAMS]
+        return two_seasonal_model(y), params, y, None
+
+    def assert_matches_oracle(self, model, params, y, x, anchors, thin=1, entries=None):
+        entries = entries or [(p, np.zeros(model.state_dim)) for p in params]
+        out = forecast_anchors(
+            model, make_draws(model, entries), y, anchors, self.HORIZONS, x=x, rng=np.random.default_rng(9), thin=thin
+        )
+        reference = oracle_forecast(model, params, y, x, anchors, self.HORIZONS, seed=9)
+        for h in self.HORIZONS:
+            for key in ("mean", "lower95", "upper95"):
+                assert out[h][key].shape == (len(anchors),)
+                np.testing.assert_allclose(out[h][key], reference[h][key], rtol=1e-8, atol=1e-8)
+
+    @pytest.mark.parametrize("count", [1, _ANCHOR_BLOCK - 1, _ANCHOR_BLOCK, _ANCHOR_BLOCK + 1])
+    def test_anchor_counts_around_a_block(self, count):
+        # 13 distinct anchors, each repeated, in no order.
+        model, params, y, x = self.case()
+        self.assert_matches_oracle(model, params, y, x, [3 + (5 * i) % 13 for i in range(count)])
+
+    def test_repeated_anchor_straddles_a_block_edge(self):
+        # Sorted, anchor 9 fills the block's last two rows and the next block's first.
+        model, params, y, x = self.case()
+        anchors = [11] + [9] * 3 + [4] * (_ANCHOR_BLOCK - 2)
+        assert sorted(anchors)[_ANCHOR_BLOCK - 2 : _ANCHOR_BLOCK + 1] == [9, 9, 9]
+        self.assert_matches_oracle(model, params, y, x, anchors)
+
+    def test_thinned_draws(self):
+        # thin=2 keeps the even-indexed draws; the decoys between them must not reach the forecast.
+        model, params, y, x = self.case()
+        decoy = ParamPoint(2.0, 2.0, 2.0, (2.0, 2.0), d=5.0, phi=0.0, beta=np.array([9.0, 9.0]))
+        entries = [(p, np.zeros(model.state_dim)) for pair in zip(params, [decoy] * len(params)) for p in pair]
+        self.assert_matches_oracle(model, params, y, x, list(range(3, 16)), thin=2, entries=entries)
+
+    def test_zero_column_design(self):
+        model, params, y, x = self.case(regressors=False)
+        assert model.n_regressors == 0
+        self.assert_matches_oracle(model, params, y, x, list(range(3, 16)) + [7])
+
+    @pytest.mark.parametrize("delta", [1e-12, 1e-6])
+    def test_one_anchor_of_a_block_goes_negative(self, monkeypatch, delta):
+        # A noiseless trend at phi = 0 and horizon 1 has u = (1, 1) and s = 0, so a filtered
+        # P = [[1, -(1 + delta)], [-(1 + delta), 1]] gives u'Pu = -2 delta against the bound 4.
+        # Every other anchor of the block has P = I: only anchor 7 goes negative, and at
+        # delta = 1e-12 it alone clamps to a zero variance, while 1e-6 raises.
+        y = np.zeros(20)
+        model = assemble_model([semi_local_trend()], y[:10])
+        draws = make_draws(model, [(ParamPoint(0.0, 0.0, 0.0, phi=0.0), np.zeros(2))] * 2)
+        negative = np.repeat(np.array([[1.0, -(1.0 + delta)], [-(1.0 + delta), 1.0]])[:, :, None], 2, axis=2)
+
+        def filtered(model, ops, y, x):
+            for t in range(y.size):
+                P = negative.copy() if t == 7 else np.repeat(np.eye(2)[:, :, None], 2, axis=2)
+                yield t, np.zeros((2, 2)), P, None, None, None
+
+        monkeypatch.setattr(sampler, "_filter_draws", filtered)
+        anchors = list(range(2, 14))
+        if delta > 1e-9:
+            with pytest.raises(NumericalError):
+                forecast_anchors(model, draws, y, anchors, [1], rng=np.random.default_rng(0))
+            return
+        out = forecast_anchors(model, draws, y, anchors, [1], rng=np.random.default_rng(0))[1]
+        width = out["upper95"] - out["lower95"]
+        assert width[anchors.index(7)] == 0.0 and out["mean"][anchors.index(7)] == 0.0
+        assert np.all(np.delete(width, anchors.index(7)) > 0.0)
 
 
 def assert_close_relative(actual, expected, scale, rtol=1e-10):
@@ -612,7 +749,7 @@ class TestTransitionKernel:
         ops = _DrawOperators(model, draws, slice(None))
         horizons = tuple(range(1, 7))
         for t in range(model.period):
-            w, g, _, _ = ops.horizon_terms(t, horizons)
+            w, g, *_ = ops.horizon_terms(t, horizons)
             np.testing.assert_array_equal(w[:, 1], 0.0)
             for j, phi in enumerate(phis):
                 for i, h in enumerate(horizons):
