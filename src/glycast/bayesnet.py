@@ -40,7 +40,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .casts import load_json, number, objects, read, string, strings, text, write_json
+from .casts import load_json, number, objects, read, string, strings, text
 from .dataset import _read_rows
 from .errors import CapacityError, GlycastError, InferenceError, RangeError, SchemaError
 from .preprocess import DiscreteDataset
@@ -854,17 +854,8 @@ def load_arc_annotations(path: Path | str) -> dict[Arc, str]:
     return annotations
 
 
-def save_network_json(
-    path: Path | str,
-    dag: Dag,
-    strengths: Optional[ArcStrengthTable] = None,
-    types: Optional[Mapping[Arc, str]] = None,
-) -> None:
-    write_json(path, network_to_json(dag, strengths, types))
-
-
 def load_network_json(path: Path | str) -> tuple[Dag, ArcStrengthTable]:
-    """Read a `save_network_json` document; SchemaError naming the file if it is not one."""
+    """Read a `network_to_json` document; SchemaError naming the file if it is not one."""
     payload = load_json(path)
     try:
         nodes = read(payload, "nodes", strings)

@@ -2,7 +2,6 @@
 
 from .components import (
     ComponentSpec,
-    SeasonalLayout,
     SpikeSlabSettings,
     StateSpaceModel,
     TrendPriors,
@@ -25,7 +24,6 @@ __all__ = [
     "ForecastResult",
     "ParamPoint",
     "PosteriorDraws",
-    "SeasonalLayout",
     "SpikeSlabSettings",
     "StateSpaceModel",
     "SweepTerms",

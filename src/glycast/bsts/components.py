@@ -20,6 +20,7 @@ boundary the new effect is minus the sum of the stored ones plus noise:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -125,12 +126,16 @@ class ComponentSpec:
             raise SchemaError(f"seasonal {name!r}: {len(durations)} durations do not tile {n_seasons} seasons")
         if any(d < 1 for d in durations):
             raise SchemaError(f"seasonal {name!r}: durations must all be >= 1")
-        cycle = sum(durations)
-        if not 0 <= phase < cycle:
-            raise SchemaError(f"seasonal {name!r}: phase must lie in 0..{cycle - 1}")
         object.__setattr__(self, "n_seasons", n_seasons)
         object.__setattr__(self, "durations", durations)
         object.__setattr__(self, "phase", phase)
+        if not 0 <= phase < self.cycle:
+            raise SchemaError(f"seasonal {name!r}: phase must lie in 0..{self.cycle - 1}")
+
+    @property
+    def cycle(self) -> int:
+        """A seasonal's steps from one start of its first season to the next."""
+        return sum(self.durations)
 
 
 def semi_local_trend(priors: Optional[TrendPriors] = None) -> ComponentSpec:
@@ -154,6 +159,18 @@ def regression(columns: Sequence[str], settings: Optional[SpikeSlabSettings] = N
     return ComponentSpec(kind="regression", name="regression", columns=tuple(columns), spike_slab=settings)
 
 
+def check_stack(specs: Sequence[ComponentSpec]) -> None:
+    """SchemaError unless every spec is of a known kind, exactly one a semi_local_trend and at most one a regression."""
+    kinds = [s.kind for s in specs]
+    unknown = [kind for kind in kinds if kind not in ("semi_local_trend", "seasonal", "regression")]
+    if unknown:
+        raise SchemaError(f"unknown component kind(s): {unknown}")
+    if kinds.count("semi_local_trend") != 1:
+        raise SchemaError("exactly one semi_local_trend component is required")
+    if kinds.count("regression") > 1:
+        raise SchemaError("at most one regression component is allowed")
+
+
 def specs_from_json(payload: dict) -> list[ComponentSpec]:
     """Parse a {components: [...], priors by component} document into specs.
 
@@ -162,7 +179,8 @@ def specs_from_json(payload: dict) -> list[ComponentSpec]:
     priors plus d/phi hyperparameters; a regression entry carries columns and
     optional spike_slab settings. An entry that lacks a key, holds a value
     of the wrong type or is a seasonal that cannot tile its cycle raises
-    SchemaError naming the entry. Counts, durations and phases take JSON
+    SchemaError naming the entry, and a stack that `check_stack` refuses
+    raises its SchemaError. Counts, durations and phases take JSON
     integers, the priors finite JSON numbers, a name a string and columns a
     list of strings, each read by `glycast.casts.read` as the config keys are.
     """
@@ -220,6 +238,7 @@ def specs_from_json(payload: dict) -> list[ComponentSpec]:
         raise SchemaError(f"component {i}: missing key {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
         raise SchemaError(f"component {i}: malformed entry: {exc}") from None
+    check_stack(specs)
     return specs
 
 
@@ -243,38 +262,25 @@ STANDARD_STACK = (semi_local_trend(), day_seasonal(), meal_seasonal(), circadian
 
 
 @dataclass(frozen=True)
-class SeasonalLayout:
-    name: str
-    n_seasons: int
-    durations: tuple[int, ...]
-    phase: int
-    state_start: int  # first state index of this block
-    var_prior: VariancePrior
-
-    @property
-    def cycle(self) -> int:
-        return sum(self.durations)
-
-    @property
-    def state_dim(self) -> int:
-        return self.n_seasons - 1
-
-
-@dataclass(frozen=True)
 class StateSpaceModel:
     """Assembled trend + seasonal + regression state space with priors.
 
-    The transition changes only where a season ends, so the step schedule of
-    one period (the lcm of the seasonal cycles) is derived from `seasonals`
-    at construction: `masks` holds the distinct boundary masks in order of
-    first appearance (flag k: the step from t to t+1 starts a new season of
-    seasonal k), `shifts` each mask's state slices of the seasonals that turn,
-    and `step_masks` the index into `masks` of every step of the period.
+    `seasonals` are the stack's seasonal specs, each with its var_prior, and
+    everything else about them is derived from them at construction. The
+    state is the trend's level and slope, then each seasonal's block in stack
+    order: `blocks` holds the slices, consecutive from slot 2, each
+    n_seasons - 1 wide, and `z` observes slot 0 and each block's first slot,
+    the seasonal's current effect. a1 and p1_diag must have the state's
+    length (SchemaError). The transition changes only where a season ends,
+    so the step schedule of one period (the lcm of the seasonal cycles) is
+    derived too: `masks` holds the distinct boundary masks in order of first
+    appearance (flag k: the step from t to t+1 starts a new season of
+    seasonal k), `shifts` each mask's blocks of the seasonals that turn, and
+    `step_masks` the index into `masks` of every step of the period.
     `transition` is the one rule that moves a state by a step of a mask.
     """
 
-    z: np.ndarray  # observation vector (m,)
-    seasonals: tuple[SeasonalLayout, ...]
+    seasonals: tuple[ComponentSpec, ...]
     trend_priors: TrendPriors
     obs_var_prior: VariancePrior
     spike_slab: SpikeSlabSettings
@@ -283,12 +289,20 @@ class StateSpaceModel:
     a1: np.ndarray  # initial state mean (m,)
     p1_diag: np.ndarray  # initial state variance diagonal (m,)
     n_train: int
+    blocks: tuple[slice, ...] = field(init=False, repr=False, compare=False)
+    z: np.ndarray = field(init=False, repr=False, compare=False)  # observation vector (m,)
     masks: tuple[tuple[bool, ...], ...] = field(init=False, repr=False, compare=False)
     shifts: tuple[tuple[slice, ...], ...] = field(init=False, repr=False, compare=False)
     step_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
     sequence_layouts: dict = field(init=False, repr=False, compare=False)  # n -> kalman._SequenceLayout
 
     def __post_init__(self) -> None:
+        edges = list(itertools.accumulate((s.n_seasons - 1 for s in self.seasonals), initial=2))
+        blocks = tuple(map(slice, edges[:-1], edges[1:]))
+        z = np.zeros(edges[-1])
+        z[[0, *edges[:-1]]] = 1.0
+        if np.shape(self.a1) != z.shape or np.shape(self.p1_diag) != z.shape:
+            raise SchemaError("initial state dimensions do not match the model")
         period = math.lcm(1, *(s.cycle for s in self.seasonals))
         t = np.arange(period + 1)
         seasons = [
@@ -297,8 +311,9 @@ class StateSpaceModel:
         ]
         by_step = [tuple(season[u + 1] != season[u] for season in seasons) for u in range(period)]
         masks = tuple(dict.fromkeys(by_step))
-        blocks = [slice(s.state_start, s.state_start + s.state_dim) for s in self.seasonals]
         shifts = tuple(tuple(block for block, turns in zip(blocks, mask) if turns) for mask in masks)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "z", z)
         object.__setattr__(self, "masks", masks)
         object.__setattr__(self, "shifts", shifts)
         object.__setattr__(self, "step_masks", tuple(map(masks.index, by_step)))
@@ -317,11 +332,7 @@ class StateSpaceModel:
         return len(self.step_masks)
 
     def with_initial_state(self, a1: Sequence[float], p1_diag: Sequence[float]) -> "StateSpaceModel":
-        a1 = np.asarray(a1, dtype=float)
-        p1 = np.asarray(p1_diag, dtype=float)
-        if a1.shape != (self.state_dim,) or p1.shape != (self.state_dim,):
-            raise SchemaError("initial state dimensions do not match the model")
-        return replace(self, a1=a1, p1_diag=p1)
+        return replace(self, a1=np.asarray(a1, dtype=float), p1_diag=np.asarray(p1_diag, dtype=float))
 
     def boundaries(self, n: int) -> np.ndarray:
         """Boundary flags (n-1, number of seasonals) of an n-step series: row t is the mask of the step t to t+1."""
@@ -361,9 +372,9 @@ class StateSpaceModel:
         q = np.zeros(np.shape(level_var) + (self.state_dim,))
         q[..., 0] = level_var
         q[..., 1] = slope_var
-        for layout, var, boundary in zip(self.seasonals, seasonal_vars, self.masks[i]):
+        for block, var, boundary in zip(self.blocks, seasonal_vars, self.masks[i]):
             if boundary:
-                q[..., layout.state_start] = var
+                q[..., block.start] = var
         return q
 
     def observation_offsets(self, beta: np.ndarray, x: Optional[np.ndarray], n: int) -> np.ndarray:
@@ -400,54 +411,21 @@ def assemble_model(
         raise SchemaError("y contains non-finite values")
     n = int(y.size)
 
-    trend_specs = [s for s in specs if s.kind == "semi_local_trend"]
-    seasonal_specs = [s for s in specs if s.kind == "seasonal"]
+    check_stack(specs)
+    (trend,) = (s for s in specs if s.kind == "semi_local_trend")
     regression_specs = [s for s in specs if s.kind == "regression"]
-    unknown = [s.kind for s in specs if s.kind not in ("semi_local_trend", "seasonal", "regression")]
-    if unknown:
-        raise SchemaError(f"unknown component kind(s): {unknown}")
-    if len(trend_specs) != 1:
-        raise SchemaError("exactly one semi_local_trend component is required")
-    if len(regression_specs) > 1:
-        raise SchemaError("at most one regression component is allowed")
 
     sd_y = max(float(np.std(y)), 1e-4)
     dy = np.diff(y)
     sd_dy = max(float(np.std(dy)), 1e-4)
-    mean_dy = float(np.mean(dy))
     prior_df = max(0.01 * n, 0.01)
+    weak = VariancePrior(df=prior_df, guess=(0.01 * sd_y) ** 2)  # each state noise's default prior
 
-    trend_priors = trend_specs[0].trend_priors or TrendPriors(
-        level_var=VariancePrior(df=prior_df, guess=(0.01 * sd_y) ** 2),
-        slope_var=VariancePrior(df=prior_df, guess=(0.01 * sd_y) ** 2),
-        d_mean=mean_dy,
-        d_sd=sd_dy,
-        phi_mean=0.0,
-        phi_sd=0.5,
+    trend_priors = trend.trend_priors or TrendPriors(
+        level_var=weak, slope_var=weak, d_mean=float(np.mean(dy)), d_sd=sd_dy, phi_mean=0.0, phi_sd=0.5
     )
     obs_var_prior = VariancePrior(df=prior_df, guess=(0.1 * sd_y) ** 2)
-
-    layouts: list[SeasonalLayout] = []
-    offset = 2
-    for spec in seasonal_specs:
-        var_prior = spec.var_prior or VariancePrior(df=prior_df, guess=(0.01 * sd_y) ** 2)
-        layouts.append(
-            SeasonalLayout(
-                name=spec.name,
-                n_seasons=spec.n_seasons,
-                durations=spec.durations,
-                phase=spec.phase,
-                state_start=offset,
-                var_prior=var_prior,
-            )
-        )
-        offset += spec.n_seasons - 1
-
-    m = offset
-    z = np.zeros(m)
-    z[0] = 1.0
-    for layout in layouts:
-        z[layout.state_start] = 1.0
+    seasonals = tuple(replace(s, var_prior=s.var_prior or weak) for s in specs if s.kind == "seasonal")
 
     if regression_specs:
         design_names = regression_specs[0].columns
@@ -470,14 +448,14 @@ def assemble_model(
         design = np.zeros((n, 0))
         spike_slab = SpikeSlabSettings()
 
+    m = 2 + sum(s.n_seasons - 1 for s in seasonals)
     a1 = np.zeros(m)
     a1[0] = float(y[0])
     p1 = np.full(m, sd_y**2)
     p1[1] = sd_dy**2
 
     return StateSpaceModel(
-        z=z,
-        seasonals=tuple(layouts),
+        seasonals=seasonals,
         trend_priors=trend_priors,
         obs_var_prior=obs_var_prior,
         spike_slab=spike_slab,

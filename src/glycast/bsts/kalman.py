@@ -334,8 +334,8 @@ class _SequenceLayout:
     def __init__(self, model: StateSpaceModel, n: int) -> None:
         m = model.state_dim
         flags = model.boundaries(n)  # (n-1, K)
-        dims = np.array([layout.state_dim for layout in model.seasonals], dtype=np.intp)
-        first = np.array([layout.state_start for layout in model.seasonals], dtype=np.intp)
+        first = np.array([block.start for block in model.blocks], dtype=np.intp)
+        dims = np.array([block.stop for block in model.blocks], dtype=np.intp) - first
         slot_seasonal = np.repeat(np.arange(dims.size), dims)  # the seasonal of each state slot 2..m-1
         slot_lag = np.arange(m - 2) - np.repeat(first - 2, dims)  # 0 for a seasonal's current effect
         # Each seasonal takes the next S-1 + (boundaries crossed) places of the border.
@@ -348,7 +348,7 @@ class _SequenceLayout:
         self.index[:, :2] = np.arange(2 * n).reshape(n, 2)
         self.index[:, 2:] = 2 * n + self.current[:, slot_seasonal] - slot_lag
 
-        self.blocks = [slice(layout.state_start, layout.state_start + layout.state_dim) for layout in model.seasonals]
+        self.blocks = model.blocks
         self.steps = [np.flatnonzero(column) for column in flags.T]
         steps, seasonal = np.nonzero(flags)  # the effect a boundary starts is current from the next step on
         new = self.current[steps + 1, seasonal]

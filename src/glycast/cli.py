@@ -315,7 +315,7 @@ def _cmd_learn(cfg: dict, seed: int, run: _Run) -> None:
         types = model.annotations
 
     network_path = run.output("network.json")
-    bayesnet.save_network_json(network_path, consensus, strengths, types)
+    write_json(network_path, bayesnet.network_to_json(consensus, strengths, types))
     write_json(run.output("cpts.json"), bayesnet.cpts_to_json(model))
     print(f"learn: consensus network with {len(consensus.arcs)} arcs -> {network_path}")
 

@@ -159,13 +159,18 @@ class ForecastPipeline:
     """One tester's run: its component stack and regression design.
 
     `regressors`, when present, must cover the tester's full series (train and
-    test rows) so that anchored forecasts can read future regressor values;
-    similar subjects' trajectories are historical data, so their future values
-    are known. `specs` is the stack (default STANDARD_STACK); a regression
-    spec is appended for the design unless the stack holds one. Every
-    seasonal keeps the clock: its phase counts from midnight of the series'
-    first day, so a series starting at 15-minute slot s of its day fits
-    phase (phase + s) % cycle.
+    test rows) so that anchored forecasts can read future regressor values.
+    Donor rows past the anchor are known because donors recorded on other
+    dates are historical data. That does not hold on `synth.gen_cgm_series`
+    with `latent_share > 0`: every subject carries the same latent at the
+    same instant, so a donor's row t+h carries the tester's own latent value
+    at t+h (its docstring measures how far that lowers the forecast error).
+
+    `specs` is the stack (default STANDARD_STACK); a regression spec is
+    appended for the design unless the stack holds one. Every seasonal keeps
+    the clock: its phase counts from midnight of the series' first day, so a
+    series starting at 15-minute slot s of its day fits phase
+    (phase + s) % cycle.
     """
 
     regressors: Optional[np.ndarray] = None
@@ -182,7 +187,7 @@ class ForecastPipeline:
     def component_specs(self, series: GlucoseSeries, n_train: int) -> list[ComponentSpec]:
         start = (series.start.hour * 60 + series.start.minute) // 15
         specs = [
-            replace(s, phase=(s.phase + start) % sum(s.durations)) if s.kind == "seasonal" else s for s in self.specs
+            replace(s, phase=(s.phase + start) % s.cycle) if s.kind == "seasonal" else s for s in self.specs
         ]
         if self.regressors is not None and self.regressor_names and all(s.kind != "regression" for s in specs):
             specs.append(regression(self.regressor_names))

@@ -242,6 +242,14 @@ def gen_cgm_series(cfg: SynthConfig) -> tuple[list[GlucoseSeries], CgmGroundTrut
     Each series is baseline + day/meal/circadian patterns + post-meal bumps
     proportional to the meal's glycemic load + a shared latent signal scaled
     by latent_share + Gaussian noise, clipped to the recorded CGM range.
+
+    The latent is one path at the same instants for every subject. With
+    latent_share > 0 a donor's row t+h therefore carries the tester's own
+    latent value at t+h, which real donors recorded on other dates do not:
+    a forecast that reads donors' future rows sees part of the tester's
+    future. On 3 subjects over 5 days at latent_share 0.7 (seeds 1-5, two
+    donors, draws 250), the 15-minute MAE was 7.52 mg/dL with same-instant
+    donors, 9.15 with donors rotated by one day and 9.16 without donors.
     """
     rng = np.random.default_rng([cfg.seed, 2])
     n = 96 * cfg.n_days

@@ -33,9 +33,10 @@ from glycast.bayesnet import (
     infer_posterior,
     load_arc_annotations,
     load_network_json,
-    save_network_json,
+    network_to_json,
     tabu_search,
 )
+from glycast.casts import write_json
 from glycast.errors import CapacityError, InferenceError, RangeError, SchemaError
 from glycast.preprocess import DiscreteDataset
 from glycast.synth import (
@@ -885,7 +886,7 @@ class TestSerialization:
         dag = Dag(("a", "b", "c"), frozenset({("a", "b"), ("b", "c")}))
         strengths = ArcStrengthTable({("a", "b"): 0.92, ("b", "c"): 1.0})
         path = tmp_path / "net.json"
-        save_network_json(path, dag, strengths, {("a", "b"): "causal"})
+        write_json(path, network_to_json(dag, strengths, {("a", "b"): "causal"}))
         payload = json.loads(path.read_text())
         assert payload["nodes"] == ["a", "b", "c"]
         assert payload["arcs"][0] == {"from": "a", "to": "b", "strength": 0.92, "type": "causal"}
@@ -896,7 +897,7 @@ class TestSerialization:
         name = 'fpg, "fasting"'
         strengths = {(name, "b"): 5e-324, ("b", "c"): 0.1 + 0.2, ("c", "d"): -0.0}
         dag = Dag((name, "b", "c", "d"), frozenset(strengths))
-        save_network_json(path, dag, ArcStrengthTable(strengths))
+        write_json(path, network_to_json(dag, ArcStrengthTable(strengths)))
         back_dag, back_strengths = load_network_json(path)
         assert back_dag == dag
         assert repr(sorted(back_strengths.strengths.items())) == repr(sorted(strengths.items()))

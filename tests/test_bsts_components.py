@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,20 @@ def series(n=300, seed=0):
     return 140 + np.cumsum(rng.normal(0, 1.5, n))
 
 
+def assert_blocks(model, widths):
+    """The seasonals' blocks tile slots 2..m-1 in stack order at the given widths, z observes slot 0 and each
+    block's first slot, and neither changes when the initial state or n_train is replaced."""
+    starts = [2 + sum(widths[:k]) for k in range(len(widths))]
+    assert [(block.start, block.stop) for block in model.blocks] == [(a, a + w) for a, w in zip(starts, widths)]
+    assert model.state_dim == 2 + sum(widths)
+    z = np.zeros(model.state_dim)
+    z[[0, *starts]] = 1.0
+    np.testing.assert_array_equal(model.z, z)
+    for other in (model.with_initial_state(model.a1 + 1.0, 2.0 * model.p1_diag), replace(model, n_train=5)):
+        assert other.blocks == model.blocks
+        np.testing.assert_array_equal(other.z, model.z)
+
+
 class TestAssembly:
     def test_day_component_dimensions(self):
         model = assemble_model([semi_local_trend(), day_seasonal()], series())
@@ -37,14 +52,14 @@ class TestAssembly:
     def test_meal_component_cycle(self):
         model = assemble_model([semi_local_trend(), meal_seasonal()], series())
         assert model.seasonals[0].cycle == 96
-        assert model.seasonals[0].state_dim == 2
+        assert model.seasonals[0].n_seasons - 1 == 2
 
     def test_circadian_component_asymmetric(self):
         model = assemble_model([semi_local_trend(), circadian_seasonal()], series())
         layout = model.seasonals[0]
         assert layout.durations == (48, 24)
         assert layout.cycle == 72
-        assert layout.state_dim == 1
+        assert layout.n_seasons - 1 == 1
         alt = assemble_model([semi_local_trend(), seasonal("circadian", 2, (64, 32))], series())
         assert alt.seasonals[0].cycle == 96
 
@@ -54,6 +69,16 @@ class TestAssembly:
         )
         assert model.state_dim == 2 + 3 + 2 + 1
         assert model.period == np.lcm(96, 72)
+        assert_blocks(model, [3, 2, 1])
+        # A custom stack: seasonals of 5, 2 and 3 seasons with phases, and a regression, in the stack's order.
+        y = series(100)
+        specs = [
+            seasonal("a", 5, (1, 2, 3, 4, 5), phase=7), semi_local_trend(), seasonal("b", 2, (3, 1)),
+            regression(("c1",)), seasonal("c", 3, (2, 2, 2), phase=5),
+        ]
+        custom = assemble_model(specs, y, np.ones((100, 1)))
+        assert [s.name for s in custom.seasonals] == ["a", "b", "c"]
+        assert_blocks(custom, [4, 1, 2])
 
     def test_duration_schedule_validation(self):
         with pytest.raises(SchemaError, match="durations"):
@@ -190,6 +215,7 @@ class TestStepSchedule:
         specs = [semi_local_trend()]
         specs += [seasonal(f"s{i}", len(d), d, phase) for i, (d, phase) in enumerate(stack)]
         model = assemble_model(specs, series(20))
+        assert_blocks(model, [len(d) - 1 for d, _ in stack])
         assert model.period == math.lcm(*(sum(d) for d, _ in stack))
         table = model.boundaries(2 * model.period + 1)
         assert table.shape == (2 * model.period, len(stack))
@@ -198,7 +224,7 @@ class TestStepSchedule:
             assert tuple(table[t]) == boundary
             np.testing.assert_array_equal(model.transition_matrix(phi, t), dense_transition(stack, phi, boundary))
             q = model.mask_noise(model.step_masks[t % model.period], 0.1, 0.2, [0.3] * len(stack))
-            starts = [layout.state_start for layout in model.seasonals]
+            starts = [block.start for block in model.blocks]
             np.testing.assert_array_equal(q[starts], [0.3 if b else 0.0 for b in boundary])
 
 

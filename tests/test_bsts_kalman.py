@@ -280,7 +280,7 @@ class TestFFBS:
         specs = [semi_local_trend(), seasonal("a", 3, (4, 4, 5), phase=2), seasonal("b", 2, (6, 7))]
         model = assemble_model(specs, y)
         params = ParamPoint(0.4, 0.2, 0.6, (0.5, 0.3), d=0.05, phi=0.5)
-        effects = sum(s.state_dim for s in model.seasonals) + int(model.boundaries(n).sum())
+        effects = sum(s.n_seasons - 1 for s in model.seasonals) + int(model.boundaries(n).sum())
         path = ffbs_sample(model, params, y, rng)
         twin = np.random.default_rng(37)
         twin.normal(0, 1, n)
@@ -496,9 +496,9 @@ class TestInnovations:
             state = model.transition(model.step_masks[t % model.period], path[t][:, None].copy(), phi)[:, 0]
             state += model.state_intercept(d, phi)
             state[:2] += level[t], slope[t]
-            for k, layout in enumerate(model.seasonals):
+            for k, block in enumerate(model.blocks):
                 if turns[t][k]:
-                    state[layout.state_start] += seasonal_shocks[k][drawn[k]]
+                    state[block.start] += seasonal_shocks[k][drawn[k]]
                     drawn[k] += 1
             path[t + 1] = state
         terms = kalman._sequence_layout(model, n).innovations(path, d, phi)

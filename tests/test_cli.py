@@ -916,13 +916,25 @@ class TestErrorHandling:
         assert calls == []
         assert not (out / output).exists()
 
-    @pytest.mark.parametrize("entry, message", [
-        ({"n_seasons": 1, "durations": [24]}, "n_seasons must be >= 2"),
-        ({"n_seasons": 4, "durations": [32, 32, 32]}, "3 durations do not tile 4 seasons"),
-        ({"n_seasons": 4, "durations": [24, 24, 24, 24], "phase": 96}, "phase must lie in 0..95"),
-    ], ids=["one-season", "short-durations", "phase-past-cycle"])
-    def test_malformed_seasonal_refused_before_stage1(self, tmp_path, synth_dir, capsys, monkeypatch, entry, message):
-        # The document itself is refused: a seasonal that cannot tile its cycle never waits for the bootstrap.
+    @pytest.mark.parametrize("components, message", [
+        ([{"kind": "semi_local_trend"}, {"kind": "seasonal", "name": "x", "n_seasons": 1, "durations": [24]}],
+         "component 1: malformed entry: seasonal 'x': n_seasons must be >= 2"),
+        ([{"kind": "semi_local_trend"}, {"kind": "seasonal", "name": "x", "n_seasons": 4, "durations": [32] * 3}],
+         "component 1: malformed entry: seasonal 'x': 3 durations do not tile 4 seasons"),
+        ([{"kind": "semi_local_trend"},
+          {"kind": "seasonal", "name": "x", "n_seasons": 4, "durations": [24] * 4, "phase": 96}],
+         "component 1: malformed entry: seasonal 'x': phase must lie in 0..95"),
+        ([{"kind": "seasonal", "name": "day", "n_seasons": 4, "durations": [24] * 4}],
+         "exactly one semi_local_trend component is required"),
+        ([{"kind": "semi_local_trend"}] * 2, "exactly one semi_local_trend component is required"),
+        ([{"kind": "semi_local_trend"}] + [{"kind": "regression", "columns": [c]} for c in "ab"],
+         "at most one regression component is allowed"),
+    ], ids=["one-season", "short-durations", "phase-past-cycle", "no-trend", "two-trends", "two-regressions"])
+    def test_malformed_seasonal_refused_before_stage1(
+        self, tmp_path, synth_dir, capsys, monkeypatch, components, message
+    ):
+        # The document itself is refused: a seasonal that cannot tile its cycle, or a stack without exactly one
+        # trend or with two regressions, never waits for the bootstrap.
         calls = []
 
         def spy(*args, **kwargs):
@@ -934,11 +946,10 @@ class TestErrorHandling:
         out = tmp_path / "o"
         cfg = write_config(
             tmp_path / "ev.json", seed=0, out_dir=str(out), series_dir=str(synth_dir / "series"),
-            clinical_csv=str(synth_dir / "clinical.csv"), bootstrap=2, draws=20, burn=5,
-            components=[{"kind": "semi_local_trend"}, {"kind": "seasonal", "name": "x", **entry}],
+            clinical_csv=str(synth_dir / "clinical.csv"), bootstrap=2, draws=20, burn=5, components=components,
         )
         assert main(["evaluate", "--config", cfg, "--subjects", "S000"]) == 2
-        assert capsys.readouterr().err == f"error: component 1: malformed entry: seasonal 'x': {message}\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert calls == []
         assert not (out / "metrics.json").exists()
 
