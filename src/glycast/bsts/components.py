@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..casts import integer, integers, number, read, string, strings
+from ..casts import integer, integers, number, read, string
 from ..errors import RangeError, SchemaError
 
 MAX_HORIZON = 96  # longest posterior_forecast, in steps: one day, an input limit
@@ -102,7 +102,6 @@ class ComponentSpec:
     n_seasons: int = 0
     durations: tuple[int, ...] = ()
     phase: int = 0
-    columns: tuple[str, ...] = ()
     var_prior: Optional[VariancePrior] = None
     trend_priors: Optional[TrendPriors] = None
     spike_slab: Optional[SpikeSlabSettings] = None
@@ -155,8 +154,13 @@ def seasonal(
     )
 
 
-def regression(columns: Sequence[str], settings: Optional[SpikeSlabSettings] = None) -> ComponentSpec:
-    return ComponentSpec(kind="regression", name="regression", columns=tuple(columns), spike_slab=settings)
+def regression(settings: Optional[SpikeSlabSettings] = None) -> ComponentSpec:
+    """The spike-and-slab regression: its prior alone, as the design it is assembled with is its columns.
+
+    In a run that design is the donors' (CGM and, where meals exist,
+    glycemic load, per donor), and a tester without donors has no regression.
+    """
+    return ComponentSpec(kind="regression", name="regression", spike_slab=settings)
 
 
 def check_stack(specs: Sequence[ComponentSpec]) -> None:
@@ -176,13 +180,14 @@ def specs_from_json(payload: dict) -> list[ComponentSpec]:
 
     Seasonal entries carry name/n_seasons/durations/phase and an optional
     var_prior {df, guess}; the trend entry may carry level/slope variance
-    priors plus d/phi hyperparameters; a regression entry carries columns and
-    optional spike_slab settings. An entry that lacks a key, holds a value
-    of the wrong type or is a seasonal that cannot tile its cycle raises
-    SchemaError naming the entry, and a stack that `check_stack` refuses
-    raises its SchemaError. Counts, durations and phases take JSON
-    integers, the priors finite JSON numbers, a name a string and columns a
-    list of strings, each read by `glycast.casts.read` as the config keys are.
+    priors plus d/phi hyperparameters; a regression entry carries only
+    optional spike_slab settings, since its columns are the donors' design
+    (see `regression`), and one that lists `columns` is refused. An entry
+    that lacks a key, holds a value of the wrong type or is a seasonal that
+    cannot tile its cycle raises SchemaError naming the entry, and a stack
+    that `check_stack` refuses raises its SchemaError. Counts, durations and
+    phases take JSON integers, the priors finite JSON numbers and a name a
+    string, each read by `glycast.casts.read` as the config keys are.
     """
     if "components" not in payload or not isinstance(payload["components"], list):
         raise SchemaError("component document requires a 'components' list")
@@ -224,6 +229,8 @@ def specs_from_json(payload: dict) -> list[ComponentSpec]:
                     )
                 )
             elif kind == "regression":
+                if "columns" in entry:
+                    raise ValueError("a regression takes no 'columns': its columns are the donors' design")
                 raw = entry.get("spike_slab")
                 settings = None
                 if raw is not None:
@@ -231,7 +238,7 @@ def specs_from_json(payload: dict) -> list[ComponentSpec]:
                         expected_model_size=read(raw, "expected_model_size", number, 2.0),
                         information_weight=read(raw, "information_weight", number, 0.5),
                     )
-                specs.append(regression(read(entry, "columns", strings), settings))
+                specs.append(regression(settings))
             else:
                 raise SchemaError(f"component {i}: unknown kind {kind!r}")
     except KeyError as exc:
@@ -284,8 +291,7 @@ class StateSpaceModel:
     trend_priors: TrendPriors
     obs_var_prior: VariancePrior
     spike_slab: SpikeSlabSettings
-    design: np.ndarray  # training design (n, J); J may be 0
-    design_names: tuple[str, ...]
+    design: np.ndarray  # training design (n, J), the regression's columns; J is 0 without regression
     a1: np.ndarray  # initial state mean (m,)
     p1_diag: np.ndarray  # initial state variance diagonal (m,)
     n_train: int
@@ -325,7 +331,7 @@ class StateSpaceModel:
 
     @property
     def n_regressors(self) -> int:
-        return len(self.design_names)
+        return int(self.design.shape[1])
 
     @property
     def period(self) -> int:
@@ -377,21 +383,31 @@ class StateSpaceModel:
                 q[..., block.start] = var
         return q
 
-    def observation_offsets(self, beta: np.ndarray, x: Optional[np.ndarray], n: int) -> np.ndarray:
-        """beta' x_t for t = 0..n-1; zeros when the model has no regression."""
-        if self.n_regressors == 0:
-            return np.zeros(n)
+    def design_rows(self, x: Optional[np.ndarray], n: int) -> np.ndarray:
+        """The first n rows of design x as floats (n, J); (n, 0) for a model without regression, whatever x is.
+
+        SchemaError unless x has the model's J columns and at least n rows.
+        """
+        if not self.n_regressors:
+            return np.zeros((n, 0))
         if x is None:
-            x = self.design
+            raise SchemaError(f"a design with {self.n_regressors} columns is required")
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.n_regressors:
             raise SchemaError(f"design must have {self.n_regressors} columns, got shape {x.shape}")
         if x.shape[0] < n:
             raise SchemaError(f"design has {x.shape[0]} rows but {n} are required")
+        return x[:n]
+
+    def observation_offsets(self, beta: np.ndarray, x: Optional[np.ndarray], n: int) -> np.ndarray:
+        """beta' x_t for t = 0..n-1 on `design_rows` of x (None: the training design); zeros without regression.
+
+        SchemaError unless beta has one entry per column.
+        """
         beta = np.asarray(beta, dtype=float)
         if beta.shape != (self.n_regressors,):
             raise SchemaError(f"beta must have length {self.n_regressors}")
-        return x[:n] @ beta
+        return self.design_rows(self.design if x is None else x, n) @ beta
 
 
 def assemble_model(
@@ -402,7 +418,9 @@ def assemble_model(
     """Build the block state space for the given components over series y.
 
     Prior hyperparameters left unset in the specs are filled with weak
-    data-driven defaults derived from y.
+    data-driven defaults derived from y. A regression spec takes x, finite
+    with y's n rows, as its design: x's columns are the regression's. Without
+    one, x must be None or hold no cells.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size < 3:
@@ -428,23 +446,17 @@ def assemble_model(
     seasonals = tuple(replace(s, var_prior=s.var_prior or weak) for s in specs if s.kind == "seasonal")
 
     if regression_specs:
-        design_names = regression_specs[0].columns
         spike_slab = regression_specs[0].spike_slab or SpikeSlabSettings()
         if x is None:
             raise SchemaError("regression component requires a design matrix")
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape != (n, len(design_names)):
-            raise SchemaError(
-                f"design shape {getattr(x, 'shape', None)} does not match "
-                f"({n}, {len(design_names)})"
-            )
-        if not np.all(np.isfinite(x)):
+        design = np.asarray(x, dtype=float)
+        if design.ndim != 2 or design.shape[0] != n:
+            raise SchemaError(f"design shape {design.shape} does not have the series' {n} rows")
+        if not np.all(np.isfinite(design)):
             raise SchemaError("design contains non-finite values")
-        design = x
     else:
         if x is not None and np.asarray(x).size:
             raise SchemaError("a design matrix was supplied without a regression component")
-        design_names = ()
         design = np.zeros((n, 0))
         spike_slab = SpikeSlabSettings()
 
@@ -460,7 +472,6 @@ def assemble_model(
         obs_var_prior=obs_var_prior,
         spike_slab=spike_slab,
         design=design,
-        design_names=design_names,
         a1=a1,
         p1_diag=p1,
         n_train=n,

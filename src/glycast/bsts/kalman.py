@@ -393,8 +393,6 @@ class _SequenceForm:
         if len(params.sigma_seasonal) != len(model.seasonals):
             count = len(params.sigma_seasonal)
             raise SchemaError(f"params carry {count} seasonal sds for {len(model.seasonals)} seasonal components")
-        if model.n_regressors and params.beta.shape != (model.n_regressors,):
-            raise SchemaError(f"beta must have length {model.n_regressors}")
         sds = (params.sigma_obs, params.sigma_level, params.sigma_slope) + tuple(params.sigma_seasonal)
         self.variances = variances = np.square(sds)  # the observation's, then the noise's as `innovations` lists it
         self.phi, self.d = params.phi, params.d
@@ -492,16 +490,18 @@ def ffbs_sample(
 ) -> np.ndarray:
     """Draw one state trajectory (n, m) from the smoothing distribution.
 
-    `_SequenceForm.posterior` at one `rng.standard_normal(2n + B)` call, a
-    normal for each of the path's 2n trend and B seasonal-effect coordinates.
-    A variance or p1_diag entry without a finite reciprocal raises RangeError
-    before any draw from rng; a non-finite path raises NumericalError.
+    `_SequenceForm.posterior` of y - x'beta at one `rng.standard_normal(2n + B)`
+    call, a normal for each of the path's 2n trend and B seasonal-effect
+    coordinates. A variance or p1_diag entry without a finite reciprocal
+    raises RangeError, and a design or beta that `observation_offsets`
+    refuses SchemaError, before any draw from rng; a non-finite path raises
+    NumericalError.
     """
     y = np.asarray(y, dtype=float)
     n = y.size
     form = _SequenceForm(model, params, n)
-    shocks = rng.standard_normal(2 * n + form.border_var.size)
-    path = form.posterior(y - model.observation_offsets(params.beta, x, n), shocks)[0][form.layout.index]
+    residual = y - model.observation_offsets(params.beta, x, n)
+    path = form.posterior(residual, rng.standard_normal(2 * n + form.border_var.size))[0][form.layout.index]
     if not np.all(np.isfinite(path)):
         raise NumericalError("non-finite smoothed state path")
     return path

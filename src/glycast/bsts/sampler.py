@@ -137,7 +137,7 @@ def mcmc_fit(
     burn: int = 200,
     seed: int = 0,
 ) -> PosteriorDraws:
-    """Run one Gibbs chain and retain the post-burn draws."""
+    """Run one Gibbs chain and retain the post-burn draws; x (None: the model's design) as `design_rows` reads it."""
     if draws <= burn:
         raise RangeError(f"draws ({draws}) must exceed burn ({burn})")
     if burn < 0:
@@ -146,7 +146,7 @@ def mcmc_fit(
     n = y.size
     rng = np.random.default_rng(seed)
     tp = model.trend_priors
-    design = model.design if x is None else np.asarray(x, dtype=float)
+    design = model.design_rows(model.design if x is None else x, n)
     params = ParamPoint(
         sigma_level=float(np.sqrt(tp.level_var.guess)),
         sigma_slope=float(np.sqrt(tp.slope_var.guess)),
@@ -158,7 +158,7 @@ def mcmc_fit(
     )
     gamma = np.zeros(model.n_regressors, dtype=np.int64)
 
-    terms = SweepTerms(design[:n], model.spike_slab, model.obs_var_prior)
+    terms = SweepTerms(design, model.spike_slab, model.obs_var_prior)
     layout = _sequence_layout(model, n)
     priors = (tp.level_var, tp.slope_var, *(s.var_prior for s in model.seasonals))
 
@@ -225,20 +225,18 @@ def posterior_forecast(
     that step, drawn as one (K, h) call; the point forecast is the mean over
     draws and the interval the 2.5%/97.5% band of `_sorted_percentiles`. With
     sample=False each row is its draw's predictive mean and no normals are
-    drawn.
+    drawn. x_future's first `horizon` rows, as `design_rows` reads them, are
+    the design of the steps forecast.
     """
     if not 1 <= horizon <= MAX_HORIZON:
         raise RangeError(f"horizon must lie in 1..{MAX_HORIZON}, got {horizon}")
-    if not model.n_regressors:
-        x_future = np.zeros((horizon, 0))
-    elif x_future is None or np.shape(x_future) != (horizon, model.n_regressors):
-        raise SchemaError(f"x_future of shape ({horizon}, {model.n_regressors}) is required with regressors")
+    x_future = model.design_rows(x_future, horizon)
     if rng is None:
         rng = np.random.default_rng([draws.seed, _FORECAST_SALT])
     ops = _DrawOperators(model, draws)
     m, k = ops.intercept.shape
     terms = ops.horizon_terms(model.n_train - 1, range(1, horizon + 1))
-    offsets = np.asarray(x_future, dtype=float) @ ops.beta  # (horizon, K)
+    offsets = x_future @ ops.beta  # (horizon, K)
     mean, var = _predictive_moments(terms, draws.terminal_state.T, np.zeros((m, m, k)), offsets)
     paths = mean.T.copy()
     if sample:
@@ -345,8 +343,8 @@ def forecast_anchors(
     over draws: a block's noise is drawn in one call and its band comes from
     one sort along the draw axis (`_sorted_percentiles`). Anchors and
     horizons are read as `casts.integer` reads an int (SchemaError for 10.5
-    or True). Draw parameters may be thinned (every `thin`-th draw) to bound
-    the cost of long anchor sweeps.
+    or True), and x as `design_rows` reads n rows of it. Draw parameters may
+    be thinned (every `thin`-th draw) to bound the cost of long anchor sweeps.
     Returns {h: {"mean", "lower95", "upper95"} arrays over anchors}.
     """
     y = np.asarray(y, dtype=float)
@@ -366,11 +364,7 @@ def forecast_anchors(
 
     keep = slice(None, None, thin)
     ops = _DrawOperators(model, draws, keep)
-    if not model.n_regressors:
-        x = np.zeros((n, 0))
-    elif x is None or np.shape(x)[0] < n or np.shape(x)[1:] != (model.n_regressors,):
-        raise SchemaError(f"x with {model.n_regressors} columns covering all {n} steps is required")
-    x = np.asarray(x, dtype=float)
+    x = model.design_rows(x, n)
 
     steps_ahead = np.asarray(horizons)
     summary = np.empty((3, anchors.size, steps_ahead.size))  # mean, lower95, upper95

@@ -118,13 +118,18 @@ class _Run:
     def series_map(self, cfg: dict) -> dict[str, Path]:
         """subject_id (the file stem) -> path of every series supplied, each checked to exist, none read.
 
-        A `series` entry replaces a `series_dir` file with the same stem.
+        A `series` entry replaces a `series_dir` file with the same stem; two
+        `series` entries with the same stem are refused (ConfigError).
         """
-        paths = []
+        series = {}
         if "series_dir" in cfg:
-            paths.extend(sorted(self.path(cfg["series_dir"], record=False).glob("*.csv")))
-        paths.extend(cfg.get("series", []))
-        series = {path.stem: path for path in (self.path(raw, record=False) for raw in paths)}
+            series = {path.stem: path for path in sorted(self.path(cfg["series_dir"], record=False).glob("*.csv"))}
+        listed: dict[str, Path] = {}
+        for path in (self.path(raw, record=False) for raw in cfg.get("series", [])):
+            first = listed.setdefault(path.stem, path)
+            if first is not path:
+                raise ConfigError(f"{self.command}: series {first} and {path} are both subject {path.stem}")
+        series.update(listed)
         if not series:
             raise ConfigError(f"{self.command}: no time series supplied (series_dir or series)")
         return series

@@ -166,11 +166,14 @@ class ForecastPipeline:
     same instant, so a donor's row t+h carries the tester's own latent value
     at t+h (its docstring measures how far that lowers the forecast error).
 
-    `specs` is the stack (default STANDARD_STACK); a regression spec is
-    appended for the design unless the stack holds one. Every seasonal keeps
-    the clock: its phase counts from midnight of the series' first day, so a
-    series starting at 15-minute slot s of its day fits phase
-    (phase + s) % cycle.
+    `specs` is the stack (default STANDARD_STACK). The regression's columns
+    are the design's, `regressor_names` naming them: the model has a
+    regression exactly when the design has columns, the stack's own
+    regression entry, which supplies only its spike_slab prior, or else
+    `regression()`. Without donors the stack's regression entry is left out.
+    Every seasonal keeps the clock: its phase counts from midnight of the
+    series' first day, so a series starting at 15-minute slot s of its day
+    fits phase (phase + s) % cycle.
     """
 
     regressors: Optional[np.ndarray] = None
@@ -186,11 +189,14 @@ class ForecastPipeline:
 
     def component_specs(self, series: GlucoseSeries, n_train: int) -> list[ComponentSpec]:
         start = (series.start.hour * 60 + series.start.minute) // 15
+        regressed = self.regressors is not None and self.regressors.shape[1] > 0
         specs = [
-            replace(s, phase=(s.phase + start) % s.cycle) if s.kind == "seasonal" else s for s in self.specs
+            replace(s, phase=(s.phase + start) % s.cycle) if s.kind == "seasonal" else s
+            for s in self.specs
+            if regressed or s.kind != "regression"
         ]
-        if self.regressors is not None and self.regressor_names and all(s.kind != "regression" for s in specs):
-            specs.append(regression(self.regressor_names))
+        if regressed and all(s.kind != "regression" for s in specs):
+            specs.append(regression())
         return specs
 
     def without(self, removal: Optional[str]) -> "ForecastPipeline":
@@ -214,7 +220,7 @@ class ForecastPipeline:
         y = series.cgm[:n_train]
         x = self.regressors[:n_train] if self.regressors is not None else None
         model = assemble_model(self.component_specs(series, n_train), y, x)
-        return model, mcmc_fit(model, y, x=x, draws=cfg.draws, burn=cfg.burn, seed=cfg.seed)
+        return model, mcmc_fit(model, y, draws=cfg.draws, burn=cfg.burn, seed=cfg.seed)
 
 
 def train_test_split_sizes(n: int, cfg: EvalConfig) -> tuple[int, int, tuple[int, int]]:

@@ -225,15 +225,10 @@ _BUMP_KERNEL = np.array([0.2, 0.6, 1.0, 0.8, 0.5, 0.3, 0.15, 0.05])
 
 @dataclass(frozen=True)
 class CgmGroundTruth:
-    """Injected components per subject, for ablation and generator checks."""
+    """What the generator injected that the series alone do not show, for generator checks."""
 
-    shared_latent: np.ndarray
-    baselines: tuple[float, ...]
-    day_patterns: np.ndarray  # (n_subjects, n)
-    meal_patterns: np.ndarray
-    circadian_patterns: np.ndarray
-    meal_bumps: np.ndarray
-    meal_gls: tuple[tuple[float, ...], ...]
+    shared_latent: np.ndarray  # (n,) the latent path every subject shares
+    meal_gls: tuple[tuple[float, ...], ...]  # per subject, the glycemic load of each meal
 
 
 def gen_cgm_series(cfg: SynthConfig) -> tuple[list[GlucoseSeries], CgmGroundTruth]:
@@ -265,11 +260,6 @@ def gen_cgm_series(cfg: SynthConfig) -> tuple[list[GlucoseSeries], CgmGroundTrut
     meal_indices = [m // 15 + 96 * day for day in range(cfg.n_days) for m in MEAL_GRID_MINUTES]
 
     series_list: list[GlucoseSeries] = []
-    baselines = []
-    day_patterns = np.zeros((cfg.n_subjects, n))
-    meal_patterns = np.zeros((cfg.n_subjects, n))
-    circadian_patterns = np.zeros((cfg.n_subjects, n))
-    meal_bumps = np.zeros((cfg.n_subjects, n))
     meal_gls: list[tuple[float, ...]] = []
 
     for i in range(cfg.n_subjects):
@@ -297,23 +287,9 @@ def gen_cgm_series(cfg: SynthConfig) -> tuple[list[GlucoseSeries], CgmGroundTrut
         series_list.append(
             GlucoseSeries(subject_id=f"S{i:03d}", start=start, cgm=y, meals=tuple(meals))
         )
-        baselines.append(baseline)
-        day_patterns[i] = day
-        meal_patterns[i] = meal
-        circadian_patterns[i] = circ
-        meal_bumps[i] = bumps
         meal_gls.append(tuple(gls))
 
-    truth = CgmGroundTruth(
-        shared_latent=shared,
-        baselines=tuple(baselines),
-        day_patterns=day_patterns,
-        meal_patterns=meal_patterns,
-        circadian_patterns=circadian_patterns,
-        meal_bumps=meal_bumps,
-        meal_gls=tuple(meal_gls),
-    )
-    return series_list, truth
+    return series_list, CgmGroundTruth(shared_latent=shared, meal_gls=tuple(meal_gls))
 
 
 def default_gl_table() -> GlycemicTable:

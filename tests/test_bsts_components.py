@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_draws
 from glycast.bsts import (
     ParamPoint,
     SpikeSlabSettings,
@@ -21,6 +22,7 @@ from glycast.bsts import (
     seasonal,
     semi_local_trend,
 )
+from glycast.bsts.sampler import forecast_anchors, posterior_forecast
 from glycast.errors import RangeError, SchemaError
 
 
@@ -74,7 +76,7 @@ class TestAssembly:
         y = series(100)
         specs = [
             seasonal("a", 5, (1, 2, 3, 4, 5), phase=7), semi_local_trend(), seasonal("b", 2, (3, 1)),
-            regression(("c1",)), seasonal("c", 3, (2, 2, 2), phase=5),
+            regression(), seasonal("c", 3, (2, 2, 2), phase=5),
         ]
         custom = assemble_model(specs, y, np.ones((100, 1)))
         assert [s.name for s in custom.seasonals] == ["a", "b", "c"]
@@ -92,15 +94,43 @@ class TestAssembly:
         y = series(100)
         x = np.ones((100, 2))
         model = assemble_model(
-            [semi_local_trend(), regression(("c1", "c2"))], y, x
+            [semi_local_trend(), regression()], y, x
         )
         assert model.n_regressors == 2
         with pytest.raises(SchemaError):
-            assemble_model([semi_local_trend(), regression(("c1",))], y, np.ones((50, 1)))
+            assemble_model([semi_local_trend(), regression()], y, np.ones((50, 1)))
         with pytest.raises(SchemaError):
-            assemble_model([semi_local_trend(), regression(("c1", "c2"))], y)
+            assemble_model([semi_local_trend(), regression()], y)
         with pytest.raises(SchemaError):
             assemble_model([semi_local_trend()], y, x)
+        # Every reader of a design reads it through `design_rows`: J columns and at least the rows it needs.
+        draws = make_draws(model, [(ParamPoint(0.1, 0.1, 0.1, d=0.0, phi=0.5, beta=[1.0, -2.0]), model.a1)])
+        anchored = lambda x: forecast_anchors(model, draws, y, [90], [1, 4], x=x)  # noqa: E731
+        ahead = lambda x: posterior_forecast(draws, model, 4, x)  # noqa: E731
+        for read in (anchored, ahead, lambda x: model.observation_offsets(np.ones(2), x, 100)):
+            for bad, message in (
+                (np.ones((100, 3)), "design must have 2 columns, got shape (100, 3)"),
+                (np.ones(100), "design must have 2 columns, got shape (100,)"),
+                (np.ones((3, 2)), "design has 3 rows but"),
+            ):
+                with pytest.raises(SchemaError, match=re.escape(message)):
+                    read(bad)
+        for read in (anchored, ahead):
+            with pytest.raises(SchemaError, match="a design with 2 columns is required"):
+                read(None)
+        # observation_offsets reads None as the training design, whose 100 rows are all it has.
+        np.testing.assert_array_equal(model.observation_offsets(np.ones(2), None, 100), x @ np.ones(2))
+        with pytest.raises(SchemaError, match="design has 100 rows but 101 are required"):
+            model.observation_offsets(np.ones(2), None, 101)
+        with pytest.raises(SchemaError, match="beta must have length 2"):
+            model.observation_offsets(np.ones(3), x, 100)
+        future = np.arange(20.0).reshape(10, 2)  # rows past the horizon are not read
+        longer = posterior_forecast(draws, model, 4, future, sample=False)
+        np.testing.assert_array_equal(longer.paths, posterior_forecast(draws, model, 4, future[:4], sample=False).paths)
+        np.testing.assert_array_equal(model.design_rows(future, 4), future[:4])
+        trendless = assemble_model([semi_local_trend()], y)
+        assert trendless.design_rows(None, 7).shape == (7, 0)
+        assert trendless.design_rows(np.ones((2, 5)), 7).shape == (7, 0)
 
     def test_trend_required_and_unique(self):
         with pytest.raises(SchemaError):
@@ -276,8 +306,7 @@ class TestSpecsFromJson:
                 {"kind": "seasonal", "name": "day", "n_seasons": 4, "durations": [24, 24, 24, 24]},
                 {"kind": "seasonal", "name": "circadian", "n_seasons": 2, "durations": [48, 24],
                  "phase": 12, "var_prior": {"df": 2.0, "guess": 0.5}},
-                {"kind": "regression", "columns": ["sim_a", "sim_b"],
-                 "spike_slab": {"expected_model_size": 1.5}},
+                {"kind": "regression", "spike_slab": {"expected_model_size": 1.5}},
             ]
         }
         specs = specs_from_json(payload)
@@ -285,7 +314,6 @@ class TestSpecsFromJson:
         assert specs[1].durations == (24, 24, 24, 24)
         assert specs[2].phase == 12
         assert specs[2].var_prior.guess == 0.5
-        assert specs[3].columns == ("sim_a", "sim_b")
         assert specs[3].spike_slab.expected_model_size == 1.5
         model = assemble_model(
             specs, series(300), np.zeros((300, 2))
@@ -324,7 +352,7 @@ class TestSpecsFromJson:
              '"slope": {"df": 1, "guess": 1}, "d_mean": "0", "d_sd": 1}}', "'d_mean' must be a number, got '0'"),
             ('{"kind": "semi_local_trend", "priors": {"level": {"df": 1, "guess": 1}, '
              '"slope": {"df": 1, "guess": 1}, "d_mean": 0, "d_sd": true}}', "'d_sd' must be a number, got True"),
-            ('{"kind": "regression", "columns": ["a"], "spike_slab": {"information_weight": "0.5"}}',
+            ('{"kind": "regression", "spike_slab": {"information_weight": "0.5"}}',
              "'information_weight' must be a number, got '0.5'"),
             ('{"kind": "seasonal", "n_seasons": 2, "durations": 2}', "'durations' must be a list of integers, got 2"),
         ],
@@ -363,8 +391,8 @@ class TestSpecsFromJson:
             '"slope": {"df": 1, "guess": 1}, "d_mean": 0, "d_sd": 1, "phi_mean": -Infinity}}',
             '{"kind": "semi_local_trend", "priors": {"level": {"df": 1, "guess": 1}, '
             '"slope": {"df": 1, "guess": 1}, "d_mean": 0, "d_sd": 1, "phi_sd": NaN}}',
-            '{"kind": "regression", "columns": ["a"], "spike_slab": {"expected_model_size": Infinity}}',
-            '{"kind": "regression", "columns": ["a"], "spike_slab": {"information_weight": NaN}}',
+            '{"kind": "regression", "spike_slab": {"expected_model_size": Infinity}}',
+            '{"kind": "regression", "spike_slab": {"information_weight": NaN}}',
         ],
         ids=["df", "guess", "level", "slope", "d_mean", "d_sd", "phi_mean", "phi_sd", "model_size", "weight"],
     )

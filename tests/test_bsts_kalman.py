@@ -161,7 +161,7 @@ class TestFilter:
         rng = np.random.default_rng(3)
         y = rng.normal(0, 1, 18)
         x = rng.normal(0, 1, (18, 2))
-        model = assemble_model([semi_local_trend(), regression(("a", "b"))], y, x)
+        model = assemble_model([semi_local_trend(), regression()], y, x)
         beta = np.array([1.5, -0.5])
         params = ParamPoint(0.2, 0.1, 0.7, d=0.0, phi=0.3, beta=beta)
         loglik = kalman_loglik(model, params, y)
@@ -202,6 +202,18 @@ class TestFFBS:
         before = rng.bit_generator.state
         with pytest.raises(RangeError, match="p1_diag"):
             ffbs_sample(model, params, y, rng)
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("j, beta", [(2, [1.0]), (0, [1.0])], ids=["short", "without-regression"])
+    def test_wrong_beta_raises_before_any_draw(self, j, beta):
+        # observation_offsets alone checks beta, and ffbs_sample takes the residual before it draws its shocks.
+        y = np.array([100.0, 102.0, 103.0, 103.5, 104.0, 103.0, 102.5])
+        x = np.ones((y.size, j)) if j else None
+        model = assemble_model([semi_local_trend()] + [regression()] * bool(j), y, x)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(SchemaError, match=f"beta must have length {j}"):
+            ffbs_sample(model, ParamPoint(0.3, 0.2, 0.5, d=0.0, phi=0.5, beta=beta), y, rng)
         assert rng.bit_generator.state == before
 
     def test_sample_means_match_dense_smoother(self):
@@ -300,7 +312,7 @@ def two_seasonal_case(rng, sigma_a, phases):
         semi_local_trend(),
         seasonal("a", 3, (4, 4, 5), phase=phases[0]),
         seasonal("b", 2, (6, 7), phase=phases[1]),
-        regression(("u", "v")),
+        regression(),
     ]
     model = assemble_model(specs, y, x)
     params = ParamPoint(0.4, 0.2, 0.6, (sigma_a, 0.3), d=0.05, phi=0.5, beta=np.array([0.7, -0.4]))
@@ -316,7 +328,7 @@ def random_model(rng, n):
     j = int(rng.integers(0, 5))
     x = rng.normal(0, 1, (n, j)) if j else None
     if j:
-        specs.append(regression(tuple(f"c{i}" for i in range(j))))
+        specs.append(regression())
     y = rng.normal(0, 1, n)
     model = assemble_model(specs, y, x)
     params = ParamPoint(
@@ -425,7 +437,7 @@ class TestSmoothedMean:
         n = 28 * 96
         y = 10.0 * np.sin(2.0 * np.pi * np.arange(n) / 96) + rng.normal(0, 1, n).cumsum() * 0.2
         x = rng.normal(0, 1, (n, 2))
-        specs = [semi_local_trend(), day_seasonal(), meal_seasonal(), circadian_seasonal(), regression(("a", "b"))]
+        specs = [semi_local_trend(), day_seasonal(), meal_seasonal(), circadian_seasonal(), regression()]
         model = assemble_model(specs, y, x)
         params = ParamPoint(0.05, 0.02, 1.0, (0.1, 0.1, 0.1), d=0.0, phi=0.5, beta=np.array([0.5, -0.3]))
         means, _, v, f, _ = filter_point(model, params, y, x)

@@ -71,7 +71,7 @@ class TestMcmcFit:
         y = trend_series(100, seed=5)
         x = rng.normal(0, 1, (100, 2))
         model = assemble_model(
-            [semi_local_trend(), seasonal("s", 3, (8, 8, 8)), regression(("a", "b"))], y, x
+            [semi_local_trend(), seasonal("s", 3, (8, 8, 8)), regression()], y, x
         )
         draws = mcmc_fit(model, y, x=x, draws=60, burn=20, seed=1)
         assert np.all(draws.sigma_level > 0)
@@ -147,7 +147,7 @@ class TestPosteriorForecast:
         rng = np.random.default_rng(8)
         y = trend_series(50, seed=8)
         x = rng.normal(0, 1, (50, 2))
-        model = assemble_model([semi_local_trend(), regression(("a", "b"))], y, x)
+        model = assemble_model([semi_local_trend(), regression()], y, x)
         terminal = np.array([y[-1], 1.0])
         betas = [np.array([2.0, 0.0]), np.array([0.0, 4.0]), np.array([1.0, 1.0])]
         entries = [
@@ -313,7 +313,7 @@ def two_seasonal_model(y, x=None):
     """Trend, two short seasonals (cycles 4 and 6, period 12) and, with x, a regression."""
     specs = [semi_local_trend(), seasonal("a", 3, (1, 2, 1)), seasonal("b", 3, (2, 1, 3))]
     if x is not None:
-        specs.append(regression(("u", "v")))
+        specs.append(regression())
     return assemble_model(specs, y, x)
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -627,6 +628,22 @@ class TestForecastCommand:
         assert main(["forecast", "--config", cfg, "--horizon", "15"]) == 0
         assert (out / "forecast_S002.csv").exists()
 
+    def test_regression_entry_without_donors_is_left_out(self, tmp_path, synth_dir):
+        # Without clinical_csv no tester has donors: the regression entry ended the run with exit 2.
+        day = {"kind": "seasonal", "name": "day", "n_seasons": 4, "durations": [24] * 4}
+        stack = [{"kind": "semi_local_trend"}, day]
+        regression = {"kind": "regression", "spike_slab": {"expected_model_size": 1.0, "information_weight": 0.25}}
+        written = []
+        for name, components in (("plain", stack), ("regression", stack + [regression])):
+            out = tmp_path / name
+            cfg = write_config(
+                tmp_path / f"{name}.json", seed=5, out_dir=str(out), series_dir=str(synth_dir / "series"),
+                subjects=["S000"], draws=20, burn=5, components=components,
+            )
+            assert main(["evaluate", "--config", cfg]) == 0
+            written.append((out / "metrics.json").read_bytes())
+        assert written[0] == written[1]
+
 
 class TestErrorHandling:
     def test_missing_config_file(self, tmp_path, capsys):
@@ -643,6 +660,28 @@ class TestErrorHandling:
         cfg = write_config(tmp_path / "learn.json", seed=0, out_dir=str(tmp_path / "o"))
         assert main(["learn", "--config", cfg]) == 2
         assert "requires key" in capsys.readouterr().err
+
+    def test_series_entries_with_one_file_name_refused(self, tmp_path, synth_dir, capsys):
+        # The second S000.csv replaced the first in the subject map: evaluate reported one S000 from one of them.
+        other = tmp_path / "b" / "S000.csv"
+        other.parent.mkdir()
+        shutil.copy(synth_dir / "series" / "S001.csv", other)
+        first = synth_dir / "series" / "S000.csv"
+        out = tmp_path / "o"
+        cfg = write_config(
+            tmp_path / "ev.json", seed=0, out_dir=str(out), series=[str(first), str(other)], draws=20, burn=5,
+        )
+        assert main(["evaluate", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"error: evaluate: series {first} and {other} are both subject S000\n"
+        assert not out.exists()
+        # A `series` entry still replaces the `series_dir` file with its file name.
+        cfg = write_config(
+            tmp_path / "ev.json", seed=0, out_dir=str(out), series_dir=str(synth_dir / "series"),
+            series=[str(other)], subjects=["S000"], draws=20, burn=5,
+        )
+        assert main(["evaluate", "--config", cfg]) == 0
+        (manifest,) = read_manifests(out)
+        assert str(other) in manifest["inputs"] and str(first) not in manifest["inputs"]
 
     def test_missing_input_file(self, tmp_path, capsys):
         cfg = write_config(
@@ -927,14 +966,20 @@ class TestErrorHandling:
         ([{"kind": "seasonal", "name": "day", "n_seasons": 4, "durations": [24] * 4}],
          "exactly one semi_local_trend component is required"),
         ([{"kind": "semi_local_trend"}] * 2, "exactly one semi_local_trend component is required"),
-        ([{"kind": "semi_local_trend"}] + [{"kind": "regression", "columns": [c]} for c in "ab"],
+        ([{"kind": "semi_local_trend"}] + [{"kind": "regression"}] * 2,
          "at most one regression component is allowed"),
-    ], ids=["one-season", "short-durations", "phase-past-cycle", "no-trend", "two-trends", "two-regressions"])
+        ([{"kind": "semi_local_trend"}, {"kind": "regression", "columns": ["foo"]}],
+         "component 1: malformed entry: a regression takes no 'columns': its columns are the donors' design"),
+    ], ids=[
+        "one-season", "short-durations", "phase-past-cycle", "no-trend", "two-trends", "two-regressions",
+        "regression-columns",
+    ])
     def test_malformed_seasonal_refused_before_stage1(
         self, tmp_path, synth_dir, capsys, monkeypatch, components, message
     ):
-        # The document itself is refused: a seasonal that cannot tile its cycle, or a stack without exactly one
-        # trend or with two regressions, never waits for the bootstrap.
+        # The document itself is refused: a seasonal that cannot tile its cycle, a stack without exactly one
+        # trend or with two regressions, or a regression naming columns the donors' design sets, never waits for
+        # the bootstrap.
         calls = []
 
         def spy(*args, **kwargs):
@@ -1160,7 +1205,7 @@ MALFORMED_INPUTS = [
     ("seasonal-name", _component({"kind": "seasonal", "name": ["x"], "n_seasons": 2, "durations": [48, 48]}),
      "component 1: malformed entry: 'name' must be a string, got ['x']"),
     ("regression-columns", _component({"kind": "regression", "columns": [1, None]}),
-     "component 1: malformed entry: 'columns' must be a list of strings, got [1, None]"),
+     "component 1: malformed entry: a regression takes no 'columns': its columns are the donors' design"),
     ("seed-config", _synth_seed(-3, flag=False), "config key 'seed' must be a non-negative integer, got -3"),
     ("seed-flag", _synth_seed(-1, flag=True), "config key 'seed' must be a non-negative integer, got -1"),
 ]

@@ -299,6 +299,22 @@ class TestForecastPipelineWithout:
             remaining = [spec.name for spec in base.without(removal).component_specs(series, 10)]
             assert remaining == [name for name in names if name != dropped]
 
+    def test_regression_entry_supplies_the_prior_of_the_design(self):
+        # The design's columns are the regression's: the entry carries its spike_slab prior and nothing else.
+        series, _ = eval_series(seed=24, n_days=2)
+        document = {"components": SPELLED_OUT["components"] + [
+            {"kind": "regression", "spike_slab": {"expected_model_size": 1.0, "information_weight": 0.25}},
+        ]}
+        design = np.random.default_rng(2).normal(0, 1, (len(series), 3))
+        pipeline = ForecastPipeline(regressors=design, regressor_names=("a", "b", "c"), specs=specs_from_json(document))
+        model, draws = pipeline.fit(series, 100, EvalConfig(draws=12, burn=2))
+        assert (model.spike_slab.expected_model_size, model.spike_slab.information_weight) == (1.0, 0.25)
+        np.testing.assert_array_equal(model.design, design[:100])
+        assert draws.beta.shape == (10, 3)
+        # Without a design the entry is left out.
+        assert [s.kind for s in replace(pipeline, regressors=None, regressor_names=()).component_specs(series, 100)] \
+            == ["semi_local_trend", "seasonal", "seasonal", "seasonal"]
+
     def test_custom_specs_refuse_a_seasonal_removal(self):
         custom = ForecastPipeline(specs=(semi_local_trend(),))
         assert custom.without("similar_subjects").specs == custom.specs
