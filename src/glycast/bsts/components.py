@@ -31,6 +31,7 @@ from ..casts import integer, integers, number, read, string
 from ..errors import RangeError, SchemaError
 
 MAX_HORIZON = 96  # longest posterior_forecast, in steps: one day, an input limit
+_KINDS = ("semi_local_trend", "seasonal", "regression")  # the component kinds a stack may hold
 
 
 @dataclass(frozen=True)
@@ -166,7 +167,7 @@ def regression(settings: Optional[SpikeSlabSettings] = None) -> ComponentSpec:
 def check_stack(specs: Sequence[ComponentSpec]) -> None:
     """SchemaError unless every spec is of a known kind, exactly one a semi_local_trend and at most one a regression."""
     kinds = [s.kind for s in specs]
-    unknown = [kind for kind in kinds if kind not in ("semi_local_trend", "seasonal", "regression")]
+    unknown = [kind for kind in kinds if kind not in _KINDS]
     if unknown:
         raise SchemaError(f"unknown component kind(s): {unknown}")
     if kinds.count("semi_local_trend") != 1:
@@ -183,9 +184,11 @@ def specs_from_json(payload: dict) -> list[ComponentSpec]:
     priors plus d/phi hyperparameters; a regression entry carries only
     optional spike_slab settings, since its columns are the donors' design
     (see `regression`), and one that lists `columns` is refused. An entry
-    that lacks a key, holds a value of the wrong type or is a seasonal that
-    cannot tile its cycle raises SchemaError naming the entry, and a stack
-    that `check_stack` refuses raises its SchemaError. Counts, durations and
+    that is not a JSON object or names an unknown kind raises SchemaError
+    naming the entry and that rule; one that lacks a key, holds a value of
+    the wrong type or is a seasonal that cannot tile its cycle raises
+    SchemaError naming the entry as malformed, and a stack that
+    `check_stack` refuses raises its SchemaError. Counts, durations and
     phases take JSON integers, the priors finite JSON numbers and a name a
     string, each read by `glycast.casts.read` as the config keys are.
     """
@@ -202,9 +205,13 @@ def specs_from_json(payload: dict) -> list[ComponentSpec]:
         return VariancePrior(df=df, guess=guess)
 
     specs: list[ComponentSpec] = []
-    try:
-        for i, entry in enumerate(payload["components"]):
-            kind = entry.get("kind")
+    for i, entry in enumerate(payload["components"]):
+        if not isinstance(entry, dict):
+            raise SchemaError(f"component {i}: an entry must be a JSON object, got {entry!r}")
+        kind = entry.get("kind")
+        if kind not in _KINDS:
+            raise SchemaError(f"component {i}: unknown kind {kind!r}")
+        try:
             if kind == "semi_local_trend":
                 priors = None
                 raw = entry.get("priors")
@@ -228,7 +235,7 @@ def specs_from_json(payload: dict) -> list[ComponentSpec]:
                         var_prior=var_prior(entry.get("var_prior")),
                     )
                 )
-            elif kind == "regression":
+            else:  # a regression
                 if "columns" in entry:
                     raise ValueError("a regression takes no 'columns': its columns are the donors' design")
                 raw = entry.get("spike_slab")
@@ -239,12 +246,10 @@ def specs_from_json(payload: dict) -> list[ComponentSpec]:
                         information_weight=read(raw, "information_weight", number, 0.5),
                     )
                 specs.append(regression(settings))
-            else:
-                raise SchemaError(f"component {i}: unknown kind {kind!r}")
-    except KeyError as exc:
-        raise SchemaError(f"component {i}: missing key {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise SchemaError(f"component {i}: malformed entry: {exc}") from None
+        except KeyError as exc:
+            raise SchemaError(f"component {i}: missing key {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise SchemaError(f"component {i}: malformed entry: {exc}") from None
     check_stack(specs)
     return specs
 

@@ -8,11 +8,14 @@ One Kalman filter, `_filter_draws`, filters a fit's K retained draws at once
 for `forecast_anchors` on the draws-last transition kernel `_DrawOperators`:
 states are (m, K) and covariances (m, m, K). Every step moves the state in
 place by the model's one rule, `StateSpaceModel.transition`, with the draws'
-phi: T x updates rows 0 and 1 and shifts each seasonal that turns, and
-T P T' is that rule on the rows of P, then on its columns; a step's noise is
-added to the diagonal entries of P that its mask gives noise. The update
-writes the gain pz / f (zero where f <= 0) and the rank-one term gain pz'
-into buffers reused at every step. The filter's one predict step,
+phi: T x updates rows 0 and 1 and shifts each seasonal that turns. T P T'
+moves only the rows and columns the step changes (slots 0 and 1 and every
+slot of each seasonal that turns): the rule on P's rows, those rows mirrored
+into the changed columns, then the rule on the rows of those columns for
+their square, which is made exactly symmetric. A step's noise is added as
+one P[i, i] += q_i per slot its mask gives noise. The update writes the
+gain pz / f (zero where f <= 0) and the rank-one term gain pz' into buffers
+reused at every step. The filter's one predict step,
 `_DrawOperators.predict`, also builds every forecast horizon's terms in one
 forward pass (`horizon_terms`), cached by the masks of the steps they cross
 and by the anchor's phase in the model's period.
@@ -91,10 +94,10 @@ class _DrawOperators:
     `draws` are the retained draws of a fit, whose seven parameter fields
     carry a leading draw axis; `keep` selects draws along it. The kernel
     reads the model's step schedule and, per boundary mask, the noise
-    variances of the state slots it gives noise (rows, K) with the flat
-    indices of those slots' diagonal entries of P; T is the model's
-    `transition` at the draws' phi. A state is (m, ..., K) and a covariance
-    (m, m, K).
+    variances (K,) of each state slot it gives noise and the rows T moves
+    (a slice when contiguous, else an index array) with the index pairs of
+    their square; T is the model's `transition` at the draws' phi. A state
+    is (m, ..., K) and a covariance (m, m, K).
     """
 
     def __init__(self, model: StateSpaceModel, draws, keep: slice = slice(None)) -> None:
@@ -105,12 +108,14 @@ class _DrawOperators:
         variances = (param("sigma_level") ** 2, param("sigma_slope") ** 2, (param("sigma_seasonal") ** 2).T)
         self.model = model
         self.step_masks = model.step_masks
-        m = model.state_dim
-        self.noise = []  # per mask: the flat indices of P's diagonal entries with noise, and that noise (rows, K)
-        for i in range(len(model.masks)):
+        self.noise = []  # per mask: (slot, its noise variances (K,)) for every slot the step gives noise
+        self.changed = []  # per mask: the rows T moves, and the pairs (r, c), r < c, of their square
+        for i, shifts in enumerate(model.shifts):
             noise = model.mask_noise(i, *variances).T  # (m, K)
-            rows = np.flatnonzero(noise.any(axis=1))
-            self.noise.append((rows * (m + 1), noise[rows].copy()))
+            self.noise.append(tuple((int(slot), noise[slot].copy()) for slot in np.flatnonzero(noise.any(axis=1))))
+            rows = [0, 1, *(slot for block in shifts for slot in range(block.start, block.stop))]
+            pairs = tuple((r, c) for n, r in enumerate(rows) for c in rows[n + 1 :])
+            self.changed.append((slice(0, len(rows)) if rows[-1] == len(rows) - 1 else np.array(rows), pairs))
         self.intercept = model.state_intercept(param("d"), self.phi).T.copy()  # (m, K)
         self.obs_var = param("sigma_obs") ** 2  # (K,)
         self.beta = param("beta").T  # (J, K): x_t @ beta is x_t' beta per draw
@@ -127,9 +132,22 @@ class _DrawOperators:
         return self.model.transition(step, x, self.phi)
 
     def transition_cov(self, step: int, P: np.ndarray) -> np.ndarray:
-        """T P T' for every draw, in place, P (m, m, K): T on the rows, then on the columns."""
+        """T P T' for every draw, in place, P (m, m, K) symmetric; exactly symmetric when P is.
+
+        T moves only the step's changed rows R: slots 0 and 1 and every slot
+        of each seasonal that turns. T on P's rows gives rows R of T P, which
+        outside the square R x R are rows R of T P T' already; mirrored into
+        columns R they give P T' there, and T on the rows of those columns
+        gives the square, whose upper triangle is then copied from its lower.
+        """
+        rows, pairs = self.changed[step]
         self.transition(step, P)
-        self.transition(step, P.swapaxes(0, 1))
+        P[:, rows] = P[rows].swapaxes(0, 1)
+        columns = P[:, rows]  # a view when R is contiguous (270 of the default 288 steps), else a copy written back
+        self.transition(step, columns)
+        P[:, rows] = columns
+        for i, j in pairs:
+            P[i, j] = P[j, i]
         return P
 
     def predict(self, step: int, a: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,8 +155,8 @@ class _DrawOperators:
         a = self.transition(step, a)
         a += self.intercept
         P = self.transition_cov(step, P)
-        diagonal, noise = self.noise[step]
-        P.reshape(len(P) ** 2, -1)[diagonal] += noise
+        for slot, noise in self.noise[step]:
+            P[slot, slot] += noise
         return a, P
 
     def horizon_terms(self, t: int, horizons: Sequence[int]) -> tuple[np.ndarray, ...]:

@@ -21,17 +21,18 @@ each draw's terminal state, each step from its marginal, not joint paths.
 
 Both move every draw at once on the draws-last transition kernel
 `kalman._DrawOperators` (states (m, K), covariances (m, m, K) for K draws),
-whose every step is the model's one in-place rule `StateSpaceModel.transition`,
-and `forecast_anchors` filters with `kalman._filter_draws`, the one Kalman
-filter. The predictive's terms come from `_DrawOperators.horizon_terms`, one
-forward pass of the filter's predict step over the horizon. phi enters a
-step only through the slope, which moves into the level alone, so the
-predictive's loading on the state is u_h = w_h + g_h e_1 with w_h shared by
-every draw. `_predictive_moments` reduces the draws-last (a, P) at an anchor
-to three products, w a, w P[:, 1] and w'Pw (one (H, m^2) x (m^2, K) product
-of the cached w_h (x) w_h with P's flat form), written straight into the
-anchor's rows of the block that is sampled, where g, b, s and x'beta are
-folded in place.
+whose every step is the model's one in-place rule `StateSpaceModel.transition`
+(T P T' moves only the rows and columns a step changes, and the step's noise
+is added slot by slot to P's diagonal), and `forecast_anchors` filters with
+`kalman._filter_draws`, the one Kalman filter. The predictive's terms come
+from `_DrawOperators.horizon_terms`, one forward pass of the filter's predict
+step over the horizon. phi enters a step only through the slope, which moves
+into the level alone, so the predictive's loading on the state is
+u_h = w_h + g_h e_1 with w_h shared by every draw. `_predictive_moments`
+reduces the draws-last (a, P) at an anchor to three products, w a, w P[:, 1]
+and w'Pw (one (H, m^2) x (m^2, K) product of the cached w_h (x) w_h with P's
+flat form), written straight into the anchor's rows of the block that is
+sampled, where g, b, s and x'beta are folded in place.
 """
 
 from __future__ import annotations
@@ -330,7 +331,8 @@ def forecast_anchors(
     forecast at anchor t depends only on y_0..y_t. All draws are filtered
     together with the draw axis last, through the transition kernel of
     `_DrawOperators`: each step's T P T' is the model's transition rule on
-    the rows of P, then on its columns, in place. Given a draw and its filtered
+    the rows and columns the step changes, in place, and its noise one
+    P[i, i] += q_i per noisy slot. Given a draw and its filtered
     state at t, y_{t+h} is Gaussian in closed form (Durbin & Koopman, ch. 4).
     The anchors are summarised in blocks of up to 64, one (2, 64, H, K)
     buffer of means and sds: a block's mean rows start as its anchors'

@@ -375,6 +375,25 @@ class TestSpecsFromJson:
             specs_from_json({"components": [{"kind": "wavelet"}]})
 
     @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ('{"kind": "wavelet"}', "component 1: unknown kind 'wavelet'"),
+            ("{}", "component 1: unknown kind None"),
+            ('"x"', "component 1: an entry must be a JSON object, got 'x'"),
+            ('[{"kind": "seasonal"}]', "component 1: an entry must be a JSON object, got [{'kind': 'seasonal'}]"),
+        ],
+        ids=["unknown-kind", "no-kind", "string", "list"],
+    )
+    def test_entry_rules_name_the_entry_once(self, entry, message):
+        # The document's own rule, stated once: not wrapped as a malformed entry, and no Python type error.
+        from glycast.bsts import specs_from_json
+
+        payload = json.loads(f'{{"components": [{{"kind": "semi_local_trend"}}, {entry}]}}')
+        with pytest.raises(SchemaError) as caught:
+            specs_from_json(payload)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
         "entry",
         [
             '{"kind": "seasonal", "n_seasons": 2, "durations": [1, 1], "var_prior": {"df": NaN, "guess": 1}}',

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import filter_loglik, filter_point, make_draws
@@ -622,6 +622,29 @@ class TestAnchorBlocks:
         assert np.all(np.delete(width, anchors.index(7)) > 0.0)
 
 
+class TestRepeatedForecasts:
+    def test_forecasts_leave_the_posterior_as_it_was(self):
+        # The filter moves every draw in place on its own buffers: a second forecast from one posterior,
+        # anchored at either thinning or from the terminal states, equals the forecast from a fresh one.
+        model, params, y, x = TestAnchorBlocks().case()
+        entries = [(p, np.linspace(-1.0, 1.0, model.state_dim)) for p in params]
+        draws = make_draws(model, entries)
+
+        def forecasts(draws):
+            anchored = [
+                forecast_anchors(model, draws, y, range(3, 16), (1, 2, 4), x=x, rng=np.random.default_rng(9), thin=thin)
+                for thin in (1, 2)
+            ]
+            ahead = posterior_forecast(draws, model, 4, x[16:20], rng=np.random.default_rng(5))
+            return [out[h][key] for out in anchored for h in out for key in ("mean", "lower95", "upper95")] + [
+                getattr(ahead, name) for name in ("mean", "lower95", "upper95", "paths")
+            ]
+
+        forecasts(draws)
+        for kept, fresh in zip(forecasts(draws), forecasts(make_draws(model, entries)), strict=True):
+            np.testing.assert_array_equal(kept, fresh)
+
+
 def assert_close_relative(actual, expected, scale, rtol=1e-10):
     """Largest deviation within rtol of the largest entry of `scale` (exact when that is zero)."""
     assert np.max(np.abs(actual - expected)) <= rtol * np.max(np.abs(scale))
@@ -691,7 +714,11 @@ def seasonal_specs(draw):
 class TestTransitionKernel:
     @settings(max_examples=30, deadline=None)
     @given(specs=seasonal_specs(), seed=st.integers(0, 2**32 - 1))
+    # Both seasonals turn on every step; then the second alone turns, so the changed rows are not contiguous.
+    @example(specs=[semi_local_trend(), seasonal("s0", 2, (1, 1)), seasonal("s1", 3, (1, 1, 1))], seed=1)
+    @example(specs=[semi_local_trend(), seasonal("s0", 3, (2, 1, 2)), seasonal("s1", 2, (1, 1))], seed=2)
     def test_structured_products_match_dense(self, specs, seed):
+        # T P T' equals the dense product and, for an exactly symmetric P, is exactly symmetric on every mask.
         rng = np.random.default_rng(seed)
         model = assemble_model(specs, np.arange(10.0))
         m, k = model.state_dim, 3
@@ -705,16 +732,17 @@ class TestTransitionKernel:
             a = rng.normal(size=(m, k))
             root = rng.normal(size=(m, m, k))
             P = np.einsum("ijk,ljk->ilk", root, root)
+            P += P.swapaxes(0, 1).copy()  # x + y == y + x: exactly symmetric
             np.testing.assert_allclose(
                 ops.transition(step, a.copy()),
                 np.stack([T @ a[:, j] for j, T in enumerate(dense)], axis=1),
                 rtol=1e-12, atol=1e-12,
             )
+            moved = ops.transition_cov(step, P.copy())
             np.testing.assert_allclose(
-                ops.transition_cov(step, P.copy()),
-                np.stack([T @ P[:, :, j] @ T.T for j, T in enumerate(dense)], axis=2),
-                rtol=1e-12, atol=1e-11,
+                moved, np.stack([T @ P[:, :, j] @ T.T for j, T in enumerate(dense)], axis=2), rtol=1e-12, atol=1e-11
             )
+            np.testing.assert_array_equal(moved, moved.swapaxes(0, 1))
 
     @settings(max_examples=30, deadline=None)
     @given(specs=seasonal_specs(), seed=st.integers(0, 2**32 - 1))

@@ -970,9 +970,11 @@ class TestErrorHandling:
          "at most one regression component is allowed"),
         ([{"kind": "semi_local_trend"}, {"kind": "regression", "columns": ["foo"]}],
          "component 1: malformed entry: a regression takes no 'columns': its columns are the donors' design"),
+        ([{"kind": "semi_local_trend"}, {"kind": "wavelet"}], "component 1: unknown kind 'wavelet'"),
+        ([{"kind": "semi_local_trend"}, "x"], "component 1: an entry must be a JSON object, got 'x'"),
     ], ids=[
         "one-season", "short-durations", "phase-past-cycle", "no-trend", "two-trends", "two-regressions",
-        "regression-columns",
+        "regression-columns", "unknown-kind", "not-an-object",
     ])
     def test_malformed_seasonal_refused_before_stage1(
         self, tmp_path, synth_dir, capsys, monkeypatch, components, message
