@@ -404,15 +404,25 @@ class StateSpaceModel:
             raise SchemaError(f"design has {x.shape[0]} rows but {n} are required")
         return x[:n]
 
+    def check_shapes(self, sigma_seasonal: Optional[Sequence] = None, beta: Optional[np.ndarray] = None) -> None:
+        """SchemaError unless parameters fit the model: one sd per seasonal and one coefficient per design column.
+
+        Read on the last axis, so one point's (S,) and (J,) and K draws' (K, S) and (K, J) alike; None is not checked.
+        """
+        shape = np.shape(sigma_seasonal)
+        if sigma_seasonal is not None and shape[-1:] != (len(self.seasonals),):
+            count = shape[-1] if shape else "a scalar of"
+            raise SchemaError(f"params carry {count} seasonal sds for {len(self.seasonals)} seasonal components")
+        if beta is not None and np.shape(beta)[-1:] != (self.n_regressors,):
+            raise SchemaError(f"beta must have length {self.n_regressors}")
+
     def observation_offsets(self, beta: np.ndarray, x: Optional[np.ndarray], n: int) -> np.ndarray:
         """beta' x_t for t = 0..n-1 on `design_rows` of x (None: the training design); zeros without regression.
 
-        SchemaError unless beta has one entry per column.
+        One point's beta (J,) gives (n,), K draws' (K, J) give (n, K); SchemaError unless `check_shapes` takes beta.
         """
-        beta = np.asarray(beta, dtype=float)
-        if beta.shape != (self.n_regressors,):
-            raise SchemaError(f"beta must have length {self.n_regressors}")
-        return self.design_rows(self.design if x is None else x, n) @ beta
+        self.check_shapes(beta=beta)
+        return self.design_rows(self.design if x is None else x, n) @ np.asarray(beta, dtype=float).T
 
 
 def assemble_model(

@@ -4,21 +4,23 @@ Conventions: the state at index t carries the components generating y_t;
 `StateSpaceModel.transition` maps the time-t state to the time-(t+1) state
 in place, and `transition_matrix(phi, t)` is its dense T.
 
-One Kalman filter, `_filter_draws`, filters a fit's K retained draws at once
-for `forecast_anchors` on the draws-last transition kernel `_DrawOperators`:
-states are (m, K) and covariances (m, m, K). Every step moves the state in
-place by the model's one rule, `StateSpaceModel.transition`, with the draws'
-phi: T x updates rows 0 and 1 and shifts each seasonal that turns. T P T'
-moves only the rows and columns the step changes (slots 0 and 1 and every
-slot of each seasonal that turns): the rule on P's rows, those rows mirrored
-into the changed columns, then the rule on the rows of those columns for
-their square, which is made exactly symmetric. A step's noise is added as
-one P[i, i] += q_i per slot its mask gives noise. The update writes the
-gain pz / f (zero where f <= 0) and the rank-one term gain pz' into buffers
-reused at every step. The filter's one predict step,
-`_DrawOperators.predict`, also builds every forecast horizon's terms in one
-forward pass (`horizon_terms`), cached by the masks of the steps they cross
-and by the anchor's phase in the model's period.
+One Kalman filter, `_filter_draws`, filters a fit's K retained draws, a
+`ParamPoint` whose fields carry a leading draw axis, at once for
+`forecast_anchors` on the draws-last transition kernel `_DrawOperators`,
+which refuses draws that do not fit the model
+(`StateSpaceModel.check_shapes`): states are (m, K) and covariances
+(m, m, K). Every step moves the state in place by the model's one rule,
+`StateSpaceModel.transition`, with the draws' phi: T x updates rows 0 and 1
+and shifts each seasonal that turns. T P T' moves only the rows and columns
+the step changes (slots 0 and 1 and every slot of each seasonal that turns):
+the rule on P's rows, those rows mirrored into the changed columns, then the
+rule on the rows of those columns for their square, which is made exactly
+symmetric. A step's noise is added as one P[i, i] += q_i per slot its mask
+gives noise. The update writes the gain pz / f (zero where f <= 0) and the
+rank-one term gain pz' into buffers reused at every step. The filter's one
+predict step, `_DrawOperators.predict`, also builds every forecast horizon's
+terms in one forward pass (`horizon_terms`), cached by the masks of the
+steps they cross and by the anchor's phase in the model's period.
 
 One parameter point's state path has one sparse posterior precision in
 component-sequence coordinates (Chan & Jeliazkov 2009): the trend's band of
@@ -52,13 +54,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..errors import NumericalError, RangeError, SchemaError
+from ..errors import NumericalError, RangeError
 from .components import StateSpaceModel
 
 
 @dataclass(frozen=True)
 class ParamPoint:
-    """One point in parameter space: noise sds, trend dynamics, coefficients."""
+    """One point in parameter space: noise sds, trend dynamics, coefficients; a fit's draws add a leading axis."""
 
     sigma_level: float
     sigma_slope: float
@@ -69,38 +71,33 @@ class ParamPoint:
     beta: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self) -> None:
+        """RangeError unless every noise sd is >= 0 and phi lies in [-1, 1]; each check fails on NaN."""
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
-        _check_ranges(self)
-
-
-def _check_ranges(params) -> None:
-    """RangeError unless every noise sd of `params` is >= 0 and its phi lies in [-1, 1].
-
-    `params` is a ParamPoint or a fit's draws (one value per draw). Each
-    check is written so that NaN fails it.
-    """
-    for name in ("sigma_level", "sigma_slope", "sigma_obs", "sigma_seasonal"):
-        values = np.asarray(getattr(params, name), dtype=float)
-        if not np.all(values >= 0):
-            raise RangeError(f"{name} must be >= 0, got {values[~(values >= 0)][0]}")
-    phi = np.asarray(params.phi, dtype=float)
-    if not np.all(np.abs(phi) <= 1.0):
-        raise RangeError(f"phi must lie in [-1, 1], got {phi[~(np.abs(phi) <= 1.0)][0]}")
+        for name in ("sigma_level", "sigma_slope", "sigma_obs", "sigma_seasonal"):
+            values = np.asarray(getattr(self, name), dtype=float)
+            if not np.all(values >= 0):
+                raise RangeError(f"{name} must be >= 0, got {values[~(values >= 0)][0]}")
+        phi = np.asarray(self.phi, dtype=float)
+        if not np.all(np.abs(phi) <= 1.0):
+            raise RangeError(f"phi must lie in [-1, 1], got {phi[~(np.abs(phi) <= 1.0)][0]}")
 
 
 class _DrawOperators:
     """The draws-last transition kernel of a batch of K parameter draws (module docstring).
 
-    `draws` are the retained draws of a fit, whose seven parameter fields
-    carry a leading draw axis; `keep` selects draws along it. The kernel
-    reads the model's step schedule and, per boundary mask, the noise
-    variances (K,) of each state slot it gives noise and the rows T moves
-    (a slice when contiguous, else an index array) with the index pairs of
-    their square; T is the model's `transition` at the draws' phi. A state
-    is (m, ..., K) and a covariance (m, m, K).
+    `draws` is a `ParamPoint` with a draw axis, such as a fit's
+    `PosteriorDraws`, that fits the model (`StateSpaceModel.check_shapes`,
+    else SchemaError); `keep` selects draws along that axis. The kernel reads
+    the model's step schedule and, per boundary mask, the noise variances
+    (K,) of each state slot it gives noise and the rows T moves (a slice when
+    contiguous, else an index array) with the index pairs of their square; T
+    is the model's `transition` at the draws' phi. A state is (m, ..., K)
+    and a covariance (m, m, K).
     """
 
-    def __init__(self, model: StateSpaceModel, draws, keep: slice = slice(None)) -> None:
+    def __init__(self, model: StateSpaceModel, draws: ParamPoint, keep: slice = slice(None)) -> None:
+        model.check_shapes(draws.sigma_seasonal, draws.beta)
+
         def param(name: str) -> np.ndarray:
             return np.asarray(getattr(draws, name), dtype=float)[keep]
 
@@ -408,9 +405,7 @@ class _SequenceForm:
     """One parameter point's prior of an n-step state path on its `_SequenceLayout`, and the posterior given r."""
 
     def __init__(self, model: StateSpaceModel, params: ParamPoint, n: int) -> None:
-        if len(params.sigma_seasonal) != len(model.seasonals):
-            count = len(params.sigma_seasonal)
-            raise SchemaError(f"params carry {count} seasonal sds for {len(model.seasonals)} seasonal components")
+        model.check_shapes(params.sigma_seasonal)
         sds = (params.sigma_obs, params.sigma_level, params.sigma_slope) + tuple(params.sigma_seasonal)
         self.variances = variances = np.square(sds)  # the observation's, then the noise's as `innovations` lists it
         self.phi, self.d = params.phi, params.d

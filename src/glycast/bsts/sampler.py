@@ -11,8 +11,10 @@ scores too; (3) Gaussian draw for the long-run slope D and
 truncated-Gaussian draw for the AR coefficient phi given the slope path; (4)
 a spike-and-slab sweep on the observation residual, which draws the
 observation variance too (a model without regression runs the zero-column
-sweep). The chain's state is one `ParamPoint`; `PosteriorDraws.from_rows`
-stacks the retained draws.
+sweep). The chain's state is one `ParamPoint`, and its retained draws
+(`PosteriorDraws.from_rows`) are a ParamPoint with a draw axis;
+`StateSpaceModel.check_shapes` holds what fits a model for one point and K
+draws alike, so a forecast refuses another model's draws.
 Forecasts work on all retained draws at once and share one predictive:
 `forecast_anchors` filters every draw through the series and samples
 y_{t+h} from each draw's exact Gaussian predictive at every anchor;
@@ -38,7 +40,7 @@ sampled, where g, b, s and x'beta are folded in place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from statistics import NormalDist
 from typing import Iterable, Optional, Sequence
 
@@ -47,7 +49,7 @@ import numpy as np
 from ..casts import integer
 from ..errors import NumericalError, RangeError, SchemaError
 from .components import MAX_HORIZON, StateSpaceModel
-from .kalman import ParamPoint, _DrawOperators, _check_ranges, _filter_draws, _sequence_layout, ffbs_sample
+from .kalman import ParamPoint, _DrawOperators, _filter_draws, _sequence_layout, ffbs_sample
 from .spike_slab import SweepTerms, sample_regression
 
 _FORECAST_SALT = 0x5EED
@@ -56,18 +58,14 @@ _ANCHOR_BLOCK = 64  # anchors whose samples are summarised together
 _VARIANCE_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class PosteriorDraws:
-    """Retained per-draw parameters and terminal states from one chain."""
+@dataclass(frozen=True, kw_only=True)
+class PosteriorDraws(ParamPoint):
+    """The retained draws of one chain: a `ParamPoint` whose fields carry a leading draw axis.
 
-    sigma_level: np.ndarray  # (K,)
-    sigma_slope: np.ndarray
-    sigma_obs: np.ndarray
-    sigma_seasonal: np.ndarray  # (K, S)
-    d: np.ndarray
-    phi: np.ndarray
+    Each draw adds its indicators gamma (K, J) and terminal state (K, m), the chain its draws, burn-in and seed.
+    """
+
     gamma: np.ndarray  # (K, J) 0/1
-    beta: np.ndarray  # (K, J)
     terminal_state: np.ndarray  # (K, m)
     requested: int
     burn: int
@@ -83,7 +81,7 @@ class PosteriorDraws:
         # MCMC output is strictly positive with |phi| < 1 by construction;
         # hand-built degenerate draws (zero noise) are allowed for testing
         # deterministic propagation.
-        _check_ranges(self)
+        super().__post_init__()
         if self.beta.size and np.any(self.beta[self.gamma == 0] != 0.0):
             raise RangeError("beta must be exactly zero wherever gamma is zero")
 
@@ -93,19 +91,15 @@ class PosteriorDraws:
     ) -> "PosteriorDraws":
         """Stack one or more retained draws, each a row (ParamPoint, gamma, terminal state).
 
-        Vector fields stack to (K, S), (K, J) and (K, m), so to (K, 0) when
-        the model has no seasonals or no regression columns.
+        Every `ParamPoint` field stacks along a new leading axis, so vector
+        fields stack to (K, S), (K, J) and (K, m), and to (K, 0) when the
+        model has no seasonals or no regression columns.
         """
         params, gamma, terminal = zip(*rows)
-
-        def stacked(values, dtype=float) -> np.ndarray:
-            return np.stack([np.asarray(value, dtype=dtype) for value in values])
-
-        names = ("sigma_level", "sigma_slope", "sigma_obs", "sigma_seasonal", "d", "phi", "beta")
         return cls(
-            **{name: stacked(getattr(p, name) for p in params) for name in names},
-            gamma=stacked(gamma, np.int64),
-            terminal_state=stacked(terminal),
+            **{f.name: np.array([getattr(p, f.name) for p in params], dtype=float) for f in fields(ParamPoint)},
+            gamma=np.array(gamma, dtype=np.int64),
+            terminal_state=np.array(terminal, dtype=float),
             requested=requested,
             burn=burn,
             seed=seed,
@@ -227,7 +221,9 @@ def posterior_forecast(
     draws and the interval the 2.5%/97.5% band of `_sorted_percentiles`. With
     sample=False each row is its draw's predictive mean and no normals are
     drawn. x_future's first `horizon` rows, as `design_rows` reads them, are
-    the design of the steps forecast.
+    the design of the steps forecast. Draws that do not fit the model
+    (`StateSpaceModel.check_shapes`), or whose terminal states are not
+    (K, state_dim), raise SchemaError.
     """
     if not 1 <= horizon <= MAX_HORIZON:
         raise RangeError(f"horizon must lie in 1..{MAX_HORIZON}, got {horizon}")
@@ -236,6 +232,8 @@ def posterior_forecast(
         rng = np.random.default_rng([draws.seed, _FORECAST_SALT])
     ops = _DrawOperators(model, draws)
     m, k = ops.intercept.shape
+    if draws.terminal_state.shape != (k, m):
+        raise SchemaError(f"terminal_state must hold one state of {m} slots per draw, got {draws.terminal_state.shape}")
     terms = ops.horizon_terms(model.n_train - 1, range(1, horizon + 1))
     offsets = x_future @ ops.beta  # (horizon, K)
     mean, var = _predictive_moments(terms, draws.terminal_state.T, np.zeros((m, m, k)), offsets)
@@ -334,19 +332,22 @@ def forecast_anchors(
     the rows and columns the step changes, in place, and its noise one
     P[i, i] += q_i per noisy slot. Given a draw and its filtered
     state at t, y_{t+h} is Gaussian in closed form (Durbin & Koopman, ch. 4).
-    The anchors are summarised in blocks of up to 64, one (2, 64, H, K)
-    buffer of means and sds: a block's mean rows start as its anchors'
-    offsets x_{t+h}' beta (one product per block), and at each anchor
-    `_predictive_moments` adds the three products of the filtered a_t and P_t
-    (w a, w P[:, 1] and w'Pw, through the shared w_h of `horizon_terms`) and
-    the g, b and s terms into the anchor's rows in place, so no anchor's
-    state is kept. One value per draw and horizon is sampled from each
-    predictive, and the forecast is the mean and empirical 2.5%/97.5% band
-    over draws: a block's noise is drawn in one call and its band comes from
-    one sort along the draw axis (`_sorted_percentiles`). Anchors and
-    horizons are read as `casts.integer` reads an int (SchemaError for 10.5
-    or True), and x as `design_rows` reads n rows of it. Draw parameters may
-    be thinned (every `thin`-th draw) to bound the cost of long anchor sweeps.
+    The anchors are taken in one pass, sorted, and summarised in blocks of up
+    to 64, one (2, 64, H, K) buffer of means and sds: a block's mean rows
+    start as its anchors' offsets x_{t+h}' beta (one product per block), and
+    at each anchor `_predictive_moments` adds the three products of the
+    filtered a_t and P_t (w a, w P[:, 1] and w'Pw, through the shared w_h of
+    `horizon_terms`) and the g, b and s terms into the anchor's own block
+    row in place, so no anchor's state is kept; an anchor listed twice fills
+    a row each from the same a_t and P_t. One value per draw and horizon is
+    sampled from each predictive, and the forecast is the mean and empirical
+    2.5%/97.5% band over draws: a block's noise is drawn in one call and its
+    band comes from one sort along the draw axis (`_sorted_percentiles`).
+    Anchors and horizons are read as `casts.integer` reads an int
+    (SchemaError for 10.5 or True), and x as `design_rows` reads n rows of
+    it; draws that do not fit the model raise SchemaError
+    (`StateSpaceModel.check_shapes`). Draw parameters may be thinned (every
+    `thin`-th draw) to bound the cost of long anchor sweeps.
     Returns {h: {"mean", "lower95", "upper95"} arrays over anchors}.
     """
     y = np.asarray(y, dtype=float)
@@ -372,27 +373,19 @@ def forecast_anchors(
     summary = np.empty((3, anchors.size, steps_ahead.size))  # mean, lower95, upper95
     block = np.empty((2, min(_ANCHOR_BLOCK, anchors.size), steps_ahead.size, ops.obs_var.size))  # mean, sd
 
-    def start_block(first: int) -> None:
-        """Set the mean rows of the block's anchors from `first` on to their offsets x_{t+h}' beta."""
-        rows = anchors[first : first + block.shape[1]]
-        design = x[(rows[:, None] + steps_ahead).ravel()]
-        np.dot(design, ops.beta, out=block[0, : rows.size].reshape(design.shape[0], -1))
-
-    start_block(0)
     filled = next_anchor = 0
     for t, a, P, *_ in _filter_draws(model, ops, y[: anchors[-1] + 1], x):
-        if anchors[next_anchor] != t:
-            continue
-        moments = block[:, filled]
-        _predictive_moments(ops.horizon_terms(t, horizons), a, P, moments[0], moments)
-        np.sqrt(moments[1], out=moments[1])
-        while True:
+        while next_anchor < anchors.size and anchors[next_anchor] == t:
+            if filled == 0:  # a new block: its mean rows start as its anchors' offsets x_{t+h}' beta
+                starts = anchors[next_anchor : next_anchor + block.shape[1]]
+                design = x[(starts[:, None] + steps_ahead).ravel()]
+                np.dot(design, ops.beta, out=block[0, : starts.size].reshape(design.shape[0], -1))
+            moments = block[:, filled]
+            _predictive_moments(ops.horizon_terms(t, horizons), a, P, moments[0], moments)
+            np.sqrt(moments[1], out=moments[1])
             filled += 1
             next_anchor += 1
-            repeated = next_anchor < anchors.size and anchors[next_anchor] == t
             if filled == block.shape[1] or next_anchor == anchors.size:
-                if repeated:
-                    moments = moments.copy()  # the block is sampled in place below
                 # The block's noise in one call, the same stream as one (K, H) call per anchor.
                 samples = block[1, :filled]  # the sds become the samples, in place
                 samples *= rng.standard_normal((filled, block.shape[3], block.shape[2])).transpose(0, 2, 1)
@@ -402,12 +395,6 @@ def forecast_anchors(
                 samples.sort(axis=2)
                 summary[1:, rows] = _sorted_percentiles(samples, (2.5, 97.5))
                 filled = 0
-                if next_anchor < anchors.size:
-                    start_block(next_anchor)
-            if not repeated:
-                break
-            block[:, filled] = moments
-            moments = block[:, filled]
 
     return {
         h: {"mean": summary[0, :, i], "lower95": summary[1, :, i], "upper95": summary[2, :, i]}

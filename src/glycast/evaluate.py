@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from datetime import timedelta
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -188,7 +189,7 @@ class ForecastPipeline:
                 raise SchemaError("regressors must be (n, J) matching regressor_names")
 
     def component_specs(self, series: GlucoseSeries, n_train: int) -> list[ComponentSpec]:
-        start = (series.start.hour * 60 + series.start.minute) // 15
+        start = timedelta(hours=series.start.hour, minutes=series.start.minute) // STEP  # the start's slot of its day
         regressed = self.regressors is not None and self.regressors.shape[1] > 0
         specs = [
             replace(s, phase=(s.phase + start) % s.cycle) if s.kind == "seasonal" else s

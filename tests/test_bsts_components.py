@@ -267,6 +267,25 @@ class TestParamPoint:
         point = ParamPoint(0.1, 0.1, 0.1, phi=1.0)  # boundary allowed
         assert point.phi == 1.0
 
+    def test_shape_rules_read_the_last_axis(self):
+        # One sd per seasonal and one coefficient per design column, for one point and for K draws alike.
+        y = series(40)
+        x = np.ones((40, 2))
+        model = assemble_model([semi_local_trend(), day_seasonal(), meal_seasonal(), regression()], y, x)
+        model.check_shapes((0.1, 0.2), np.zeros(2))
+        model.check_shapes(np.zeros((5, 2)), np.zeros((5, 2)))
+        for sds, count in (((0.1,), 1), (np.zeros((5, 3)), 3), (0.1, "a scalar of")):
+            with pytest.raises(SchemaError, match=f"params carry {count} seasonal sds for 2 seasonal components"):
+                model.check_shapes(sds)
+        for beta in (np.zeros(3), np.zeros((5, 1)), 1.0):
+            with pytest.raises(SchemaError, match="beta must have length 2"):
+                model.check_shapes(beta=beta)
+        betas = np.array([[1.0, -2.0], [0.5, 3.0], [0.0, 0.0]])
+        offsets = model.observation_offsets(betas, None, 40)
+        assert offsets.shape == (40, 3)
+        for k, beta in enumerate(betas):
+            np.testing.assert_array_equal(offsets[:, k], model.observation_offsets(beta, None, 40))
+
 
 class TestVarianceConditional:
     DRAWS = 20_000

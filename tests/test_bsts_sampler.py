@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from glycast.bsts import (
 from glycast.bsts.components import MAX_HORIZON
 from glycast.bsts.kalman import _DrawOperators, _filter_draws
 from glycast.bsts import sampler
-from glycast.bsts.sampler import _ANCHOR_BLOCK, _predictive_moments, _sorted_percentiles
+from glycast.bsts.sampler import _ANCHOR_BLOCK, PosteriorDraws, _predictive_moments, _sorted_percentiles
 from glycast.errors import NumericalError, RangeError, SchemaError
 from glycast.synth import gaussian_predictive_oracle, simulate_from_model
 
@@ -106,6 +106,70 @@ class TestMcmcFit:
         draws = mcmc_fit(model, y, draws=300, burn=100, seed=9)
         sigma_obs_med = float(np.median(draws.sigma_obs))
         assert 0.5 * true.sigma_obs <= sigma_obs_med <= 1.5 * true.sigma_obs
+
+
+class TestFromRows:
+    def rows(self, model, k):
+        rng = np.random.default_rng(4)
+        sds = tuple(range(1, len(model.seasonals) + 1))
+        return [
+            (ParamPoint(0.1 * i, 0.2, 0.3, sds, d=0.5, phi=0.1 * i, beta=np.full(model.n_regressors, i + 1.0)),
+             np.ones(model.n_regressors, dtype=np.int64), rng.normal(size=model.state_dim))
+            for i in range(k)
+        ]
+
+    def test_every_param_field_gains_a_leading_draw_axis(self):
+        x = np.random.default_rng(1).normal(size=(24, 2))
+        model = two_seasonal_model(100.0 + np.arange(24.0), x)
+        rows = self.rows(model, 3)
+        draws = PosteriorDraws.from_rows(rows, requested=5, burn=2, seed=7)
+        for f in fields(ParamPoint):
+            stacked = getattr(draws, f.name)
+            point = np.asarray(getattr(rows[0][0], f.name), dtype=float)
+            assert stacked.shape == (3,) + point.shape, f.name
+            for i, (params, _, _) in enumerate(rows):
+                np.testing.assert_array_equal(stacked[i], getattr(params, f.name), err_msg=f.name)
+        assert draws.gamma.shape == (3, 2) and draws.terminal_state.shape == (3, model.state_dim)
+        assert (draws.requested, draws.burn, draws.seed, draws.n_draws) == (5, 2, 7, 3)
+
+    @pytest.mark.parametrize("requested, burn", [(4, 0), (5, 1), (2, 0), (6, 4)])
+    def test_draw_count_must_equal_requested_minus_burn(self, requested, burn):
+        model = two_seasonal_model(100.0 + np.arange(24.0))
+        with pytest.raises(SchemaError, match="draw count must equal requested draws minus burn-in"):
+            PosteriorDraws.from_rows(self.rows(model, 3), requested=requested, burn=burn, seed=0)
+
+
+class TestDrawsFitTheirModel:
+    def case(self):
+        """30 draws (burn 10) of a trend plus one 4-season seasonal, and a model with a second seasonal."""
+        y = trend_series(60)
+        fitted = assemble_model([semi_local_trend(), seasonal("s", 4, (6, 6, 6, 6))], y)
+        other = assemble_model([semi_local_trend(), seasonal("s", 4, (6, 6, 6, 6)), seasonal("t", 2, (5, 5))], y)
+        return y, fitted, other, mcmc_fit(fitted, y, draws=30, burn=10, seed=0)
+
+    def test_forecasts_refuse_another_models_draws(self):
+        y, _, other, draws = self.case()
+        message = "params carry 1 seasonal sds for 2 seasonal components"
+        with pytest.raises(SchemaError, match=message):
+            forecast_anchors(other, draws, y, anchors=[40, 41], horizons=[1, 2])
+        with pytest.raises(SchemaError, match=message):
+            posterior_forecast(draws, other, horizon=2)
+
+    def test_forecasts_refuse_draws_with_another_beta_width(self):
+        y, _, _, draws = self.case()
+        x = np.ones((60, 1))
+        regressed = assemble_model([semi_local_trend(), seasonal("s", 4, (6, 6, 6, 6)), regression()], y, x)
+        with pytest.raises(SchemaError, match="beta must have length 1"):
+            forecast_anchors(regressed, draws, y, anchors=[40], horizons=[1], x=x)
+        with pytest.raises(SchemaError, match="beta must have length 1"):
+            posterior_forecast(draws, regressed, horizon=2, x_future=x)
+
+    @pytest.mark.parametrize("width", [4, 6])
+    def test_posterior_forecast_refuses_terminal_states_of_another_width(self, width):
+        _, fitted, _, draws = self.case()
+        misfit = replace(draws, terminal_state=np.zeros((draws.n_draws, width)))
+        with pytest.raises(SchemaError, match="terminal_state"):
+            posterior_forecast(misfit, fitted, horizon=2)
 
 
 class TestPosteriorForecast:
