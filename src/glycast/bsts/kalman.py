@@ -58,9 +58,12 @@ from ..errors import NumericalError, RangeError
 from .components import StateSpaceModel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParamPoint:
-    """One point in parameter space: noise sds, trend dynamics, coefficients; a fit's draws add a leading axis."""
+    """One point in parameter space: noise sds, trend dynamics, coefficients; a fit's draws add a leading axis.
+
+    Its fields hold arrays, so `==` is identity and `hash` is the object's, as for any object.
+    """
 
     sigma_level: float
     sigma_slope: float

@@ -58,7 +58,7 @@ _ANCHOR_BLOCK = 64  # anchors whose samples are summarised together
 _VARIANCE_RTOL = 1e-9
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, kw_only=True, eq=False)
 class PosteriorDraws(ParamPoint):
     """The retained draws of one chain: a `ParamPoint` whose fields carry a leading draw axis.
 

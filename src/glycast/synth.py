@@ -52,6 +52,8 @@ def mdrd_egfr(cr_mgdl: float, age: float, gender: str, ethnicity: str = "other")
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """Settings of the synthetic generators; every float is finite and every spread (an sd) is >= 0."""
+
     n_subjects: int = 10
     n_days: int = 5
     seed: int = 0
@@ -85,9 +87,11 @@ class SynthConfig:
             raise RangeError("n_subjects must be >= 0")
         if min(self.day_amplitude, self.meal_amplitude, self.circadian_amplitude) < 0:
             raise RangeError("seasonal amplitudes must be >= 0")
-        # Zero noise is allowed so the degenerate constant-series case exists.
-        if self.noise_sd < 0:
-            raise RangeError("noise_sd must be >= 0")
+        # Zero noise is allowed so the degenerate constant-series case exists. A negative spread would fail
+        # mid-draw in numpy's `normal`, or flip the sign of the noise where a generator forms sd * z itself.
+        for name in ("noise_sd", "baseline_spread", "meal_gl_sd", "latent_sd", "egfr_noise_sd"):
+            if getattr(self, name) < 0:
+                raise RangeError(f"{name} must be >= 0")
         if not 0.0 <= self.latent_share <= 1.0:
             raise RangeError("latent_share must lie in [0, 1]")
         if not 0.0 <= self.missing_rate < 1.0:
@@ -144,34 +148,53 @@ def clinical_truth_dag(egfr_gender_factor: bool = True) -> Dag:
     return Dag(nodes, frozenset(arcs))
 
 
+def _clamp(value: float, lo: float, hi: float) -> float:
+    """`value` clipped to [lo, hi], the scalar np.clip computes, without numpy's per-call dispatch."""
+    return min(max(value, lo), hi)
+
+
 def gen_clinical(cfg: SynthConfig) -> tuple[list[ClinicalRecord], Dag]:
-    """Sample clinical records whose dependency graph is known by construction."""
+    """Sample clinical records whose dependency graph is known by construction.
+
+    Each record takes its numbers from the generator in this order:
+      1. `rng.random()` for gender;
+      2. `rng.standard_normal(3)` for height, BMI and the weight noise;
+      3. `rng.uniform(20.0, 90.0)` for age;
+      4. `rng.standard_normal(12)` for creatinine, the eGFR noise, LDL, HDL,
+         the TC and TG noise, HbA1c, the GA, FPG and 2HPP noise, UA and BUN;
+      5. only when missing_rate > 0, `rng.random(12)` for the missing mask.
+    A normal value is loc + scale * z (noise terms leave out their zero loc),
+    the formula numpy's `normal` applies to the same standard normal z. A
+    seed's records keep their bytes only while this order and these
+    formulas stay as they are (tests/test_synth.py pins them by digest).
+    """
     rng = np.random.default_rng([cfg.seed, 1])
     records: list[ClinicalRecord] = []
     for i in range(cfg.n_subjects):
-        gender = "female" if rng.random() < 0.5 else "male"
-        is_female = gender == "female"
-        height = rng.normal(1.60 if is_female else 1.73, 0.06)
-        height = float(np.clip(height, 1.35, 2.05))
-        bmi = float(np.clip(rng.normal(24.0, 3.0), 15.0, 40.0))
-        weight = float(np.clip(bmi * height**2 + rng.normal(0.0, 1.0), 30.0, 160.0))
+        is_female = rng.random() < 0.5
+        gender = "female" if is_female else "male"
+        z_height, z_bmi, z_weight = rng.standard_normal(3).tolist()
+        height = _clamp((1.60 if is_female else 1.73) + 0.06 * z_height, 1.35, 2.05)
+        bmi = _clamp(24.0 + 3.0 * z_bmi, 15.0, 40.0)
+        weight = _clamp(bmi * height**2 + z_weight, 30.0, 160.0)
         age = float(rng.uniform(20.0, 90.0))
-        cr_mgdl = rng.normal(0.72 if is_female else 1.05, 0.12 if is_female else 0.18)
-        cr_mgdl = float(np.clip(cr_mgdl, 0.35, 2.5))
+        (z_cr, z_egfr, z_ldl, z_hdl, z_tc, z_tg, z_hba1c, z_ga, z_fpg, z_hpp2, z_ua, z_bun) = (
+            rng.standard_normal(12).tolist()
+        )
+        cr_mgdl = _clamp((0.72 + 0.12 * z_cr) if is_female else (1.05 + 0.18 * z_cr), 0.35, 2.5)
         egfr_gender = gender if cfg.egfr_gender_factor else "male"
-        egfr = mdrd_egfr(cr_mgdl, age, egfr_gender) + rng.normal(0.0, cfg.egfr_noise_sd)
-        egfr = float(np.clip(egfr, 5.0, 250.0))
-        ldl = float(np.clip(rng.normal(3.1, 1.0), 0.5, 7.0))
-        hdl = float(np.clip(rng.normal(1.15, 0.30), 0.4, 3.0))
-        tc = float(np.clip(ldl + rng.normal(1.75, 0.40), 1.0, 12.0))
+        egfr = _clamp(mdrd_egfr(cr_mgdl, age, egfr_gender) + cfg.egfr_noise_sd * z_egfr, 5.0, 250.0)
+        ldl = _clamp(3.1 + 1.0 * z_ldl, 0.5, 7.0)
+        hdl = _clamp(1.15 + 0.30 * z_hdl, 0.4, 3.0)
+        tc = _clamp(ldl + (1.75 + 0.40 * z_tc), 1.0, 12.0)
         tg = 1.8 + 0.45 * (tc - 4.9) + 0.25 * (ldl - 3.1) - 0.9 * (hdl - 1.15)
-        tg = float(np.clip(tg + rng.normal(0.0, 0.35), 0.2, 8.0))
-        hba1c = float(np.clip(rng.normal(76.0, 25.0), 30.0, 180.0))
-        ga = float(np.clip(0.32 * hba1c + rng.normal(0.0, 2.0), 8.0, 65.0))
-        fpg = float(np.clip(55.0 + 1.4 * hba1c + rng.normal(0.0, 15.0), 40.0, 620.0))
-        hpp2 = float(np.clip(1.35 * fpg + rng.normal(0.0, 20.0), 50.0, 680.0))
-        ua = float(np.clip(rng.normal(320.0, 90.0), 100.0, 700.0))
-        bun = float(np.clip(rng.normal(6.0, 1.8), 1.5, 20.0))
+        tg = _clamp(tg + 0.35 * z_tg, 0.2, 8.0)
+        hba1c = _clamp(76.0 + 25.0 * z_hba1c, 30.0, 180.0)
+        ga = _clamp(0.32 * hba1c + 2.0 * z_ga, 8.0, 65.0)
+        fpg = _clamp(55.0 + 1.4 * hba1c + 15.0 * z_fpg, 40.0, 620.0)
+        hpp2 = _clamp(1.35 * fpg + 20.0 * z_hpp2, 50.0, 680.0)
+        ua = _clamp(320.0 + 90.0 * z_ua, 100.0, 700.0)
+        bun = _clamp(6.0 + 1.8 * z_bun, 1.5, 20.0)
 
         values: dict[str, Optional[float]] = {
             "age": age,
@@ -188,8 +211,8 @@ def gen_clinical(cfg: SynthConfig) -> tuple[list[ClinicalRecord], Dag]:
             "egfr": egfr,
         }
         if cfg.missing_rate > 0.0:
-            for key in list(values):
-                if rng.random() < cfg.missing_rate:
+            for key, u in zip(list(values), rng.random(len(values)).tolist()):
+                if u < cfg.missing_rate:
                     values[key] = None
         records.append(
             ClinicalRecord(

@@ -43,6 +43,13 @@ class TestParamPoint:
         with pytest.raises(RangeError):
             ParamPoint(**{**fields, **values})
 
+    def test_equality_is_identity_and_hash_never_raises(self):
+        # The generated __eq__ compared the beta arrays and raised; the generated __hash__ hashed them.
+        a = ParamPoint(0.1, 0.1, 0.1, beta=[1.0, 2.0])
+        b = ParamPoint(0.1, 0.1, 0.1, beta=[1.0, 2.0])
+        assert a != b and a == a
+        assert len({a, b, a}) == 2
+
 
 class TestFilter:
     def test_noiseless_semi_local_recursion(self):

@@ -138,6 +138,12 @@ class TestFromRows:
         with pytest.raises(SchemaError, match="draw count must equal requested draws minus burn-in"):
             PosteriorDraws.from_rows(self.rows(model, 3), requested=requested, burn=burn, seed=0)
 
+    def test_equality_is_identity_and_hash_never_raises(self):
+        model = two_seasonal_model(100.0 + np.arange(24.0))
+        a, b = (PosteriorDraws.from_rows(self.rows(model, 3), requested=3, burn=0, seed=0) for _ in range(2))
+        assert a != b and a == a
+        assert len({a, b, a}) == 2
+
 
 class TestDrawsFitTheirModel:
     def case(self):

@@ -835,6 +835,14 @@ class TestErrorHandling:
         assert capsys.readouterr().err == f"error: config key {key!r} must be a number, got nan\n"
         assert not out.exists()
 
+    def test_synth_refuses_a_negative_spread(self, tmp_path, capsys):
+        # numpy's normal raised a bare "ValueError: scale < 0" mid-draw, and synth exited 1 with a traceback.
+        out = tmp_path / "data"
+        cfg = write_config(tmp_path / "synth.json", seed=1, out_dir=str(out), n_subjects=2, n_days=1, latent_sd=-1.0)
+        assert main(["synth", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "error: latent_sd must be >= 0\n"
+        assert not (out / "clinical.csv").exists()
+
     def test_integer_keys_take_only_integers(self):
         # int() would truncate 20.7 and read true as 1.
         with pytest.raises(cli.ConfigError, match="config key 'draws' must be an integer, got 20.7"):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 
 from glycast.bayesnet import bic_score
 from glycast.bsts import ParamPoint, assemble_model, semi_local_trend
+from glycast.cli import main
 from glycast.errors import CapacityError, RangeError
 from glycast.preprocess import DiscreteDataset, build_meal_regressor
 from glycast.synth import (
@@ -66,10 +69,12 @@ class TestSynthConfig:
             dict(day_amplitude=math.nan), dict(meal_amplitude=math.inf), dict(circadian_amplitude=-1.0),
             dict(latent_share=math.nan), dict(missing_rate=math.nan), dict(latent_sd=math.nan),
             dict(latent_ar=-math.inf), dict(baseline=math.nan), dict(meal_gl_sd=math.inf),
+            dict(latent_sd=-1.0), dict(egfr_noise_sd=-1.0), dict(baseline_spread=-1.0), dict(meal_gl_sd=-1.0),
         ],
     )
     def test_non_finite_and_negative_settings_refused(self, setting):
-        # A NaN amplitude, noise sd, latent sd or baseline wrote all-NaN series.
+        # A NaN amplitude, noise sd, latent sd or baseline wrote all-NaN series. A negative spread failed
+        # mid-draw with numpy's bare "ValueError: scale < 0", or would flip gen_clinical's eGFR noise silently.
         with pytest.raises(RangeError):
             SynthConfig(**setting)
 
@@ -103,6 +108,60 @@ class TestGenClinical:
         n_missing = sum(len(r.missing_features()) for r in records)
         assert n_missing > 0
         assert all(r.fpg is not None and r.hpp2 is not None for r in records)
+
+
+# SHA-256 of repr(records) for 40 records of each config, and of each file `glycast synth` writes for the
+# cohort below: the generators' bytes, which every Stage-1 test and cohort of a seed depends on.
+CLINICAL_DIGESTS = {
+    (0, "missing_rate", 0.0): "c8206ec4ee7ec9a9dcfa4a04878a7c7e8cfe2474e43cab96e34840c3e34b3dca",
+    (0, "missing_rate", 0.05): "2f3e65d22db5cf1f458026e86c0b137a8764b2466c84ac5128264b33f18a3596",
+    (0, "missing_rate", 0.3): "f3e1a3c68e09adf77ab0a0e4156ba3ceed130de400f2db074f71c8f14f9ea84e",
+    (0, "egfr_gender_factor", False): "9f12e5dc17ae6847ec08a92fb5ad0bf8a7c77db5c4e3d08c9520ba29885012a6",
+    (0, "egfr_noise_sd", 0.0): "02d3a6d243b267fcc6c51485bf63c4e37947f81ffd34cd07ac3248c416a01755",
+    (11, "missing_rate", 0.0): "96add5f85e356b6d65d210a495faa16989419024ece2dee78bacb36ce3102706",
+    (11, "missing_rate", 0.05): "25a42537dac604e8abf170536da1c2dc3124a5cb0330e80796480c8379dcf404",
+    (11, "missing_rate", 0.3): "1c12bdf8e16e39f8b145f6bb62fddf16099a3a4740063e7da83904b7f382c121",
+    (11, "egfr_gender_factor", False): "8f4ad2b1034634eb7583aabee4cfc094132746cf642160c273a274e168421659",
+    (11, "egfr_noise_sd", 0.0): "0ae71648e9dcfbeb232a5b6788db61f3f760a15eb3695fae49114290f995f622",
+}
+SYNTH_COMMAND_CONFIG = {"seed": 7, "n_subjects": 5, "n_days": 2, "missing_rate": 0.1}
+SYNTH_FILE_DIGESTS = {
+    "clinical.csv": "4d440665b517dcd1d801b01c5a0c29564a74f9ba88f7a2c446151ec93ebd37e1",
+    "gl_table.csv": "d0584191b5ae03132db42928d29b7ed18e76f2e5e142a0f8b0ec473db4d0888b",
+    "series/S000.csv": "93fa20dff05bd84a1e11db3f50b82dc91c2c55541c89ef28ecf731e6892b1a66",
+    "series/S001.csv": "7acddb31107804f0b357f449c2833f4251d8a5728482332085fe6bc2d12cd2a4",
+    "series/S002.csv": "d00918cbeac777b2829ec30d9bf0f831d9517531c2bac3babba3695b3c8b02dd",
+    "series/S003.csv": "18cd3da2e8c7a0be85caea547a00cf4788257e56504fe837308ae3c053216eec",
+    "series/S004.csv": "5cb1c5a7b8953e803cf4cf487e08ce78a332456996caeef7ce169682179347de",
+    "truth.json": "a8662bb686b9258c7cbcbe672bacf2dd37ace435940d95fcf404ff956aa57b46",
+}
+
+
+class TestGeneratorBytes:
+    @pytest.mark.parametrize("seed, name, value", sorted(CLINICAL_DIGESTS, key=repr))
+    def test_clinical_records_keep_their_bytes(self, seed, name, value):
+        records, _ = gen_clinical(SynthConfig(n_subjects=40, seed=seed, **{name: value}))
+        assert hashlib.sha256(repr(records).encode()).hexdigest() == CLINICAL_DIGESTS[seed, name, value]
+
+    def test_synth_command_files_keep_their_bytes(self, tmp_path):
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps(SYNTH_COMMAND_CONFIG), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+        written = {
+            path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in out.rglob("*")
+            if path.is_file() and path.name != "manifests.jsonl"
+        }
+        assert written == SYNTH_FILE_DIGESTS
+
+    @pytest.mark.parametrize("missing_rate", [0.0, 0.3])
+    def test_records_are_a_prefix_of_a_larger_cohort(self, missing_rate):
+        # Each record draws a fixed count of numbers, so n subjects are the first n of n + 7.
+        n = 13
+        small, _ = gen_clinical(SynthConfig(n_subjects=n, seed=4, missing_rate=missing_rate))
+        large, _ = gen_clinical(SynthConfig(n_subjects=n + 7, seed=4, missing_rate=missing_rate))
+        assert large[:n] == small and repr(large[:n]) == repr(small)
 
 
 class TestGenCgm:
