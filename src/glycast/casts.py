@@ -1,15 +1,14 @@
 """JSON's one reader and writer (value casts, `read`, `load_json`, `write_json`), and the CSV cell casts and formats.
 
-The config, component documents, the encoded dataset's sidecar and network
-documents all read through here. Each cast returns the value as its type, or
-raises TypeError or ValueError (or OverflowError, for an int beyond the float
-range) when it is not one; `read` turns that into a SchemaError naming the key
-and the cast's description. No JSON cast truncates or parses a string, and
-only `boolean` reads a boolean, which Python counts as an int. The cell casts,
-`text` to `class_index`, read CSV cells for `glycast.dataset._read_rows`, and
-each one's `FORMATS` entry writes the cell it reads back, for
-`glycast.dataset._write_rows`. Every JSON document glycast writes goes through
-`write_json`.
+The config, component documents and network documents all read through here.
+Each cast returns the value as its type, or raises TypeError or ValueError (or
+OverflowError, for an int beyond the float range) when it is not one; `read`
+turns that into a SchemaError naming the key and the cast's description. No
+JSON cast truncates or parses a string, and only `boolean` reads a boolean,
+which Python counts as an int. The cell casts, `text` to `class_index`, read
+CSV cells for `glycast.dataset._read_rows`, and each one's `FORMATS` entry
+writes the cell it reads back, for `glycast.dataset._write_rows`. Every JSON
+document glycast writes goes through `write_json`.
 """
 
 from __future__ import annotations
@@ -45,13 +44,6 @@ def number(value) -> float:
     if not math.isfinite(value):
         raise ValueError
     return value
-
-
-def numbers(value) -> tuple[float, ...]:
-    """A JSON list of numbers, each as `number` reads it."""
-    if not isinstance(value, list):
-        raise TypeError
-    return tuple(map(number, value))
 
 
 def boolean(value) -> bool:
@@ -123,8 +115,8 @@ FORMATS = {
 }
 
 DESCRIPTIONS = {
-    integer: "an integer", integers: "a list of integers", number: "a number", numbers: "a list of numbers",
-    boolean: "true or false", string: "a string", strings: "a list of strings", objects: "a list of objects",
+    integer: "an integer", integers: "a list of integers", number: "a number", boolean: "true or false",
+    string: "a string", strings: "a list of strings", objects: "a list of objects",
     text: "text", optional_number: "a number", timestamp: "an RFC 3339 timestamp", class_index: "a class index",
 }
 

@@ -171,8 +171,8 @@ def _cmd_synth(cfg: dict, seed: int, run: _Run) -> None:
 
 # Stage 1: clinical records -> exclude -> impute -> encode -> consensus DAG -> CPTs
 # -> the candidates' inferred markers.
-# `preprocess` and `learn` run its steps one command each; `evaluate` and
-# `ablate` run them all through `_stage1`.
+# `learn` runs it up to the CPTs and writes what it learned; `evaluate` and
+# `ablate` run it all through `_stage1`.
 
 
 def _encode(cfg: dict, records):
@@ -286,43 +286,23 @@ def _tester_designs(cfg: dict, seed: int, run: _Run, m: int):
         yield tester, ForecastPipeline(regressors=regressors, regressor_names=names, specs=specs), selection
 
 
-def _cmd_preprocess(cfg: dict, seed: int, run: _Run) -> None:
-    records = load_clinical(run.required(cfg, "clinical_csv"))
-    report, imputed, encoded = _encode(cfg, records)
-    # Every input is read before the first output is written.
-    series_map = run.series_map(cfg) if "series_dir" in cfg or cfg.get("series") else {}
-    table = run.gl_table(cfg) if series_map else None
-    regressors = {sid: preprocess.build_meal_regressor(run.series(path), table) for sid, path in series_map.items()}
-    write_clinical(run.output("clinical_clean.csv"), imputed)
-    preprocess.write_exclusion_report(run.output("exclusions.jsonl"), report)
-    encoded.to_files(run.output("encoded.csv"), run.output("encoded_meta.json"))
-    for sid, regressor in regressors.items():
-        series = run.series(series_map[sid])
-        rows = [(series.timestamp_at(i), value) for i, value in enumerate(regressor.values.tolist())]
-        _write_rows(run.output(f"regressors/{sid}.csv"), {"timestamp": timestamp, "gl": optional_number}, rows)
-
-    print(
-        f"preprocess: kept {len(imputed)} of {len(records)} records "
-        f"({len(report)} excluded); encoded {len(encoded.variables)} variables"
-    )
-
-
 def _cmd_learn(cfg: dict, seed: int, run: _Run) -> None:
-    data = preprocess.DiscreteDataset.from_files(
-        run.required(cfg, "encoded_csv"), run.required(cfg, "encoded_meta")
-    )
-    strengths, consensus, model = _learn_network(cfg, data, seed)
+    records = load_clinical(run.required(cfg, "clinical_csv"))
+    annotations = bayesnet.load_arc_annotations(run.path(cfg["annotations_csv"])) if "annotations_csv" in cfg else {}
+    report, imputed, encoded = _encode(cfg, records)
+    strengths, consensus, model = _learn_network(cfg, encoded, seed)
+    model = replace(model, annotations={a: c for a, c in annotations.items() if a in consensus.arcs})
 
-    types = None
-    if "annotations_csv" in cfg:
-        annotations = bayesnet.load_arc_annotations(run.path(cfg["annotations_csv"]))
-        model = replace(model, annotations={a: c for a, c in annotations.items() if a in consensus.arcs})
-        types = model.annotations
-
+    # Every input is read before the first output is written.
+    preprocess.write_exclusion_report(run.output("exclusions.jsonl"), report)
+    write_clinical(run.output("clinical_clean.csv"), imputed)
     network_path = run.output("network.json")
-    write_json(network_path, bayesnet.network_to_json(consensus, strengths, types))
+    write_json(network_path, bayesnet.network_to_json(consensus, strengths, model.annotations))
     write_json(run.output("cpts.json"), bayesnet.cpts_to_json(model))
-    print(f"learn: consensus network with {len(consensus.arcs)} arcs -> {network_path}")
+    print(
+        f"learn: kept {len(imputed)} of {len(records)} records ({len(report)} excluded); "
+        f"consensus network with {len(consensus.arcs)} arcs -> {network_path}"
+    )
 
 
 def _eval_config(cfg: dict, seed: int) -> EvalConfig:
@@ -404,7 +384,6 @@ def _cmd_ablate(cfg: dict, seed: int, run: _Run) -> None:
 
 
 COMMANDS: dict[str, Callable[[dict, int, _Run], None]] = {
-    "preprocess": _cmd_preprocess,
     "learn": _cmd_learn,
     "forecast": _cmd_forecast,
     "evaluate": _cmd_evaluate,

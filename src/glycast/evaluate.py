@@ -1,11 +1,10 @@
 """Experimental protocol: chronological split, anchored multi-horizon
 forecasting, error metrics, glycemic confusion matrices, and ablations.
 
-The split is chronological (first 80% train, last 20% test, with the final
-20% of train designated validation but not used by the default pipeline). The
-posterior is fitted once on the train segment; each test anchor then lets the
-filter consume the full history up to the anchor before forecasting 1..H
-steps ahead, so no forecast ever sees its own target.
+The split is chronological (first 80% train, last 20% test). The posterior
+is fitted once on the train segment; each test anchor then lets the filter
+consume the full history up to the anchor before forecasting 1..H steps
+ahead, so no forecast ever sees its own target.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ GLYCEMIC_BANDS = ("hypo", "normal", "hyper")
 SCORES = ("mae", "rmse", "mape")  # compute_metrics' order: the point-forecast scores a table reports
 STEPS_PER_DAY = 96
 MIN_TRAIN = 10  # training points a fit needs
-VALIDATION_FRACTION = 0.2  # trailing share of train reported as the validation range
 
 
 @dataclass(frozen=True)
@@ -143,14 +141,12 @@ class MetricsReport:
     reports: Mapping[int, HorizonReport]
     n_train: int
     n_test: int
-    validation_range: tuple[int, int]
 
     def to_json(self) -> dict:
         return {
             "subject_id": self.subject_id,
             "n_train": self.n_train,
             "n_test": self.n_test,
-            "validation_range": list(self.validation_range),
             "horizons": {str(h): r.to_json() for h, r in sorted(self.reports.items())},
         }
 
@@ -224,17 +220,14 @@ class ForecastPipeline:
         return model, mcmc_fit(model, y, draws=cfg.draws, burn=cfg.burn, seed=cfg.seed)
 
 
-def train_test_split_sizes(n: int, cfg: EvalConfig) -> tuple[int, int, tuple[int, int]]:
+def train_test_split_sizes(n: int, cfg: EvalConfig) -> tuple[int, int]:
     n_train = int(math.floor(n * cfg.split_ratio))
-    n_test = n - n_train
-    val_len = int(math.floor(n_train * VALIDATION_FRACTION))
-    validation_range = (n_train - val_len, n_train)
-    return n_train, n_test, validation_range
+    return n_train, n - n_train
 
 
 def _fits(n: int, cfg: EvalConfig) -> bool:
     """Whether n points leave MIN_TRAIN training points and a test point past the longest horizon."""
-    n_train, n_test, _ = train_test_split_sizes(n, cfg)
+    n_train, n_test = train_test_split_sizes(n, cfg)
     return n_train >= MIN_TRAIN and n_test >= max(cfg.horizons) + 1
 
 
@@ -258,7 +251,7 @@ def sliding_window_eval(
     y = series.cgm
     n = y.size
     max_h = max(cfg.horizons)
-    n_train, n_test, validation_range = train_test_split_sizes(n, cfg)
+    n_train, n_test = train_test_split_sizes(n, cfg)
     if not _fits(n, cfg):
         raise CapacityError(
             f"series of length {n} is too short for split {cfg.split_ratio} and horizon {max_h}; "
@@ -290,7 +283,6 @@ def sliding_window_eval(
         reports={h: HorizonReport.score(h, y[anchors + h], forecasts[h]["mean"], cfg) for h in cfg.horizons},
         n_train=n_train,
         n_test=n_test,
-        validation_range=validation_range,
     )
 
 
@@ -401,10 +393,7 @@ def run_ablation(
 
 
 def render_metrics_text(report: MetricsReport) -> str:
-    lines = [
-        f"subject {report.subject_id}  (train {report.n_train}, test {report.n_test}, "
-        f"validation rows {report.validation_range[0]}..{report.validation_range[1] - 1})"
-    ]
+    lines = [f"subject {report.subject_id}  (train {report.n_train}, test {report.n_test})"]
     header = f"{'metric':<14}" + "".join(f"{f'{h}-step':>14}" for h in report.horizons)
     lines.append(header)
     lines.append("-" * len(header))

@@ -10,16 +10,13 @@ from __future__ import annotations
 
 import bisect
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .casts import (
-    class_index, integer, integers, load_json, number, numbers, objects, read, string, strings, text, write_json,
-)
-from .dataset import IMPUTABLE_FEATURES, ClinicalRecord, GlucoseSeries, GlycemicTable, _read_rows, _write_rows
+from .dataset import IMPUTABLE_FEATURES, ClinicalRecord, GlucoseSeries, GlycemicTable
 from .errors import EncodingError, ImputationError, RangeError, SchemaError
 
 ENCODED_FEATURES = ("gender",) + IMPUTABLE_FEATURES + ("fpg", "hpp2")
@@ -44,10 +41,6 @@ class VariableCodec:
     representatives: tuple[float, ...] = ()
     levels: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("numeric", "binary"):
-            raise SchemaError(f"variable {self.name}: codec kind must be numeric or binary, got {self.kind!r}")
-
     def encode_value(self, value: float | str) -> int:
         """The class of one original-scale value: a binary variable's level index, a numeric value's bin."""
         if self.kind == "binary":
@@ -56,11 +49,6 @@ class VariableCodec:
             return self.levels.index(value)
         # The class np.searchsorted(edges, z, side="right") gives, NaN past the last edge.
         return bisect.bisect_right(self.edges, float((value - self.mean) / self.sd))
-
-
-def _encoded_schema(variables: Sequence[str]) -> dict:
-    """The encoded CSV's column schema: subject_id, then one class index per variable."""
-    return {"subject_id": text, **dict.fromkeys(variables, class_index)}
 
 
 @dataclass(frozen=True)
@@ -100,60 +88,6 @@ class DiscreteDataset:
 
     def card_of(self, name: str) -> int:
         return self.cards[self.index_of(name)]
-
-    def to_files(self, csv_path: Path | str, sidecar_path: Path | str) -> None:
-        """Write the encoded CSV and its sidecar, whose codecs' keys are `VariableCodec`'s fields."""
-        ids = self.subject_ids or tuple(str(i) for i in range(self.n_rows))
-        rows = [(sid, *row) for sid, row in zip(ids, self.matrix.tolist())]
-        _write_rows(csv_path, _encoded_schema(self.variables), rows)
-        sidecar = {"variables": self.variables, "cards": self.cards, "codecs": [asdict(c) for c in self.codecs]}
-        write_json(sidecar_path, sidecar)
-
-    @classmethod
-    def from_files(cls, csv_path: Path | str, sidecar_path: Path | str) -> "DiscreteDataset":
-        """Read what `to_files` wrote.
-
-        SchemaError naming the sidecar for a key it lacks, a value of the
-        wrong type, or variables, cards and codecs that disagree (the codecs
-        may be absent); ParseError naming the CSV's row and column for a cell
-        that is not a class index, RangeError for one outside its card.
-        """
-        sidecar = load_json(sidecar_path)
-        try:
-            variables = read(sidecar, "variables", strings)
-            cards = read(sidecar, "cards", integers)
-            codecs = tuple(
-                VariableCodec(
-                    name=read(c, "name", string),
-                    card=read(c, "card", integer),
-                    kind=read(c, "kind", string),
-                    mean=read(c, "mean", number),
-                    sd=read(c, "sd", number),
-                    edges=read(c, "edges", numbers),
-                    representatives=read(c, "representatives", numbers),
-                    levels=read(c, "levels", strings),
-                )
-                for c in read(sidecar, "codecs", objects)
-            )
-            if len(cards) != len(variables):
-                raise SchemaError(f"{len(cards)} cards for {len(variables)} variables")
-            if codecs and [(c.name, c.card) for c in codecs] != list(zip(variables, cards)):
-                raise SchemaError("codecs do not match the variables and their cards")
-        except KeyError as exc:
-            raise SchemaError(f"{sidecar_path}: lacks key {exc}") from None
-        except SchemaError as exc:
-            raise SchemaError(f"{sidecar_path}: {exc}") from None
-        rows = _read_rows(csv_path, _encoded_schema(variables))
-        matrix = np.array([row[1:] for row in rows], dtype=np.int64).reshape(len(rows), len(variables))
-        outside = np.argwhere(matrix >= np.array(cards))
-        if outside.size:
-            i, j = outside[0]
-            raise RangeError(
-                f"{csv_path}: row {i}: column {variables[j]} holds '{matrix[i, j]}', "
-                f"not a class index in 0..{cards[j] - 1}"
-            )
-        ids = tuple(row[0] for row in rows)
-        return cls(variables=variables, cards=cards, matrix=matrix, codecs=codecs, subject_ids=ids)
 
 
 @dataclass(frozen=True)

@@ -356,18 +356,9 @@ def _run_pipeline(base: Path, seed: int) -> dict[str, bytes]:
     }))
     assert main(["synth", "--config", str(synth_cfg)]) == 0
 
-    pre_cfg = base / "pre.json"
-    pre_cfg.write_text(json.dumps({
-        "seed": seed, "out_dir": str(out_dir), "clinical_csv": str(data_dir / "clinical.csv"),
-    }))
-    assert main(["preprocess", "--config", str(pre_cfg)]) == 0
-
     learn_cfg = base / "learn.json"
     learn_cfg.write_text(json.dumps({
-        "seed": seed, "out_dir": str(out_dir),
-        "encoded_csv": str(out_dir / "encoded.csv"),
-        "encoded_meta": str(out_dir / "encoded_meta.json"),
-        "bootstrap": 10,
+        "seed": seed, "out_dir": str(out_dir), "clinical_csv": str(data_dir / "clinical.csv"), "bootstrap": 10,
     }))
     assert main(["learn", "--config", str(learn_cfg)]) == 0
 

@@ -110,7 +110,8 @@ class TestPipelineComposition:
         assert all("distance" in s and "subject_id" in s for s in entry["selected"])
         assert 1 <= entry["tie_group"] <= 3  # the second donor among at most the three other subjects
 
-    def test_learn_recovers_oracle_skeleton(self, tmp_path):
+    def test_learn_recovers_oracle_skeleton(self):
+        # Three variables, few enough for the DAG enumeration oracle; `learn` runs `_learn_network` on its encoding.
         rng = np.random.default_rng(0)
         n = 1500
         a = rng.integers(0, 3, n)
@@ -119,22 +120,12 @@ class TestPipelineComposition:
         data = DiscreteDataset(
             variables=("a", "b", "c"), cards=(3, 3, 3), matrix=np.column_stack([a, b, c])
         )
-        data.to_files(tmp_path / "enc.csv", tmp_path / "meta.json")
-        out = tmp_path / "out"
-        cfg = write_config(
-            tmp_path / "learn.json",
-            seed=1,
-            out_dir=str(out),
-            encoded_csv=str(tmp_path / "enc.csv"),
-            encoded_meta=str(tmp_path / "meta.json"),
-            bootstrap=15,
-        )
-        assert main(["learn", "--config", cfg]) == 0
-        network = json.loads((out / "network.json").read_text())
+        strengths, consensus, model = cli._learn_network({"bootstrap": 15}, data, seed=1)
+        network = bayesnet.network_to_json(consensus, strengths)
         learned = {frozenset((arc["from"], arc["to"])) for arc in network["arcs"]}
         oracle = {frozenset(arc) for arc in dag_enumeration_oracle(data).arcs}
         assert learned == oracle
-        assert (out / "cpts.json").exists()
+        assert set(bayesnet.cpts_to_json(model)) == {"a", "b", "c"}
 
 
 class _Stop(Exception):
@@ -151,19 +142,11 @@ class TestTabuConfig:
             raise _Stop  # the search itself is not under test
 
         monkeypatch.setattr(bayesnet, "bootstrap_consensus", spy)
-        inputs = {"series_dir": str(synth_dir / "series"), "clinical_csv": str(synth_dir / "clinical.csv")}
-        extra = ["--subjects", "S000"]
-        if command == "learn":
-            prep = write_config(
-                tmp_path / "prep.json", seed=3, out_dir=str(tmp_path / "prep"),
-                clinical_csv=str(synth_dir / "clinical.csv"),
-            )
-            assert main(["preprocess", "--config", prep]) == 0
-            inputs = {
-                "encoded_csv": str(tmp_path / "prep" / "encoded.csv"),
-                "encoded_meta": str(tmp_path / "prep" / "encoded_meta.json"),
-            }
-            extra = []
+        inputs = {"clinical_csv": str(synth_dir / "clinical.csv")}
+        extra = []
+        if command != "learn":
+            inputs["series_dir"] = str(synth_dir / "series")
+            extra = ["--subjects", "S000"]
         cfg = write_config(
             tmp_path / "cfg.json", seed=3, out_dir=str(tmp_path / "out"),
             bootstrap=2, tabu_len=7, max_iter=11, stall_limit=3, **inputs,
@@ -455,13 +438,7 @@ class TestManifestOutputs:
 
         data = run("synth", "data", n_subjects=4, n_days=3, latent_share=0.8, latent_sd=8.0)
         series, gl_table = data / "series", str(data / "gl_table.csv")
-        prep = run(
-            "preprocess", "prep", clinical_csv=str(data / "clinical.csv"), series_dir=str(series), gl_table=gl_table,
-        )
-        learned = run(
-            "learn", "learned", bootstrap=2,
-            encoded_csv=str(prep / "encoded.csv"), encoded_meta=str(prep / "encoded_meta.json"),
-        )
+        learned = run("learn", "learned", bootstrap=2, clinical_csv=str(data / "clinical.csv"))
         run(
             "forecast", "fc", series_csv=str(series / "S000.csv"), similar_series=[str(series / "S001.csv")],
             gl_table=gl_table, draws=4, burn=1,
@@ -482,13 +459,8 @@ class TestLearnEvaluateChain:
             latent_share=0.8, latent_sd=8.0,
         )
         assert main(["synth", "--config", synth_cfg]) == 0
-        prep = write_config(
-            tmp_path / "prep.json", seed=3, out_dir=str(work), clinical_csv=str(data / "clinical.csv"),
-        )
-        assert main(["preprocess", "--config", prep]) == 0
         learn = write_config(
-            tmp_path / "learn.json", seed=3, out_dir=str(work), bootstrap=6,
-            encoded_csv=str(work / "encoded.csv"), encoded_meta=str(work / "encoded_meta.json"),
+            tmp_path / "learn.json", seed=3, out_dir=str(work), bootstrap=6, clinical_csv=str(data / "clinical.csv"),
         )
         assert main(["learn", "--config", learn]) == 0
         assert json.loads((work / "network.json").read_text())["arcs"]
@@ -690,7 +662,7 @@ class TestErrorHandling:
             out_dir=str(tmp_path / "o"),
             clinical_csv=str(tmp_path / "absent.csv"),
         )
-        assert main(["preprocess", "--config", cfg]) == 2
+        assert main(["learn", "--config", cfg]) == 2
         assert "not found" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -813,18 +785,16 @@ class TestErrorHandling:
         assert capsys.readouterr().err == f"error: config key {key!r} must be {expected}, got {value!r}\n"
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, "nan"], ids=["nan", "infinity", "string"])
-    def test_learn_refuses_a_non_finite_alpha(self, tmp_path, capsys, value):
+    def test_learn_refuses_a_non_finite_alpha(self, tmp_path, synth_dir, capsys, value):
         # Python's json reads NaN: a NaN alpha made every CPT row uniform, and learn exited 0.
-        data = DiscreteDataset(("a", "b"), (2, 2), np.array([[0, 1], [1, 0], [1, 1], [0, 0]]))
-        data.to_files(tmp_path / "enc.csv", tmp_path / "meta.json")
         out = tmp_path / "out"
         cfg = write_config(
-            tmp_path / "learn.json", seed=1, out_dir=str(out), encoded_csv=str(tmp_path / "enc.csv"),
-            encoded_meta=str(tmp_path / "meta.json"), bootstrap=2, alpha=value,
+            tmp_path / "learn.json", seed=1, out_dir=str(out), clinical_csv=str(synth_dir / "clinical.csv"),
+            bootstrap=2, alpha=value,
         )
         assert main(["learn", "--config", cfg]) == 2
         assert capsys.readouterr().err == f"error: config key 'alpha' must be a number, got {value!r}\n"
-        assert not (out / "network.json").exists()
+        assert not out.exists()  # nor exclusions.jsonl and clinical_clean.csv, which need no alpha
 
     @pytest.mark.parametrize("key", ["day_amplitude", "noise_sd", "latent_sd"])
     def test_synth_refuses_a_non_finite_number(self, tmp_path, capsys, key):
@@ -1022,42 +992,11 @@ class TestErrorHandling:
 
 @pytest.fixture(scope="module")
 def prepared(tmp_path_factory):
-    """A synthetic cohort (data/) and its preprocess outputs (prep/), shared by the malformed-input cases."""
+    """A synthetic cohort (data/), shared by the malformed-input cases."""
     base = tmp_path_factory.mktemp("prepared")
     synth_cfg = write_config(base / "synth.json", seed=3, n_subjects=4, n_days=2)
     assert main(["synth", "--config", synth_cfg, "--out", str(base / "data")]) == 0
-    prep_cfg = write_config(base / "prep.json", seed=3, clinical_csv=str(base / "data" / "clinical.csv"))
-    assert main(["preprocess", "--config", prep_cfg, "--out", str(base / "prep")]) == 0
     return base
-
-
-def _learn(base, tmp, sidecar=None, encoded=None, annotations=None):
-    """A learn run on the prepared encoding: `sidecar` edits the sidecar, `encoded` the encoded CSV's text."""
-    meta, csv_path = base / "prep" / "encoded_meta.json", base / "prep" / "encoded.csv"
-    if sidecar is not None:
-        document = json.loads(meta.read_text(encoding="utf-8"))
-        sidecar(document)
-        meta = tmp / "encoded_meta.json"
-        meta.write_text(json.dumps(document), encoding="utf-8")
-    if encoded is not None:
-        text = csv_path.read_text(encoding="utf-8")
-        csv_path = tmp / "encoded.csv"
-        csv_path.write_text(encoded(text), encoding="utf-8")
-    cfg = {"encoded_csv": str(csv_path), "encoded_meta": str(meta), "bootstrap": 2}
-    if annotations is not None:
-        cfg["annotations_csv"] = str(annotations)
-    return ["learn", "--config", write_config(tmp / "learn.json", **cfg)]
-
-
-def _meta_bytes(data):
-    """A learn run whose sidecar holds `data`."""
-    def build(base, tmp):
-        (tmp / "meta.json").write_bytes(data)
-        cfg = write_config(
-            tmp / "learn.json", encoded_csv=str(base / "prep" / "encoded.csv"), encoded_meta=str(tmp / "meta.json"),
-        )
-        return ["learn", "--config", cfg]
-    return build
 
 
 def _cell(row, column, value):
@@ -1071,26 +1010,37 @@ def _cell(row, column, value):
     return edit
 
 
-def _preprocess(clinical=None, series=None, gl_table=None):
-    """A preprocess run on the prepared cohort's clinical CSV, S000's series and glycemic table.
+def _edited(tmp, sources):
+    """Each (key, source, edit) as key -> path: the source, or its text edited into the case's directory."""
+    paths = {}
+    for key, source, edit in sources:
+        paths[key] = source if edit is None else tmp / source.name
+        if edit is not None:
+            paths[key].write_text(edit(source.read_text(encoding="utf-8")), encoding="utf-8")
+    return paths
 
-    Each given edit rewrites the text of its CSV into the case's directory.
-    """
+
+def _learn(clinical=None, annotations=None):
+    """A learn run on the prepared cohort's clinical CSV, edited by `clinical`, with `annotations` as annotations_csv."""
     def build(base, tmp):
-        paths = {}
-        for key, source, edit in (
-            ("clinical_csv", base / "data" / "clinical.csv", clinical),
+        paths = _edited(tmp, [("clinical_csv", base / "data" / "clinical.csv", clinical)])
+        cfg = {"clinical_csv": str(paths["clinical_csv"]), "bootstrap": 2}
+        if annotations is not None:
+            (tmp / "annotations.csv").write_text(annotations, encoding="utf-8")
+            cfg["annotations_csv"] = str(tmp / "annotations.csv")
+        return ["learn", "--config", write_config(tmp / "learn.json", **cfg)]
+    return build
+
+
+def _evaluate(series=None, gl_table=None):
+    """An evaluate run of S000's series with the prepared glycemic table, each edited as given, without Stage 1."""
+    def build(base, tmp):
+        paths = _edited(tmp, [
             ("series", base / "data" / "series" / "S000.csv", series),
             ("gl_table", base / "data" / "gl_table.csv", gl_table),
-        ):
-            paths[key] = source if edit is None else tmp / source.name
-            if edit is not None:
-                paths[key].write_text(edit(source.read_text(encoding="utf-8")), encoding="utf-8")
-        cfg = write_config(
-            tmp / "prep.json", clinical_csv=str(paths["clinical_csv"]), series=[str(paths["series"])],
-            gl_table=str(paths["gl_table"]),
-        )
-        return ["preprocess", "--config", cfg]
+        ])
+        cfg = write_config(tmp / "ev.json", series=[str(paths["series"])], gl_table=str(paths["gl_table"]))
+        return ["evaluate", "--config", cfg]
     return build
 
 
@@ -1104,20 +1054,21 @@ def _extra_cell(text):
     return "\n".join([header, first + ",1", *rest]) + "\n"
 
 
-def _empty_annotations(base, tmp):
-    (tmp / "annotations.csv").write_text("", encoding="utf-8")
-    return _learn(base, tmp, annotations=tmp / "annotations.csv")
-
-
 def _latin1_clinical(base, tmp):
     text = (base / "data" / "clinical.csv").read_text(encoding="utf-8")
     (tmp / "clinical.csv").write_bytes(text.replace("S000", "S\xe9000").encode("latin-1"))
-    return ["preprocess", "--config", write_config(tmp / "prep.json", clinical_csv=str(tmp / "clinical.csv"))]
+    return ["learn", "--config", write_config(tmp / "learn.json", clinical_csv=str(tmp / "clinical.csv"))]
 
 
 def _directory_clinical(base, tmp):
     (tmp / "clinical.csv").mkdir()
-    return ["preprocess", "--config", write_config(tmp / "prep.json", clinical_csv=str(tmp / "clinical.csv"))]
+    return ["learn", "--config", write_config(tmp / "learn.json", clinical_csv=str(tmp / "clinical.csv"))]
+
+
+def _encoded_keys(base, tmp):
+    """A learn config that names only `encoded_csv` and `encoded_meta`, keys learn does not read."""
+    cfg = write_config(tmp / "learn.json", encoded_csv=str(tmp / "encoded.csv"), encoded_meta=str(tmp / "meta.json"))
+    return ["learn", "--config", cfg]
 
 
 def _latin1_config(base, tmp):
@@ -1152,63 +1103,28 @@ def _synth_seed(seed, flag):
     return build
 
 
-def _set(*path_and_value):
-    """A sidecar edit: document[k1][k2]... = value."""
-    *path, last, value = path_and_value
-
-    def edit(document):
-        for key in path:
-            document = document[key]
-        document[last] = value
-    return edit
-
-
 # (id, argv builder, what the one error line must hold: {tmp} is the case's directory)
 MALFORMED_INPUTS = [
-    ("sidecar-not-json", _meta_bytes(b'{"variables": ['), "{tmp}/meta.json: not valid JSON"),
-    ("sidecar-not-object", _meta_bytes(b"[]"), "{tmp}/meta.json: must be a JSON object, got list"),
-    ("sidecar-not-utf8", _meta_bytes(b'{"variables": ["\xe9"]}'), "{tmp}/meta.json: not UTF-8 text"),
-    ("sidecar-no-cards", lambda b, t: _learn(b, t, lambda d: d.pop("cards")),
-     "{tmp}/encoded_meta.json: lacks key 'cards'"),
-    ("sidecar-fractional-card", lambda b, t: _learn(b, t, _set("cards", 1, 4.7)),
-     "{tmp}/encoded_meta.json: 'cards' must be a list of integers, got [2, 4.7,"),
-    ("sidecar-card-count", lambda b, t: _learn(b, t, lambda d: d["cards"].pop()),
-     "{tmp}/encoded_meta.json: 14 cards for 15 variables"),
-    ("codec-name", lambda b, t: _learn(b, t, _set("codecs", 1, "name", "zzz")),
-     "{tmp}/encoded_meta.json: codecs do not match the variables and their cards"),
-    ("codec-card", lambda b, t: _learn(b, t, _set("codecs", 1, "card", 3)),
-     "{tmp}/encoded_meta.json: codecs do not match the variables and their cards"),
-    ("codec-kind", lambda b, t: _learn(b, t, _set("codecs", 0, "kind", "bogus")),
-     "{tmp}/encoded_meta.json: variable gender: codec kind must be numeric or binary, got 'bogus'"),
-    ("codec-edges", lambda b, t: _learn(b, t, _set("codecs", 1, "edges", ["x"])),
-     "{tmp}/encoded_meta.json: 'edges' must be a list of numbers, got ['x']"),
-    ("codecs-not-objects", lambda b, t: _learn(b, t, _set("codecs", "x")),
-     "{tmp}/encoded_meta.json: 'codecs' must be a list of objects, got 'x'"),
-    ("encoded-fraction", lambda b, t: _learn(b, t, encoded=_cell(0, "gender", "1.5")),
-     "{tmp}/encoded.csv: row 0: column gender holds '1.5', not a class index"),
-    ("encoded-overflow", lambda b, t: _learn(b, t, encoded=_cell(0, "gender", "9" * 30)),
-     "{tmp}/encoded.csv: row 0: column gender holds '" + "9" * 30 + "', not a class index"),
-    ("encoded-outside-card", lambda b, t: _learn(b, t, encoded=_cell(1, "age", "4")),
-     "{tmp}/encoded.csv: row 1: column age holds '4', not a class index in 0..3"),
-    ("clinical-non-numeric", _preprocess(clinical=_cell(0, "age", "abc")),
+    ("clinical-non-numeric", _learn(clinical=_cell(0, "age", "abc")),
      "{tmp}/clinical.csv: row 0: column age holds 'abc', not a number"),
-    ("clinical-gender", _preprocess(clinical=_cell(2, "gender", "other")),
+    ("clinical-gender", _learn(clinical=_cell(2, "gender", "other")),
      "{tmp}/clinical.csv: row 2: subject S002: gender must be male/female, got 'other'"),
-    ("clinical-extra-cell", _preprocess(clinical=_extra_cell),
+    ("clinical-extra-cell", _learn(clinical=_extra_cell),
      "{tmp}/clinical.csv: row 0 holds 19 cells under 18 columns"),
-    ("series-timestamp", _preprocess(series=_cell(3, "timestamp", "yesterday")),
+    ("series-timestamp", _evaluate(series=_cell(3, "timestamp", "yesterday")),
      "{tmp}/S000.csv: row 3: column timestamp holds 'yesterday', not an RFC 3339 timestamp"),
-    ("series-cgm-range", _preprocess(series=_cell(3, "cgm_mgdl", "900")),
+    ("series-cgm-range", _evaluate(series=_cell(3, "cgm_mgdl", "900")),
      "{tmp}/S000.csv: subject S000: cgm value 900.0 at index 3 outside (20.0, 700.0) mg/dL"),
-    ("series-grams-without-description", _preprocess(series=_cell(0, "meal_grams", "150")),
+    ("series-grams-without-description", _evaluate(series=_cell(0, "meal_grams", "150")),
      "{tmp}/S000.csv: row 0: meal_grams without meal_desc"),
-    ("gl-table-non-numeric", _preprocess(gl_table=_cell(1, "gi", "high")),
+    ("gl-table-non-numeric", _evaluate(gl_table=_cell(1, "gi", "high")),
      "{tmp}/gl_table.csv: row 1: column gi holds 'high', not a number"),
-    ("gl-table-repeated-column", _preprocess(gl_table=_repeat_column(1)),
+    ("gl-table-repeated-column", _evaluate(gl_table=_repeat_column(1)),
      "{tmp}/gl_table.csv: column gi appears twice"),
-    ("annotations-empty", _empty_annotations, "{tmp}/annotations.csv: empty file"),
+    ("annotations-empty", _learn(annotations=""), "{tmp}/annotations.csv: empty file"),
     ("clinical-not-utf8", _latin1_clinical, "{tmp}/clinical.csv: not UTF-8 text"),
     ("clinical-directory", _directory_clinical, "{tmp}/clinical.csv"),
+    ("learn-encoded-keys", _encoded_keys, "learn config requires key 'clinical_csv'"),
     ("config-not-utf8", _latin1_config, "{tmp}/synth.json: not UTF-8 text"),
     ("network-nodes-string", _network_nodes,
      "{tmp}/network.json: malformed network document: 'nodes' must be a list of strings, got 'fpg'"),
@@ -1237,21 +1153,16 @@ class TestMalformedInputs:
         assert not out.exists()
 
 
-class TestPreprocessCommand:
+class TestLearnCommand:
     def test_outputs(self, tmp_path, synth_dir):
-        out = tmp_path / "pre"
+        out = tmp_path / "learned"
         cfg = write_config(
-            tmp_path / "pre.json",
-            seed=0,
-            out_dir=str(out),
-            clinical_csv=str(synth_dir / "clinical.csv"),
-            series_dir=str(synth_dir / "series"),
-            gl_table=str(synth_dir / "gl_table.csv"),
+            tmp_path / "learn.json", seed=0, out_dir=str(out), clinical_csv=str(synth_dir / "clinical.csv"), bootstrap=2,
         )
-        assert main(["preprocess", "--config", cfg]) == 0
-        for name in ("clinical_clean.csv", "exclusions.jsonl", "encoded.csv", "encoded_meta.json"):
-            assert (out / name).exists()
-        assert len(list((out / "regressors").glob("*.csv"))) == 4
+        assert main(["learn", "--config", cfg]) == 0
+        written = {p.name for p in out.iterdir()}
+        assert written == {"exclusions.jsonl", "clinical_clean.csv", "network.json", "cpts.json", "manifests.jsonl"}
+        assert load_clinical(out / "clinical_clean.csv") == cli._encode({}, load_clinical(synth_dir / "clinical.csv"))[1]
 
 
 class TestMarkerInference:

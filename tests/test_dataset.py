@@ -3,6 +3,7 @@ from datetime import timedelta
 import numpy as np
 import pytest
 
+from glycast.casts import class_index, text
 from glycast.dataset import (
     CLINICAL_COLUMNS,
     CLINICAL_SCHEMA,
@@ -341,3 +342,11 @@ class TestGlycemicTable:
         back = load_gl_table(path)
         assert back == table
         assert repr(back.entries) == repr(table.entries)
+
+
+def test_text_and_class_index_cells_round_trip(tmp_path):
+    # The confusion CSV's cells: text with a comma and quotes, and class indices up to the largest int64.
+    schema = {"name": text, "count": class_index}
+    rows = [(EDGE_TEXT, 0), ("", 2**63 - 1)]
+    _write_rows(tmp_path / "c.csv", schema, rows)
+    assert _read_rows(tmp_path / "c.csv", schema) == rows

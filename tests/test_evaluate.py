@@ -130,7 +130,7 @@ class TestSlidingWindowEval:
         cfg = EvalConfig(seed=1, **FAST)
         report = sliding_window_eval(ForecastPipeline(specs=STANDARD_STACK[:2]), series, cfg)
         n = len(series)
-        n_train, n_test, _ = train_test_split_sizes(n, cfg)
+        n_train, n_test = train_test_split_sizes(n, cfg)
         expected = n_test - max(cfg.horizons) + 1
         for h in cfg.horizons:
             assert report.reports[h].n == expected
@@ -171,7 +171,7 @@ class TestSlidingWindowEval:
         series, _ = eval_series(seed=5)
         cfg = EvalConfig(horizons=(1, 2), seed=7, **FAST)
         pipeline = ForecastPipeline(specs=STANDARD_STACK[:2])
-        n_train, _, _ = train_test_split_sizes(len(series), cfg)
+        n_train, _ = train_test_split_sizes(len(series), cfg)
 
         perturbed = np.array(series.cgm)
         perturbed[n_train + 5] = 400.0
@@ -216,14 +216,6 @@ class TestSlidingWindowEval:
         assert report.reports[4].rmse >= report.reports[1].rmse
         assert report.reports[4].forecast_min <= report.reports[1].forecast_min
         assert report.reports[4].forecast_max >= report.reports[1].forecast_max
-
-    def test_validation_range_reported(self):
-        series, _ = eval_series(seed=1)
-        cfg = EvalConfig(horizons=(1,), seed=1, **FAST)
-        report = sliding_window_eval(ForecastPipeline(specs=STANDARD_STACK[:1]), series, cfg)
-        lo, hi = report.validation_range
-        assert hi == report.n_train
-        assert hi - lo == int(0.2 * report.n_train)
 
 
 class TestRegressorEval:
@@ -425,7 +417,7 @@ def hand_built_report():
         confusion=np.array([[0, 1, 0]] * 3, dtype=np.int64), accuracy=1 / 3,
     )
     return MetricsReport(
-        subject_id="S007", horizons=(1, 4), reports={4: four, 1: one}, n_train=12, n_test=7, validation_range=(10, 12)
+        subject_id="S007", horizons=(1, 4), reports={4: four, 1: one}, n_train=12, n_test=7
     )
 
 
@@ -434,7 +426,7 @@ class TestReportPins:
 
     def test_metrics_text(self):
         assert render_metrics_text(hand_built_report()) == (
-            "subject S007  (train 12, test 7, validation rows 10..11)\n"
+            "subject S007  (train 12, test 7)\n"
             "metric                1-step        4-step\n"
             "------------------------------------------\n"
             "MAE                     5.12         12.50\n"
@@ -447,7 +439,7 @@ class TestReportPins:
     def test_metrics_json_bytes(self, tmp_path):
         write_metrics_json(tmp_path / "m.json", [hand_built_report()])
         document = [{
-            "subject_id": "S007", "n_train": 12, "n_test": 7, "validation_range": [10, 12],
+            "subject_id": "S007", "n_train": 12, "n_test": 7,
             "horizons": {
                 "1": {
                     "mae": 5.125, "rmse": 7.5, "mape": 4.0625, "n": 3, "forecast_min": 95.25, "forecast_max": 182.0,

@@ -5,12 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glycast.dataset import IMPUTABLE_FEATURES, _read_rows, _write_rows
+from glycast.dataset import IMPUTABLE_FEATURES
 from glycast.errors import EncodingError, ImputationError, FoodLookupError, RangeError
 from glycast.preprocess import (
-    DiscreteDataset,
-    VariableCodec,
-    _encoded_schema,
     build_meal_regressor,
     exclude_incomplete,
     glycemic_load,
@@ -19,8 +16,6 @@ from glycast.preprocess import (
 )
 from glycast.dataset import GlycemicTable
 from glycast.synth import SynthConfig, gen_clinical
-
-from conftest import EDGE_FLOATS, EDGE_TEXT
 
 
 class TestExclusion:
@@ -123,10 +118,9 @@ class TestStandardizeEncode:
         np.testing.assert_array_equal(data.column("gender"), [0, 1, 0])
         assert data.card_of("gender") == 2
 
-    def test_gender_codec_round_trip(self, tmp_path, complete_record):
+    def test_gender_codec_round_trip(self, complete_record):
         records = records_with_column([3.0, 7.0, 11.0, 5.0], complete_record)
-        standardize_encode(records).to_files(tmp_path / "enc.csv", tmp_path / "meta.json")
-        data = DiscreteDataset.from_files(tmp_path / "enc.csv", tmp_path / "meta.json")
+        data = standardize_encode(records)
         codec = next(c for c in data.codecs if c.name == "gender")
         for record, k in zip(records, data.column("gender")):
             assert codec.encode_value(record.gender) == k
@@ -272,43 +266,3 @@ class TestMealRegressor:
         series = simple_series(n=48, meals=meals)
         regressor = build_meal_regressor(series)
         assert regressor.values.sum() == pytest.approx(gls.sum(), rel=1e-12)
-
-
-class TestDiscreteDatasetIO:
-    def test_class_index_outside_card_names_file_row_and_column(self, tmp_path, complete_record):
-        # __post_init__'s RangeError named the variable alone.
-        standardize_encode(records_with_column(np.arange(6.0), complete_record)).to_files(
-            tmp_path / "enc.csv", tmp_path / "meta.json"
-        )
-        lines = (tmp_path / "enc.csv").read_text(encoding="utf-8").splitlines()
-        cells = lines[3].split(",")
-        cells[2] = "4"  # age, card 4
-        lines[3] = ",".join(cells)
-        (tmp_path / "enc.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(RangeError) as caught:
-            DiscreteDataset.from_files(tmp_path / "enc.csv", tmp_path / "meta.json")
-        assert str(caught.value) == f"{tmp_path / 'enc.csv'}: row 2: column age holds '4', not a class index in 0..3"
-
-    def test_round_trip(self, tmp_path, complete_record):
-        records = records_with_column(np.arange(12, dtype=float), complete_record)
-        data = standardize_encode(records)
-        data.to_files(tmp_path / "enc.csv", tmp_path / "meta.json")
-        back = DiscreteDataset.from_files(tmp_path / "enc.csv", tmp_path / "meta.json")
-        assert back.variables == data.variables
-        assert back.cards == data.cards
-        np.testing.assert_array_equal(back.matrix, data.matrix)
-        assert [c.representatives for c in back.codecs] == [c.representatives for c in data.codecs]
-        # A subject_id holding a comma and quotes, and a codec of edge floats, read back exactly.
-        low, high, inexact, zero = EDGE_FLOATS
-        card = data.cards[1]
-        edge = VariableCodec(data.variables[1], card, "numeric", low, high, (zero, inexact), (zero,) * card)
-        codecs = (data.codecs[0], edge) + data.codecs[2:]
-        data = replace(data, subject_ids=(EDGE_TEXT,) + data.subject_ids[1:], codecs=codecs)
-        data.to_files(tmp_path / "enc.csv", tmp_path / "meta.json")
-        back = DiscreteDataset.from_files(tmp_path / "enc.csv", tmp_path / "meta.json")
-        assert back.subject_ids == data.subject_ids
-        assert repr(back.codecs[1]) == repr(edge)
-        schema = _encoded_schema(("a", "b"))
-        rows = [(EDGE_TEXT, 0, 2**63 - 1), ("", 7, 1)]
-        _write_rows(tmp_path / "enc.csv", schema, rows)
-        assert _read_rows(tmp_path / "enc.csv", schema) == rows
