@@ -1,26 +1,38 @@
 """Selection of the subjects whose inferred glucose markers sit closest to a
-tester's measured values."""
+tester's measured values.
+
+A call reads the pool's points in one pass and screens them with numpy. The
+few that may rank are then walked by *distinct* point: inferred markers are
+posterior means over a handful of classes, so hundreds of subjects share each
+point, and each distinct point needs only one exact distance.
+"""
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from .casts import integer
 from .errors import CapacityError, RangeError, SchemaError
 
 
 @dataclass(frozen=True, slots=True)
 class MarkerPoint:
-    """A subject's (FPG, 2HPP) point in mg/dL, inferred or measured."""
+    """A subject's (FPG, 2HPP) point in mg/dL, inferred or measured.
+
+    `point` is the same point as the complex FPG + 2HPP·i, derived once so
+    that a ranking reads the pool's coordinates in one pass. It takes no
+    part in `==`, `hash` or `repr`.
+    """
 
     subject_id: str
     fpg: float
     hpp2: float
     source: str = "inferred"  # "inferred" | "measured"
+    point: complex = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.source not in ("inferred", "measured"):
@@ -28,59 +40,92 @@ class MarkerPoint:
         for name, value in (("fpg", self.fpg), ("hpp2", self.hpp2)):
             if not (math.isfinite(value) and value > 0):
                 raise RangeError(f"subject {self.subject_id}: {name} must be finite and > 0, got {value}")
+        object.__setattr__(self, "point", complex(self.fpg, self.hpp2))
 
 
 def marker_distance(a: MarkerPoint, b: MarkerPoint) -> float:
     return math.hypot(a.fpg - b.fpg, a.hpp2 - b.hpp2)
 
 
-def _near(pool: Sequence[MarkerPoint], tester: MarkerPoint, m: int) -> tuple[list[int], list[float]]:
-    """Indices and exact distances of the pool points that may lie within the m-th nearest distance.
+def _ranking(pool: Sequence[MarkerPoint], tester: MarkerPoint, m) -> tuple[list[str], list[float], int]:
+    """The m nearest subject_ids, the distance of each, and the size of the last one's distance group.
 
-    numpy and math.hypot may differ in the last bit: screen the numpy
-    distances with a margin, so the survivors hold every point whose exact
-    `marker_distance` is at most the m-th. A float64 subtraction is the
-    Python float one, so the survivors' math.hypot of the same differences is
-    `marker_distance(point, tester)` to the bit.
+    One pass reads the pool's points, and numpy screens their distances with
+    a margin: numpy and math.hypot may differ in the last bit, so the
+    survivors hold every point whose exact `marker_distance` is at most the
+    m-th. The survivors are grouped by distinct point, and each distinct
+    point gets one math.hypot of its real and imaginary differences. A
+    float64 subtraction is the Python float one, so that is
+    `marker_distance` to the bit. The walk then takes the distances in
+    ascending order, and at each one the smallest subject_ids among the
+    points at it, until it holds m.
     """
-    n = len(pool)
-    # List comprehensions read the attributes faster than generators or attrgetter.
-    dx = np.fromiter([p.fpg for p in pool], float, n) - tester.fpg
-    dy = np.fromiter([p.hpp2 for p in pool], float, n) - tester.hpp2
-    dist = np.hypot(dx, dy)
-    kth = dist[np.argpartition(dist, m - 1)[m - 1]]
+    try:
+        m = integer(m)
+    except TypeError:
+        raise SchemaError(f"m must be an integer, got {m!r}") from None
+    coords = [p.point for p in pool if p.subject_id != tester.subject_id]
+    if len(coords) < len(pool):
+        raise SchemaError(f"tester {tester.subject_id} must not appear in the pool")
+    if not 1 <= m <= len(pool):
+        raise CapacityError(f"m must lie in 1..{len(pool)}, got {m}")
+    z = np.fromiter(coords, complex, len(coords))
+    dist = np.abs(z - tester.point)
+    kth = np.partition(dist, m - 1)[m - 1]
     kept = np.flatnonzero(dist <= kth * (1.0 + 1e-9) + 1e-9)
-    return kept.tolist(), list(map(math.hypot, dx[kept].tolist(), dy[kept].tolist()))
+    # Survivors grouped by point: a complex sort is by real part, then imaginary.
+    kept = kept[np.argsort(z[kept], kind="stable")]
+    near = z[kept]
+    ids = [pool[i].subject_id for i in kept.tolist()]
+    starts = np.flatnonzero(np.concatenate(([True], near[1:] != near[:-1]))).tolist()
+    members: dict[float, list[str]] = {}  # subject_ids by exact distance
+    for point, start, end in zip(near[starts].tolist(), starts, starts[1:] + [len(ids)]):
+        offset = point - tester.point
+        members.setdefault(math.hypot(offset.real, offset.imag), []).extend(ids[start:end])
+    donors: list[str] = []
+    distances: list[float] = []
+    for distance in sorted(members):
+        group = members[distance]
+        taken = sorted(group)[: m - len(donors)]
+        donors += taken
+        distances += [distance] * len(taken)
+        if len(donors) == m:
+            break
+    return donors, distances, len(group)
 
 
 def select_similar(pool: Sequence[MarkerPoint], tester: MarkerPoint, m: int) -> list[str]:
     """The m pool subject_ids nearest the tester, ascending by distance.
 
-    Distances are raw-mg/dL Euclidean; ties break by subject_id.
+    Distances are raw-mg/dL Euclidean; ties break by subject_id. `m` is an
+    int as `casts.integer` reads one (SchemaError otherwise) and lies in
+    1..len(pool) (CapacityError otherwise).
     """
-    ids = [point.subject_id for point in pool]
-    if tester.subject_id in ids:
-        raise SchemaError(f"tester {tester.subject_id} must not appear in the pool")
-    if not 1 <= m <= len(pool):
-        raise CapacityError(f"m must lie in 1..{len(pool)}, got {m}")
-    # Order the screened points exactly as a full sort would.
-    kept, distances = _near(pool, tester, m)
-    ranked = heapq.nsmallest(m, zip(distances, map(ids.__getitem__, kept)))
-    return [subject_id for _, subject_id in ranked]
+    return _ranking(pool, tester, m)[0]
 
 
 def selection_log(pool: Sequence[MarkerPoint], tester: MarkerPoint, selected: Sequence[str]) -> dict:
     """The tester, each donor with its distance, and `tie_group`.
 
-    `selected` is `select_similar`'s answer. `tie_group` counts the pool
-    subjects at exactly the last donor's distance, the donor among them: any
-    of them could have taken its place, and subject_id chose.
+    `selected` must be `select_similar`'s answer for this pool and tester;
+    any other list raises SchemaError. The distances and `tie_group` come
+    from the same walk. `tie_group` counts the pool subjects at exactly the
+    last donor's distance, the donor among them: any of them could have
+    taken its place, and subject_id chose.
     """
-    kept, screened = _near(pool, tester, len(selected))
-    distance_of = {pool[i].subject_id: d for i, d in zip(kept, screened)}
-    distances = [distance_of[sid] for sid in selected]
+    if not 1 <= len(selected) <= len(pool):
+        raise SchemaError(
+            f"tester {tester.subject_id}: {len(selected)} donors selected from a pool of {len(pool)}"
+        )
+    donors, distances, tie_group = _ranking(pool, tester, len(selected))
+    for rank, (subject_id, donor) in enumerate(zip(selected, donors), 1):
+        if subject_id != donor:
+            raise SchemaError(
+                f"tester {tester.subject_id}: subject {subject_id} is not donor {rank}, "
+                f"select_similar chose {donor}"
+            )
     return {
         "tester": {"subject_id": tester.subject_id, "fpg": tester.fpg, "hpp2": tester.hpp2},
         "selected": [{"subject_id": sid, "distance": d} for sid, d in zip(selected, distances)],
-        "tie_group": screened.count(distances[-1]),
+        "tie_group": tie_group,
     }

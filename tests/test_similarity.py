@@ -1,5 +1,8 @@
 import math
+import pickle
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,11 +52,70 @@ class TestSelectSimilar:
         with pytest.raises(RangeError):
             point("X", float("nan"), 100)
 
+    @pytest.mark.parametrize("m", [True, 2.0, "2", None])
+    def test_m_not_an_int_refused(self, m):
+        # True would count as 1, and 2.0 would reach numpy's partition.
+        with pytest.raises(SchemaError, match="m must be an integer"):
+            select_similar(POOL, TESTER, m)
+
+    def test_numpy_int_m_accepted(self):
+        assert select_similar(POOL, TESTER, np.int64(2)) == ["A", "B"]
+
     def test_selection_log_shape(self):
         log = selection_log(POOL, TESTER, select_similar(POOL, TESTER, 2))
         assert log["tester"]["subject_id"] == "T"
         assert [e["subject_id"] for e in log["selected"]] == ["A", "B"]
         assert log["selected"][0]["distance"] == pytest.approx(math.sqrt(200))
+
+
+class TestDerivedPoint:
+    def test_left_out_of_eq_hash_and_repr(self):
+        a = point("A", 100.0, 150.0)
+        b = point("A", 100.0, 150.0)
+        object.__setattr__(b, "point", complex(1.0, 1.0))
+        assert a.point == complex(100.0, 150.0)
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == "MarkerPoint(subject_id='A', fpg=100.0, hpp2=150.0, source='inferred')"
+
+    def test_survives_replace_and_pickle(self):
+        a = point("A", 100.0, 150.0)
+        moved = replace(a, hpp2=151.5)
+        assert moved.point == complex(100.0, 151.5)
+        copy = pickle.loads(pickle.dumps(moved))
+        assert copy == moved and copy.point == complex(100.0, 151.5)
+
+    def test_not_an_init_argument(self):
+        with pytest.raises(TypeError):
+            MarkerPoint("A", 100.0, 150.0, "inferred", complex(1.0, 1.0))
+        with pytest.raises(ValueError):
+            replace(point("A", 100.0, 150.0), point=complex(1.0, 1.0))
+
+
+class TestSelectionLogRefusals:
+    """selection_log logs select_similar's answer for that pool and tester, nothing else."""
+
+    def test_member_beyond_the_mth_distance(self):
+        with pytest.raises(SchemaError, match="subject C"):
+            selection_log(POOL, TESTER, ["C"])
+
+    def test_answer_out_of_order(self):
+        with pytest.raises(SchemaError, match="subject B"):
+            selection_log(POOL, TESTER, ["B", "A"])
+
+    def test_id_not_in_pool(self):
+        with pytest.raises(SchemaError, match="subject X"):
+            selection_log(POOL, TESTER, ["A", "X"])
+
+    def test_empty_and_oversized(self):
+        with pytest.raises(SchemaError, match="tester T"):
+            selection_log(POOL, TESTER, [])
+        with pytest.raises(SchemaError, match="tester T"):
+            selection_log(POOL, TESTER, ["A", "B", "C", "D"])
+
+    def test_tie_broken_the_other_way(self):
+        pool = [point("A", 113, 164), point("B", 114, 163), point("C", 107, 156)]
+        with pytest.raises(SchemaError, match="subject C"):
+            selection_log(pool, TESTER, ["C"])
 
 
 # Integer-valued coordinates keep distances and translations exact in floats,
@@ -211,3 +273,44 @@ class TestLargeTieGroups:
             select_similar(points, tester, 2)
         with pytest.raises(SchemaError):
             select_similar(points[1:] + points[:1], tester, 2)
+
+
+class TestTwoPointsAtOneDistance:
+    """Two distinct points at one exact distance, each shared by a large group.
+
+    The offsets (3, 4) and (4, 3) from the tester give one exact distance, 5,
+    so the walk must merge both points' members in subject_id order. Members
+    nudged by one ulp sit at distances just off 5 and must rank apart.
+    """
+
+    @staticmethod
+    def pool():
+        points = []
+        for i in range(240):
+            dx, dy = (3.0, 4.0) if i % 2 else (4.0, 3.0)
+            fpg, hpp2 = 200.0 + dx, 150.0 + dy
+            if i % 11 == 0:
+                fpg = nudge(fpg, 1 if i % 4 else -1)
+            points.append(point(f"S{(i * 97) % 240:03d}", fpg, hpp2))
+        for i in range(20):
+            points.append(point(f"F{i:02d}", 212.0, 159.0))  # distance 15
+        return points
+
+    def test_matches_full_sort_and_brute_force_ties(self):
+        pool = self.pool()
+        tester = point("T", 200.0, 150.0, source="measured")
+        at_five = [p for p in pool if marker_distance(p, tester) == 5.0]
+        assert len({p.point for p in at_five}) == 2
+        assert min(sum(p.point == z for p in at_five) for z in {p.point for p in at_five}) >= 100
+        reference = TestPartialSelection().sorted_reference
+        below_five = sum(marker_distance(p, tester) < 5.0 for p in pool)
+        assert below_five > 0
+        for m in range(1, below_five + len(at_five) + 3):
+            selected = select_similar(pool, tester, m)
+            assert selected == reference(pool, tester, m)
+            last = marker_distance(next(p for p in pool if p.subject_id == selected[-1]), tester)
+            log = selection_log(pool, tester, selected)
+            assert log["tie_group"] == sum(marker_distance(p, tester) == last for p in pool)
+            assert [e["distance"] for e in log["selected"]] == [
+                marker_distance(next(p for p in pool if p.subject_id == sid), tester) for sid in selected
+            ]
