@@ -34,13 +34,13 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .casts import load_json, number, objects, read, string, strings, text
+from .casts import checked, integer, load_json, number, objects, read, string, strings, text
 from .dataset import _read_rows
 from .errors import CapacityError, GlycastError, InferenceError, RangeError, SchemaError
 from .preprocess import DiscreteDataset
@@ -279,6 +279,8 @@ class TabuParams:
     stall_limit: int = 30
 
     def __post_init__(self) -> None:
+        for setting in fields(self):  # 2.5 or True is refused, not run as a list length or 1
+            checked(setting.name, getattr(self, setting.name), integer)
         if self.tabu_len < 1:
             raise RangeError("tabu_len must be >= 1")
         if self.max_iter < 0:
@@ -521,8 +523,11 @@ def bootstrap_consensus(
 
     When both directions of an arc pass, the stronger one is kept (ties toward
     the lexicographically smaller source); retained arcs are admitted in
-    decreasing strength order, skipping any that would close a cycle.
+    decreasing strength order, skipping any that would close a cycle. b and
+    seed are ints as `casts.integer` reads one (SchemaError otherwise).
     """
+    b = checked("b", b, integer)
+    seed = checked("seed", seed, integer)
     if b < 1:
         raise RangeError("b must be >= 1")
     if not 0.0 < threshold <= 1.0:

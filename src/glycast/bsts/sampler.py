@@ -42,17 +42,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from statistics import NormalDist
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from ..casts import integer
+from ..casts import checked, integer, integers
 from ..errors import NumericalError, RangeError, SchemaError
 from .components import MAX_HORIZON, StateSpaceModel
 from .kalman import ParamPoint, _DrawOperators, _filter_draws, _sequence_layout, ffbs_sample
 from .spike_slab import SweepTerms, sample_regression
 
-_FORECAST_SALT = 0x5EED
+_FORECAST_SALT = 0x5EED  # posterior_forecast's noise stream
+_ANCHOR_SALT = 0xF0C5  # forecast_anchors' noise stream
 _PHI_EDGE = 1e-9
 _ANCHOR_BLOCK = 64  # anchors whose samples are summarised together
 _VARIANCE_RTOL = 1e-9
@@ -132,7 +133,14 @@ def mcmc_fit(
     burn: int = 200,
     seed: int = 0,
 ) -> PosteriorDraws:
-    """Run one Gibbs chain and retain the post-burn draws; x (None: the model's design) as `design_rows` reads it."""
+    """Run one Gibbs chain and retain the post-burn draws; x (None: the model's design) as `design_rows` reads it.
+
+    draws, burn and seed are ints as `casts.integer` reads one: SchemaError
+    naming the argument for 20.0 or True (draws=True would run one draw).
+    """
+    draws = checked("draws", draws, integer)
+    burn = checked("burn", burn, integer)
+    seed = checked("seed", seed, integer)
     if draws <= burn:
         raise RangeError(f"draws ({draws}) must exceed burn ({burn})")
     if burn < 0:
@@ -223,8 +231,10 @@ def posterior_forecast(
     drawn. x_future's first `horizon` rows, as `design_rows` reads them, are
     the design of the steps forecast. Draws that do not fit the model
     (`StateSpaceModel.check_shapes`), or whose terminal states are not
-    (K, state_dim), raise SchemaError.
+    (K, state_dim), raise SchemaError, and so does a horizon that is not an
+    int as `casts.integer` reads one.
     """
+    horizon = checked("horizon", horizon, integer)
     if not 1 <= horizon <= MAX_HORIZON:
         raise RangeError(f"horizon must lie in 1..{MAX_HORIZON}, got {horizon}")
     x_future = model.design_rows(x_future, horizon)
@@ -302,17 +312,6 @@ def _sorted_percentiles(ordered: np.ndarray, percents: Sequence[float]) -> np.nd
     return np.stack(bands)
 
 
-def _integers(values: Iterable, name: str) -> list[int]:
-    """Every entry as `casts.integer` reads it: SchemaError for 10.5 or True, which int() would read as 10 and 1."""
-    read = []
-    for value in values:
-        try:
-            read.append(integer(value))
-        except TypeError:
-            raise SchemaError(f"{name} must be integers, got {value!r}") from None
-    return read
-
-
 def forecast_anchors(
     model: StateSpaceModel,
     draws: PosteriorDraws,
@@ -343,17 +342,19 @@ def forecast_anchors(
     sampled from each predictive, and the forecast is the mean and empirical
     2.5%/97.5% band over draws: a block's noise is drawn in one call and its
     band comes from one sort along the draw axis (`_sorted_percentiles`).
-    Anchors and horizons are read as `casts.integer` reads an int
+    Anchors, horizons and thin are read as `casts.integer` reads an int
     (SchemaError for 10.5 or True), and x as `design_rows` reads n rows of
     it; draws that do not fit the model raise SchemaError
     (`StateSpaceModel.check_shapes`). Draw parameters may be thinned (every
-    `thin`-th draw) to bound the cost of long anchor sweeps.
+    `thin`-th draw) to bound the cost of long anchor sweeps. Without `rng`
+    the noise comes from the generator seeded by [draws.seed, 0xF0C5].
     Returns {h: {"mean", "lower95", "upper95"} arrays over anchors}.
     """
     y = np.asarray(y, dtype=float)
     n = y.size
-    anchors = np.sort(np.array(_integers(anchors, "anchors"), dtype=np.int64))
-    horizons = tuple(sorted(set(_integers(horizons, "horizons"))))
+    anchors = np.sort(np.array(checked("anchors", list(anchors), integers), dtype=np.int64))
+    horizons = tuple(sorted(set(checked("horizons", list(horizons), integers))))
+    thin = checked("thin", thin, integer)
     if not horizons or horizons[0] < 1:
         raise RangeError("horizons must be >= 1")
     if anchors.size == 0:
@@ -363,7 +364,7 @@ def forecast_anchors(
     if thin < 1:
         raise RangeError("thin must be >= 1")
     if rng is None:
-        rng = np.random.default_rng([draws.seed, _FORECAST_SALT, 1])
+        rng = np.random.default_rng([draws.seed, _ANCHOR_SALT])
 
     keep = slice(None, None, thin)
     ops = _DrawOperators(model, draws, keep)

@@ -1,14 +1,16 @@
-"""JSON's one reader and writer (value casts, `read`, `load_json`, `write_json`), and the CSV cell casts and formats.
+"""JSON's one reader and its writers (`read`, `load_json`, `write_json`, `write_json_lines`), and the CSV cell casts.
 
 The config, component documents and network documents all read through here.
 Each cast returns the value as its type, or raises TypeError or ValueError (or
-OverflowError, for an int beyond the float range) when it is not one; `read`
-turns that into a SchemaError naming the key and the cast's description. No
-JSON cast truncates or parses a string, and only `boolean` reads a boolean,
-which Python counts as an int. The cell casts, `text` to `class_index`, read
-CSV cells for `glycast.dataset._read_rows`, and each one's `FORMATS` entry
-writes the cell it reads back, for `glycast.dataset._write_rows`. Every JSON
-document glycast writes goes through `write_json`.
+OverflowError, for an int beyond the float range) when it is not one;
+`checked` turns that into a SchemaError naming the value and the cast's
+description, for `read` a config key and for a library function its
+argument. No JSON cast truncates or parses a string, and only `boolean` reads
+a boolean, which Python counts as an int. The cell casts, `text` to
+`class_index`, read CSV cells for `glycast.dataset._read_rows`, and each one's
+`FORMATS` entry writes the cell it reads back, for
+`glycast.dataset._write_rows`. Every JSON document glycast writes goes through
+`write_json`, and every JSON-lines file through `write_json_lines`.
 """
 
 from __future__ import annotations
@@ -121,6 +123,14 @@ DESCRIPTIONS = {
 }
 
 
+def checked(name: str, value, cast):
+    """cast(value); SchemaError "<name> must be <description>, got <value>" for a value the cast refuses."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):  # a huge JSON integer overflows a float
+        raise SchemaError(f"{name} must be {DESCRIPTIONS[cast]}, got {value!r}") from None
+
+
 def read(document, key: str, cast, default=None):
     """cast(document[key]), or cast(default) where the key is absent and a default is given.
 
@@ -128,11 +138,7 @@ def read(document, key: str, cast, default=None):
     SchemaError "'key' must be <description>, got <value>" for a value the
     cast refuses.
     """
-    value = document[key] if default is None else document.get(key, default)
-    try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError):  # a huge JSON integer overflows a float
-        raise SchemaError(f"{key!r} must be {DESCRIPTIONS[cast]}, got {value!r}") from None
+    return checked(repr(key), document[key] if default is None else document.get(key, default), cast)
 
 
 def load_json(path: Path | str) -> dict:
@@ -155,3 +161,9 @@ def load_json(path: Path | str) -> dict:
 def write_json(path: Path | str, document) -> None:
     """Write `document` as JSON indented by two spaces with its keys sorted."""
     Path(path).write_text(json.dumps(document, indent=2, sort_keys=True), encoding="utf-8")
+
+
+def write_json_lines(path: Path | str, documents, append: bool = False) -> None:
+    """Write each document as one line of JSON with its keys sorted; append=True adds the lines after the file's."""
+    with Path(path).open("a" if append else "w", encoding="utf-8") as handle:
+        handle.writelines(json.dumps(document, sort_keys=True) + "\n" for document in documents)

@@ -14,7 +14,6 @@ on a file exits 2 with one `error:` line.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -25,8 +24,11 @@ from typing import Callable, Optional, Sequence
 from . import __version__, bayesnet, preprocess, similarity, synth
 from .bsts import ComponentSpec, posterior_forecast, specs_from_json
 from .bsts.components import MAX_HORIZON, STANDARD_STACK
-from .casts import boolean, integer, integers, load_json, number, optional_number, read, strings, timestamp, write_json
+from .casts import (
+    boolean, integer, integers, load_json, number, optional_number, read, strings, timestamp, write_json, write_json_lines,
+)
 from .dataset import (
+    MARKERS,
     GlucoseSeries,
     _write_rows,
     load_clinical,
@@ -153,8 +155,7 @@ def _write_manifest(run: _Run, config_path: Optional[str], seed: int, started: f
         "duration_s": round(time.time() - started, 3),
         "started_utc": datetime.fromtimestamp(started, tz=timezone.utc).isoformat(),
     }
-    with (run.out_dir / "manifests.jsonl").open("a", encoding="utf-8") as handle:
-        handle.write(json.dumps(manifest, sort_keys=True) + "\n")
+    write_json_lines(run.out_dir / "manifests.jsonl", [manifest], append=True)
 
 
 def _cmd_synth(cfg: dict, seed: int, run: _Run) -> None:
@@ -235,7 +236,7 @@ def _stage1(cfg: dict, seed: int, run: _Run, candidates) -> _Stage1:
     if "network_json" in cfg:
         dag, _ = bayesnet.load_network_json(run.path(cfg["network_json"]))
     _, _, network = _learn_network(cfg, encoded, seed, dag)
-    features = [j for j, name in enumerate(encoded.variables) if name not in ("fpg", "hpp2")]
+    features = [j for j, name in enumerate(encoded.variables) if name not in MARKERS]
     names = [encoded.variables[j] for j in features]
     points = []
     for sid, row in sorted(zip(encoded.subject_ids, encoded.matrix[:, features].tolist())):
@@ -294,7 +295,7 @@ def _cmd_learn(cfg: dict, seed: int, run: _Run) -> None:
     model = replace(model, annotations={a: c for a, c in annotations.items() if a in consensus.arcs})
 
     # Every input is read before the first output is written.
-    preprocess.write_exclusion_report(run.output("exclusions.jsonl"), report)
+    write_json_lines(run.output("exclusions.jsonl"), report)
     write_clinical(run.output("clinical_clean.csv"), imputed)
     network_path = run.output("network.json")
     write_json(network_path, bayesnet.network_to_json(consensus, strengths, model.annotations))

@@ -1,5 +1,8 @@
 """Clinical records, CGM time series, and the glycemic-index table, and glycast's one CSV reader and writer.
 
+This module declares the data model once: the clinical variables and their
+order, the glucose markers, the gender levels and the 15-minute grid of 96
+steps a day. The encoder, the generators and the CLI read them from here.
 All loaders are pure functions of the file bytes: they either return a fully
 validated value or raise; no partially valid object ever escapes. Every CSV
 glycast reads goes through `_read_rows` and every CSV it writes through
@@ -23,25 +26,32 @@ from .errors import GridError, FoodLookupError, ParseError, RangeError, SchemaEr
 
 STEP_MINUTES = 15
 STEP = timedelta(minutes=STEP_MINUTES)
+STEPS_PER_DAY = timedelta(days=1) // STEP
 
 CGM_RANGE = (20.0, 700.0)
 MARKER_RANGE = (20.0, 700.0)
 
+GENDER_LEVELS = ("male", "female")  # female encodes as class 1
+MARKERS = ("fpg", "hpp2")  # the glucose markers donors are matched on, in mg/dL
+
 # Features eligible for mean imputation and network encoding. UA/BUN are
-# excluded (dropped wholesale during preprocessing) as are the FPG/2HPP
-# markers themselves.
+# excluded (dropped wholesale during preprocessing) as are the markers
+# themselves.
 IMPUTABLE_FEATURES = ("age", "height_m", "weight_kg", "bmi", "hba1c", "ga", "tc", "tg", "hdl", "ldl", "cr", "egfr")
 
-# Numeric record attributes in column order; fpg/hpp2 carry the _mgdl suffix
-# only in the file header.
-NUMERIC_FIELDS = IMPUTABLE_FEATURES + ("ua", "bun", "fpg", "hpp2")
+# Numeric record attributes in column order; the markers carry the _mgdl
+# suffix only in the file header.
+NUMERIC_FIELDS = IMPUTABLE_FEATURES + ("ua", "bun") + MARKERS
+
+# The numeric fields that must be > 0: height and the markers have ranges of their own.
+_POSITIVE_FIELDS = tuple(name for name in NUMERIC_FIELDS if name != "height_m" and name not in MARKERS)
 
 # Each file format's column schema: its columns in order, each with the cell
 # cast that reads it and whose `FORMATS` entry writes it.
 CLINICAL_SCHEMA = {
     "subject_id": text,
     "gender": text,
-    **dict.fromkeys(NUMERIC_FIELDS[:-2] + ("fpg_mgdl", "hpp2_mgdl"), optional_number),
+    **dict.fromkeys(NUMERIC_FIELDS[: -len(MARKERS)] + tuple(f"{m}_mgdl" for m in MARKERS), optional_number),
 }
 CLINICAL_COLUMNS = tuple(CLINICAL_SCHEMA)
 TIMESERIES_SCHEMA = {
@@ -61,7 +71,7 @@ class ClinicalRecord:
     """
 
     subject_id: str
-    gender: Optional[str] = None  # "male" | "female"
+    gender: Optional[str] = None  # one of GENDER_LEVELS
     age: Optional[float] = None
     height_m: Optional[float] = None
     weight_kg: Optional[float] = None
@@ -80,15 +90,16 @@ class ClinicalRecord:
     hpp2: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.gender is not None and self.gender not in ("male", "female"):
-            raise RangeError(f"subject {self.subject_id}: gender must be male/female, got {self.gender!r}")
+        if self.gender is not None and self.gender not in GENDER_LEVELS:
+            levels = "/".join(GENDER_LEVELS)
+            raise RangeError(f"subject {self.subject_id}: gender must be {levels}, got {self.gender!r}")
         if self.height_m is not None and not (0.5 < self.height_m < 2.5):
             raise RangeError(f"subject {self.subject_id}: height {self.height_m} m outside (0.5, 2.5)")
-        for name in ("age", "weight_kg", "bmi", "hba1c", "ga", "tc", "tg", "hdl", "ldl", "cr", "egfr", "ua", "bun"):
+        for name in _POSITIVE_FIELDS:
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise RangeError(f"subject {self.subject_id}: {name} must be > 0, got {value}")
-        for name in ("fpg", "hpp2"):
+        for name in MARKERS:
             value = getattr(self, name)
             if value is not None and not (MARKER_RANGE[0] < value < MARKER_RANGE[1]):
                 raise RangeError(

@@ -20,13 +20,12 @@ import numpy as np
 from .bsts.components import STANDARD_STACK, ComponentSpec, assemble_model, regression
 from .bsts.sampler import forecast_anchors, mcmc_fit
 from .casts import class_index, text, write_json
-from .dataset import STEP, GlucoseSeries, _write_rows
+from .dataset import STEP, STEPS_PER_DAY, GlucoseSeries, _write_rows
 from .errors import CapacityError, ConfigError, RangeError, SchemaError
 
 ABLATION_NAMES = ("similar_subjects", "day_seasonal", "meal_seasonal", "circadian_seasonal")
 GLYCEMIC_BANDS = ("hypo", "normal", "hyper")
 SCORES = ("mae", "rmse", "mape")  # compute_metrics' order: the point-forecast scores a table reports
-STEPS_PER_DAY = 96
 MIN_TRAIN = 10  # training points a fit needs
 
 
@@ -265,16 +264,9 @@ def sliding_window_eval(
     model, draws = pipeline.fit(series, n_train, cfg)
 
     anchors = np.arange(n_train - 1, n - max_h)
-    rng = np.random.default_rng([cfg.seed, 0xF0C5])
+    # The noise stream is forecast_anchors' default, seeded by the fit's seed, cfg.seed.
     forecasts = forecast_anchors(
-        model,
-        draws,
-        y,
-        anchors=anchors,
-        horizons=cfg.horizons,
-        x=x_full,
-        rng=rng,
-        thin=cfg.forecast_thin,
+        model, draws, y, anchors=anchors, horizons=cfg.horizons, x=x_full, thin=cfg.forecast_thin
     )
 
     return MetricsReport(

@@ -9,17 +9,15 @@ turn dietary entries into a per-grid-point glycemic-load regressor.
 from __future__ import annotations
 
 import bisect
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import IMPUTABLE_FEATURES, ClinicalRecord, GlucoseSeries, GlycemicTable
+from .dataset import GENDER_LEVELS, IMPUTABLE_FEATURES, MARKERS, ClinicalRecord, GlucoseSeries, GlycemicTable
 from .errors import EncodingError, ImputationError, RangeError, SchemaError
 
-ENCODED_FEATURES = ("gender",) + IMPUTABLE_FEATURES + ("fpg", "hpp2")
+ENCODED_FEATURES = ("gender",) + IMPUTABLE_FEATURES + MARKERS
 
 
 @dataclass(frozen=True)
@@ -138,12 +136,6 @@ def exclude_incomplete(
     return kept, report
 
 
-def write_exclusion_report(path: Path | str, report: Sequence[dict[str, str]]) -> None:
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for entry in report:
-            handle.write(json.dumps(entry, sort_keys=True) + "\n")
-
-
 def impute_means(records: Sequence[ClinicalRecord]) -> list[ClinicalRecord]:
     """Replace each missing imputable feature with its donor arithmetic mean."""
     if not records:
@@ -198,9 +190,6 @@ def _equal_frequency_codec(name: str, values: np.ndarray, n_bins: int) -> tuple[
     return codec, classes
 
 
-GENDER_LEVELS = ("male", "female")  # female encodes as class 1
-
-
 def standardize_encode(records: Sequence[ClinicalRecord], n_bins: int = 4) -> DiscreteDataset:
     """Z-score then discretize complete records into a DiscreteDataset.
 
@@ -213,7 +202,7 @@ def standardize_encode(records: Sequence[ClinicalRecord], n_bins: int = 4) -> Di
         raise RangeError(f"n_bins must be >= 2, got {n_bins}")
     if not records:
         raise EncodingError("cannot encode an empty record list")
-    numeric_features = IMPUTABLE_FEATURES + ("fpg", "hpp2")
+    numeric_features = IMPUTABLE_FEATURES + MARKERS
     for record in records:
         if record.gender is None:
             raise EncodingError(f"subject {record.subject_id}: missing gender")

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .casts import integer
+from .casts import checked, integer
 from .errors import CapacityError, RangeError, SchemaError
 
 
@@ -60,10 +60,7 @@ def _ranking(pool: Sequence[MarkerPoint], tester: MarkerPoint, m) -> tuple[list[
     ascending order, and at each one the smallest subject_ids among the
     points at it, until it holds m.
     """
-    try:
-        m = integer(m)
-    except TypeError:
-        raise SchemaError(f"m must be an integer, got {m!r}") from None
+    m = checked("m", m, integer)
     coords = [p.point for p in pool if p.subject_id != tester.subject_id]
     if len(coords) < len(pool):
         raise SchemaError(f"tester {tester.subject_id} must not appear in the pool")

@@ -23,9 +23,19 @@ import numpy as np
 from .bayesnet import _SCORE_EPS, Dag, TabuParams, _FamilyScores, _has_path
 from .bsts.components import StateSpaceModel
 from .bsts.kalman import ParamPoint
-from .dataset import ClinicalRecord, GlucoseSeries, GlycemicTable, MealEvent, STEP
+from .dataset import (
+    GENDER_LEVELS,
+    IMPUTABLE_FEATURES,
+    STEP,
+    STEP_MINUTES,
+    STEPS_PER_DAY,
+    ClinicalRecord,
+    GlucoseSeries,
+    GlycemicTable,
+    MealEvent,
+)
 from .errors import CapacityError, RangeError
-from .preprocess import DiscreteDataset
+from .preprocess import ENCODED_FEATURES, DiscreteDataset
 
 UMOL_PER_MGDL_CR = 88.4
 CGM_CLIP = (39.6, 468.0)
@@ -43,8 +53,8 @@ def mdrd_egfr(cr_mgdl: float, age: float, gender: str, ethnicity: str = "other")
         raise RangeError(f"cr must be > 0 mg/dL, got {cr_mgdl}")
     if age <= 0:
         raise RangeError(f"age must be > 0, got {age}")
-    if gender not in ("male", "female"):
-        raise RangeError(f"gender must be male/female, got {gender!r}")
+    if gender not in GENDER_LEVELS:
+        raise RangeError(f"gender must be {'/'.join(GENDER_LEVELS)}, got {gender!r}")
     rho = 0.742 if gender == "female" else 1.0
     sigma = 1.212 if ethnicity == "black" else 1.0
     return 186.0 * cr_mgdl**-1.154 * age**-0.203 * rho * sigma
@@ -128,24 +138,7 @@ def clinical_truth_dag(egfr_gender_factor: bool = True) -> Dag:
     arcs = [arc for group in CLINICAL_TRUTH_ARCS.values() for arc in group]
     if egfr_gender_factor:
         arcs.append(("gender", "egfr"))
-    nodes = (
-        "gender",
-        "age",
-        "height_m",
-        "weight_kg",
-        "bmi",
-        "hba1c",
-        "ga",
-        "tc",
-        "tg",
-        "hdl",
-        "ldl",
-        "cr",
-        "egfr",
-        "fpg",
-        "hpp2",
-    )
-    return Dag(nodes, frozenset(arcs))
+    return Dag(ENCODED_FEATURES, frozenset(arcs))
 
 
 def _clamp(value: float, lo: float, hi: float) -> float:
@@ -196,35 +189,15 @@ def gen_clinical(cfg: SynthConfig) -> tuple[list[ClinicalRecord], Dag]:
         ua = _clamp(320.0 + 90.0 * z_ua, 100.0, 700.0)
         bun = _clamp(6.0 + 1.8 * z_bun, 1.5, 20.0)
 
-        values: dict[str, Optional[float]] = {
-            "age": age,
-            "height_m": height,
-            "weight_kg": weight,
-            "bmi": bmi,
-            "hba1c": hba1c,
-            "ga": ga,
-            "tc": tc,
-            "tg": tg,
-            "hdl": hdl,
-            "ldl": ldl,
-            "cr": cr_mgdl * UMOL_PER_MGDL_CR,
-            "egfr": egfr,
-        }
+        cr = cr_mgdl * UMOL_PER_MGDL_CR
+        values: dict[str, Optional[float]] = dict(
+            zip(IMPUTABLE_FEATURES, (age, height, weight, bmi, hba1c, ga, tc, tg, hdl, ldl, cr, egfr))
+        )
         if cfg.missing_rate > 0.0:
-            for key, u in zip(list(values), rng.random(len(values)).tolist()):
+            for key, u in zip(IMPUTABLE_FEATURES, rng.random(len(values)).tolist()):
                 if u < cfg.missing_rate:
                     values[key] = None
-        records.append(
-            ClinicalRecord(
-                subject_id=f"S{i:03d}",
-                gender=gender,
-                ua=ua,
-                bun=bun,
-                fpg=fpg,
-                hpp2=hpp2,
-                **values,
-            )
-        )
+        records.append(ClinicalRecord(f"S{i:03d}", gender, **values, ua=ua, bun=bun, fpg=fpg, hpp2=hpp2))
     return records, clinical_truth_dag(cfg.egfr_gender_factor)
 
 
@@ -270,7 +243,7 @@ def gen_cgm_series(cfg: SynthConfig) -> tuple[list[GlucoseSeries], CgmGroundTrut
     donors, 9.15 with donors rotated by one day and 9.16 without donors.
     """
     rng = np.random.default_rng([cfg.seed, 2])
-    n = 96 * cfg.n_days
+    n = STEPS_PER_DAY * cfg.n_days
     start = datetime(2024, 1, 1, tzinfo=timezone.utc)
 
     innovations = rng.normal(0.0, cfg.latent_sd, n)
@@ -280,7 +253,7 @@ def gen_cgm_series(cfg: SynthConfig) -> tuple[list[GlucoseSeries], CgmGroundTrut
         acc = cfg.latent_ar * acc + innovations[t]
         shared[t] = acc
 
-    meal_indices = [m // 15 + 96 * day for day in range(cfg.n_days) for m in MEAL_GRID_MINUTES]
+    meal_indices = [m // STEP_MINUTES + STEPS_PER_DAY * day for day in range(cfg.n_days) for m in MEAL_GRID_MINUTES]
 
     series_list: list[GlucoseSeries] = []
     meal_gls: list[tuple[float, ...]] = []

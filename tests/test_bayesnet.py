@@ -142,6 +142,12 @@ class TestTabuSearch:
         data = chain_dataset(500, seed=1)
         assert tabu_search(data, TabuParams(max_iter=0)).arcs == frozenset()
 
+    @pytest.mark.parametrize("name, bad", [("tabu_len", 2.5), ("max_iter", 1.0), ("stall_limit", True)])
+    def test_params_take_integers_as_they_are(self, name, bad):
+        # TabuParams(tabu_len=2.5, stall_limit=True) was built without complaint.
+        with pytest.raises(SchemaError, match=f"^{name} must be an integer"):
+            TabuParams(**{name: bad})
+
     def test_score_at_least_empty_graph(self):
         for seed in range(4):
             data = chain_dataset(400, seed=seed, flip=0.4)
@@ -478,6 +484,10 @@ class TestBootstrapConsensus:
             bootstrap_consensus(data, b=0)
         with pytest.raises(RangeError):
             bootstrap_consensus(data, threshold=0.0)
+        # b=True ran one replicate; b=2.0 and seed=1.5 raised a bare TypeError.
+        for name, bad in (("b", True), ("b", 2.0), ("seed", 1.5), ("seed", False)):
+            with pytest.raises(SchemaError, match=f"^{name} must be an integer"):
+                bootstrap_consensus(data, **{name: bad})
 
 
 class TestFitParameters:

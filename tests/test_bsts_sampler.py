@@ -46,6 +46,25 @@ class TestMcmcFit:
             mcmc_fit(model, y, draws=10, burn=10)
 
     @pytest.mark.parametrize(
+        "name, bad", [("draws", 20.0), ("draws", True), ("burn", 5.0), ("burn", False), ("seed", 1.5), ("seed", True)]
+    )
+    def test_non_integer_draws_burn_and_seed_are_refused(self, name, bad):
+        # draws=True, burn=False ran a one-draw chain and burn=5.0 was kept as a float.
+        y = trend_series(40)
+        model = assemble_model([semi_local_trend()], y)
+        with pytest.raises(SchemaError, match=f"^{name} must be an integer"):
+            mcmc_fit(model, y, **{"draws": 20, "burn": 5, "seed": 0, name: bad})
+
+    def test_numpy_integer_arguments_fit_the_same_chain(self):
+        y = trend_series(40)
+        model = assemble_model([semi_local_trend()], y)
+        ints = mcmc_fit(model, y, draws=12, burn=4, seed=3)
+        numpy_ints = mcmc_fit(model, y, draws=np.int64(12), burn=np.int32(4), seed=np.int64(3))
+        assert (type(numpy_ints.burn), type(numpy_ints.seed)) == (int, int)
+        for f in fields(ints):
+            assert np.array_equal(getattr(ints, f.name), getattr(numpy_ints, f.name))
+
+    @pytest.mark.parametrize(
         "name, value",
         [("phi", np.nan), ("phi", -1.5), ("sigma_obs", np.nan), ("sigma_slope", -0.1), ("sigma_seasonal", np.nan)],
     )
@@ -230,6 +249,14 @@ class TestPosteriorForecast:
         expected = shared_state + x_future @ np.mean(betas, axis=0)
         np.testing.assert_allclose(result.mean, expected, atol=1e-9)
 
+    @pytest.mark.parametrize("bad", [2.0, True])
+    def test_non_integer_horizon_is_refused(self, bad):
+        y = trend_series(30)
+        model = assemble_model([semi_local_trend()], y)
+        draws = make_draws(model, [(ParamPoint(0.0, 0.0, 0.0), np.zeros(2))])
+        with pytest.raises(SchemaError, match="^horizon must be an integer"):
+            posterior_forecast(draws, model, horizon=bad)
+
     def test_horizon_range_error(self):
         y = trend_series(30)
         model = assemble_model([semi_local_trend()], y)
@@ -326,10 +353,14 @@ class TestForecastAnchors:
             forecast_anchors(model, draws, y, anchors=[], horizons=[1])
 
     @pytest.mark.parametrize(
-        "name, bad", [("anchors", [10.5]), ("anchors", [True]), ("horizons", [1.5]), ("horizons", [True])]
+        "name, bad",
+        [
+            ("anchors", [10.5]), ("anchors", [True]), ("horizons", [1.5]), ("horizons", [True]),
+            ("thin", 2.0), ("thin", True),
+        ],
     )
     def test_non_integer_anchors_and_horizons_are_refused(self, name, bad):
-        # int() would read 10.5 as 10, 1.5 as 1 and True as 1.
+        # int() would read 10.5 as 10, 1.5 as 1 and True as 1; thin=2.0 raised a bare TypeError.
         y = trend_series(40)
         model = assemble_model([semi_local_trend()], y)
         draws = make_draws(model, [(ParamPoint(0.1, 0.1, 0.1), np.zeros(2))])

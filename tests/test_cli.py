@@ -1164,6 +1164,28 @@ class TestLearnCommand:
         assert written == {"exclusions.jsonl", "clinical_clean.csv", "network.json", "cpts.json", "manifests.jsonl"}
         assert load_clinical(out / "clinical_clean.csv") == cli._encode({}, load_clinical(synth_dir / "clinical.csv"))[1]
 
+    def test_json_lines_files_hold_one_sorted_object_per_line(self, tmp_path):
+        data, out = tmp_path / "data", tmp_path / "learned"
+        synth_cfg = write_config(
+            tmp_path / "synth.json", seed=7, out_dir=str(data), n_subjects=30, n_days=1, missing_rate=0.3
+        )
+        assert main(["synth", "--config", synth_cfg]) == 0
+        cfg = write_config(
+            tmp_path / "learn.json", seed=0, out_dir=str(out), clinical_csv=str(data / "clinical.csv"), bootstrap=2
+        )
+        # Two runs into one out dir: the exclusion report is written anew and the manifest gains a line.
+        for _ in range(2):
+            assert main(["learn", "--config", cfg]) == 0
+        lines = {
+            name: (out / name).read_text(encoding="utf-8").splitlines() for name in ("exclusions.jsonl", "manifests.jsonl")
+        }
+        report = preprocess.exclude_incomplete(load_clinical(data / "clinical.csv"))[1]
+        assert report and len(lines["exclusions.jsonl"]) == len(report) and len(lines["manifests.jsonl"]) == 2
+        for line in lines["exclusions.jsonl"] + lines["manifests.jsonl"]:
+            entry = json.loads(line)
+            assert isinstance(entry, dict) and line == json.dumps(entry, sort_keys=True)
+        assert [json.loads(line) for line in lines["exclusions.jsonl"]] == report
+
 
 class TestMarkerInference:
     def test_each_pool_subject_inferred_once_per_run(self, tmp_path, synth_dir, monkeypatch):

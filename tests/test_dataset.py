@@ -7,7 +7,10 @@ from glycast.casts import class_index, text
 from glycast.dataset import (
     CLINICAL_COLUMNS,
     CLINICAL_SCHEMA,
+    MARKERS,
+    NUMERIC_FIELDS,
     TIMESERIES_SCHEMA,
+    ClinicalRecord,
     GlycemicTable,
     _read_rows,
     _write_rows,
@@ -122,6 +125,14 @@ class TestLoadClinical:
         path = write_csv(tmp_path / "c.csv", CLINICAL_COLUMNS, [clinical_row(fpg_mgdl=900)])
         with pytest.raises(RangeError):
             load_clinical(path)
+
+
+@pytest.mark.parametrize("name", [f for f in NUMERIC_FIELDS if f != "height_m" and f not in MARKERS])
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_non_positive_value_refused(name, value):
+    # Every numeric field but height and the markers, which have ranges of their own, must be > 0.
+    with pytest.raises(RangeError, match=f"P1: {name} must be > 0, got {value}"):
+        ClinicalRecord("P1", **{name: value})
 
 
 def timeseries_rows(n, start=START, cgm=120.0):
