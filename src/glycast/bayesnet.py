@@ -33,14 +33,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .casts import checked, integer, load_json, number, objects, read, string, strings, text
+from .casts import cast_fields, checked, integer, load_json, number, objects, read, string, strings, text
 from .dataset import _read_rows
 from .errors import CapacityError, GlycastError, InferenceError, RangeError, SchemaError
 from .preprocess import DiscreteDataset
@@ -279,8 +280,7 @@ class TabuParams:
     stall_limit: int = 30
 
     def __post_init__(self) -> None:
-        for setting in fields(self):  # 2.5 or True is refused, not run as a list length or 1
-            checked(setting.name, getattr(self, setting.name), integer)
+        cast_fields(self)  # 2.5 or True is refused, not run as a list length or 1
         if self.tabu_len < 1:
             raise RangeError("tabu_len must be >= 1")
         if self.max_iter < 0:
@@ -524,10 +524,12 @@ def bootstrap_consensus(
     When both directions of an arc pass, the stronger one is kept (ties toward
     the lexicographically smaller source); retained arcs are admitted in
     decreasing strength order, skipping any that would close a cycle. b and
-    seed are ints as `casts.integer` reads one (SchemaError otherwise).
+    seed are ints as `casts.integer` reads one, and threshold a number as
+    `casts.number` reads one (SchemaError naming the argument otherwise).
     """
     b = checked("b", b, integer)
     seed = checked("seed", seed, integer)
+    threshold = checked("threshold", threshold, number)
     if b < 1:
         raise RangeError("b must be >= 1")
     if not 0.0 < threshold <= 1.0:
@@ -628,8 +630,9 @@ def fit_parameters(dag: Dag, data: DiscreteDataset, alpha: float = 1.0) -> Bayes
     entry = (count + alpha) / (row_total + alpha * card); alpha=0 is pure MLE
     and leaves unseen parent configurations as uniform rows.
     """
-    if not 0 <= alpha < math.inf:  # NaN fails too
+    if isinstance(alpha, numbers.Real) and not 0 <= alpha < math.inf:  # NaN fails too
         raise RangeError(f"alpha must be finite and >= 0, got {alpha}")
+    alpha = checked("alpha", alpha, number)  # "1" and True are refused, not read as 1.0
     cards = {name: data.card_of(name) for name in dag.nodes}
     cpts: dict[str, np.ndarray] = {}
     parent_order: dict[str, tuple[str, ...]] = {}

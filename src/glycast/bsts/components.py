@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..casts import integer, integers, number, read, string
+from ..casts import cast_fields, integer, integers, number, read, string
 from ..errors import RangeError, SchemaError
 
 MAX_HORIZON = 96  # longest posterior_forecast, in steps: one day, an input limit
@@ -46,7 +46,8 @@ class VariancePrior:
     guess: float
 
     def __post_init__(self) -> None:
-        if not (0 < self.df < math.inf and 0 < self.guess < math.inf):  # NaN fails too
+        cast_fields(self)
+        if not (self.df > 0 and self.guess > 0):
             raise RangeError(f"variance prior requires finite positive df and guess, got {self}")
 
     @property
@@ -76,8 +77,7 @@ class TrendPriors:
     phi_sd: float = 0.5
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.d_mean, self.d_sd, self.phi_mean, self.phi_sd))):
-            raise RangeError(f"trend prior hyperparameters must be finite, got {self}")
+        cast_fields(self)
         if self.d_sd <= 0 or self.phi_sd <= 0:
             raise RangeError("prior standard deviations must be positive")
 
@@ -90,7 +90,8 @@ class SpikeSlabSettings:
     information_weight: float = 0.5
 
     def __post_init__(self) -> None:
-        if not 0 < self.expected_model_size < math.inf:  # NaN fails too
+        cast_fields(self)
+        if not self.expected_model_size > 0:
             raise RangeError(f"expected_model_size must be finite and positive, got {self.expected_model_size}")
         if not 0.0 <= self.information_weight <= 1.0:
             raise RangeError("information_weight must lie in [0, 1]")

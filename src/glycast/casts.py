@@ -1,15 +1,17 @@
 """JSON's one reader and its writers (`read`, `load_json`, `write_json`, `write_json_lines`), and the CSV cell casts.
 
 The config, component documents and network documents all read through here.
-Each cast returns the value as its type, or raises TypeError or ValueError (or
-OverflowError, for an int beyond the float range) when it is not one;
-`checked` turns that into a SchemaError naming the value and the cast's
-description, for `read` a config key and for a library function its
-argument. No JSON cast truncates or parses a string, and only `boolean` reads
-a boolean, which Python counts as an int. The cell casts, `text` to
-`class_index`, read CSV cells for `glycast.dataset._read_rows`, and each one's
-`FORMATS` entry writes the cell it reads back, for
-`glycast.dataset._write_rows`. Every JSON document glycast writes goes through
+Each cast returns the value as its type, or raises TypeError for a value of
+another type and ValueError (or OverflowError, for an int beyond the float
+range) for one outside the type's domain; `checked` turns these into a
+SchemaError and a RangeError naming the value and the cast's description, for
+`read` a config key, for a library function its argument and for a settings
+dataclass its field. `FIELD_CASTS` holds the cast of each settings field's
+annotation, and `cast_fields` applies them. No JSON cast truncates or parses
+a string, and only `boolean` reads a boolean, which Python counts as an int.
+The cell casts, `text` to `class_index`, read CSV cells for
+`glycast.dataset._read_rows`, and each one's `FORMATS` entry writes the cell
+it reads back, for `glycast.dataset._write_rows`. Every JSON document glycast writes goes through
 `write_json`, and every JSON-lines file through `write_json_lines`.
 """
 
@@ -17,11 +19,13 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
+from dataclasses import fields
 from datetime import datetime
 from pathlib import Path
 
-from .errors import SchemaError
+from .errors import RangeError, SchemaError
 
 
 def integer(value) -> int:
@@ -32,15 +36,15 @@ def integer(value) -> int:
 
 
 def integers(value) -> tuple[int, ...]:
-    """A JSON list of integers, each as `integer` reads it."""
-    if not isinstance(value, list):
+    """A JSON list, or a tuple, of integers, each as `integer` reads it."""
+    if not isinstance(value, (list, tuple)):
         raise TypeError
     return tuple(map(integer, value))
 
 
 def number(value) -> float:
-    """A finite int or float as a float: Python's json reads NaN and Infinity, which this refuses."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A finite real (a numpy scalar too) as a float: Python's json reads NaN and Infinity, which this refuses."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError
     value = float(value)
     if not math.isfinite(value):
@@ -124,19 +128,44 @@ DESCRIPTIONS = {
 
 
 def checked(name: str, value, cast):
-    """cast(value); SchemaError "<name> must be <description>, got <value>" for a value the cast refuses."""
+    """cast(value); "<name> must be <description>, got <value>" for a value the cast refuses.
+
+    SchemaError for a value of the wrong type, RangeError for one of the
+    right type outside the cast's domain: NaN, an infinity, or an integer
+    too large for a float.
+    """
     try:
         return cast(value)
-    except (TypeError, ValueError, OverflowError):  # a huge JSON integer overflows a float
+    except TypeError:
         raise SchemaError(f"{name} must be {DESCRIPTIONS[cast]}, got {value!r}") from None
+    except (ValueError, OverflowError):  # a huge JSON integer overflows a float
+        raise RangeError(f"{name} must be {DESCRIPTIONS[cast]}, got {value!r}") from None
+
+
+# The cast of each settings field's annotation as written: the settings modules
+# import `annotations` from __future__, so a field's type is this string.
+FIELD_CASTS = {"int": integer, "float": number, "bool": boolean, "tuple[int, ...]": integers}
+
+
+def cast_fields(settings) -> None:
+    """Set each field of the dataclass `settings` that FIELD_CASTS annotates to its cast value, frozen or not.
+
+    Through `checked`, so a value the cast refuses raises the SchemaError or
+    RangeError that names the field. A field of another annotation, such as
+    a nested prior, is left as it is.
+    """
+    for setting in fields(settings):
+        cast = FIELD_CASTS.get(setting.type)
+        if cast is not None:
+            object.__setattr__(settings, setting.name, checked(setting.name, getattr(settings, setting.name), cast))
 
 
 def read(document, key: str, cast, default=None):
     """cast(document[key]), or cast(default) where the key is absent and a default is given.
 
     KeyError for an absent key without a default, which the caller words;
-    SchemaError "'key' must be <description>, got <value>" for a value the
-    cast refuses.
+    SchemaError (or RangeError, as `checked` words it) "'key' must be
+    <description>, got <value>" for a value the cast refuses.
     """
     return checked(repr(key), document[key] if default is None else document.get(key, default), cast)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -25,10 +25,12 @@ from . import __version__, bayesnet, preprocess, similarity, synth
 from .bsts import ComponentSpec, posterior_forecast, specs_from_json
 from .bsts.components import MAX_HORIZON, STANDARD_STACK
 from .casts import (
-    boolean, integer, integers, load_json, number, optional_number, read, strings, timestamp, write_json, write_json_lines,
+    FIELD_CASTS, boolean, integer, load_json, number, optional_number, read, strings, timestamp, write_json,
+    write_json_lines,
 )
 from .dataset import (
     MARKERS,
+    STEP_MINUTES,
     GlucoseSeries,
     _write_rows,
     load_clinical,
@@ -38,7 +40,7 @@ from .dataset import (
     write_gl_table,
     write_timeseries,
 )
-from .errors import ConfigError, GlycastError, SchemaError
+from .errors import ConfigError, GlycastError, RangeError, SchemaError
 from .evaluate import (
     ABLATION_NAMES,
     EvalConfig,
@@ -51,28 +53,27 @@ from .evaluate import (
     write_metrics_json,
 )
 
-HORIZON_MINUTES = {15: 1, 30: 2, 45: 3, 60: 4}
+HORIZON_MINUTES = {STEP_MINUTES * steps: steps for steps in range(1, 5)}  # --horizon's choices: 15 to 60
 
 
-# Config keys that map one-to-one onto a settings dataclass, with their types;
-# the dataclass holds each default.
-SYNTH_KEYS = {
-    "n_subjects": integer, "n_days": integer, "day_amplitude": number, "meal_amplitude": number,
-    "circadian_amplitude": number, "noise_sd": number, "latent_share": number, "latent_sd": number,
-    "latent_ar": number, "missing_rate": number, "egfr_gender_factor": boolean,
-}
-TABU_KEYS = {"tabu_len": integer, "max_iter": integer, "stall_limit": integer}
-EVAL_KEYS = {
-    "split_ratio": number, "horizons": integers, "hypo_max": number, "hyper_min": number,
-    "draws": integer, "burn": integer, "m_similar": integer, "forecast_thin": integer,
-}
+def _field_keys(settings, names=None) -> dict:
+    """Config keys onto the fields of the dataclass `settings` (all, or `names`), each read by its field's cast."""
+    return {f.name: FIELD_CASTS[f.type] for f in fields(settings) if names is None or f.name in names}
+
+
+SYNTH_KEYS = _field_keys(synth.SynthConfig, {
+    "n_subjects", "n_days", "seed", "day_amplitude", "meal_amplitude", "circadian_amplitude", "noise_sd",
+    "latent_share", "latent_sd", "latent_ar", "missing_rate", "egfr_gender_factor",
+})
+TABU_KEYS = _field_keys(bayesnet.TabuParams)
+EVAL_KEYS = _field_keys(EvalConfig)
 
 
 def _settings(cfg: dict, keys: dict) -> dict:
     """The `keys` that `cfg` sets, each read by its cast; ConfigError naming a key whose value is not one."""
     try:
         return {key: read(cfg, key, cast) for key, cast in keys.items() if key in cfg}
-    except SchemaError as exc:
+    except (SchemaError, RangeError) as exc:
         raise ConfigError(f"config key {exc}") from None
 
 
@@ -159,7 +160,7 @@ def _write_manifest(run: _Run, config_path: Optional[str], seed: int, started: f
 
 
 def _cmd_synth(cfg: dict, seed: int, run: _Run) -> None:
-    synth_cfg = synth.SynthConfig(seed=seed, **_settings(cfg, SYNTH_KEYS))
+    synth_cfg = synth.SynthConfig(**_settings(cfg, SYNTH_KEYS))
     records, truth = synth.gen_clinical(synth_cfg)
     series, _ = synth.gen_cgm_series(synth_cfg)
     write_clinical(run.output("clinical.csv"), records)
@@ -306,16 +307,12 @@ def _cmd_learn(cfg: dict, seed: int, run: _Run) -> None:
     )
 
 
-def _eval_config(cfg: dict, seed: int) -> EvalConfig:
-    return EvalConfig(seed=seed, **_settings(cfg, EVAL_KEYS))
-
-
 def _cmd_forecast(cfg: dict, seed: int, run: _Run) -> None:
     options = _settings(cfg, {"horizon_steps": integer, "deterministic": boolean})
     horizon = options.get("horizon_steps", 4)
     if not 1 <= horizon <= MAX_HORIZON:
         raise ConfigError(f"config key 'horizon_steps' must lie in 1..{MAX_HORIZON}, got {horizon}")
-    eval_cfg = _eval_config(cfg, seed)
+    eval_cfg = EvalConfig(**_settings(cfg, EVAL_KEYS))
     series = load_timeseries(run.required(cfg, "series_csv"))
 
     regressors = None
@@ -340,7 +337,7 @@ def _cmd_forecast(cfg: dict, seed: int, run: _Run) -> None:
 
 
 def _cmd_evaluate(cfg: dict, seed: int, run: _Run) -> None:
-    eval_cfg = _eval_config(cfg, seed)
+    eval_cfg = EvalConfig(**_settings(cfg, EVAL_KEYS))
     reports = []
     selections = {}
     for series, pipeline, selection in _tester_designs(cfg, seed, run, eval_cfg.m_similar):
@@ -361,7 +358,7 @@ def _cmd_evaluate(cfg: dict, seed: int, run: _Run) -> None:
 
 
 def _cmd_ablate(cfg: dict, seed: int, run: _Run) -> None:
-    eval_cfg = _eval_config(cfg, seed)
+    eval_cfg = EvalConfig(**_settings(cfg, EVAL_KEYS))
     removals = cfg.get("removals", list(ABLATION_NAMES))
     if "components" in cfg:
         raise ConfigError("ablate: its rows remove seasonals of the standard stack, which 'components' replaces")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bsts.components import STANDARD_STACK, ComponentSpec, assemble_model, regression
 from .bsts.sampler import forecast_anchors, mcmc_fit
-from .casts import class_index, text, write_json
+from .casts import cast_fields, class_index, text, write_json
 from .dataset import STEP, STEPS_PER_DAY, GlucoseSeries, _write_rows
 from .errors import CapacityError, ConfigError, RangeError, SchemaError
 
@@ -42,6 +42,7 @@ class EvalConfig:
     forecast_thin: int = 1
 
     def __post_init__(self) -> None:
+        cast_fields(self)
         if not 0.0 < self.split_ratio < 1.0:
             raise ConfigError("split_ratio must lie in (0, 1)")
         if not self.horizons or any(h < 1 for h in self.horizons):

@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .casts import checked, integer
 from .dataset import GENDER_LEVELS, IMPUTABLE_FEATURES, MARKERS, ClinicalRecord, GlucoseSeries, GlycemicTable
 from .errors import EncodingError, ImputationError, RangeError, SchemaError
 
@@ -112,6 +113,7 @@ def exclude_incomplete(
     imputable features are absent. UA and BUN are cleared on every kept record;
     they are not carried as network variables.
     """
+    max_missing = checked("max_missing", max_missing, integer)  # True would run as 1, 2.5 as a bound
     if max_missing < 0:
         raise RangeError(f"max_missing must be >= 0, got {max_missing}")
     kept: list[ClinicalRecord] = []
@@ -198,6 +200,7 @@ def standardize_encode(records: Sequence[ClinicalRecord], n_bins: int = 4) -> Di
     binary variable (female = 1). Codec metadata is retained so a class can be
     decoded back to a representative original-scale value.
     """
+    n_bins = checked("n_bins", n_bins, integer)
     if n_bins < 2:
         raise RangeError(f"n_bins must be >= 2, got {n_bins}")
     if not records:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Mapping, Optional, Sequence
 
@@ -23,6 +23,7 @@ import numpy as np
 from .bayesnet import _SCORE_EPS, Dag, TabuParams, _FamilyScores, _has_path
 from .bsts.components import StateSpaceModel
 from .bsts.kalman import ParamPoint
+from .casts import cast_fields
 from .dataset import (
     GENDER_LEVELS,
     IMPUTABLE_FEATURES,
@@ -87,10 +88,8 @@ class SynthConfig:
     missing_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        # Checked first, so that the range checks below see numbers: a NaN or infinite setting wrote all-NaN series.
-        for setting in fields(self):
-            if setting.type == "float" and not math.isfinite(getattr(self, setting.name)):
-                raise RangeError(f"{setting.name} must be finite, got {getattr(self, setting.name)}")
+        # Cast first, so that the range checks below see numbers: a NaN or infinite setting wrote all-NaN series.
+        cast_fields(self)
         if self.n_days < 1:
             raise RangeError("n_days must be >= 1")
         if self.n_subjects < 0:

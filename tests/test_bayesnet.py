@@ -489,6 +489,12 @@ class TestBootstrapConsensus:
             with pytest.raises(SchemaError, match=f"^{name} must be an integer"):
                 bootstrap_consensus(data, **{name: bad})
 
+    @pytest.mark.parametrize("bad", ["0.5", True, None])
+    def test_threshold_takes_a_number(self, bad):
+        # "0.5" raised a bare TypeError, and True was read as a threshold of 1.0.
+        with pytest.raises(SchemaError, match="^threshold must be a number"):
+            bootstrap_consensus(chain_dataset(100, seed=0), b=1, threshold=bad)
+
 
 class TestFitParameters:
     @pytest.mark.parametrize("alpha", [-0.5, math.nan, math.inf])
@@ -497,6 +503,13 @@ class TestFitParameters:
         data = dataset({"x": [1, 1, 1, 0]}, cards=(2,))
         with pytest.raises(RangeError, match="alpha must be finite and >= 0"):
             fit_parameters(Dag(("x",)), data, alpha=alpha)
+
+    @pytest.mark.parametrize("bad", ["1", True, None])
+    def test_alpha_takes_a_number(self, bad):
+        # "1" raised a bare TypeError, and True was read as 1.0.
+        data = dataset({"x": [1, 1, 1, 0]}, cards=(2,))
+        with pytest.raises(SchemaError, match="^alpha must be a number"):
+            fit_parameters(Dag(("x",)), data, alpha=bad)
 
     def test_single_binary_node_mle(self):
         data = dataset({"x": [1, 1, 1, 0]}, cards=(2,))

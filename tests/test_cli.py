@@ -4,7 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +12,13 @@ import pytest
 
 import glycast
 from glycast import bayesnet, cli, preprocess, similarity, synth
+from glycast.bsts.components import SpikeSlabSettings, TrendPriors, VariancePrior
+from glycast.casts import FIELD_CASTS, checked, number
 from glycast.cli import main
-from glycast.dataset import MealEvent, load_clinical, load_gl_table, load_timeseries, write_timeseries
+from glycast.dataset import STEP_MINUTES, MealEvent, load_clinical, load_gl_table, load_timeseries, write_timeseries
 from glycast.preprocess import DiscreteDataset, build_meal_regressor
+from glycast.errors import RangeError, SchemaError
+from glycast.evaluate import EvalConfig
 from glycast.synth import dag_enumeration_oracle
 
 
@@ -207,6 +211,80 @@ class TestStage1Config:
             "bootstrap_consensus": {"b": 7, "threshold": 0.6},
             "fit_parameters": {"alpha": 0.5},
         }
+
+
+class TestSettingsCasts:
+    """Each setting's type is its dataclass annotation, read through FIELD_CASTS."""
+
+    UNIT = VariancePrior(1, 1)
+    SETTINGS = {  # each settings dataclass, with the arguments it requires
+        bayesnet.TabuParams: {},
+        synth.SynthConfig: {},
+        EvalConfig: {},
+        VariancePrior: {"df": 1.0, "guess": 1.0},
+        TrendPriors: {"level_var": UNIT, "slope_var": UNIT, "d_mean": 0.0, "d_sd": 1.0},
+        SpikeSlabSettings: {},
+    }
+    NESTED_PRIORS = {(TrendPriors, "level_var"), (TrendPriors, "slope_var")}  # checked by their own class
+
+    def test_every_field_has_a_cast_or_is_a_nested_prior(self):
+        # An annotation outside FIELD_CASTS, say Optional[int], would skip the cast without a word.
+        for settings in self.SETTINGS:
+            for setting in fields(settings):
+                assert setting.type in FIELD_CASTS or (settings, setting.name) in self.NESTED_PRIORS, setting
+
+    def test_every_cast_field_refuses_a_string_by_name(self):
+        for settings, required in self.SETTINGS.items():
+            for setting in fields(settings):
+                if setting.type in FIELD_CASTS:
+                    with pytest.raises(SchemaError, match=f"^{setting.name} must be "):
+                        settings(**{**required, setting.name: "1"})
+
+    def test_wrong_type_is_a_schema_error_and_outside_the_domain_a_range_error(self):
+        with pytest.raises(SchemaError, match="^x must be a number, got '1'$"):
+            checked("x", "1", number)
+        for value in (math.nan, -math.inf, 10**400):
+            with pytest.raises(RangeError, match="^x must be a number, got "):
+                checked("x", value, number)
+        assert checked("x", np.float32(0.5), number) == 0.5 and checked("x", np.int64(3), number) == 3.0
+
+    def test_key_tables_are_the_dataclass_fields(self):
+        assert cli.TABU_KEYS == {f.name: FIELD_CASTS[f.type] for f in fields(bayesnet.TabuParams)}
+        assert cli.EVAL_KEYS == {f.name: FIELD_CASTS[f.type] for f in fields(EvalConfig)}
+        assert set(cli.SYNTH_KEYS) == {
+            "n_subjects", "n_days", "seed", "day_amplitude", "meal_amplitude", "circadian_amplitude", "noise_sd",
+            "latent_share", "latent_sd", "latent_ar", "missing_rate", "egfr_gender_factor",
+        }
+
+    def test_horizon_choices_are_steps_of_the_grid(self):
+        assert cli.HORIZON_MINUTES == {15: 1, 30: 2, 45: 3, 60: 4}
+        assert all(minutes == steps * STEP_MINUTES for minutes, steps in cli.HORIZON_MINUTES.items())
+
+    @pytest.mark.parametrize("value", [10**400, -10**400])
+    def test_config_number_beyond_the_float_range_names_the_key(self, tmp_path, capsys, value):
+        out = tmp_path / "data"
+        cfg = write_config(tmp_path / "synth.json", out_dir=str(out), n_subjects=2, n_days=1, noise_sd=value)
+        assert main(["synth", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"error: config key 'noise_sd' must be a number, got {value!r}\n"
+        assert not out.exists()
+
+    def test_synth_refuses_a_fractional_day_count(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        cfg = write_config(tmp_path / "synth.json", seed=1, out_dir=str(out), n_subjects=2, n_days=2.5)
+        assert main(["synth", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "error: config key 'n_days' must be an integer, got 2.5\n"
+        assert not out.exists()
+
+    def test_evaluate_refuses_a_boolean_donor_count_before_stage1(self, tmp_path, synth_dir, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_stage1", lambda *args: pytest.fail("Stage 1 ran"))
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path / "cfg.json", seed=3, out_dir=str(out), series_dir=str(synth_dir / "series"),
+            clinical_csv=str(synth_dir / "clinical.csv"), m_similar=True,
+        )
+        assert main(["evaluate", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "error: config key 'm_similar' must be an integer, got True\n"
+        assert not out.exists()
 
 
 def read_manifests(out):

@@ -490,3 +490,15 @@ class TestEvalConfig:
             EvalConfig(draws=100, burn=-1)
         with pytest.raises(ConfigError, match="m_similar"):
             EvalConfig(m_similar=0)
+
+    @pytest.mark.parametrize("name", ["draws", "burn", "m_similar", "forecast_thin"])
+    @pytest.mark.parametrize("bad", [20.0, True])
+    def test_integer_settings_take_integers(self, name, bad):
+        # EvalConfig(draws=20.0) and EvalConfig(m_similar=True) were built, and failed, or ran, only later.
+        with pytest.raises(SchemaError, match=f"^{name} must be an integer, got {bad}"):
+            EvalConfig(**{name: bad})
+
+    def test_horizons_take_integers(self):
+        with pytest.raises(SchemaError, match=r"^horizons must be a list of integers, got \(True,\)"):
+            EvalConfig(horizons=(True,))
+        assert EvalConfig(horizons=[np.int64(2), 1]).horizons == (2, 1)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glycast.dataset import IMPUTABLE_FEATURES
-from glycast.errors import EncodingError, ImputationError, FoodLookupError, RangeError
+from glycast.errors import EncodingError, ImputationError, FoodLookupError, RangeError, SchemaError
 from glycast.preprocess import (
     build_meal_regressor,
     exclude_incomplete,
@@ -46,6 +46,12 @@ class TestExclusion:
 
     def test_empty_input(self):
         assert exclude_incomplete([]) == ([], [])
+
+    @pytest.mark.parametrize("bad", [True, 2.5, "3"])
+    def test_max_missing_takes_an_integer(self, complete_record, bad):
+        # max_missing=True ran as 1, and 2.5 was taken as a bound without complaint.
+        with pytest.raises(SchemaError, match="^max_missing must be an integer"):
+            exclude_incomplete([complete_record()], max_missing=bad)
 
 
 class TestImputation:
@@ -105,6 +111,13 @@ def records_with_column(values, complete_record):
 
 
 class TestStandardizeEncode:
+    @pytest.mark.parametrize("bad", [2.0, True, "4"])
+    def test_n_bins_takes_an_integer(self, complete_record, bad):
+        # n_bins=2.0 raised a bare TypeError from the quantile edges.
+        records = [complete_record(f"P{i}", hba1c=5.0 + i) for i in range(8)]
+        with pytest.raises(SchemaError, match="^n_bins must be an integer"):
+            standardize_encode(records, n_bins=bad)
+
     def test_quartile_classes(self, complete_record):
         records = records_with_column(range(1, 9), complete_record)
         data = standardize_encode(records, n_bins=4)

@@ -8,7 +8,7 @@ import pytest
 from glycast.bayesnet import bic_score
 from glycast.bsts import ParamPoint, assemble_model, semi_local_trend
 from glycast.cli import main
-from glycast.errors import CapacityError, RangeError
+from glycast.errors import CapacityError, RangeError, SchemaError
 from glycast.preprocess import DiscreteDataset, build_meal_regressor
 from glycast.synth import (
     CGM_CLIP,
@@ -77,6 +77,22 @@ class TestSynthConfig:
         # mid-draw with numpy's bare "ValueError: scale < 0", or would flip gen_clinical's eGFR noise silently.
         with pytest.raises(RangeError):
             SynthConfig(**setting)
+
+    @pytest.mark.parametrize(
+        "name, bad",
+        [("n_days", True), ("n_days", 2.5), ("n_subjects", 2.0), ("seed", 1.5), ("egfr_gender_factor", 1)],
+    )
+    def test_settings_take_their_annotated_types(self, name, bad):
+        # n_days=True generated one-day series; 2.5, 2.0 and 1.5 failed inside numpy with bare TypeErrors.
+        with pytest.raises(SchemaError, match=f"^{name} must be "):
+            SynthConfig(**{name: bad})
+
+    def test_numpy_integers_generate_the_same_bytes(self):
+        plain = SynthConfig(n_subjects=3, n_days=2, seed=4)
+        numpy = SynthConfig(n_subjects=np.int64(3), n_days=np.int64(2), seed=np.int64(4), noise_sd=np.float32(5.0))
+        assert numpy == plain and type(numpy.n_days) is int and type(numpy.noise_sd) is float
+        for generate in (gen_clinical, gen_cgm_series):
+            assert repr(generate(numpy)) == repr(generate(plain))
 
 
 class TestGenClinical:
