@@ -42,7 +42,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .casts import cast_fields, checked, integer, load_json, number, objects, read, string, strings, text
-from .dataset import _read_rows
+from .dataset import MARKERS, _read_rows
 from .errors import CapacityError, GlycastError, InferenceError, RangeError, SchemaError
 from .preprocess import DiscreteDataset
 
@@ -805,18 +805,16 @@ def infer_markers(
     """Posteriors and expected mg/dL values for the FPG and 2HPP markers.
 
     One elimination gives the markers' posterior joint (`_eliminate` with
-    targets fpg, hpp2); the two posteriors are its row and column sums. The
+    targets `dataset.MARKERS`); the two posteriors are its row and column sums. The
     posteriors and expectations are kept with the cached joint, so a cache
     hit returns copies of them. `_eliminate` raises SchemaError when the
     model has no fpg or hpp2 node or the evidence names one.
     """
-    posterior = _eliminate(model, ("fpg", "hpp2"), evidence)
+    posterior = _eliminate(model, MARKERS, evidence)
     if posterior.markers is None:
-        fpg_posterior = posterior.joint.sum(axis=1)
-        hpp2_posterior = posterior.joint.sum(axis=0)
-        fpg_hat = float(np.dot(fpg_posterior, model.representative_values("fpg")))
-        hpp2_hat = float(np.dot(hpp2_posterior, model.representative_values("hpp2")))
-        posterior.markers = fpg_posterior, hpp2_posterior, fpg_hat, hpp2_hat
+        marginals = posterior.joint.sum(axis=1), posterior.joint.sum(axis=0)
+        hats = (float(np.dot(p, model.representative_values(name))) for p, name in zip(marginals, MARKERS))
+        posterior.markers = *marginals, *hats
     fpg_posterior, hpp2_posterior, fpg_hat, hpp2_hat = posterior.markers
     return fpg_posterior.copy(), hpp2_posterior.copy(), fpg_hat, hpp2_hat
 

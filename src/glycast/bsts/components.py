@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..casts import cast_fields, integer, integers, number, read, string
+from ..casts import cast_fields, only_keys, read_fields
 from ..errors import RangeError, SchemaError
 
 MAX_HORIZON = 96  # longest posterior_forecast, in steps: one day, an input limit
@@ -109,28 +109,19 @@ class ComponentSpec:
     spike_slab: Optional[SpikeSlabSettings] = None
 
     def __post_init__(self) -> None:
-        """SchemaError unless a seasonal holds integers (as they are) that tile its cycle from a phase inside it."""
+        """Cast each field (`cast_fields`); SchemaError unless a seasonal's durations tile its cycle from its phase."""
+        cast_fields(self)
         if self.kind != "seasonal":
             return
         name = self.name
-        try:
-            n_seasons, phase = integer(self.n_seasons), integer(self.phase)
-            durations = tuple(map(integer, self.durations))
-        except (TypeError, ValueError):
-            raise SchemaError(
-                f"seasonal {name!r}: n_seasons, durations and phase must be integers, "
-                f"got {self.n_seasons!r}, {self.durations!r}, {self.phase!r}"
-            ) from None
-        if n_seasons < 2:
+        if self.n_seasons < 2:
             raise SchemaError(f"seasonal {name!r}: n_seasons must be >= 2")
-        if len(durations) != n_seasons:
-            raise SchemaError(f"seasonal {name!r}: {len(durations)} durations do not tile {n_seasons} seasons")
-        if any(d < 1 for d in durations):
+        if len(self.durations) != self.n_seasons:
+            count = len(self.durations)
+            raise SchemaError(f"seasonal {name!r}: {count} durations do not tile {self.n_seasons} seasons")
+        if any(d < 1 for d in self.durations):
             raise SchemaError(f"seasonal {name!r}: durations must all be >= 1")
-        object.__setattr__(self, "n_seasons", n_seasons)
-        object.__setattr__(self, "durations", durations)
-        object.__setattr__(self, "phase", phase)
-        if not 0 <= phase < self.cycle:
+        if not 0 <= self.phase < self.cycle:
             raise SchemaError(f"seasonal {name!r}: phase must lie in 0..{self.cycle - 1}")
 
     @property
@@ -178,32 +169,22 @@ def check_stack(specs: Sequence[ComponentSpec]) -> None:
 
 
 def specs_from_json(payload: dict) -> list[ComponentSpec]:
-    """Parse a {components: [...], priors by component} document into specs.
+    """Parse a {components: [...]} document into specs, each object read off its dataclass by `casts.read_fields`.
 
-    Seasonal entries carry name/n_seasons/durations/phase and an optional
-    var_prior {df, guess}; the trend entry may carry level/slope variance
-    priors plus d/phi hyperparameters; a regression entry carries only
-    optional spike_slab settings, since its columns are the donors' design
-    (see `regression`), and one that lists `columns` is refused. An entry
-    that is not a JSON object or names an unknown kind raises SchemaError
-    naming the entry and that rule; one that lacks a key, holds a value of
-    the wrong type or is a seasonal that cannot tile its cycle raises
-    SchemaError naming the entry as malformed, and a stack that
-    `check_stack` refuses raises its SchemaError. Counts, durations and
-    phases take JSON integers, the priors finite JSON numbers and a name a
-    string, each read by `glycast.casts.read` as the config keys are.
+    A seasonal entry holds `ComponentSpec`'s n_seasons and durations
+    (required), name (seasonal_<i> by default), phase and an optional
+    var_prior, a `VariancePrior`; a trend entry optional priors, a
+    `TrendPriors` whose level and slope are variance priors; a regression
+    entry an optional spike_slab, a `SpikeSlabSettings`, since its columns
+    are the donors' design (see `regression`), and one that lists `columns`
+    is refused. An entry that is not a JSON object or names an unknown kind
+    raises SchemaError naming the entry and that rule; one that lacks a key,
+    holds an unknown key or a value of the wrong type, or is a seasonal that
+    cannot tile its cycle raises SchemaError naming the entry as malformed,
+    and a stack that `check_stack` refuses raises its SchemaError.
     """
     if "components" not in payload or not isinstance(payload["components"], list):
         raise SchemaError("component document requires a 'components' list")
-
-    def var_prior(entry: Optional[dict]) -> Optional[VariancePrior]:
-        if entry is None:
-            return None
-        try:
-            df, guess = number(entry["df"]), number(entry["guess"])
-        except (TypeError, ValueError, OverflowError):  # the prior's own rule, as VariancePrior states it
-            raise ValueError(f"variance prior requires finite positive df and guess, got {entry!r}") from None
-        return VariancePrior(df=df, guess=guess)
 
     specs: list[ComponentSpec] = []
     for i, entry in enumerate(payload["components"]):
@@ -214,39 +195,27 @@ def specs_from_json(payload: dict) -> list[ComponentSpec]:
             raise SchemaError(f"component {i}: unknown kind {kind!r}")
         try:
             if kind == "semi_local_trend":
-                priors = None
+                only_keys(entry, ("kind", "priors"))
                 raw = entry.get("priors")
+                priors = None
                 if raw is not None:
-                    priors = TrendPriors(
-                        level_var=var_prior(raw["level"]),
-                        slope_var=var_prior(raw["slope"]),
-                        d_mean=read(raw, "d_mean", number),
-                        d_sd=read(raw, "d_sd", number),
-                        phi_mean=read(raw, "phi_mean", number, 0.0),
-                        phi_sd=read(raw, "phi_sd", number, 0.5),
-                    )
+                    level, slope = (read_fields(VariancePrior, raw[key]) for key in ("level", "slope"))
+                    priors = read_fields(TrendPriors, raw, ("level", "slope"), level_var=level, slope_var=slope)
                 specs.append(semi_local_trend(priors))
             elif kind == "seasonal":
-                specs.append(
-                    seasonal(
-                        name=read(entry, "name", string, f"seasonal_{i}"),
-                        n_seasons=read(entry, "n_seasons", integer),
-                        durations=read(entry, "durations", integers),
-                        phase=read(entry, "phase", integer, 0),
-                        var_prior=var_prior(entry.get("var_prior")),
-                    )
-                )
+                for key in ("n_seasons", "durations"):  # required here, though ComponentSpec defaults them
+                    if key not in entry:
+                        raise KeyError(key)
+                raw = entry.get("var_prior")
+                prior = None if raw is None else read_fields(VariancePrior, raw)
+                document = {"name": f"seasonal_{i}", **entry}
+                specs.append(read_fields(ComponentSpec, document, ("var_prior",), var_prior=prior))
             else:  # a regression
                 if "columns" in entry:
                     raise ValueError("a regression takes no 'columns': its columns are the donors' design")
+                only_keys(entry, ("kind", "spike_slab"))
                 raw = entry.get("spike_slab")
-                settings = None
-                if raw is not None:
-                    settings = SpikeSlabSettings(
-                        expected_model_size=read(raw, "expected_model_size", number, 2.0),
-                        information_weight=read(raw, "information_weight", number, 0.5),
-                    )
-                specs.append(regression(settings))
+                specs.append(regression(None if raw is None else read_fields(SpikeSlabSettings, raw)))
         except KeyError as exc:
             raise SchemaError(f"component {i}: missing key {exc}") from None
         except (AttributeError, TypeError, ValueError) as exc:

@@ -7,8 +7,9 @@ range) for one outside the type's domain; `checked` turns these into a
 SchemaError and a RangeError naming the value and the cast's description, for
 `read` a config key, for a library function its argument and for a settings
 dataclass its field. `FIELD_CASTS` holds the cast of each settings field's
-annotation, and `cast_fields` applies them. No JSON cast truncates or parses
-a string, and only `boolean` reads a boolean, which Python counts as an int.
+annotation: `cast_fields` applies them to an instance, and `read_fields`
+builds an instance from a JSON object. No JSON cast truncates or parses a
+string, and only `boolean` reads a boolean, which Python counts as an int.
 The cell casts, `text` to `class_index`, read CSV cells for
 `glycast.dataset._read_rows`, and each one's `FORMATS` entry writes the cell
 it reads back, for `glycast.dataset._write_rows`. Every JSON document glycast writes goes through
@@ -21,7 +22,7 @@ import json
 import math
 import numbers
 import operator
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from datetime import datetime
 from pathlib import Path
 
@@ -144,7 +145,7 @@ def checked(name: str, value, cast):
 
 # The cast of each settings field's annotation as written: the settings modules
 # import `annotations` from __future__, so a field's type is this string.
-FIELD_CASTS = {"int": integer, "float": number, "bool": boolean, "tuple[int, ...]": integers}
+FIELD_CASTS = {"int": integer, "float": number, "bool": boolean, "str": string, "tuple[int, ...]": integers}
 
 
 def cast_fields(settings) -> None:
@@ -168,6 +169,31 @@ def read(document, key: str, cast, default=None):
     <description>, got <value>" for a value the cast refuses.
     """
     return checked(repr(key), document[key] if default is None else document.get(key, default), cast)
+
+
+def only_keys(document, keys) -> None:
+    """TypeError unless `document` is a JSON object, ValueError "unknown key '<key>'" for a key not in `keys`."""
+    if not isinstance(document, dict):
+        raise TypeError(f"expected a JSON object, got {document!r}")
+    unknown = [key for key in document if key not in keys]
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}")
+
+
+def read_fields(settings, document, keys=(), **nested):
+    """The dataclass `settings` built from the JSON object `document`, each field FIELD_CASTS annotates read by `read`.
+
+    A field the document lacks keeps its default; one without a default
+    raises KeyError, which the caller words. `nested` passes the other
+    fields, which the caller read from the document's `keys`; `only_keys`
+    refuses any other key.
+    """
+    annotated = [setting for setting in fields(settings) if setting.type in FIELD_CASTS]
+    only_keys(document, {setting.name for setting in annotated} | set(keys))
+    return settings(**nested, **{
+        setting.name: read(document, setting.name, FIELD_CASTS[setting.type])
+        for setting in annotated if setting.name in document or setting.default is MISSING
+    })
 
 
 def load_json(path: Path | str) -> dict:

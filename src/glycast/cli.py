@@ -127,15 +127,22 @@ class _Run:
         series = {}
         if "series_dir" in cfg:
             series = {path.stem: path for path in sorted(self.path(cfg["series_dir"], record=False).glob("*.csv"))}
-        listed: dict[str, Path] = {}
-        for path in (self.path(raw, record=False) for raw in cfg.get("series", [])):
-            first = listed.setdefault(path.stem, path)
-            if first is not path:
-                raise ConfigError(f"{self.command}: series {first} and {path} are both subject {path.stem}")
-        series.update(listed)
+        series.update(self.by_subject(cfg, "series", record=False))
         if not series:
             raise ConfigError(f"{self.command}: no time series supplied (series_dir or series)")
         return series
+
+    def by_subject(self, cfg: dict, key: str, record: bool = True) -> dict[str, Path]:
+        """subject_id (the file stem) -> path of each file `cfg[key]` lists, checked to exist, in list order.
+
+        Two entries with the same stem are refused (ConfigError).
+        """
+        listed: dict[str, Path] = {}
+        for path in (self.path(raw, record) for raw in cfg.get(key) or ()):
+            first = listed.setdefault(path.stem, path)
+            if first is not path:
+                raise ConfigError(f"{self.command}: {key} {first} and {path} are both subject {path.stem}")
+        return listed
 
     def series(self, path: Path) -> GlucoseSeries:
         """The series at `path`, read on first use and recorded as an input; later calls reuse it."""
@@ -288,9 +295,27 @@ def _tester_designs(cfg: dict, seed: int, run: _Run, m: int):
         yield tester, ForecastPipeline(regressors=regressors, regressor_names=names, specs=specs), selection
 
 
+def _annotations(cfg: dict, run: _Run) -> dict:
+    """The `annotations_csv` arcs, or none; SchemaError for a row on a variable the network lacks or a self-arc.
+
+    `load_arc_annotations` keeps one arc a row, in row order, so an arc's place is its row.
+    """
+    if "annotations_csv" not in cfg:
+        return {}
+    path = run.path(cfg["annotations_csv"])
+    annotations = bayesnet.load_arc_annotations(path)
+    for i, (u, v) in enumerate(annotations):
+        unknown = [name for name in (u, v) if name not in preprocess.ENCODED_FEATURES]
+        if unknown:
+            raise SchemaError(f"{path}: row {i}: {unknown[0]!r} is not a variable of the network")
+        if u == v:
+            raise SchemaError(f"{path}: row {i}: self-arc on {u!r}")
+    return annotations
+
+
 def _cmd_learn(cfg: dict, seed: int, run: _Run) -> None:
     records = load_clinical(run.required(cfg, "clinical_csv"))
-    annotations = bayesnet.load_arc_annotations(run.path(cfg["annotations_csv"])) if "annotations_csv" in cfg else {}
+    annotations = _annotations(cfg, run)
     report, imputed, encoded = _encode(cfg, records)
     strengths, consensus, model = _learn_network(cfg, encoded, seed)
     model = replace(model, annotations={a: c for a, c in annotations.items() if a in consensus.arcs})
@@ -313,12 +338,16 @@ def _cmd_forecast(cfg: dict, seed: int, run: _Run) -> None:
     if not 1 <= horizon <= MAX_HORIZON:
         raise ConfigError(f"config key 'horizon_steps' must lie in 1..{MAX_HORIZON}, got {horizon}")
     eval_cfg = EvalConfig(**_settings(cfg, EVAL_KEYS))
-    series = load_timeseries(run.required(cfg, "series_csv"))
+    tester = run.required(cfg, "series_csv")
+    donor_paths = run.by_subject(cfg, "similar_series")
+    if tester.stem in donor_paths:
+        raise ConfigError(f"forecast: similar_series {donor_paths[tester.stem]} is the tester, subject {tester.stem}")
+    series = load_timeseries(tester)
 
     regressors = None
     names: tuple[str, ...] = ()
-    if cfg.get("similar_series"):
-        donors = [load_timeseries(run.path(raw)) for raw in cfg["similar_series"]]
+    if donor_paths:
+        donors = [load_timeseries(path) for path in donor_paths.values()]
         # Rows n..n+h-1 are the future rows, read from the donors at the forecast times of day.
         regressors, names = _design(series, donors, run.gl_table(cfg), len(series) + horizon)
 

@@ -42,6 +42,7 @@ UMOL_PER_MGDL_CR = 88.4
 CGM_CLIP = (39.6, 468.0)
 
 MEAL_GRID_MINUTES = (7 * 60, 12 * 60, 18 * 60)  # 07:00, 12:00, 18:00
+ENUMERATION_NODES = 5  # dag_enumeration_oracle's guard: 29,281 DAGs on five nodes
 
 
 def mdrd_egfr(cr_mgdl: float, age: float, gender: str, ethnicity: str = "other") -> float:
@@ -322,16 +323,15 @@ def enumerate_dags(nodes: Sequence[str]):
             continue  # cyclic orientation
 
 
-def dag_enumeration_oracle(data: DiscreteDataset, max_nodes: int = 5) -> Dag:
+def dag_enumeration_oracle(data: DiscreteDataset) -> Dag:
     """Exhaustively score every DAG with BIC and return the best.
 
-    Ties break toward the lexicographically smallest arc set.
+    Ties break toward the lexicographically smallest arc set. CapacityError
+    for more than ENUMERATION_NODES variables.
     """
     p = len(data.variables)
-    if max_nodes > 5:
-        raise CapacityError("enumeration oracle is limited to 5 nodes")
-    if p > max_nodes:
-        raise CapacityError(f"{p} variables exceed the {max_nodes}-node enumeration guard")
+    if p > ENUMERATION_NODES:
+        raise CapacityError(f"{p} variables exceed the {ENUMERATION_NODES}-node enumeration guard")
     scorer = _FamilyScores(data)
     best: Optional[Dag] = None
     best_key: Optional[tuple] = None
@@ -635,17 +635,14 @@ def simulate_from_model(
     n: int,
     rng: np.random.Generator,
     x: Optional[np.ndarray] = None,
-    sample_initial_state: bool = True,
 ) -> np.ndarray:
-    """Simulate a series of length n from the assembled state space."""
+    """Simulate a series of length n from the assembled state space, from an initial state drawn from (a1, p1_diag)."""
     level_var = params.sigma_level**2
     slope_var = params.sigma_slope**2
     seasonal_vars = [s**2 for s in params.sigma_seasonal]
     c = model.state_intercept(params.d, params.phi)
     offsets = model.observation_offsets(params.beta, x, n)
-    alpha = model.a1.copy()
-    if sample_initial_state:
-        alpha = alpha + np.sqrt(model.p1_diag) * rng.standard_normal(alpha.size)
+    alpha = model.a1 + np.sqrt(model.p1_diag) * rng.standard_normal(model.a1.size)
     out = np.empty(n)
     for t in range(n):
         out[t] = model.z @ alpha + offsets[t] + params.sigma_obs * rng.standard_normal()

@@ -305,13 +305,19 @@ class TestVarianceConditional:
 
 
 @pytest.mark.parametrize(
-    "n_seasons, durations, phase",
-    [(2, (1.5, 1), 0), (2.0, (1, 1), 0), (2, (1, 1), 0.5), (2, (1, True), 0), (2, "11", 0)],
+    "n_seasons, durations, phase, message",
+    [
+        (2, (1.5, 1), 0, "durations must be a list of integers, got (1.5, 1)"),
+        (2.0, (1, 1), 0, "n_seasons must be an integer, got 2.0"),
+        (2, (1, 1), 0.5, "phase must be an integer, got 0.5"),
+        (2, (1, True), 0, "durations must be a list of integers, got (1, True)"),
+        (2, "11", 0, "durations must be a list of integers, got '11'"),
+    ],
     ids=["fractional-duration", "float-count", "fractional-phase", "boolean-duration", "string-durations"],
 )
-def test_seasonal_takes_integers_as_they_are(n_seasons, durations, phase):
+def test_seasonal_takes_integers_as_they_are(n_seasons, durations, phase, message):
     # int() made durations (1.5, 1) the 2-step cycle (1, 1).
-    with pytest.raises(SchemaError, match="seasonal 'd': n_seasons, durations and phase must be integers"):
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
         seasonal("d", n_seasons, durations, phase)
     assert seasonal("d", np.int64(2), [np.int64(3), 1], 1).durations == (3, 1)
 
@@ -366,7 +372,7 @@ class TestSpecsFromJson:
         "entry, message",
         [
             ('{"kind": "seasonal", "n_seasons": 2, "durations": [1, 1], "var_prior": {"df": "1", "guess": 1}}',
-             "variance prior requires finite positive df and guess"),
+             "'df' must be a number, got '1'"),
             ('{"kind": "semi_local_trend", "priors": {"level": {"df": 1, "guess": 1}, '
              '"slope": {"df": 1, "guess": 1}, "d_mean": "0", "d_sd": 1}}', "'d_mean' must be a number, got '0'"),
             ('{"kind": "semi_local_trend", "priors": {"level": {"df": 1, "guess": 1}, '
@@ -384,6 +390,46 @@ class TestSpecsFromJson:
         payload = json.loads(f'{{"components": [{{"kind": "semi_local_trend"}}, {entry}]}}')
         with pytest.raises(SchemaError, match=re.escape(f"component 1: malformed entry: {message}")):
             specs_from_json(payload)
+
+    TREND_PRIORS = {"level": {"df": 1, "guess": 1}, "slope": {"df": 1, "guess": 1}, "d_mean": 0, "d_sd": 1}
+
+    @pytest.mark.parametrize(
+        "entry, key",
+        [
+            ({"kind": "seasonal", "n_seasons": 2, "durations": [1, 1], "phse": 1}, "phse"),
+            ({"kind": "semi_local_trend", "prior": {}}, "prior"),
+            ({"kind": "regression", "spike_slabs": {}}, "spike_slabs"),
+            ({"kind": "semi_local_trend", "priors": {**TREND_PRIORS, "phi_sdd": 0.1}}, "phi_sdd"),
+            ({"kind": "semi_local_trend", "priors": {**TREND_PRIORS, "level": {"df": 1, "guess": 1, "mean": 0}}}, "mean"),
+            ({"kind": "semi_local_trend", "priors": {**TREND_PRIORS, "slope": {"df": 1, "guess": 1, "sd": 1}}}, "sd"),
+            ({"kind": "seasonal", "n_seasons": 2, "durations": [1, 1], "var_prior": {"df": 1, "gues": 1}}, "gues"),
+            ({"kind": "regression", "spike_slab": {"expected_size": 1.0}}, "expected_size"),
+        ],
+        ids=["seasonal", "trend", "regression", "priors", "level", "slope", "var_prior", "spike_slab"],
+    )
+    def test_unknown_key_is_refused(self, entry, key):
+        # A misspelled key was ignored, and its field kept the default without a word.
+        from glycast.bsts import specs_from_json
+
+        with pytest.raises(SchemaError) as caught:
+            specs_from_json({"components": [{"kind": "semi_local_trend"}, entry]})
+        assert str(caught.value) == f"component 1: malformed entry: unknown key {key!r}"
+
+    @pytest.mark.parametrize(
+        "entry, value",
+        [
+            ({"kind": "seasonal", "n_seasons": 2, "durations": [1, 1], "var_prior": "x"}, "'x'"),
+            ({"kind": "semi_local_trend", "priors": {**TREND_PRIORS, "level": None}}, "None"),
+        ],
+        ids=["var_prior-string", "level-null"],
+    )
+    def test_prior_must_be_an_object(self, entry, value):
+        # A null level prior built TrendPriors(level_var=None), and the fit failed on it with an AttributeError.
+        from glycast.bsts import specs_from_json
+
+        with pytest.raises(SchemaError) as caught:
+            specs_from_json({"components": [entry]})
+        assert str(caught.value) == f"component 0: malformed entry: expected a JSON object, got {value}"
 
     def test_invalid_documents(self):
         from glycast.bsts import specs_from_json

@@ -789,6 +789,30 @@ class TestErrorHandling:
         assert err.startswith("error: ") and "tester S000 and donor S001" in err
         assert not (tmp_path / "o" / "forecast_S000.csv").exists()
 
+    @pytest.mark.parametrize(
+        "donors, message",
+        [
+            (["S000", "S001"], "similar_series {S000} is the tester, subject S000"),
+            (["S001", "S002", "S001"], "similar_series {S001} and {S001} are both subject S001"),
+        ],
+        ids=["tester", "repeated"],
+    )
+    def test_bad_donor_list_refused(self, tmp_path, synth_dir, capsys, monkeypatch, donors, message):
+        # The tester's own readings, or a second copy of a donor, became columns of the regression's design.
+        def unfitted(*args, **kwargs):
+            raise AssertionError("fitted a refused donor list")
+
+        monkeypatch.setattr(cli.ForecastPipeline, "fit", unfitted)
+        paths = {sid: str(synth_dir / "series" / f"{sid}.csv") for sid in ("S000", "S001", "S002")}
+        out = tmp_path / "o"
+        cfg = write_config(
+            tmp_path / "fc.json", seed=0, out_dir=str(out), series_csv=paths["S000"],
+            similar_series=[paths[sid] for sid in donors], draws=20, burn=5,
+        )
+        assert main(["forecast", "--config", cfg, "--horizon", "15"]) == 2
+        assert capsys.readouterr().err == f"error: forecast: {message.format(**paths)}\n"
+        assert not out.exists()
+
     def test_malformed_component_document(self, tmp_path, synth_dir, capsys):
         cfg = write_config(
             tmp_path / "fc.json", seed=0, out_dir=str(tmp_path / "o"),
@@ -832,7 +856,7 @@ class TestErrorHandling:
         )
         assert main(["forecast", "--config", cfg, "--horizon", "15"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: component 1: malformed entry") and "finite positive df and guess" in err
+        assert err.startswith("error: component 1: malformed entry") and "'guess' must be a number, got nan" in err
 
     @pytest.mark.parametrize(
         "key, value, expected",
@@ -1241,6 +1265,32 @@ class TestLearnCommand:
         written = {p.name for p in out.iterdir()}
         assert written == {"exclusions.jsonl", "clinical_clean.csv", "network.json", "cpts.json", "manifests.jsonl"}
         assert load_clinical(out / "clinical_clean.csv") == cli._encode({}, load_clinical(synth_dir / "clinical.csv"))[1]
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("hba1c,fpgg,causal", "row 1: 'fpgg' is not a variable of the network"),
+            ("bmi2,fpg,causal", "row 1: 'bmi2' is not a variable of the network"),
+            ("fpg,fpg,causal", "row 1: self-arc on 'fpg'"),
+        ],
+        ids=["unknown-to", "unknown-from", "self-arc"],
+    )
+    def test_annotation_on_unknown_variable_refused(self, tmp_path, synth_dir, capsys, monkeypatch, row, message):
+        # A row naming no variable of the network was dropped without a word.
+        def unsearched(*args, **kwargs):
+            raise AssertionError("ran the bootstrap on a refused annotation")
+
+        monkeypatch.setattr(bayesnet, "bootstrap_consensus", unsearched)
+        annotations = tmp_path / "annotations.csv"
+        annotations.write_text(f"from,to,category\nhba1c,fpg,causal\n{row}\n", encoding="utf-8")
+        out = tmp_path / "learned"
+        cfg = write_config(
+            tmp_path / "learn.json", seed=0, out_dir=str(out), clinical_csv=str(synth_dir / "clinical.csv"),
+            annotations_csv=str(annotations), bootstrap=2,
+        )
+        assert main(["learn", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"error: {annotations}: {message}\n"
+        assert not out.exists()
 
     def test_json_lines_files_hold_one_sorted_object_per_line(self, tmp_path):
         data, out = tmp_path / "data", tmp_path / "learned"
