@@ -1,32 +1,35 @@
 """Discrete Bayesian network learning and inference over encoded clinical data.
 
-Structure search is score-based hill climbing with a tabu memory of visited
-structures, scored by BIC. The search is incremental: BIC decomposes over
-families, so each node keeps the scores of its own family and of every family
-one parent away (its neighbourhood), and a move rescores only the nodes whose
-parents it changed. A neighbourhood is scored in two steps: a plan that does
-not depend on the data (the families' code weights and segment starts), built
-once per bootstrap for each (node, parent set) the searches visit, then one
-count over a resample. A resample is a row multiplicity: the count reads each
-row drawn at least once, once, weighted by how often it was drawn, so it
-gives the same integer cell counts, and the same scores to the bit, as a
-count over the copied rows. Codes come from one float32 product, exact
-because a plan refuses a batch of 2**24 cells or more. A search keeps every
-neighbourhood it scored, so returning to a parent set costs no count, and it
-keeps the number of directed paths between every two nodes, so an add that
-would close a cycle is never a candidate. Ties within _SCORE_EPS go to the
-smallest (move kind, arc), whatever the order candidates come in. Robustness
-comes from bootstrap resampling: the fraction of resampled networks
-containing a directed arc is that arc's strength, and the consensus network
-keeps arcs at or above a strength threshold. Parameters are multinomial MLE
-with optional Laplace smoothing. Inference is exact variable elimination by
-one routine: `infer_markers` takes the FPG and 2HPP posteriors as the
-marginals of their joint, and `infer_posterior` asks it for one target. A
-posterior depends only on the evidence in CPTs that also hold an unobserved
-variable, so the model caches each elimination by those values: subjects
-whose evidence differs only in fully observed families share one
-elimination, and read the same posterior to the bit; `infer_markers` keeps
-its marginals and expectations with the cached joint.
+Every count of Stage 1 goes through one scorer, `_FamilyScores`: the search's
+neighbourhoods, the BIC of a family and the cells of a CPT. It counts a
+batch of families with one bincount over their configuration codes, which
+come from one float32 product, exact because a batch of 2**24 cells or more
+is refused. Structure search is score-based hill climbing with a tabu memory
+of visited structures, scored by BIC, and knows only its walk. BIC
+decomposes over families, so each node keeps the scores of its own family
+and of every family one parent away (its neighbourhood), and a move asks the
+scorer again only for the nodes whose parents it changed. A neighbourhood's
+plan (the families' code weights and segment starts) does not depend on the
+data, so the resamples of one bootstrap share it. A resample is a row
+multiplicity: the count reads each row drawn at least once, once, weighted
+by how often it was drawn, so it gives the same integer cell counts, and
+the same scores to the bit, as a count over the copied rows. The scorer
+keeps every neighbourhood it counted, so returning to a parent set costs no
+count, and the search keeps the number of directed paths between every two
+nodes, so an add that would close a cycle is never a candidate. Ties within
+_SCORE_EPS go to the smallest (move kind, arc), whatever the order
+candidates come in. Robustness comes from bootstrap resampling: the fraction
+of resampled networks containing a directed arc is that arc's strength, and
+the consensus network keeps arcs at or above a strength threshold.
+Parameters are multinomial MLE with optional Laplace smoothing, from the
+scorer's cell counts. Inference is exact variable elimination by one
+routine: `infer_markers` takes the FPG and 2HPP posteriors as the marginals
+of their joint, and `infer_posterior` asks it for one target. A posterior
+depends only on the evidence in CPTs that also hold an unobserved variable,
+so the model caches each elimination by those values: subjects whose
+evidence differs only in fully observed families share one elimination, and
+read the same posterior to the bit; `infer_markers` keeps its marginals and
+expectations with the cached joint.
 """
 
 from __future__ import annotations
@@ -160,22 +163,24 @@ def _family_plan(cards: np.ndarray, node: int, parent_sets: Sequence[tuple[int, 
 
 
 class _FamilyScores:
-    """Caching BIC family scorer over one DiscreteDataset, its rows weighted.
+    """Stage 1's one counter: BIC family scores and CPT cell counts over one DiscreteDataset, its rows weighted.
 
     Row i counts `multiplicity[i]` times (once each when None): a bootstrap
-    resample is the multiplicity of each row it drew. Only the rows with a
-    nonzero multiplicity are kept, and the BIC n is the total multiplicity.
-    `codes` gives the offset configuration codes of a plan's families, and
-    `counted` scores them from a single np.bincount over those codes,
-    weighted by the rows' multiplicities, which gives the integer cell
-    counts of the copied rows exactly. `families` scores one node under
-    several parent sets through the plan of that batch, and `family` is the
-    one-set, by-name form. Either way a family's score is computed with the
-    same operations: c*ln(c) of every cell and of every row total, read from
-    a table over 0..n, and summed per family by one np.add.reduceat over the
-    cells and one over the rows of the whole batch. reduceat sums each
-    family's segment on its own, so a score does not depend on the batch it
-    came from.
+    resample is the multiplicity of each row it drew, and `resample` gives
+    another resample's scores, sharing the neighbourhood plans. Only the
+    rows with a nonzero multiplicity are kept, and the BIC n is the total
+    multiplicity. Every count is `cells`: one np.bincount over a plan's
+    offset configuration codes, weighted by the rows' multiplicities, which
+    gives the integer cell counts of the copied rows exactly. From it
+    `counted` scores a plan's families, `families` one node under several
+    parent sets (cached per set) and `family` one set by name;
+    `neighbourhood` answers `tabu_search`'s neighbourhood of a node under its
+    parents (cached per parent set), and `table` a CPT's cells. A family's
+    score is computed with the same operations whatever asks for it: c*ln(c)
+    of every cell and of every row total, read from a table over 0..n, and
+    summed per family by one np.add.reduceat over the cells and one over the
+    rows of the whole batch. reduceat sums each family's segment on its own,
+    so a score does not depend on the batch it came from.
     """
 
     def __init__(self, data: DiscreteDataset, multiplicity: Optional[np.ndarray] = None):
@@ -184,7 +189,7 @@ class _FamilyScores:
             raise SchemaError("one multiplicity per row expected")
         n = int(multiplicity.sum())
         if n == 0:
-            raise SchemaError("cannot score an empty dataset")
+            raise SchemaError("cannot count an empty dataset")
         self.data = data
         self.log_n = math.log(n)
         counts = np.arange(n + 1)
@@ -199,6 +204,15 @@ class _FamilyScores:
         self._row_weights = multiplicity[drawn].astype(np.float64)
         self._cards = np.asarray(data.cards, np.int64)
         self._cache: dict[tuple[int, tuple[int, ...]], float] = {}
+        # (node, own parent set) -> its neighbourhood's plan and the node's non-parents, then its answer
+        self._neighbourhood_plans: dict[tuple[int, tuple[int, ...]], tuple[_FamilyPlan, list[int]]] = {}
+        self._neighbourhoods: dict[tuple[int, tuple[int, ...]], tuple[float, np.ndarray, np.ndarray]] = {}
+
+    def resample(self, multiplicity: np.ndarray) -> _FamilyScores:
+        """The scores of this dataset's rows weighted by `multiplicity`, sharing this object's neighbourhood plans."""
+        scores = _FamilyScores(self.data, multiplicity)
+        scores._neighbourhood_plans = self._neighbourhood_plans
+        return scores
 
     def family(self, node: str, parents: tuple[str, ...]) -> float:
         index = self.data.index_of
@@ -213,53 +227,60 @@ class _FamilyScores:
             cache.update(((node, ps), score) for ps, score in zip(missing, scores))
         return [cache[(node, ps)] for ps in parent_sets]
 
-    def codes(self, plan: _FamilyPlan) -> np.ndarray:
-        """Each family's (rows) configuration code of each drawn row (columns).
+    def neighbourhood(self, node: int, own: tuple[int, ...]) -> tuple[float, np.ndarray, np.ndarray]:
+        """f(node, own), then `tabu_search`'s add and drop columns of node under `own`, counted once per (node, own).
 
-        The codes are below _MAX_CELLS, so int32 holds them, and float32
-        converts to int32 faster than to int64.
+        The add column holds f(node, own+u) at each non-parent u, the drop
+        column f(node, own-u) - f(node, own) at each parent u, and both -inf
+        elsewhere. All come from one count of the neighbourhood's plan, the
+        families [own] + [own+u for each non-parent u] + [own-u for each
+        parent u], sets sorted, u ascending. The plan depends on the cards
+        alone, so it is built once per (node, own) and shared by `resample`.
         """
-        return (plan.weights @ self._columns).astype(np.int32)
+        kept = self._neighbourhoods.get((node, own))
+        if kept is None:
+            found = self._neighbourhood_plans.get((node, own))
+            if found is None:
+                others = [u for u in range(len(self._cards)) if u != node and u not in own]
+                sets = [own] + [tuple(sorted(own + (u,))) for u in others]
+                sets += [tuple(p for p in own if p != u) for u in own]
+                found = self._neighbourhood_plans[(node, own)] = (_family_plan(self._cards, node, sets), others)
+            plan, others = found
+            scores = self.counted(plan)
+            add, drop = np.full(len(self._cards), -np.inf), np.full(len(self._cards), -np.inf)
+            add[others] = scores[1 : 1 + len(others)]
+            drop[list(own)] = scores[1 + len(others) :] - scores[0]
+            kept = self._neighbourhoods[(node, own)] = (scores[0], add, drop)
+        return kept
 
-    def counted(self, plan: _FamilyPlan) -> np.ndarray:
-        """The BIC score of each of the plan's families on this dataset."""
-        codes = self.codes(plan)
+    def table(self, node: str, parents: tuple[str, ...]) -> np.ndarray:
+        """The cell counts of node's family in CPT layout: (parent configuration, class), first parent most significant.
+
+        A plan's code makes the last parent most significant, so the parents go in reversed.
+        """
+        index = self.data.index_of
+        plan = _family_plan(self._cards, index(node), [tuple(index(p) for p in reversed(parents))])
+        return self.cells(plan).reshape(-1, plan.card)
+
+    def cells(self, plan: _FamilyPlan) -> np.ndarray:
+        """The integer count of each of the plan's cells on this dataset."""
+        # Each family's (rows) code of each drawn row (columns): below _MAX_CELLS, so int32 holds it, and float32
+        # converts to int32 faster than to int64.
+        codes = (plan.weights @ self._columns).astype(np.int32)
         if len(self._row_weights) < codes.size:  # one copy of the row weights per family
             self._row_weights = np.tile(self._row_weights[: codes.shape[1]], len(codes))
         # Sums of integer float64 weights below 2**53: exact integer counts.
-        counts = np.bincount(codes.ravel(), self._row_weights[: codes.size], plan.n_cells).astype(np.intp)
+        return np.bincount(codes.ravel(), self._row_weights[: codes.size], plan.n_cells).astype(np.intp)
+
+    def counted(self, plan: _FamilyPlan) -> np.ndarray:
+        """The BIC score of each of the plan's families on this dataset."""
+        counts = self.cells(plan)
         by_config = counts.reshape(-1, plan.card)
         row_totals = sum(by_config[:, i] for i in range(plan.card))  # faster than .sum(axis=1)
         xlogx = self._xlogx
         loglik = np.add.reduceat(xlogx[counts], plan.cell_starts)
         loglik -= np.add.reduceat(xlogx[row_totals], plan.config_starts)
         return loglik - plan.half_k * self.log_n
-
-
-class _PlanTable:
-    """Neighbourhood plans by (node, own parent set), over name-ordered cards.
-
-    Node v's neighbourhood under parents `own` is the batch of families
-    [own] + [own+u for each non-parent u] + [own-u for each parent u], sets
-    sorted, u ascending. A plan does not depend on the data, so the searches
-    of one bootstrap share one table.
-    """
-
-    def __init__(self, cards: tuple[int, ...]):
-        self.cards = tuple(cards)
-        self._cards = np.asarray(self.cards, np.int64)
-        self._plans: dict[tuple[int, tuple[int, ...]], tuple[_FamilyPlan, list[int]]] = {}
-
-    def neighbourhood(self, node: int, own: tuple[int, ...]) -> tuple[_FamilyPlan, list[int]]:
-        """The plan of node's neighbourhood and its non-parents u, ascending."""
-        found = self._plans.get((node, own))
-        if found is None:
-            others = [u for u in range(len(self.cards)) if u != node and u not in own]
-            sets = [own]
-            sets += [tuple(sorted(own + (u,))) for u in others]
-            sets += [tuple(p for p in own if p != u) for u in own]
-            found = self._plans[(node, own)] = (_family_plan(self._cards, node, sets), others)
-        return found
 
 
 def bic_score(dag: Dag, data: DiscreteDataset) -> float:
@@ -313,8 +334,7 @@ def tabu_search(
     data: DiscreteDataset,
     params: TabuParams = TabuParams(),
     *,
-    _plans: Optional[_PlanTable] = None,
-    _multiplicity: Optional[np.ndarray] = None,
+    _scores: Optional[_FamilyScores] = None,
 ) -> Dag:
     """Hill-climb over add/delete/reverse arc moves with a visited-set tabu.
 
@@ -330,21 +350,17 @@ def tabu_search(
     depends on the candidate set only, not on the order candidates are
     generated in.
 
-    Scoring is incremental. BIC decomposes over families, so a move changes
-    the family terms of only the node (add, delete) or two nodes (reverse)
-    whose parents it changes. Each node v keeps f(v, pa(v)), f(v, pa(v)+u)
-    for every non-parent u, and f(v, pa(v)-u) - f(v, pa(v)) for every parent
-    u. After a move only the changed nodes are rescored: a node's
-    neighbourhood plan comes from `_plans` (a `_PlanTable` that
-    `bootstrap_consensus` shares between its searches; a fresh one when
-    None), and one count on this data scores all of its families. The data
-    are the rows of `data`, row i taken `_multiplicity[i]` times (once each
-    when None): `bootstrap_consensus` passes each resample's row counts
-    rather than a copy of its rows, with the same result. Those terms are
-    kept per (v, pa(v)) for the rest of the search, so a parent set the walk
-    returns to costs three copies. Every candidate's score is then one array
-    expression with the same float operations as scoring the move alone,
-    e.g. reversing u->v scores (drop + f(u, pa(u)+v)) - f(u, pa(u)).
+    The search holds only the walk; its scores come from one scorer,
+    `_scores` (`_FamilyScores` over the name-ordered `data`, each row once,
+    when None; `bootstrap_consensus` passes each resample's). BIC decomposes
+    over families, so a move changes the family terms of only the node (add,
+    delete) or two nodes (reverse) whose parents it changes. Each node v
+    keeps what the scorer's `neighbourhood` answers for it: f(v, pa(v)),
+    f(v, pa(v)+u) for every non-parent u, and f(v, pa(v)-u) - f(v, pa(v))
+    for every parent u. After a move only the changed nodes are asked again,
+    and a parent set asked before costs no count. Every candidate's score is
+    then one array expression with the same float operations as scoring the
+    move alone, e.g. reversing u->v scores (drop + f(u, pa(u)+v)) - f(u, pa(u)).
 
     Nodes are indexed in name order (the columns are copied into that order
     unless they already are in it, as `bootstrap_consensus` hands them over),
@@ -365,31 +381,18 @@ def tabu_search(
     if n == 0:
         return Dag(nodes)  # no candidate to take the argmax of
     data = _in_name_order(data)
-    names, cards = data.variables, data.cards
-    plans = _PlanTable(cards) if _plans is None else _plans
-    if plans.cards != cards:
-        raise SchemaError("plan table built for other cards")
-    scorer = _FamilyScores(data, _multiplicity)
+    scorer = _FamilyScores(data) if _scores is None else _scores
+    if scorer.data is not data:
+        raise SchemaError("_scores must count the name-ordered data searched")
+    names = data.variables
 
     parents: list[tuple[int, ...]] = [()] * n
     base = np.empty(n)
     added = np.full((n, n), -np.inf)  # [u, v]: f(v, pa(v)+u)
     dropped = np.full((n, n), -np.inf)  # [u, v]: f(v, pa(v)-u) - f(v, pa(v))
-    # (v, pa(v)) -> (f(v, pa(v)), column v of added, column v of dropped)
-    terms: dict[tuple[int, tuple[int, ...]], tuple[float, np.ndarray, np.ndarray]] = {}
 
     def rescore(v: int) -> None:
-        own = parents[v]
-        kept = terms.get((v, own))
-        if kept is None:
-            plan, others = plans.neighbourhood(v, own)
-            scores = scorer.counted(plan)
-            add = np.full(n, -np.inf)
-            add[others] = scores[1 : 1 + len(others)]
-            drop = np.full(n, -np.inf)
-            drop[list(own)] = scores[1 + len(others) :] - scores[0]
-            kept = terms[(v, own)] = (scores[0], add, drop)
-        base[v], added[:, v], dropped[:, v] = kept
+        base[v], added[:, v], dropped[:, v] = scorer.neighbourhood(v, parents[v])
 
     for v in range(n):
         rescore(v)
@@ -536,16 +539,16 @@ def bootstrap_consensus(
         raise RangeError("threshold must lie in (0, 1]")
     n = data.n_rows
     # Searches index nodes in name order: the columns are put in that order
-    # once, and the b searches share their neighbourhood plans, which depend
+    # once, and the b resamples share their neighbourhood plans, which depend
     # on the cards alone.
-    ordered = _in_name_order(data)
-    plans = _PlanTable(ordered.cards)
+    scores = _FamilyScores(_in_name_order(data))
 
     def one_replicate(rep: int) -> frozenset[Arc]:
         rng = np.random.default_rng([seed, rep])
         rows = rng.integers(0, n, size=n)
         # The resample as how often each row was drawn, not a copy of its rows.
-        return tabu_search(ordered, params, _plans=plans, _multiplicity=np.bincount(rows, minlength=n)).arcs
+        resample = scores.resample(np.bincount(rows, minlength=n))
+        return tabu_search(scores.data, params, _scores=resample).arcs
 
     replicate_arcs = [one_replicate(rep) for rep in range(b)]
 
@@ -625,34 +628,26 @@ class BayesianNetworkModel:
 
 
 def fit_parameters(dag: Dag, data: DiscreteDataset, alpha: float = 1.0) -> BayesianNetworkModel:
-    """Estimate CPTs by (smoothed) maximum likelihood.
+    """Estimate CPTs by (smoothed) maximum likelihood from the scorer's cell counts (`_FamilyScores.table`).
 
     entry = (count + alpha) / (row_total + alpha * card); alpha=0 is pure MLE
-    and leaves unseen parent configurations as uniform rows.
+    and leaves unseen parent configurations as uniform rows. A family of
+    2**24 cells or more raises CapacityError, as in the search.
     """
     if isinstance(alpha, numbers.Real) and not 0 <= alpha < math.inf:  # NaN fails too
         raise RangeError(f"alpha must be finite and >= 0, got {alpha}")
     alpha = checked("alpha", alpha, number)  # "1" and True are refused, not read as 1.0
     cards = {name: data.card_of(name) for name in dag.nodes}
+    counter = _FamilyScores(data)
     cpts: dict[str, np.ndarray] = {}
     parent_order: dict[str, tuple[str, ...]] = {}
     for node in dag.nodes:
-        parents = dag.parents_of(node)
-        parent_order[node] = parents
-        card = cards[node]
-        n_cfg = 1
-        for parent in parents:
-            n_cfg *= cards[parent]
-        code = np.zeros(data.n_rows, dtype=np.int64)
-        for parent in parents:  # first parent most significant
-            code = code * cards[parent] + data.column(parent)
-        code = code * card + data.column(node)
-        counts = np.bincount(code, minlength=n_cfg * card).reshape(n_cfg, card).astype(float)
-        counts += alpha
+        parents = parent_order[node] = dag.parents_of(node)
+        counts = counter.table(node, parents) + alpha
         row_totals = counts.sum(axis=1, keepdims=True)
         with np.errstate(invalid="ignore"):
             cpt = counts / row_totals
-        cpt[np.isnan(cpt).any(axis=1)] = 1.0 / card  # unseen config, alpha = 0
+        cpt[np.isnan(cpt).any(axis=1)] = 1.0 / cards[node]  # unseen config, alpha = 0
         cpts[node] = cpt
 
     representatives: dict[str, tuple[float, ...]] = {}

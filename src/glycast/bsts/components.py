@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..casts import cast_fields, only_keys, read_fields
+from ..casts import cast_fields, json_object, only_keys, read_fields
 from ..errors import RangeError, SchemaError
 
 MAX_HORIZON = 96  # longest posterior_forecast, in steps: one day, an input limit
@@ -199,7 +199,7 @@ def specs_from_json(payload: dict) -> list[ComponentSpec]:
                 raw = entry.get("priors")
                 priors = None
                 if raw is not None:
-                    level, slope = (read_fields(VariancePrior, raw[key]) for key in ("level", "slope"))
+                    level, slope = (read_fields(VariancePrior, json_object(raw)[key]) for key in ("level", "slope"))
                     priors = read_fields(TrendPriors, raw, ("level", "slope"), level_var=level, slope_var=slope)
                 specs.append(semi_local_trend(priors))
             elif kind == "seasonal":

@@ -7,7 +7,8 @@ range) for one outside the type's domain; `checked` turns these into a
 SchemaError and a RangeError naming the value and the cast's description, for
 `read` a config key, for a library function its argument and for a settings
 dataclass its field. `FIELD_CASTS` holds the cast of each settings field's
-annotation: `cast_fields` applies them to an instance, and `read_fields`
+annotation: `cast_fields` applies them to an instance and checks that a
+field annotated with a settings dataclass holds one, and `read_fields`
 builds an instance from a JSON object. No JSON cast truncates or parses a
 string, and only `boolean` reads a boolean, which Python counts as an int.
 The cell casts, `text` to `class_index`, read CSV cells for
@@ -18,11 +19,13 @@ it reads back, for `glycast.dataset._write_rows`. Every JSON document glycast wr
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
 import operator
-from dataclasses import MISSING, fields
+import typing
+from dataclasses import MISSING, fields, is_dataclass
 from datetime import datetime
 from pathlib import Path
 
@@ -148,17 +151,37 @@ def checked(name: str, value, cast):
 FIELD_CASTS = {"int": integer, "float": number, "bool": boolean, "str": string, "tuple[int, ...]": integers}
 
 
+@functools.cache
+def _nested_settings(cls) -> dict[str, tuple[type, bool]]:
+    """Each field of `cls` annotated with a dataclass, or Optional of one: (that dataclass, whether None is allowed)."""
+    nested = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        args = typing.get_args(hint) if typing.get_origin(hint) is typing.Union else (hint,)
+        classes = [arg for arg in args if is_dataclass(arg)]
+        if len(classes) == 1:
+            nested[name] = (classes[0], type(None) in args)
+    return nested
+
+
 def cast_fields(settings) -> None:
     """Set each field of the dataclass `settings` that FIELD_CASTS annotates to its cast value, frozen or not.
 
     Through `checked`, so a value the cast refuses raises the SchemaError or
-    RangeError that names the field. A field of another annotation, such as
-    a nested prior, is left as it is.
+    RangeError that names the field. A field annotated with a settings
+    dataclass, such as a nested prior, must hold an instance of it, or None
+    where the annotation is Optional: SchemaError naming the field otherwise.
     """
+    nested = _nested_settings(type(settings))
     for setting in fields(settings):
+        value = getattr(settings, setting.name)
         cast = FIELD_CASTS.get(setting.type)
         if cast is not None:
-            object.__setattr__(settings, setting.name, checked(setting.name, getattr(settings, setting.name), cast))
+            object.__setattr__(settings, setting.name, checked(setting.name, value, cast))
+        elif setting.name in nested:
+            cls, optional = nested[setting.name]
+            if not (isinstance(value, cls) or optional and value is None):
+                expected = f"a {cls.__name__} or None" if optional else f"a {cls.__name__}"
+                raise SchemaError(f"{setting.name} must be {expected}, got {value!r}")
 
 
 def read(document, key: str, cast, default=None):
@@ -171,11 +194,16 @@ def read(document, key: str, cast, default=None):
     return checked(repr(key), document[key] if default is None else document.get(key, default), cast)
 
 
-def only_keys(document, keys) -> None:
-    """TypeError unless `document` is a JSON object, ValueError "unknown key '<key>'" for a key not in `keys`."""
+def json_object(document) -> dict:
+    """`document` itself if it is a JSON object; TypeError "expected a JSON object, got <value>" otherwise."""
     if not isinstance(document, dict):
         raise TypeError(f"expected a JSON object, got {document!r}")
-    unknown = [key for key in document if key not in keys]
+    return document
+
+
+def only_keys(document, keys) -> None:
+    """`json_object`'s TypeError for a non-object document, ValueError "unknown key '<key>'" for a key not in `keys`."""
+    unknown = [key for key in json_object(document) if key not in keys]
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r}")
 

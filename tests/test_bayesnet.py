@@ -20,7 +20,6 @@ from glycast.bayesnet import (
     _has_path,
     _in_name_order,
     _FamilyScores,
-    _PlanTable,
     ArcStrengthTable,
     BayesianNetworkModel,
     Dag,
@@ -278,7 +277,9 @@ class TestIncrementalTabuSearch:
     @settings(max_examples=40, deadline=None)
     def test_multiplicities_search_as_the_copied_rows(self, data, draws):
         counts = draws.draw(row_multiplicities(data.n_rows))
-        assert tabu_search(data, _multiplicity=counts) == tabu_search(copied(data, counts))
+        ordered = _in_name_order(data)
+        resample = _FamilyScores(ordered).resample(counts)
+        assert tabu_search(ordered, _scores=resample).arcs == tabu_search(copied(data, counts)).arcs
 
     @given(discrete_data(), st.data())
     @settings(max_examples=40, deadline=None)
@@ -352,10 +353,16 @@ class TestIncrementalTabuSearch:
         data = DiscreteDataset((), (), np.zeros((5, 0), np.int64))
         assert tabu_search(data) == Dag(())
 
-    def test_plan_table_over_other_cards_refused(self):
+    def test_scores_over_other_data_refused(self):
+        # The scorer must count the data searched, in name order: another dataset, or the same columns out of name
+        # order, is refused.
         data = chain_dataset(50, seed=1)
         with pytest.raises(SchemaError):
-            tabu_search(data, _plans=_PlanTable((2, 2, 2)))
+            tabu_search(data, _scores=_FamilyScores(chain_dataset(50, seed=2)))
+        shuffled = DiscreteDataset(("c", "a", "b"), data.cards, data.matrix[:, [2, 0, 1]])
+        with pytest.raises(SchemaError):
+            tabu_search(shuffled, _scores=_FamilyScores(shuffled))
+        assert tabu_search(data, _scores=_FamilyScores(data)) == tabu_search(data)
 
     def test_bootstrap_independent_of_hash_seed(self):
         # Set iteration order of strings follows PYTHONHASHSEED; the search's
@@ -521,6 +528,31 @@ class TestFitParameters:
         data = dataset({"p": [0, 0, 0], "x": [0, 1, 2]}, cards=(2, 4))
         model = fit_parameters(Dag(("p", "x"), frozenset({("p", "x")})), data, alpha=1.0)
         np.testing.assert_allclose(model.cpts["x"][1], [0.25, 0.25, 0.25, 0.25])
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    @pytest.mark.parametrize("parents", [("a", "c"), ("a", "b", "c")])
+    def test_cpt_rows_in_first_parent_most_significant_order(self, parents, alpha):
+        # Row r holds the parent configuration whose mixed-radix code is r, the first parent by name most
+        # significant, with cells from a per-row dictionary count as synth.bic_brute_force counts. The columns are
+        # out of name order and the cards unequal, and a = 1 never meets c = 3, so some rows are unseen.
+        rng = np.random.default_rng([len(parents), int(alpha)])
+        cards = {"m": 3, "c": 4, "b": 3, "a": 2}
+        columns = {name: rng.integers(0, card, 80) for name, card in cards.items()}
+        columns["c"][(columns["a"] == 1) & (columns["c"] == 3)] = 0
+        data = dataset(columns, cards=tuple(cards.values()))
+        model = fit_parameters(Dag(data.variables, frozenset((p, "m") for p in parents)), data, alpha=alpha)
+        assert model.parent_order["m"] == parents
+        counts = {}
+        for row in data.matrix:
+            cell = tuple(int(row[data.index_of(v)]) for v in parents + ("m",))
+            counts[cell] = counts.get(cell, 0) + 1
+        configs = list(itertools.product(*(range(cards[p]) for p in parents)))
+        assert model.cpts["m"].shape == (len(configs), cards["m"])
+        assert any(not any(counts.get(config + (k,)) for k in range(3)) for config in configs)  # an unseen row
+        for config, row in zip(configs, model.cpts["m"].tolist()):
+            cells = [counts.get(config + (k,), 0) + alpha for k in range(cards["m"])]
+            total = sum(cells)
+            assert row == ([c / total for c in cells] if total else [1 / cards["m"]] * cards["m"])
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(2)
@@ -824,8 +856,11 @@ class TestFamilyScores:
         sets = [tuple(sorted(subset)) for subset in draws.draw(st.lists(subsets, min_size=1, max_size=8))]
         weighted, copy = _FamilyScores(data, counts), _FamilyScores(copied(data, counts))
         assert weighted.families(node, sets) == copy.families(node, sets)
-        plan, _ = _PlanTable(data.cards).neighbourhood(node, sets[0])
-        assert weighted.counted(plan).tolist() == copy.counted(plan).tolist()
+        resample = _FamilyScores(data).resample(counts)
+        for scores in (weighted, resample):
+            assert [np.asarray(a).tolist() for a in scores.neighbourhood(node, sets[0])] == [
+                np.asarray(a).tolist() for a in copy.neighbourhood(node, sets[0])
+            ]
 
     def test_multiplicities_checked(self):
         data = chain_dataset(10, seed=0)
@@ -848,10 +883,10 @@ class TestFamilyScores:
         matrix = np.random.default_rng(24).integers(0, 2, (63, 24))
         matrix = np.vstack((matrix, np.ones(24, np.int64)))  # the last cell of every family
         data = DiscreteDataset(tuple(f"v{j:02d}" for j in range(24)), tuple(cards), matrix)
-        codes = _FamilyScores(data).codes(plan)
+        cells = _FamilyScores(data).cells(plan)
         exact = plan.weights.astype(np.int64) @ np.vstack((matrix.T, np.ones(64, np.int64)))
-        assert np.array_equal(codes, exact)
-        assert codes.max() == plan.n_cells - 1
+        assert exact.max() == plan.n_cells - 1
+        assert np.array_equal(cells, np.bincount(exact.ravel(), minlength=plan.n_cells))
 
     @given(discrete_data(), st.data())
     @settings(max_examples=40, deadline=None)
@@ -877,28 +912,36 @@ class TestFamilyScores:
     @given(discrete_data(), discrete_data(), st.data())
     @settings(max_examples=40, deadline=None)
     def test_neighbourhood_plan_is_the_one_scoring_path(self, data, other, draws):
-        # A neighbourhood plan scores f(v, own), f(v, own+u) for each
-        # non-parent u and f(v, own-u) for each parent u, u ascending, to the
-        # bit as `families` does; the plan is read-only and, built from the
-        # cards alone, scores a second dataset over the same cards as well.
+        # A neighbourhood is f(v, own), f(v, own+u) at each non-parent u and f(v, own-u) - f(v, own) at each
+        # parent u, -inf elsewhere, to the bit as `families` scores them; a resample reads the same plans, and
+        # a plan is read-only.
         n = len(data.variables)
         node = draws.draw(st.integers(0, n - 1))
         own = tuple(sorted(draws.draw(
             st.lists(st.sampled_from([u for u in range(n) if u != node]), max_size=3, unique=True)
         )))
-        plan, others = _PlanTable(data.cards).neighbourhood(node, own)
-        assert others == [u for u in range(n) if u != node and u not in own]
-        sets = [own] + [tuple(sorted(own + (u,))) for u in others] + [
-            tuple(p for p in own if p != u) for u in own
-        ]
-        assert _FamilyScores(data).counted(plan).tolist() == _FamilyScores(data).families(node, sets)
-        rows = draws.draw(st.integers(1, 60))
-        matrix = np.column_stack([
-            np.resize(other.matrix[:, j % other.matrix.shape[1]] % card, rows)
-            for j, card in enumerate(data.cards)
-        ])
-        same_cards = DiscreteDataset(data.variables, data.cards, matrix)
-        assert _FamilyScores(same_cards).counted(plan).tolist() == _FamilyScores(same_cards).families(node, sets)
+        others = [u for u in range(n) if u != node and u not in own]
+
+        def expected(scores):
+            base = scores.families(node, [own])[0]
+            add, drop = np.full(n, -np.inf), np.full(n, -np.inf)
+            add[others] = scores.families(node, [tuple(sorted(own + (u,))) for u in others])
+            drop[list(own)] = np.array(scores.families(node, [tuple(p for p in own if p != u) for u in own])) - base
+            return [base, add.tolist(), drop.tolist()]
+
+        def answered(scores):
+            base, add, drop = scores.neighbourhood(node, own)
+            return [base, add.tolist(), drop.tolist()]
+
+        scores = _FamilyScores(data)
+        assert answered(scores) == expected(_FamilyScores(data))
+        assert scores.neighbourhood(node, own) is scores.neighbourhood(node, own)
+        counts = np.resize(other.matrix[:, 0], data.n_rows)
+        counts[0] += 1  # never all zero
+        resample = scores.resample(counts)
+        assert resample._neighbourhood_plans is scores._neighbourhood_plans
+        assert answered(resample) == expected(_FamilyScores(data, counts))
+        plan = _family_plan(np.asarray(data.cards), node, [own])
         for array in (plan.weights, plan.cell_starts, plan.config_starts, plan.half_k):
             with pytest.raises(ValueError):
                 array[0] = 0

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import make_draws
 from glycast.bsts import (
+    ComponentSpec,
     ParamPoint,
     SpikeSlabSettings,
     TrendPriors,
@@ -169,6 +170,27 @@ class TestAssembly:
             ):
                 with pytest.raises(RangeError):
                     build(value)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: TrendPriors(level_var=None, slope_var=VariancePrior(1, 1), d_mean=0, d_sd=1),
+             "level_var must be a VariancePrior, got None"),
+            (lambda: TrendPriors(level_var=VariancePrior(1, 1), slope_var="x", d_mean=0, d_sd=1),
+             "slope_var must be a VariancePrior, got 'x'"),
+            (lambda: ComponentSpec(kind="seasonal", name="d", n_seasons=2, durations=(48, 48), var_prior="x"),
+             "var_prior must be a VariancePrior or None, got 'x'"),
+            (lambda: ComponentSpec(kind="semi_local_trend", trend_priors=VariancePrior(1, 1)),
+             "trend_priors must be a TrendPriors or None, got VariancePrior(df=1.0, guess=1.0)"),
+        ],
+        ids=["level-none", "slope-string", "var_prior-string", "trend_priors-variance"],
+    )
+    def test_nested_prior_must_be_its_settings_class(self, build, message):
+        # Both first cases were accepted and failed late in mcmc_fit: a nested prior is its settings class, and
+        # None only where the field is Optional.
+        with pytest.raises(SchemaError) as caught:
+            build()
+        assert str(caught.value) == message
 
 
 class TestSeasonalRecursion:
@@ -420,11 +442,14 @@ class TestSpecsFromJson:
         [
             ({"kind": "seasonal", "n_seasons": 2, "durations": [1, 1], "var_prior": "x"}, "'x'"),
             ({"kind": "semi_local_trend", "priors": {**TREND_PRIORS, "level": None}}, "None"),
+            ({"kind": "semi_local_trend", "priors": 5}, "5"),
+            ({"kind": "semi_local_trend", "priors": [1]}, "[1]"),
         ],
-        ids=["var_prior-string", "level-null"],
+        ids=["var_prior-string", "level-null", "priors-number", "priors-list"],
     )
     def test_prior_must_be_an_object(self, entry, value):
-        # A null level prior built TrendPriors(level_var=None), and the fit failed on it with an AttributeError.
+        # A null level prior built TrendPriors(level_var=None), and the fit failed on it with an AttributeError; a
+        # trend's priors of 5 or [1] read "'int' object is not subscriptable" or "list indices must be integers".
         from glycast.bsts import specs_from_json
 
         with pytest.raises(SchemaError) as caught:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -1313,6 +1314,30 @@ class TestLearnCommand:
             entry = json.loads(line)
             assert isinstance(entry, dict) and line == json.dumps(entry, sort_keys=True)
         assert [json.loads(line) for line in lines["exclusions.jsonl"]] == report
+
+
+# Stage 1's byte record: `glycast synth` on 60 subjects with missing values, then `glycast learn` at bootstrap 20.
+# Each resample draws rows more than once, the exclusions and imputation take part, and the consensus keeps arcs.
+STAGE1_SYNTH_CONFIG = {"seed": 7, "n_subjects": 60, "n_days": 1, "missing_rate": 0.15}
+STAGE1_LEARN_CONFIG = {"seed": 7, "bootstrap": 20}
+STAGE1_FILE_DIGESTS = {
+    "exclusions.jsonl": "9cf24809bd9f3458aa351a428534140b63578df47766852c3090dd4af1eed47c",
+    "clinical_clean.csv": "f12496cc1094d51b3580d4dca63f2d9d9ddec8e49677627932a823b8eb378bbc",
+    "network.json": "1a80f8ab6693643535409b0020d76da4e76e3d56baa3a89deb2dc254c90d7cae",
+    "cpts.json": "7c1ede3c3ed106e0e12104d9ccb76098c8da6b38a2eb686ead88c780a4630845",
+}
+
+
+class TestStage1Bytes:
+    def test_learn_files_keep_their_bytes(self, tmp_path):
+        data, out = tmp_path / "data", tmp_path / "learned"
+        synth_cfg = write_config(tmp_path / "synth.json", **STAGE1_SYNTH_CONFIG)
+        assert main(["synth", "--config", synth_cfg, "--out", str(data)]) == 0
+        learn = write_config(tmp_path / "learn.json", clinical_csv=str(data / "clinical.csv"), **STAGE1_LEARN_CONFIG)
+        assert main(["learn", "--config", learn, "--out", str(out)]) == 0
+        names = ("exclusions.jsonl", "clinical_clean.csv", "network.json", "cpts.json")
+        written = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+        assert written == STAGE1_FILE_DIGESTS
 
 
 class TestMarkerInference:
